@@ -41,7 +41,6 @@ from .geometry import (
     standard_simplex,
 )
 from .ica import (
-    CpnEstimate,
     LpReduction,
     MixingEstimate,
     SimplexReduction,
@@ -174,7 +173,6 @@ __all__ = [
     "MixingEstimate",
     "SimplexReduction",
     "LpReduction",
-    "CpnEstimate",
     "ica_estimate",
     "reduce_simplex_to_ica",
     "reduce_lp_to_ica",

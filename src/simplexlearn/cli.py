@@ -23,15 +23,17 @@ import time
 
 import numpy as np
 
+from .sampling import child_seed
+
 OUT_ENV = "SIMPLEXLEARN_OUT"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
 _ALLOWED = {
-    "learn": {"n", "t1", "t3", "m", "r", "seed", "threads", "out"},
-    "reduce": {"problem", "n", "p", "t", "seed", "threads", "out"},
-    "verify": {"suite", "n", "seed", "threads", "out"},
+    "learn": {"n", "t1", "t3", "m", "r", "seed", "out"},
+    "reduce": {"problem", "n", "p", "t", "seed", "out"},
+    "verify": {"suite", "n", "seed", "out"},
 }
 
 
@@ -53,10 +55,6 @@ def _jsonify(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -93,8 +91,6 @@ def _validate_common(cfg: dict, command: str) -> None:
         floor = 2 if command == "learn" else 1
         if n < floor:
             raise SchemaError(f"n must be >= {floor} for {command}")
-    if cfg.get("threads") is not None and (not isinstance(cfg["threads"], int) or cfg["threads"] < 1):
-        raise SchemaError("threads must be a positive integer")
     seed = cfg.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise SchemaError("seed must be a nonnegative integer")
@@ -150,14 +146,14 @@ def cmd_learn(args: argparse.Namespace) -> int:
         t1=cfg["t1"], t3=cfg["t3"], m=cfg["m"], vertex_finder=iteration, seed=cfg["seed"]
     )
     started = time.perf_counter()
-    learned = learn_simplex(simplex_source(truth, _child_seed(cfg["seed"], 98)), cfg["n"], learner_config)
+    learned = learn_simplex(simplex_source(truth, child_seed(cfg["seed"], 98)), cfg["n"], learner_config)
 
     report = learned.report.to_dict()
     tv_std_error = None
     if learned.complete:
         match = match_vertices(truth, learned.simplex)
         report["per_vertex_match_error"] = list(match.per_vertex_error)
-        tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=_child_seed(cfg["seed"], 99))
+        tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=child_seed(cfg["seed"], 99))
         report["tv_estimate"] = tv.value
         tv_std_error = tv.std_error
     report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
@@ -208,7 +204,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     if cfg["problem"] == "simplex":
         truth = _synthesize_simplex(n, seed)
-        sample = sample_simplex(truth, t, _child_seed(seed, 101))
+        sample = sample_simplex(truth, t, child_seed(seed, 101))
         reduction = reduce_simplex_to_ica(sample, seed=seed)
         match = match_vertices(truth.vertices, reduction.vertices)
         lifted = np.vstack([truth.vertices.T, np.ones(n + 1)])
@@ -231,10 +227,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         q1, r1 = np.linalg.qr(rng.standard_normal((n, n)))
         q1 = q1 * np.sign(np.diag(r1))
         a = q1 * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
-        ball = sample_lp_ball(n, p, t, _child_seed(seed, 104))
+        ball = sample_lp_ball(n, p, t, child_seed(seed, 104))
         sample = SampleMatrix(ball.points @ a.T, ball.seed, f"mapped({ball.source})")
         reduction = reduce_lp_to_ica(sample, p, seed=seed)
-        c_pn = compute_c_pn(p, n, samples=200_000, seed=seed)
         payload.update(
             {
                 "p": p,
@@ -243,8 +238,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 "separation_index": separation_index(reduction.estimate.separating @ a),
                 "converged": reduction.estimate.converged,
                 "permutation_note": reduction.estimate.permutation_note,
-                "c_pn": {"value": c_pn.value, "std_error": c_pn.std_error, "samples": c_pn.samples},
-                "symdiff": lp_symmetric_difference(a, reduction.mixing, p, seed=_child_seed(seed, 105)),
+                "c_pn": compute_c_pn(p, n),
+                "symdiff": lp_symmetric_difference(a, reduction.mixing, p, seed=child_seed(seed, 105)),
             }
         )
         converged = all(reduction.estimate.converged)
@@ -284,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--threads", type=int, default=None, help="accepted for interface compatibility; results never depend on it")
         p.add_argument("--out", type=str, default=None, help=f"report path (default ${OUT_ENV}/<command>-seed<seed>.json, else stdout)")
         p.add_argument("--config", type=str, default=None, help="JSON config file; explicit flags override it")
 

@@ -25,6 +25,7 @@ from .evaluation import check_sandwich_bound, tv_distance_mc
 from .geometry import Simplex, isotropic_simplex
 from .moments import certify_landscape
 from .sampling import (
+    child_seed,
     rescale_lp_sample,
     rescale_simplex_sample,
     sample_generalized_gaussian,
@@ -43,10 +44,6 @@ __all__ = [
 
 KS_ALPHA = 0.01
 CHI2_ALPHA = 0.01
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def _finish(suite: str, params: dict, checks: list[dict]) -> dict:
@@ -81,8 +78,8 @@ def scaling_suite(
     checks: list[dict] = []
 
     for n in simplex_dims:
-        x = sample_standard_simplex(n, t, seed=_child_seed(seed, 83, n, 0))
-        y = rescale_simplex_sample(x, seed=_child_seed(seed, 83, n, 1))
+        x = sample_standard_simplex(n, t, seed=child_seed(seed, 83, n, 0))
+        y = rescale_simplex_sample(x, seed=child_seed(seed, 83, n, 1))
         pooled = y.points.ravel()
         ks = stats.kstest(pooled, "expon")
         checks.append(
@@ -114,8 +111,8 @@ def scaling_suite(
         )
 
     for p in lp_powers:
-        x = sample_lp_ball(lp_dim, p, t, seed=_child_seed(seed, 84, int(round(8 * p)), 0))
-        y = rescale_lp_sample(x, p, seed=_child_seed(seed, 84, int(round(8 * p)), 1))
+        x = sample_lp_ball(lp_dim, p, t, seed=child_seed(seed, 84, int(round(8 * p)), 0))
+        y = rescale_lp_sample(x, p, seed=child_seed(seed, 84, int(round(8 * p)), 1))
         pooled = np.abs(y.points.ravel()) ** p
         mean = float(pooled.mean())
         se = float(pooled.std(ddof=1) / math.sqrt(pooled.size))
@@ -233,13 +230,13 @@ def tv_suite(
     checks: list[dict] = []
 
     k_identity = isotropic_simplex(2)
-    est = tv_distance_mc(k_identity, k_identity, mc_points, rng=_child_seed(seed, 89, 0))
+    est = tv_distance_mc(k_identity, k_identity, mc_points, rng=child_seed(seed, 89, 0))
     checks.append({"name": "identity_zero", "value": est.value, "passed": bool(est.value == 0.0)})
 
     for n in dims:
         k = isotropic_simplex(n)
         for alpha in alphas:
-            est = tv_distance_mc(k, k.scaled(alpha), mc_points, rng=_child_seed(seed, 89, n, int(round(100 * alpha))))
+            est = tv_distance_mc(k, k.scaled(alpha), mc_points, rng=child_seed(seed, 89, n, int(round(100 * alpha))))
             expected = 1.0 - alpha**n
             tol = 3.0 * max(est.std_error, 1e-12)
             checks.append(
@@ -253,12 +250,12 @@ def tv_suite(
             )
 
     k3 = isotropic_simplex(3)
-    report = check_sandwich_bound(k3, k3, 1.0, 1.0, mc_points, rng=_child_seed(seed, 90, 0))
+    report = check_sandwich_bound(k3, k3, 1.0, 1.0, mc_points, rng=child_seed(seed, 90, 0))
     checks.append(
         {"name": "sandwich_identity", "tv": report.tv.value, "bound": report.bound, "passed": bool(report.holds)}
     )
 
-    report = check_sandwich_bound(k3, k3.scaled(0.9), 0.9, 1.0, mc_points, rng=_child_seed(seed, 90, 1))
+    report = check_sandwich_bound(k3, k3.scaled(0.9), 0.9, 1.0, mc_points, rng=child_seed(seed, 90, 1))
     checks.append(
         {"name": "sandwich_scaled_0.9", "tv": report.tv.value, "bound": report.bound, "passed": bool(report.holds)}
     )
@@ -267,7 +264,7 @@ def tv_suite(
     perturbed = Simplex(k3.vertices + 0.05 * rng.standard_normal(k3.vertices.shape))
     alpha_cert = float(1.0 / _gauge(_facet_normals(perturbed), k3.vertices).max()) * (1.0 - 1e-9)
     beta_cert = float(_gauge(_facet_normals(k3), perturbed.vertices).max()) * (1.0 + 1e-9)
-    report = check_sandwich_bound(k3, perturbed, alpha_cert, beta_cert, mc_points, rng=_child_seed(seed, 90, 3))
+    report = check_sandwich_bound(k3, perturbed, alpha_cert, beta_cert, mc_points, rng=child_seed(seed, 90, 3))
     checks.append(
         {
             "name": "sandwich_perturbed_certified",

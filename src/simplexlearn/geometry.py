@@ -26,7 +26,6 @@ __all__ = [
     "barycentric_coordinates",
     "contains",
     "contains_points",
-    "apply_frame",
     "simplex_to_json",
     "simplex_from_json",
     "save_simplex",
@@ -288,25 +287,6 @@ class AffineFrame:
     def inverse(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.factor.T + self.mean
-
-
-def apply_frame(frame: AffineFrame, points: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Apply an affine frame to a point or batch of points.
-
-    Args:
-        frame: the frame.
-        points: array of shape (..., d).
-        direction: "forward" maps raw coordinates into the frame,
-            "inverse" maps frame coordinates back.
-
-    Returns:
-        Array of the same shape as ``points``.
-    """
-    if direction == "forward":
-        return frame.forward(points)
-    if direction == "inverse":
-        return frame.inverse(points)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def simplex_to_json(s: Simplex) -> str:

@@ -11,16 +11,17 @@ ball's linear map, up to signed permutation.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .geometry import DegenerateSimplexError
 from .sampling import (
     SampleMatrix,
+    _check_p,
+    child_seed,
     generalized_gaussian_std,
     sample_lp_ball,
     substream,
@@ -30,7 +31,6 @@ __all__ = [
     "MixingEstimate",
     "SimplexReduction",
     "LpReduction",
-    "CpnEstimate",
     "ica_estimate",
     "reduce_simplex_to_ica",
     "reduce_lp_to_ica",
@@ -39,7 +39,6 @@ __all__ = [
     "align_signed_permutation",
     "signed_permutation_deviation",
     "lp_symmetric_difference",
-    "clear_c_pn_cache",
 ]
 
 MAX_SWEEPS = 500
@@ -49,9 +48,6 @@ DIRECTION_TOL = 1e-8
 # absolute floor and 4 standard errors of its own estimate; a fixed floor
 # alone lets sampling noise pass for symmetric heavy-tailed sources.
 SKEW_FLOOR = 0.02
-
-_CPN_CACHE: dict[tuple[float, int], "CpnEstimate"] = {}
-
 
 @dataclass
 class MixingEstimate:
@@ -215,82 +211,18 @@ def reduce_lp_to_ica(sample: SampleMatrix, p: float, seed: int = 0) -> LpReducti
     return LpReduction(mixing=mixing, estimate=estimate, p=p)
 
 
-@dataclass(frozen=True)
-class CpnEstimate:
-    """Monte Carlo estimate of c_{p,n} = sqrt(E[X_1^2]) for X uniform in
-    the unit lp ball of R^n."""
+def compute_c_pn(p: float, n: int) -> float:
+    """c_{p,n} = sqrt(E[X_1^2]) for X uniform in the unit lp ball of R^n.
 
-    value: float
-    std_error: float
-    samples: int
-
-
-def compute_c_pn(
-    p: float,
-    n: int,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    cache_path: str | None = None,
-) -> CpnEstimate:
-    """Estimate c_{p,n}, the coordinate scale of the unit lp ball.
-
-    Pools x_i^2 across all n coordinates of each sample point (the ball is
-    coordinate symmetric), doubling blocks until the relative standard
-    error of the estimate is at most 1e-3.  Results are memoized per (p, n)
-    in memory, and in a JSON lookup file when ``cache_path`` is given.
+    X T^(1/p) with T ~ Gamma(n/p + 1, 1) independent of X has iid
+    exp(-|t|^p) coordinates, so E[X_1^2] E[T^(2/p)] equals their variance,
+    which gives c_{p,n}^2 = Gamma(3/p) Gamma(n/p + 1) / (Gamma(1/p) Gamma((n+2)/p + 1))
+    (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005).
     """
-    key = (float(p), int(n))
-    if key in _CPN_CACHE:
-        return _CPN_CACHE[key]
-    if cache_path is not None and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            stored = json.load(fh)
-        tag = f"p={key[0]:.17g},n={key[1]}"
-        if tag in stored:
-            est = CpnEstimate(**stored[tag])
-            _CPN_CACHE[key] = est
-            return est
-
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    block_seed = 0
-    row_means: list[np.ndarray] = []
-    total = 0
-    while True:
-        block = min(max(samples, 1), 1_000_000)
-        pts = sample_lp_ball(n, p, block, seed=int(np.random.SeedSequence((seed, 73, block_seed)).generate_state(1)[0])).points
-        row_means.append((pts * pts).mean(axis=1))
-        total += block
-        block_seed += 1
-        pooled = np.concatenate(row_means)
-        mean = pooled.mean()
-        se_mean = pooled.std(ddof=1) / math.sqrt(total)
-        value = math.sqrt(mean)
-        se_value = se_mean / (2.0 * value)
-        if total >= samples and se_value <= 1e-3 * value:
-            break
-        if total >= 32 * max(samples, 1_000_000):
-            raise RuntimeError("relative standard error target unreachable")
-    est = CpnEstimate(value=float(value), std_error=float(se_value), samples=total)
-    _CPN_CACHE[key] = est
-    if cache_path is not None:
-        stored = {}
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                stored = json.load(fh)
-        stored[f"p={key[0]:.17g},n={key[1]}"] = {
-            "value": est.value,
-            "std_error": est.std_error,
-            "samples": est.samples,
-        }
-        with open(cache_path, "w") as fh:
-            json.dump(stored, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return est
-
-
-def clear_c_pn_cache() -> None:
-    _CPN_CACHE.clear()
+    p = _check_p(p)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return generalized_gaussian_std(p) * math.exp(0.5 * (gammaln(n / p + 1.0) - gammaln((n + 2.0) / p + 1.0)))
 
 
 def separation_index(g: np.ndarray) -> float:
@@ -361,7 +293,7 @@ def lp_symmetric_difference(
     a_est_inv = np.linalg.inv(a_est)
 
     def outside_fraction(sample_map: np.ndarray, other_inv: np.ndarray, key: int) -> float:
-        ball = sample_lp_ball(n, p, mc_points, seed=int(np.random.SeedSequence((seed, 79, key)).generate_state(1)[0]))
+        ball = sample_lp_ball(n, p, mc_points, seed=child_seed(seed, 79, key))
         pts = ball.points @ sample_map.T
         norms = (np.abs(pts @ other_inv.T) ** p).sum(axis=1) ** (1.0 / p)
         return float((norms > 1.0).mean())

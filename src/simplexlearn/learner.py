@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .evaluation import coupon_trials_bound, hoeffding_sample_size, tv_distance_mc
-from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .sampling import SampleMatrix, substream
+from .geometry import AffineFrame, Simplex, make_embed_map
+from .sampling import SampleMatrix, child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
 __all__ = [
@@ -82,8 +82,6 @@ class LearnerConfig:
        duplicates; the default is half the standard simplex edge length.
     vertex_finder: template for the inner iteration (its
        sample_per_gradient must equal t3); None builds one from t3.
-    share_sample: reuse a single t3 block for every gradient evaluation
-       instead of drawing fresh ones, trading accuracy for sample size.
     """
 
     t1: int = 50_000
@@ -92,7 +90,6 @@ class LearnerConfig:
     dedup_radius: float = DEDUP_RADIUS_DEFAULT
     vertex_finder: IterationConfig | None = None
     seed: int = 0
-    share_sample: bool = False
 
     def __post_init__(self):
         if self.t1 < 2 or self.t3 < 1:
@@ -132,7 +129,7 @@ class ExperimentReport:
     tv_estimate: float | None
     wall_time_ms: float
     seed: int
-    schema_version: int = 1
+    schema_version: int = 2
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -154,10 +151,6 @@ class LearnedSimplex:
         return self.simplex is not None
 
 
-def _per_repetition_seed(seed: int, rep: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(41, rep)).generate_state(1)[0])
-
-
 def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: LearnerConfig) -> LearnedSimplex:
     """Learn an n-dimensional simplex from uniform samples.
 
@@ -175,19 +168,18 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
     started = time.perf_counter()
     if config.t1 < n + 2:
         raise ValueError(f"t1 must be at least n+2 = {n + 2}")
-    frame = estimate_frame(sample_source(config.t1))
+    frame_block = np.asarray(sample_source(config.t1), dtype=float)
+    if frame_block.shape != (config.t1, n):
+        raise ValueError(f"sample source returned shape {frame_block.shape} for the frame block, expected {(config.t1, n)}")
+    if not np.isfinite(frame_block).all():
+        raise ValueError("sample source returned non-finite values in the frame block")
+    frame = estimate_frame(frame_block)
     emb = make_embed_map(n)
     iteration = config.resolved_iteration()
     reps = config.repetitions(n)
 
-    shared_block = None
-    if config.share_sample:
-        shared_block = emb.forward(frame.forward(sample_source(config.t3)))
-
-    def embedded_source() -> Callable[[int], np.ndarray]:
-        if shared_block is not None:
-            return lambda count: shared_block
-        return lambda count: emb.forward(frame.forward(sample_source(count)))
+    def embedded_source(count: int) -> np.ndarray:
+        return emb.forward(frame.forward(sample_source(count)))
 
     ones = np.ones(n + 1)
     accepted: list[np.ndarray] = []
@@ -195,11 +187,13 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         rep_config = IterationConfig(
             iterations=iteration.iterations,
             sample_per_gradient=config.t3,
-            seed=_per_repetition_seed(config.seed, rep),
+            seed=child_seed(config.seed, 41, rep),
             record_trace=iteration.record_trace,
         )
-        result = find_vertex(embedded_source(), n + 1, rep_config)
-        u = result.u
+        u = find_vertex(embedded_source, n + 1, rep_config).u
+        # a NaN or Inf in any block of the repetition makes u NaN
+        if not np.isfinite(u).all():
+            raise ValueError(f"repetition {rep} produced a non-finite direction; a sample block held NaN or Inf")
         # exact projection onto the hyperplane {u . 1 = 1}
         candidate = u + (1.0 - u.sum()) / (n + 1) * ones
         if all(np.linalg.norm(candidate - seen) > config.dedup_radius for seen in accepted):
@@ -208,10 +202,8 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
             break
 
     directions = np.array(accepted) if accepted else np.empty((0, n + 1))
-    vertices = None
-    if accepted:
-        vertices = _back_map(directions, frame, emb, n)
-    simplex = Simplex(vertices) if (vertices is not None and len(accepted) == n + 1) else None
+    vertices = frame.inverse(emb.inverse(directions)) if accepted else None
+    simplex = Simplex(vertices) if len(accepted) == n + 1 else None
 
     report = ExperimentReport(
         n=n,
@@ -224,21 +216,6 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         seed=config.seed,
     )
     return LearnedSimplex(simplex=simplex, found_count=len(accepted), directions=directions, report=report)
-
-
-def _back_map(directions: np.ndarray, frame: AffineFrame, emb: EmbedMap, n: int) -> np.ndarray:
-    """Map hyperplane directions back to input coordinates:
-
-        v = sqrt((n+1)(n+2)) B A^T (u - 1/(n+1)) + mu.
-
-    The same map written as frame.inverse(emb.inverse(u)) must agree; the
-    assertion guards the two code paths against drifting apart.
-    """
-    explicit = math.sqrt((n + 1) * (n + 2)) * ((directions - 1.0 / (n + 1)) @ emb.basis) @ frame.factor.T + frame.mean
-    composed = frame.inverse(emb.inverse(directions))
-    if not np.allclose(explicit, composed, rtol=0.0, atol=1e-9 * (1.0 + np.abs(explicit).max())):
-        raise AssertionError("back-map forms disagree; embedding or frame inversion is broken")
-    return explicit
 
 
 @dataclass

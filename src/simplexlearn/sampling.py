@@ -24,6 +24,7 @@ __all__ = [
     "SampleMatrix",
     "SampleExhaustedError",
     "substream",
+    "child_seed",
     "sample_gamma",
     "sample_standard_simplex",
     "sample_simplex",
@@ -64,6 +65,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     shared mutable state.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+
+
+def child_seed(seed: int, *key: int) -> int:
+    """Integer seed for (seed, key), for APIs that take a seed rather than
+    a generator.  Keys play the same role as in :func:`substream`."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:

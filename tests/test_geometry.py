@@ -10,7 +10,6 @@ from simplexlearn.geometry import (
     AffineFrame,
     DegenerateSimplexError,
     Simplex,
-    apply_frame,
     barycentric_coordinates,
     contains,
     contains_points,
@@ -226,14 +225,6 @@ class TestAffineFrame:
         x = np.array([4.0, 2.0])
         assert frame.forward(x).shape == (2,)
         assert np.allclose(frame.forward(x), [2.0, 1.0])
-
-    def test_apply_frame_directions(self):
-        frame = AffineFrame(mean=np.ones(2), factor=np.eye(2))
-        pts = np.zeros((1, 2))
-        assert np.allclose(apply_frame(frame, pts, "forward"), -np.ones((1, 2)))
-        assert np.allclose(apply_frame(frame, pts, "inverse"), np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            apply_frame(frame, pts, "sideways")
 
     def test_validation(self):
         with pytest.raises(ValueError):

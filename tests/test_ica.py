@@ -1,15 +1,12 @@
-import json
 import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import DegenerateSimplexError, Simplex
 from simplexlearn.ica import (
     align_signed_permutation,
-    clear_c_pn_cache,
     compute_c_pn,
     ica_estimate,
     lp_symmetric_difference,
@@ -25,13 +22,6 @@ from simplexlearn.sampling import (
     sample_simplex,
     substream,
 )
-
-
-@pytest.fixture(autouse=True)
-def fresh_cpn_cache():
-    clear_c_pn_cache()
-    yield
-    clear_c_pn_cache()
 
 
 def exponential_mixture(a: np.ndarray, shift: np.ndarray, t: int, seed: int) -> np.ndarray:
@@ -142,44 +132,27 @@ class TestLpReduction:
 
 class TestCpn:
     def test_euclidean_disc_value(self):
-        est = compute_c_pn(2.0, 2, samples=200_000, seed=0)
-        assert abs(est.value - 0.5) <= 5.0 * est.std_error
-        assert est.std_error <= 1e-3 * est.value
+        assert compute_c_pn(2.0, 2) == pytest.approx(0.5, rel=1e-14)
 
     def test_cross_polytope_value(self):
-        est = compute_c_pn(1.0, 2, samples=200_000, seed=0)
-        assert abs(est.value - 1.0 / math.sqrt(6.0)) <= 5.0 * est.std_error
+        assert compute_c_pn(1.0, 2) == pytest.approx(1.0 / math.sqrt(6.0), rel=1e-14)
 
-    def test_gamma_function_identity(self):
-        # c_pn^2 = std^2 * Gamma(n/p + 1) / Gamma((n+2)/p + 1) restated
-        # through the source normal form, for p = 3, n = 4
-        p, n = 3.0, 4
-        est = compute_c_pn(p, n, samples=400_000, seed=1)
-        closed = generalized_gaussian_std(p) * math.exp(
-            0.5 * (gammaln(n / p + 1.0) - gammaln((n + 2.0) / p + 1.0))
-        )
-        assert abs(est.value - closed) <= 5.0 * est.std_error
+    @pytest.mark.parametrize("p, n", [(1.0, 2), (1.0, 5), (1.5, 3), (1.5, 4), (3.0, 2), (3.0, 5), (8.0, 3), (8.0, 6)])
+    def test_matches_sampled_balls(self, p, n):
+        # x_i^2 pooled over the coordinates of each point; rows are
+        # independent, coordinates within a row are not
+        pts = sample_lp_ball(n, p, 200_000, seed=int(10 * p) + n).points
+        row_means = (pts * pts).mean(axis=1)
+        std_error = row_means.std(ddof=1) / math.sqrt(row_means.size)
+        assert abs(row_means.mean() - compute_c_pn(p, n) ** 2) <= 5.0 * std_error
 
-    def test_memory_cache_returns_same_object(self):
-        a = compute_c_pn(2.0, 3, samples=100_000, seed=0)
-        b = compute_c_pn(2.0, 3, samples=100_000, seed=0)
-        assert a is b
-
-    def test_file_cache_round_trip(self, tmp_path):
-        path = str(tmp_path / "cpn.json")
-        first = compute_c_pn(2.0, 3, samples=100_000, seed=0, cache_path=path)
-        with open(path) as fh:
-            stored = json.load(fh)
-        assert "p=2,n=3" in stored
-        clear_c_pn_cache()
-        # different seed would change a recomputed value; a file hit keeps it
-        again = compute_c_pn(2.0, 3, samples=100_000, seed=999, cache_path=path)
-        assert again.value == first.value
-        assert again.samples == first.samples
-
-    def test_sample_validation(self):
+    def test_input_validation(self):
         with pytest.raises(ValueError):
-            compute_c_pn(2.0, 3, samples=0)
+            compute_c_pn(0.5, 3)
+        with pytest.raises(ValueError):
+            compute_c_pn(65.0, 3)
+        with pytest.raises(ValueError):
+            compute_c_pn(2.0, 0)
 
 
 class TestSeparationIndex:

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from simplexlearn.evaluation import match_vertices
-from simplexlearn.geometry import Simplex, isotropic_simplex
+from simplexlearn.geometry import Simplex, isotropic_simplex, make_embed_map
 from simplexlearn.learner import (
     BoostFailureError,
     DegenerateSampleError,
@@ -105,14 +107,6 @@ class TestLearnSimplex:
         assert result.directions.shape == (1, 3)
         assert result.report.vertices is not None
 
-    def test_share_sample_draws_two_blocks(self):
-        truth = random_truth(2, 6)
-        draw, calls = counting_source(truth, 16)
-        config = LearnerConfig(t1=4000, t3=4000, m=12, seed=0, share_sample=True)
-        result = learn_simplex(draw, 2, config)
-        assert calls["count"] == 2
-        assert result.complete
-
     def test_t1_checked_against_dimension(self):
         truth = random_truth(3, 7)
         config = LearnerConfig(t1=4, t3=100, m=2)
@@ -124,7 +118,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000
@@ -133,6 +127,53 @@ class TestLearnSimplex:
         assert report["per_vertex_match_error"] is None
         assert report["tv_estimate"] is None
         assert report["wall_time_ms"] > 0
+
+    def test_back_map_matches_explicit_formula(self):
+        # v = sqrt((n+1)(n+2)) (u - 1/(n+1)) B A^T + mu, with B the embedding
+        # basis and (mu, A) the frame estimated from the same first block
+        n = 3
+        truth = random_truth(n, 9)
+        config = LearnerConfig(t1=20_000, t3=20_000, m=20, seed=0)
+        result = learn_simplex(simplex_source(truth, 19), n, config)
+        assert result.complete
+        frame = estimate_frame(simplex_source(truth, 19)(config.t1))
+        basis = make_embed_map(n).basis
+        explicit = math.sqrt((n + 1) * (n + 2)) * ((result.directions - 1.0 / (n + 1)) @ basis) @ frame.factor.T + frame.mean
+        assert np.abs(result.simplex.vertices - explicit).max() <= 1e-9 * (1.0 + np.abs(explicit).max())
+
+
+def spoiled_source(truth: Simplex, seed: int, call: int, value: float):
+    """simplex_source whose block number ``call`` (0 is the frame block)
+    has ``value`` in its first entry."""
+    inner = simplex_source(truth, seed)
+    calls = {"count": 0}
+
+    def draw(count):
+        block = inner(count)
+        if calls["count"] == call:
+            block[0, 0] = value
+        calls["count"] += 1
+        return block
+
+    return draw
+
+
+class TestSourceValidation:
+    def test_nan_in_frame_block(self):
+        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
+        with pytest.raises(ValueError, match="non-finite values in the frame block"):
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, 0, np.nan), 2, config)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_in_later_block(self, value):
+        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
+        with pytest.raises(ValueError, match="repetition 0 produced a non-finite direction"):
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, 3, value), 2, config)
+
+    def test_wrong_width(self):
+        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
+        with pytest.raises(ValueError, match=r"shape \(2000, 3\) for the frame block, expected \(2000, 2\)"):
+            learn_simplex(simplex_source(random_truth(3, 20), 21), 2, config)
 
 
 class TestLearnerConfig:
