@@ -11,6 +11,7 @@ import numpy as np
 
 from simplexlearn import (
     IterationConfig,
+    empirical_m3_grad,
     exact_grad_m3,
     find_vertex,
     simplex_source,
@@ -18,18 +19,12 @@ from simplexlearn import (
 )
 
 n = 4
+config = IterationConfig(iterations=12, seed=3, record_trace=True)
+source = simplex_source(standard_simplex(n - 1), 5)
 
-exact = find_vertex(
-    None,
-    n,
-    IterationConfig(iterations=12, sample_per_gradient=1, seed=3, record_trace=True),
-    grad_oracle=exact_grad_m3,
-)
-sampled = find_vertex(
-    simplex_source(standard_simplex(n - 1), 5),
-    n,
-    IterationConfig(iterations=12, sample_per_gradient=20_000, seed=3, record_trace=True),
-)
+exact = find_vertex(exact_grad_m3, n, config)
+# a fresh block of 20k points per iteration
+sampled = find_vertex(lambda u: empirical_m3_grad(source(20_000), u), n, config)
 
 print(f"{'iter':>4}  {'exact step':>12}  {'sampled step':>12}")
 for row_e, row_s in zip(exact.trace, sampled.trace):

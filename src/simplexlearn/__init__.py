@@ -65,7 +65,6 @@ from .learner import (
     learn_simplex,
 )
 from .moments import (
-    MomentEstimate,
     PowerSums,
     certify_landscape,
     empirical_m3_grad,
@@ -144,7 +143,6 @@ __all__ = [
     "load_sample",
     # moments
     "PowerSums",
-    "MomentEstimate",
     "power_sums",
     "exact_m3",
     "exact_grad_m3",

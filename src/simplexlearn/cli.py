@@ -26,7 +26,7 @@ import numpy as np
 from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -133,18 +133,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
     from .evaluation import match_vertices, tv_distance_mc
     from .learner import LearnerConfig, learn_simplex
     from .sampling import simplex_source
-    from .vertex_finder import IterationConfig
 
-    cfg = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": None, "seed": 0})
+    cfg = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": 30, "seed": 0})
     _validate_common(cfg, "learn")
 
     truth = _synthesize_simplex(cfg["n"], cfg["seed"])
-    iteration = None
-    if cfg["r"] is not None:
-        iteration = IterationConfig(iterations=cfg["r"], sample_per_gradient=cfg["t3"])
-    learner_config = LearnerConfig(
-        t1=cfg["t1"], t3=cfg["t3"], m=cfg["m"], vertex_finder=iteration, seed=cfg["seed"]
-    )
+    learner_config = LearnerConfig(t1=cfg["t1"], t3=cfg["t3"], m=cfg["m"], r=cfg["r"], seed=cfg["seed"])
     started = time.perf_counter()
     learned = learn_simplex(simplex_source(truth, child_seed(cfg["seed"], 98)), cfg["n"], learner_config)
 
@@ -309,8 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 is reserved for incomplete runs
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (SchemaError, ValueError) as exc:

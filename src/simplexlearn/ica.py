@@ -94,8 +94,14 @@ def ica_estimate(
     Returns:
         MixingEstimate; ``separating`` row count equals the sample
         dimension.  Non-convergence is flagged per component, not raised.
+        Raises ValueError unless the sample is a finite (t, d) array with
+        t > d, and DegenerateSimplexError for a singular covariance.
     """
-    points = sample.points if isinstance(sample, SampleMatrix) else np.atleast_2d(np.asarray(sample, dtype=float))
+    points = sample.points if isinstance(sample, SampleMatrix) else np.asarray(sample, dtype=float)
+    if points.ndim != 2 or points.shape[0] <= points.shape[1]:
+        raise ValueError(f"sample must be a 2-D array with more rows than columns, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("sample holds non-finite values")
     t, d = points.shape
     z, whitener, mean = _whiten(points)
     rng = substream(seed, 61)

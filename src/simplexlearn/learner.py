@@ -4,7 +4,8 @@ The pipeline: estimate an affine frame (mean and covariance factor) from a
 first block of points, move the data into that frame where the hidden
 simplex is nearly isotropic, embed it onto the hyperplane {y . 1 = 1}
 where it becomes a nearly standard simplex rotated about the all-ones
-direction, and repeatedly run the third-moment fixed point to collect its
+direction (both maps compose into one, built once per run), and
+repeatedly run the third-moment fixed point on fresh blocks to collect its
 vertices.  Each accepted direction is projected exactly onto the
 hyperplane and mapped back through the frame.
 """
@@ -19,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .evaluation import coupon_trials_bound, hoeffding_sample_size, tv_distance_mc
-from .geometry import AffineFrame, Simplex, make_embed_map
+from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
+from .moments import empirical_m3_grad
 from .sampling import SampleMatrix, child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
@@ -31,6 +33,7 @@ __all__ = [
     "LearnedSimplex",
     "BoostResult",
     "estimate_frame",
+    "embedded_frame_map",
     "learn_simplex",
     "boost",
 ]
@@ -70,41 +73,44 @@ def estimate_frame(sample: SampleMatrix | np.ndarray) -> AffineFrame:
     return AffineFrame(mean=mean, factor=factor)
 
 
+def embedded_frame_map(frame: AffineFrame, emb: EmbedMap) -> Callable[[np.ndarray], np.ndarray]:
+    """``emb.forward(frame.forward(x))`` as one affine map
+    x -> (x - mean) L + offset, with L = scale factor^-T basis^T solved once
+    here, so a block costs one matmul instead of a solve and a matmul."""
+    linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
+    return lambda x: (x - frame.mean) @ linear + emb.offset
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
     t1: points for the frame estimate (must be >= n+2).
     t3: fresh points per vertex-finder gradient evaluation.
+    r: fixed-point iterations per repetition.
     m: repetition budget; None picks the coupon-collector bound for
        uniform vertex hits with failure budget 0.1 (always >= n+1).
     dedup_radius: directions closer than this to an accepted one are
        duplicates; the default is half the standard simplex edge length.
-    vertex_finder: template for the inner iteration (its
-       sample_per_gradient must equal t3); None builds one from t3.
+    seed: master seed; repetition k starts from child_seed(seed, 41, k).
     """
 
     t1: int = 50_000
     t3: int = 50_000
     m: int | None = None
     dedup_radius: float = DEDUP_RADIUS_DEFAULT
-    vertex_finder: IterationConfig | None = None
+    r: int = 30
     seed: int = 0
 
     def __post_init__(self):
         if self.t1 < 2 or self.t3 < 1:
             raise ValueError("t1 and t3 must be positive (t1 >= n+2 is checked at run time)")
+        if self.r < 1:
+            raise ValueError("r must be >= 1")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be >= 1 when given")
         if not 0.0 < self.dedup_radius < math.sqrt(2.0):
             raise ValueError("dedup_radius must lie in (0, sqrt(2))")
-        if self.vertex_finder is not None and self.vertex_finder.sample_per_gradient != self.t3:
-            raise ValueError("vertex_finder.sample_per_gradient must equal t3")
-
-    def resolved_iteration(self) -> IterationConfig:
-        if self.vertex_finder is not None:
-            return self.vertex_finder
-        return IterationConfig(sample_per_gradient=self.t3)
 
     def repetitions(self, n: int) -> int:
         if self.m is not None:
@@ -129,7 +135,7 @@ class ExperimentReport:
     tv_estimate: float | None
     wall_time_ms: float
     seed: int
-    schema_version: int = 2
+    schema_version: int = 3
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -175,27 +181,16 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         raise ValueError("sample source returned non-finite values in the frame block")
     frame = estimate_frame(frame_block)
     emb = make_embed_map(n)
-    iteration = config.resolved_iteration()
-    reps = config.repetitions(n)
+    to_embedded = embedded_frame_map(frame, emb)
 
-    def embedded_source(count: int) -> np.ndarray:
-        return emb.forward(frame.forward(sample_source(count)))
+    def gradient(u: np.ndarray) -> np.ndarray:
+        return empirical_m3_grad(to_embedded(sample_source(config.t3)), u)
 
-    ones = np.ones(n + 1)
     accepted: list[np.ndarray] = []
-    for rep in range(reps):
-        rep_config = IterationConfig(
-            iterations=iteration.iterations,
-            sample_per_gradient=config.t3,
-            seed=child_seed(config.seed, 41, rep),
-            record_trace=iteration.record_trace,
-        )
-        u = find_vertex(embedded_source, n + 1, rep_config).u
-        # a NaN or Inf in any block of the repetition makes u NaN
-        if not np.isfinite(u).all():
-            raise ValueError(f"repetition {rep} produced a non-finite direction; a sample block held NaN or Inf")
+    for rep in range(config.repetitions(n)):
+        u = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=child_seed(config.seed, 41, rep))).u
         # exact projection onto the hyperplane {u . 1 = 1}
-        candidate = u + (1.0 - u.sum()) / (n + 1) * ones
+        candidate = u + (1.0 - u.sum()) / (n + 1)
         if all(np.linalg.norm(candidate - seen) > config.dedup_radius for seen in accepted):
             accepted.append(candidate)
         if len(accepted) == n + 1:

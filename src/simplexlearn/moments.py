@@ -7,7 +7,7 @@ directional moment has the closed form
 
 where p_k are the power sums of u.  The numerator is 6 h3(u), the complete
 homogeneous symmetric polynomial, via the Newton identities.  This module
-exposes the exact value and gradient, their empirical estimators, and a
+exposes the exact value and gradient, the empirical gradient, and a
 certification of the landscape of p3 on the feasible sphere, whose strict
 local maxima are exactly the (projected) vertex directions.
 """
@@ -23,7 +23,6 @@ from .sampling import SampleMatrix, substream
 
 __all__ = [
     "PowerSums",
-    "MomentEstimate",
     "power_sums",
     "exact_m3",
     "exact_grad_m3",
@@ -83,27 +82,15 @@ def exact_grad_m3(u: np.ndarray) -> np.ndarray:
     return (3.0 * (ps.p1**2 + ps.p2) + 6.0 * ps.p1 * u + 6.0 * u * u) / denom
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Empirical third moment and gradient at a direction, from t points."""
-
-    value: float
-    gradient: np.ndarray
-    t: int
-
-
-def empirical_m3_grad(sample: SampleMatrix | np.ndarray, u: np.ndarray) -> MomentEstimate:
-    """Plug-in estimates of m3(u) and its gradient from sample points:
-    value (1/t) sum (u . x)^3, gradient (3/t) sum (u . x)^2 x."""
+def empirical_m3_grad(sample: SampleMatrix | np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Plug-in estimate of the gradient of m3 at u from t sample points:
+    (3/t) sum (u . x)^2 x."""
     pts = sample.points if isinstance(sample, SampleMatrix) else np.atleast_2d(np.asarray(sample, dtype=float))
     u = np.asarray(u, dtype=float)
     if pts.shape[1] != u.shape[0]:
         raise ValueError("direction and sample dimensions differ")
     s = pts @ u
-    t = pts.shape[0]
-    value = float((s**3).mean())
-    gradient = (3.0 / t) * (pts.T @ (s * s))
-    return MomentEstimate(value, gradient, t)
+    return (3.0 / pts.shape[0]) * (pts.T @ (s * s))
 
 
 def two_value_critical_point(n: int, alpha: int) -> tuple[np.ndarray, float, float, float]:

@@ -10,7 +10,8 @@ simplex's own frame from quantities that are all rotation-equivariant.
 Iterating u -> normalize(u^(2)) squares the coordinate ratios every step,
 so the iterate collapses doubly exponentially onto the vertex whose
 coordinate dominated the start.  With sampled gradients the same update is
-run on a fresh block of points per iteration.
+run on a fresh block of points per iteration: :func:`find_vertex` takes
+the gradient as a callable, so exact and sampled runs share one path.
 """
 
 from __future__ import annotations
@@ -43,22 +44,19 @@ CONVERGENCE_TOL = 1e-9
 class IterationConfig:
     """Knobs for :func:`find_vertex`.
 
-    iterations is the number of fixed-point steps r; sample_per_gradient
-    the number of fresh points consumed by each gradient estimate.  The
-    defaults are the practical operating point; the proof-grade values from
+    iterations is the number of fixed-point steps r; seed drives the random
+    start and any restarts; record_trace keeps every iterate.  The default
+    r is the practical operating point; the proof-grade values from
     :func:`theoretical_parameters` are far larger.
     """
 
     iterations: int = 30
-    sample_per_gradient: int = 50_000
     seed: int = 0
     record_trace: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.sample_per_gradient < 1:
-            raise ValueError("sample_per_gradient must be >= 1")
 
 
 @dataclass
@@ -98,35 +96,26 @@ def _sign_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
-def find_vertex(
-    sample_source: Callable[[int], np.ndarray] | None,
-    n: int,
-    config: IterationConfig,
-    grad_oracle: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> VertexResult:
+def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: IterationConfig) -> VertexResult:
     """Run the third-moment fixed point until it locks onto a vertex.
 
     Args:
-        sample_source: draw(count) callable yielding fresh iid points from
-            the hidden rotated standard simplex in R^n; each of the r
-            iterations consumes config.sample_per_gradient new points.
+        gradient: u -> grad m3(u) for the hidden rotated standard simplex
+            in R^n, called once per iteration: ``exact_grad_m3``, or
+            ``empirical_m3_grad`` on a fresh block of points per call.
         n: number of coordinates (the simplex has n vertices).
         config: iteration knobs; config.seed drives the random start and
             any restarts.
-        grad_oracle: optional exact-gradient callable u -> grad m3(u); when
-            given, no samples are drawn and sample_source may be None.
 
     Returns:
         VertexResult whose u approximates a vertex of the hidden simplex.
 
     Raises:
-        ValueError: neither source nor oracle given.
+        ValueError: gradient returned a non-finite value.
         RuntimeError: more than 5 restarts after degenerate updates.
-        SampleExhaustedError: propagated from a finite source that cannot
-            supply iterations * sample_per_gradient points.
+        SampleExhaustedError: propagated from a gradient callable whose
+            finite source runs out of points.
     """
-    if grad_oracle is None and sample_source is None:
-        raise ValueError("need a sample source or a gradient oracle")
     rng = substream(config.seed, 23)
     u = rng.standard_normal(n)
     u /= np.linalg.norm(u)
@@ -135,12 +124,9 @@ def find_vertex(
     trace: list = []
     last_step = math.inf
     for i in range(config.iterations):
-        if grad_oracle is not None:
-            grad = np.asarray(grad_oracle(u), dtype=float)
-        else:
-            block = sample_source(config.sample_per_gradient)
-            s = block @ u
-            grad = (3.0 / block.shape[0]) * (block.T @ (s * s))
+        grad = np.asarray(gradient(u), dtype=float)
+        if not np.isfinite(grad).all():
+            raise ValueError(f"gradient is not finite at iteration {i}")
         update = reconstruct_squares(u, grad)
         norm = np.linalg.norm(update)
         if norm < COLLAPSE_TOL:

@@ -22,7 +22,7 @@ class TestLearnCommand:
         report = read_json(out)
         assert report["command"] == "learn"
         assert report["complete"] is True
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["n"] == 2
         assert len(report["vertices"]) == 3
         assert len(report["per_vertex_match_error"]) == 3
@@ -54,7 +54,7 @@ class TestLearnCommand:
         code = main(LEARN_FAST + ["--r", "40", "--seed", "0", "--out", out])
         assert code == 0
         report = read_json(out)
-        assert report["config"]["vertex_finder"]["iterations"] == 40
+        assert report["config"]["r"] == 40
 
 
 class TestReduceCommand:
@@ -152,6 +152,18 @@ class TestValidation:
 
     def test_negative_seed(self):
         assert main(["learn", "--seed", "-1"]) == 1
+
+    def test_argparse_errors_exit_one(self, capsys):
+        # 2 is reserved for incomplete runs
+        assert main(["learn", "--n", "abc"]) == 1
+        assert main(["learn", "--bogus", "1"]) == 1
+        assert main(["reduce", "--problem", "cube"]) == 1
+        assert main([]) == 1
+        assert "usage" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["learn", "--help"]) == 0
+        assert "--t3" in capsys.readouterr().out
 
 
 class TestConsoleScript:

@@ -69,6 +69,18 @@ class TestIcaEstimate:
         with pytest.raises(DegenerateSimplexError):
             ica_estimate(line)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        x = exponential_mixture(np.eye(2), np.zeros(2), 500, seed=5)
+        x[7, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            ica_estimate(x)
+
+    @pytest.mark.parametrize("shape", [(500,), (3, 3), (2, 5), (4, 3, 2)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D array with more rows than columns"):
+            ica_estimate(np.ones(shape))
+
     def test_non_convergence_is_flagged_not_raised(self):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
         est = ica_estimate(x, seed=0, max_sweeps=1)

@@ -10,11 +10,11 @@ from simplexlearn.learner import (
     DegenerateSampleError,
     LearnerConfig,
     boost,
+    embedded_frame_map,
     estimate_frame,
     learn_simplex,
 )
 from simplexlearn.sampling import SampleMatrix, sample_simplex, simplex_source, substream
-from simplexlearn.vertex_finder import IterationConfig
 
 
 def random_truth(n: int, seed: int) -> Simplex:
@@ -48,6 +48,17 @@ class TestEstimateFrame:
         pts = substream(0, 2).standard_normal((100, 2))
         frame = estimate_frame(pts)
         assert frame.mean.shape == (2,)
+
+    def test_embedded_map_composes_frame_and_embedding(self):
+        for n, seed in ((2, 3), (5, 4), (9, 5)):
+            truth = random_truth(n, seed)
+            frame = estimate_frame(sample_simplex(truth, 5000, seed))
+            emb = make_embed_map(n)
+            x = simplex_source(truth, seed + 1)(1000)
+            reference = emb.forward(frame.forward(x))
+            composed = embedded_frame_map(frame, emb)(x)
+            assert composed.shape == (1000, n + 1)
+            assert np.abs(composed - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSampleError):
@@ -94,7 +105,7 @@ class TestLearnSimplex:
         result = learn_simplex(draw, 2, config)
         assert result.complete
         # one frame draw plus iterations per repetition actually run
-        reps_used = (calls["count"] - 1) / config.resolved_iteration().iterations
+        reps_used = (calls["count"] - 1) / config.r
         assert reps_used < 15
 
     def test_incomplete_run_reports_honestly(self):
@@ -118,7 +129,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000
@@ -167,7 +178,7 @@ class TestSourceValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_later_block(self, value):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match="repetition 0 produced a non-finite direction"):
+        with pytest.raises(ValueError, match="gradient is not finite at iteration 2"):
             learn_simplex(spoiled_source(random_truth(2, 20), 21, 3, value), 2, config)
 
     def test_wrong_width(self):
@@ -179,7 +190,8 @@ class TestSourceValidation:
 class TestLearnerConfig:
     def test_defaults_resolve(self):
         config = LearnerConfig()
-        assert config.resolved_iteration().sample_per_gradient == 50_000
+        assert config.t3 == 50_000
+        assert config.r == 30
         # coupon bound for 4 outcomes at rate 1/4 with budget 0.1
         assert config.repetitions(3) == 15
 
@@ -196,11 +208,7 @@ class TestLearnerConfig:
         with pytest.raises(ValueError):
             LearnerConfig(dedup_radius=1.5)
         with pytest.raises(ValueError):
-            LearnerConfig(t3=100, vertex_finder=IterationConfig(sample_per_gradient=200))
-
-    def test_matching_vertex_finder_accepted(self):
-        config = LearnerConfig(t3=200, vertex_finder=IterationConfig(iterations=5, sample_per_gradient=200))
-        assert config.resolved_iteration().iterations == 5
+            LearnerConfig(r=0)
 
 
 def table_estimator(runs, table):

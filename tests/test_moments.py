@@ -73,12 +73,9 @@ class TestExactMoment:
             sm = sample_standard_simplex(n + 1, 200_000, 100 + n)
             u = rng.standard_normal(n + 1)
             s = sm.points @ u
-            est = empirical_m3_grad(sm.points, u)
-            tol = 5 * (s**3).std() / math.sqrt(s.size)
-            assert est.value == pytest.approx(exact_m3(u), abs=tol)
-            assert est.t == s.size
+            grad = empirical_m3_grad(sm.points, u)
             grad_tol = 15 * (s**2).std() / math.sqrt(s.size)
-            assert np.abs(est.gradient - exact_grad_m3(u)).max() <= grad_tol
+            assert np.abs(grad - exact_grad_m3(u)).max() <= grad_tol
 
     def test_gradient_against_finite_differences(self):
         rng = substream(0, 2)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from simplexlearn.geometry import standard_simplex
-from simplexlearn.moments import exact_grad_m3
+from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
 from simplexlearn.sampling import SampleExhaustedError, array_source, simplex_source, substream
 from simplexlearn.vertex_finder import (
     IterationConfig,
@@ -79,19 +79,19 @@ class TestSquaringDynamics:
 class TestExactOracle:
     def test_converges_to_a_vertex(self):
         for seed in range(6):
-            config = IterationConfig(iterations=40, sample_per_gradient=1, seed=seed)
-            result = find_vertex(None, 5, config, grad_oracle=exact_grad_m3)
+            config = IterationConfig(iterations=40, seed=seed)
+            result = find_vertex(exact_grad_m3, 5, config)
             assert result.converged
             assert result.iterations_run == 40
             assert nearest_vertex_error(result.u) <= 1e-9
 
     def test_deterministic_in_seed(self):
-        config = IterationConfig(iterations=25, sample_per_gradient=1, seed=3)
-        a = find_vertex(None, 4, config, grad_oracle=exact_grad_m3)
-        b = find_vertex(None, 4, config, grad_oracle=exact_grad_m3)
+        config = IterationConfig(iterations=25, seed=3)
+        a = find_vertex(exact_grad_m3, 4, config)
+        b = find_vertex(exact_grad_m3, 4, config)
         assert (a.u == b.u).all()
-        other = IterationConfig(iterations=25, sample_per_gradient=1, seed=4)
-        c = find_vertex(None, 4, other, grad_oracle=exact_grad_m3)
+        other = IterationConfig(iterations=25, seed=4)
+        c = find_vertex(exact_grad_m3, 4, other)
         assert (a.u != c.u).any()
 
     def test_rotated_frame_equivariance(self):
@@ -103,14 +103,24 @@ class TestExactOracle:
         def rotated_grad(u):
             return r @ exact_grad_m3(r.T @ u)
 
-        config = IterationConfig(iterations=40, sample_per_gradient=1, seed=2)
-        result = find_vertex(None, m, config, grad_oracle=rotated_grad)
+        config = IterationConfig(iterations=40, seed=2)
+        result = find_vertex(rotated_grad, m, config)
         assert result.converged
         assert nearest_vertex_error(r.T @ result.u) <= 1e-8
 
-    def test_requires_some_input(self):
-        with pytest.raises(ValueError):
-            find_vertex(None, 3, IterationConfig())
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gradient_raises(self, value):
+        calls = {"count": 0}
+
+        def oracle(u):
+            calls["count"] += 1
+            grad = exact_grad_m3(u)
+            if calls["count"] == 4:
+                grad[1] = value
+            return grad
+
+        with pytest.raises(ValueError, match="gradient is not finite at iteration 3"):
+            find_vertex(oracle, 4, IterationConfig(iterations=10, seed=0))
 
 
 class TestRestarts:
@@ -122,9 +132,9 @@ class TestRestarts:
             p1 = u.sum()
             return (0.5 * p1 * p1 + 0.5 * (u @ u) + p1 * u) / c
 
-        config = IterationConfig(iterations=30, sample_per_gradient=1, seed=0)
+        config = IterationConfig(iterations=30, seed=0)
         with pytest.raises(RuntimeError):
-            find_vertex(None, 4, config, grad_oracle=oracle)
+            find_vertex(oracle, 4, config)
 
     def test_recovers_after_transient_collapse(self):
         calls = {"count": 0}
@@ -138,31 +148,34 @@ class TestRestarts:
                 return (0.5 * p1 * p1 + 0.5 * (u @ u) + p1 * u) / c
             return exact_grad_m3(u)
 
-        config = IterationConfig(iterations=40, sample_per_gradient=1, seed=0)
-        result = find_vertex(None, 4, config, grad_oracle=oracle)
+        config = IterationConfig(iterations=40, seed=0)
+        result = find_vertex(oracle, 4, config)
         assert result.restarts == 2
         assert result.converged
         assert nearest_vertex_error(result.u) <= 1e-9
+
+
+def sampled_gradient(source, t):
+    """Gradient callable that spends a fresh block of t points per call."""
+    return lambda u: empirical_m3_grad(source(t), u)
 
 
 class TestSampledGradients:
     def test_consumes_fresh_block_per_iteration(self):
         t, r, n = 50, 7, 4
         pts = sample_points(t * r, n)
-        result = find_vertex(array_source(pts), n, IterationConfig(iterations=r, sample_per_gradient=t, seed=0))
+        result = find_vertex(sampled_gradient(array_source(pts), t), n, IterationConfig(iterations=r, seed=0))
         assert result.iterations_run == r
         with pytest.raises(SampleExhaustedError):
-            find_vertex(
-                array_source(pts[:-1]), n, IterationConfig(iterations=r, sample_per_gradient=t, seed=0)
-            )
+            find_vertex(sampled_gradient(array_source(pts[:-1]), t), n, IterationConfig(iterations=r, seed=0))
 
     def test_finds_vertices_at_moderate_sample_size(self):
         n = 4
         hits = 0
         for seed in range(5):
             source = simplex_source(standard_simplex(n - 1), seed + 10)
-            config = IterationConfig(iterations=20, sample_per_gradient=30_000, seed=seed)
-            result = find_vertex(source, n, config)
+            config = IterationConfig(iterations=20, seed=seed)
+            result = find_vertex(sampled_gradient(source, 30_000), n, config)
             if nearest_vertex_error(result.u) <= 0.05:
                 hits += 1
         assert hits >= 4
@@ -177,15 +190,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IterationConfig(iterations=0)
 
-    def test_bad_sample_size(self):
-        with pytest.raises(ValueError):
-            IterationConfig(sample_per_gradient=0)
-
 
 class TestTrace:
     def test_records_every_iteration(self):
-        config = IterationConfig(iterations=12, sample_per_gradient=1, seed=0, record_trace=True)
-        result = find_vertex(None, 3, config, grad_oracle=exact_grad_m3)
+        config = IterationConfig(iterations=12, seed=0, record_trace=True)
+        result = find_vertex(exact_grad_m3, 3, config)
         assert len(result.trace) == 12
         assert [row["iteration"] for row in result.trace] == list(range(12))
         for row in result.trace:
@@ -193,8 +202,8 @@ class TestTrace:
             assert row["u"].shape == (3,)
 
     def test_save_trace_round_trip(self, tmp_path):
-        config = IterationConfig(iterations=8, sample_per_gradient=1, seed=1, record_trace=True)
-        result = find_vertex(None, 3, config, grad_oracle=exact_grad_m3)
+        config = IterationConfig(iterations=8, seed=1, record_trace=True)
+        result = find_vertex(exact_grad_m3, 3, config)
         path = str(tmp_path / "trace.csv")
         save_trace(result, path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -202,8 +211,8 @@ class TestTrace:
         assert np.allclose(data[-1, 3:], result.trace[-1]["u"])
 
     def test_save_without_trace_raises(self):
-        config = IterationConfig(iterations=5, sample_per_gradient=1, seed=0)
-        result = find_vertex(None, 3, config, grad_oracle=exact_grad_m3)
+        config = IterationConfig(iterations=5, seed=0)
+        result = find_vertex(exact_grad_m3, 3, config)
         with pytest.raises(ValueError):
             save_trace(result, "unused.csv")
 
