@@ -10,7 +10,6 @@ the hidden geometry straight out of the mixing matrix.
 import numpy as np
 
 from simplexlearn import (
-    SampleMatrix,
     Simplex,
     lp_symmetric_difference,
     match_vertices,
@@ -34,8 +33,7 @@ print(f"max vertex error {match.max_error:.4f}; contrasts used: {reduction.estim
 
 # a stretched cross-polytope, recovered as a linear map
 a = np.diag([2.0, 1.0])
-ball = sample_lp_ball(2, 1.0, 200_000, 40)
-mapped = SampleMatrix(ball.points @ a.T, ball.seed, "mapped cross-polytope")
+mapped = sample_lp_ball(2, 1.0, 200_000, 40) @ a.T
 lp = reduce_lp_to_ica(mapped, 1.0, seed=0)
 print("\nrecovered map for A = diag(2, 1) (up to signed permutation):")
 print(np.round(lp.mixing, 3))

@@ -77,10 +77,8 @@ from .moments import (
 from .sampling import (
     GammaParams,
     SampleExhaustedError,
-    SampleMatrix,
     array_source,
     generalized_gaussian_std,
-    load_sample,
     rescale_lp_sample,
     rescale_simplex_sample,
     sample_cone_measure,
@@ -89,7 +87,6 @@ from .sampling import (
     sample_lp_ball,
     sample_simplex,
     sample_standard_simplex,
-    save_sample,
     simplex_source,
     substream,
 )
@@ -124,7 +121,6 @@ __all__ = [
     "save_simplex",
     "load_simplex",
     # sampling
-    "SampleMatrix",
     "GammaParams",
     "SampleExhaustedError",
     "substream",
@@ -139,8 +135,6 @@ __all__ = [
     "rescale_lp_sample",
     "simplex_source",
     "array_source",
-    "save_sample",
-    "load_sample",
     # moments
     "PowerSums",
     "power_sums",

@@ -88,9 +88,10 @@ def _validate_common(cfg: dict, command: str) -> None:
     if n is not None:
         if not isinstance(n, int) or isinstance(n, bool):
             raise SchemaError("n must be an integer")
-        floor = 2 if command == "learn" else 1
+        floor = 2 if command == "learn" or cfg.get("suite") in ("scaling", "landscape") else 1
         if n < floor:
-            raise SchemaError(f"n must be >= {floor} for {command}")
+            where = f"{command} --suite {cfg['suite']}" if command == "verify" else command
+            raise SchemaError(f"n must be >= {floor} for {where}")
     seed = cfg.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise SchemaError("seed must be a nonnegative integer")
@@ -98,6 +99,8 @@ def _validate_common(cfg: dict, command: str) -> None:
         value = cfg.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
             raise SchemaError(f"{key} must be a positive integer")
+    if command == "learn" and cfg["t1"] < n + 2:
+        raise SchemaError(f"t1 must be at least n+2 = {n + 2}")
 
 
 def _emit(payload: dict, cfg: dict, command: str) -> None:
@@ -172,7 +175,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         reduce_simplex_to_ica,
         separation_index,
     )
-    from .sampling import P_MAX, SampleMatrix, sample_lp_ball, sample_simplex, substream
+    from .sampling import P_MAX, sample_lp_ball, sample_simplex, substream
 
     cfg = _resolve(args, "reduce", {"problem": "simplex", "n": 3, "p": None, "t": 200_000, "seed": 0})
     _validate_common(cfg, "reduce")
@@ -183,8 +186,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             raise SchemaError("--p is required for --problem lp")
         if not 1.0 <= float(cfg["p"]) <= P_MAX:
             raise SchemaError(f"p must lie in [1, {P_MAX:g}]")
-
     n, t, seed = cfg["n"], cfg["t"], cfg["seed"]
+    dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
+    if t <= dims:
+        raise SchemaError(f"t must exceed {dims} for --problem {cfg['problem']} at n = {n}")
+
     started = time.perf_counter()
     payload = {
         "command": "reduce",
@@ -208,21 +214,17 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 "matched_errors": list(match.per_vertex_error),
                 "max_match_error": match.max_error,
                 "separation_index": separation_index(reduction.estimate.separating @ lifted),
-                "converged": reduction.estimate.converged,
-                "permutation_note": reduction.estimate.permutation_note,
                 "c_pn": None,
                 "symdiff": None,
             }
         )
-        converged = all(reduction.estimate.converged)
     else:
         p = float(cfg["p"])
         rng = substream(seed, 103)
         q1, r1 = np.linalg.qr(rng.standard_normal((n, n)))
         q1 = q1 * np.sign(np.diag(r1))
         a = q1 * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
-        ball = sample_lp_ball(n, p, t, child_seed(seed, 104))
-        sample = SampleMatrix(ball.points @ a.T, ball.seed, f"mapped({ball.source})")
+        sample = sample_lp_ball(n, p, t, child_seed(seed, 104)) @ a.T
         reduction = reduce_lp_to_ica(sample, p, seed=seed)
         payload.update(
             {
@@ -230,17 +232,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 "matched_errors": None,
                 "max_match_error": None,
                 "separation_index": separation_index(reduction.estimate.separating @ a),
-                "converged": reduction.estimate.converged,
-                "permutation_note": reduction.estimate.permutation_note,
                 "c_pn": compute_c_pn(p, n),
                 "symdiff": lp_symmetric_difference(a, reduction.mixing, p, seed=child_seed(seed, 105)),
             }
         )
-        converged = all(reduction.estimate.converged)
 
+    payload["converged"] = reduction.estimate.converged
+    payload["permutation_note"] = reduction.estimate.permutation_note
     payload["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
     _emit(payload, cfg, "reduce")
-    return 0 if converged else 2
+    return 0 if all(reduction.estimate.converged) else 2
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -310,11 +311,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (SchemaError, ValueError) as exc:
+    except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

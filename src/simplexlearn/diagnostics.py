@@ -80,7 +80,7 @@ def scaling_suite(
     for n in simplex_dims:
         x = sample_standard_simplex(n, t, seed=child_seed(seed, 83, n, 0))
         y = rescale_simplex_sample(x, seed=child_seed(seed, 83, n, 1))
-        pooled = y.points.ravel()
+        pooled = y.ravel()
         ks = stats.kstest(pooled, "expon")
         checks.append(
             {
@@ -90,7 +90,7 @@ def scaling_suite(
                 "passed": bool(ks.pvalue >= KS_ALPHA),
             }
         )
-        r = float(np.corrcoef(y.points[:, 0], y.points[:, 1])[0, 1])
+        r = float(np.corrcoef(y[:, 0], y[:, 1])[0, 1])
         checks.append(
             {
                 "name": f"simplex_rescale_decorrelated_n{n}",
@@ -99,7 +99,7 @@ def scaling_suite(
                 "passed": bool(abs(r) <= 3.0 / math.sqrt(t)),
             }
         )
-        sums = y.points.sum(axis=1)
+        sums = y.sum(axis=1)
         ks_sum = stats.kstest(sums, "gamma", args=(n,))
         checks.append(
             {
@@ -113,7 +113,7 @@ def scaling_suite(
     for p in lp_powers:
         x = sample_lp_ball(lp_dim, p, t, seed=child_seed(seed, 84, int(round(8 * p)), 0))
         y = rescale_lp_sample(x, p, seed=child_seed(seed, 84, int(round(8 * p)), 1))
-        pooled = np.abs(y.points.ravel()) ** p
+        pooled = np.abs(y.ravel()) ** p
         mean = float(pooled.mean())
         se = float(pooled.std(ddof=1) / math.sqrt(pooled.size))
         checks.append(
@@ -126,7 +126,7 @@ def scaling_suite(
             }
         )
         if p == 1.0:
-            ks = stats.kstest(np.abs(y.points.ravel()), "expon")
+            ks = stats.kstest(np.abs(y.ravel()), "expon")
             checks.append(
                 {
                     "name": f"lp_rescale_abs_exp_ks_p1_n{lp_dim}",
@@ -136,7 +136,7 @@ def scaling_suite(
                 }
             )
         if p == 2.0:
-            ks = stats.kstest(y.points.ravel(), "norm", args=(0.0, math.sqrt(0.5)))
+            ks = stats.kstest(y.ravel(), "norm", args=(0.0, math.sqrt(0.5)))
             checks.append(
                 {
                     "name": f"lp_rescale_normal_ks_p2_n{lp_dim}",

@@ -19,8 +19,8 @@ from scipy.special import gammaln
 
 from .geometry import DegenerateSimplexError
 from .sampling import (
-    SampleMatrix,
     _check_p,
+    _gamma_rescale,
     child_seed,
     generalized_gaussian_std,
     sample_lp_ball,
@@ -76,7 +76,7 @@ def _whiten(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def ica_estimate(
-    sample: SampleMatrix | np.ndarray,
+    points: np.ndarray,
     seed: int = 0,
     max_sweeps: int = MAX_SWEEPS,
     tol: float = DIRECTION_TOL,
@@ -97,7 +97,7 @@ def ica_estimate(
         Raises ValueError unless the sample is a finite (t, d) array with
         t > d, and DegenerateSimplexError for a singular covariance.
     """
-    points = sample.points if isinstance(sample, SampleMatrix) else np.asarray(sample, dtype=float)
+    points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] <= points.shape[1]:
         raise ValueError(f"sample must be a 2-D array with more rows than columns, got shape {points.shape}")
     if not np.isfinite(points).all():
@@ -162,7 +162,7 @@ class SimplexReduction:
     estimate: MixingEstimate
 
 
-def reduce_simplex_to_ica(sample: SampleMatrix, seed: int = 0) -> SimplexReduction:
+def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction:
     """Recover simplex vertices from uniform samples via ICA.
 
     Each point p is lifted to (p, 1) and scaled by an independent
@@ -172,11 +172,11 @@ def reduce_simplex_to_ica(sample: SampleMatrix, seed: int = 0) -> SimplexReducti
     every column by the sign of its last entry fixes the orientation, and
     dropping the last row leaves the vertices.
     """
-    points = sample.points
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
     t, n = points.shape
-    rng = substream(seed, 67)
-    radii = rng.gamma(n + 1, 1.0, size=t)
-    lifted = np.hstack([points, np.ones((t, 1))]) * radii[:, None]
+    lifted = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(seed, 67))
     estimate = ica_estimate(lifted, seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
@@ -194,7 +194,7 @@ class LpReduction:
     p: float
 
 
-def reduce_lp_to_ica(sample: SampleMatrix, p: float, seed: int = 0) -> LpReduction:
+def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction:
     """Recover the linear map A of a body A(unit lp ball) from uniform
     samples via ICA.
 
@@ -205,11 +205,10 @@ def reduce_lp_to_ica(sample: SampleMatrix, p: float, seed: int = 0) -> LpReducti
     up to signed permutation of columns.  At p = 2 the ball is rotation
     invariant and only the ellipsoid A A^T is identified.
     """
-    points = sample.points
-    t, n = points.shape
-    rng = substream(seed, 71)
-    radii = rng.gamma(n / p + 1.0, 1.0, size=t)
-    scaled = points * (radii ** (1.0 / p))[:, None]
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
+    scaled = _gamma_rescale(points, points.shape[1] / p + 1.0, p, substream(seed, 71))
     estimate = ica_estimate(scaled, seed=seed)
     mixing = estimate.mixing / generalized_gaussian_std(p)
     if abs(p - 2.0) < 1e-12:
@@ -299,8 +298,7 @@ def lp_symmetric_difference(
     a_est_inv = np.linalg.inv(a_est)
 
     def outside_fraction(sample_map: np.ndarray, other_inv: np.ndarray, key: int) -> float:
-        ball = sample_lp_ball(n, p, mc_points, seed=child_seed(seed, 79, key))
-        pts = ball.points @ sample_map.T
+        pts = sample_lp_ball(n, p, mc_points, seed=child_seed(seed, 79, key)) @ sample_map.T
         norms = (np.abs(pts @ other_inv.T) ** p).sum(axis=1) ** (1.0 / p)
         return float((norms > 1.0).mean())
 

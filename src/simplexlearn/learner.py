@@ -12,6 +12,7 @@ hyperplane and mapped back through the frame.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from .evaluation import coupon_trials_bound, hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import empirical_m3_grad
-from .sampling import SampleMatrix, child_seed, substream
+from .sampling import child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
 __all__ = [
@@ -52,14 +53,14 @@ class BoostFailureError(RuntimeError):
     """No boosted run had enough nearby neighbors to be selected."""
 
 
-def estimate_frame(sample: SampleMatrix | np.ndarray) -> AffineFrame:
+def estimate_frame(points: np.ndarray) -> AffineFrame:
     """Mean and Cholesky covariance factor of a point block.
 
     The covariance uses the biased 1/t normalizer.  Raises
     DegenerateSampleError when the covariance is not positive definite
     (fewer than d+1 points, or points on a lower-dimensional flat).
     """
-    pts = sample.points if isinstance(sample, SampleMatrix) else np.atleast_2d(np.asarray(sample, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     t, d = pts.shape
     if t < d + 1:
         raise DegenerateSampleError(f"{t} points cannot determine a {d}-dimensional frame")
@@ -170,21 +171,31 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         LearnedSimplex.  The repetition loop stops as soon as n+1 distinct
         directions are found; if the budget runs out first the result is
         flagged incomplete and carries the vertices found so far.
+
+    Raises:
+        ValueError naming the block (numbered in draw order from the
+        frame block, 0) when a block is not a finite (count, n) array.
     """
     started = time.perf_counter()
     if config.t1 < n + 2:
         raise ValueError(f"t1 must be at least n+2 = {n + 2}")
-    frame_block = np.asarray(sample_source(config.t1), dtype=float)
-    if frame_block.shape != (config.t1, n):
-        raise ValueError(f"sample source returned shape {frame_block.shape} for the frame block, expected {(config.t1, n)}")
-    if not np.isfinite(frame_block).all():
-        raise ValueError("sample source returned non-finite values in the frame block")
-    frame = estimate_frame(frame_block)
+    names = itertools.chain(["the frame block"], (f"block {k}" for k in itertools.count(1)))
+
+    def draw(count: int) -> np.ndarray:
+        where = next(names)
+        block = np.asarray(sample_source(count), dtype=float)
+        if block.shape != (count, n):
+            raise ValueError(f"sample source returned shape {block.shape} for {where}, expected {(count, n)}")
+        if not np.isfinite(block).all():
+            raise ValueError(f"sample source returned non-finite values in {where}")
+        return block
+
+    frame = estimate_frame(draw(config.t1))
     emb = make_embed_map(n)
     to_embedded = embedded_frame_map(frame, emb)
 
     def gradient(u: np.ndarray) -> np.ndarray:
-        return empirical_m3_grad(to_embedded(sample_source(config.t3)), u)
+        return empirical_m3_grad(to_embedded(draw(config.t3)), u)
 
     accepted: list[np.ndarray] = []
     for rep in range(config.repetitions(n)):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import SampleMatrix, substream
+from .sampling import substream
 
 __all__ = [
     "PowerSums",
@@ -82,10 +82,10 @@ def exact_grad_m3(u: np.ndarray) -> np.ndarray:
     return (3.0 * (ps.p1**2 + ps.p2) + 6.0 * ps.p1 * u + 6.0 * u * u) / denom
 
 
-def empirical_m3_grad(sample: SampleMatrix | np.ndarray, u: np.ndarray) -> np.ndarray:
+def empirical_m3_grad(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Plug-in estimate of the gradient of m3 at u from t sample points:
     (3/t) sum (u . x)^2 x."""
-    pts = sample.points if isinstance(sample, SampleMatrix) else np.atleast_2d(np.asarray(sample, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     u = np.asarray(u, dtype=float)
     if pts.shape[1] != u.shape[0]:
         raise ValueError("direction and sample dimensions differ")

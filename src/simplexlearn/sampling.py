@@ -1,15 +1,14 @@
 """Seeded samplers for simplices and lp balls, plus the gamma rescalings
 that turn bounded uniform samples into products of independent coordinates.
 
-Every producer that returns a :class:`SampleMatrix` takes an integer seed
-and derives its stream from a keyed ``SeedSequence``, so regenerating with
-the same seed and source reproduces the points bit for bit.
+Every producer returns a plain (t, d) float array, takes an integer seed
+and derives its stream from a keyed ``SeedSequence``, so calling it again
+with the same arguments reproduces the points bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +20,6 @@ from .geometry import Simplex, _solver
 
 __all__ = [
     "GammaParams",
-    "SampleMatrix",
     "SampleExhaustedError",
     "substream",
     "child_seed",
@@ -36,8 +34,6 @@ __all__ = [
     "rescale_lp_sample",
     "simplex_source",
     "array_source",
-    "save_sample",
-    "load_sample",
 ]
 
 P_MIN, P_MAX = 1.0, 64.0
@@ -89,27 +85,6 @@ class GammaParams:
             raise ValueError("shape and rate must be positive")
 
 
-@dataclass
-class SampleMatrix:
-    """A (t, d) block of sample points plus the provenance needed to
-    regenerate it: the integer seed and a source tag."""
-
-    points: np.ndarray
-    seed: int
-    source: str
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-
-    @property
-    def t(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-
 def sample_gamma(params: GammaParams, count: int, rng: int | np.random.Generator) -> np.ndarray:
     """``count`` gamma variates.  ``rng`` may be an integer seed or a
     numpy Generator."""
@@ -125,18 +100,17 @@ def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def sample_standard_simplex(n: int, t: int, seed: int) -> SampleMatrix:
+def sample_standard_simplex(n: int, t: int, seed: int) -> np.ndarray:
     """t points uniform on the standard simplex Delta^(n-1) in R^n
     (nonnegative coordinates summing to one)."""
     if n < 2:
         raise ValueError("need n >= 2 coordinates")
     if t < 1:
         raise ValueError("t must be >= 1")
-    pts = _simplex_weights(substream(seed, _KEY_STANDARD), n, t)
-    return SampleMatrix(pts, seed, f"standard_simplex(n={n})")
+    return _simplex_weights(substream(seed, _KEY_STANDARD), n, t)
 
 
-def sample_simplex(s: Simplex, t: int, seed: int) -> SampleMatrix:
+def sample_simplex(s: Simplex, t: int, seed: int) -> np.ndarray:
     """t points uniform in the simplex ``s``.
 
     Uniform barycentric weights are pushed through the vertex matrix; an
@@ -146,8 +120,7 @@ def sample_simplex(s: Simplex, t: int, seed: int) -> SampleMatrix:
     if t < 1:
         raise ValueError("t must be >= 1")
     _solver(s)  # rejects affinely dependent vertices up front
-    w = _simplex_weights(substream(seed, _KEY_SIMPLEX), s.dim + 1, t)
-    return SampleMatrix(w @ s.vertices, seed, f"simplex(dim={s.dim})")
+    return _simplex_weights(substream(seed, _KEY_SIMPLEX), s.dim + 1, t) @ s.vertices
 
 
 def _check_p(p: float) -> float:
@@ -183,7 +156,7 @@ def generalized_gaussian_std(p: float) -> float:
     return math.exp(0.5 * (gammaln(3.0 / p) - gammaln(1.0 / p)))
 
 
-def sample_lp_ball(n: int, p: float, t: int, seed: int) -> SampleMatrix:
+def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     """t points uniform in the unit lp ball of R^n.
 
     Uses the exact representation G / (sum |G_i|^p + Z)^(1/p) with G having
@@ -199,10 +172,10 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> SampleMatrix:
     g = _generalized_gaussian(rng, p, (t, n))
     z = rng.exponential(1.0, size=t)
     denom = ((np.abs(g) ** p).sum(axis=1) + z) ** (1.0 / p)
-    return SampleMatrix(g / denom[:, None], seed, f"lp_ball(n={n}, p={p})")
+    return g / denom[:, None]
 
 
-def sample_cone_measure(n: int, p: float, t: int, seed: int) -> SampleMatrix:
+def sample_cone_measure(n: int, p: float, t: int, seed: int) -> np.ndarray:
     """t points on the lp sphere of R^n under cone measure: G / ||G||_p
     with G as in :func:`sample_lp_ball`.  The normalizing norm is
     independent of the output point."""
@@ -213,36 +186,41 @@ def sample_cone_measure(n: int, p: float, t: int, seed: int) -> SampleMatrix:
         raise ValueError("t must be >= 1")
     g = _generalized_gaussian(substream(seed, _KEY_CONE), p, (t, n))
     norms = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)
-    return SampleMatrix(g / norms[:, None], seed, f"cone_measure(n={n}, p={p})")
+    return g / norms[:, None]
 
 
-def rescale_simplex_sample(x: SampleMatrix, seed: int) -> SampleMatrix:
+def _gamma_rescale(points: np.ndarray, shape: float, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Each row of ``points`` times an independent Gamma(shape, 1)^(1/p)
+    radius: the law behind both rescalings below and both ICA reductions."""
+    radii = rng.gamma(shape, 1.0, size=points.shape[0])
+    return points * (radii ** (1.0 / p))[:, None]
+
+
+def rescale_simplex_sample(x: np.ndarray, seed: int) -> np.ndarray:
     """Scale each simplex point by an independent Gamma(n, 1) radius.
 
     For rows uniform on Delta^(n-1) the output coordinates are iid Exp(1).
-    Rows must sum to one within 1e-9.
+    Rows must be finite and sum to one within 1e-9.
     """
-    pts = x.points
-    if np.abs(pts.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("rows must lie on the simplex (coordinates summing to one)")
-    r = substream(seed, _KEY_RESCALE_SIMPLEX).gamma(pts.shape[1], 1.0, size=pts.shape[0])
-    return SampleMatrix(pts * r[:, None], seed, f"rescaled_exponential({x.source})")
+    pts = np.asarray(x, dtype=float)
+    if not np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-9:  # a NaN or Inf row fails too
+        raise ValueError("rows must be finite and lie on the simplex (coordinates summing to one)")
+    return _gamma_rescale(pts, pts.shape[1], 1.0, substream(seed, _KEY_RESCALE_SIMPLEX))
 
 
-def rescale_lp_sample(x: SampleMatrix, p: float, seed: int) -> SampleMatrix:
+def rescale_lp_sample(x: np.ndarray, p: float, seed: int) -> np.ndarray:
     """Scale each lp-ball point by T^(1/p) with T ~ Gamma(n/p + 1, 1).
 
     For rows uniform in the unit lp ball the output coordinates are iid
-    with density proportional to exp(-|t|^p).  Rows must have lp norm at
-    most 1 + 1e-9.
+    with density proportional to exp(-|t|^p).  Rows must be finite and
+    have lp norm at most 1 + 1e-9.
     """
     p = _check_p(p)
-    pts = x.points
+    pts = np.asarray(x, dtype=float)
     norms = (np.abs(pts) ** p).sum(axis=1) ** (1.0 / p)
-    if norms.max() > 1.0 + 1e-9:
-        raise ValueError("rows must lie in the unit lp ball")
-    r = substream(seed, _KEY_RESCALE_LP).gamma(pts.shape[1] / p + 1.0, 1.0, size=pts.shape[0])
-    return SampleMatrix(pts * (r ** (1.0 / p))[:, None], seed, f"rescaled_gg({x.source}, p={p})")
+    if not norms.max() <= 1.0 + 1e-9:  # a NaN or Inf row fails too
+        raise ValueError("rows must be finite and lie in the unit lp ball")
+    return _gamma_rescale(pts, pts.shape[1] / p + 1.0, p, substream(seed, _KEY_RESCALE_LP))
 
 
 def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:
@@ -281,26 +259,3 @@ def array_source(points: np.ndarray) -> Callable[[int], np.ndarray]:
         return block
 
     return draw
-
-
-def save_sample(sm: SampleMatrix, csv_path: str, meta_path: str | None = None) -> None:
-    """Write points as CSV (one point per row, 17 significant digits) plus
-    a JSON sidecar with seed, source, t, d."""
-    if meta_path is None:
-        meta_path = csv_path + ".meta.json"
-    np.savetxt(csv_path, sm.points, delimiter=",", fmt="%.17g")
-    with open(meta_path, "w") as fh:
-        json.dump({"seed": sm.seed, "source": sm.source, "t": sm.t, "d": sm.d}, fh, indent=2)
-        fh.write("\n")
-
-
-def load_sample(csv_path: str, meta_path: str | None = None) -> SampleMatrix:
-    if meta_path is None:
-        meta_path = csv_path + ".meta.json"
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    pts = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    sm = SampleMatrix(pts, int(meta["seed"]), str(meta["source"]))
-    if sm.t != meta["t"] or sm.d != meta["d"]:
-        raise ValueError("CSV shape does not match its sidecar")
-    return sm

@@ -24,7 +24,6 @@ from simplexlearn.ica import (
 from simplexlearn.learner import LearnerConfig, boost, learn_simplex
 from simplexlearn.moments import certify_landscape, exact_grad_m3, exact_m3
 from simplexlearn.sampling import (
-    SampleMatrix,
     sample_lp_ball,
     sample_simplex,
     sample_standard_simplex,
@@ -42,7 +41,7 @@ def test_criterion_1_exact_moments_match_monte_carlo_and_finite_differences():
         sample = sample_standard_simplex(m, 100_000, 9100 + n)
         for _ in range(20):
             u = rng.standard_normal(m)
-            s = sample.points @ u
+            s = sample @ u
             cubes = s**3
             tol = 3.0 * cubes.std(ddof=1) / math.sqrt(cubes.size)
             assert abs(cubes.mean() - exact_m3(u)) <= tol
@@ -167,7 +166,7 @@ def test_criterion_7_ica_reductions_recover_maps():
     # axis-aligned cross-polytope image through the lp reduction
     a_map = np.diag([2.0, 1.0])
     ball = sample_lp_ball(2, 1.0, 200_000, 78)
-    mapped = SampleMatrix(ball.points @ a_map.T, ball.seed, "mapped")
+    mapped = ball @ a_map.T
     lp_reduction = reduce_lp_to_ica(mapped, 1.0, seed=0)
     symdiff = lp_symmetric_difference(a_map, lp_reduction.mixing, 1.0, seed=0)
     assert symdiff <= 0.2, f"symmetric difference ratio {symdiff:.4f}"

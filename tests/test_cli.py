@@ -161,6 +161,29 @@ class TestValidation:
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_usage_limits_are_schema_errors(self, capsys):
+        assert main(["learn", "--n", "5", "--t1", "6"]) == 1
+        assert "schema error: t1 must be at least n+2 = 7" in capsys.readouterr().err
+        for suite in ("scaling", "landscape"):
+            assert main(["verify", "--suite", suite, "--n", "1"]) == 1
+            assert f"schema error: n must be >= 2 for verify --suite {suite}" in capsys.readouterr().err
+        assert main(["reduce", "--problem", "simplex", "--n", "3", "--t", "4"]) == 1
+        assert "schema error: t must exceed 4" in capsys.readouterr().err
+        assert main(["reduce", "--problem", "lp", "--p", "1", "--n", "3", "--t", "3"]) == 1
+        assert "schema error: t must exceed 3" in capsys.readouterr().err
+
+    def test_runtime_failure_is_not_a_schema_error(self, capsys, monkeypatch):
+        import simplexlearn.learner as learner
+
+        def degenerate(*args, **kwargs):
+            raise learner.DegenerateSampleError("sample covariance is singular")
+
+        monkeypatch.setattr(learner, "learn_simplex", degenerate)
+        assert main(["learn", "--n", "2", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: DegenerateSampleError: sample covariance is singular" in err
+        assert "schema error" not in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["learn", "--help"]) == 0
         assert "--t3" in capsys.readouterr().out

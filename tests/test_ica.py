@@ -16,7 +16,6 @@ from simplexlearn.ica import (
     signed_permutation_deviation,
 )
 from simplexlearn.sampling import (
-    SampleMatrix,
     generalized_gaussian_std,
     sample_lp_ball,
     sample_simplex,
@@ -98,8 +97,7 @@ class TestSimplexReduction:
 
     def test_recovers_segment_endpoints(self):
         pts = substream(3, 606).uniform(2.0, 5.0, size=(100_000, 1))
-        sm = SampleMatrix(points=pts, seed=3, source="segment")
-        red = reduce_simplex_to_ica(sm, seed=1)
+        red = reduce_simplex_to_ica(pts, seed=1)
         ends = np.sort(red.vertices.ravel())
         assert abs(ends[0] - 2.0) <= 0.05
         assert abs(ends[1] - 5.0) <= 0.05
@@ -113,11 +111,19 @@ class TestSimplexReduction:
         assert (a.vertices == b.vertices).all()
 
 
+class TestReductionInput:
+    @pytest.mark.parametrize("shape", [(10,), (2, 5, 3)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            reduce_simplex_to_ica(np.ones(shape))
+        with pytest.raises(ValueError, match="2-D"):
+            reduce_lp_to_ica(np.ones(shape), 1.0)
+
+
 class TestLpReduction:
     def test_axis_aligned_cross_polytope(self):
         a = np.diag([2.0, 1.0])
-        ball = sample_lp_ball(2, 1.0, 200_000, 40)
-        sm = SampleMatrix(points=ball.points @ a.T, seed=ball.seed, source="test")
+        sm = sample_lp_ball(2, 1.0, 200_000, 40) @ a.T
         red = reduce_lp_to_ica(sm, 1.0, seed=0)
         assert signed_permutation_deviation(np.linalg.inv(a) @ red.mixing) <= 0.1
         assert lp_symmetric_difference(a, red.mixing, 1.0, seed=0) <= 0.1
@@ -125,8 +131,7 @@ class TestLpReduction:
     def test_p2_identifies_only_the_ellipsoid(self):
         rng = substream(9, 607)
         a = rng.standard_normal((2, 2))
-        ball = sample_lp_ball(2, 2.0, 200_000, 50)
-        sm = SampleMatrix(points=ball.points @ a.T, seed=ball.seed, source="test")
+        sm = sample_lp_ball(2, 2.0, 200_000, 50) @ a.T
         red = reduce_lp_to_ica(sm, 2.0, seed=0)
         gram_true = a @ a.T
         rel = np.abs(red.mixing @ red.mixing.T - gram_true).max() / np.abs(gram_true).max()
@@ -153,7 +158,7 @@ class TestCpn:
     def test_matches_sampled_balls(self, p, n):
         # x_i^2 pooled over the coordinates of each point; rows are
         # independent, coordinates within a row are not
-        pts = sample_lp_ball(n, p, 200_000, seed=int(10 * p) + n).points
+        pts = sample_lp_ball(n, p, 200_000, seed=int(10 * p) + n)
         row_means = (pts * pts).mean(axis=1)
         std_error = row_means.std(ddof=1) / math.sqrt(row_means.size)
         assert abs(row_means.mean() - compute_c_pn(p, n) ** 2) <= 5.0 * std_error

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from simplexlearn.learner import (
     estimate_frame,
     learn_simplex,
 )
-from simplexlearn.sampling import SampleMatrix, sample_simplex, simplex_source, substream
+from simplexlearn.sampling import sample_simplex, simplex_source, substream
 
 
 def random_truth(n: int, seed: int) -> Simplex:
@@ -39,7 +41,7 @@ class TestEstimateFrame:
         truth = random_truth(3, 0)
         sm = sample_simplex(truth, 50_000, 1)
         frame = estimate_frame(sm)
-        y = frame.forward(sm.points)
+        y = frame.forward(sm)
         assert np.abs(y.mean(axis=0)).max() <= 1e-10
         cov = (y.T @ y) / y.shape[0]
         assert np.abs(cov - np.eye(3)).max() <= 1e-10
@@ -153,38 +155,55 @@ class TestLearnSimplex:
         assert np.abs(result.simplex.vertices - explicit).max() <= 1e-9 * (1.0 + np.abs(explicit).max())
 
 
-def spoiled_source(truth: Simplex, seed: int, call: int, value: float):
+def spoiled_source(truth: Simplex, seed: int, call: int, spoil):
     """simplex_source whose block number ``call`` (0 is the frame block)
-    has ``value`` in its first entry."""
+    is replaced by ``spoil(block)``."""
     inner = simplex_source(truth, seed)
-    calls = {"count": 0}
+    calls = itertools.count()
 
     def draw(count):
         block = inner(count)
-        if calls["count"] == call:
-            block[0, 0] = value
-        calls["count"] += 1
-        return block
+        return spoil(block) if next(calls) == call else block
 
     return draw
+
+
+def first_entry(value: float):
+    def spoil(block):
+        block[0, 0] = value
+        return block
+
+    return spoil
 
 
 class TestSourceValidation:
     def test_nan_in_frame_block(self):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
         with pytest.raises(ValueError, match="non-finite values in the frame block"):
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, 0, np.nan), 2, config)
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, 0, first_entry(np.nan)), 2, config)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_later_block(self, value):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match="gradient is not finite at iteration 2"):
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, 3, value), 2, config)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite values in block 3$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, 3, first_entry(value)), 2, config)
 
     def test_wrong_width(self):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
         with pytest.raises(ValueError, match=r"shape \(2000, 3\) for the frame block, expected \(2000, 2\)"):
             learn_simplex(simplex_source(random_truth(3, 20), 21), 2, config)
+
+    def test_wrong_width_in_later_block(self):
+        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
+        widen = spoiled_source(random_truth(2, 20), 21, 2, lambda block: np.hstack([block, block[:, :1]]))
+        with pytest.raises(ValueError, match=r"shape \(2000, 3\) for block 2, expected \(2000, 2\)"):
+            learn_simplex(widen, 2, config)
+
+    def test_short_block(self):
+        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
+        with pytest.raises(ValueError, match=r"shape \(1999, 2\) for block 4, expected \(2000, 2\)"):
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, 4, lambda block: block[:-1]), 2, config)
 
 
 class TestLearnerConfig:

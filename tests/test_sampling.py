@@ -10,7 +10,6 @@ from simplexlearn.sampling import (
     SampleExhaustedError,
     array_source,
     generalized_gaussian_std,
-    load_sample,
     rescale_lp_sample,
     rescale_simplex_sample,
     sample_cone_measure,
@@ -19,7 +18,6 @@ from simplexlearn.sampling import (
     sample_lp_ball,
     sample_simplex,
     sample_standard_simplex,
-    save_sample,
     simplex_source,
     substream,
 )
@@ -34,10 +32,10 @@ def se(values: np.ndarray) -> float:
 class TestDeterminism:
     def test_same_seed_bit_exact(self):
         producers = [
-            lambda seed: sample_standard_simplex(4, 100, seed).points,
-            lambda seed: sample_lp_ball(3, 1.5, 100, seed).points,
-            lambda seed: sample_cone_measure(3, 2.0, 100, seed).points,
-            lambda seed: sample_simplex(standard_simplex(2), 100, seed).points,
+            lambda seed: sample_standard_simplex(4, 100, seed),
+            lambda seed: sample_lp_ball(3, 1.5, 100, seed),
+            lambda seed: sample_cone_measure(3, 2.0, 100, seed),
+            lambda seed: sample_simplex(standard_simplex(2), 100, seed),
         ]
         for producer in producers:
             a, b = producer(42), producer(42)
@@ -47,8 +45,8 @@ class TestDeterminism:
     def test_streams_are_isolated(self):
         # the same seed feeds every producer without making them copies of
         # each other
-        a = sample_standard_simplex(3, 50, 7).points
-        b = sample_lp_ball(3, 1.0, 50, 7).points
+        a = sample_standard_simplex(3, 50, 7)
+        b = sample_lp_ball(3, 1.0, 50, 7)
         assert (a != b).any()
 
     def test_substream_repeatable(self):
@@ -91,13 +89,13 @@ class TestGamma:
 class TestStandardSimplex:
     def test_rows_on_simplex(self):
         sm = sample_standard_simplex(3, 1000, 0)
-        assert np.allclose(sm.points.sum(axis=1), 1.0, atol=1e-12)
-        assert (sm.points >= 0).all()
+        assert np.allclose(sm.sum(axis=1), 1.0, atol=1e-12)
+        assert (sm >= 0).all()
 
     def test_coordinate_means(self):
         sm = sample_standard_simplex(3, T, 1)
         for j in range(3):
-            col = sm.points[:, j]
+            col = sm[:, j]
             assert abs(col.mean() - 1 / 3) <= 3 * se(col)
 
     def test_second_moment_against_quadrature(self):
@@ -106,7 +104,7 @@ class TestStandardSimplex:
         target, err = integrate.dblquad(lambda y, x: 2.0 * x * x, 0, 1, 0, lambda x: 1 - x)
         assert err < 1e-10
         assert target == pytest.approx(1 / 6)
-        col = sample_standard_simplex(3, T, 2).points[:, 0] ** 2
+        col = sample_standard_simplex(3, T, 2)[:, 0] ** 2
         assert abs(col.mean() - target) <= 3 * se(col)
 
     def test_validation(self):
@@ -121,23 +119,23 @@ class TestSampleSimplex:
         rng = np.random.default_rng(0)
         s = Simplex(rng.standard_normal((4, 3)))
         sm = sample_simplex(s, 2000, 3)
-        assert contains_points(s, sm.points, tol=1e-9).all()
+        assert contains_points(s, sm, tol=1e-9).all()
 
     def test_standard_vertices_match_direct_sampler(self):
-        direct = sample_standard_simplex(3, 20_000, 5).points[:, 0]
-        pushed = sample_simplex(standard_simplex(2), 20_000, 6).points[:, 0]
+        direct = sample_standard_simplex(3, 20_000, 5)[:, 0]
+        pushed = sample_simplex(standard_simplex(2), 20_000, 6)[:, 0]
         assert stats.ks_2samp(direct, pushed).pvalue >= 0.01
 
     def test_centroid(self):
         s = Simplex(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 4.0]]))
-        pts = sample_simplex(s, T, 7).points
+        pts = sample_simplex(s, T, 7)
         for j in range(2):
             assert abs(pts[:, j].mean() - s.centroid()[j]) <= 3 * se(pts[:, j])
 
     def test_isotropic_covariance(self):
         from simplexlearn.geometry import isotropic_simplex
 
-        pts = sample_simplex(isotropic_simplex(4), T, 8).points
+        pts = sample_simplex(isotropic_simplex(4), T, 8)
         cov = np.cov(pts.T, bias=True)
         assert np.abs(cov - np.eye(4)).max() <= 0.05
 
@@ -148,8 +146,8 @@ class TestSampleSimplex:
         s = Simplex(rng.standard_normal((4, 3)))
         m, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
         image = Simplex(s.vertices @ m.T + b)
-        a = sample_simplex(s, 500, 11).points
-        c = sample_simplex(image, 500, 11).points
+        a = sample_simplex(s, 500, 11)
+        c = sample_simplex(image, 500, 11)
         assert np.allclose(a @ m.T + b, c, atol=1e-12)
 
     def test_degenerate_rejected(self):
@@ -198,17 +196,17 @@ class TestGeneralizedGaussian:
 class TestLpBall:
     def test_norms_inside(self):
         for p in (1.0, 2.0, 3.0):
-            pts = sample_lp_ball(3, p, 2000, 1).points
+            pts = sample_lp_ball(3, p, 2000, 1)
             norms = (np.abs(pts) ** p).sum(axis=1) ** (1 / p)
             assert (norms <= 1.0 + 1e-12).all()
 
     def test_euclidean_ball_radial_cdf(self):
-        pts = sample_lp_ball(2, 2.0, T, 2).points
+        pts = sample_lp_ball(2, 2.0, T, 2)
         frac = (np.linalg.norm(pts, axis=1) <= 0.5).mean()
         assert abs(frac - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / T)
 
     def test_cross_polytope_orthant_symmetry(self):
-        pts = sample_lp_ball(3, 1.0, T, 3).points
+        pts = sample_lp_ball(3, 1.0, T, 3)
         frac = (pts > 0).all(axis=1).mean()
         assert abs(frac - 1 / 8) <= 3 * math.sqrt((1 / 8) * (7 / 8) / T)
 
@@ -216,12 +214,12 @@ class TestLpBall:
 class TestConeMeasure:
     def test_rows_on_boundary(self):
         for p in (1.0, 2.0, 4.0):
-            pts = sample_cone_measure(3, p, 1000, 4).points
+            pts = sample_cone_measure(3, p, 1000, 4)
             norms = (np.abs(pts) ** p).sum(axis=1) ** (1 / p)
             assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_sphere_coordinate_means(self):
-        pts = sample_cone_measure(3, 2.0, T, 5).points
+        pts = sample_cone_measure(3, 2.0, T, 5)
         for j in range(3):
             assert abs(pts[:, j].mean()) <= 3 * se(pts[:, j])
 
@@ -230,42 +228,54 @@ class TestRescaling:
     def test_simplex_rescale_pooled_exponential(self):
         x = sample_standard_simplex(5, T, 6)
         y = rescale_simplex_sample(x, 7)
-        pooled = y.points.ravel()
+        pooled = y.ravel()
         assert stats.kstest(pooled, "expon").pvalue >= 0.01
 
     def test_simplex_rescale_decorrelates(self):
         y = rescale_simplex_sample(sample_standard_simplex(5, T, 8), 9)
-        r = np.corrcoef(y.points[:, 0], y.points[:, 1])[0, 1]
+        r = np.corrcoef(y[:, 0], y[:, 1])[0, 1]
         assert abs(r) <= 3 / math.sqrt(T)
 
     def test_simplex_rescale_row_sums_gamma(self):
         n = 5
         y = rescale_simplex_sample(sample_standard_simplex(n, T, 10), 11)
-        assert stats.kstest(y.points.sum(axis=1), "gamma", args=(n,)).pvalue >= 0.01
+        assert stats.kstest(y.sum(axis=1), "gamma", args=(n,)).pvalue >= 0.01
 
     def test_simplex_rescale_rejects_non_simplex_rows(self):
-        bad = sample_standard_simplex(3, 10, 0)
-        bad.points = bad.points * 2.0
+        bad = sample_standard_simplex(3, 10, 0) * 2.0
         with pytest.raises(ValueError):
+            rescale_simplex_sample(bad, 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_simplex_rescale_rejects_non_finite_rows(self, value):
+        bad = sample_standard_simplex(3, 10, 0)
+        bad[4, 1] = value
+        with pytest.raises(ValueError, match="finite"):
             rescale_simplex_sample(bad, 0)
 
     def test_lp_rescale_p1_pooled_exponential(self):
         y = rescale_lp_sample(sample_lp_ball(4, 1.0, T, 12), 1.0, 13)
-        assert stats.kstest(np.abs(y.points.ravel()), "expon").pvalue >= 0.01
+        assert stats.kstest(np.abs(y.ravel()), "expon").pvalue >= 0.01
 
     def test_lp_rescale_p2_pooled_normal(self):
         y = rescale_lp_sample(sample_lp_ball(4, 2.0, T, 14), 2.0, 15)
-        assert stats.kstest(y.points.ravel(), "norm", args=(0.0, math.sqrt(0.5))).pvalue >= 0.01
+        assert stats.kstest(y.ravel(), "norm", args=(0.0, math.sqrt(0.5))).pvalue >= 0.01
 
     def test_lp_rescale_p3_third_moment(self):
         y = rescale_lp_sample(sample_lp_ball(4, 3.0, T, 16), 3.0, 17)
-        a = np.abs(y.points.ravel()) ** 3
+        a = np.abs(y.ravel()) ** 3
         assert abs(a.mean() - 1 / 3) <= 3 * se(a)
 
     def test_lp_rescale_rejects_outside_rows(self):
-        bad = sample_lp_ball(3, 2.0, 10, 0)
-        bad.points = bad.points * 3.0
+        bad = sample_lp_ball(3, 2.0, 10, 0) * 3.0
         with pytest.raises(ValueError):
+            rescale_lp_sample(bad, 2.0, 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_lp_rescale_rejects_non_finite_rows(self, value):
+        bad = sample_lp_ball(3, 2.0, 10, 0)
+        bad[4, 1] = value
+        with pytest.raises(ValueError, match="finite"):
             rescale_lp_sample(bad, 2.0, 0)
 
 
@@ -311,22 +321,3 @@ class TestSources:
         assert (src(3) == pts[2:5]).all()
         with pytest.raises(SampleExhaustedError):
             src(2)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        sm = sample_lp_ball(3, 1.5, 50, 21)
-        path = str(tmp_path / "points.csv")
-        save_sample(sm, path)
-        restored = load_sample(path)
-        assert (restored.points == sm.points).all()
-        assert restored.seed == sm.seed
-        assert restored.source == sm.source
-
-    def test_shape_mismatch_detected(self, tmp_path):
-        sm = sample_standard_simplex(3, 10, 0)
-        path = str(tmp_path / "points.csv")
-        save_sample(sm, path)
-        np.savetxt(path, sm.points[:5], delimiter=",", fmt="%.17g")
-        with pytest.raises(ValueError):
-            load_sample(path)
