@@ -9,8 +9,8 @@ wall_time_ms field.
 
 Exit codes: 0 on full success (complete recovery, converged reduction, or
 all checks passed), 2 on an incomplete or failed-check run, 1 on usage or
-runtime errors.  Reports go to --out, else to $SIMPLEXLEARN_OUT/<command>-
-seed<seed>.json, else to stdout.
+schema errors, 3 when the run itself fails.  Reports go to --out, else to
+$SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ The pipeline: estimate an affine frame (mean and covariance factor) from a
 first block of points, move the data into that frame where the hidden
 simplex is nearly isotropic, embed it onto the hyperplane {y . 1 = 1}
 where it becomes a nearly standard simplex rotated about the all-ones
-direction (both maps compose into one, built once per run), and
-repeatedly run the third-moment fixed point on fresh blocks to collect its
-vertices.  Each accepted direction is projected exactly onto the
-hyperplane and mapped back through the frame.
+direction (both maps compose into one, built once per run), and run the
+third-moment fixed point from random starts, n+1 at a time on one fresh
+block per step, to collect its vertices.  Each accepted direction is
+projected exactly onto the hyperplane and mapped back through the frame.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .evaluation import coupon_trials_bound, hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .moments import empirical_m3_grad
 from .sampling import child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
@@ -34,7 +33,7 @@ __all__ = [
     "LearnedSimplex",
     "BoostResult",
     "estimate_frame",
-    "embedded_frame_map",
+    "embedded_m3_grad",
     "learn_simplex",
     "boost",
 ]
@@ -74,12 +73,28 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
     return AffineFrame(mean=mean, factor=factor)
 
 
-def embedded_frame_map(frame: AffineFrame, emb: EmbedMap) -> Callable[[np.ndarray], np.ndarray]:
-    """``emb.forward(frame.forward(x))`` as one affine map
-    x -> (x - mean) L + offset, with L = scale factor^-T basis^T solved once
-    here, so a block costs one matmul instead of a solve and a matmul."""
+def embedded_m3_grad(frame: AffineFrame, emb: EmbedMap) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(x, u) -> ``empirical_m3_grad(emb.forward(frame.forward(x)), u)``
+    without building the embedded block.
+
+    Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
+    b = offset - mean L solved once here.  With s = y u = x (L u) + b . u the
+    gradient (3/t) y^T s^2 is (3/t) (L^T (x^T s^2) + b sum(s^2)): two thin
+    matmuls against the raw block.  u is (n+1,) or a batch (n+1, k).
+    """
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
-    return lambda x: (x - frame.mean) @ linear + emb.offset
+    shift = emb.offset - frame.mean @ linear
+
+    def gradient(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # s^T, one row of t entries per column of u: numpy adds, squares
+        # and sums along long rows much faster than along rows of k entries,
+        # and in place, without a second (k, t) temporary
+        s = (u.T @ linear.T) @ x.T
+        s += (u.T @ shift)[..., None]
+        s *= s
+        return (3.0 / x.shape[0]) * (linear.T @ (s @ x).T + np.multiply.outer(shift, s.sum(axis=-1)))
+
+    return gradient
 
 
 @dataclass(frozen=True)
@@ -89,7 +104,10 @@ class LearnerConfig:
     t1: points for the frame estimate (must be >= n+2).
     t3: fresh points per vertex-finder gradient evaluation.
     r: fixed-point iterations per repetition.
-    m: repetition budget; None picks the coupon-collector bound for
+    m: repetition budget, the number of random starts.  Starts run in
+       batches of n+1 (the last one cut to the budget) that share one fresh
+       block per fixed-point step, and the run stops after the batch that
+       completes n+1 vertices.  None picks the coupon-collector bound for
        uniform vertex hits with failure budget 0.1 (always >= n+1).
     dedup_radius: directions closer than this to an accepted one are
        duplicates; the default is half the standard simplex edge length.
@@ -125,7 +143,9 @@ class ExperimentReport:
 
     per_vertex_match_error and tv_estimate need ground truth and are filled
     by harnesses that have it; the learner itself leaves them None.
-    wall_time_ms is excluded from any byte-for-byte comparisons.
+    points_drawn counts the frame block and every gradient block;
+    starts_run counts the fixed-point starts, every column of every batch
+    run.  wall_time_ms is excluded from any byte-for-byte comparisons.
     """
 
     n: int
@@ -136,7 +156,9 @@ class ExperimentReport:
     tv_estimate: float | None
     wall_time_ms: float
     seed: int
-    schema_version: int = 3
+    points_drawn: int
+    starts_run: int
+    schema_version: int = 4
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -168,9 +190,14 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         config: see :class:`LearnerConfig`.
 
     Returns:
-        LearnedSimplex.  The repetition loop stops as soon as n+1 distinct
-        directions are found; if the budget runs out first the result is
-        flagged incomplete and carries the vertices found so far.
+        LearnedSimplex.  The starts run in batches of n+1: every fixed-point
+        step draws one block that serves all columns, so the columns share
+        their sampling noise while their starts (repetition k starts from
+        child_seed(seed, 41, k)) stay independent, which is all the
+        coupon-collector bound on the budget m assumes.  After each batch
+        its directions are deduplicated in column order, and the run stops
+        once n+1 distinct ones are found; if the budget runs out first the
+        result is flagged incomplete and carries the vertices found so far.
 
     Raises:
         ValueError naming the block (numbered in draw order from the
@@ -180,30 +207,40 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
     if config.t1 < n + 2:
         raise ValueError(f"t1 must be at least n+2 = {n + 2}")
     names = itertools.chain(["the frame block"], (f"block {k}" for k in itertools.count(1)))
+    points_drawn = 0
 
     def draw(count: int) -> np.ndarray:
+        nonlocal points_drawn
         where = next(names)
         block = np.asarray(sample_source(count), dtype=float)
         if block.shape != (count, n):
             raise ValueError(f"sample source returned shape {block.shape} for {where}, expected {(count, n)}")
         if not np.isfinite(block).all():
             raise ValueError(f"sample source returned non-finite values in {where}")
+        points_drawn += count
         return block
 
     frame = estimate_frame(draw(config.t1))
     emb = make_embed_map(n)
-    to_embedded = embedded_frame_map(frame, emb)
+    block_gradient = embedded_m3_grad(frame, emb)
 
     def gradient(u: np.ndarray) -> np.ndarray:
-        return empirical_m3_grad(to_embedded(draw(config.t3)), u)
+        return block_gradient(draw(config.t3), u)
 
     accepted: list[np.ndarray] = []
-    for rep in range(config.repetitions(n)):
-        u = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=child_seed(config.seed, 41, rep))).u
-        # exact projection onto the hyperplane {u . 1 = 1}
-        candidate = u + (1.0 - u.sum()) / (n + 1)
-        if all(np.linalg.norm(candidate - seen) > config.dedup_radius for seen in accepted):
-            accepted.append(candidate)
+    budget = config.repetitions(n)
+    starts_run = 0
+    for first in range(0, budget, n + 1):
+        seeds = tuple(child_seed(config.seed, 41, rep) for rep in range(first, min(first + n + 1, budget)))
+        batch = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds)).u
+        starts_run += len(seeds)
+        for u in batch.T:
+            # exact projection onto the hyperplane {u . 1 = 1}
+            candidate = u + (1.0 - u.sum()) / (n + 1)
+            if all(np.linalg.norm(candidate - seen) > config.dedup_radius for seen in accepted):
+                accepted.append(candidate)
+            if len(accepted) == n + 1:
+                break
         if len(accepted) == n + 1:
             break
 
@@ -220,6 +257,8 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         tv_estimate=None,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
         seed=config.seed,
+        points_drawn=points_drawn,
+        starts_run=starts_run,
     )
     return LearnedSimplex(simplex=simplex, found_count=len(accepted), directions=directions, report=report)
 

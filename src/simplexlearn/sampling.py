@@ -96,8 +96,9 @@ def sample_gamma(params: GammaParams, count: int, rng: int | np.random.Generator
 def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
     """Uniform barycentric weights on Delta^(m-1): iid Exp(1) rows divided
     by their sums."""
-    e = rng.exponential(1.0, size=(t, m))
-    return e / e.sum(axis=1, keepdims=True)
+    e = rng.standard_exponential(size=(t, m))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def sample_standard_simplex(n: int, t: int, seed: int) -> np.ndarray:

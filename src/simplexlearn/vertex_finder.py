@@ -11,7 +11,11 @@ Iterating u -> normalize(u^(2)) squares the coordinate ratios every step,
 so the iterate collapses doubly exponentially onto the vertex whose
 coordinate dominated the start.  With sampled gradients the same update is
 run on a fresh block of points per iteration: :func:`find_vertex` takes
-the gradient as a callable, so exact and sampled runs share one path.
+the gradient as a callable, so exact and sampled runs share one path.  It
+runs one start or a batch of them: the iterate is a vector u of shape (n,)
+or a matrix of shape (n, k) with one start per column, and every formula
+works along axis 0, so a sampled gradient spends one block per step on the
+whole batch.
 """
 
 from __future__ import annotations
@@ -45,33 +49,39 @@ class IterationConfig:
     """Knobs for :func:`find_vertex`.
 
     iterations is the number of fixed-point steps r; seed drives the random
-    start and any restarts; record_trace keeps every iterate.  The default
+    start and any restarts, and a tuple of seeds runs a batch with one
+    column per seed, column j starting and restarting as a run with seed
+    seed[j] alone would; record_trace keeps every iterate.  The default
     r is the practical operating point; the proof-grade values from
     :func:`theoretical_parameters` are far larger.
     """
 
     iterations: int = 30
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
     record_trace: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed == ():
+            raise ValueError("a batch needs at least one seed")
 
 
 @dataclass
 class VertexResult:
     """Output of :func:`find_vertex`.
 
-    u is the final unit iterate (not sign-normalized; vertex directions are
-    inherently signed).  converged reports whether the last two iterates
-    agree to 1e-9 after sign alignment, which is the norm in exact-gradient
-    mode and rarely triggers under sampling noise.
+    u is the final unit iterate, shape (n,) for one start and (n, k) for a
+    batch (not sign-normalized; vertex directions are inherently signed).
+    converged reports whether the last two iterates agree to 1e-9 after
+    sign alignment, a bool for one start and one per column for a batch;
+    it is the norm in exact-gradient mode and rarely holds under sampling
+    noise.  restarts is the total over all columns.
     """
 
     u: np.ndarray
     iterations_run: int
-    converged: bool
+    converged: bool | np.ndarray
     restarts: int
     trace: list = field(default_factory=list)
 
@@ -81,6 +91,8 @@ def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
     the third moment at u (exact or estimated):
 
         C grad - 1/2 (u . 1)^2 1 - 1/2 (u . u) 1 - (u . 1) u.
+
+    u and grad are (n,) or (n, k); a matrix is a batch of columns.
     """
     u = np.asarray(u, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -88,12 +100,17 @@ def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
     if grad.shape != u.shape:
         raise ValueError("u and grad must have the same shape")
     c = m * (m + 1) * (m + 2) / 6.0
-    p1 = u.sum()
-    return c * grad - 0.5 * p1 * p1 - 0.5 * (u @ u) - p1 * u
+    p1 = u.sum(axis=0)
+    return c * grad - 0.5 * p1 * p1 - 0.5 * (u * u).sum(axis=0) - p1 * u
 
 
-def _sign_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+def _sign_aligned_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.minimum(np.linalg.norm(a - b, axis=0), np.linalg.norm(a + b, axis=0))
+
+
+def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
+    u = rng.standard_normal(n)
+    return u / np.linalg.norm(u)
 
 
 def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: IterationConfig) -> VertexResult:
@@ -102,55 +119,71 @@ def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: It
     Args:
         gradient: u -> grad m3(u) for the hidden rotated standard simplex
             in R^n, called once per iteration: ``exact_grad_m3``, or
-            ``empirical_m3_grad`` on a fresh block of points per call.
+            ``empirical_m3_grad`` on a fresh block of points per call.  For
+            a batch (config.seed a tuple of k seeds) it takes and returns
+            (n, k) matrices, one column per start.
         n: number of coordinates (the simplex has n vertices).
-        config: iteration knobs; config.seed drives the random start and
-            any restarts.
+        config: iteration knobs; config.seed drives the random starts and
+            any restarts.  A column whose update collapses restarts alone.
 
     Returns:
-        VertexResult whose u approximates a vertex of the hidden simplex.
+        VertexResult whose u approximates a vertex of the hidden simplex,
+        one per column for a batch.
 
     Raises:
         ValueError: gradient returned a non-finite value.
-        RuntimeError: more than 5 restarts after degenerate updates.
+        RuntimeError: more than 5 restarts of one column after degenerate
+            updates.
         SampleExhaustedError: propagated from a gradient callable whose
             finite source runs out of points.
     """
-    rng = substream(config.seed, 23)
-    u = rng.standard_normal(n)
-    u /= np.linalg.norm(u)
+    batched = isinstance(config.seed, tuple)
+    rngs = [substream(seed, 23) for seed in (config.seed if batched else (config.seed,))]
 
-    restarts = 0
+    def shaped(a: np.ndarray):
+        # the loop runs on (n, k) columns and (k,) per-column values; one
+        # start is the k = 1 batch, handed out as its vector and its scalars
+        if batched:
+            return a
+        return a[:, 0] if a.ndim == 2 else a[0]
+
+    u = np.column_stack([_random_direction(rng, n) for rng in rngs])
+
+    restarts = np.zeros(len(rngs), dtype=int)
     trace: list = []
-    last_step = math.inf
+    last_step = np.full(len(rngs), math.inf)
     for i in range(config.iterations):
-        grad = np.asarray(gradient(u), dtype=float)
+        grad = np.asarray(gradient(shaped(u)), dtype=float)
         if not np.isfinite(grad).all():
             raise ValueError(f"gradient is not finite at iteration {i}")
-        update = reconstruct_squares(u, grad)
-        norm = np.linalg.norm(update)
-        if norm < COLLAPSE_TOL:
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise RuntimeError(f"update collapsed {restarts} times; giving up")
-            u = rng.standard_normal(n)
-            u /= np.linalg.norm(u)
-            last_step = math.inf
-            continue
-        new_u = update / norm
+        update = reconstruct_squares(u, grad if batched else grad[:, None])
+        norm = np.linalg.norm(update, axis=0)
+        collapsed = norm < COLLAPSE_TOL
+        new_u = update / np.where(collapsed, 1.0, norm)
         last_step = _sign_aligned_distance(new_u, u)
+        for j in np.flatnonzero(collapsed):
+            restarts[j] += 1
+            if restarts[j] > MAX_RESTARTS:
+                raise RuntimeError(f"update collapsed {restarts[j]} times; giving up")
+            new_u[:, j] = _random_direction(rngs[j], n)
+            last_step[j] = math.inf
         u = new_u
         if config.record_trace:
             trace.append(
                 {
                     "iteration": i,
-                    "update_norm": float(norm),
-                    "step": last_step,
-                    "u": u.copy(),
+                    "update_norm": shaped(norm),
+                    "step": shaped(last_step),
+                    "u": shaped(u).copy(),
                 }
             )
-    converged = last_step <= CONVERGENCE_TOL
-    return VertexResult(u=u, iterations_run=config.iterations, converged=converged, restarts=restarts, trace=trace)
+    return VertexResult(
+        u=shaped(u),
+        iterations_run=config.iterations,
+        converged=shaped(last_step <= CONVERGENCE_TOL),
+        restarts=int(restarts.sum()),
+        trace=trace,
+    )
 
 
 def save_trace(result: VertexResult, path: str) -> None:
@@ -158,6 +191,8 @@ def save_trace(result: VertexResult, path: str) -> None:
     iteration, update_norm, step, u_0 .. u_{n-1}."""
     if not result.trace:
         raise ValueError("result has no trace; run with record_trace=True")
+    if result.u.ndim != 1:
+        raise ValueError("save_trace writes the trace of one start, not of a batch")
     n = result.trace[0]["u"].shape[0]
     header = "iteration,update_norm,step," + ",".join(f"u_{j}" for j in range(n))
     lines = [header]

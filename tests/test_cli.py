@@ -22,7 +22,9 @@ class TestLearnCommand:
         report = read_json(out)
         assert report["command"] == "learn"
         assert report["complete"] is True
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
+        assert report["starts_run"] >= 3
+        assert report["points_drawn"] > 4000
         assert report["n"] == 2
         assert len(report["vertices"]) == 3
         assert len(report["per_vertex_match_error"]) == 3
@@ -179,7 +181,7 @@ class TestValidation:
             raise learner.DegenerateSampleError("sample covariance is singular")
 
         monkeypatch.setattr(learner, "learn_simplex", degenerate)
-        assert main(["learn", "--n", "2", "--seed", "0"]) == 1
+        assert main(["learn", "--n", "2", "--seed", "0"]) == 3
         err = capsys.readouterr().err
         assert "error: DegenerateSampleError: sample covariance is singular" in err
         assert "schema error" not in err

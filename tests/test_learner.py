@@ -12,10 +12,11 @@ from simplexlearn.learner import (
     DegenerateSampleError,
     LearnerConfig,
     boost,
-    embedded_frame_map,
+    embedded_m3_grad,
     estimate_frame,
     learn_simplex,
 )
+from simplexlearn.moments import empirical_m3_grad
 from simplexlearn.sampling import sample_simplex, simplex_source, substream
 
 
@@ -52,15 +53,20 @@ class TestEstimateFrame:
         assert frame.mean.shape == (2,)
 
     def test_embedded_map_composes_frame_and_embedding(self):
+        # the fused block gradient against the gradient of the block pushed
+        # through both maps, for one direction and for a batch of n+1
         for n, seed in ((2, 3), (5, 4), (9, 5)):
             truth = random_truth(n, seed)
             frame = estimate_frame(sample_simplex(truth, 5000, seed))
             emb = make_embed_map(n)
             x = simplex_source(truth, seed + 1)(1000)
-            reference = emb.forward(frame.forward(x))
-            composed = embedded_frame_map(frame, emb)(x)
-            assert composed.shape == (1000, n + 1)
-            assert np.abs(composed - reference).max() <= 1e-12 * np.abs(reference).max()
+            fused = embedded_m3_grad(frame, emb)
+            for shape in ((n + 1,), (n + 1, n + 1)):
+                u = substream(seed, 6).standard_normal(shape)
+                reference = empirical_m3_grad(emb.forward(frame.forward(x)), u)
+                grad = fused(x, u)
+                assert grad.shape == shape
+                assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSampleError):
@@ -101,14 +107,28 @@ class TestLearnSimplex:
         assert (a.directions != other.directions).any()
 
     def test_stops_early_once_complete(self):
-        truth = random_truth(2, 4)
+        n = 2
+        truth = random_truth(n, 4)
         draw, calls = counting_source(truth, 14)
         config = LearnerConfig(t1=4000, t3=4000, m=100, seed=0)
-        result = learn_simplex(draw, 2, config)
+        result = learn_simplex(draw, n, config)
         assert result.complete
-        # one frame draw plus iterations per repetition actually run
-        reps_used = (calls["count"] - 1) / config.r
-        assert reps_used < 15
+        # one frame draw, then one block per iteration shared by a batch of
+        # n+1 starts
+        batches, rest = divmod(calls["count"] - 1, config.r)
+        assert rest == 0
+        assert batches < math.ceil(config.m / (n + 1))
+        assert result.report.starts_run == batches * (n + 1)
+        assert result.report.points_drawn == config.t1 + batches * config.r * config.t3
+
+    def test_budget_cuts_the_last_batch(self):
+        # m = 2 at n = 2: one batch of 2 starts, not of n+1 = 3
+        draw, calls = counting_source(random_truth(2, 6), 16)
+        config = LearnerConfig(t1=2000, t3=500, m=2, r=3, seed=0)
+        result = learn_simplex(draw, 2, config)
+        assert result.report.starts_run == 2
+        assert calls["count"] == 1 + config.r
+        assert result.report.points_drawn == config.t1 + config.r * config.t3
 
     def test_incomplete_run_reports_honestly(self):
         truth = random_truth(2, 5)
@@ -131,7 +151,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000
@@ -139,6 +159,7 @@ class TestLearnSimplex:
         assert len(report["vertices"]) == 3
         assert report["per_vertex_match_error"] is None
         assert report["tv_estimate"] is None
+        assert report["points_drawn"] == 3000 + math.ceil(report["starts_run"] / 3) * config.r * 3000
         assert report["wall_time_ms"] > 0
 
     def test_back_map_matches_explicit_formula(self):

@@ -8,6 +8,7 @@ from simplexlearn.geometry import Simplex, contains_points, standard_simplex
 from simplexlearn.sampling import (
     GammaParams,
     SampleExhaustedError,
+    _simplex_weights,
     array_source,
     generalized_gaussian_std,
     rescale_lp_sample,
@@ -48,6 +49,15 @@ class TestDeterminism:
         a = sample_standard_simplex(3, 50, 7)
         b = sample_lp_ball(3, 1.0, 50, 7)
         assert (a != b).any()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 11, 21])
+    def test_simplex_weights_bits_pinned(self, m):
+        # the draw behind every simplex sampler and source stays the
+        # exponential(1.0) rows over their sums it was, bit for bit
+        for seed in range(4):
+            for t in (1, 7, 50_000):
+                e = substream(seed, 5).exponential(1.0, size=(t, m))
+                assert np.array_equal(_simplex_weights(substream(seed, 5), m, t), e / e.sum(axis=1, keepdims=True))
 
     def test_substream_repeatable(self):
         x = substream(1, 2, 3).standard_normal(5)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,36 +125,75 @@ class TestExactOracle:
             find_vertex(oracle, 4, IterationConfig(iterations=10, seed=0))
 
 
+def collapsing_grad(u):
+    """Gradient crafted so the reconstructed square is exactly zero."""
+    m = u.shape[0]
+    c = m * (m + 1) * (m + 2) / 6.0
+    p1 = u.sum()
+    return (0.5 * p1 * p1 + 0.5 * (u @ u) + p1 * u) / c
+
+
+def transient_collapse(calls: int):
+    """Gradient oracle that collapses on its first ``calls`` calls."""
+    count = itertools.count(1)
+    return lambda u: collapsing_grad(u) if next(count) <= calls else exact_grad_m3(u)
+
+
+def by_column(oracles):
+    """Batch gradient applying one single-start oracle per column."""
+    return lambda u: np.column_stack([oracle(column) for oracle, column in zip(oracles, u.T)])
+
+
 class TestRestarts:
     def test_adversarial_oracle_raises_after_max_restarts(self):
-        # gradient crafted so the reconstructed square is exactly zero
-        def oracle(u):
-            m = u.shape[0]
-            c = m * (m + 1) * (m + 2) / 6.0
-            p1 = u.sum()
-            return (0.5 * p1 * p1 + 0.5 * (u @ u) + p1 * u) / c
-
         config = IterationConfig(iterations=30, seed=0)
         with pytest.raises(RuntimeError):
-            find_vertex(oracle, 4, config)
+            find_vertex(collapsing_grad, 4, config)
 
     def test_recovers_after_transient_collapse(self):
-        calls = {"count": 0}
-
-        def oracle(u):
-            calls["count"] += 1
-            if calls["count"] <= 2:
-                m = u.shape[0]
-                c = m * (m + 1) * (m + 2) / 6.0
-                p1 = u.sum()
-                return (0.5 * p1 * p1 + 0.5 * (u @ u) + p1 * u) / c
-            return exact_grad_m3(u)
-
+        oracle = transient_collapse(2)
         config = IterationConfig(iterations=40, seed=0)
         result = find_vertex(oracle, 4, config)
         assert result.restarts == 2
         assert result.converged
         assert nearest_vertex_error(result.u) <= 1e-9
+
+
+class TestBatch:
+    @pytest.mark.parametrize("iterations", [3, 40])
+    def test_batch_ends_where_single_runs_end(self, iterations):
+        seeds = (0, 1, 2, 3, 4, 5)
+        batch = find_vertex(by_column([exact_grad_m3] * 6), 5, IterationConfig(iterations=iterations, seed=seeds))
+        assert batch.u.shape == (5, 6)
+        for j, seed in enumerate(seeds):
+            single = find_vertex(exact_grad_m3, 5, IterationConfig(iterations=iterations, seed=seed))
+            assert np.abs(batch.u[:, j] - single.u).max() <= 1e-12
+            assert batch.converged[j] == single.converged
+
+    def test_collapse_restarts_only_its_column(self):
+        config = IterationConfig(iterations=40, seed=(7, 8, 9))
+        batch = find_vertex(by_column([exact_grad_m3, transient_collapse(2), transient_collapse(1)]), 4, config)
+        assert batch.restarts == 3
+        assert batch.converged.all()
+        singles = [
+            find_vertex(oracle, 4, IterationConfig(iterations=40, seed=seed))
+            for oracle, seed in ((exact_grad_m3, 7), (transient_collapse(2), 8), (transient_collapse(1), 9))
+        ]
+        assert [s.restarts for s in singles] == [0, 2, 1]
+        for j, single in enumerate(singles):
+            assert np.abs(batch.u[:, j] - single.u).max() <= 1e-12
+
+    def test_batch_trace_is_per_column(self, tmp_path):
+        config = IterationConfig(iterations=4, seed=(1, 2), record_trace=True)
+        result = find_vertex(by_column([exact_grad_m3] * 2), 3, config)
+        assert [row["u"].shape for row in result.trace] == [(3, 2)] * 4
+        assert result.trace[-1]["step"].shape == (2,)
+        with pytest.raises(ValueError):
+            save_trace(result, str(tmp_path / "trace.csv"))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            IterationConfig(seed=())
 
 
 def sampled_gradient(source, t):
