@@ -181,6 +181,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     _validate_common(cfg, "reduce")
     if cfg["problem"] not in ("simplex", "lp"):
         raise SchemaError("problem must be 'simplex' or 'lp'")
+    if cfg["p"] is not None and (not isinstance(cfg["p"], (int, float)) or isinstance(cfg["p"], bool)):
+        raise SchemaError("p must be a number")
+    if cfg["problem"] == "simplex" and cfg["p"] is not None:
+        raise SchemaError("p applies only to --problem lp")
     if cfg["problem"] == "lp":
         if cfg["p"] is None:
             raise SchemaError("--p is required for --problem lp")
@@ -251,6 +255,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _validate_common(cfg, "verify")
     if cfg["suite"] not in SUITES:
         raise SchemaError(f"suite must be one of {sorted(SUITES)}")
+    if cfg["suite"] == "tv" and cfg["n"] is not None:
+        raise SchemaError("n applies only to verify --suite scaling or landscape")
 
     started = time.perf_counter()
     result = run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
@@ -289,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_ = sub.add_parser("reduce", help="recover a synthesized instance through the ICA reduction")
     reduce_.add_argument("--problem", type=str, default=None, choices=["simplex", "lp"], help="instance family (default simplex)")
     reduce_.add_argument("--n", type=int, default=None, help="ambient dimension (default 3)")
-    reduce_.add_argument("--p", type=float, default=None, help="lp-ball exponent, required for --problem lp")
+    reduce_.add_argument("--p", type=float, default=None, help="lp-ball exponent, required for --problem lp and rejected otherwise")
     reduce_.add_argument("--t", type=int, default=None, help="sample size (default 200000)")
     common(reduce_)
     reduce_.set_defaults(func=cmd_reduce)
 
     verify = sub.add_parser("verify", help="run a statistical verification suite")
     verify.add_argument("--suite", type=str, default=None, choices=["scaling", "tv", "landscape"], help="suite name (default scaling)")
-    verify.add_argument("--n", type=int, default=None, help="restrict the suite to one dimension")
+    verify.add_argument("--n", type=int, default=None, help="restrict the scaling or landscape suite to one dimension")
     common(verify)
     verify.set_defaults(func=cmd_verify)
 

@@ -7,7 +7,6 @@ frames for moving point clouds between coordinate systems.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,14 +21,8 @@ __all__ = [
     "standard_simplex",
     "isotropic_simplex",
     "make_embed_map",
-    "isotropic_vertex_norms",
-    "barycentric_coordinates",
     "contains",
     "contains_points",
-    "simplex_to_json",
-    "simplex_from_json",
-    "save_simplex",
-    "load_simplex",
 ]
 
 # Barycentric coordinates this far below zero still count as inside.
@@ -156,19 +149,6 @@ def _solver(s: Simplex) -> _BarycentricSolver:
     return s._solver
 
 
-def barycentric_coordinates(s: Simplex, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of ``points`` (shape (t, d) or (d,)) with
-    respect to ``s``, as a (t, n+1) or (n+1,) array.
-
-    Raises DegenerateSimplexError when the vertex system is singular.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != s.ambient_dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.ambient_dim}")
-    lam, _ = _solver(s).coordinates(pts)
-    return lam[0] if np.asarray(points).ndim == 1 else lam
-
-
 def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Vectorized membership test; returns a boolean array of length t.
 
@@ -176,6 +156,8 @@ def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL)
     for embedded simplices, the point lies on the affine hull).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != s.ambient_dim:
+        raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.ambient_dim}")
     lam, on_hull = _solver(s).coordinates(pts)
     return (lam >= -tol).all(axis=1) & on_hull
 
@@ -253,14 +235,6 @@ def isotropic_simplex(n: int) -> Simplex:
     return Simplex(emb.inverse(np.eye(n + 1)))
 
 
-def isotropic_vertex_norms(n: int) -> tuple[float, float]:
-    """(inradius, circumradius) of the isotropic regular n-simplex:
-    sqrt((n+2)/n) and sqrt(n(n+2))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.sqrt((n + 2) / n), math.sqrt(n * (n + 2))
-
-
 @dataclass
 class AffineFrame:
     """Affine change of coordinates x -> factor^-1 (x - mean).
@@ -288,30 +262,3 @@ class AffineFrame:
         pts = np.asarray(points, dtype=float)
         return pts @ self.factor.T + self.mean
 
-
-def simplex_to_json(s: Simplex) -> str:
-    """Serialize a simplex as JSON with 17-significant-digit decimals,
-    enough for an exact float64 round trip."""
-    rows = ",\n    ".join(
-        "[" + ", ".join(format(x, ".17g") for x in row) + "]" for row in s.vertices
-    )
-    return '{\n  "dim": %d,\n  "vertices": [\n    %s\n  ]\n}' % (s.dim, rows)
-
-
-def simplex_from_json(text: str) -> Simplex:
-    data = json.loads(text)
-    s = Simplex(np.asarray(data["vertices"], dtype=float))
-    if "dim" in data and int(data["dim"]) != s.dim:
-        raise ValueError(f"dim field {data['dim']} does not match {s.dim + 1} vertices")
-    return s
-
-
-def save_simplex(s: Simplex, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(simplex_to_json(s))
-        fh.write("\n")
-
-
-def load_simplex(path: str) -> Simplex:
-    with open(path) as fh:
-        return simplex_from_json(fh.read())

@@ -205,6 +205,7 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
     up to signed permutation of columns.  At p = 2 the ball is rotation
     invariant and only the ellipsoid A A^T is identified.
     """
+    p = _check_p(p)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")

@@ -15,15 +15,12 @@ local maxima are exactly the (projected) vertex directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .sampling import substream
 
 __all__ = [
-    "PowerSums",
-    "power_sums",
     "exact_m3",
     "exact_grad_m3",
     "empirical_m3_grad",
@@ -31,29 +28,6 @@ __all__ = [
     "projected_p3_gradient",
     "certify_landscape",
 ]
-
-
-@dataclass(frozen=True)
-class PowerSums:
-    """Power sums p1, p2, p3 of a vector and the complete homogeneous sums
-    h2, h3 obtained from them through the Newton identities
-    2 h2 = p1^2 + p2 and 3 h3 = h2 p1 + h1 p2 + p3."""
-
-    p1: float
-    p2: float
-    p3: float
-    h2: float
-    h3: float
-
-
-def power_sums(u: np.ndarray) -> PowerSums:
-    u = np.asarray(u, dtype=float)
-    p1 = float(u.sum())
-    p2 = float((u * u).sum())
-    p3 = float((u * u * u).sum())
-    h2 = (p1 * p1 + p2) / 2.0
-    h3 = (h2 * p1 + p1 * p2 + p3) / 3.0
-    return PowerSums(p1, p2, p3, h2, h3)
 
 
 def _moment_denominator(m: int) -> float:
@@ -65,8 +39,8 @@ def exact_m3(u: np.ndarray) -> float:
     """E[(u . X)^3] for X uniform on the standard simplex with as many
     vertices as u has coordinates."""
     u = np.asarray(u, dtype=float)
-    ps = power_sums(u)
-    return (ps.p1**3 + 3.0 * ps.p1 * ps.p2 + 2.0 * ps.p3) / _moment_denominator(u.shape[0])
+    p1, p2, p3 = float(u.sum()), float((u * u).sum()), float((u * u * u).sum())
+    return (p1**3 + 3.0 * p1 * p2 + 2.0 * p3) / _moment_denominator(u.shape[0])
 
 
 def exact_grad_m3(u: np.ndarray) -> np.ndarray:
@@ -77,9 +51,8 @@ def exact_grad_m3(u: np.ndarray) -> np.ndarray:
     with u^(2) the coordinate-wise square.
     """
     u = np.asarray(u, dtype=float)
-    ps = power_sums(u)
-    denom = _moment_denominator(u.shape[0])
-    return (3.0 * (ps.p1**2 + ps.p2) + 6.0 * ps.p1 * u + 6.0 * u * u) / denom
+    p1, p2 = float(u.sum()), float((u * u).sum())
+    return (3.0 * (p1**2 + p2) + 6.0 * p1 * u + 6.0 * u * u) / _moment_denominator(u.shape[0])
 
 
 def empirical_m3_grad(points: np.ndarray, u: np.ndarray) -> np.ndarray:

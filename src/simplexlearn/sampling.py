@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,17 +18,14 @@ from scipy.special import gammaln
 from .geometry import Simplex, _solver
 
 __all__ = [
-    "GammaParams",
     "SampleExhaustedError",
     "substream",
     "child_seed",
-    "sample_gamma",
     "sample_standard_simplex",
     "sample_simplex",
     "sample_generalized_gaussian",
     "generalized_gaussian_std",
     "sample_lp_ball",
-    "sample_cone_measure",
     "rescale_simplex_sample",
     "rescale_lp_sample",
     "simplex_source",
@@ -39,11 +35,11 @@ __all__ = [
 P_MIN, P_MAX = 1.0, 64.0
 
 # Spawn-key namespaces, one per producer, so equal seeds never collide
-# across sources.
+# across sources.  Key 4 is retired; the others keep their numbers so
+# their streams do not change.
 _KEY_STANDARD = 1
 _KEY_SIMPLEX = 2
 _KEY_LP_BALL = 3
-_KEY_CONE = 4
 _KEY_RESCALE_SIMPLEX = 5
 _KEY_RESCALE_LP = 6
 _KEY_SOURCE = 7
@@ -71,26 +67,6 @@ def child_seed(seed: int, *key: int) -> int:
 
 def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate parameterization; density x^(shape-1) e^(-rate x)."""
-
-    shape: float
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if self.shape <= 0 or self.rate <= 0:
-            raise ValueError("shape and rate must be positive")
-
-
-def sample_gamma(params: GammaParams, count: int, rng: int | np.random.Generator) -> np.ndarray:
-    """``count`` gamma variates.  ``rng`` may be an integer seed or a
-    numpy Generator."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return _as_rng(rng).gamma(params.shape, 1.0 / params.rate, size=count)
 
 
 def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
@@ -174,20 +150,6 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     z = rng.exponential(1.0, size=t)
     denom = ((np.abs(g) ** p).sum(axis=1) + z) ** (1.0 / p)
     return g / denom[:, None]
-
-
-def sample_cone_measure(n: int, p: float, t: int, seed: int) -> np.ndarray:
-    """t points on the lp sphere of R^n under cone measure: G / ||G||_p
-    with G as in :func:`sample_lp_ball`.  The normalizing norm is
-    independent of the output point."""
-    p = _check_p(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    g = _generalized_gaussian(substream(seed, _KEY_CONE), p, (t, n))
-    norms = (np.abs(g) ** p).sum(axis=1) ** (1.0 / p)
-    return g / norms[:, None]
 
 
 def _gamma_rescale(points: np.ndarray, shape: float, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "find_vertex",
     "reconstruct_squares",
     "theoretical_parameters",
-    "save_trace",
 ]
 
 # An update this small means the iterate landed on the trouble set where
@@ -80,7 +79,6 @@ class VertexResult:
     """
 
     u: np.ndarray
-    iterations_run: int
     converged: bool | np.ndarray
     restarts: int
     trace: list = field(default_factory=list)
@@ -179,31 +177,10 @@ def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: It
             )
     return VertexResult(
         u=shaped(u),
-        iterations_run=config.iterations,
         converged=shaped(last_step <= CONVERGENCE_TOL),
         restarts=int(restarts.sum()),
         trace=trace,
     )
-
-
-def save_trace(result: VertexResult, path: str) -> None:
-    """Write a recorded iteration trace as CSV with columns
-    iteration, update_norm, step, u_0 .. u_{n-1}."""
-    if not result.trace:
-        raise ValueError("result has no trace; run with record_trace=True")
-    if result.u.ndim != 1:
-        raise ValueError("save_trace writes the trace of one start, not of a batch")
-    n = result.trace[0]["u"].shape[0]
-    header = "iteration,update_norm,step," + ",".join(f"u_{j}" for j in range(n))
-    lines = [header]
-    for row in result.trace:
-        coords = ",".join(format(x, ".17g") for x in row["u"])
-        lines.append(
-            f"{row['iteration']},{format(row['update_norm'], '.17g')},{format(row['step'], '.17g')},{coords}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

@@ -137,6 +137,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["learn", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("p", ["abc", True, [3]])
+    def test_p_must_be_a_number(self, tmp_path, capsys, p):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "lp", "p": p, "n": 2}))
+        assert main(["reduce", "--config", str(cfg)]) == 1
+        assert "schema error: p must be a number" in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -173,6 +180,11 @@ class TestValidation:
         assert "schema error: t must exceed 4" in capsys.readouterr().err
         assert main(["reduce", "--problem", "lp", "--p", "1", "--n", "3", "--t", "3"]) == 1
         assert "schema error: t must exceed 3" in capsys.readouterr().err
+        # flags a command would record in cli_config and otherwise ignore
+        assert main(["verify", "--suite", "tv", "--n", "3"]) == 1
+        assert "schema error: n applies only to verify --suite scaling or landscape" in capsys.readouterr().err
+        assert main(["reduce", "--problem", "simplex", "--p", "3"]) == 1
+        assert "schema error: p applies only to --problem lp" in capsys.readouterr().err
 
     def test_runtime_failure_is_not_a_schema_error(self, capsys, monkeypatch):
         import simplexlearn.learner as learner

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,16 +9,11 @@ from simplexlearn.geometry import (
     AffineFrame,
     DegenerateSimplexError,
     Simplex,
-    barycentric_coordinates,
+    _solver,
     contains,
     contains_points,
     isotropic_simplex,
-    isotropic_vertex_norms,
-    load_simplex,
     make_embed_map,
-    save_simplex,
-    simplex_from_json,
-    simplex_to_json,
     standard_simplex,
 )
 
@@ -80,9 +74,8 @@ class TestSimplex:
             Simplex(np.array([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]]))
 
     def test_circumscribed_radius_regular(self):
-        s = isotropic_simplex(3)
-        _, circum = isotropic_vertex_norms(3)
-        assert s.circumscribed_radius() == pytest.approx(circum)
+        # every vertex of the isotropic n-simplex sits at sqrt(n(n+2))
+        assert isotropic_simplex(3).circumscribed_radius() == pytest.approx(math.sqrt(15))
 
 
 class TestBarycentric:
@@ -90,24 +83,27 @@ class TestBarycentric:
         rng = np.random.default_rng(5)
         s = Simplex(rng.standard_normal((4, 3)))
         pts = rng.standard_normal((50, 3))
-        lam = barycentric_coordinates(s, pts)
+        lam = _solver(s).coordinates(pts)[0]
         assert np.allclose(lam.sum(axis=1), 1.0)
         assert np.allclose(lam @ s.vertices, pts)
 
     def test_single_point_shape(self):
         s = right_triangle()
-        lam = barycentric_coordinates(s, np.array([0.25, 0.25]))
-        assert lam.shape == (3,)
-        assert np.allclose(lam, [0.5, 0.25, 0.25])
+        point = np.array([0.25, 0.25])
+        assert contains_points(s, point).shape == (1,)
+        assert contains(s, point)
+        assert np.allclose(_solver(s).coordinates(point[None, :])[0], [[0.5, 0.25, 0.25]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            barycentric_coordinates(right_triangle(), np.zeros((2, 3)))
+            contains_points(right_triangle(), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="points have dimension 2, simplex lives in 3"):
+            contains_points(Simplex(np.eye(3)), np.zeros((4, 2)))
 
     def test_degenerate_raises(self):
         flat = Simplex(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(DegenerateSimplexError):
-            barycentric_coordinates(flat, np.zeros((1, 2)))
+            contains_points(flat, np.zeros((1, 2)))
 
     def test_membership_matches_halfspace_oracle(self):
         rng = np.random.default_rng(11)
@@ -119,7 +115,7 @@ class TestBarycentric:
             ours = contains_points(s, pts)
             oracle = halfspace_membership(s, pts)
             # points within numerical slack of the boundary may differ
-            lam = barycentric_coordinates(s, pts)
+            lam = _solver(s).coordinates(pts)[0]
             clear = np.abs(lam).min(axis=1) > 1e-9
             assert (ours[clear] == oracle[clear]).all()
             assert ours[400:].all()
@@ -198,7 +194,7 @@ class TestIsotropicSimplex:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_vertex_norms(self, n):
         s = isotropic_simplex(n)
-        inradius, circum = isotropic_vertex_norms(n)
+        inradius, circum = math.sqrt((n + 2) / n), math.sqrt(n * (n + 2))
         assert np.allclose(np.linalg.norm(s.vertices, axis=1), circum)
         # inradius: distance from the origin to each facet {x : a.x = 1}
         for i in range(n + 1):
@@ -207,9 +203,12 @@ class TestIsotropicSimplex:
             assert 1.0 / np.linalg.norm(a) == pytest.approx(inradius)
 
     def test_norm_values(self):
-        assert isotropic_vertex_norms(3) == pytest.approx((math.sqrt(5 / 3), math.sqrt(15)))
+        s = isotropic_simplex(3)
+        assert np.linalg.norm(s.vertices, axis=1) == pytest.approx([math.sqrt(15)] * 4)
+        # the inradius of a regular simplex is the distance to a facet centroid
+        assert np.linalg.norm(s.vertices[1:].mean(axis=0)) == pytest.approx(math.sqrt(5 / 3))
         with pytest.raises(ValueError):
-            isotropic_vertex_norms(0)
+            isotropic_simplex(0)
 
 
 class TestAffineFrame:
@@ -231,31 +230,6 @@ class TestAffineFrame:
             AffineFrame(mean=np.zeros(3), factor=np.eye(2))
 
 
-class TestSerialization:
-    def test_json_round_trip_exact(self):
-        rng = np.random.default_rng(9)
-        s = Simplex(rng.standard_normal((5, 4)) * math.pi)
-        restored = simplex_from_json(simplex_to_json(s))
-        assert (restored.vertices == s.vertices).all()
-
-    def test_json_is_valid_and_has_dim(self):
-        data = json.loads(simplex_to_json(right_triangle()))
-        assert data["dim"] == 2
-        assert len(data["vertices"]) == 3
-
-    def test_dim_mismatch_rejected(self):
-        text = json.dumps({"dim": 3, "vertices": np.eye(3).tolist()})
-        with pytest.raises(ValueError):
-            simplex_from_json(text)
-
-    def test_file_round_trip(self, tmp_path):
-        s = isotropic_simplex(3)
-        path = tmp_path / "simplex.json"
-        save_simplex(s, str(path))
-        restored = load_simplex(str(path))
-        assert (restored.vertices == s.vertices).all()
-
-
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -270,6 +244,6 @@ def test_barycentric_reconstruction_property(n, seed):
         return
     s = Simplex(vertices)
     pts = rng.standard_normal((5, n))
-    lam = barycentric_coordinates(s, pts)
+    lam = _solver(s).coordinates(pts)[0]
     assert np.allclose(lam.sum(axis=1), 1.0, atol=1e-8)
     assert np.allclose(lam @ s.vertices, pts, atol=1e-7)

@@ -119,6 +119,17 @@ class TestReductionInput:
         with pytest.raises(ValueError, match="2-D"):
             reduce_lp_to_ica(np.ones(shape), 1.0)
 
+    @pytest.mark.parametrize("p", [0.5, 100.0, math.nan])
+    def test_p_checked_before_the_reduction_runs(self, p, monkeypatch):
+        import simplexlearn.ica as ica
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ICA ran on a sample rescaled with an invalid p")
+
+        monkeypatch.setattr(ica, "ica_estimate", unreachable)
+        with pytest.raises(ValueError, match="p must lie in"):
+            reduce_lp_to_ica(sample_lp_ball(2, 3.0, 1000, 0), p)
+
 
 class TestLpReduction:
     def test_axis_aligned_cross_polytope(self):

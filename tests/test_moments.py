@@ -11,7 +11,6 @@ from simplexlearn.moments import (
     empirical_m3_grad,
     exact_grad_m3,
     exact_m3,
-    power_sums,
     projected_p3_gradient,
     two_value_critical_point,
 )
@@ -25,34 +24,26 @@ def brute_force_h3(u: np.ndarray) -> float:
     return total
 
 
-def brute_force_h2(u: np.ndarray) -> float:
-    total = 0.0
-    for i, j in itertools.combinations_with_replacement(range(u.size), 2):
-        total += u[i] * u[j]
-    return total
-
-
 coords = st.lists(st.floats(-2, 2, allow_nan=False), min_size=2, max_size=6)
 
 
 class TestPowerSums:
+    """exact_m3 and exact_grad_m3 through the power sums p1, p2, p3 of u."""
+
     @given(coords)
     @settings(max_examples=60, deadline=None)
     def test_newton_identities_match_enumeration(self, values):
+        # the numerator p1^3 + 3 p1 p2 + 2 p3 is 6 h3(u)
         u = np.asarray(values)
-        ps = power_sums(u)
-        assert ps.p1 == pytest.approx(u.sum())
-        assert ps.h2 == pytest.approx(brute_force_h2(u), abs=1e-9)
-        assert ps.h3 == pytest.approx(brute_force_h3(u), abs=1e-9)
+        m = u.size
+        assert exact_m3(u) * m * (m + 1) * (m + 2) == pytest.approx(6.0 * brute_force_h3(u), abs=1e-9)
 
     def test_known_values(self):
-        ps = power_sums(np.array([1.0, 2.0, 3.0]))
-        assert ps.p1 == 6.0
-        assert ps.p2 == 14.0
-        assert ps.p3 == 36.0
-        # complete homogeneous sums by hand
-        assert ps.h2 == pytest.approx(25.0)
-        assert ps.h3 == pytest.approx(90.0)
+        # u = (1, 2, 3): p1 = 6, p2 = 14, p3 = 36 and h3 = 90, over 3 * 4 * 5
+        u = np.array([1.0, 2.0, 3.0])
+        assert exact_m3(u) == pytest.approx(540.0 / 60.0)
+        # (3 (p1^2 + p2) + 6 p1 u + 6 u^2) / 60
+        assert exact_grad_m3(u) == pytest.approx(np.array([192.0, 246.0, 312.0]) / 60.0)
 
 
 class TestExactMoment:

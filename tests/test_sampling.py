@@ -6,15 +6,13 @@ from scipy import integrate, stats
 
 from simplexlearn.geometry import Simplex, contains_points, standard_simplex
 from simplexlearn.sampling import (
-    GammaParams,
     SampleExhaustedError,
+    _gamma_rescale,
     _simplex_weights,
     array_source,
     generalized_gaussian_std,
     rescale_lp_sample,
     rescale_simplex_sample,
-    sample_cone_measure,
-    sample_gamma,
     sample_generalized_gaussian,
     sample_lp_ball,
     sample_simplex,
@@ -35,7 +33,6 @@ class TestDeterminism:
         producers = [
             lambda seed: sample_standard_simplex(4, 100, seed),
             lambda seed: sample_lp_ball(3, 1.5, 100, seed),
-            lambda seed: sample_cone_measure(3, 2.0, 100, seed),
             lambda seed: sample_simplex(standard_simplex(2), 100, seed),
         ]
         for producer in producers:
@@ -67,33 +64,28 @@ class TestDeterminism:
         assert (x != z).any()
 
 
-class TestGamma:
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GammaParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            GammaParams(1.0, -1.0)
+def gamma_radii(shape: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The Gamma(shape, 1) radii that ``_gamma_rescale`` puts on rows at p = 1."""
+    return _gamma_rescale(np.ones((count, 1)), shape, 1.0, rng)[:, 0]
 
+
+class TestGamma:
     def test_exponential_moments(self):
-        draws = sample_gamma(GammaParams(1.0, 1.0), T, substream(0, 1))
+        draws = gamma_radii(1.0, T, substream(0, 1))
         assert abs(draws.mean() - 1.0) <= 3.0 / math.sqrt(T)
 
     def test_additivity_against_direct_draws(self):
         n = 4
         rng = substream(0, 2)
-        sums = sample_gamma(GammaParams(1.0, 1.0), 5 * T // 10 * n, rng).reshape(-1, n).sum(axis=1)
-        direct = sample_gamma(GammaParams(float(n), 1.0), sums.size, rng)
+        sums = gamma_radii(1.0, 5 * T // 10 * n, rng).reshape(-1, n).sum(axis=1)
+        direct = gamma_radii(float(n), sums.size, rng)
         result = stats.ks_2samp(sums, direct)
         assert result.pvalue >= 0.01
 
     def test_half_shape_moments(self):
-        draws = sample_gamma(GammaParams(0.5, 1.0), T, substream(0, 3))
+        draws = gamma_radii(0.5, T, substream(0, 3))
         assert abs(draws.mean() - 0.5) <= 5.0 * se(draws)
         assert abs(draws.var(ddof=1) - 0.5) <= 5.0 * se((draws - 0.5) ** 2)
-
-    def test_rate_scaling(self):
-        draws = sample_gamma(GammaParams(2.0, 4.0), T, substream(0, 4))
-        assert abs(draws.mean() - 0.5) <= 5.0 * se(draws)
 
 
 class TestStandardSimplex:
@@ -219,19 +211,6 @@ class TestLpBall:
         pts = sample_lp_ball(3, 1.0, T, 3)
         frac = (pts > 0).all(axis=1).mean()
         assert abs(frac - 1 / 8) <= 3 * math.sqrt((1 / 8) * (7 / 8) / T)
-
-
-class TestConeMeasure:
-    def test_rows_on_boundary(self):
-        for p in (1.0, 2.0, 4.0):
-            pts = sample_cone_measure(3, p, 1000, 4)
-            norms = (np.abs(pts) ** p).sum(axis=1) ** (1 / p)
-            assert np.allclose(norms, 1.0, atol=1e-12)
-
-    def test_sphere_coordinate_means(self):
-        pts = sample_cone_measure(3, 2.0, T, 5)
-        for j in range(3):
-            assert abs(pts[:, j].mean()) <= 3 * se(pts[:, j])
 
 
 class TestRescaling:

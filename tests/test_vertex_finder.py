@@ -13,7 +13,6 @@ from simplexlearn.vertex_finder import (
     IterationConfig,
     find_vertex,
     reconstruct_squares,
-    save_trace,
     theoretical_parameters,
 )
 
@@ -84,7 +83,6 @@ class TestExactOracle:
             config = IterationConfig(iterations=40, seed=seed)
             result = find_vertex(exact_grad_m3, 5, config)
             assert result.converged
-            assert result.iterations_run == 40
             assert nearest_vertex_error(result.u) <= 1e-9
 
     def test_deterministic_in_seed(self):
@@ -183,13 +181,11 @@ class TestBatch:
         for j, single in enumerate(singles):
             assert np.abs(batch.u[:, j] - single.u).max() <= 1e-12
 
-    def test_batch_trace_is_per_column(self, tmp_path):
+    def test_batch_trace_is_per_column(self):
         config = IterationConfig(iterations=4, seed=(1, 2), record_trace=True)
         result = find_vertex(by_column([exact_grad_m3] * 2), 3, config)
         assert [row["u"].shape for row in result.trace] == [(3, 2)] * 4
         assert result.trace[-1]["step"].shape == (2,)
-        with pytest.raises(ValueError):
-            save_trace(result, str(tmp_path / "trace.csv"))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -205,8 +201,7 @@ class TestSampledGradients:
     def test_consumes_fresh_block_per_iteration(self):
         t, r, n = 50, 7, 4
         pts = sample_points(t * r, n)
-        result = find_vertex(sampled_gradient(array_source(pts), t), n, IterationConfig(iterations=r, seed=0))
-        assert result.iterations_run == r
+        find_vertex(sampled_gradient(array_source(pts), t), n, IterationConfig(iterations=r, seed=0))
         with pytest.raises(SampleExhaustedError):
             find_vertex(sampled_gradient(array_source(pts[:-1]), t), n, IterationConfig(iterations=r, seed=0))
 
@@ -241,21 +236,6 @@ class TestTrace:
         for row in result.trace:
             assert row["update_norm"] > 0
             assert row["u"].shape == (3,)
-
-    def test_save_trace_round_trip(self, tmp_path):
-        config = IterationConfig(iterations=8, seed=1, record_trace=True)
-        result = find_vertex(exact_grad_m3, 3, config)
-        path = str(tmp_path / "trace.csv")
-        save_trace(result, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (8, 3 + 3)
-        assert np.allclose(data[-1, 3:], result.trace[-1]["u"])
-
-    def test_save_without_trace_raises(self):
-        config = IterationConfig(iterations=5, seed=0)
-        result = find_vertex(exact_grad_m3, 3, config)
-        with pytest.raises(ValueError):
-            save_trace(result, "unused.csv")
 
 
 class TestTheoreticalParameters:
