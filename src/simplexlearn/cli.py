@@ -26,7 +26,7 @@ import numpy as np
 from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -68,6 +68,9 @@ def _load_config_file(path: str, command: str) -> dict:
     unknown = set(raw) - _ALLOWED[command]
     if unknown:
         raise SchemaError(f"unknown config fields for {command}: {sorted(unknown)}")
+    for key in ("suite", "problem", "out"):
+        if key in raw and not isinstance(raw[key], str):
+            raise SchemaError(f"{key} must be a string")
     return raw
 
 
@@ -287,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--n", type=int, default=None, help="simplex dimension (default 5)")
     learn.add_argument("--t1", type=int, default=None, help="points for the affine frame estimate (default 50000)")
     learn.add_argument("--t3", type=int, default=None, help="fresh points per gradient evaluation (default 50000)")
-    learn.add_argument("--m", type=int, default=None, help="repetition budget (default: coupon bound)")
-    learn.add_argument("--r", type=int, default=None, help="fixed-point iterations per repetition (default 30)")
+    learn.add_argument("--m", type=int, default=None, help="start budget: one frame of min(m, n+1) starts; below n+1 the run is incomplete (default n+1)")
+    learn.add_argument("--r", type=int, default=None, help="fixed-point iterations of the frame (default 30)")
     common(learn)
     learn.set_defaults(func=cmd_learn)
 

@@ -1,6 +1,6 @@
 """Evaluation tools: Monte Carlo total-variation distance between uniform
 simplex distributions, the sandwich bound check, vertex matching, and the
-coupon-collector trial bound."""
+Hoeffding sample size for a Monte Carlo mean."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ __all__ = [
     "tv_distance_mc",
     "check_sandwich_bound",
     "match_vertices",
-    "coupon_trials_bound",
     "hoeffding_sample_size",
 ]
 
@@ -170,19 +169,6 @@ def match_vertices(truth, estimate) -> MatchResult:
     perm = cols[order]
     errors = dist[np.arange(len(perm)), perm]
     return MatchResult(tuple(int(j) for j in perm), errors, float(errors.max()))
-
-
-def coupon_trials_bound(n: int, alpha: float, delta: float) -> int:
-    """Trials needed to see all n outcomes with probability >= 1 - delta
-    when each outcome occurs with probability >= alpha per trial:
-    ceil((ln n + ln 1/delta) / alpha)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return math.ceil((math.log(n) + math.log(1.0 / delta)) / alpha)
 
 
 def hoeffding_sample_size(eps: float, delta: float) -> int:

@@ -5,22 +5,22 @@ first block of points, move the data into that frame where the hidden
 simplex is nearly isotropic, embed it onto the hyperplane {y . 1 = 1}
 where it becomes a nearly standard simplex rotated about the all-ones
 direction (both maps compose into one, built once per run), and run the
-third-moment fixed point from random starts, n+1 at a time on one fresh
-block per step, to collect its vertices.  Each accepted direction is
-projected exactly onto the hyperplane and mapped back through the frame.
+third-moment fixed point on one orthonormal frame of n+1 random starts, on
+one fresh block per step, so that each column ends on its own vertex.
+Each column is projected exactly onto the hyperplane and mapped back
+through the frame.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .evaluation import coupon_trials_bound, hoeffding_sample_size, tv_distance_mc
+from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .sampling import child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
@@ -37,12 +37,6 @@ __all__ = [
     "learn_simplex",
     "boost",
 ]
-
-DEDUP_RADIUS_DEFAULT = math.sqrt(2.0) / 2.0
-
-# Failure budget used when the repetition count is left unset.
-COUPON_DELTA_DEFAULT = 0.1
-
 
 class DegenerateSampleError(ValueError):
     """The sample covariance is singular, so no frame can be estimated."""
@@ -80,7 +74,7 @@ def embedded_m3_grad(frame: AffineFrame, emb: EmbedMap) -> Callable[[np.ndarray,
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
     b = offset - mean L solved once here.  With s = y u = x (L u) + b . u the
     gradient (3/t) y^T s^2 is (3/t) (L^T (x^T s^2) + b sum(s^2)): two thin
-    matmuls against the raw block.  u is (n+1,) or a batch (n+1, k).
+    matmuls against the raw block.  u is (n+1,) or a frame (n+1, k).
     """
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
     shift = emb.offset - frame.mean @ linear
@@ -103,21 +97,16 @@ class LearnerConfig:
 
     t1: points for the frame estimate (must be >= n+2).
     t3: fresh points per vertex-finder gradient evaluation.
-    r: fixed-point iterations per repetition.
-    m: repetition budget, the number of random starts.  Starts run in
-       batches of n+1 (the last one cut to the budget) that share one fresh
-       block per fixed-point step, and the run stops after the batch that
-       completes n+1 vertices.  None picks the coupon-collector bound for
-       uniform vertex hits with failure budget 0.1 (always >= n+1).
-    dedup_radius: directions closer than this to an accepted one are
-       duplicates; the default is half the standard simplex edge length.
-    seed: master seed; repetition k starts from child_seed(seed, 41, k).
+    r: fixed-point iterations of the frame.
+    m: start budget.  The learner runs one frame of min(m, n+1) starts;
+       None means n+1, and a budget below n+1 cuts the frame and returns
+       an incomplete run.
+    seed: master seed; start k begins from child_seed(seed, 41, k).
     """
 
     t1: int = 50_000
     t3: int = 50_000
     m: int | None = None
-    dedup_radius: float = DEDUP_RADIUS_DEFAULT
     r: int = 30
     seed: int = 0
 
@@ -128,13 +117,6 @@ class LearnerConfig:
             raise ValueError("r must be >= 1")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be >= 1 when given")
-        if not 0.0 < self.dedup_radius < math.sqrt(2.0):
-            raise ValueError("dedup_radius must lie in (0, sqrt(2))")
-
-    def repetitions(self, n: int) -> int:
-        if self.m is not None:
-            return self.m
-        return max(n + 1, coupon_trials_bound(n + 1, 1.0 / (n + 1), COUPON_DELTA_DEFAULT))
 
 
 @dataclass
@@ -144,8 +126,8 @@ class ExperimentReport:
     per_vertex_match_error and tv_estimate need ground truth and are filled
     by harnesses that have it; the learner itself leaves them None.
     points_drawn counts the frame block and every gradient block;
-    starts_run counts the fixed-point starts, every column of every batch
-    run.  wall_time_ms is excluded from any byte-for-byte comparisons.
+    starts_run counts the fixed-point starts, the columns of the frame.
+    wall_time_ms is excluded from any byte-for-byte comparisons.
     """
 
     n: int
@@ -158,7 +140,7 @@ class ExperimentReport:
     seed: int
     points_drawn: int
     starts_run: int
-    schema_version: int = 4
+    schema_version: int = 5
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,9 +148,9 @@ class ExperimentReport:
 
 @dataclass
 class LearnedSimplex:
-    """Result of :func:`learn_simplex`; ``simplex`` is None when fewer than
-    n+1 distinct vertex directions were found (the run is incomplete, never
-    padded)."""
+    """Result of :func:`learn_simplex`; ``simplex`` is None when the start
+    budget cut the frame below n+1 vertex directions (the run is
+    incomplete, never padded)."""
 
     simplex: Simplex | None
     found_count: int
@@ -190,14 +172,17 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         config: see :class:`LearnerConfig`.
 
     Returns:
-        LearnedSimplex.  The starts run in batches of n+1: every fixed-point
-        step draws one block that serves all columns, so the columns share
-        their sampling noise while their starts (repetition k starts from
-        child_seed(seed, 41, k)) stay independent, which is all the
-        coupon-collector bound on the budget m assumes.  After each batch
-        its directions are deduplicated in column order, and the run stops
-        once n+1 distinct ones are found; if the budget runs out first the
-        result is flagged incomplete and carries the vertices found so far.
+        LearnedSimplex.  The n+1 starts (start k from child_seed(seed, 41,
+        k)) run as one frame: every fixed-point step draws one block that
+        serves all columns and orthonormalizes them symmetrically, so the
+        columns end on distinct vertices and no start is spent twice on
+        one.  The frame extends the paper's procedure and is not that
+        procedure: the paper runs independent starts until every vertex
+        has been hit.  The frame is the tensor power method of Anandkumar,
+        Ge, Hsu, Kakade and Telgarsky (JMLR 2014) with the symmetric
+        decorrelation of FastICA (Hyvarinen, IEEE TNN 1999).  A budget m
+        below n+1 runs only m columns, and the result is flagged incomplete
+        and carries those m vertices.
 
     Raises:
         ValueError naming the block (numbered in draw order from the
@@ -227,40 +212,27 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
     def gradient(u: np.ndarray) -> np.ndarray:
         return block_gradient(draw(config.t3), u)
 
-    accepted: list[np.ndarray] = []
-    budget = config.repetitions(n)
-    starts_run = 0
-    for first in range(0, budget, n + 1):
-        seeds = tuple(child_seed(config.seed, 41, rep) for rep in range(first, min(first + n + 1, budget)))
-        batch = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds)).u
-        starts_run += len(seeds)
-        for u in batch.T:
-            # exact projection onto the hyperplane {u . 1 = 1}
-            candidate = u + (1.0 - u.sum()) / (n + 1)
-            if all(np.linalg.norm(candidate - seen) > config.dedup_radius for seen in accepted):
-                accepted.append(candidate)
-            if len(accepted) == n + 1:
-                break
-        if len(accepted) == n + 1:
-            break
-
-    directions = np.array(accepted) if accepted else np.empty((0, n + 1))
-    vertices = frame.inverse(emb.inverse(directions)) if accepted else None
-    simplex = Simplex(vertices) if len(accepted) == n + 1 else None
+    starts = n + 1 if config.m is None else min(config.m, n + 1)
+    seeds = tuple(child_seed(config.seed, 41, k) for k in range(starts))
+    u = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds)).u
+    # exact projection of each column onto the hyperplane {u . 1 = 1}
+    directions = (u + (1.0 - u.sum(axis=0)) / (n + 1)).T
+    vertices = frame.inverse(emb.inverse(directions))
+    simplex = Simplex(vertices) if starts == n + 1 else None
 
     report = ExperimentReport(
         n=n,
         config=asdict(config),
-        found_count=len(accepted),
-        vertices=vertices.tolist() if vertices is not None else None,
+        found_count=starts,
+        vertices=vertices.tolist(),
         per_vertex_match_error=None,
         tv_estimate=None,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
         seed=config.seed,
         points_drawn=points_drawn,
-        starts_run=starts_run,
+        starts_run=starts,
     )
-    return LearnedSimplex(simplex=simplex, found_count=len(accepted), directions=directions, report=report)
+    return LearnedSimplex(simplex=simplex, found_count=starts, directions=directions, report=report)
 
 
 @dataclass

@@ -53,7 +53,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key).
 
     Streams with different keys are statistically independent, which is how
-    per-repetition and per-block randomness stays reproducible without any
+    per-start and per-block randomness stays reproducible without any
     shared mutable state.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))

@@ -11,11 +11,17 @@ Iterating u -> normalize(u^(2)) squares the coordinate ratios every step,
 so the iterate collapses doubly exponentially onto the vertex whose
 coordinate dominated the start.  With sampled gradients the same update is
 run on a fresh block of points per iteration: :func:`find_vertex` takes
-the gradient as a callable, so exact and sampled runs share one path.  It
-runs one start or a batch of them: the iterate is a vector u of shape (n,)
-or a matrix of shape (n, k) with one start per column, and every formula
-works along axis 0, so a sampled gradient spends one block per step on the
-whole batch.
+the gradient as a callable, so exact and sampled runs share one path.
+
+The vertex directions are orthonormal, so u -> u^(2) is the power map of
+an orthogonally decomposable tensor, and the tensor power method can run
+on a whole frame of starts at once (Anandkumar, Ge, Hsu, Kakade and
+Telgarsky, JMLR 2014).  The iterate is a vector u of shape (n,) or a
+matrix of shape (n, k) with one start per column; every formula works
+along axis 0, so a sampled gradient spends one block per step on the
+whole frame, and the normalization is the symmetric orthogonalization
+U <- M (M^T M)^(-1/2) of FastICA (Hyvarinen, IEEE TNN 1999), which keeps
+the columns on distinct vertices.  For one column it is M / |M|.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ __all__ = [
     "theoretical_parameters",
 ]
 
-# An update this small means the iterate landed on the trouble set where
-# the squared vector cancels; restart from a fresh direction.
+# A frame whose Gram matrix has an eigenvalue this small (squared) has
+# lost a direction: the update of some column cancelled, or two columns
+# merged.
 COLLAPSE_TOL = 1e-14
-MAX_RESTARTS = 5
 CONVERGENCE_TOL = 1e-9
 
 
@@ -48,10 +54,10 @@ class IterationConfig:
     """Knobs for :func:`find_vertex`.
 
     iterations is the number of fixed-point steps r; seed drives the random
-    start and any restarts, and a tuple of seeds runs a batch with one
-    column per seed, column j starting and restarting as a run with seed
-    seed[j] alone would; record_trace keeps every iterate.  The default
-    r is the practical operating point; the proof-grade values from
+    start, and a tuple of at most n seeds runs a frame with one column per
+    seed, column j starting where a run with seed seed[j] alone would;
+    record_trace keeps every iterate.  The default r is the practical
+    operating point; the proof-grade values from
     :func:`theoretical_parameters` are far larger.
     """
 
@@ -63,24 +69,23 @@ class IterationConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.seed == ():
-            raise ValueError("a batch needs at least one seed")
+            raise ValueError("a frame needs at least one seed")
 
 
 @dataclass
 class VertexResult:
     """Output of :func:`find_vertex`.
 
-    u is the final unit iterate, shape (n,) for one start and (n, k) for a
-    batch (not sign-normalized; vertex directions are inherently signed).
-    converged reports whether the last two iterates agree to 1e-9 after
-    sign alignment, a bool for one start and one per column for a batch;
-    it is the norm in exact-gradient mode and rarely holds under sampling
-    noise.  restarts is the total over all columns.
+    u is the final unit iterate, shape (n,) for one start and (n, k) with
+    orthonormal columns for a frame (not sign-normalized; vertex directions
+    are inherently signed).  converged reports whether the last two
+    iterates agree to 1e-9 after sign alignment, a bool for one start and
+    one per column for a frame; it is the norm in exact-gradient mode and
+    rarely holds under sampling noise.
     """
 
     u: np.ndarray
     converged: bool | np.ndarray
-    restarts: int
     trace: list = field(default_factory=list)
 
 
@@ -90,7 +95,7 @@ def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
         C grad - 1/2 (u . 1)^2 1 - 1/2 (u . u) 1 - (u . 1) u.
 
-    u and grad are (n,) or (n, k); a matrix is a batch of columns.
+    u and grad are (n,) or (n, k); a matrix is a frame of columns.
     """
     u = np.asarray(u, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -118,69 +123,61 @@ def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: It
         gradient: u -> grad m3(u) for the hidden rotated standard simplex
             in R^n, called once per iteration: ``exact_grad_m3``, or
             ``empirical_m3_grad`` on a fresh block of points per call.  For
-            a batch (config.seed a tuple of k seeds) it takes and returns
-            (n, k) matrices, one column per start.
+            a frame (config.seed a tuple of k <= n seeds) it takes and
+            returns (n, k) matrices, one column per start.
         n: number of coordinates (the simplex has n vertices).
-        config: iteration knobs; config.seed drives the random starts and
-            any restarts.  A column whose update collapses restarts alone.
+        config: iteration knobs; config.seed drives the random starts.
 
     Returns:
         VertexResult whose u approximates a vertex of the hidden simplex,
-        one per column for a batch.
+        one distinct vertex per column for a frame.
 
     Raises:
-        ValueError: gradient returned a non-finite value.
-        RuntimeError: more than 5 restarts of one column after degenerate
-            updates.
+        ValueError: more seeds than coordinates, or the gradient returned a
+            non-finite value.
+        RuntimeError: the update collapsed (the Gram matrix of the squared
+            columns is singular), naming the iteration.  With the exact
+            gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
+            for a unit u; a frame can only on a null set of iterates.
         SampleExhaustedError: propagated from a gradient callable whose
             finite source runs out of points.
     """
-    batched = isinstance(config.seed, tuple)
-    rngs = [substream(seed, 23) for seed in (config.seed if batched else (config.seed,))]
+    framed = isinstance(config.seed, tuple)
+    seeds = config.seed if framed else (config.seed,)
+    if len(seeds) > n:
+        raise ValueError(f"a frame of {len(seeds)} starts does not fit in {n} coordinates")
 
     def shaped(a: np.ndarray):
         # the loop runs on (n, k) columns and (k,) per-column values; one
-        # start is the k = 1 batch, handed out as its vector and its scalars
-        if batched:
+        # start is the k = 1 frame, handed out as its vector and its scalars
+        if framed:
             return a
         return a[:, 0] if a.ndim == 2 else a[0]
 
-    u = np.column_stack([_random_direction(rng, n) for rng in rngs])
-
-    restarts = np.zeros(len(rngs), dtype=int)
+    u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in seeds])
     trace: list = []
-    last_step = np.full(len(rngs), math.inf)
     for i in range(config.iterations):
         grad = np.asarray(gradient(shaped(u)), dtype=float)
         if not np.isfinite(grad).all():
             raise ValueError(f"gradient is not finite at iteration {i}")
-        update = reconstruct_squares(u, grad if batched else grad[:, None])
-        norm = np.linalg.norm(update, axis=0)
-        collapsed = norm < COLLAPSE_TOL
-        new_u = update / np.where(collapsed, 1.0, norm)
+        update = reconstruct_squares(u, grad if framed else grad[:, None])
+        # polar factor M (M^T M)^(-1/2): the orthonormal frame nearest M
+        eigenvalues, vectors = np.linalg.eigh(update.T @ update)
+        if eigenvalues[0] <= COLLAPSE_TOL**2:
+            raise RuntimeError(f"update collapsed at iteration {i}")
+        new_u = update @ (vectors / np.sqrt(eigenvalues)) @ vectors.T
         last_step = _sign_aligned_distance(new_u, u)
-        for j in np.flatnonzero(collapsed):
-            restarts[j] += 1
-            if restarts[j] > MAX_RESTARTS:
-                raise RuntimeError(f"update collapsed {restarts[j]} times; giving up")
-            new_u[:, j] = _random_direction(rngs[j], n)
-            last_step[j] = math.inf
         u = new_u
         if config.record_trace:
             trace.append(
                 {
                     "iteration": i,
-                    "update_norm": shaped(norm),
+                    "update_norm": shaped(np.linalg.norm(update, axis=0)),
                     "step": shaped(last_step),
                     "u": shaped(u).copy(),
                 }
             )
-    return VertexResult(
-        u=shaped(u),
-        converged=shaped(last_step <= CONVERGENCE_TOL),
-        restarts=int(restarts.sum()),
-        trace=trace,
-    )
+    return VertexResult(u=shaped(u), converged=shaped(last_step <= CONVERGENCE_TOL), trace=trace)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import simplexlearn
 from simplexlearn.cli import OUT_ENV, main
 
 LEARN_FAST = ["learn", "--n", "2", "--t1", "4000", "--t3", "4000", "--m", "12"]
@@ -22,7 +24,7 @@ class TestLearnCommand:
         report = read_json(out)
         assert report["command"] == "learn"
         assert report["complete"] is True
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["starts_run"] >= 3
         assert report["points_drawn"] > 4000
         assert report["n"] == 2
@@ -144,6 +146,26 @@ class TestConfigFile:
         assert main(["reduce", "--config", str(cfg)]) == 1
         assert "schema error: p must be a number" in capsys.readouterr().err
 
+    def test_suite_must_be_a_string(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": ["tv"]}))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "schema error: suite must be a string" in capsys.readouterr().err
+
+    def test_problem_must_be_a_string(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": 1}))
+        assert main(["reduce", "--config", str(cfg)]) == 1
+        assert "schema error: problem must be a string" in capsys.readouterr().err
+
+    def test_out_must_be_a_string_before_any_work(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 5, "n": 2}))
+        assert main(["verify", "--config", str(cfg), "--suite", "landscape"]) == 1
+        captured = capsys.readouterr()
+        assert "schema error: out must be a string" in captured.err
+        assert captured.out == ""
+
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -206,10 +228,14 @@ class TestValidation:
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         out = str(tmp_path / "verify.json")
+        # the child imports the package this suite imported, installed or not
+        root = os.path.dirname(os.path.dirname(simplexlearn.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "simplexlearn.cli", "verify", "--suite", "landscape", "--n", "2", "--out", out],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert read_json(out)["pass"] is True

@@ -6,7 +6,6 @@ import pytest
 
 from simplexlearn.evaluation import (
     check_sandwich_bound,
-    coupon_trials_bound,
     hoeffding_sample_size,
     match_vertices,
     tv_distance_mc,
@@ -164,31 +163,6 @@ class TestMatchVertices:
 
 
 class TestSampleBounds:
-    def test_coupon_values(self):
-        assert coupon_trials_bound(1, 1.0, 0.5) == 1
-        # n = 4, alpha = 1/4, delta = 0.1: (ln 4 + ln 10) * 4 = 14.75...
-        assert coupon_trials_bound(4, 0.25, 0.1) == 15
-
-    def test_coupon_simulation_respects_failure_rate(self):
-        n, delta = 6, 0.1
-        trials = coupon_trials_bound(n, 1.0 / n, delta)
-        rng = substream(0, 5)
-        draws = rng.integers(0, n, size=(10_000, trials))
-        misses = 0
-        for row in draws:
-            if np.unique(row).size < n:
-                misses += 1
-        failure_rate = misses / 10_000
-        assert failure_rate <= delta + 3.0 * math.sqrt(delta * (1 - delta) / 10_000)
-
-    def test_coupon_validation(self):
-        with pytest.raises(ValueError):
-            coupon_trials_bound(0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            coupon_trials_bound(3, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            coupon_trials_bound(3, 0.5, 1.0)
-
     def test_hoeffding_values(self):
         assert hoeffding_sample_size(0.1, 0.05) == math.ceil(math.log(40.0) / 0.02)
         assert hoeffding_sample_size(0.01, 0.05) == math.ceil(math.log(40.0) / 0.0002)

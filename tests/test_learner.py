@@ -1,10 +1,12 @@
 import itertools
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from simplexlearn.cli import _synthesize_simplex
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import Simplex, isotropic_simplex, make_embed_map
 from simplexlearn.learner import (
@@ -17,7 +19,7 @@ from simplexlearn.learner import (
     learn_simplex,
 )
 from simplexlearn.moments import empirical_m3_grad
-from simplexlearn.sampling import sample_simplex, simplex_source, substream
+from simplexlearn.sampling import child_seed, sample_simplex, simplex_source, substream
 
 
 def random_truth(n: int, seed: int) -> Simplex:
@@ -113,19 +115,18 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=4000, t3=4000, m=100, seed=0)
         result = learn_simplex(draw, n, config)
         assert result.complete
-        # one frame draw, then one block per iteration shared by a batch of
-        # n+1 starts
-        batches, rest = divmod(calls["count"] - 1, config.r)
-        assert rest == 0
-        assert batches < math.ceil(config.m / (n + 1))
-        assert result.report.starts_run == batches * (n + 1)
-        assert result.report.points_drawn == config.t1 + batches * config.r * config.t3
+        # one frame draw, then one block per iteration shared by one frame
+        # of n+1 starts, however large the budget
+        assert calls["count"] == 1 + config.r
+        assert result.report.starts_run == n + 1
+        assert result.report.points_drawn == config.t1 + config.r * config.t3
 
     def test_budget_cuts_the_last_batch(self):
-        # m = 2 at n = 2: one batch of 2 starts, not of n+1 = 3
+        # m = 2 at n = 2: one frame of 2 starts, not of n+1 = 3
         draw, calls = counting_source(random_truth(2, 6), 16)
         config = LearnerConfig(t1=2000, t3=500, m=2, r=3, seed=0)
         result = learn_simplex(draw, 2, config)
+        assert not result.complete
         assert result.report.starts_run == 2
         assert calls["count"] == 1 + config.r
         assert result.report.points_drawn == config.t1 + config.r * config.t3
@@ -140,6 +141,15 @@ class TestLearnSimplex:
         assert result.directions.shape == (1, 3)
         assert result.report.vertices is not None
 
+    def test_completes_the_n15_cli_truth(self):
+        # independent starts at the default budget found 15 of 16 vertices
+        # here; the frame ends on all of them
+        truth = _synthesize_simplex(15, 0)
+        result = learn_simplex(simplex_source(truth, child_seed(0, 98)), 15, LearnerConfig(seed=0))
+        assert result.complete
+        assert result.report.starts_run == 16
+        assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(15 * 17)
+
     def test_t1_checked_against_dimension(self):
         truth = random_truth(3, 7)
         config = LearnerConfig(t1=4, t3=100, m=2)
@@ -151,7 +161,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000
@@ -159,7 +169,8 @@ class TestLearnSimplex:
         assert len(report["vertices"]) == 3
         assert report["per_vertex_match_error"] is None
         assert report["tv_estimate"] is None
-        assert report["points_drawn"] == 3000 + math.ceil(report["starts_run"] / 3) * config.r * 3000
+        assert report["starts_run"] == 3
+        assert report["points_drawn"] == 3000 + config.r * 3000
         assert report["wall_time_ms"] > 0
 
     def test_back_map_matches_explicit_formula(self):
@@ -232,21 +243,20 @@ class TestLearnerConfig:
         config = LearnerConfig()
         assert config.t3 == 50_000
         assert config.r == 30
-        # coupon bound for 4 outcomes at rate 1/4 with budget 0.1
-        assert config.repetitions(3) == 15
+        assert config.m is None
+        assert [f.name for f in fields(LearnerConfig)] == ["t1", "t3", "m", "r", "seed"]
 
     def test_explicit_m_wins(self):
-        assert LearnerConfig(m=7).repetitions(3) == 7
+        # the frame holds min(m, n+1) starts, n+1 = 3 by default
+        for m, starts in ((None, 3), (1, 1), (2, 2), (3, 3), (7, 3)):
+            config = LearnerConfig(t1=500, t3=500, m=m, r=2, seed=0)
+            assert learn_simplex(simplex_source(random_truth(2, 22), 23), 2, config).report.starts_run == starts
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LearnerConfig(t3=0)
         with pytest.raises(ValueError):
             LearnerConfig(m=0)
-        with pytest.raises(ValueError):
-            LearnerConfig(dedup_radius=0.0)
-        with pytest.raises(ValueError):
-            LearnerConfig(dedup_radius=1.5)
         with pytest.raises(ValueError):
             LearnerConfig(r=0)
 

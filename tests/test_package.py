@@ -20,6 +20,7 @@ DELETED = [
     "save_trace",
     "PowerSums",
     "power_sums",
+    "coupon_trials_bound",
 ]
 
 

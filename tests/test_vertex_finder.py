@@ -138,7 +138,7 @@ def transient_collapse(calls: int):
 
 
 def by_column(oracles):
-    """Batch gradient applying one single-start oracle per column."""
+    """Frame gradient applying one single-start oracle per column."""
     return lambda u: np.column_stack([oracle(column) for oracle, column in zip(oracles, u.T)])
 
 
@@ -148,38 +148,45 @@ class TestRestarts:
         with pytest.raises(RuntimeError):
             find_vertex(collapsing_grad, 4, config)
 
-    def test_recovers_after_transient_collapse(self):
-        oracle = transient_collapse(2)
-        config = IterationConfig(iterations=40, seed=0)
-        result = find_vertex(oracle, 4, config)
-        assert result.restarts == 2
-        assert result.converged
-        assert nearest_vertex_error(result.u) <= 1e-9
+
+class TestCollapse:
+    def test_transient_collapse_raises(self):
+        with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
+            find_vertex(transient_collapse(1), 4, IterationConfig(iterations=40, seed=0))
+
+    def test_one_collapsed_column_stops_the_frame(self):
+        config = IterationConfig(iterations=40, seed=(7, 8, 9))
+        with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
+            find_vertex(by_column([exact_grad_m3, exact_grad_m3, transient_collapse(1)]), 4, config)
 
 
 class TestBatch:
-    @pytest.mark.parametrize("iterations", [3, 40])
-    def test_batch_ends_where_single_runs_end(self, iterations):
-        seeds = (0, 1, 2, 3, 4, 5)
-        batch = find_vertex(by_column([exact_grad_m3] * 6), 5, IterationConfig(iterations=iterations, seed=seeds))
-        assert batch.u.shape == (5, 6)
-        for j, seed in enumerate(seeds):
-            single = find_vertex(exact_grad_m3, 5, IterationConfig(iterations=iterations, seed=seed))
-            assert np.abs(batch.u[:, j] - single.u).max() <= 1e-12
-            assert batch.converged[j] == single.converged
+    @pytest.mark.parametrize("seeds", [(0, 1, 2, 3, 4), (20, 21, 22, 23, 24)])
+    def test_frame_ends_on_every_vertex_once(self, seeds):
+        # independent runs from these starts repeat a vertex; the frame
+        # keeps its columns orthonormal, so they end on all n vertices
+        m = 5
+        r = rotation_fixing_ones(m, seed=1)
 
-    def test_collapse_restarts_only_its_column(self):
-        config = IterationConfig(iterations=40, seed=(7, 8, 9))
-        batch = find_vertex(by_column([exact_grad_m3, transient_collapse(2), transient_collapse(1)]), 4, config)
-        assert batch.restarts == 3
-        assert batch.converged.all()
-        singles = [
-            find_vertex(oracle, 4, IterationConfig(iterations=40, seed=seed))
-            for oracle, seed in ((exact_grad_m3, 7), (transient_collapse(2), 8), (transient_collapse(1), 9))
-        ]
-        assert [s.restarts for s in singles] == [0, 2, 1]
-        for j, single in enumerate(singles):
-            assert np.abs(batch.u[:, j] - single.u).max() <= 1e-12
+        def rotated_grad(u):
+            return r @ exact_grad_m3(r.T @ u)
+
+        result = find_vertex(by_column([rotated_grad] * m), m, IterationConfig(iterations=40, seed=seeds))
+        assert result.converged.all()
+        frame = r.T @ result.u
+        order = np.abs(frame).argmax(axis=0)
+        assert sorted(order) == list(range(m))
+        assert np.abs(frame - np.eye(m)[:, order]).max() <= 1e-12
+
+    def test_one_column_frame_is_the_single_run(self):
+        single = find_vertex(exact_grad_m3, 4, IterationConfig(iterations=6, seed=3))
+        frame = find_vertex(by_column([exact_grad_m3]), 4, IterationConfig(iterations=6, seed=(3,)))
+        assert frame.u.shape == (4, 1)
+        assert np.abs(frame.u[:, 0] - single.u).max() <= 1e-15
+
+    def test_frame_wider_than_the_space_rejected(self):
+        with pytest.raises(ValueError, match="a frame of 4 starts does not fit in 3 coordinates"):
+            find_vertex(by_column([exact_grad_m3] * 4), 3, IterationConfig(seed=(0, 1, 2, 3)))
 
     def test_batch_trace_is_per_column(self):
         config = IterationConfig(iterations=4, seed=(1, 2), record_trace=True)
