@@ -2,10 +2,15 @@
 
 With the exact gradient the update squares the coordinates of the iterate
 in the simplex frame every step, so whichever coordinate starts largest
-takes over doubly exponentially.  With estimated gradients the same
-trajectory flattens out at the sampling noise floor instead of
-converging; both traces are printed side by side.
+takes over doubly exponentially, and the run stops once a step falls to
+1e-9.  With estimated gradients the same trajectory flattens out at the
+sampling noise floor instead of converging: the two halves of each block
+estimate the noise the sample puts on a step, and the run stops once its
+step is at most twice that noise.  Both traces are printed side by side,
+each up to the step where it stopped.
 """
+
+import itertools
 
 import numpy as np
 
@@ -22,14 +27,26 @@ n = 4
 config = IterationConfig(iterations=12, seed=3, record_trace=True)
 source = simplex_source(standard_simplex(n - 1), 5)
 
+
+def sampled_gradient(u):
+    # a fresh block of 20k points per iteration: the gradient is the mean
+    # of its two halves' gradients, and half their difference its error
+    block = source(20_000)
+    first, second = empirical_m3_grad(block[:10_000], u), empirical_m3_grad(block[10_000:], u)
+    return (first + second) / 2, (first - second) / 2
+
+
 exact = find_vertex(exact_grad_m3, n, config)
-# a fresh block of 20k points per iteration
-sampled = find_vertex(lambda u: empirical_m3_grad(source(20_000), u), n, config)
+sampled = find_vertex(sampled_gradient, n, config)
 
-print(f"{'iter':>4}  {'exact step':>12}  {'sampled step':>12}")
-for row_e, row_s in zip(exact.trace, sampled.trace):
-    print(f"{row_e['iteration']:>4}  {row_e['step']:>12.3e}  {row_s['step']:>12.3e}")
+print(f"{'iter':>4}  {'exact step':>12}  {'sampled step':>12}  {'noise':>12}")
+for i, (row_e, row_s) in enumerate(itertools.zip_longest(exact.trace, sampled.trace)):
+    exact_step = f"{row_e['step']:>12.3e}" if row_e else " " * 12
+    sampled_step = f"{row_s['step']:>12.3e}  {row_s['noise']:>12.3e}" if row_s else ""
+    print(f"{i:>4}  {exact_step}  {sampled_step}")
 
-print(f"\nexact run converged: {exact.converged}; final iterate {np.round(exact.u, 6)}")
+print(f"\nexact run stopped after step {exact.iterations_run} of {config.iterations} (converged: {exact.converged})")
+print(f"exact run final iterate {np.round(exact.u, 6)}")
 best = np.abs(sampled.u).argmax()
+print(f"sampled run stopped after step {sampled.iterations_run} of {config.iterations} (at its noise floor: {sampled.converged})")
 print(f"sampled run locked onto coordinate {best}; final iterate {np.round(sampled.u, 3)}")

@@ -23,10 +23,10 @@ import time
 
 import numpy as np
 
+from .learner import SCHEMA_VERSION
 from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
-SCHEMA_VERSION = 5
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -104,6 +104,8 @@ def _validate_common(cfg: dict, command: str) -> None:
             raise SchemaError(f"{key} must be a positive integer")
     if command == "learn" and cfg["t1"] < n + 2:
         raise SchemaError(f"t1 must be at least n+2 = {n + 2}")
+    if command == "learn" and cfg["t3"] < 2:
+        raise SchemaError("t3 must be at least 2")
 
 
 def _emit(payload: dict, cfg: dict, command: str) -> None:
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--t1", type=int, default=None, help="points for the affine frame estimate (default 50000)")
     learn.add_argument("--t3", type=int, default=None, help="fresh points per gradient evaluation (default 50000)")
     learn.add_argument("--m", type=int, default=None, help="start budget: one frame of min(m, n+1) starts; below n+1 the run is incomplete (default n+1)")
-    learn.add_argument("--r", type=int, default=None, help="fixed-point iterations of the frame (default 30)")
+    learn.add_argument("--r", type=int, default=None, help="cap on fixed-point steps of the frame, which stops at its sampling noise floor (default 30)")
     common(learn)
     learn.set_defaults(func=cmd_learn)
 

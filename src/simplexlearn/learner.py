@@ -6,9 +6,11 @@ simplex is nearly isotropic, embed it onto the hyperplane {y . 1 = 1}
 where it becomes a nearly standard simplex rotated about the all-ones
 direction (both maps compose into one, built once per run), and run the
 third-moment fixed point on one orthonormal frame of n+1 random starts, on
-one fresh block per step, so that each column ends on its own vertex.
-Each column is projected exactly onto the hyperplane and mapped back
-through the frame.
+one fresh block per step, so that each column ends on its own vertex.  The
+frame stops at the first step that is within its sampling noise, which
+the two halves of the step's block estimate, or after r steps.  Each
+column is projected exactly onto the hyperplane and mapped back through
+the frame.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ __all__ = [
     "learn_simplex",
     "boost",
 ]
+
+# the version of every report the command line writes
+SCHEMA_VERSION = 6
+
 
 class DegenerateSampleError(ValueError):
     """The sample covariance is singular, so no frame can be estimated."""
@@ -67,26 +73,39 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
     return AffineFrame(mean=mean, factor=factor)
 
 
-def embedded_m3_grad(frame: AffineFrame, emb: EmbedMap) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """(x, u) -> ``empirical_m3_grad(emb.forward(frame.forward(x)), u)``
-    without building the embedded block.
+def embedded_m3_grad(
+    frame: AffineFrame, emb: EmbedMap
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(x, u) -> (``empirical_m3_grad(emb.forward(frame.forward(x)), u)``,
+    its standard error) without building the embedded block.
 
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
     b = offset - mean L solved once here.  With s = y u = x (L u) + b . u the
     gradient (3/t) y^T s^2 is (3/t) (L^T (x^T s^2) + b sum(s^2)): two thin
-    matmuls against the raw block.  u is (n+1,) or a frame (n+1, k).
+    matmuls against the raw block.  They run on the two halves of the block
+    in turn, giving half gradients g_A and g_B at no extra cost; the
+    gradient is their point-weighted mean and the standard error of each
+    entry is estimated by |g_A - g_B| / 2 (the block needs two points).
+    u is (n+1,) or a frame (n+1, k).
     """
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
     shift = emb.offset - frame.mean @ linear
 
-    def gradient(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def gradient(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # s^T, one row of t entries per column of u: numpy adds, squares
         # and sums along long rows much faster than along rows of k entries,
         # and in place, without a second (k, t) temporary
         s = (u.T @ linear.T) @ x.T
         s += (u.T @ shift)[..., None]
         s *= s
-        return (3.0 / x.shape[0]) * (linear.T @ (s @ x).T + np.multiply.outer(shift, s.sum(axis=-1)))
+
+        def half_gradient(rows: slice) -> np.ndarray:
+            part = s[..., rows]
+            return (3.0 / part.shape[-1]) * (linear.T @ (part @ x[rows]).T + np.multiply.outer(shift, part.sum(axis=-1)))
+
+        t, half = x.shape[0], x.shape[0] // 2
+        g_a, g_b = half_gradient(slice(None, half)), half_gradient(slice(half, None))
+        return (half * g_a + (t - half) * g_b) / t, 0.5 * (g_a - g_b)
 
     return gradient
 
@@ -96,8 +115,12 @@ class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
     t1: points for the frame estimate (must be >= n+2).
-    t3: fresh points per vertex-finder gradient evaluation.
-    r: fixed-point iterations of the frame.
+    t3: fresh points per vertex-finder gradient evaluation (at least 2:
+        the block's two halves estimate the gradient's standard error).
+    r: cap on the fixed-point steps of the frame.  The frame stops at the
+       first step where every column has reached its sampling noise floor
+       (see :func:`~simplexlearn.vertex_finder.find_vertex`), so a run
+       draws t1 + iterations_run t3 points with iterations_run <= r.
     m: start budget.  The learner runs one frame of min(m, n+1) starts;
        None means n+1, and a budget below n+1 cuts the frame and returns
        an incomplete run.
@@ -111,8 +134,8 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t1 < 2 or self.t3 < 1:
-            raise ValueError("t1 and t3 must be positive (t1 >= n+2 is checked at run time)")
+        if self.t1 < 2 or self.t3 < 2:
+            raise ValueError("t1 and t3 must be at least 2 (t1 >= n+2 is checked at run time)")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.m is not None and self.m < 1:
@@ -125,22 +148,24 @@ class ExperimentReport:
 
     per_vertex_match_error and tv_estimate need ground truth and are filled
     by harnesses that have it; the learner itself leaves them None.
-    points_drawn counts the frame block and every gradient block;
-    starts_run counts the fixed-point starts, the columns of the frame.
-    wall_time_ms is excluded from any byte-for-byte comparisons.
+    found_count counts the fixed-point starts, the columns of the frame,
+    and the vertices they found; iterations_run counts the frame's steps,
+    the step where the noise-floor stop fired or the cap r; points_drawn
+    counts the frame block and every gradient block, t1 + iterations_run
+    t3.  wall_time_ms is excluded from any byte-for-byte comparisons.
     """
 
     n: int
     config: dict
     found_count: int
-    vertices: list | None
+    vertices: list
     per_vertex_match_error: list | None
     tv_estimate: float | None
     wall_time_ms: float
     seed: int
     points_drawn: int
-    starts_run: int
-    schema_version: int = 5
+    iterations_run: int
+    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -180,7 +205,10 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         procedure: the paper runs independent starts until every vertex
         has been hit.  The frame is the tensor power method of Anandkumar,
         Ge, Hsu, Kakade and Telgarsky (JMLR 2014) with the symmetric
-        decorrelation of FastICA (Hyvarinen, IEEE TNN 1999).  A budget m
+        decorrelation of FastICA (Hyvarinen, IEEE TNN 1999).  It stops at
+        the first step where every column has reached the noise floor its
+        block's split-half standard error sets, with r steps as the cap;
+        the report's iterations_run says where.  A budget m
         below n+1 runs only m columns, and the result is flagged incomplete
         and carries those m vertices.
 
@@ -214,9 +242,9 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
 
     starts = n + 1 if config.m is None else min(config.m, n + 1)
     seeds = tuple(child_seed(config.seed, 41, k) for k in range(starts))
-    u = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds)).u
+    found = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds))
     # exact projection of each column onto the hyperplane {u . 1 = 1}
-    directions = (u + (1.0 - u.sum(axis=0)) / (n + 1)).T
+    directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))
     simplex = Simplex(vertices) if starts == n + 1 else None
 
@@ -230,7 +258,7 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
         seed=config.seed,
         points_drawn=points_drawn,
-        starts_run=starts,
+        iterations_run=found.iterations_run,
     )
     return LearnedSimplex(simplex=simplex, found_count=starts, directions=directions, report=report)
 

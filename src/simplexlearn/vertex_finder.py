@@ -22,6 +22,12 @@ along axis 0, so a sampled gradient spends one block per step on the
 whole frame, and the normalization is the symmetric orthogonalization
 U <- M (M^T M)^(-1/2) of FastICA (Hyvarinen, IEEE TNN 1999), which keeps
 the columns on distinct vertices.  For one column it is M / |M|.
+
+A sampled gradient may report its own standard error; the loop then
+stops once every column's step is no larger than the noise that error
+puts on the column, since from there on a step only redraws the noise
+(Hardt and Price, The Noisy Power Method, NeurIPS 2014).  An exact
+gradient has no error and stops at a 1e-9 step.
 """
 
 from __future__ import annotations
@@ -46,19 +52,30 @@ __all__ = [
 # lost a direction: the update of some column cancelled, or two columns
 # merged.
 COLLAPSE_TOL = 1e-14
+# The smallest step that counts as movement: the stop of an exact
+# gradient, whose noise floor is zero.
 CONVERGENCE_TOL = 1e-9
+# A column has reached its noise floor once its sign-aligned step is at
+# most NOISE_KAPPA times sigma_j, the size of the error the gradient's
+# standard error puts on the column.  At the floor two successive iterates
+# carry independent errors of size up to sigma_j, so their step is about
+# sqrt(2) sigma_j; 2 leaves room above sqrt(2) for the spread of the
+# estimated error, while a step the squaring still contracts exceeds the
+# noise many times over and runs on.
+NOISE_KAPPA = 2.0
 
 
 @dataclass(frozen=True)
 class IterationConfig:
     """Knobs for :func:`find_vertex`.
 
-    iterations is the number of fixed-point steps r; seed drives the random
-    start, and a tuple of at most n seeds runs a frame with one column per
-    seed, column j starting where a run with seed seed[j] alone would;
-    record_trace keeps every iterate.  The default r is the practical
-    operating point; the proof-grade values from
-    :func:`theoretical_parameters` are far larger.
+    iterations is the cap r on fixed-point steps: the loop stops earlier
+    once every column reaches its noise floor (see :func:`find_vertex`);
+    seed drives the random start, and a tuple of at most n seeds runs a
+    frame with one column per seed, column j starting where a run with
+    seed seed[j] alone would; record_trace keeps every iterate.  The
+    default r is the practical operating point; the proof-grade values
+    from :func:`theoretical_parameters` are far larger.
     """
 
     iterations: int = 30
@@ -78,14 +95,15 @@ class VertexResult:
 
     u is the final unit iterate, shape (n,) for one start and (n, k) with
     orthonormal columns for a frame (not sign-normalized; vertex directions
-    are inherently signed).  converged reports whether the last two
-    iterates agree to 1e-9 after sign alignment, a bool for one start and
-    one per column for a frame; it is the norm in exact-gradient mode and
-    rarely holds under sampling noise.
+    are inherently signed).  converged reports whether the last step of a
+    column reached its noise floor, a bool for one start and one per column
+    for a frame; all are true when the stop fired, and iterations_run is
+    the step count, the cap r when it did not.
     """
 
     u: np.ndarray
     converged: bool | np.ndarray
+    iterations_run: int
     trace: list = field(default_factory=list)
 
 
@@ -99,12 +117,15 @@ def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     grad = np.asarray(grad, dtype=float)
-    m = u.shape[0]
     if grad.shape != u.shape:
         raise ValueError("u and grad must have the same shape")
-    c = m * (m + 1) * (m + 2) / 6.0
     p1 = u.sum(axis=0)
-    return c * grad - 0.5 * p1 * p1 - 0.5 * (u * u).sum(axis=0) - p1 * u
+    return _gradient_scale(u.shape[0]) * grad - 0.5 * p1 * p1 - 0.5 * (u * u).sum(axis=0) - p1 * u
+
+
+def _gradient_scale(m: int) -> float:
+    # C = n(n+1)(n+2)/6, the factor on the gradient in the squares identity
+    return m * (m + 1) * (m + 2) / 6.0
 
 
 def _sign_aligned_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,14 +137,28 @@ def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: IterationConfig) -> VertexResult:
+def find_vertex(
+    gradient: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]], n: int, config: IterationConfig
+) -> VertexResult:
     """Run the third-moment fixed point until it locks onto a vertex.
+
+    Each step maps the frame to the polar factor of its reconstructed
+    squares M.  A gradient estimated from a block of points carries a
+    standard error e_j per column, which puts an error of about
+    sigma_j = C |e_j| / |M_j| on column j after normalization (C as in
+    :func:`reconstruct_squares`).  The loop stops after the first step at
+    which every column's sign-aligned step is at most NOISE_KAPPA sigma_j,
+    or at most 1e-9 for an exact gradient (e = 0); config.iterations caps
+    the number of steps.
 
     Args:
         gradient: u -> grad m3(u) for the hidden rotated standard simplex
-            in R^n, called once per iteration: ``exact_grad_m3``, or
-            ``empirical_m3_grad`` on a fresh block of points per call.  For
-            a frame (config.seed a tuple of k <= n seeds) it takes and
+            in R^n, called once per iteration.  It returns the gradient,
+            taken as exact (``exact_grad_m3``), or a pair (gradient, error)
+            whose error has the gradient's shape and holds the standard
+            error of each entry, as a gradient averaged over a fresh block
+            of points can estimate from the difference of its two halves.
+            For a frame (config.seed a tuple of k <= n seeds) it takes and
             returns (n, k) matrices, one column per start.
         n: number of coordinates (the simplex has n vertices).
         config: iteration knobs; config.seed drives the random starts.
@@ -157,27 +192,39 @@ def find_vertex(gradient: Callable[[np.ndarray], np.ndarray], n: int, config: It
     u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in seeds])
     trace: list = []
     for i in range(config.iterations):
-        grad = np.asarray(gradient(shaped(u)), dtype=float)
-        if not np.isfinite(grad).all():
+        value = gradient(shaped(u))
+        grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
+        grad, error = np.asarray(grad, dtype=float), np.asarray(error, dtype=float)
+        if not framed:
+            grad, error = grad[:, None], error[:, None]
+        if error.shape != grad.shape:
+            raise ValueError("the gradient's error must have the gradient's shape")
+        if not (np.isfinite(grad).all() and np.isfinite(error).all()):
             raise ValueError(f"gradient is not finite at iteration {i}")
-        update = reconstruct_squares(u, grad if framed else grad[:, None])
+        update = reconstruct_squares(u, grad)
         # polar factor M (M^T M)^(-1/2): the orthonormal frame nearest M
         eigenvalues, vectors = np.linalg.eigh(update.T @ update)
         if eigenvalues[0] <= COLLAPSE_TOL**2:
             raise RuntimeError(f"update collapsed at iteration {i}")
         new_u = update @ (vectors / np.sqrt(eigenvalues)) @ vectors.T
-        last_step = _sign_aligned_distance(new_u, u)
+        update_norm = np.linalg.norm(update, axis=0)
+        noise = _gradient_scale(n) * np.linalg.norm(error, axis=0) / update_norm
+        step = _sign_aligned_distance(new_u, u)
+        converged = step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
         u = new_u
         if config.record_trace:
             trace.append(
                 {
                     "iteration": i,
-                    "update_norm": shaped(np.linalg.norm(update, axis=0)),
-                    "step": shaped(last_step),
+                    "update_norm": shaped(update_norm),
+                    "noise": shaped(noise),
+                    "step": shaped(step),
                     "u": shaped(u).copy(),
                 }
             )
-    return VertexResult(u=shaped(u), converged=shaped(last_step <= CONVERGENCE_TOL), trace=trace)
+        if converged.all():
+            break
+    return VertexResult(u=shaped(u), converged=shaped(converged), iterations_run=i + 1, trace=trace)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

@@ -24,9 +24,10 @@ class TestLearnCommand:
         report = read_json(out)
         assert report["command"] == "learn"
         assert report["complete"] is True
-        assert report["schema_version"] == 5
-        assert report["starts_run"] >= 3
-        assert report["points_drawn"] > 4000
+        assert report["schema_version"] == 6
+        assert report["found_count"] == 3
+        assert 1 <= report["iterations_run"] <= 30
+        assert report["points_drawn"] == 4000 + report["iterations_run"] * 4000
         assert report["n"] == 2
         assert len(report["vertices"]) == 3
         assert len(report["per_vertex_match_error"]) == 3
@@ -205,6 +206,11 @@ class TestValidation:
         # flags a command would record in cli_config and otherwise ignore
         assert main(["verify", "--suite", "tv", "--n", "3"]) == 1
         assert "schema error: n applies only to verify --suite scaling or landscape" in capsys.readouterr().err
+
+    def test_t3_must_split_in_two(self, capsys):
+        # the gradient's standard error comes from the two halves of a block
+        assert main(["learn", "--n", "2", "--t3", "1"]) == 1
+        assert "schema error: t3 must be at least 2" in capsys.readouterr().err
         assert main(["reduce", "--problem", "simplex", "--p", "3"]) == 1
         assert "schema error: p applies only to --problem lp" in capsys.readouterr().err
 

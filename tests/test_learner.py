@@ -66,9 +66,12 @@ class TestEstimateFrame:
             for shape in ((n + 1,), (n + 1, n + 1)):
                 u = substream(seed, 6).standard_normal(shape)
                 reference = empirical_m3_grad(emb.forward(frame.forward(x)), u)
-                grad = fused(x, u)
-                assert grad.shape == shape
+                grad, error = fused(x, u)
+                assert grad.shape == error.shape == shape
                 assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
+                # half the difference of the gradients of the two halves
+                first, second = (empirical_m3_grad(emb.forward(frame.forward(part)), u) for part in (x[:500], x[500:]))
+                assert np.abs(error - (first - second) / 2).max() <= 1e-12 * np.abs(reference).max()
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSampleError):
@@ -116,10 +119,30 @@ class TestLearnSimplex:
         result = learn_simplex(draw, n, config)
         assert result.complete
         # one frame draw, then one block per iteration shared by one frame
-        # of n+1 starts, however large the budget
-        assert calls["count"] == 1 + config.r
-        assert result.report.starts_run == n + 1
-        assert result.report.points_drawn == config.t1 + config.r * config.t3
+        # of n+1 starts, however large the budget; r is a cap, and the
+        # frame stops at its noise floor before it
+        report = result.report
+        assert report.iterations_run < config.r
+        assert calls["count"] == 1 + report.iterations_run
+        assert report.found_count == n + 1
+        assert report.points_drawn == config.t1 + report.iterations_run * config.t3
+
+    def test_default_n5_run_stops_before_the_cap(self):
+        truth = _synthesize_simplex(5, 0)
+        config = LearnerConfig(seed=0)
+        result = learn_simplex(simplex_source(truth, child_seed(0, 98)), 5, config)
+        assert result.complete
+        assert result.report.iterations_run < config.r
+        assert result.report.points_drawn == config.t1 + result.report.iterations_run * config.t3
+        assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(5 * 7)
+
+    def test_iterations_run_is_deterministic(self):
+        for seed in (0, 1, 2):
+            truth = random_truth(3, seed)
+            config = LearnerConfig(t1=10_000, t3=10_000, seed=seed)
+            runs = [learn_simplex(simplex_source(truth, 30 + seed), 3, config).report for _ in range(2)]
+            assert runs[0].iterations_run == runs[1].iterations_run < config.r
+            assert runs[0].vertices == runs[1].vertices
 
     def test_budget_cuts_the_last_batch(self):
         # m = 2 at n = 2: one frame of 2 starts, not of n+1 = 3
@@ -127,7 +150,8 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=2000, t3=500, m=2, r=3, seed=0)
         result = learn_simplex(draw, 2, config)
         assert not result.complete
-        assert result.report.starts_run == 2
+        assert result.report.found_count == 2
+        assert result.report.iterations_run == config.r
         assert calls["count"] == 1 + config.r
         assert result.report.points_drawn == config.t1 + config.r * config.t3
 
@@ -147,7 +171,7 @@ class TestLearnSimplex:
         truth = _synthesize_simplex(15, 0)
         result = learn_simplex(simplex_source(truth, child_seed(0, 98)), 15, LearnerConfig(seed=0))
         assert result.complete
-        assert result.report.starts_run == 16
+        assert result.report.found_count == 16
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(15 * 17)
 
     def test_t1_checked_against_dimension(self):
@@ -161,7 +185,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000
@@ -169,8 +193,9 @@ class TestLearnSimplex:
         assert len(report["vertices"]) == 3
         assert report["per_vertex_match_error"] is None
         assert report["tv_estimate"] is None
-        assert report["starts_run"] == 3
-        assert report["points_drawn"] == 3000 + config.r * 3000
+        assert "starts_run" not in report
+        assert 1 <= report["iterations_run"] <= config.r
+        assert report["points_drawn"] == 3000 + report["iterations_run"] * 3000
         assert report["wall_time_ms"] > 0
 
     def test_back_map_matches_explicit_formula(self):
@@ -250,11 +275,13 @@ class TestLearnerConfig:
         # the frame holds min(m, n+1) starts, n+1 = 3 by default
         for m, starts in ((None, 3), (1, 1), (2, 2), (3, 3), (7, 3)):
             config = LearnerConfig(t1=500, t3=500, m=m, r=2, seed=0)
-            assert learn_simplex(simplex_source(random_truth(2, 22), 23), 2, config).report.starts_run == starts
+            assert learn_simplex(simplex_source(random_truth(2, 22), 23), 2, config).report.found_count == starts
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LearnerConfig(t3=0)
+        with pytest.raises(ValueError):
+            LearnerConfig(t3=1)
         with pytest.raises(ValueError):
             LearnerConfig(m=0)
         with pytest.raises(ValueError):

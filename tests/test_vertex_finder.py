@@ -204,6 +204,49 @@ def sampled_gradient(source, t):
     return lambda u: empirical_m3_grad(source(t), u)
 
 
+class TestNoiseFloorStop:
+    def test_exact_gradient_stops_at_the_tolerance(self):
+        for seed in range(6):
+            config = IterationConfig(iterations=40, seed=seed, record_trace=True)
+            result = find_vertex(exact_grad_m3, 5, config)
+            steps = [row["step"] for row in result.trace]
+            assert result.iterations_run == len(steps) < 40
+            assert steps[-1] <= 1e-9 < min(steps[:-1])
+
+    def test_frame_stops_when_every_column_is_still(self):
+        config = IterationConfig(iterations=40, seed=(0, 1, 2), record_trace=True)
+        result = find_vertex(by_column([exact_grad_m3] * 3), 4, config)
+        steps = np.array([row["step"] for row in result.trace])
+        assert result.converged.all()
+        assert (steps[-1] <= 1e-9).all()
+        assert (steps[:-1].max(axis=1) > 1e-9).all()
+
+    def test_step_within_the_noise_stops(self):
+        # an error of this size puts a noise floor far above any step
+        def noisy(u):
+            return exact_grad_m3(u), np.ones_like(u)
+
+        result = find_vertex(noisy, 4, IterationConfig(iterations=30, seed=0))
+        assert result.iterations_run == 1
+        assert result.converged
+
+    def test_negligible_error_is_the_exact_run(self):
+        exact = find_vertex(exact_grad_m3, 4, IterationConfig(iterations=30, seed=5))
+        tiny = find_vertex(lambda u: (exact_grad_m3(u), np.full_like(u, 1e-30)), 4, IterationConfig(iterations=30, seed=5))
+        assert tiny.iterations_run == exact.iterations_run
+        assert (tiny.u == exact.u).all()
+
+    def test_gradient_without_error_runs_to_the_cap(self):
+        source = simplex_source(standard_simplex(3), 7)
+        result = find_vertex(sampled_gradient(source, 2000), 4, IterationConfig(iterations=9, seed=0))
+        assert result.iterations_run == 9
+        assert not result.converged
+
+    def test_error_shape_checked(self):
+        with pytest.raises(ValueError, match="error must have the gradient's shape"):
+            find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), 4, IterationConfig(seed=0))
+
+
 class TestSampledGradients:
     def test_consumes_fresh_block_per_iteration(self):
         t, r, n = 50, 7, 4
@@ -236,12 +279,14 @@ class TestConfigValidation:
 
 class TestTrace:
     def test_records_every_iteration(self):
+        # the exact run stops at its 7th step, before the cap of 12
         config = IterationConfig(iterations=12, seed=0, record_trace=True)
         result = find_vertex(exact_grad_m3, 3, config)
-        assert len(result.trace) == 12
-        assert [row["iteration"] for row in result.trace] == list(range(12))
+        assert len(result.trace) == result.iterations_run == 7
+        assert [row["iteration"] for row in result.trace] == list(range(7))
         for row in result.trace:
             assert row["update_norm"] > 0
+            assert row["noise"] == 0.0
             assert row["u"].shape == (3,)
 
 
