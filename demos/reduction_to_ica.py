@@ -30,6 +30,7 @@ print("triangle vertices (true -> recovered):")
 for i, j in enumerate(match.permutation):
     print(f"  {np.round(triangle.vertices[i], 3)} -> {np.round(reduction.vertices[j], 3)}")
 print(f"max vertex error {match.max_error:.4f}; contrasts used: {reduction.estimate.contrast}")
+print(f"[skew, kurtosis] sweeps per component: {reduction.estimate.sweeps}")
 
 # a stretched cross-polytope, recovered as a linear map
 a = np.diag([2.0, 1.0])
@@ -39,3 +40,4 @@ print("\nrecovered map for A = diag(2, 1) (up to signed permutation):")
 print(np.round(lp.mixing, 3))
 print(f"deviation from signed permutation of A: {signed_permutation_deviation(np.linalg.inv(a) @ lp.mixing):.4f}")
 print(f"symmetric-difference volume ratio: {lp_symmetric_difference(a, lp.mixing, 1.0, seed=1):.4f}")
+print(f"contrasts used: {lp.estimate.contrast}; [skew, kurtosis] sweeps per component: {lp.estimate.sweeps}")

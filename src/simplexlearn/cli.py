@@ -247,6 +247,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         )
 
     payload["converged"] = reduction.estimate.converged
+    payload["sweeps"] = reduction.estimate.sweeps
     payload["permutation_note"] = reduction.estimate.permutation_note
     payload["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
     _emit(payload, cfg, "reduce")

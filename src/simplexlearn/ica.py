@@ -46,14 +46,22 @@ DIRECTION_TOL = 1e-8
 # A direction's third cumulant is treated as absent (and the component
 # re-run with the fourth-cumulant contrast) unless it clears both this
 # absolute floor and 4 standard errors of its own estimate; a fixed floor
-# alone lets sampling noise pass for symmetric heavy-tailed sources.
+# alone lets sampling noise pass for symmetric heavy-tailed sources.  The
+# same rule ends a skew pass at its second sweep, the first whose iterate
+# lies in the complement of the finished components, when the norm of the
+# projected candidate E[z s^2] clears neither the floor nor 4 of its
+# split-half standard errors: for a symmetric source the candidate is pure
+# noise, while for Exp(1) sources a unit iterate in the complement gives a
+# norm of at least 2/sqrt(d - k).
 SKEW_FLOOR = 0.02
 
 @dataclass
 class MixingEstimate:
     """ICA output: ``separating`` M with M (Y - mean) isotropic with
     independent coordinates, ``mixing`` its inverse, per-component
-    convergence flags and the contrast each component ended up using.
+    convergence flags, the contrast each component ended up using and the
+    sweeps it spent, one ``[skew, kurtosis]`` pair per component (the
+    kurtosis count is 0 when the skew pass was kept).
     ``permutation_note`` records the inherent ambiguity."""
 
     separating: np.ndarray
@@ -61,6 +69,7 @@ class MixingEstimate:
     mean: np.ndarray
     converged: list
     contrast: list
+    sweeps: list
     permutation_note: str = "components are recovered up to signed permutation"
 
 
@@ -91,12 +100,25 @@ def ica_estimate(
     converged when it moves by at most ``tol`` (after sign alignment)
     between sweeps.
 
+    A skew pass is abandoned at its second sweep when the projected
+    candidate is within noise (see ``SKEW_FLOOR``): its split-half error
+    costs one extra half-length matvec.  The test waits for the second
+    sweep because only then does the iterate lie in the complement of the
+    finished components; a random start may carry little mass there, so
+    a first-sweep candidate can be small for skewed sources too.
+
     Returns:
         MixingEstimate; ``separating`` row count equals the sample
-        dimension.  Non-convergence is flagged per component, not raised.
+        dimension, and ``sweeps`` gives each component's skew and kurtosis
+        sweeps.  Non-convergence is flagged per component, not raised.
         Raises ValueError unless the sample is a finite (t, d) array with
-        t > d, and DegenerateSimplexError for a singular covariance.
+        t > d, ``max_sweeps`` an integer >= 1 and ``tol`` in [0, 1), and
+        DegenerateSimplexError for a singular covariance.
     """
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be a finite number in [0, 1), got {tol!r}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] <= points.shape[1]:
         raise ValueError(f"sample must be a 2-D array with more rows than columns, got shape {points.shape}")
@@ -105,43 +127,54 @@ def ica_estimate(
     t, d = points.shape
     z, whitener, mean = _whiten(points)
     rng = substream(seed, 61)
+    half = t // 2
 
     basis = np.zeros((d, d))
     converged_flags: list[bool] = []
     contrasts: list[str] = []
+    sweeps: list[list[int]] = []
 
-    def extract(k: int, contrast: str) -> tuple[np.ndarray, bool]:
+    def extract(k: int, contrast: str) -> tuple[np.ndarray, bool, int]:
         w = rng.standard_normal(d)
         w /= np.linalg.norm(w)
-        for _ in range(max_sweeps):
+        for sweep in range(1, max_sweeps + 1):
             s = z @ w
             if contrast == "skew":
-                candidate = (z.T @ (s * s)) / t
+                squares = s * s
+                candidate = (z.T @ squares) / t
             else:
                 candidate = (z.T @ (s * s * s)) / t - 3.0 * w
             candidate -= basis[:k].T @ (basis[:k] @ candidate)
             norm = np.linalg.norm(candidate)
+            if contrast == "skew" and sweep == 2:
+                half_candidate = (z[:half].T @ squares[:half]) / half
+                half_candidate -= basis[:k].T @ (basis[:k] @ half_candidate)
+                if norm <= max(SKEW_FLOOR, 4.0 * np.linalg.norm(half_candidate - candidate)):
+                    return w, False, sweep
             if norm < 1e-12:
                 w = rng.standard_normal(d)
                 w /= np.linalg.norm(w)
                 continue
             candidate /= norm
             if 1.0 - abs(w @ candidate) <= tol:
-                return candidate, True
+                return candidate, True, sweep
             w = candidate
-        return w, False
+        return w, False, max_sweeps
 
     for k in range(d):
-        w, ok = extract(k, "skew")
-        used = "skew"
-        cubes = (z @ w) ** 3
-        skew_floor = max(SKEW_FLOOR, 4.0 * cubes.std() / math.sqrt(t))
-        if not ok or abs(cubes.mean()) < skew_floor:
-            w, ok = extract(k, "kurtosis")
+        w, ok, skew_sweeps = extract(k, "skew")
+        used, kurtosis_sweeps = "skew", 0
+        if ok:
+            s = z @ w
+            cubes = s * s * s
+            ok = abs(cubes.mean()) >= max(SKEW_FLOOR, 4.0 * cubes.std() / math.sqrt(t))
+        if not ok:
+            w, ok, kurtosis_sweeps = extract(k, "kurtosis")
             used = "kurtosis"
         basis[k] = w
         converged_flags.append(bool(ok))
         contrasts.append(used)
+        sweeps.append([skew_sweeps, kurtosis_sweeps])
 
     separating = basis @ whitener
     return MixingEstimate(
@@ -150,6 +183,7 @@ def ica_estimate(
         mean=mean,
         converged=converged_flags,
         contrast=contrasts,
+        sweeps=sweeps,
     )
 
 
@@ -290,8 +324,11 @@ def lp_symmetric_difference(
     """Monte Carlo volume of (A B_p symdiff A_est B_p) / vol(A B_p).
 
     Membership of x in M B_p is ||M^-1 x||_p <= 1; the volume ratio between
-    the two bodies is |det A_est| / |det A|.
+    the two bodies is |det A_est| / |det A|.  Raises ValueError unless
+    ``mc_points`` is at least 1.
     """
+    if mc_points < 1:
+        raise ValueError(f"mc_points must be >= 1, got {mc_points}")
     a = np.asarray(a, dtype=float)
     a_est = np.asarray(a_est, dtype=float)
     n = a.shape[0]

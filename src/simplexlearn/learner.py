@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 # the version of every report the command line writes
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class DegenerateSampleError(ValueError):

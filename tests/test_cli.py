@@ -24,7 +24,7 @@ class TestLearnCommand:
         report = read_json(out)
         assert report["command"] == "learn"
         assert report["complete"] is True
-        assert report["schema_version"] == 6
+        assert report["schema_version"] == 7
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["points_drawn"] == 4000 + report["iterations_run"] * 4000
@@ -73,6 +73,9 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
+        assert report["schema_version"] == 7
+        assert len(report["sweeps"]) == 3
+        assert all(kurtosis == 0 for _, kurtosis in report["sweeps"])
 
     def test_lp_problem(self, tmp_path):
         out = str(tmp_path / "reduce.json")
@@ -83,6 +86,8 @@ class TestReduceCommand:
         assert report["symdiff"] <= 0.2
         assert report["c_pn"] == pytest.approx(1.0 / 6.0**0.5, abs=1e-12)
         assert report["matched_errors"] is None
+        assert len(report["sweeps"]) == 2
+        assert all(skew <= 2 and kurtosis >= 1 for skew, kurtosis in report["sweeps"])
 
     def test_lp_requires_p(self):
         assert main(["reduce", "--problem", "lp", "--n", "2"]) == 1

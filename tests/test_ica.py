@@ -6,6 +6,7 @@ import pytest
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import DegenerateSimplexError, Simplex
 from simplexlearn.ica import (
+    MAX_SWEEPS,
     align_signed_permutation,
     compute_c_pn,
     ica_estimate,
@@ -84,6 +85,49 @@ class TestIcaEstimate:
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
         est = ica_estimate(x, seed=0, max_sweeps=1)
         assert not all(est.converged)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -3, 2.5, True])
+    def test_invalid_max_sweeps_rejected(self, max_sweeps):
+        x = exponential_mixture(np.eye(2), np.zeros(2), 500, seed=6)
+        with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
+            ica_estimate(x, max_sweeps=max_sweeps)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1, 1.0])
+    def test_invalid_tol_rejected(self, tol):
+        x = exponential_mixture(np.eye(2), np.zeros(2), 500, seed=6)
+        with pytest.raises(ValueError, match=r"tol must be a finite number in \[0, 1\)"):
+            ica_estimate(x, tol=tol)
+
+
+class TestSkewNoiseStop:
+    def test_skewed_sources_keep_every_skew_pass(self):
+        # with the noise test at the first sweep, this mixture's last skew
+        # pass (a random start with little mass in the 1-D complement) was
+        # abandoned and its component re-run with kurtosis
+        rng = substream(4, 610)
+        a = rng.standard_normal((9, 9))
+        x = exponential_mixture(a, rng.standard_normal(9), 200_000, seed=15)
+        est = ica_estimate(x, seed=4)
+        assert est.contrast == ["skew"] * 9
+        assert all(est.converged)
+        assert all(kurtosis == 0 for _, kurtosis in est.sweeps)
+        assert separation_index(est.separating @ a) <= 0.05
+
+    def test_symmetric_sources_end_the_skew_pass_at_the_second_sweep(self):
+        rng = substream(1, 603)
+        a = rng.standard_normal((4, 4))
+        sources = rng.uniform(-math.sqrt(3), math.sqrt(3), size=(100_000, 4))
+        est = ica_estimate(sources @ a.T, seed=1)
+        assert est.contrast == ["kurtosis"] * 4
+        assert all(skew <= 2 and kurtosis >= 1 for skew, kurtosis in est.sweeps)
+        assert separation_index(est.separating @ a) <= 0.05
+
+    def test_sweeps_count_each_pass(self):
+        x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
+        assert ica_estimate(x, seed=0, max_sweeps=1).sweeps == [[1, 1]] * 3
+        est = ica_estimate(x, seed=0)
+        assert len(est.sweeps) == 3
+        assert all(1 <= skew <= MAX_SWEEPS and kurtosis == 0 for skew, kurtosis in est.sweeps)
 
 
 class TestSimplexReduction:
@@ -229,6 +273,10 @@ class TestLpSymmetricDifference:
         a = np.diag([1.0, 2.0])
         value = lp_symmetric_difference(a, 0.9 * a, 1.0, mc_points=200_000, seed=0)
         assert value == pytest.approx(1.0 - 0.81, abs=0.006)
+
+    def test_mc_points_checked(self):
+        with pytest.raises(ValueError, match="mc_points must be >= 1"):
+            lp_symmetric_difference(np.eye(2), np.eye(2), 1.0, mc_points=0)
 
     def test_deterministic(self):
         a = np.eye(2)

@@ -142,14 +142,12 @@ def by_column(oracles):
     return lambda u: np.column_stack([oracle(column) for oracle, column in zip(oracles, u.T)])
 
 
-class TestRestarts:
-    def test_adversarial_oracle_raises_after_max_restarts(self):
+class TestCollapse:
+    def test_always_collapsing_oracle_raises(self):
         config = IterationConfig(iterations=30, seed=0)
         with pytest.raises(RuntimeError):
             find_vertex(collapsing_grad, 4, config)
 
-
-class TestCollapse:
     def test_transient_collapse_raises(self):
         with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
             find_vertex(transient_collapse(1), 4, IterationConfig(iterations=40, seed=0))
