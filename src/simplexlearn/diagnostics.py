@@ -19,7 +19,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .evaluation import check_sandwich_bound, tv_distance_mc
 from .geometry import Simplex, isotropic_simplex
@@ -74,7 +73,12 @@ def scaling_suite(
       (correlation within 3 sigma of zero);
     - joint independence of the normalized vector and its denominator,
       chi-square on a 4 x 4 quantile binning.
+
+    The only function in the package that uses scipy; it imports
+    ``scipy.stats`` on call, so ``learn`` and ``reduce`` never load it.
     """
+    from scipy import stats
+
     checks: list[dict] = []
 
     for n in simplex_dims:

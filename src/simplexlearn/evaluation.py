@@ -8,9 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .geometry import Simplex, contains_points
 from .sampling import _simplex_weights, substream
@@ -125,32 +122,89 @@ class MatchResult:
     max_error: float
 
 
-def _vertex_array(x) -> np.ndarray:
-    return x.vertices if isinstance(x, Simplex) else np.atleast_2d(np.asarray(x, dtype=float))
+def _vertex_array(x, name: str) -> np.ndarray:
+    if isinstance(x, Simplex):
+        return x.vertices
+    v = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} vertices must be finite")
+    return v
+
+
+def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row by a minimum-total-cost bijection of the
+    square matrix ``cost``; ``inf`` forbids a pair.
+
+    Kuhn's Hungarian method with row and column potentials (Kuhn 1955):
+    each row in turn is added by a shortest augmenting path over reduced
+    costs, O(k^3) in all.  Raises ValueError when no bijection of finite
+    cost exists.
+    """
+    k = cost.shape[0]
+    # row_of[j] is the row holding column j; column k is the virtual root
+    # from which each new row's search starts
+    row_of = np.full(k + 1, -1)
+    via = np.zeros(k + 1, dtype=int)
+    u = np.zeros(k)
+    v = np.zeros(k + 1)
+    for i in range(k):
+        row_of[k] = i
+        j0 = k
+        slack = np.full(k, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j0] != -1:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used[:k]
+            reduced = cost[i0] - u[i0] - v[:k]
+            closer = free & (reduced < slack)
+            slack[closer] = reduced[closer]
+            via[:k][closer] = j0
+            candidates = np.where(free, slack, np.inf)
+            j1 = int(np.argmin(candidates))
+            delta = candidates[j1]
+            if not np.isfinite(delta):
+                raise ValueError("no assignment of finite cost exists")
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            j0 = j1
+        while j0 != k:
+            row_of[j0] = row_of[via[j0]]
+            j0 = via[j0]
+    cols = np.empty(k, dtype=int)
+    cols[row_of[:k]] = np.arange(k)
+    return cols
 
 
 def match_vertices(truth, estimate) -> MatchResult:
     """Minimum-max-error bijection between two equal-size vertex sets.
 
     The optimal bottleneck value is found by bisecting over the sorted
-    pairwise distances with a bipartite-matching feasibility test; among
-    the bijections achieving it, total error is minimized.
+    pairwise distances.  A threshold is feasible when the min-sum
+    assignment on the 0/1 costs ``dist > threshold`` costs nothing, that
+    is when some bijection keeps every pair within it.  Among the
+    bijections achieving the bottleneck, total error is then minimized by
+    a second min-sum assignment that forbids the pairs beyond it.  Both
+    use the package's own Hungarian method, so matching needs numpy only.
 
     Args:
-        truth, estimate: Simplex instances or (k, d) vertex arrays.
+        truth, estimate: Simplex instances or (k, d) arrays of finite
+            vertices.
 
     Returns:
         MatchResult ordered by truth index.
     """
-    a = _vertex_array(truth)
-    b = _vertex_array(estimate)
+    a = _vertex_array(truth, "truth")
+    b = _vertex_array(estimate, "estimate")
     if a.shape != b.shape:
         raise ValueError("vertex sets must have matching shapes")
     dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    rows = np.arange(len(dist))
 
     def feasible(threshold: float) -> bool:
-        adjacency = csr_matrix(dist <= threshold)
-        return (maximum_bipartite_matching(adjacency, perm_type="column") >= 0).all()
+        cols = _min_sum_assignment((dist > threshold).astype(float))
+        return bool((dist[rows, cols] <= threshold).all())
 
     levels = np.unique(dist)
     lo, hi = 0, len(levels) - 1
@@ -162,12 +216,8 @@ def match_vertices(truth, estimate) -> MatchResult:
             lo = mid + 1
     bottleneck = levels[lo]
 
-    # min-sum assignment restricted to pairs within the bottleneck
-    penalty = np.where(dist <= bottleneck, dist, 1e30)
-    rows, cols = linear_sum_assignment(penalty)
-    order = np.argsort(rows)
-    perm = cols[order]
-    errors = dist[np.arange(len(perm)), perm]
+    perm = _min_sum_assignment(np.where(dist <= bottleneck, dist, np.inf))
+    errors = dist[rows, perm]
     return MatchResult(tuple(int(j) for j in perm), errors, float(errors.max()))
 
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 __all__ = [
     "DegenerateSimplexError",
@@ -103,12 +102,12 @@ class Simplex:
 
 
 class _BarycentricSolver:
-    """Cached factorization of the system [V^T; 1^T] lam = [x; 1].
+    """Cached inverse of the system [V^T; 1^T] lam = [x; 1].
 
-    For full-dimensional simplices the square system is LU-factored once.
+    For full-dimensional simplices the square system is inverted once.
     For simplices embedded in a higher-dimensional space the pseudo-inverse
-    is cached and membership additionally requires the point to sit on the
-    affine hull (small reconstruction residual).
+    is cached instead, and membership additionally requires the point to
+    sit on the affine hull (small reconstruction residual).
     """
 
     def __init__(self, simplex: Simplex):
@@ -122,21 +121,15 @@ class _BarycentricSolver:
             )
         self.system = system
         self.square = system.shape[0] == system.shape[1]
-        if self.square:
-            self.lu = lu_factor(system)
-            self.pinv = None
-        else:
-            self.lu = None
-            self.pinv = np.linalg.pinv(system)
+        self.inverse = np.linalg.inv(system) if self.square else np.linalg.pinv(system)
 
     def coordinates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric coordinates (t, m) and an on-hull mask (t,)."""
         rhs = np.vstack([points.T, np.ones((1, points.shape[0]))])
+        lam = self.inverse @ rhs
         if self.square:
-            lam = lu_solve(self.lu, rhs)
             on_hull = np.ones(points.shape[0], dtype=bool)
         else:
-            lam = self.pinv @ rhs
             residual = np.abs(self.system @ lam - rhs).max(axis=0)
             scale = 1.0 + np.abs(rhs).max(axis=0)
             on_hull = residual <= HULL_RESIDUAL_TOL * scale

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import DegenerateSimplexError
 from .sampling import (
@@ -257,12 +256,13 @@ def compute_c_pn(p: float, n: int) -> float:
     X T^(1/p) with T ~ Gamma(n/p + 1, 1) independent of X has iid
     exp(-|t|^p) coordinates, so E[X_1^2] E[T^(2/p)] equals their variance,
     which gives c_{p,n}^2 = Gamma(3/p) Gamma(n/p + 1) / (Gamma(1/p) Gamma((n+2)/p + 1))
-    (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005).
+    (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005).  The Gamma
+    ratios are taken as differences of ``math.lgamma``.
     """
     p = _check_p(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return generalized_gaussian_std(p) * math.exp(0.5 * (gammaln(n / p + 1.0) - gammaln((n + 2.0) / p + 1.0)))
+    return generalized_gaussian_std(p) * math.exp(0.5 * (math.lgamma(n / p + 1.0) - math.lgamma((n + 2.0) / p + 1.0)))
 
 
 def separation_index(g: np.ndarray) -> float:

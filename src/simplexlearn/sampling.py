@@ -13,7 +13,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import Simplex, _solver
 
@@ -128,9 +127,9 @@ def sample_generalized_gaussian(p: float, count: int, rng: int | np.random.Gener
 
 def generalized_gaussian_std(p: float) -> float:
     """Standard deviation of the exp(-|x|^p) density:
-    sqrt(Gamma(3/p) / Gamma(1/p))."""
+    sqrt(Gamma(3/p) / Gamma(1/p)), from ``math.lgamma``."""
     p = _check_p(p)
-    return math.exp(0.5 * (gammaln(3.0 / p) - gammaln(1.0 / p)))
+    return math.exp(0.5 * (math.lgamma(3.0 / p) - math.lgamma(1.0 / p)))
 
 
 def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from simplexlearn.evaluation import (
+    _min_sum_assignment,
     check_sandwich_bound,
     hoeffding_sample_size,
     match_vertices,
@@ -16,6 +20,18 @@ from simplexlearn.sampling import substream
 
 def right_simplex(n: int) -> Simplex:
     return Simplex(np.vstack([np.zeros(n), np.eye(n)]))
+
+
+def scipy_bottleneck_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference matching: the smallest distance level that admits a
+    perfect bipartite matching, then scipy's min-sum assignment over the
+    pairs within it."""
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    for level in np.unique(dist):
+        if (maximum_bipartite_matching(csr_matrix(dist <= level), perm_type="column") >= 0).all():
+            break
+    _, cols = linear_sum_assignment(np.where(dist <= level, dist, np.inf))
+    return cols
 
 
 class TestTVDistance:
@@ -152,6 +168,38 @@ class TestMatchVertices:
             assert result.max_error == pytest.approx(best_bottleneck)
             assert result.per_vertex_error.sum() == pytest.approx(best_sum)
 
+    @pytest.mark.parametrize("k", range(1, 26))
+    def test_agrees_with_scipy_reference(self, k):
+        rng = substream(k, 5)
+        # continuous coordinates: one optimal bijection, so the permutations agree
+        a = rng.standard_normal((k, 3))
+        b = a[rng.permutation(k)] + 0.3 * rng.standard_normal((k, 3))
+        result = match_vertices(a, b)
+        cols = scipy_bottleneck_match(a, b)
+        dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        assert result.permutation == tuple(int(j) for j in cols)
+        assert np.array_equal(result.per_vertex_error, dist[np.arange(k), cols])
+        # integer grid points: tied distances, so compare the two objectives
+        a = rng.integers(0, 3, size=(k, 2)).astype(float)
+        b = rng.integers(0, 3, size=(k, 2)).astype(float)
+        result = match_vertices(a, b)
+        ref = np.linalg.norm(a - b[scipy_bottleneck_match(a, b)], axis=1)
+        assert sorted(result.permutation) == list(range(k))
+        assert result.max_error == ref.max()
+        assert result.per_vertex_error.sum() == pytest.approx(ref.sum(), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertices_rejected(self, bad):
+        v = isotropic_simplex(3).vertices
+        broken = v.copy()
+        broken[2, 1] = bad
+        with pytest.raises(ValueError, match="estimate vertices must be finite"):
+            match_vertices(v, broken)
+        with pytest.raises(ValueError, match="truth vertices must be finite"):
+            match_vertices(broken, v)
+        with pytest.raises(ValueError, match="estimate vertices must be finite"):
+            match_vertices(v, np.full_like(v, bad))
+
     def test_bottleneck_beats_min_sum_when_they_differ(self):
         # classic trap: min-sum pairing takes one huge edge that the
         # bottleneck pairing avoids
@@ -160,6 +208,37 @@ class TestMatchVertices:
         result = match_vertices(a, b)
         assert result.max_error == 1.5
         assert result.permutation == (0, 1)
+
+
+class TestMinSumAssignment:
+    @pytest.mark.parametrize("k", range(1, 26))
+    def test_optimal_cost_equals_scipy(self, k):
+        rng = substream(k, 6)
+        uniform = rng.random((k, k))
+        ties = np.round(4.0 * rng.random((k, k)))
+        # forbid about a third of the pairs but keep one bijection allowed
+        forbidden = np.where(rng.random((k, k)) < 0.35, np.inf, rng.random((k, k)))
+        forbidden[np.arange(k), rng.permutation(k)] = rng.random(k)
+        for cost in (uniform, ties, forbidden, -ties):
+            cols = _min_sum_assignment(cost)
+            assert sorted(cols) == list(range(k))
+            rows, ref = linear_sum_assignment(cost)
+            got = cost[np.arange(k), cols].sum()
+            assert got == pytest.approx(cost[rows, ref].sum(), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            np.full((3, 3), np.inf),
+            np.array([[1.0, np.inf], [2.0, np.inf]]),  # a column no row may take
+            np.array([[1.0, 2.0, 3.0], [np.inf] * 3, [4.0, 5.0, 6.0]]),  # a row with no pair
+        ],
+    )
+    def test_no_finite_bijection_raises(self, cost):
+        with pytest.raises(ValueError, match="no assignment of finite cost"):
+            _min_sum_assignment(cost)
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
 
 
 class TestSampleBounds:

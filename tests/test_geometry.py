@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from simplexlearn.geometry import (
+    MEMBERSHIP_TOL,
     AffineFrame,
     DegenerateSimplexError,
     Simplex,
@@ -119,6 +121,26 @@ class TestBarycentric:
             clear = np.abs(lam).min(axis=1) > 1e-9
             assert (ours[clear] == oracle[clear]).all()
             assert ours[400:].all()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_square_system_agrees_with_lu_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        s = Simplex(rng.standard_normal((n + 1, n)))
+        v = s.vertices
+        midpoints = np.array([(v[i] + v[j]) / 2 for i in range(n + 1) for j in range(i)])
+        interior = rng.dirichlet(np.ones(n + 1), size=200) @ v
+        box = rng.uniform(v.min(axis=0), v.max(axis=0), size=(400, n))
+        pts = np.vstack([v, midpoints, interior, box])
+        lam, on_hull = _solver(s).coordinates(pts)
+        system = np.vstack([v.T, np.ones((1, n + 1))])
+        reference = lu_solve(lu_factor(system), np.vstack([pts.T, np.ones((1, len(pts)))])).T
+        np.testing.assert_allclose(lam, reference, rtol=0, atol=1e-12)
+        assert on_hull.all()
+        inside = contains_points(s, pts)
+        assert np.array_equal(inside, (reference >= -MEMBERSHIP_TOL).all(axis=1))
+        # vertices and edge midpoints sit on the boundary and count as inside
+        assert inside[: len(v) + len(midpoints) + len(interior)].all()
+        assert not inside.all()
 
     def test_vertices_and_centroid_inside(self):
         s = right_triangle()

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +45,27 @@ def test_deleted_names_are_gone(name):
     assert not hasattr(simplexlearn, name)
     with pytest.raises(ImportError):
         exec(f"from simplexlearn import {name}", {})
+
+
+# learn and reduce run on numpy alone: scipy would add about a second of
+# import and a second OpenBLAS thread pool to every invocation
+_NO_SCIPY = """
+import contextlib, io, sys
+import simplexlearn, simplexlearn.cli
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert simplexlearn.cli.main(["learn", "--n", "3", "--t1", "2000", "--t3", "2000", "--r", "5", "--out", out]) == 0
+    assert simplexlearn.cli.main(["reduce", "--problem", "lp", "--p", "3", "--t", "20000", "--out", out]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_learn_and_reduce_never_import_scipy(tmp_path):
+    # the child imports the package this suite imported, installed or not
+    root = os.path.dirname(os.path.dirname(simplexlearn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "report.json")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
