@@ -4,7 +4,7 @@ With the exact gradient the update squares the coordinates of the iterate
 in the simplex frame every step, so whichever coordinate starts largest
 takes over doubly exponentially, and the run stops once a step falls to
 1e-9.  With estimated gradients the same trajectory flattens out at the
-sampling noise floor instead of converging: the two halves of each block
+sampling noise floor instead of converging: the two halves of the block
 estimate the noise the sample puts on a step, and the run stops once its
 step is at most twice that noise.  Both traces are printed side by side,
 each up to the step where it stopped.
@@ -25,13 +25,13 @@ from simplexlearn import (
 
 n = 4
 config = IterationConfig(iterations=12, seed=3, record_trace=True)
-source = simplex_source(standard_simplex(n - 1), 5)
+# one block of 20k points serves every step, as in the learner: the
+# gradient is the mean of its two halves' gradients, and half their
+# difference its error
+block = simplex_source(standard_simplex(n - 1), 5)(20_000)
 
 
 def sampled_gradient(u):
-    # a fresh block of 20k points per iteration: the gradient is the mean
-    # of its two halves' gradients, and half their difference its error
-    block = source(20_000)
     first, second = empirical_m3_grad(block[:10_000], u), empirical_m3_grad(block[10_000:], u)
     return (first + second) / 2, (first - second) / 2
 

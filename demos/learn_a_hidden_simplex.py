@@ -25,7 +25,7 @@ truth = Simplex(isotropic_simplex(n).vertices @ (q * np.sign(np.diag(r))).T + rn
 print(f"hidden simplex: {n + 1} vertices in R^{n}, circumradius {truth.circumscribed_radius():.3f}")
 
 config = LearnerConfig(t1=50_000, t3=50_000, seed=0)
-print(f"budget: one frame of {n + 1} starts x {config.r} iterations x {config.t3} points per gradient")
+print(f"budget: one block of {config.t1 + config.t3} points for the frame and every step, {n + 1} starts, at most {config.r} steps")
 
 learned = learn_simplex(simplex_source(truth, 1), n, config)
 

@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = sub.add_parser("learn", help="learn a synthesized hidden simplex from uniform samples")
     learn.add_argument("--n", type=int, default=None, help="simplex dimension (default 5)")
-    learn.add_argument("--t1", type=int, default=None, help="points for the affine frame estimate (default 50000)")
-    learn.add_argument("--t3", type=int, default=None, help="fresh points per gradient evaluation (default 50000)")
+    learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share, at least n+2 points; a run draws t1 + t3 points (default 50000)")
+    learn.add_argument("--t3", type=int, default=None, help="second part of that block, at least 2 points (default 50000)")
     learn.add_argument("--m", type=int, default=None, help="start budget: one frame of min(m, n+1) starts; below n+1 the run is incomplete (default n+1)")
     learn.add_argument("--r", type=int, default=None, help="cap on fixed-point steps of the frame, which stops at its sampling noise floor (default 30)")
     common(learn)

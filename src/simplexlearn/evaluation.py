@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Simplex, contains_points
-from .sampling import _simplex_weights, substream
+from .geometry import MEMBERSHIP_TOL, Simplex, _solver, contains_points
+from .sampling import _check_count, _simplex_weights, substream
 
 __all__ = [
     "TVEstimate",
@@ -44,11 +44,13 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     Uses the identity d_TV = vol(K \\ L) / vol(K) for vol(K) >= vol(L):
     points are sampled only from the larger-volume simplex and tested for
     membership in the other, so the estimate is exact in expectation and
-    identically zero when K equals L.
+    identically zero when K equals L.  No point is built: the barycentric
+    coordinates in the smaller simplex are affine in those in the larger,
+    so one (n+1, n+1) matrix maps the drawn weights straight to them.
 
     Args:
         k, l: full-dimensional simplices of equal dimension.
-        mc_points: Monte Carlo sample size.
+        mc_points: Monte Carlo sample size, an integer >= 1.
         rng: integer seed or numpy Generator.
 
     Returns:
@@ -58,13 +60,16 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     _require_full_dimensional(l, "L")
     if k.dim != l.dim:
         raise ValueError("simplices must have equal dimension")
-    if mc_points < 1:
-        raise ValueError("mc_points must be >= 1")
+    mc_points = _check_count(mc_points, "mc_points")
     gen = rng if isinstance(rng, np.random.Generator) else substream(rng, 31)
     big, small = (k, l) if k.volume() >= l.volume() else (l, k)
     weights = _simplex_weights(gen, big.dim + 1, mc_points)
-    points = weights @ big.vertices
-    outside = 1.0 - contains_points(small, points).mean()
+    # a point w V_big has coordinates inv_small [V_big^T w^T; 1], and the
+    # weights sum to 1, so inv_small [V_big^T; 1^T] maps w^T to them: one
+    # row of mc_points coordinates per vertex of the smaller simplex
+    to_small = _solver(small).inverse @ np.vstack([big.vertices.T, np.ones((1, big.dim + 1))])
+    lam = to_small @ weights.T
+    outside = 1.0 - (lam.min(axis=0) >= -MEMBERSHIP_TOL).mean()
     std_error = math.sqrt(max(outside * (1.0 - outside), 0.0) / mc_points)
     return TVEstimate(float(outside), std_error, mc_points)
 
@@ -190,7 +195,7 @@ def match_vertices(truth, estimate) -> MatchResult:
 
     Args:
         truth, estimate: Simplex instances or (k, d) arrays of finite
-            vertices.
+            vertices, k and d at least 1.
 
     Returns:
         MatchResult ordered by truth index.
@@ -199,6 +204,8 @@ def match_vertices(truth, estimate) -> MatchResult:
     b = _vertex_array(estimate, "estimate")
     if a.shape != b.shape:
         raise ValueError("vertex sets must have matching shapes")
+    if a.size == 0:
+        raise ValueError(f"vertex sets must not be empty, got shape {a.shape}")
     dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     rows = np.arange(len(dist))
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import DegenerateSimplexError
 from .sampling import (
+    _check_count,
     _check_p,
     _gamma_rescale,
     child_seed,
@@ -325,10 +326,9 @@ def lp_symmetric_difference(
 
     Membership of x in M B_p is ||M^-1 x||_p <= 1; the volume ratio between
     the two bodies is |det A_est| / |det A|.  Raises ValueError unless
-    ``mc_points`` is at least 1.
+    ``mc_points`` is an integer >= 1.
     """
-    if mc_points < 1:
-        raise ValueError(f"mc_points must be >= 1, got {mc_points}")
+    mc_points = _check_count(mc_points, "mc_points")
     a = np.asarray(a, dtype=float)
     a_est = np.asarray(a_est, dtype=float)
     n = a.shape[0]

@@ -1,21 +1,20 @@
 """End-to-end simplex learning from uniform samples.
 
-The pipeline: estimate an affine frame (mean and covariance factor) from a
-first block of points, move the data into that frame where the hidden
-simplex is nearly isotropic, embed it onto the hyperplane {y . 1 = 1}
-where it becomes a nearly standard simplex rotated about the all-ones
-direction (both maps compose into one, built once per run), and run the
-third-moment fixed point on one orthonormal frame of n+1 random starts, on
-one fresh block per step, so that each column ends on its own vertex.  The
-frame stops at the first step that is within its sampling noise, which
-the two halves of the step's block estimate, or after r steps.  Each
-column is projected exactly onto the hyperplane and mapped back through
-the frame.
+The pipeline: draw one block of points, estimate an affine frame (mean
+and covariance factor) from it, move the data into that frame where the
+hidden simplex is nearly isotropic, embed it onto the hyperplane
+{y . 1 = 1} where it becomes a nearly standard simplex rotated about the
+all-ones direction (both maps compose into one, built once per run), and
+run the third-moment fixed point on one orthonormal frame of n+1 random
+starts, every step on that same block, so that each column ends on its
+own vertex.  The frame stops at the first step that is within its
+sampling noise, which the two halves of the block estimate, or after r
+steps.  Each column is projected exactly onto the hyperplane and mapped
+back through the frame.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 # the version of every report the command line writes
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class DegenerateSampleError(ValueError):
@@ -114,13 +113,13 @@ def embedded_m3_grad(
 class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
-    t1: points for the frame estimate (must be >= n+2).
-    t3: fresh points per vertex-finder gradient evaluation (at least 2:
-        the block's two halves estimate the gradient's standard error).
+    t1, t3: the two parts of the one block a run draws, t1 + t3 points
+        in all; the frame and every fixed-point step use the whole block.
+        t1 must be >= n+2 and t3 >= 2.
     r: cap on the fixed-point steps of the frame.  The frame stops at the
        first step where every column has reached its sampling noise floor
-       (see :func:`~simplexlearn.vertex_finder.find_vertex`), so a run
-       draws t1 + iterations_run t3 points with iterations_run <= r.
+       (see :func:`~simplexlearn.vertex_finder.find_vertex`); the steps
+       draw no points, so a run draws t1 + t3 points however many run.
     m: start budget.  The learner runs one frame of min(m, n+1) starts;
        None means n+1, and a budget below n+1 cuts the frame and returns
        an incomplete run.
@@ -151,8 +150,8 @@ class ExperimentReport:
     found_count counts the fixed-point starts, the columns of the frame,
     and the vertices they found; iterations_run counts the frame's steps,
     the step where the noise-floor stop fired or the cap r; points_drawn
-    counts the frame block and every gradient block, t1 + iterations_run
-    t3.  wall_time_ms is excluded from any byte-for-byte comparisons.
+    counts the one block, t1 + t3.  wall_time_ms is excluded from any
+    byte-for-byte comparisons.
     """
 
     n: int
@@ -192,53 +191,50 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
 
     Args:
         sample_source: draw(count) callable yielding fresh iid uniform
-            points from the unknown simplex in R^n.
+            points from the unknown simplex in R^n; called once, for
+            t1 + t3 points.
         n: ambient (and simplex) dimension.
         config: see :class:`LearnerConfig`.
 
     Returns:
         LearnedSimplex.  The n+1 starts (start k from child_seed(seed, 41,
-        k)) run as one frame: every fixed-point step draws one block that
-        serves all columns and orthonormalizes them symmetrically, so the
-        columns end on distinct vertices and no start is spent twice on
-        one.  The frame extends the paper's procedure and is not that
-        procedure: the paper runs independent starts until every vertex
-        has been hit.  The frame is the tensor power method of Anandkumar,
-        Ge, Hsu, Kakade and Telgarsky (JMLR 2014) with the symmetric
-        decorrelation of FastICA (Hyvarinen, IEEE TNN 1999).  It stops at
-        the first step where every column has reached the noise floor its
-        block's split-half standard error sets, with r steps as the cap;
-        the report's iterations_run says where.  A budget m
-        below n+1 runs only m columns, and the result is flagged incomplete
-        and carries those m vertices.
+        k)) run as one frame: every fixed-point step serves all columns
+        and orthonormalizes them symmetrically, so the columns end on
+        distinct vertices and no start is spent twice on one.  The frame
+        extends the paper's procedure and is not that procedure: the paper
+        runs independent starts until every vertex has been hit.  The
+        frame is the tensor power method of Anandkumar, Ge, Hsu, Kakade
+        and Telgarsky (JMLR 2014) with the symmetric decorrelation of
+        FastICA (Hyvarinen, IEEE TNN 1999).  Nor are its points the
+        paper's: the paper draws an independent block for the frame and
+        for every step, which its analysis needs, while here the frame and
+        every step share one pooled block, which is then exactly isotropic
+        in its own frame, as FastICA whitens once and iterates on one
+        sample.  The frame stops at the first step where every column has
+        reached the noise floor the block's split-half standard error
+        sets, with r steps as the cap; the report's iterations_run says
+        where.  A budget m below n+1 runs only m columns, and the result
+        is flagged incomplete and carries those m vertices.
 
     Raises:
-        ValueError naming the block (numbered in draw order from the
-        frame block, 0) when a block is not a finite (count, n) array.
+        ValueError when the block is not a finite (t1 + t3, n) array.
     """
     started = time.perf_counter()
     if config.t1 < n + 2:
         raise ValueError(f"t1 must be at least n+2 = {n + 2}")
-    names = itertools.chain(["the frame block"], (f"block {k}" for k in itertools.count(1)))
-    points_drawn = 0
+    count = config.t1 + config.t3
+    block = np.asarray(sample_source(count), dtype=float)
+    if block.shape != (count, n):
+        raise ValueError(f"sample source returned shape {block.shape}, expected {(count, n)}")
+    if not np.isfinite(block).all():
+        raise ValueError("sample source returned non-finite values")
 
-    def draw(count: int) -> np.ndarray:
-        nonlocal points_drawn
-        where = next(names)
-        block = np.asarray(sample_source(count), dtype=float)
-        if block.shape != (count, n):
-            raise ValueError(f"sample source returned shape {block.shape} for {where}, expected {(count, n)}")
-        if not np.isfinite(block).all():
-            raise ValueError(f"sample source returned non-finite values in {where}")
-        points_drawn += count
-        return block
-
-    frame = estimate_frame(draw(config.t1))
+    frame = estimate_frame(block)
     emb = make_embed_map(n)
     block_gradient = embedded_m3_grad(frame, emb)
 
-    def gradient(u: np.ndarray) -> np.ndarray:
-        return block_gradient(draw(config.t3), u)
+    def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return block_gradient(block, u)
 
     starts = n + 1 if config.m is None else min(config.m, n + 1)
     seeds = tuple(child_seed(config.seed, 41, k) for k in range(starts))
@@ -257,7 +253,7 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         tv_estimate=None,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
         seed=config.seed,
-        points_drawn=points_drawn,
+        points_drawn=count,
         iterations_run=found.iterations_run,
     )
     return LearnedSimplex(simplex=simplex, found_count=starts, directions=directions, report=report)

@@ -68,6 +68,16 @@ def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer >= 1
+    (a bool is not an integer here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
     """Uniform barycentric weights on Delta^(m-1): iid Exp(1) rows divided
     by their sums."""

@@ -9,25 +9,29 @@ with C = n(n+1)(n+2)/6, recovers the coordinate-wise square of u in the
 simplex's own frame from quantities that are all rotation-equivariant.
 Iterating u -> normalize(u^(2)) squares the coordinate ratios every step,
 so the iterate collapses doubly exponentially onto the vertex whose
-coordinate dominated the start.  With sampled gradients the same update is
-run on a fresh block of points per iteration: :func:`find_vertex` takes
-the gradient as a callable, so exact and sampled runs share one path.
+coordinate dominated the start.  With sampled gradients the same update
+runs on gradients estimated from a block of points: :func:`find_vertex`
+takes the gradient as a callable, so exact and sampled runs share one
+path.
 
 The vertex directions are orthonormal, so u -> u^(2) is the power map of
 an orthogonally decomposable tensor, and the tensor power method can run
 on a whole frame of starts at once (Anandkumar, Ge, Hsu, Kakade and
 Telgarsky, JMLR 2014).  The iterate is a vector u of shape (n,) or a
 matrix of shape (n, k) with one start per column; every formula works
-along axis 0, so a sampled gradient spends one block per step on the
-whole frame, and the normalization is the symmetric orthogonalization
+along axis 0, so one sampled gradient per step serves the whole frame,
+and the normalization is the symmetric orthogonalization
 U <- M (M^T M)^(-1/2) of FastICA (Hyvarinen, IEEE TNN 1999), which keeps
 the columns on distinct vertices.  For one column it is M / |M|.
 
 A sampled gradient may report its own standard error; the loop then
 stops once every column's step is no larger than the noise that error
-puts on the column, since from there on a step only redraws the noise
-(Hardt and Price, The Noisy Power Method, NeurIPS 2014).  An exact
-gradient has no error and stops at a 1e-9 step.
+puts on the column, since from there on a step moves the column by less
+than the sample's own error on it: with a fresh block per step it only
+redraws that error (Hardt and Price, The Noisy Power Method, NeurIPS
+2014), and on one fixed block it only nears that block's fixed point,
+which carries the error.  An exact gradient has no error and stops at a
+1e-9 step.
 """
 
 from __future__ import annotations
@@ -57,11 +61,13 @@ COLLAPSE_TOL = 1e-14
 CONVERGENCE_TOL = 1e-9
 # A column has reached its noise floor once its sign-aligned step is at
 # most NOISE_KAPPA times sigma_j, the size of the error the gradient's
-# standard error puts on the column.  At the floor two successive iterates
-# carry independent errors of size up to sigma_j, so their step is about
-# sqrt(2) sigma_j; 2 leaves room above sqrt(2) for the spread of the
-# estimated error, while a step the squaring still contracts exceeds the
-# noise many times over and runs on.
+# standard error puts on the column.  With a fresh block per step, two
+# successive iterates at the floor carry independent errors of size up to
+# sigma_j, so their step is about sqrt(2) sigma_j; 2 leaves room above
+# sqrt(2) for the spread of the estimated error, while a step the squaring
+# still contracts exceeds the noise many times over and runs on.  On one
+# fixed block the steps shrink on below the floor, and the stop fires at
+# the first step within it.
 NOISE_KAPPA = 2.0
 
 
@@ -156,8 +162,8 @@ def find_vertex(
             in R^n, called once per iteration.  It returns the gradient,
             taken as exact (``exact_grad_m3``), or a pair (gradient, error)
             whose error has the gradient's shape and holds the standard
-            error of each entry, as a gradient averaged over a fresh block
-            of points can estimate from the difference of its two halves.
+            error of each entry, as a gradient averaged over a block of
+            points can estimate from the difference of its two halves.
             For a frame (config.seed a tuple of k <= n seeds) it takes and
             returns (n, k) matrices, one column per start.
         n: number of coordinates (the simplex has n vertices).

@@ -24,10 +24,10 @@ class TestLearnCommand:
         report = read_json(out)
         assert report["command"] == "learn"
         assert report["complete"] is True
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
-        assert report["points_drawn"] == 4000 + report["iterations_run"] * 4000
+        assert report["points_drawn"] == 4000 + 4000
         assert report["n"] == 2
         assert len(report["vertices"]) == 3
         assert len(report["per_vertex_match_error"]) == 3
@@ -73,7 +73,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert len(report["sweeps"]) == 3
         assert all(kurtosis == 0 for _, kurtosis in report["sweeps"])
 

@@ -14,8 +14,8 @@ from simplexlearn.evaluation import (
     match_vertices,
     tv_distance_mc,
 )
-from simplexlearn.geometry import Simplex, isotropic_simplex, standard_simplex
-from simplexlearn.sampling import substream
+from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex, standard_simplex
+from simplexlearn.sampling import _simplex_weights, substream
 
 
 def right_simplex(n: int) -> Simplex:
@@ -89,6 +89,34 @@ class TestTVDistance:
         with pytest.raises(ValueError):
             tv_distance_mc(s, s, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, 100.0, True, False, "100", None])
+    def test_mc_points_must_be_an_integer(self, bad):
+        s = right_simplex(2)
+        with pytest.raises(ValueError, match="mc_points must be an integer"):
+            tv_distance_mc(s, s.scaled(0.5), bad)
+
+    def test_mc_points_held_as_a_python_int(self):
+        s = right_simplex(2)
+        est = tv_distance_mc(s, s.scaled(0.5), np.int64(1000), rng=0)
+        assert type(est.mc_points) is int and est.mc_points == 1000
+        assert est.value == tv_distance_mc(s, s.scaled(0.5), 1000, rng=0).value
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_weights_kernel_equals_point_membership(self, n):
+        # the reference builds the points from the same weights and tests
+        # them with contains_points; the kernel must agree exactly
+        mc = 20_000
+        for seed in range(4):
+            rng = substream(seed, n, 7)
+            k = Simplex(rng.standard_normal((n + 1, n)))
+            l = Simplex(k.vertices @ (np.eye(n) + 0.15 * rng.standard_normal((n, n))) + 0.1 * rng.standard_normal(n))
+            for first, second in ((k, l), (l, k)):
+                big, small = (first, second) if first.volume() >= second.volume() else (second, first)
+                weights = _simplex_weights(substream(seed, 31), n + 1, mc)
+                reference = 1.0 - contains_points(small, weights @ big.vertices).mean()
+                assert tv_distance_mc(first, second, mc, rng=seed).value == reference
+            assert tv_distance_mc(k, Simplex(k.vertices.copy()), mc, rng=seed).value == 0.0
+
 
 class TestSandwichBound:
     def test_equal_simplices(self):
@@ -150,6 +178,11 @@ class TestMatchVertices:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             match_vertices(np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0,), (3, 0)])
+    def test_empty_vertex_sets_rejected(self, shape):
+        with pytest.raises(ValueError, match="vertex sets must not be empty"):
+            match_vertices(np.zeros(shape), np.zeros(shape))
 
     def test_optimal_against_brute_force(self):
         rng = substream(0, 4)

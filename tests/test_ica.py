@@ -278,6 +278,11 @@ class TestLpSymmetricDifference:
         with pytest.raises(ValueError, match="mc_points must be >= 1"):
             lp_symmetric_difference(np.eye(2), np.eye(2), 1.0, mc_points=0)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "100"])
+    def test_mc_points_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="mc_points must be an integer"):
+            lp_symmetric_difference(np.eye(2), np.eye(2), 1.0, mc_points=bad)
+
     def test_deterministic(self):
         a = np.eye(2)
         b = np.diag([1.1, 0.9])

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 from dataclasses import fields
@@ -19,7 +18,14 @@ from simplexlearn.learner import (
     learn_simplex,
 )
 from simplexlearn.moments import empirical_m3_grad
-from simplexlearn.sampling import child_seed, sample_simplex, simplex_source, substream
+from simplexlearn.sampling import (
+    SampleExhaustedError,
+    array_source,
+    child_seed,
+    sample_simplex,
+    simplex_source,
+    substream,
+)
 
 
 def random_truth(n: int, seed: int) -> Simplex:
@@ -29,14 +35,15 @@ def random_truth(n: int, seed: int) -> Simplex:
 
 
 def counting_source(truth: Simplex, seed: int):
+    """simplex_source that records the point count of every call."""
     inner = simplex_source(truth, seed)
-    calls = {"count": 0}
+    counts = []
 
     def draw(count):
-        calls["count"] += 1
+        counts.append(count)
         return inner(count)
 
-    return draw, calls
+    return draw, counts
 
 
 class TestEstimateFrame:
@@ -114,18 +121,38 @@ class TestLearnSimplex:
     def test_stops_early_once_complete(self):
         n = 2
         truth = random_truth(n, 4)
-        draw, calls = counting_source(truth, 14)
+        draw, counts = counting_source(truth, 14)
         config = LearnerConfig(t1=4000, t3=4000, m=100, seed=0)
         result = learn_simplex(draw, n, config)
         assert result.complete
-        # one frame draw, then one block per iteration shared by one frame
-        # of n+1 starts, however large the budget; r is a cap, and the
-        # frame stops at its noise floor before it
+        # one block serves one frame of n+1 starts, however large the
+        # budget; r is a cap, and the frame stops at its noise floor
+        # before it
         report = result.report
         assert report.iterations_run < config.r
-        assert calls["count"] == 1 + report.iterations_run
+        assert counts == [config.t1 + config.t3]
         assert report.found_count == n + 1
-        assert report.points_drawn == config.t1 + report.iterations_run * config.t3
+        assert report.points_drawn == config.t1 + config.t3
+
+    def test_one_draw_whatever_the_step_count(self):
+        truth = random_truth(2, 4)
+        steps = set()
+        for r in (1, 2, 30):
+            draw, counts = counting_source(truth, 14)
+            config = LearnerConfig(t1=3000, t3=1000, r=r, seed=0)
+            report = learn_simplex(draw, 2, config).report
+            assert counts == [4000]
+            assert report.points_drawn == 4000
+            steps.add(report.iterations_run)
+        assert len(steps) == 3
+
+    def test_array_source_of_t1_plus_t3_rows_suffices(self):
+        truth = random_truth(2, 24)
+        config = LearnerConfig(t1=2000, t3=1000, seed=0)
+        points = sample_simplex(truth, 3000, 25)
+        assert learn_simplex(array_source(points), 2, config).complete
+        with pytest.raises(SampleExhaustedError):
+            learn_simplex(array_source(points[:-1]), 2, config)
 
     def test_default_n5_run_stops_before_the_cap(self):
         truth = _synthesize_simplex(5, 0)
@@ -133,7 +160,7 @@ class TestLearnSimplex:
         result = learn_simplex(simplex_source(truth, child_seed(0, 98)), 5, config)
         assert result.complete
         assert result.report.iterations_run < config.r
-        assert result.report.points_drawn == config.t1 + result.report.iterations_run * config.t3
+        assert result.report.points_drawn == config.t1 + config.t3
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(5 * 7)
 
     def test_iterations_run_is_deterministic(self):
@@ -146,14 +173,14 @@ class TestLearnSimplex:
 
     def test_budget_cuts_the_last_batch(self):
         # m = 2 at n = 2: one frame of 2 starts, not of n+1 = 3
-        draw, calls = counting_source(random_truth(2, 6), 16)
+        draw, counts = counting_source(random_truth(2, 6), 16)
         config = LearnerConfig(t1=2000, t3=500, m=2, r=3, seed=0)
         result = learn_simplex(draw, 2, config)
         assert not result.complete
         assert result.report.found_count == 2
         assert result.report.iterations_run == config.r
-        assert calls["count"] == 1 + config.r
-        assert result.report.points_drawn == config.t1 + config.r * config.t3
+        assert counts == [config.t1 + config.t3]
+        assert result.report.points_drawn == config.t1 + config.t3
 
     def test_incomplete_run_reports_honestly(self):
         truth = random_truth(2, 5)
@@ -185,7 +212,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000
@@ -195,39 +222,36 @@ class TestLearnSimplex:
         assert report["tv_estimate"] is None
         assert "starts_run" not in report
         assert 1 <= report["iterations_run"] <= config.r
-        assert report["points_drawn"] == 3000 + report["iterations_run"] * 3000
+        assert report["points_drawn"] == 3000 + 3000
         assert report["wall_time_ms"] > 0
 
     def test_back_map_matches_explicit_formula(self):
         # v = sqrt((n+1)(n+2)) (u - 1/(n+1)) B A^T + mu, with B the embedding
-        # basis and (mu, A) the frame estimated from the same first block
+        # basis and (mu, A) the frame estimated from the same one block
         n = 3
         truth = random_truth(n, 9)
         config = LearnerConfig(t1=20_000, t3=20_000, m=20, seed=0)
         result = learn_simplex(simplex_source(truth, 19), n, config)
         assert result.complete
-        frame = estimate_frame(simplex_source(truth, 19)(config.t1))
+        frame = estimate_frame(simplex_source(truth, 19)(config.t1 + config.t3))
         basis = make_embed_map(n).basis
         explicit = math.sqrt((n + 1) * (n + 2)) * ((result.directions - 1.0 / (n + 1)) @ basis) @ frame.factor.T + frame.mean
         assert np.abs(result.simplex.vertices - explicit).max() <= 1e-9 * (1.0 + np.abs(explicit).max())
 
 
-def spoiled_source(truth: Simplex, seed: int, call: int, spoil):
-    """simplex_source whose block number ``call`` (0 is the frame block)
-    is replaced by ``spoil(block)``."""
+def spoiled_source(truth: Simplex, seed: int, spoil):
+    """simplex_source whose block is replaced by ``spoil(block)``."""
     inner = simplex_source(truth, seed)
-    calls = itertools.count()
 
     def draw(count):
-        block = inner(count)
-        return spoil(block) if next(calls) == call else block
+        return spoil(inner(count))
 
     return draw
 
 
-def first_entry(value: float):
+def set_entry(row: int, value: float):
     def spoil(block):
-        block[0, 0] = value
+        block[row, 0] = value
         return block
 
     return spoil
@@ -236,31 +260,27 @@ def first_entry(value: float):
 class TestSourceValidation:
     def test_nan_in_frame_block(self):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match="non-finite values in the frame block"):
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, 0, first_entry(np.nan)), 2, config)
+        with pytest.raises(ValueError, match="non-finite values"):
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, set_entry(0, np.nan)), 2, config)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_in_later_block(self, value):
+    def test_non_finite_in_the_t3_rows(self, value):
+        # the block's last row, which belonged to the last gradient block
+        # when each step drew its own, is checked before any arithmetic
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite values in block 3$"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite values"):
             warnings.simplefilter("error", RuntimeWarning)
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, 3, first_entry(value)), 2, config)
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, set_entry(-1, value)), 2, config)
 
     def test_wrong_width(self):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match=r"shape \(2000, 3\) for the frame block, expected \(2000, 2\)"):
+        with pytest.raises(ValueError, match=r"shape \(4000, 3\), expected \(4000, 2\)"):
             learn_simplex(simplex_source(random_truth(3, 20), 21), 2, config)
-
-    def test_wrong_width_in_later_block(self):
-        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        widen = spoiled_source(random_truth(2, 20), 21, 2, lambda block: np.hstack([block, block[:, :1]]))
-        with pytest.raises(ValueError, match=r"shape \(2000, 3\) for block 2, expected \(2000, 2\)"):
-            learn_simplex(widen, 2, config)
 
     def test_short_block(self):
         config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match=r"shape \(1999, 2\) for block 4, expected \(2000, 2\)"):
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, 4, lambda block: block[:-1]), 2, config)
+        with pytest.raises(ValueError, match=r"shape \(3999, 2\), expected \(4000, 2\)"):
+            learn_simplex(spoiled_source(random_truth(2, 20), 21, lambda block: block[:-1]), 2, config)
 
 
 class TestLearnerConfig:
