@@ -78,7 +78,13 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     merged = dict(defaults)
     if args.config is not None:
-        merged.update(_load_config_file(args.config, command))
+        loaded = _load_config_file(args.config, command)
+        # a null would stand in for a default that is not null, such as a
+        # seed that then comes from OS entropy
+        nulls = sorted(key for key, value in loaded.items() if value is None and defaults.get(key) is not None)
+        if nulls:
+            raise SchemaError(f"{nulls[0]} must not be null")
+        merged.update(loaded)
     for key in _ALLOWED[command]:
         value = getattr(args, key, None)
         if value is not None:

@@ -7,6 +7,12 @@ exponentials; scaling a uniform lp-ball sample with Gamma(n/p + 1, 1)^(1/p)
 radii turns it into a mixture of iid exp(-|t|^p) coordinates.  Any ICA
 routine that unmixes those products recovers the simplex vertices or the
 ball's linear map, up to signed permutation.
+
+Each reduction fixes its source law, so it fixes the contrast too: the
+Exp(1) sources are skewed and separate on the third cumulant, while the
+exp(-|t|^p) sources are symmetric and separate only on the fourth.
+:func:`ica_estimate` runs that one contrast on a whole orthonormal frame,
+with the polar step and the noise stop of the vertex finder.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
+from .vertex_finder import _polar_step
 
 __all__ = [
     "MixingEstimate",
@@ -42,34 +49,24 @@ __all__ = [
 ]
 
 MAX_SWEEPS = 500
-DIRECTION_TOL = 1e-8
-# A direction's third cumulant is treated as absent (and the component
-# re-run with the fourth-cumulant contrast) unless it clears both this
-# absolute floor and 4 standard errors of its own estimate; a fixed floor
-# alone lets sampling noise pass for symmetric heavy-tailed sources.  The
-# same rule ends a skew pass at its second sweep, the first whose iterate
-# lies in the complement of the finished components, when the norm of the
-# projected candidate E[z s^2] clears neither the floor nor 4 of its
-# split-half standard errors: for a symmetric source the candidate is pure
-# noise, while for Exp(1) sources a unit iterate in the complement gives a
-# norm of at least 2/sqrt(d - k).
-SKEW_FLOOR = 0.02
+CONTRASTS = ("skew", "kurtosis")
+
 
 @dataclass
 class MixingEstimate:
     """ICA output: ``separating`` M with M (Y - mean) isotropic with
-    independent coordinates, ``mixing`` its inverse, per-component
-    convergence flags, the contrast each component ended up using and the
-    sweeps it spent, one ``[skew, kurtosis]`` pair per component (the
-    kurtosis count is 0 when the skew pass was kept).
-    ``permutation_note`` records the inherent ambiguity."""
+    independent coordinates, ``mixing`` its inverse, the ``contrast`` the
+    fixed point ran on, the whole-frame ``sweeps`` it took, and one
+    ``converged`` flag per component, true when that component's last step
+    was within its noise floor.  ``permutation_note`` records the inherent
+    ambiguity."""
 
     separating: np.ndarray
     mixing: np.ndarray
     mean: np.ndarray
     converged: list
-    contrast: list
-    sweeps: list
+    contrast: str
+    sweeps: int
     permutation_note: str = "components are recovered up to signed permutation"
 
 
@@ -86,39 +83,42 @@ def _whiten(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def ica_estimate(
     points: np.ndarray,
+    contrast: str = "skew",
     seed: int = 0,
     max_sweeps: int = MAX_SWEEPS,
-    tol: float = DIRECTION_TOL,
 ) -> MixingEstimate:
-    """Deflationary fixed-point ICA.
+    """Symmetric fixed-point ICA with one contrast for every component.
 
-    Whitens with the empirical covariance, then extracts one direction at a
-    time by iterating w -> E[z (w . z)^2] (the third-cumulant contrast),
-    orthogonalizing against finished components each sweep.  A component
-    whose skewness vanishes (or fails to converge) is re-run with the
-    kurtosis contrast w -> E[z (w . z)^3] - 3 w.  A direction counts as
-    converged when it moves by at most ``tol`` (after sign alignment)
-    between sweeps.
+    Whitens with the empirical covariance to z, then iterates a whole
+    orthonormal frame W of d directions at once: each sweep maps W to
+    E[z (z W)^2] for the third-cumulant contrast ``"skew"``, or to
+    E[z (z W)^3] - 3 W for the fourth-cumulant contrast ``"kurtosis"``,
+    and takes its polar factor, the symmetric decorrelation of FastICA
+    (Hyvarinen, IEEE TNN 1999) and the tensor power method of
+    Anandkumar, Ge, Hsu, Kakade and Telgarsky (JMLR 2014).  The caller
+    knows its source law: skew separates skewed sources such as Exp(1),
+    and only kurtosis separates symmetric ones, whose third cumulant is 0.
 
-    A skew pass is abandoned at its second sweep when the projected
-    candidate is within noise (see ``SKEW_FLOOR``): its split-half error
-    costs one extra half-length matvec.  The test waits for the second
-    sweep because only then does the iterate lie in the complement of the
-    finished components; a random start may carry little mass there, so
-    a first-sweep candidate can be small for skewed sources too.
+    The two halves of the sample give the update's standard error, and
+    the loop stops at the first sweep where every direction's step is
+    within the noise that error puts on it, the stop of
+    :func:`~simplexlearn.vertex_finder.find_vertex`; ``max_sweeps`` caps
+    the sweeps.
 
     Returns:
         MixingEstimate; ``separating`` row count equals the sample
-        dimension, and ``sweeps`` gives each component's skew and kurtosis
-        sweeps.  Non-convergence is flagged per component, not raised.
-        Raises ValueError unless the sample is a finite (t, d) array with
-        t > d, ``max_sweeps`` an integer >= 1 and ``tol`` in [0, 1), and
-        DegenerateSimplexError for a singular covariance.
+        dimension.  Non-convergence is flagged per component, not raised.
+
+    Raises:
+        ValueError unless the sample is a finite (t, d) array with t > d,
+        ``contrast`` one of ``CONTRASTS`` and ``max_sweeps`` an integer
+        >= 1; DegenerateSimplexError for a singular covariance;
+        RuntimeError when the frame's update collapses.
     """
+    if contrast not in CONTRASTS:
+        raise ValueError(f"contrast must be one of {CONTRASTS}, got {contrast!r}")
     if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
-    if not 0.0 <= tol < 1.0:
-        raise ValueError(f"tol must be a finite number in [0, 1), got {tol!r}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] <= points.shape[1]:
         raise ValueError(f"sample must be a 2-D array with more rows than columns, got shape {points.shape}")
@@ -126,64 +126,35 @@ def ica_estimate(
         raise ValueError("sample holds non-finite values")
     t, d = points.shape
     z, whitener, mean = _whiten(points)
-    rng = substream(seed, 61)
     half = t // 2
+    w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
 
-    basis = np.zeros((d, d))
-    converged_flags: list[bool] = []
-    contrasts: list[str] = []
-    sweeps: list[list[int]] = []
+    for sweep in range(max_sweeps):
+        # the contrast is formed in place and f dropped before the next
+        # product: a second (t, d) array beside z and f raises peak memory
+        f = z @ w
+        if contrast == "skew":
+            f *= f
+        else:
+            f *= f * f
+        first = (z[:half].T @ f[:half]) / half
+        second = (z[half:].T @ f[half:]) / (t - half)
+        del f
+        update = (half * first + (t - half) * second) / t
+        if contrast == "kurtosis":
+            update -= 3.0 * w
+        w, _, _, converged = _polar_step(w, update, 0.5 * (first - second), sweep)
+        if converged.all():
+            break
 
-    def extract(k: int, contrast: str) -> tuple[np.ndarray, bool, int]:
-        w = rng.standard_normal(d)
-        w /= np.linalg.norm(w)
-        for sweep in range(1, max_sweeps + 1):
-            s = z @ w
-            if contrast == "skew":
-                squares = s * s
-                candidate = (z.T @ squares) / t
-            else:
-                candidate = (z.T @ (s * s * s)) / t - 3.0 * w
-            candidate -= basis[:k].T @ (basis[:k] @ candidate)
-            norm = np.linalg.norm(candidate)
-            if contrast == "skew" and sweep == 2:
-                half_candidate = (z[:half].T @ squares[:half]) / half
-                half_candidate -= basis[:k].T @ (basis[:k] @ half_candidate)
-                if norm <= max(SKEW_FLOOR, 4.0 * np.linalg.norm(half_candidate - candidate)):
-                    return w, False, sweep
-            if norm < 1e-12:
-                w = rng.standard_normal(d)
-                w /= np.linalg.norm(w)
-                continue
-            candidate /= norm
-            if 1.0 - abs(w @ candidate) <= tol:
-                return candidate, True, sweep
-            w = candidate
-        return w, False, max_sweeps
-
-    for k in range(d):
-        w, ok, skew_sweeps = extract(k, "skew")
-        used, kurtosis_sweeps = "skew", 0
-        if ok:
-            s = z @ w
-            cubes = s * s * s
-            ok = abs(cubes.mean()) >= max(SKEW_FLOOR, 4.0 * cubes.std() / math.sqrt(t))
-        if not ok:
-            w, ok, kurtosis_sweeps = extract(k, "kurtosis")
-            used = "kurtosis"
-        basis[k] = w
-        converged_flags.append(bool(ok))
-        contrasts.append(used)
-        sweeps.append([skew_sweeps, kurtosis_sweeps])
-
-    separating = basis @ whitener
+    separating = w.T @ whitener
     return MixingEstimate(
         separating=separating,
         mixing=np.linalg.inv(separating),
         mean=mean,
-        converged=converged_flags,
-        contrast=contrasts,
-        sweeps=sweeps,
+        converged=converged.tolist(),
+        contrast=contrast,
+        sweeps=sweep + 1,
     )
 
 
@@ -211,7 +182,7 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
         raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
     t, n = points.shape
     lifted = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(seed, 67))
-    estimate = ica_estimate(lifted, seed=seed)
+    estimate = ica_estimate(lifted, "skew", seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
     signs[signs == 0] = 1.0
@@ -244,7 +215,7 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
     if points.ndim != 2:
         raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
     scaled = _gamma_rescale(points, points.shape[1] / p + 1.0, p, substream(seed, 71))
-    estimate = ica_estimate(scaled, seed=seed)
+    estimate = ica_estimate(scaled, "kurtosis", seed=seed)
     mixing = estimate.mixing / generalized_gaussian_std(p)
     if abs(p - 2.0) < 1e-12:
         estimate.permutation_note = "p=2 ball is rotation invariant; only the ellipsoid A A^T is identified"

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 # the version of every report the command line writes
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 class DegenerateSampleError(ValueError):

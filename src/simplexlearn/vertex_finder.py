@@ -31,7 +31,8 @@ than the sample's own error on it: with a fresh block per step it only
 redraws that error (Hardt and Price, The Noisy Power Method, NeurIPS
 2014), and on one fixed block it only nears that block's fixed point,
 which carries the error.  An exact gradient has no error and stops at a
-1e-9 step.
+1e-9 step.  The polar step and this stop are one helper, which the
+whole-frame ICA of :mod:`simplexlearn.ica` runs on its own contrast.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ COLLAPSE_TOL = 1e-14
 # gradient, whose noise floor is zero.
 CONVERGENCE_TOL = 1e-9
 # A column has reached its noise floor once its sign-aligned step is at
-# most NOISE_KAPPA times sigma_j, the size of the error the gradient's
+# most NOISE_KAPPA times sigma_j, the size of the error the update's
 # standard error puts on the column.  With a fresh block per step, two
 # successive iterates at the floor carry independent errors of size up to
 # sigma_j, so their step is about sqrt(2) sigma_j; 2 leaves room above
@@ -134,8 +135,31 @@ def _gradient_scale(m: int) -> float:
     return m * (m + 1) * (m + 2) / 6.0
 
 
-def _sign_aligned_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.minimum(np.linalg.norm(a - b, axis=0), np.linalg.norm(a + b, axis=0))
+def _polar_step(
+    u: np.ndarray, update: np.ndarray, error: np.ndarray, iteration: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step of a whole-frame fixed point: the polar factor of the update.
+
+    u is the current (d, k) frame with orthonormal columns, update the
+    fixed-point map M applied to it and error the standard error of each
+    entry of M.  The new frame is the polar factor M (M^T M)^(-1/2), the
+    orthonormal frame nearest M, the symmetric decorrelation of FastICA
+    (Hyvarinen, IEEE TNN 1999).  Column j's noise is |error_j| / |M_j|, the
+    error that M's error puts on the column after normalization, and its
+    stop fires once its sign-aligned step is at most NOISE_KAPPA times that
+    noise, or at most CONVERGENCE_TOL when the error is 0.
+
+    Returns (new frame, step, noise, stop), the last three per column.
+    Raises RuntimeError naming ``iteration`` when the Gram matrix of M is
+    singular: some column of M vanished or two became parallel.
+    """
+    eigenvalues, vectors = np.linalg.eigh(update.T @ update)
+    if eigenvalues[0] <= COLLAPSE_TOL**2:
+        raise RuntimeError(f"update collapsed at iteration {iteration}")
+    new_u = update @ (vectors / np.sqrt(eigenvalues)) @ vectors.T
+    noise = np.linalg.norm(error, axis=0) / np.linalg.norm(update, axis=0)
+    step = np.minimum(np.linalg.norm(new_u - u, axis=0), np.linalg.norm(new_u + u, axis=0))
+    return new_u, step, noise, step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -208,21 +232,12 @@ def find_vertex(
         if not (np.isfinite(grad).all() and np.isfinite(error).all()):
             raise ValueError(f"gradient is not finite at iteration {i}")
         update = reconstruct_squares(u, grad)
-        # polar factor M (M^T M)^(-1/2): the orthonormal frame nearest M
-        eigenvalues, vectors = np.linalg.eigh(update.T @ update)
-        if eigenvalues[0] <= COLLAPSE_TOL**2:
-            raise RuntimeError(f"update collapsed at iteration {i}")
-        new_u = update @ (vectors / np.sqrt(eigenvalues)) @ vectors.T
-        update_norm = np.linalg.norm(update, axis=0)
-        noise = _gradient_scale(n) * np.linalg.norm(error, axis=0) / update_norm
-        step = _sign_aligned_distance(new_u, u)
-        converged = step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
-        u = new_u
+        u, step, noise, converged = _polar_step(u, update, _gradient_scale(n) * error, i)
         if config.record_trace:
             trace.append(
                 {
                     "iteration": i,
-                    "update_norm": shaped(update_norm),
+                    "update_norm": shaped(np.linalg.norm(update, axis=0)),
                     "noise": shaped(noise),
                     "step": shaped(step),
                     "u": shaped(u).copy(),

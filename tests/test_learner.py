@@ -212,7 +212,7 @@ class TestLearnSimplex:
         config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
         result = learn_simplex(simplex_source(truth, 18), 2, config)
         report = result.report.to_dict()
-        assert report["schema_version"] == 8
+        assert report["schema_version"] == 9
         assert report["n"] == 2
         assert report["seed"] == 9
         assert report["config"]["t1"] == 3000

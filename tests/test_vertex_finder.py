@@ -11,6 +11,7 @@ from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
 from simplexlearn.sampling import SampleExhaustedError, array_source, simplex_source, substream
 from simplexlearn.vertex_finder import (
     IterationConfig,
+    _polar_step,
     find_vertex,
     reconstruct_squares,
     theoretical_parameters,
@@ -267,6 +268,46 @@ class TestSampledGradients:
 
 def sample_points(count: int, n: int) -> np.ndarray:
     return simplex_source(standard_simplex(n - 1), 99)(count)
+
+
+class TestPolarStep:
+    def test_new_frame_is_the_nearest_orthonormal_frame(self):
+        rng = substream(0, 901)
+        for d, k in ((3, 3), (6, 4), (9, 1)):
+            update = rng.standard_normal((d, k))
+            left, _, right = np.linalg.svd(update, full_matrices=False)
+            u, _ = np.linalg.qr(rng.standard_normal((d, k)))
+            new_u, _, _, _ = _polar_step(u, update, np.zeros((d, k)), 0)
+            assert np.abs(new_u - left @ right).max() <= 1e-12
+
+    def test_rank_deficient_update_raises(self):
+        update = np.ones((4, 2))
+        with pytest.raises(RuntimeError, match="update collapsed at iteration 5$"):
+            _polar_step(np.eye(4)[:, :2], update, np.zeros((4, 2)), 5)
+
+    def test_stop_fires_exactly_within_twice_the_noise(self):
+        rng = substream(1, 901)
+        u, _ = np.linalg.qr(rng.standard_normal((5, 4)))
+        update = 3.0 * u + 0.01 * rng.standard_normal((5, 4))
+        _, step, _, _ = _polar_step(u, update, np.zeros((5, 4)), 0)
+        assert (step > 1e-9).all()
+        # column j gets noise factor[j] * step_j / 2, so its stop fires iff factor[j] >= 1
+        factor = np.array([0.5, 0.999, 1.001, 4.0])
+        scale = factor * step / 2.0 * np.linalg.norm(update, axis=0)
+        error = scale * np.eye(5)[:, :4]
+        _, step2, noise, stop = _polar_step(u, update, error, 0)
+        assert (step2 == step).all()
+        assert np.allclose(noise, factor * step / 2.0, rtol=1e-12)
+        assert stop.tolist() == [False, False, True, True]
+        assert (stop == (step <= np.maximum(2.0 * noise, 1e-9))).all()
+
+    def test_exact_update_stops_at_the_tolerance(self):
+        u, _ = np.linalg.qr(substream(2, 901).standard_normal((4, 3)))
+        _, step, noise, stop = _polar_step(u, 2.0 * u, np.zeros((4, 3)), 0)
+        assert (noise == 0.0).all()
+        assert (step <= 1e-9).all() and stop.all()
+        _, _, _, moved = _polar_step(u, 2.0 * u + 1e-6 * np.ones((4, 3)), np.zeros((4, 3)), 0)
+        assert not moved.any()
 
 
 class TestConfigValidation:
