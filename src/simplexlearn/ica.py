@@ -295,21 +295,23 @@ def lp_symmetric_difference(
 ) -> float:
     """Monte Carlo volume of (A B_p symdiff A_est B_p) / vol(A B_p).
 
-    Membership of x in M B_p is ||M^-1 x||_p <= 1; the volume ratio between
-    the two bodies is |det A_est| / |det A|.  Raises ValueError unless
+    One uniform draw X from B_p scores both halves, since each is an
+    expectation under that one law: A X falls outside A_est B_p when
+    ||A_est^-1 A X||_p > 1, and A_est X falls outside A B_p when
+    ||A^-1 A_est X||_p > 1, the second share weighted by the volume ratio
+    |det A_est| / |det A|.  Each term stays unbiased; the sum of |y_i|^p
+    is compared with 1 directly, with no root.  Raises ValueError unless
     ``mc_points`` is an integer >= 1.
     """
     mc_points = _check_count(mc_points, "mc_points")
     a = np.asarray(a, dtype=float)
     a_est = np.asarray(a_est, dtype=float)
-    n = a.shape[0]
-    a_inv = np.linalg.inv(a)
-    a_est_inv = np.linalg.inv(a_est)
-
-    def outside_fraction(sample_map: np.ndarray, other_inv: np.ndarray, key: int) -> float:
-        pts = sample_lp_ball(n, p, mc_points, seed=child_seed(seed, 79, key)) @ sample_map.T
-        norms = (np.abs(pts @ other_inv.T) ** p).sum(axis=1) ** (1.0 / p)
-        return float((norms > 1.0).mean())
-
+    x = sample_lp_ball(a.shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
+    shares = []
+    for composed in (np.linalg.solve(a_est, a), np.linalg.solve(a, a_est)):
+        y = x @ composed.T
+        np.abs(y, out=y)
+        y **= p
+        shares.append(float((y.sum(axis=1) > 1.0).mean()))
     ratio = abs(np.linalg.det(a_est)) / abs(np.linalg.det(a))
-    return outside_fraction(a, a_est_inv, 0) + ratio * outside_fraction(a_est, a_inv, 1)
+    return shares[0] + ratio * shares[1]

@@ -68,13 +68,13 @@ def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
-def _check_count(value, name: str) -> int:
-    """``value`` as a Python int; ValueError unless it is an integer >= 1
-    (a bool is not an integer here)."""
+def _check_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer >= ``minimum`` (a bool is not an integer here)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -89,10 +89,7 @@ def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
 def sample_standard_simplex(n: int, t: int, seed: int) -> np.ndarray:
     """t points uniform on the standard simplex Delta^(n-1) in R^n
     (nonnegative coordinates summing to one)."""
-    if n < 2:
-        raise ValueError("need n >= 2 coordinates")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    n, t = _check_count(n, "n", minimum=2), _check_count(t, "t")
     return _simplex_weights(substream(seed, _KEY_STANDARD), n, t)
 
 
@@ -103,8 +100,7 @@ def sample_simplex(s: Simplex, t: int, seed: int) -> np.ndarray:
     affine image of a simplex therefore shares its weight stream, so runs
     on S and F(S) with equal seeds are coupled through F.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = _check_count(t, "t")
     _solver(s)  # rejects affinely dependent vertices up front
     return _simplex_weights(substream(seed, _KEY_SIMPLEX), s.dim + 1, t) @ s.vertices
 
@@ -116,23 +112,22 @@ def _check_p(p: float) -> float:
     return p
 
 
-def _generalized_gaussian(rng: np.random.Generator, p: float, shape) -> np.ndarray:
-    # |X|^p ~ Gamma(1/p, 1), sign symmetric
+def _generalized_gaussian_with_power(rng: np.random.Generator, p: float, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Signed exp(-|x|^p) variates g and the Gamma(1/p, 1) draws h = |g|^p
+    they came from."""
     h = rng.gamma(1.0 / p, 1.0, size=shape)
     signs = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-    return signs * h ** (1.0 / p)
+    return signs * h ** (1.0 / p), h
 
 
 def sample_generalized_gaussian(p: float, count: int, rng: int | np.random.Generator) -> np.ndarray:
     """``count`` draws with density proportional to exp(-|x|^p).
 
     E|X|^p = 1/p for every p; at p=2 this is a centered normal with
-    variance 1/2, at p=1 a Laplace with unit scale.
+    variance 1/2, at p=1 a Laplace with unit scale.  ``count`` may be 0.
     """
     p = _check_p(p)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return _generalized_gaussian(_as_rng(rng), p, count)
+    return _generalized_gaussian_with_power(_as_rng(rng), p, _check_count(count, "count", minimum=0))[0]
 
 
 def generalized_gaussian_std(p: float) -> float:
@@ -147,18 +142,17 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
 
     Uses the exact representation G / (sum |G_i|^p + Z)^(1/p) with G having
     iid exp(-|x|^p) coordinates and Z an independent Exp(1), which is
-    uniform in the ball with no rejection step.
+    uniform in the ball with no rejection step.  The denominator sums the
+    Gamma(1/p) draws |G_i|^p that G was built from, so no power is taken
+    twice.
     """
     p = _check_p(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    n, t = _check_count(n, "n"), _check_count(t, "t")
     rng = substream(seed, _KEY_LP_BALL)
-    g = _generalized_gaussian(rng, p, (t, n))
+    g, h = _generalized_gaussian_with_power(rng, p, (t, n))
     z = rng.exponential(1.0, size=t)
-    denom = ((np.abs(g) ** p).sum(axis=1) + z) ** (1.0 / p)
-    return g / denom[:, None]
+    g /= ((h.sum(axis=1) + z) ** (1.0 / p))[:, None]
+    return g
 
 
 def _gamma_rescale(points: np.ndarray, shape: float, p: float, rng: np.random.Generator) -> np.ndarray:

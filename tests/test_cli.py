@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import simplexlearn
+from simplexlearn import ica, sampling
 from simplexlearn.cli import OUT_ENV, main
 
 LEARN_FAST = ["learn", "--n", "2", "--t1", "4000", "--t3", "4000", "--m", "12"]
@@ -100,6 +101,24 @@ class TestReduceCommand:
         first.pop("wall_time_ms")
         second.pop("wall_time_ms")
         assert first == second
+
+    def test_lp_op_draws_one_instance_and_one_scoring_sample(self, tmp_path, monkeypatch):
+        # the instance draw (--t points) goes through sampling, the scoring
+        # draw (the default mc_points) through ica; symdiff scores both of
+        # its terms on that one draw
+        calls = []
+        original = sampling.sample_lp_ball
+
+        def counting(n, p, t, seed):
+            calls.append(t)
+            return original(n, p, t, seed)
+
+        monkeypatch.setattr(sampling, "sample_lp_ball", counting)
+        monkeypatch.setattr(ica, "sample_lp_ball", counting)
+        out = str(tmp_path / "reduce.json")
+        argv = ["reduce", "--problem", "lp", "--p", "3", "--n", "3", "--t", "2000", "--seed", "0", "--out", out]
+        assert main(argv) in (0, 2)  # an unconverged run (exit 2) is still scored
+        assert calls == [2000, 100_000]
 
     def test_lp_requires_p(self):
         assert main(["reduce", "--problem", "lp", "--n", "2"]) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexlearn import ica
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import DegenerateSimplexError, Simplex
 from simplexlearn.ica import (
@@ -294,3 +295,38 @@ class TestLpSymmetricDifference:
         x = lp_symmetric_difference(a, b, 2.0, mc_points=10_000, seed=7)
         y = lp_symmetric_difference(a, b, 2.0, mc_points=10_000, seed=7)
         assert x == y
+
+    def test_equal_area_ellipse_two_sided(self):
+        # Both terms are non-zero here.  The disc and the ellipse with axes
+        # 1.25 and 0.8 have equal area, so the ratio is 2 (1 - I / pi) with I
+        # their intersection area, (1/2) int_0^2pi min(1, r(theta)^2) dtheta;
+        # I / pi is the mean of min(1, r^2) over theta (midpoint rule).
+        k = 1_000_000
+        theta = (np.arange(k) + 0.5) * (2.0 * math.pi / k)
+        r2 = 1.0 / (np.cos(theta) ** 2 / 1.25**2 + np.sin(theta) ** 2 / 0.8**2)
+        reference = 2.0 * (1.0 - np.minimum(1.0, r2).mean())
+        assert reference == pytest.approx(0.28179, abs=1e-5)
+        mc_points = 200_000
+        share = reference / 2.0  # each term's Bernoulli share
+        se = 2.0 * math.sqrt(share * (1.0 - share) / mc_points)  # sd of a sum <= sum of sds
+        value = lp_symmetric_difference(np.eye(2), np.diag([1.25, 0.8]), 2.0, mc_points=mc_points, seed=0)
+        assert abs(value - reference) <= 4.0 * se
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_signed_permutation_is_the_same_body(self, p):
+        a = substream(1, 609).standard_normal((3, 3))
+        perm = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+        assert lp_symmetric_difference(a, a @ perm, p, mc_points=50_000, seed=0) <= 1e-4
+
+    def test_one_ball_draw_scores_both_terms(self, monkeypatch):
+        # The two terms share one uniform draw from B_p; a second draw per
+        # term would double the cost of scoring an lp reduction.
+        calls = []
+
+        def counting(n, p, t, seed):
+            calls.append(t)
+            return sample_lp_ball(n, p, t, seed)
+
+        monkeypatch.setattr(ica, "sample_lp_ball", counting)
+        lp_symmetric_difference(np.eye(3), np.diag([1.1, 0.9, 1.0]), 3.0, mc_points=1_000, seed=0)
+        assert calls == [1_000]

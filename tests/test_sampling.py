@@ -197,8 +197,8 @@ class TestGeneralizedGaussian:
 
 class TestLpBall:
     def test_norms_inside(self):
-        for p in (1.0, 2.0, 3.0):
-            pts = sample_lp_ball(3, p, 2000, 1)
+        for n, p in ((3, 1.0), (3, 2.0), (3, 3.0), (5, 3.0)):
+            pts = sample_lp_ball(n, p, T, 1)
             norms = (np.abs(pts) ** p).sum(axis=1) ** (1 / p)
             assert (norms <= 1.0 + 1e-12).all()
 
@@ -211,6 +211,45 @@ class TestLpBall:
         pts = sample_lp_ball(3, 1.0, T, 3)
         frac = (pts > 0).all(axis=1).mean()
         assert abs(frac - 1 / 8) <= 3 * math.sqrt((1 / 8) * (7 / 8) / T)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_half_ball_holds_its_volume_share(self, p, n):
+        # vol(B_p / 2) / vol(B_p) = 2^-n for every p, which pins the radial
+        # law that the denominator (sum |G_i|^p + Z)^(1/p) sets
+        pts = sample_lp_ball(n, p, T, 4)
+        frac = ((np.abs(pts) ** p).sum(axis=1) ** (1 / p) <= 0.5).mean()
+        share = 2.0**-n
+        assert abs(frac - share) <= 4 * math.sqrt(share * (1 - share) / T)
+
+
+COUNT_CASES = [
+    pytest.param(lambda v: sample_lp_ball(3, 3.0, v, 0), "t", id="lp_ball-t"),
+    pytest.param(lambda v: sample_lp_ball(v, 3.0, 10, 0), "n", id="lp_ball-n"),
+    pytest.param(lambda v: sample_generalized_gaussian(3.0, v, 0), "count", id="generalized_gaussian-count"),
+    pytest.param(lambda v: sample_standard_simplex(3, v, 0), "t", id="standard_simplex-t"),
+    pytest.param(lambda v: sample_standard_simplex(v, 10, 0), "n", id="standard_simplex-n"),
+    pytest.param(lambda v: sample_simplex(standard_simplex(2), v, 0), "t", id="simplex-t"),
+]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("bad", [2.5, True, "10", None])
+    @pytest.mark.parametrize("call, name", COUNT_CASES)
+    def test_non_integer_named_at_the_boundary(self, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad)
+
+    @pytest.mark.parametrize("call, name", COUNT_CASES)
+    def test_too_small_named(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            call(-1)
+
+    def test_numpy_integers_accepted(self):
+        assert sample_lp_ball(np.int64(2), 3.0, np.int32(4), 0).shape == (4, 2)
+
+    def test_zero_generalized_gaussian_draws(self):
+        assert sample_generalized_gaussian(3.0, 0, 0).shape == (0,)
 
 
 class TestRescaling:
