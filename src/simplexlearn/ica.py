@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DegenerateSimplexError
+from .moments import _mean_and_covariance, _split_half_power_sums
 from .sampling import (
     _check_count,
     _check_p,
+    _gamma_radii,
     _gamma_rescale,
     child_seed,
     generalized_gaussian_std,
@@ -70,15 +72,12 @@ class MixingEstimate:
     permutation_note: str = "components are recovered up to signed permutation"
 
 
-def _whiten(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = points.mean(axis=0)
-    centered = points - mean
-    cov = (centered.T @ centered) / points.shape[0]
+def _whitener(cov: np.ndarray) -> np.ndarray:
+    """The symmetric inverse square root of a covariance."""
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     if eigenvalues[0] <= 1e-12 * eigenvalues[-1]:
         raise DegenerateSimplexError("sample covariance is singular; cannot whiten")
-    whitener = (eigenvectors / np.sqrt(eigenvalues)) @ eigenvectors.T
-    return centered @ whitener.T, whitener, mean
+    return (eigenvectors / np.sqrt(eigenvalues)) @ eigenvectors.T
 
 
 def ica_estimate(
@@ -89,15 +88,21 @@ def ica_estimate(
 ) -> MixingEstimate:
     """Symmetric fixed-point ICA with one contrast for every component.
 
-    Whitens with the empirical covariance to z, then iterates a whole
-    orthonormal frame W of d directions at once: each sweep maps W to
-    E[z (z W)^2] for the third-cumulant contrast ``"skew"``, or to
-    E[z (z W)^3] - 3 W for the fourth-cumulant contrast ``"kurtosis"``,
-    and takes its polar factor, the symmetric decorrelation of FastICA
-    (Hyvarinen, IEEE TNN 1999) and the tensor power method of
-    Anandkumar, Ge, Hsu, Kakade and Telgarsky (JMLR 2014).  The caller
-    knows its source law: skew separates skewed sources such as Exp(1),
-    and only kurtosis separates symmetric ones, whose third cumulant is 0.
+    Iterates a whole orthonormal frame W of d directions on the sample
+    z = (x - mu) V^T, whitened by its mean mu and the inverse square root
+    V of its covariance: each sweep maps W to E[z (z W)^2] for the
+    third-cumulant contrast ``"skew"``, or to E[z (z W)^3] - 3 W for the
+    fourth-cumulant contrast ``"kurtosis"``, and takes its polar factor,
+    the symmetric decorrelation of FastICA (Hyvarinen, IEEE TNN 1999) and
+    the tensor power method of Anandkumar, Ge, Hsu, Kakade and Telgarsky
+    (JMLR 2014).  The caller knows its source law: skew separates skewed
+    sources such as Exp(1), and only kurtosis separates symmetric ones,
+    whose third cumulant is 0.
+
+    z is never formed.  V folds into the frame, f = z W = (x - mu) (V^T W)
+    and E[z f^q] = V E[(x - mu) f^q], so a sweep is one pass over the raw
+    sample in cache-sized row blocks, and mu and the covariance come from
+    one such pass too: no (t, d) array is built beside the sample.
 
     The two halves of the sample give the update's standard error, and
     the loop stops at the first sweep where every direction's step is
@@ -125,21 +130,19 @@ def ica_estimate(
     if not np.isfinite(points).all():
         raise ValueError("sample holds non-finite values")
     t, d = points.shape
-    z, whitener, mean = _whiten(points)
+    mean, cov = _mean_and_covariance(points)
+    whitener = _whitener(cov)
+    power = 2 if contrast == "skew" else 3
     half = t // 2
     w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
 
     for sweep in range(max_sweeps):
-        # the contrast is formed in place and f dropped before the next
-        # product: a second (t, d) array beside z and f raises peak memory
-        f = z @ w
-        if contrast == "skew":
-            f *= f
-        else:
-            f *= f * f
-        first = (z[:half].T @ f[:half]) / half
-        second = (z[half:].T @ f[half:]) / (t - half)
-        del f
+        raw_frame = whitener.T @ w
+        moments, sums = _split_half_power_sums(points, raw_frame, -(mean @ raw_frame), power)
+        first, second = (
+            whitener @ (moments[part] - np.outer(mean, sums[part])) / count
+            for part, count in enumerate((half, t - half))
+        )
         update = (half * first + (t - half) * second) / t
         if contrast == "kurtosis":
             update -= 3.0 * w
@@ -171,17 +174,21 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
     """Recover simplex vertices from uniform samples via ICA.
 
     Each point p is lifted to (p, 1) and scaled by an independent
-    Gamma(n+1, 1) radius, which makes the result a product of iid Exp(1)
-    coordinates under the lifted vertex matrix.  The inverted separating
-    matrix has columns proportional to (v_j, 1) up to sign; multiplying
-    every column by the sign of its last entry fixes the orientation, and
-    dropping the last row leaves the vertices.
+    Gamma(n+1, 1) radius R, which makes the result a product of iid Exp(1)
+    coordinates under the lifted vertex matrix.  The lifted rows (R p, R)
+    are written straight into one (t, n+1) array, with no (p, 1) copy.
+    The inverted separating matrix has columns proportional to (v_j, 1) up
+    to sign; multiplying every column by the sign of its last entry fixes
+    the orientation, and dropping the last row leaves the vertices.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
     t, n = points.shape
-    lifted = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(seed, 67))
+    radii = _gamma_radii(t, n + 1, 1.0, substream(seed, 67))
+    lifted = np.empty((t, n + 1))
+    np.multiply(points, radii[:, None], out=lifted[:, :n])
+    lifted[:, n] = radii
     estimate = ica_estimate(lifted, "skew", seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
@@ -237,17 +244,30 @@ def compute_c_pn(p: float, n: int) -> float:
     return generalized_gaussian_std(p) * math.exp(0.5 * (math.lgamma(n / p + 1.0) - math.lgamma((n + 2.0) / p + 1.0)))
 
 
+def _finite_square(value, name: str) -> np.ndarray:
+    """``value`` as a float (d, d) array; ValueError naming ``name`` unless
+    it is a finite square matrix."""
+    m = np.asarray(value, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} holds non-finite values")
+    return m
+
+
 def separation_index(g: np.ndarray) -> float:
     """Amari-style distance of a matrix from the signed permutations.
 
     For each row, sum(|g|)/max(|g|) - 1, likewise for columns, averaged and
     normalized by d-1 so the result lies in [0, 1]; 0 means g is exactly a
-    scaled signed permutation.
+    scaled signed permutation.  Raises ValueError unless g is a finite
+    square matrix with no zero row or column.
     """
-    g = np.abs(np.asarray(g, dtype=float))
+    g = np.abs(_finite_square(g, "g"))
     d = g.shape[0]
-    if g.shape != (d, d):
-        raise ValueError("matrix must be square")
+    for axis, line in ((1, "row"), (0, "column")):
+        if not g.max(axis=axis).all():
+            raise ValueError(f"g has a zero {line}")
     if d == 1:
         return 0.0
     rows = (g.sum(axis=1) / g.max(axis=1) - 1.0).sum()
@@ -301,11 +321,16 @@ def lp_symmetric_difference(
     ||A^-1 A_est X||_p > 1, the second share weighted by the volume ratio
     |det A_est| / |det A|.  Each term stays unbiased; the sum of |y_i|^p
     is compared with 1 directly, with no root.  Raises ValueError unless
-    ``mc_points`` is an integer >= 1.
+    ``mc_points`` is an integer >= 1 and ``a`` and ``a_est`` are finite,
+    nonsingular square matrices of one shape.
     """
     mc_points = _check_count(mc_points, "mc_points")
-    a = np.asarray(a, dtype=float)
-    a_est = np.asarray(a_est, dtype=float)
+    a, a_est = _finite_square(a, "a"), _finite_square(a_est, "a_est")
+    if a_est.shape != a.shape:
+        raise ValueError(f"a_est must have the shape {a.shape} of a, got {a_est.shape}")
+    for name, m in (("a", a), ("a_est", a_est)):
+        if np.linalg.cond(m) * np.finfo(float).eps >= 1.0:
+            raise ValueError(f"{name} is singular")
     x = sample_lp_ball(a.shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
     shares = []
     for composed in (np.linalg.solve(a_est, a), np.linalg.solve(a, a_est)):

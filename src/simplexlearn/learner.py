@@ -23,6 +23,7 @@ import numpy as np
 
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
+from .moments import _mean_and_covariance, _split_half_power_sums
 from .sampling import child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
@@ -54,7 +55,9 @@ class BoostFailureError(RuntimeError):
 def estimate_frame(points: np.ndarray) -> AffineFrame:
     """Mean and Cholesky covariance factor of a point block.
 
-    The covariance uses the biased 1/t normalizer.  Raises
+    The covariance uses the biased 1/t normalizer and comes from one pass
+    over the block in cache-sized row blocks (the pass ICA whitening
+    shares), with no centered copy of the block.  Raises
     DegenerateSampleError when the covariance is not positive definite
     (fewer than d+1 points, or points on a lower-dimensional flat).
     """
@@ -62,9 +65,7 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
     t, d = pts.shape
     if t < d + 1:
         raise DegenerateSampleError(f"{t} points cannot determine a {d}-dimensional frame")
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = (centered.T @ centered) / t
+    mean, cov = _mean_and_covariance(pts)
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -80,9 +81,10 @@ def embedded_m3_grad(
 
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
     b = offset - mean L solved once here.  With s = y u = x (L u) + b . u the
-    gradient (3/t) y^T s^2 is (3/t) (L^T (x^T s^2) + b sum(s^2)): two thin
-    matmuls against the raw block.  They run on the two halves of the block
-    in turn, giving half gradients g_A and g_B at no extra cost; the
+    gradient (3/t) y^T s^2 is (3/t) (L^T (x^T s^2) + b sum(s^2)): one
+    blocked pass over the raw block gives x^T s^2 and sum(s^2) for each of
+    its two halves, and s is never formed for more than one cache-sized
+    row block.  The halves give gradients g_A and g_B at no extra cost; the
     gradient is their point-weighted mean and the standard error of each
     entry is estimated by |g_A - g_B| / 2 (the block needs two points).
     u is (n+1,) or a frame (n+1, k).
@@ -91,20 +93,14 @@ def embedded_m3_grad(
     shift = emb.offset - frame.mean @ linear
 
     def gradient(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # s^T, one row of t entries per column of u: numpy adds, squares
-        # and sums along long rows much faster than along rows of k entries,
-        # and in place, without a second (k, t) temporary
-        s = (u.T @ linear.T) @ x.T
-        s += (u.T @ shift)[..., None]
-        s *= s
-
-        def half_gradient(rows: slice) -> np.ndarray:
-            part = s[..., rows]
-            return (3.0 / part.shape[-1]) * (linear.T @ (part @ x[rows]).T + np.multiply.outer(shift, part.sum(axis=-1)))
-
+        columns = u.reshape(u.shape[0], -1)
+        moments, sums = _split_half_power_sums(x, linear @ columns, shift @ columns, 2)
         t, half = x.shape[0], x.shape[0] // 2
-        g_a, g_b = half_gradient(slice(None, half)), half_gradient(slice(half, None))
-        return (half * g_a + (t - half) * g_b) / t, 0.5 * (g_a - g_b)
+        g_a, g_b = (
+            (3.0 / count) * (linear.T @ moments[part] + np.outer(shift, sums[part]))
+            for part, count in enumerate((half, t - half))
+        )
+        return ((half * g_a + (t - half) * g_b) / t).reshape(u.shape), (0.5 * (g_a - g_b)).reshape(u.shape)
 
     return gradient
 

@@ -10,6 +10,11 @@ homogeneous symmetric polynomial, via the Newton identities.  This module
 exposes the exact value and gradient, the empirical gradient, and a
 certification of the landscape of p3 on the feasible sphere, whose strict
 local maxima are exactly the (projected) vertex directions.
+
+It also holds the two sample passes that the learner and ICA share: the
+mean and covariance of a sample, and the split-half power sums that drive
+both fixed points.  Each walks the sample in blocks of BLOCK_ROWS rows, so
+no intermediate is larger than a block.
 """
 
 from __future__ import annotations
@@ -28,6 +33,68 @@ __all__ = [
     "projected_p3_gradient",
     "certify_landscape",
 ]
+
+
+# Rows per block of a sample pass; a block of intermediates (under 1 MB)
+# stays in a core's 2 MB L2 cache.  Medians of 60 interleaved runs, 2 cores
+# of a Xeon with OpenBLAS, in ms per pass at 4096 / 8192 / 12288 rows, and
+# for the whole-array pass on a precomputed centered copy: a kurtosis ICA
+# sweep on a (200k, 4) sample 4.8 / 4.0 / 4.1 against 9.7, on (200k, 9)
+# 11.3 / 11.2 / 12.0 against 21.5; a learner step of 6 columns on (100k, 5)
+# 2.5 / 2.0 / 2.0 against 3.8.
+BLOCK_ROWS = 8192
+
+
+def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and biased (1/t) covariance of the rows of x, block by block.
+
+    Each block is centered on its own mean, and the blocks merge by the
+    pairwise update of Chan, Golub and LeVeque (1979), so the pass keeps
+    no (t, d) copy and a large offset costs no precision.  Block means
+    are ones-vector products, which BLAS takes far faster than
+    ``mean(axis=0)`` on rows of a few entries.
+    """
+    t, d = x.shape
+    ones = np.ones(min(BLOCK_ROWS, t))
+    count, mean, scatter = 0, np.zeros(d), np.zeros((d, d))
+    for start in range(0, t, BLOCK_ROWS):
+        block = x[start : start + BLOCK_ROWS]
+        rows = block.shape[0]
+        block_mean = (ones[:rows] @ block) / rows
+        centered = block - block_mean
+        delta = block_mean - mean
+        total = count + rows
+        scatter += centered.T @ centered + np.outer(delta, delta) * (count * rows / total)
+        mean += delta * (rows / total)
+        count = total
+    return mean, scatter / t
+
+
+def _split_half_power_sums(x: np.ndarray, a: np.ndarray, shift: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per half of the rows of x, the first t // 2 and then the rest: the
+    sums over the half of x^T f^q and of f^q, with f = x a + shift.
+
+    x is (t, d), a (d, k) and shift (k,); q is 2 or 3.  Returns the
+    moments, shape (2, d, k), and the column sums, shape (2, k), one slice
+    per half.  The rows run in blocks that never straddle the split, and f
+    is formed transposed, one row of block entries per column of a, since
+    numpy shifts, powers and sums along long rows much faster than along
+    rows of k entries.
+    """
+    t, k = x.shape[0], a.shape[1]
+    half = t // 2
+    moments = np.zeros((2, k, x.shape[1]))
+    sums = np.zeros((2, k))
+    a_t, shift = a.T, shift[:, None]
+    for part, (low, high) in enumerate(((0, half), (half, t))):
+        for start in range(low, high, BLOCK_ROWS):
+            block = x[start : min(start + BLOCK_ROWS, high)]
+            f = a_t @ block.T
+            f += shift
+            f *= f if q == 2 else f * f
+            moments[part] += f @ block
+            sums[part] += f.sum(axis=1)
+    return moments.transpose(0, 2, 1), sums
 
 
 def _moment_denominator(m: int) -> float:

@@ -155,11 +155,16 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     return g
 
 
+def _gamma_radii(count: int, shape: float, p: float, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent Gamma(shape, 1)^(1/p) radii: the law behind
+    both rescalings below and both ICA reductions."""
+    return rng.gamma(shape, 1.0, size=count) ** (1.0 / p)
+
+
 def _gamma_rescale(points: np.ndarray, shape: float, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Each row of ``points`` times an independent Gamma(shape, 1)^(1/p)
-    radius: the law behind both rescalings below and both ICA reductions."""
-    radii = rng.gamma(shape, 1.0, size=points.shape[0])
-    return points * (radii ** (1.0 / p))[:, None]
+    """Each row of ``points`` times an independent radius of
+    :func:`_gamma_radii`."""
+    return points * _gamma_radii(points.shape[0], shape, p, rng)[:, None]
 
 
 def rescale_simplex_sample(x: np.ndarray, seed: int) -> np.ndarray:

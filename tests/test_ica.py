@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simplexlearn import ica
+from simplexlearn import ica, moments
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import DegenerateSimplexError, Simplex
 from simplexlearn.ica import (
@@ -18,11 +18,13 @@ from simplexlearn.ica import (
     signed_permutation_deviation,
 )
 from simplexlearn.sampling import (
+    _gamma_rescale,
     generalized_gaussian_std,
     sample_lp_ball,
     sample_simplex,
     substream,
 )
+from simplexlearn.vertex_finder import _polar_step
 
 
 def exponential_mixture(a: np.ndarray, shift: np.ndarray, t: int, seed: int) -> np.ndarray:
@@ -98,6 +100,78 @@ class TestIcaEstimate:
         x = exponential_mixture(np.eye(2), np.zeros(2), 500, seed=6)
         with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
             ica_estimate(x, max_sweeps=max_sweeps)
+
+
+def one_shot_ica(points: np.ndarray, contrast: str, seed: int, max_sweeps: int):
+    """The whole-array form of ica_estimate: a centered copy, its whitened
+    copy z, and a (t, d) contrast array per sweep.  Returns (separating,
+    mean, sweeps, converged)."""
+    t, d = points.shape
+    mean = points.mean(axis=0)
+    centered = points - mean
+    eigenvalues, vectors = np.linalg.eigh(centered.T @ centered / t)
+    whitener = (vectors / np.sqrt(eigenvalues)) @ vectors.T
+    z = centered @ whitener.T
+    half = t // 2
+    w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
+    for sweep in range(max_sweeps):
+        f = (z @ w) ** (2 if contrast == "skew" else 3)
+        first, second = z[:half].T @ f[:half] / half, z[half:].T @ f[half:] / (t - half)
+        update = (half * first + (t - half) * second) / t
+        if contrast == "kurtosis":
+            update -= 3.0 * w
+        w, _, _, converged = _polar_step(w, update, 0.5 * (first - second), sweep)
+        if converged.all():
+            break
+    return w.T @ whitener, mean, sweep + 1, converged.tolist()
+
+
+class TestBlockedPasses:
+    # 7 rows cut every pass into many blocks and a ragged last block per
+    # half; 10**9 makes each half one block.  The odd t is no multiple of 7,
+    # and t = d + 1 is the smallest sample ICA takes.  There the whitened
+    # points all have norm^2 d, so each row of the squared projections onto
+    # an orthonormal frame sums to d, and the skew update, z^T times those
+    # rows, always has the null vector 1: only kurtosis runs at t = d + 1.
+    @pytest.mark.parametrize("block_rows", [7, 10**9])
+    @pytest.mark.parametrize(
+        "t, contrast, max_sweeps", [(1001, "skew", MAX_SWEEPS), (1001, "kurtosis", MAX_SWEEPS), (4, "kurtosis", 3)]
+    )
+    def test_ica_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, contrast, max_sweeps):
+        rng = substream(2, 611)
+        x = exponential_mixture(rng.standard_normal((3, 3)), 50.0 + rng.standard_normal(3), t, seed=16)
+        separating, mean, sweeps, converged = one_shot_ica(x, contrast, 3, max_sweeps)
+        monkeypatch.setattr(moments, "BLOCK_ROWS", block_rows)
+        est = ica_estimate(x, contrast, seed=3, max_sweeps=max_sweeps)
+        assert est.sweeps == sweeps
+        assert est.converged == converged
+        assert np.abs(est.separating - separating).max() <= 1e-12 * np.abs(separating).max()
+        assert np.abs(est.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+
+    def test_sweeps_do_not_depend_on_the_block(self, monkeypatch):
+        sm = sample_simplex(Simplex(substream(3, 605).standard_normal((4, 3))), 20_001, 33)
+        reference = reduce_simplex_to_ica(sm, seed=2)
+        monkeypatch.setattr(moments, "BLOCK_ROWS", 7)
+        blocked = reduce_simplex_to_ica(sm, seed=2)
+        assert blocked.estimate.sweeps == reference.estimate.sweeps
+        assert blocked.estimate.converged == reference.estimate.converged
+        assert np.abs(blocked.vertices - reference.vertices).max() <= 1e-12 * np.abs(reference.vertices).max()
+
+    def test_simplex_lift_is_unchanged(self, monkeypatch):
+        # the lift is written in place, bit for bit the rescaled (p, 1) rows
+        seen = []
+
+        def spy(points, contrast="skew", **kwargs):
+            seen.append(points.copy())
+            return real(points, contrast, **kwargs)
+
+        real = ica.ica_estimate
+        monkeypatch.setattr(ica, "ica_estimate", spy)
+        points = sample_simplex(Simplex(substream(4, 605).standard_normal((5, 4))), 3001, 34)
+        reduce_simplex_to_ica(points, seed=9)
+        t, n = points.shape
+        expected = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(9, 67))
+        assert np.array_equal(seen[0], expected)
 
 
 class TestSkewNoiseStop:
@@ -250,8 +324,23 @@ class TestSeparationIndex:
         assert separation_index(np.array([[7.0]])) == 0.0
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g must be a square matrix"):
             separation_index(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        g = np.eye(3)
+        g[1, 2] = value
+        with pytest.raises(ValueError, match="g holds non-finite values"):
+            separation_index(g)
+
+    @pytest.mark.parametrize(
+        "g, line",
+        [(np.zeros((3, 3)), "row"), (np.array([[1.0, 2.0], [0.0, 0.0]]), "row"), (np.array([[1.0, 0.0], [3.0, 0.0]]), "column"), (np.zeros((1, 1)), "row")],
+    )
+    def test_zero_row_or_column_rejected(self, g, line):
+        with pytest.raises(ValueError, match=f"g has a zero {line}"):
+            separation_index(g)
 
 
 class TestSignedPermutationTools:
@@ -288,6 +377,30 @@ class TestLpSymmetricDifference:
     def test_mc_points_must_be_an_integer(self, bad):
         with pytest.raises(ValueError, match="mc_points must be an integer"):
             lp_symmetric_difference(np.eye(2), np.eye(2), 1.0, mc_points=bad)
+
+    @pytest.mark.parametrize("name", ["a", "a_est"])
+    def test_non_finite_rejected(self, name):
+        bad = {"a": np.eye(3), "a_est": np.eye(3), name: np.full((3, 3), np.nan)}
+        with pytest.raises(ValueError, match=f"^{name} holds non-finite values"):
+            lp_symmetric_difference(bad["a"], bad["a_est"], 2.0, mc_points=10)
+
+    @pytest.mark.parametrize("name", ["a", "a_est"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 3, 3)])
+    def test_non_square_rejected(self, name, shape):
+        bad = {"a": np.eye(3), "a_est": np.eye(3), name: np.ones(shape)}
+        with pytest.raises(ValueError, match=f"^{name} must be a square matrix"):
+            lp_symmetric_difference(bad["a"], bad["a_est"], 2.0, mc_points=10)
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"a_est must have the shape \(2, 2\) of a"):
+            lp_symmetric_difference(np.eye(2), np.eye(3), 2.0, mc_points=10)
+
+    @pytest.mark.parametrize("name", ["a", "a_est"])
+    @pytest.mark.parametrize("singular", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_rejected(self, name, singular):
+        bad = {"a": np.eye(2), "a_est": np.eye(2), name: singular}
+        with pytest.raises(ValueError, match=f"^{name} is singular"):
+            lp_symmetric_difference(bad["a"], bad["a_est"], 2.0, mc_points=10)
 
     def test_deterministic(self):
         a = np.eye(2)

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from simplexlearn import moments
 from simplexlearn.cli import _synthesize_simplex
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import Simplex, isotropic_simplex, make_embed_map
@@ -46,6 +47,18 @@ def counting_source(truth: Simplex, seed: int):
     return draw, counts
 
 
+def assert_matches_one_shot_gradient(fused, frame, emb, x, u):
+    """fused(x, u) against the gradient of x pushed through both maps, and
+    its error against half the difference of the gradients of the halves."""
+    reference = empirical_m3_grad(emb.forward(frame.forward(x)), u)
+    grad, error = fused(x, u)
+    assert grad.shape == error.shape == u.shape
+    assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
+    half = x.shape[0] // 2
+    first, second = (empirical_m3_grad(emb.forward(frame.forward(part)), u) for part in (x[:half], x[half:]))
+    assert np.abs(error - (first - second) / 2).max() <= 1e-12 * np.abs(reference).max()
+
+
 class TestEstimateFrame:
     def test_whitens_the_sample(self):
         truth = random_truth(3, 0)
@@ -63,22 +76,49 @@ class TestEstimateFrame:
 
     def test_embedded_map_composes_frame_and_embedding(self):
         # the fused block gradient against the gradient of the block pushed
-        # through both maps, for one direction and for a batch of n+1
+        # through both maps, for one direction and for a batch of n+1; each
+        # half of the odd 20_001-row block spans more than one row block
+        assert 10_000 > moments.BLOCK_ROWS
         for n, seed in ((2, 3), (5, 4), (9, 5)):
             truth = random_truth(n, seed)
             frame = estimate_frame(sample_simplex(truth, 5000, seed))
             emb = make_embed_map(n)
-            x = simplex_source(truth, seed + 1)(1000)
+            x = simplex_source(truth, seed + 1)(20_001)
             fused = embedded_m3_grad(frame, emb)
             for shape in ((n + 1,), (n + 1, n + 1)):
                 u = substream(seed, 6).standard_normal(shape)
-                reference = empirical_m3_grad(emb.forward(frame.forward(x)), u)
-                grad, error = fused(x, u)
-                assert grad.shape == error.shape == shape
-                assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
-                # half the difference of the gradients of the two halves
-                first, second = (empirical_m3_grad(emb.forward(frame.forward(part)), u) for part in (x[:500], x[500:]))
-                assert np.abs(error - (first - second) / 2).max() <= 1e-12 * np.abs(reference).max()
+                assert_matches_one_shot_gradient(fused, frame, emb, x, u)
+
+    # 7 rows cut every pass into many blocks and a ragged last block per
+    # half; 10**9 makes each half one block.  1001 is odd and no multiple
+    # of 7, and n + 1 rows is the smallest block a frame takes.
+    @pytest.mark.parametrize("block_rows", [7, 10**9])
+    @pytest.mark.parametrize("t", [1001, 6])
+    def test_blocked_passes_match_the_one_shot_formulas(self, monkeypatch, block_rows, t):
+        n = 5
+        truth = random_truth(n, 6)
+        x = simplex_source(truth, 7)(t) + 100.0
+        mean = x.mean(axis=0)
+        centered = x - mean
+        factor = np.linalg.cholesky(centered.T @ centered / t)
+        monkeypatch.setattr(moments, "BLOCK_ROWS", block_rows)
+        frame = estimate_frame(x)
+        assert np.abs(frame.mean - mean).max() <= 1e-12 * np.abs(mean).max()
+        assert np.abs(frame.factor - factor).max() <= 1e-12 * np.abs(factor).max()
+        emb = make_embed_map(n)
+        fused = embedded_m3_grad(frame, emb)
+        for shape in ((n + 1,), (n + 1, n + 1)):
+            assert_matches_one_shot_gradient(fused, frame, emb, x, substream(6, 6).standard_normal(shape))
+
+    def test_iterations_do_not_depend_on_the_block(self, monkeypatch):
+        truth = random_truth(4, 8)
+        config = LearnerConfig(t1=1_500, t3=1_501, seed=8)
+        reference = learn_simplex(simplex_source(truth, 9), 4, config)
+        monkeypatch.setattr(moments, "BLOCK_ROWS", 7)
+        blocked = learn_simplex(simplex_source(truth, 9), 4, config)
+        assert blocked.report.iterations_run == reference.report.iterations_run
+        scale = np.abs(reference.simplex.vertices).max()
+        assert np.abs(blocked.simplex.vertices - reference.simplex.vertices).max() <= 1e-12 * scale
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateSampleError):
