@@ -1,8 +1,8 @@
 """Learn a hidden simplex from nothing but uniform samples.
 
-We synthesize a rotated, shifted simplex in R^3, hand the learner a
-sample source, and score the recovered vertex set against the truth it
-never saw.  Finishes in a few seconds.
+We synthesize a rotated, shifted simplex in R^3, hand the learner one
+block of uniform points from it, and score the recovered vertex set
+against the truth it never saw.  Finishes in a few seconds.
 """
 
 import numpy as np
@@ -24,10 +24,11 @@ q, r = np.linalg.qr(rng.standard_normal((n, n)))
 truth = Simplex(isotropic_simplex(n).vertices @ (q * np.sign(np.diag(r))).T + rng.standard_normal(n))
 print(f"hidden simplex: {n + 1} vertices in R^{n}, circumradius {truth.circumscribed_radius():.3f}")
 
-config = LearnerConfig(t1=50_000, t3=50_000, seed=0)
-print(f"budget: one block of {config.t1 + config.t3} points for the frame and every step, {n + 1} starts, at most {config.r} steps")
+points = simplex_source(truth, 1)(100_000)
+config = LearnerConfig(seed=0)
+print(f"budget: one block of {len(points)} points for the frame and every step, {n + 1} starts, at most {config.r} steps")
 
-learned = learn_simplex(simplex_source(truth, 1), n, config)
+learned = learn_simplex(points, config)
 
 match = match_vertices(truth, learned.simplex)
 tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=2)

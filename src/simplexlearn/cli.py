@@ -23,10 +23,11 @@ import time
 
 import numpy as np
 
-from .learner import SCHEMA_VERSION
 from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
+# the version of every report the command line writes
+SCHEMA_VERSION = 9
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -152,26 +153,34 @@ def cmd_learn(args: argparse.Namespace) -> int:
     _validate_common(cfg, "learn")
 
     truth = _synthesize_simplex(cfg["n"], cfg["seed"])
-    learner_config = LearnerConfig(t1=cfg["t1"], t3=cfg["t3"], m=cfg["m"], r=cfg["r"], seed=cfg["seed"])
+    count = cfg["t1"] + cfg["t3"]
     started = time.perf_counter()
-    learned = learn_simplex(simplex_source(truth, child_seed(cfg["seed"], 98)), cfg["n"], learner_config)
+    # no name holds the block, so it is freed before scoring runs
+    draw = simplex_source(truth, child_seed(cfg["seed"], 98))
+    learned = learn_simplex(draw(count), LearnerConfig(m=cfg["m"], r=cfg["r"], seed=cfg["seed"]))
 
-    report = learned.report.to_dict()
-    tv_std_error = None
+    match_errors = tv = None
     if learned.complete:
-        match = match_vertices(truth, learned.simplex)
-        report["per_vertex_match_error"] = list(match.per_vertex_error)
+        match_errors = list(match_vertices(truth, learned.simplex).per_vertex_error)
         tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=child_seed(cfg["seed"], 99))
-        report["tv_estimate"] = tv.value
-        tv_std_error = tv.std_error
-    report["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-
+    # found_count counts the starts of the frame and the vertices they
+    # found, iterations_run its steps; points_drawn is the one block
     payload = {
         "command": "learn",
         "cli_config": cfg,
+        "schema_version": SCHEMA_VERSION,
+        "n": cfg["n"],
+        "seed": cfg["seed"],
+        "config": {key: cfg[key] for key in ("t1", "t3", "m", "r", "seed")},
+        "points_drawn": count,
         "complete": learned.complete,
-        "tv_std_error": tv_std_error,
-        **report,
+        "found_count": learned.found_count,
+        "iterations_run": learned.iterations_run,
+        "vertices": learned.vertices,
+        "per_vertex_match_error": match_errors,
+        "tv_estimate": None if tv is None else tv.value,
+        "tv_std_error": None if tv is None else tv.std_error,
+        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
     _emit(payload, cfg, "learn")
     return 0 if learned.complete else 2
@@ -203,8 +212,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             raise SchemaError(f"p must lie in [1, {P_MAX:g}]")
     n, t, seed = cfg["n"], cfg["t"], cfg["seed"]
     dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
-    if t <= dims:
-        raise SchemaError(f"t must exceed {dims} for --problem {cfg['problem']} at n = {n}")
+    if t < dims + 2:
+        raise SchemaError(f"t must be at least {dims + 2} for --problem {cfg['problem']} at n = {n}")
 
     started = time.perf_counter()
     payload = {

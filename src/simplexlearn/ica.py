@@ -115,7 +115,9 @@ def ica_estimate(
         dimension.  Non-convergence is flagged per component, not raised.
 
     Raises:
-        ValueError unless the sample is a finite (t, d) array with t > d,
+        ValueError unless the sample is a finite (t, d) array with
+        t >= d+2 (d+1 points whiten to the vertices of a regular simplex,
+        all of squared norm d, where the skew update is singular),
         ``contrast`` one of ``CONTRASTS`` and ``max_sweeps`` an integer
         >= 1; DegenerateSimplexError for a singular covariance;
         RuntimeError when the frame's update collapses.
@@ -125,8 +127,8 @@ def ica_estimate(
     if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] <= points.shape[1]:
-        raise ValueError(f"sample must be a 2-D array with more rows than columns, got shape {points.shape}")
+    if points.ndim != 2 or points.shape[0] < points.shape[1] + 2:
+        raise ValueError(f"sample must be a 2-D array with at least d+2 rows for d columns, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("sample holds non-finite values")
     t, d = points.shape

@@ -1,6 +1,6 @@
 """End-to-end simplex learning from uniform samples.
 
-The pipeline: draw one block of points, estimate an affine frame (mean
+The pipeline: take one block of points, estimate an affine frame (mean
 and covariance factor) from it, move the data into that frame where the
 hidden simplex is nearly isotropic, embed it onto the hyperplane
 {y . 1 = 1} where it becomes a nearly standard simplex rotated about the
@@ -15,8 +15,7 @@ back through the frame.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "DegenerateSampleError",
     "BoostFailureError",
     "LearnerConfig",
-    "ExperimentReport",
     "LearnedSimplex",
     "BoostResult",
     "estimate_frame",
@@ -39,10 +37,6 @@ __all__ = [
     "learn_simplex",
     "boost",
 ]
-
-# the version of every report the command line writes
-SCHEMA_VERSION = 9
-
 
 class DegenerateSampleError(ValueError):
     """The sample covariance is singular, so no frame can be estimated."""
@@ -109,28 +103,21 @@ def embedded_m3_grad(
 class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
-    t1, t3: the two parts of the one block a run draws, t1 + t3 points
-        in all; the frame and every fixed-point step use the whole block.
-        t1 must be >= n+2 and t3 >= 2.
-    r: cap on the fixed-point steps of the frame.  The frame stops at the
-       first step where every column has reached its sampling noise floor
-       (see :func:`~simplexlearn.vertex_finder.find_vertex`); the steps
-       draw no points, so a run draws t1 + t3 points however many run.
     m: start budget.  The learner runs one frame of min(m, n+1) starts;
        None means n+1, and a budget below n+1 cuts the frame and returns
        an incomplete run.
+    r: cap on the fixed-point steps of the frame.  The frame stops at the
+       first step where every column has reached its sampling noise floor
+       (see :func:`~simplexlearn.vertex_finder.find_vertex`); every step
+       reads the same points.
     seed: master seed; start k begins from child_seed(seed, 41, k).
     """
 
-    t1: int = 50_000
-    t3: int = 50_000
     m: int | None = None
     r: int = 30
     seed: int = 0
 
     def __post_init__(self):
-        if self.t1 < 2 or self.t3 < 2:
-            raise ValueError("t1 and t3 must be at least 2 (t1 >= n+2 is checked at run time)")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.m is not None and self.m < 1:
@@ -138,58 +125,40 @@ class LearnerConfig:
 
 
 @dataclass
-class ExperimentReport:
-    """JSON-ready record of a learning run.
+class LearnedSimplex:
+    """Result of :func:`learn_simplex`.
 
-    per_vertex_match_error and tv_estimate need ground truth and are filled
-    by harnesses that have it; the learner itself leaves them None.
-    found_count counts the fixed-point starts, the columns of the frame,
-    and the vertices they found; iterations_run counts the frame's steps,
-    the step where the noise-floor stop fired or the cap r; points_drawn
-    counts the one block, t1 + t3.  wall_time_ms is excluded from any
-    byte-for-byte comparisons.
+    vertices holds one found vertex per row and directions the unit vertex
+    direction each came from, one per start of the frame; found_count is
+    their number.  simplex is None when the start budget cut the frame
+    below n+1 vertices (the run is incomplete, never padded).
+    iterations_run counts the frame's steps: the step where the
+    noise-floor stop fired, or the cap r.
     """
 
-    n: int
-    config: dict
-    found_count: int
-    vertices: list
-    per_vertex_match_error: list | None
-    tv_estimate: float | None
-    wall_time_ms: float
-    seed: int
-    points_drawn: int
-    iterations_run: int
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class LearnedSimplex:
-    """Result of :func:`learn_simplex`; ``simplex`` is None when the start
-    budget cut the frame below n+1 vertex directions (the run is
-    incomplete, never padded)."""
-
     simplex: Simplex | None
-    found_count: int
+    vertices: np.ndarray
     directions: np.ndarray
-    report: ExperimentReport
+    iterations_run: int
+
+    @property
+    def found_count(self) -> int:
+        return len(self.directions)
 
     @property
     def complete(self) -> bool:
         return self.simplex is not None
 
 
-def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: LearnerConfig) -> LearnedSimplex:
-    """Learn an n-dimensional simplex from uniform samples.
+def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
+    """Learn an n-dimensional simplex from t uniform samples.
 
     Args:
-        sample_source: draw(count) callable yielding fresh iid uniform
-            points from the unknown simplex in R^n; called once, for
-            t1 + t3 points.
-        n: ambient (and simplex) dimension.
+        points: a finite (t, n) array of iid uniform points from the
+            unknown simplex in R^n, t >= n+2: n+1 points whiten to the
+            vertices of a regular simplex, whatever simplex they came
+            from.  The frame and every fixed-point step read this one
+            block; n is read from its width.
         config: see :class:`LearnerConfig`.
 
     Returns:
@@ -204,26 +173,22 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
         FastICA (Hyvarinen, IEEE TNN 1999).  Nor are its points the
         paper's: the paper draws an independent block for the frame and
         for every step, which its analysis needs, while here the frame and
-        every step share one pooled block, which is then exactly isotropic
-        in its own frame, as FastICA whitens once and iterates on one
-        sample.  The frame stops at the first step where every column has
-        reached the noise floor the block's split-half standard error
-        sets, with r steps as the cap; the report's iterations_run says
-        where.  A budget m below n+1 runs only m columns, and the result
-        is flagged incomplete and carries those m vertices.
+        every step share one block, which is then exactly isotropic in its
+        own frame, as FastICA whitens once and iterates on one sample.
+        The frame stops at the first step where every column has reached
+        the noise floor the block's split-half standard error sets, with r
+        steps as the cap; iterations_run says where.  A budget m below n+1
+        runs only m columns, and the result is flagged incomplete and
+        carries those m vertices.
 
     Raises:
-        ValueError when the block is not a finite (t1 + t3, n) array.
+        ValueError, naming the shape, when points is not a 2-D array of
+        finite values with at least two more rows than columns.
     """
-    started = time.perf_counter()
-    if config.t1 < n + 2:
-        raise ValueError(f"t1 must be at least n+2 = {n + 2}")
-    count = config.t1 + config.t3
-    block = np.asarray(sample_source(count), dtype=float)
-    if block.shape != (count, n):
-        raise ValueError(f"sample source returned shape {block.shape}, expected {(count, n)}")
-    if not np.isfinite(block).all():
-        raise ValueError("sample source returned non-finite values")
+    block = np.asarray(points, dtype=float)
+    if block.ndim != 2 or block.shape[0] < block.shape[1] + 2 or not np.isfinite(block).all():
+        raise ValueError(f"points must be a finite (t, n) array with t >= n+2, got shape {block.shape}")
+    n = block.shape[1]
 
     frame = estimate_frame(block)
     emb = make_embed_map(n)
@@ -239,20 +204,7 @@ def learn_simplex(sample_source: Callable[[int], np.ndarray], n: int, config: Le
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))
     simplex = Simplex(vertices) if starts == n + 1 else None
-
-    report = ExperimentReport(
-        n=n,
-        config=asdict(config),
-        found_count=starts,
-        vertices=vertices.tolist(),
-        per_vertex_match_error=None,
-        tv_estimate=None,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        seed=config.seed,
-        points_drawn=count,
-        iterations_run=found.iterations_run,
-    )
-    return LearnedSimplex(simplex=simplex, found_count=starts, directions=directions, report=report)
+    return LearnedSimplex(simplex=simplex, vertices=vertices, directions=directions, iterations_run=found.iterations_run)
 
 
 @dataclass

@@ -17,7 +17,6 @@ import numpy as np
 from .geometry import Simplex, _solver
 
 __all__ = [
-    "SampleExhaustedError",
     "substream",
     "child_seed",
     "sample_standard_simplex",
@@ -28,7 +27,6 @@ __all__ = [
     "rescale_simplex_sample",
     "rescale_lp_sample",
     "simplex_source",
-    "array_source",
 ]
 
 P_MIN, P_MAX = 1.0, 64.0
@@ -42,10 +40,6 @@ _KEY_LP_BALL = 3
 _KEY_RESCALE_SIMPLEX = 5
 _KEY_RESCALE_LP = 6
 _KEY_SOURCE = 7
-
-
-class SampleExhaustedError(RuntimeError):
-    """A finite sample source was asked for more points than it holds."""
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -209,24 +203,5 @@ def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:
     def draw(count: int) -> np.ndarray:
         rng = substream(seed, _KEY_SOURCE, next(counter))
         return _simplex_weights(rng, m, count) @ vertices
-
-    return draw
-
-
-def array_source(points: np.ndarray) -> Callable[[int], np.ndarray]:
-    """A draw(count) callable over a fixed point array, consuming rows in
-    order and raising :class:`SampleExhaustedError` once depleted."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cursor = 0
-
-    def draw(count: int) -> np.ndarray:
-        nonlocal cursor
-        if cursor + count > pts.shape[0]:
-            raise SampleExhaustedError(
-                f"source holds {pts.shape[0]} points, {cursor + count} requested"
-            )
-        block = pts[cursor : cursor + count]
-        cursor += count
-        return block
 
     return draw

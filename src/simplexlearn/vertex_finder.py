@@ -204,8 +204,6 @@ def find_vertex(
             columns is singular), naming the iteration.  With the exact
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
             for a unit u; a frame can only on a null set of iterates.
-        SampleExhaustedError: propagated from a gradient callable whose
-            finite source runs out of points.
     """
     framed = isinstance(config.seed, tuple)
     seeds = config.seed if framed else (config.seed,)

@@ -114,8 +114,7 @@ def test_criterion_5_end_to_end_recovery_on_isotropic_truth():
         bound = 0.1 * math.sqrt(n * (n + 2))
         good = 0
         for seed in range(10):
-            config = LearnerConfig(t1=50_000, t3=50_000, seed=seed)
-            result = learn_simplex(simplex_source(truth, seed), n, config)
+            result = learn_simplex(simplex_source(truth, seed)(100_000), LearnerConfig(seed=seed))
             if not result.complete:
                 continue
             err = match_vertices(truth, result.simplex).max_error
@@ -140,9 +139,9 @@ def test_criterion_6_affine_equivariance_via_shared_seeds():
     f_shift = rng.standard_normal(n)
     image = Simplex(s.vertices @ f_mat.T + f_shift)
 
-    config = LearnerConfig(t1=50_000, t3=50_000, m=40, seed=0)
-    learned_s = learn_simplex(simplex_source(s, 7), n, config)
-    learned_image = learn_simplex(simplex_source(image, 7), n, config)
+    config = LearnerConfig(m=40, seed=0)
+    learned_s = learn_simplex(simplex_source(s, 7)(100_000), config)
+    learned_image = learn_simplex(simplex_source(image, 7)(100_000), config)
     assert learned_s.complete and learned_image.complete
 
     mapped = learned_s.simplex.vertices @ f_mat.T + f_shift

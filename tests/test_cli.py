@@ -23,6 +23,23 @@ class TestLearnCommand:
         code = main(LEARN_FAST + ["--seed", "0", "--out", out])
         assert code == 0
         report = read_json(out)
+        assert sorted(report) == [
+            "cli_config",
+            "command",
+            "complete",
+            "config",
+            "found_count",
+            "iterations_run",
+            "n",
+            "per_vertex_match_error",
+            "points_drawn",
+            "schema_version",
+            "seed",
+            "tv_estimate",
+            "tv_std_error",
+            "vertices",
+            "wall_time_ms",
+        ]
         assert report["command"] == "learn"
         assert report["complete"] is True
         assert report["schema_version"] == 9
@@ -35,6 +52,8 @@ class TestLearnCommand:
         assert report["tv_estimate"] is not None
         assert report["tv_estimate"] <= 0.5
         assert report["cli_config"]["t1"] == 4000
+        assert report["config"] == {"t1": 4000, "t3": 4000, "m": 12, "r": 30, "seed": 0}
+        assert report["seed"] == 0
         assert "wrote" in capsys.readouterr().out
 
     def test_incomplete_run_exits_two(self, tmp_path):
@@ -250,10 +269,13 @@ class TestValidation:
         for suite in ("scaling", "landscape"):
             assert main(["verify", "--suite", suite, "--n", "1"]) == 1
             assert f"schema error: n must be >= 2 for verify --suite {suite}" in capsys.readouterr().err
-        assert main(["reduce", "--problem", "simplex", "--n", "3", "--t", "4"]) == 1
-        assert "schema error: t must exceed 4" in capsys.readouterr().err
-        assert main(["reduce", "--problem", "lp", "--p", "1", "--n", "3", "--t", "3"]) == 1
-        assert "schema error: t must exceed 3" in capsys.readouterr().err
+        # ICA needs d+2 rows in d = n+1 (simplex) or n (lp) dimensions:
+        # d+1 points whiten to a regular simplex
+        for t in ("4", "5"):
+            assert main(["reduce", "--problem", "simplex", "--n", "3", "--t", t, "--seed", "0"]) == 1
+            assert "schema error: t must be at least 6 for --problem simplex" in capsys.readouterr().err
+        assert main(["reduce", "--problem", "lp", "--p", "1", "--n", "3", "--t", "4"]) == 1
+        assert "schema error: t must be at least 5 for --problem lp" in capsys.readouterr().err
         # flags a command would record in cli_config and otherwise ignore
         assert main(["verify", "--suite", "tv", "--n", "3"]) == 1
         assert "schema error: n applies only to verify --suite scaling or landscape" in capsys.readouterr().err
@@ -280,6 +302,22 @@ class TestValidation:
     def test_help_exits_zero(self, capsys):
         assert main(["learn", "--help"]) == 0
         assert "--t3" in capsys.readouterr().out
+
+
+class TestBenchmarkArgv:
+    # literal copies of command lines perfbench/run.py runs: the warm-up op
+    # of each workload and one pool op of each
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--n", "5", "--t1", "2000", "--t3", "2000", "--r", "5", "--seed", "0"],
+            ["reduce", "--problem", "simplex", "--n", "3", "--t", "2000", "--seed", "0"],
+            ["learn", "--n", "5", "--m", "80", "--seed", "2945347115"],
+            ["reduce", "--problem", "lp", "--n", "3", "--p", "1", "--seed", "2156458226"],
+        ],
+    )
+    def test_exits_zero(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
 
 
 class TestConsoleScript:

@@ -85,9 +85,11 @@ class TestIcaEstimate:
         with pytest.raises(ValueError, match="non-finite"):
             ica_estimate(x)
 
-    @pytest.mark.parametrize("shape", [(500,), (3, 3), (2, 5), (4, 3, 2)])
+    # (4, 3): d+1 points whiten to a regular simplex, where the skew update
+    # is singular
+    @pytest.mark.parametrize("shape", [(500,), (3, 3), (2, 5), (4, 3, 2), (4, 3)])
     def test_bad_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="2-D array with more rows than columns"):
+        with pytest.raises(ValueError, match=r"2-D array with at least d\+2 rows for d columns"):
             ica_estimate(np.ones(shape))
 
     def test_non_convergence_is_flagged_not_raised(self):
@@ -129,13 +131,11 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, max_sweeps: int):
 class TestBlockedPasses:
     # 7 rows cut every pass into many blocks and a ragged last block per
     # half; 10**9 makes each half one block.  The odd t is no multiple of 7,
-    # and t = d + 1 is the smallest sample ICA takes.  There the whitened
-    # points all have norm^2 d, so each row of the squared projections onto
-    # an orthonormal frame sums to d, and the skew update, z^T times those
-    # rows, always has the null vector 1: only kurtosis runs at t = d + 1.
+    # and t = d + 2 is the smallest sample ICA takes.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize(
-        "t, contrast, max_sweeps", [(1001, "skew", MAX_SWEEPS), (1001, "kurtosis", MAX_SWEEPS), (4, "kurtosis", 3)]
+        "t, contrast, max_sweeps",
+        [(1001, "skew", MAX_SWEEPS), (1001, "kurtosis", MAX_SWEEPS), (5, "skew", 3), (5, "kurtosis", 3)],
     )
     def test_ica_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, contrast, max_sweeps):
         rng = substream(2, 611)

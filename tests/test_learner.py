@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -19,32 +20,13 @@ from simplexlearn.learner import (
     learn_simplex,
 )
 from simplexlearn.moments import empirical_m3_grad
-from simplexlearn.sampling import (
-    SampleExhaustedError,
-    array_source,
-    child_seed,
-    sample_simplex,
-    simplex_source,
-    substream,
-)
+from simplexlearn.sampling import child_seed, sample_simplex, simplex_source, substream
 
 
 def random_truth(n: int, seed: int) -> Simplex:
     rng = substream(seed, 700)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Simplex(isotropic_simplex(n).vertices @ q.T + rng.standard_normal(n))
-
-
-def counting_source(truth: Simplex, seed: int):
-    """simplex_source that records the point count of every call."""
-    inner = simplex_source(truth, seed)
-    counts = []
-
-    def draw(count):
-        counts.append(count)
-        return inner(count)
-
-    return draw, counts
 
 
 def assert_matches_one_shot_gradient(fused, frame, emb, x, u):
@@ -112,11 +94,11 @@ class TestEstimateFrame:
 
     def test_iterations_do_not_depend_on_the_block(self, monkeypatch):
         truth = random_truth(4, 8)
-        config = LearnerConfig(t1=1_500, t3=1_501, seed=8)
-        reference = learn_simplex(simplex_source(truth, 9), 4, config)
+        points = simplex_source(truth, 9)(3001)
+        reference = learn_simplex(points, LearnerConfig(seed=8))
         monkeypatch.setattr(moments, "BLOCK_ROWS", 7)
-        blocked = learn_simplex(simplex_source(truth, 9), 4, config)
-        assert blocked.report.iterations_run == reference.report.iterations_run
+        blocked = learn_simplex(points, LearnerConfig(seed=8))
+        assert blocked.iterations_run == reference.iterations_run
         scale = np.abs(reference.simplex.vertices).max()
         assert np.abs(blocked.simplex.vertices - reference.simplex.vertices).max() <= 1e-12 * scale
 
@@ -133,215 +115,178 @@ class TestEstimateFrame:
 class TestLearnSimplex:
     def test_recovers_plane_truth(self):
         truth = random_truth(2, 1)
-        config = LearnerConfig(t1=4000, t3=4000, m=12, seed=0)
-        result = learn_simplex(simplex_source(truth, 10), 2, config)
+        result = learn_simplex(simplex_source(truth, 10)(8000), LearnerConfig(m=12, seed=0))
         assert result.complete
         assert result.found_count == 3
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_recovers_space_truth(self):
         truth = random_truth(3, 2)
-        config = LearnerConfig(t1=20_000, t3=20_000, m=20, seed=0)
-        result = learn_simplex(simplex_source(truth, 11), 3, config)
+        result = learn_simplex(simplex_source(truth, 11)(40_000), LearnerConfig(m=20, seed=0))
         assert result.complete
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_deterministic(self):
         truth = random_truth(2, 3)
-        config = LearnerConfig(t1=3000, t3=3000, m=20, seed=5)
-        a = learn_simplex(simplex_source(truth, 12), 2, config)
-        b = learn_simplex(simplex_source(truth, 12), 2, config)
+        config = LearnerConfig(m=20, seed=5)
+        a = learn_simplex(simplex_source(truth, 12)(6000), config)
+        b = learn_simplex(simplex_source(truth, 12)(6000), config)
         assert a.found_count == b.found_count
         assert (a.directions == b.directions).all()
         assert a.complete
         assert (a.simplex.vertices == b.simplex.vertices).all()
-        other = learn_simplex(simplex_source(truth, 13), 2, config)
+        other = learn_simplex(simplex_source(truth, 13)(6000), config)
         assert (a.directions != other.directions).any()
 
     def test_stops_early_once_complete(self):
         n = 2
         truth = random_truth(n, 4)
-        draw, counts = counting_source(truth, 14)
-        config = LearnerConfig(t1=4000, t3=4000, m=100, seed=0)
-        result = learn_simplex(draw, n, config)
+        config = LearnerConfig(m=100, seed=0)
+        result = learn_simplex(simplex_source(truth, 14)(8000), config)
         assert result.complete
         # one block serves one frame of n+1 starts, however large the
         # budget; r is a cap, and the frame stops at its noise floor
         # before it
-        report = result.report
-        assert report.iterations_run < config.r
-        assert counts == [config.t1 + config.t3]
-        assert report.found_count == n + 1
-        assert report.points_drawn == config.t1 + config.t3
+        assert result.iterations_run < config.r
+        assert result.found_count == n + 1
 
     def test_one_draw_whatever_the_step_count(self):
-        truth = random_truth(2, 4)
+        # the caller's one block serves every step, and the learner leaves
+        # it as it was
+        points = simplex_source(random_truth(2, 4), 14)(4000)
+        kept = points.copy()
         steps = set()
         for r in (1, 2, 30):
-            draw, counts = counting_source(truth, 14)
-            config = LearnerConfig(t1=3000, t3=1000, r=r, seed=0)
-            report = learn_simplex(draw, 2, config).report
-            assert counts == [4000]
-            assert report.points_drawn == 4000
-            steps.add(report.iterations_run)
+            steps.add(learn_simplex(points, LearnerConfig(r=r, seed=0)).iterations_run)
+            assert (points == kept).all()
         assert len(steps) == 3
-
-    def test_array_source_of_t1_plus_t3_rows_suffices(self):
-        truth = random_truth(2, 24)
-        config = LearnerConfig(t1=2000, t3=1000, seed=0)
-        points = sample_simplex(truth, 3000, 25)
-        assert learn_simplex(array_source(points), 2, config).complete
-        with pytest.raises(SampleExhaustedError):
-            learn_simplex(array_source(points[:-1]), 2, config)
 
     def test_default_n5_run_stops_before_the_cap(self):
         truth = _synthesize_simplex(5, 0)
         config = LearnerConfig(seed=0)
-        result = learn_simplex(simplex_source(truth, child_seed(0, 98)), 5, config)
+        result = learn_simplex(simplex_source(truth, child_seed(0, 98))(100_000), config)
         assert result.complete
-        assert result.report.iterations_run < config.r
-        assert result.report.points_drawn == config.t1 + config.t3
+        assert result.iterations_run < config.r
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(5 * 7)
 
     def test_iterations_run_is_deterministic(self):
         for seed in (0, 1, 2):
             truth = random_truth(3, seed)
-            config = LearnerConfig(t1=10_000, t3=10_000, seed=seed)
-            runs = [learn_simplex(simplex_source(truth, 30 + seed), 3, config).report for _ in range(2)]
+            config = LearnerConfig(seed=seed)
+            runs = [learn_simplex(simplex_source(truth, 30 + seed)(20_000), config) for _ in range(2)]
             assert runs[0].iterations_run == runs[1].iterations_run < config.r
-            assert runs[0].vertices == runs[1].vertices
+            assert (runs[0].vertices == runs[1].vertices).all()
 
     def test_budget_cuts_the_last_batch(self):
         # m = 2 at n = 2: one frame of 2 starts, not of n+1 = 3
-        draw, counts = counting_source(random_truth(2, 6), 16)
-        config = LearnerConfig(t1=2000, t3=500, m=2, r=3, seed=0)
-        result = learn_simplex(draw, 2, config)
+        config = LearnerConfig(m=2, r=3, seed=0)
+        result = learn_simplex(simplex_source(random_truth(2, 6), 16)(2500), config)
         assert not result.complete
-        assert result.report.found_count == 2
-        assert result.report.iterations_run == config.r
-        assert counts == [config.t1 + config.t3]
-        assert result.report.points_drawn == config.t1 + config.t3
+        assert result.found_count == 2
+        assert result.iterations_run == config.r
 
     def test_incomplete_run_reports_honestly(self):
         truth = random_truth(2, 5)
-        config = LearnerConfig(t1=4000, t3=4000, m=1, seed=0)
-        result = learn_simplex(simplex_source(truth, 15), 2, config)
+        result = learn_simplex(simplex_source(truth, 15)(8000), LearnerConfig(m=1, seed=0))
         assert not result.complete
         assert result.simplex is None
         assert result.found_count == 1
         assert result.directions.shape == (1, 3)
-        assert result.report.vertices is not None
+        assert result.vertices.shape == (1, 2)
 
     def test_completes_the_n15_cli_truth(self):
         # independent starts at the default budget found 15 of 16 vertices
         # here; the frame ends on all of them
         truth = _synthesize_simplex(15, 0)
-        result = learn_simplex(simplex_source(truth, child_seed(0, 98)), 15, LearnerConfig(seed=0))
+        result = learn_simplex(simplex_source(truth, child_seed(0, 98))(100_000), LearnerConfig(seed=0))
         assert result.complete
-        assert result.report.found_count == 16
+        assert result.found_count == 16
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(15 * 17)
 
     def test_t1_checked_against_dimension(self):
-        truth = random_truth(3, 7)
-        config = LearnerConfig(t1=4, t3=100, m=2)
-        with pytest.raises(ValueError):
-            learn_simplex(simplex_source(truth, 17), 3, config)
+        # the row floor follows n: 4 rows would do in the plane, not in space
+        points = simplex_source(random_truth(3, 7), 17)(4)
+        with pytest.raises(ValueError, match=r"got shape \(4, 3\)"):
+            learn_simplex(points, LearnerConfig(m=2))
 
     def test_report_contents(self):
-        truth = random_truth(2, 8)
-        config = LearnerConfig(t1=3000, t3=3000, m=10, seed=9)
-        result = learn_simplex(simplex_source(truth, 18), 2, config)
-        report = result.report.to_dict()
-        assert report["schema_version"] == 9
-        assert report["n"] == 2
-        assert report["seed"] == 9
-        assert report["config"]["t1"] == 3000
-        assert report["found_count"] == result.found_count
-        assert len(report["vertices"]) == 3
-        assert report["per_vertex_match_error"] is None
-        assert report["tv_estimate"] is None
-        assert "starts_run" not in report
-        assert 1 <= report["iterations_run"] <= config.r
-        assert report["points_drawn"] == 3000 + 3000
-        assert report["wall_time_ms"] > 0
+        # the learner reports what it found; the command line adds the
+        # run's configuration, the points drawn and the scores
+        config = LearnerConfig(m=10, seed=9)
+        result = learn_simplex(simplex_source(random_truth(2, 8), 18)(6000), config)
+        assert result.vertices.shape == (3, 2)
+        assert (result.vertices == result.simplex.vertices).all()
+        assert result.directions.shape == (3, 3)
+        assert result.found_count == len(result.directions) == 3
+        assert 1 <= result.iterations_run <= config.r
 
     def test_back_map_matches_explicit_formula(self):
         # v = sqrt((n+1)(n+2)) (u - 1/(n+1)) B A^T + mu, with B the embedding
         # basis and (mu, A) the frame estimated from the same one block
         n = 3
-        truth = random_truth(n, 9)
-        config = LearnerConfig(t1=20_000, t3=20_000, m=20, seed=0)
-        result = learn_simplex(simplex_source(truth, 19), n, config)
+        points = simplex_source(random_truth(n, 9), 19)(40_000)
+        result = learn_simplex(points, LearnerConfig(m=20, seed=0))
         assert result.complete
-        frame = estimate_frame(simplex_source(truth, 19)(config.t1 + config.t3))
+        frame = estimate_frame(points)
         basis = make_embed_map(n).basis
         explicit = math.sqrt((n + 1) * (n + 2)) * ((result.directions - 1.0 / (n + 1)) @ basis) @ frame.factor.T + frame.mean
         assert np.abs(result.simplex.vertices - explicit).max() <= 1e-9 * (1.0 + np.abs(explicit).max())
 
 
-def spoiled_source(truth: Simplex, seed: int, spoil):
-    """simplex_source whose block is replaced by ``spoil(block)``."""
-    inner = simplex_source(truth, seed)
-
-    def draw(count):
-        return spoil(inner(count))
-
-    return draw
-
-
-def set_entry(row: int, value: float):
-    def spoil(block):
-        block[row, 0] = value
-        return block
-
-    return spoil
+def spoiled_points(row: int, value: float) -> np.ndarray:
+    """A (4000, 2) block from a plane truth with entry (row, 0) set to value."""
+    points = simplex_source(random_truth(2, 20), 21)(4000)
+    points[row, 0] = value
+    return points
 
 
 class TestSourceValidation:
     def test_nan_in_frame_block(self):
-        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match="non-finite values"):
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, set_entry(0, np.nan)), 2, config)
+        with pytest.raises(ValueError, match=r"finite \(t, n\) array with t >= n\+2, got shape \(4000, 2\)"):
+            learn_simplex(spoiled_points(0, np.nan), LearnerConfig(m=5, seed=0))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_the_t3_rows(self, value):
-        # the block's last row, which belonged to the last gradient block
-        # when each step drew its own, is checked before any arithmetic
-        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with warnings.catch_warnings(), pytest.raises(ValueError, match="non-finite values"):
+        # the block's last row, drawn among the command line's t3 points,
+        # is checked before any arithmetic
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"got shape \(4000, 2\)"):
             warnings.simplefilter("error", RuntimeWarning)
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, set_entry(-1, value)), 2, config)
+            learn_simplex(spoiled_points(-1, value), LearnerConfig(m=5, seed=0))
 
     def test_wrong_width(self):
-        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match=r"shape \(4000, 3\), expected \(4000, 2\)"):
-            learn_simplex(simplex_source(random_truth(3, 20), 21), 2, config)
+        # n is read from the width, so a block without one is rejected
+        points = simplex_source(random_truth(2, 20), 21)(4000)
+        for block in (points[:, 0], points[:, :, None]):
+            with pytest.raises(ValueError, match=rf"got shape {re.escape(str(block.shape))}"):
+                learn_simplex(block, LearnerConfig(m=5, seed=0))
 
     def test_short_block(self):
-        config = LearnerConfig(t1=2000, t3=2000, m=5, seed=0)
-        with pytest.raises(ValueError, match=r"shape \(3999, 2\), expected \(4000, 2\)"):
-            learn_simplex(spoiled_source(random_truth(2, 20), 21, lambda block: block[:-1]), 2, config)
+        # n+1 points whiten to a regular simplex whatever their law
+        points = simplex_source(random_truth(2, 7), 17)(3)
+        with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):
+            learn_simplex(points, LearnerConfig(m=2))
+
+    def test_n_plus_two_rows_suffice(self):
+        for n in (2, 3):
+            result = learn_simplex(simplex_source(random_truth(n, 24), 25)(n + 2), LearnerConfig(seed=0))
+            assert result.complete
+            assert np.isfinite(result.vertices).all()
 
 
 class TestLearnerConfig:
     def test_defaults_resolve(self):
         config = LearnerConfig()
-        assert config.t3 == 50_000
         assert config.r == 30
         assert config.m is None
-        assert [f.name for f in fields(LearnerConfig)] == ["t1", "t3", "m", "r", "seed"]
+        assert [f.name for f in fields(LearnerConfig)] == ["m", "r", "seed"]
 
     def test_explicit_m_wins(self):
         # the frame holds min(m, n+1) starts, n+1 = 3 by default
+        points = simplex_source(random_truth(2, 22), 23)(1000)
         for m, starts in ((None, 3), (1, 1), (2, 2), (3, 3), (7, 3)):
-            config = LearnerConfig(t1=500, t3=500, m=m, r=2, seed=0)
-            assert learn_simplex(simplex_source(random_truth(2, 22), 23), 2, config).report.found_count == starts
+            assert learn_simplex(points, LearnerConfig(m=m, r=2, seed=0)).found_count == starts
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(t3=0)
-        with pytest.raises(ValueError):
-            LearnerConfig(t3=1)
         with pytest.raises(ValueError):
             LearnerConfig(m=0)
         with pytest.raises(ValueError):

@@ -24,6 +24,9 @@ DELETED = [
     "PowerSums",
     "power_sums",
     "coupon_trials_bound",
+    "array_source",
+    "SampleExhaustedError",
+    "ExperimentReport",
 ]
 
 

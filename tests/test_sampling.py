@@ -6,10 +6,8 @@ from scipy import integrate, stats
 
 from simplexlearn.geometry import Simplex, contains_points, standard_simplex
 from simplexlearn.sampling import (
-    SampleExhaustedError,
     _gamma_rescale,
     _simplex_weights,
-    array_source,
     generalized_gaussian_std,
     rescale_lp_sample,
     rescale_simplex_sample,
@@ -341,11 +339,3 @@ class TestSources:
         a = simplex_source(s, 5)(300)
         c = simplex_source(image, 5)(300)
         assert np.allclose(a @ m.T + b, c, atol=1e-12)
-
-    def test_array_source_consumes_in_order(self):
-        pts = np.arange(12, dtype=float).reshape(6, 2)
-        src = array_source(pts)
-        assert (src(2) == pts[:2]).all()
-        assert (src(3) == pts[2:5]).all()
-        with pytest.raises(SampleExhaustedError):
-            src(2)

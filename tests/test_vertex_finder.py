@@ -8,7 +8,7 @@ from scipy.linalg import block_diag
 
 from simplexlearn.geometry import standard_simplex
 from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
-from simplexlearn.sampling import SampleExhaustedError, array_source, simplex_source, substream
+from simplexlearn.sampling import simplex_source, substream
 from simplexlearn.vertex_finder import (
     IterationConfig,
     _polar_step,
@@ -247,12 +247,20 @@ class TestNoiseFloorStop:
 
 
 class TestSampledGradients:
-    def test_consumes_fresh_block_per_iteration(self):
-        t, r, n = 50, 7, 4
-        pts = sample_points(t * r, n)
-        find_vertex(sampled_gradient(array_source(pts), t), n, IterationConfig(iterations=r, seed=0))
-        with pytest.raises(SampleExhaustedError):
-            find_vertex(sampled_gradient(array_source(pts[:-1]), t), n, IterationConfig(iterations=r, seed=0))
+    def test_one_gradient_call_per_step(self):
+        n = 4
+        gradient = sampled_gradient(simplex_source(standard_simplex(n - 1), 3), 50)
+        calls = []
+
+        def counting(u):
+            calls.append(u.shape)
+            return gradient(u)
+
+        for r in (1, 7):
+            calls.clear()
+            result = find_vertex(counting, n, IterationConfig(iterations=r, seed=0))
+            assert result.iterations_run == r
+            assert calls == [(n,)] * r
 
     def test_finds_vertices_at_moderate_sample_size(self):
         n = 4
@@ -264,10 +272,6 @@ class TestSampledGradients:
             if nearest_vertex_error(result.u) <= 0.05:
                 hits += 1
         assert hits >= 4
-
-
-def sample_points(count: int, n: int) -> np.ndarray:
-    return simplex_source(standard_simplex(n - 1), 99)(count)
 
 
 class TestPolarStep:
