@@ -7,7 +7,9 @@ takes over doubly exponentially, and the run stops once a step falls to
 sampling noise floor instead of converging: the two halves of the block
 estimate the noise the sample puts on a step, and the run stops once its
 step is at most twice that noise.  Both traces are printed side by side,
-each up to the step where it stopped.
+each up to the step where it stopped.  Both runs are one-column frames
+from one seed, so every trace row and result holds one column, printed
+as column 0.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from simplexlearn import (
 )
 
 n = 4
-config = IterationConfig(iterations=12, seed=3, record_trace=True)
+config = IterationConfig(iterations=12, seed=(3,), record_trace=True)
 # one block of 20k points serves every step, as in the learner: the
 # gradient is the mean of its two halves' gradients, and half their
 # difference its error
@@ -41,12 +43,12 @@ sampled = find_vertex(sampled_gradient, n, config)
 
 print(f"{'iter':>4}  {'exact step':>12}  {'sampled step':>12}  {'noise':>12}")
 for i, (row_e, row_s) in enumerate(itertools.zip_longest(exact.trace, sampled.trace)):
-    exact_step = f"{row_e['step']:>12.3e}" if row_e else " " * 12
-    sampled_step = f"{row_s['step']:>12.3e}  {row_s['noise']:>12.3e}" if row_s else ""
+    exact_step = f"{row_e['step'][0]:>12.3e}" if row_e else " " * 12
+    sampled_step = f"{row_s['step'][0]:>12.3e}  {row_s['noise'][0]:>12.3e}" if row_s else ""
     print(f"{i:>4}  {exact_step}  {sampled_step}")
 
-print(f"\nexact run stopped after step {exact.iterations_run} of {config.iterations} (converged: {exact.converged})")
-print(f"exact run final iterate {np.round(exact.u, 6)}")
-best = np.abs(sampled.u).argmax()
-print(f"sampled run stopped after step {sampled.iterations_run} of {config.iterations} (at its noise floor: {sampled.converged})")
-print(f"sampled run locked onto coordinate {best}; final iterate {np.round(sampled.u, 3)}")
+print(f"\nexact run stopped after step {exact.iterations_run} of {config.iterations} (converged: {exact.converged[0]})")
+print(f"exact run final iterate {np.round(exact.u[:, 0], 6)}")
+best = np.abs(sampled.u[:, 0]).argmax()
+print(f"sampled run stopped after step {sampled.iterations_run} of {config.iterations} (at its noise floor: {sampled.converged[0]})")
+print(f"sampled run locked onto coordinate {best}; final iterate {np.round(sampled.u[:, 0], 3)}")

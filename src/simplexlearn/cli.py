@@ -7,9 +7,10 @@ report embeds the resolved configuration and a schema_version, and is
 byte-identical across runs with the same configuration except for the
 wall_time_ms field.
 
-Exit codes: 0 on full success (complete recovery, converged reduction, or
-all checks passed), 2 on an incomplete or failed-check run, 1 on usage or
-schema errors, 3 when the run itself fails.  Reports go to --out, else to
+Exit codes: 0 on success (a learned simplex, a converged reduction, or
+all checks passed), 2 on an unconverged reduction or a failed check
+(learn never exits 2), 1 on usage or schema errors, 3 when the run
+itself fails.  Reports go to --out, else to
 $SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout.
 """
 
@@ -27,7 +28,7 @@ from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -113,6 +114,8 @@ def _validate_common(cfg: dict, command: str) -> None:
         raise SchemaError(f"t1 must be at least n+2 = {n + 2}")
     if command == "learn" and cfg["t3"] < 2:
         raise SchemaError("t3 must be at least 2")
+    if command == "learn" and cfg["m"] is not None and cfg["m"] < n + 1:
+        raise SchemaError(f"m must be at least n+1 = {n + 1}: every run starts n+1 columns")
 
 
 def _emit(payload: dict, cfg: dict, command: str) -> None:
@@ -157,12 +160,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     # no name holds the block, so it is freed before scoring runs
     draw = simplex_source(truth, child_seed(cfg["seed"], 98))
-    learned = learn_simplex(draw(count), LearnerConfig(m=cfg["m"], r=cfg["r"], seed=cfg["seed"]))
+    learned = learn_simplex(draw(count), LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
 
-    match_errors = tv = None
-    if learned.complete:
-        match_errors = list(match_vertices(truth, learned.simplex).per_vertex_error)
-        tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=child_seed(cfg["seed"], 99))
+    tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=child_seed(cfg["seed"], 99))
     # found_count counts the starts of the frame and the vertices they
     # found, iterations_run its steps; points_drawn is the one block
     payload = {
@@ -173,17 +173,16 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "seed": cfg["seed"],
         "config": {key: cfg[key] for key in ("t1", "t3", "m", "r", "seed")},
         "points_drawn": count,
-        "complete": learned.complete,
         "found_count": learned.found_count,
         "iterations_run": learned.iterations_run,
         "vertices": learned.vertices,
-        "per_vertex_match_error": match_errors,
-        "tv_estimate": None if tv is None else tv.value,
-        "tv_std_error": None if tv is None else tv.std_error,
+        "per_vertex_match_error": match_vertices(truth, learned.simplex).per_vertex_error,
+        "tv_estimate": tv.value,
+        "tv_std_error": tv.std_error,
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
     _emit(payload, cfg, "learn")
-    return 0 if learned.complete else 2
+    return 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--n", type=int, default=None, help="simplex dimension (default 5)")
     learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share, at least n+2 points; a run draws t1 + t3 points (default 50000)")
     learn.add_argument("--t3", type=int, default=None, help="second part of that block, at least 2 points (default 50000)")
-    learn.add_argument("--m", type=int, default=None, help="start budget: one frame of min(m, n+1) starts; below n+1 the run is incomplete (default n+1)")
+    learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
     learn.add_argument("--r", type=int, default=None, help="cap on fixed-point steps of the frame, which stops at its sampling noise floor (default 30)")
     common(learn)
     learn.set_defaults(func=cmd_learn)
@@ -334,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on a usage error; 2 is reserved for incomplete runs
+        # argparse exits 2 on a usage error; 2 is reserved for failed runs
         return 1 if exc.code else 0
     try:
         return args.func(args)

@@ -231,8 +231,8 @@ def match_vertices(truth, estimate) -> MatchResult:
 def hoeffding_sample_size(eps: float, delta: float) -> int:
     """Points for a [0,1]-bounded Monte Carlo mean to sit within eps of its
     expectation with probability >= 1 - delta: ceil(ln(2/delta) / (2 eps^2))."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps))

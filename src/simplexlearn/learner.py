@@ -15,6 +15,7 @@ back through the frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +24,7 @@ import numpy as np
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import _mean_and_covariance, _split_half_power_sums
-from .sampling import child_seed, substream
+from .sampling import _check_count, child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
 __all__ = [
@@ -103,40 +104,36 @@ def embedded_m3_grad(
 class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
-    m: start budget.  The learner runs one frame of min(m, n+1) starts;
-       None means n+1, and a budget below n+1 cuts the frame and returns
-       an incomplete run.
     r: cap on the fixed-point steps of the frame.  The frame stops at the
        first step where every column has reached its sampling noise floor
        (see :func:`~simplexlearn.vertex_finder.find_vertex`); every step
        reads the same points.
     seed: master seed; start k begins from child_seed(seed, 41, k).
+
+    Raises ValueError, naming the field, unless r is an integer >= 1 and
+    seed one >= 0.
     """
 
-    m: int | None = None
     r: int = 30
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be >= 1 when given")
+        _check_count(self.r, "r")
+        _check_count(self.seed, "seed", minimum=0)
 
 
 @dataclass
 class LearnedSimplex:
     """Result of :func:`learn_simplex`.
 
-    vertices holds one found vertex per row and directions the unit vertex
-    direction each came from, one per start of the frame; found_count is
-    their number.  simplex is None when the start budget cut the frame
-    below n+1 vertices (the run is incomplete, never padded).
+    simplex has the n+1 found vertices, one per start of the frame;
+    vertices holds them one per row and directions the unit vertex
+    direction each came from; found_count is their number, n+1.
     iterations_run counts the frame's steps: the step where the
     noise-floor stop fired, or the cap r.
     """
 
-    simplex: Simplex | None
+    simplex: Simplex
     vertices: np.ndarray
     directions: np.ndarray
     iterations_run: int
@@ -144,10 +141,6 @@ class LearnedSimplex:
     @property
     def found_count(self) -> int:
         return len(self.directions)
-
-    @property
-    def complete(self) -> bool:
-        return self.simplex is not None
 
 
 def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
@@ -177,17 +170,16 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         own frame, as FastICA whitens once and iterates on one sample.
         The frame stops at the first step where every column has reached
         the noise floor the block's split-half standard error sets, with r
-        steps as the cap; iterations_run says where.  A budget m below n+1
-        runs only m columns, and the result is flagged incomplete and
-        carries those m vertices.
+        steps as the cap; iterations_run says where.
 
     Raises:
         ValueError, naming the shape, when points is not a 2-D array of
-        finite values with at least two more rows than columns.
+        finite values with at least one column and at least two more rows
+        than columns.
     """
     block = np.asarray(points, dtype=float)
-    if block.ndim != 2 or block.shape[0] < block.shape[1] + 2 or not np.isfinite(block).all():
-        raise ValueError(f"points must be a finite (t, n) array with t >= n+2, got shape {block.shape}")
+    if block.ndim != 2 or not 1 <= block.shape[1] <= block.shape[0] - 2 or not np.isfinite(block).all():
+        raise ValueError(f"points must be a non-empty finite (t, n) array with t >= n+2, got shape {block.shape}")
     n = block.shape[1]
 
     frame = estimate_frame(block)
@@ -197,14 +189,12 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
     def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return block_gradient(block, u)
 
-    starts = n + 1 if config.m is None else min(config.m, n + 1)
-    seeds = tuple(child_seed(config.seed, 41, k) for k in range(starts))
+    seeds = tuple(child_seed(config.seed, 41, k) for k in range(n + 1))
     found = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds))
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))
-    simplex = Simplex(vertices) if starts == n + 1 else None
-    return LearnedSimplex(simplex=simplex, vertices=vertices, directions=directions, iterations_run=found.iterations_run)
+    return LearnedSimplex(Simplex(vertices), vertices, directions, found.iterations_run)
 
 
 @dataclass
@@ -243,8 +233,8 @@ def boost(
     t = len(learn_runs)
     if t < 3:
         raise ValueError("boosting needs at least 3 runs")
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
+    if not 0 < eps_prime < math.inf:
+        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
     if tv_estimator is None:
         mc = hoeffding_sample_size(eps_prime / 10.0, 0.05)
 

@@ -115,10 +115,11 @@ def exact_grad_m3(u: np.ndarray) -> np.ndarray:
 
         (3 p1^2 + 3 p2) 1 + 6 p1 u + 6 u^(2), all over (n+1)(n+2)(n+3),
 
-    with u^(2) the coordinate-wise square.
+    with u^(2) the coordinate-wise square.  u is (n,) or a frame (n, k),
+    whose columns get their own gradients: the power sums run along axis 0.
     """
     u = np.asarray(u, dtype=float)
-    p1, p2 = float(u.sum()), float((u * u).sum())
+    p1, p2 = u.sum(axis=0), (u * u).sum(axis=0)
     return (3.0 * (p1**2 + p2) + 6.0 * p1 * u + 6.0 * u * u) / _moment_denominator(u.shape[0])
 
 

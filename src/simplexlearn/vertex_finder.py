@@ -17,8 +17,8 @@ path.
 The vertex directions are orthonormal, so u -> u^(2) is the power map of
 an orthogonally decomposable tensor, and the tensor power method can run
 on a whole frame of starts at once (Anandkumar, Ge, Hsu, Kakade and
-Telgarsky, JMLR 2014).  The iterate is a vector u of shape (n,) or a
-matrix of shape (n, k) with one start per column; every formula works
+Telgarsky, JMLR 2014).  The iterate is a matrix u of shape (n, k) with
+one start per column, k = 1 for a single start; every formula works
 along axis 0, so one sampled gradient per step serves the whole frame,
 and the normalization is the symmetric orthogonalization
 U <- M (M^T M)^(-1/2) of FastICA (Hyvarinen, IEEE TNN 1999), which keeps
@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sampling import substream
+from .sampling import _check_count, substream
 
 __all__ = [
     "IterationConfig",
@@ -78,38 +78,45 @@ class IterationConfig:
 
     iterations is the cap r on fixed-point steps: the loop stops earlier
     once every column reaches its noise floor (see :func:`find_vertex`);
-    seed drives the random start, and a tuple of at most n seeds runs a
-    frame with one column per seed, column j starting where a run with
-    seed seed[j] alone would; record_trace keeps every iterate.  The
-    default r is the practical operating point; the proof-grade values
-    from :func:`theoretical_parameters` are far larger.
+    seed is a tuple of at most n distinct seeds, one column of the frame
+    per seed, column j starting from a random direction drawn from
+    seed[j]; record_trace keeps every iterate.  The default r is the
+    practical operating point; the proof-grade values from
+    :func:`theoretical_parameters` are far larger.
+
+    Raises ValueError, naming the field, unless iterations is an integer
+    >= 1 and seed a non-empty tuple of distinct nonnegative integers.
     """
 
     iterations: int = 30
-    seed: int | tuple[int, ...] = 0
+    seed: tuple[int, ...] = (0,)
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.seed == ():
-            raise ValueError("a frame needs at least one seed")
+        _check_count(self.iterations, "iterations")
+        if not isinstance(self.seed, tuple) or not self.seed:
+            raise ValueError(f"seed must be a non-empty tuple of integers, got {self.seed!r}")
+        for seed in self.seed:
+            _check_count(seed, "seed", minimum=0)
+        if len(set(self.seed)) < len(self.seed):
+            raise ValueError(f"seed must hold distinct integers, got {self.seed!r}")
 
 
 @dataclass
 class VertexResult:
     """Output of :func:`find_vertex`.
 
-    u is the final unit iterate, shape (n,) for one start and (n, k) with
-    orthonormal columns for a frame (not sign-normalized; vertex directions
-    are inherently signed).  converged reports whether the last step of a
-    column reached its noise floor, a bool for one start and one per column
-    for a frame; all are true when the stop fired, and iterations_run is
-    the step count, the cap r when it did not.
+    u is the final (n, k) frame of unit iterates with orthonormal columns,
+    one per seed (not sign-normalized; vertex directions are inherently
+    signed).  converged holds one bool per column, whether its last step
+    reached its noise floor; all are true when the stop fired, and
+    iterations_run is the step count, the cap r when it did not.  Each
+    trace row holds the step's per-column update_norm, noise and step and
+    the frame u after it.
     """
 
     u: np.ndarray
-    converged: bool | np.ndarray
+    converged: np.ndarray
     iterations_run: int
     trace: list = field(default_factory=list)
 
@@ -170,7 +177,8 @@ def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
 def find_vertex(
     gradient: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]], n: int, config: IterationConfig
 ) -> VertexResult:
-    """Run the third-moment fixed point until it locks onto a vertex.
+    """Run the third-moment fixed point until each column of a frame locks
+    onto its own vertex.
 
     Each step maps the frame to the polar factor of its reconstructed
     squares M.  A gradient estimated from a block of points carries a
@@ -182,20 +190,19 @@ def find_vertex(
     the number of steps.
 
     Args:
-        gradient: u -> grad m3(u) for the hidden rotated standard simplex
-            in R^n, called once per iteration.  It returns the gradient,
-            taken as exact (``exact_grad_m3``), or a pair (gradient, error)
-            whose error has the gradient's shape and holds the standard
-            error of each entry, as a gradient averaged over a block of
-            points can estimate from the difference of its two halves.
-            For a frame (config.seed a tuple of k <= n seeds) it takes and
-            returns (n, k) matrices, one column per start.
+        gradient: U -> grad m3 at each column of the (n, k) frame U, for
+            the hidden rotated standard simplex in R^n, called once per
+            iteration.  It returns the (n, k) gradient, taken as exact
+            (``exact_grad_m3``), or a pair (gradient, error) whose error
+            has the gradient's shape and holds the standard error of each
+            entry, as a gradient averaged over a block of points can
+            estimate from the difference of its two halves.
         n: number of coordinates (the simplex has n vertices).
-        config: iteration knobs; config.seed drives the random starts.
+        config: iteration knobs; config.seed holds one seed per column.
 
     Returns:
-        VertexResult whose u approximates a vertex of the hidden simplex,
-        one distinct vertex per column for a frame.
+        VertexResult whose columns approximate distinct vertices of the
+        hidden simplex.
 
     Raises:
         ValueError: more seeds than coordinates, or the gradient returned a
@@ -205,26 +212,15 @@ def find_vertex(
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
             for a unit u; a frame can only on a null set of iterates.
     """
-    framed = isinstance(config.seed, tuple)
-    seeds = config.seed if framed else (config.seed,)
-    if len(seeds) > n:
-        raise ValueError(f"a frame of {len(seeds)} starts does not fit in {n} coordinates")
+    if len(config.seed) > n:
+        raise ValueError(f"a frame of {len(config.seed)} starts does not fit in {n} coordinates")
 
-    def shaped(a: np.ndarray):
-        # the loop runs on (n, k) columns and (k,) per-column values; one
-        # start is the k = 1 frame, handed out as its vector and its scalars
-        if framed:
-            return a
-        return a[:, 0] if a.ndim == 2 else a[0]
-
-    u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in seeds])
+    u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in config.seed])
     trace: list = []
     for i in range(config.iterations):
-        value = gradient(shaped(u))
+        value = gradient(u)
         grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
         grad, error = np.asarray(grad, dtype=float), np.asarray(error, dtype=float)
-        if not framed:
-            grad, error = grad[:, None], error[:, None]
         if error.shape != grad.shape:
             raise ValueError("the gradient's error must have the gradient's shape")
         if not (np.isfinite(grad).all() and np.isfinite(error).all()):
@@ -233,17 +229,11 @@ def find_vertex(
         u, step, noise, converged = _polar_step(u, update, _gradient_scale(n) * error, i)
         if config.record_trace:
             trace.append(
-                {
-                    "iteration": i,
-                    "update_norm": shaped(np.linalg.norm(update, axis=0)),
-                    "noise": shaped(noise),
-                    "step": shaped(step),
-                    "u": shaped(u).copy(),
-                }
+                {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}
             )
         if converged.all():
             break
-    return VertexResult(u=shaped(u), converged=shaped(converged), iterations_run=i + 1, trace=trace)
+    return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

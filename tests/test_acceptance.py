@@ -115,8 +115,6 @@ def test_criterion_5_end_to_end_recovery_on_isotropic_truth():
         good = 0
         for seed in range(10):
             result = learn_simplex(simplex_source(truth, seed)(100_000), LearnerConfig(seed=seed))
-            if not result.complete:
-                continue
             err = match_vertices(truth, result.simplex).max_error
             tv = tv_distance_mc(truth, result.simplex, 100_000, rng=seed).value
             if err <= bound and tv <= 0.25:
@@ -139,10 +137,9 @@ def test_criterion_6_affine_equivariance_via_shared_seeds():
     f_shift = rng.standard_normal(n)
     image = Simplex(s.vertices @ f_mat.T + f_shift)
 
-    config = LearnerConfig(m=40, seed=0)
+    config = LearnerConfig(seed=0)
     learned_s = learn_simplex(simplex_source(s, 7)(100_000), config)
     learned_image = learn_simplex(simplex_source(image, 7)(100_000), config)
-    assert learned_s.complete and learned_image.complete
 
     mapped = learned_s.simplex.vertices @ f_mat.T + f_shift
     rel = match_vertices(mapped, learned_image.simplex.vertices).max_error / image.circumscribed_radius()

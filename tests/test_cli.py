@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,6 @@ class TestLearnCommand:
         assert sorted(report) == [
             "cli_config",
             "command",
-            "complete",
             "config",
             "found_count",
             "iterations_run",
@@ -41,8 +42,7 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["complete"] is True
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["points_drawn"] == 4000 + 4000
@@ -56,13 +56,14 @@ class TestLearnCommand:
         assert report["seed"] == 0
         assert "wrote" in capsys.readouterr().out
 
-    def test_incomplete_run_exits_two(self, tmp_path):
-        out = str(tmp_path / "learn.json")
-        code = main(["learn", "--n", "2", "--t1", "2000", "--t3", "2000", "--m", "1", "--seed", "0", "--out", out])
-        assert code == 2
-        report = read_json(out)
-        assert report["complete"] is False
-        assert report["tv_estimate"] is None
+    def test_start_budget_below_n_plus_one_is_a_schema_error(self, tmp_path, capsys):
+        # every run starts n+1 columns, so --m cannot cut a run short
+        out = tmp_path / "learn.json"
+        assert main(["learn", "--m", "3", "--n", "5", "--out", str(out)]) == 1
+        assert "schema error: m must be at least n+1 = 6" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["learn", "--m", "6", "--n", "5", "--t1", "2000", "--t3", "2000", "--out", str(out)]) == 0
+        assert read_json(out)["config"]["m"] == 6
 
     def test_byte_determinism_modulo_wall_time(self, tmp_path):
         out = str(tmp_path / "learn.json")
@@ -93,7 +94,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 9
+        assert report["schema_version"] == 10
         assert report["converged"] == [True] * 3
         assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
 
@@ -256,7 +257,7 @@ class TestValidation:
         assert main(["learn", "--seed", "-1"]) == 1
 
     def test_argparse_errors_exit_one(self, capsys):
-        # 2 is reserved for incomplete runs
+        # 2 is reserved for failed runs
         assert main(["learn", "--n", "abc"]) == 1
         assert main(["learn", "--bogus", "1"]) == 1
         assert main(["reduce", "--problem", "cube"]) == 1
@@ -304,18 +305,38 @@ class TestValidation:
         assert "--t3" in capsys.readouterr().out
 
 
+def benchmark_argvs():
+    """The workloads perfbench/run.py defines, read from its source (which
+    stays unchanged), and their command lines: the warm-up op of each and
+    the first pool op of each command shape, that is of each argv up to
+    its trailing "--seed <seed>"."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    path_before = list(sys.path)  # run.py puts perfbench/ on the path
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+        sys.path[:] = path_before
+    argvs = {}
+    for workload in module.WORKLOADS.values():
+        for argv in (workload.warmup, *(op.argv for op in workload.pool)):
+            argvs.setdefault(argv[:-2], list(argv))
+    return set(module.WORKLOADS), list(argvs.values())
+
+
+WORKLOAD_NAMES, BENCHMARK_ARGVS = benchmark_argvs()
+
+
 class TestBenchmarkArgv:
-    # literal copies of command lines perfbench/run.py runs: the warm-up op
-    # of each workload and one pool op of each
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["learn", "--n", "5", "--t1", "2000", "--t3", "2000", "--r", "5", "--seed", "0"],
-            ["reduce", "--problem", "simplex", "--n", "3", "--t", "2000", "--seed", "0"],
-            ["learn", "--n", "5", "--m", "80", "--seed", "2945347115"],
-            ["reduce", "--problem", "lp", "--n", "3", "--p", "1", "--seed", "2156458226"],
-        ],
-    )
+    # a change to the command line that breaks a command the benchmark
+    # runs fails here
+    def test_every_workload_is_covered(self):
+        assert WORKLOAD_NAMES >= {"learn_n5", "learn_n10", "reduce_mix"}
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGVS)
     def test_exits_zero(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
 

@@ -284,3 +284,7 @@ class TestSampleBounds:
             hoeffding_sample_size(0.0, 0.1)
         with pytest.raises(ValueError):
             hoeffding_sample_size(0.1, 0.0)
+        # inf used to give a sample size of 0, and nan a failed integer conversion
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^eps must be positive and finite"):
+                hoeffding_sample_size(eps, 0.05)

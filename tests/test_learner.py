@@ -1,7 +1,6 @@
 import math
 import re
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -115,25 +114,22 @@ class TestEstimateFrame:
 class TestLearnSimplex:
     def test_recovers_plane_truth(self):
         truth = random_truth(2, 1)
-        result = learn_simplex(simplex_source(truth, 10)(8000), LearnerConfig(m=12, seed=0))
-        assert result.complete
+        result = learn_simplex(simplex_source(truth, 10)(8000), LearnerConfig(seed=0))
         assert result.found_count == 3
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_recovers_space_truth(self):
         truth = random_truth(3, 2)
-        result = learn_simplex(simplex_source(truth, 11)(40_000), LearnerConfig(m=20, seed=0))
-        assert result.complete
+        result = learn_simplex(simplex_source(truth, 11)(40_000), LearnerConfig(seed=0))
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_deterministic(self):
         truth = random_truth(2, 3)
-        config = LearnerConfig(m=20, seed=5)
+        config = LearnerConfig(seed=5)
         a = learn_simplex(simplex_source(truth, 12)(6000), config)
         b = learn_simplex(simplex_source(truth, 12)(6000), config)
         assert a.found_count == b.found_count
         assert (a.directions == b.directions).all()
-        assert a.complete
         assert (a.simplex.vertices == b.simplex.vertices).all()
         other = learn_simplex(simplex_source(truth, 13)(6000), config)
         assert (a.directions != other.directions).any()
@@ -141,12 +137,10 @@ class TestLearnSimplex:
     def test_stops_early_once_complete(self):
         n = 2
         truth = random_truth(n, 4)
-        config = LearnerConfig(m=100, seed=0)
+        config = LearnerConfig(seed=0)
         result = learn_simplex(simplex_source(truth, 14)(8000), config)
-        assert result.complete
-        # one block serves one frame of n+1 starts, however large the
-        # budget; r is a cap, and the frame stops at its noise floor
-        # before it
+        # one block serves one frame of n+1 starts; r is a cap, and the
+        # frame stops at its noise floor before it
         assert result.iterations_run < config.r
         assert result.found_count == n + 1
 
@@ -165,7 +159,6 @@ class TestLearnSimplex:
         truth = _synthesize_simplex(5, 0)
         config = LearnerConfig(seed=0)
         result = learn_simplex(simplex_source(truth, child_seed(0, 98))(100_000), config)
-        assert result.complete
         assert result.iterations_run < config.r
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(5 * 7)
 
@@ -177,29 +170,11 @@ class TestLearnSimplex:
             assert runs[0].iterations_run == runs[1].iterations_run < config.r
             assert (runs[0].vertices == runs[1].vertices).all()
 
-    def test_budget_cuts_the_last_batch(self):
-        # m = 2 at n = 2: one frame of 2 starts, not of n+1 = 3
-        config = LearnerConfig(m=2, r=3, seed=0)
-        result = learn_simplex(simplex_source(random_truth(2, 6), 16)(2500), config)
-        assert not result.complete
-        assert result.found_count == 2
-        assert result.iterations_run == config.r
-
-    def test_incomplete_run_reports_honestly(self):
-        truth = random_truth(2, 5)
-        result = learn_simplex(simplex_source(truth, 15)(8000), LearnerConfig(m=1, seed=0))
-        assert not result.complete
-        assert result.simplex is None
-        assert result.found_count == 1
-        assert result.directions.shape == (1, 3)
-        assert result.vertices.shape == (1, 2)
-
     def test_completes_the_n15_cli_truth(self):
         # independent starts at the default budget found 15 of 16 vertices
         # here; the frame ends on all of them
         truth = _synthesize_simplex(15, 0)
         result = learn_simplex(simplex_source(truth, child_seed(0, 98))(100_000), LearnerConfig(seed=0))
-        assert result.complete
         assert result.found_count == 16
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(15 * 17)
 
@@ -207,12 +182,12 @@ class TestLearnSimplex:
         # the row floor follows n: 4 rows would do in the plane, not in space
         points = simplex_source(random_truth(3, 7), 17)(4)
         with pytest.raises(ValueError, match=r"got shape \(4, 3\)"):
-            learn_simplex(points, LearnerConfig(m=2))
+            learn_simplex(points, LearnerConfig())
 
     def test_report_contents(self):
         # the learner reports what it found; the command line adds the
         # run's configuration, the points drawn and the scores
-        config = LearnerConfig(m=10, seed=9)
+        config = LearnerConfig(seed=9)
         result = learn_simplex(simplex_source(random_truth(2, 8), 18)(6000), config)
         assert result.vertices.shape == (3, 2)
         assert (result.vertices == result.simplex.vertices).all()
@@ -225,8 +200,7 @@ class TestLearnSimplex:
         # basis and (mu, A) the frame estimated from the same one block
         n = 3
         points = simplex_source(random_truth(n, 9), 19)(40_000)
-        result = learn_simplex(points, LearnerConfig(m=20, seed=0))
-        assert result.complete
+        result = learn_simplex(points, LearnerConfig(seed=0))
         frame = estimate_frame(points)
         basis = make_embed_map(n).basis
         explicit = math.sqrt((n + 1) * (n + 2)) * ((result.directions - 1.0 / (n + 1)) @ basis) @ frame.factor.T + frame.mean
@@ -243,7 +217,7 @@ def spoiled_points(row: int, value: float) -> np.ndarray:
 class TestSourceValidation:
     def test_nan_in_frame_block(self):
         with pytest.raises(ValueError, match=r"finite \(t, n\) array with t >= n\+2, got shape \(4000, 2\)"):
-            learn_simplex(spoiled_points(0, np.nan), LearnerConfig(m=5, seed=0))
+            learn_simplex(spoiled_points(0, np.nan), LearnerConfig(seed=0))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_the_t3_rows(self, value):
@@ -251,25 +225,25 @@ class TestSourceValidation:
         # is checked before any arithmetic
         with warnings.catch_warnings(), pytest.raises(ValueError, match=r"got shape \(4000, 2\)"):
             warnings.simplefilter("error", RuntimeWarning)
-            learn_simplex(spoiled_points(-1, value), LearnerConfig(m=5, seed=0))
+            learn_simplex(spoiled_points(-1, value), LearnerConfig(seed=0))
 
     def test_wrong_width(self):
         # n is read from the width, so a block without one is rejected
         points = simplex_source(random_truth(2, 20), 21)(4000)
-        for block in (points[:, 0], points[:, :, None]):
+        for block in (points[:, 0], points[:, :, None], np.zeros((100, 0))):
             with pytest.raises(ValueError, match=rf"got shape {re.escape(str(block.shape))}"):
-                learn_simplex(block, LearnerConfig(m=5, seed=0))
+                learn_simplex(block, LearnerConfig(seed=0))
 
     def test_short_block(self):
         # n+1 points whiten to a regular simplex whatever their law
         points = simplex_source(random_truth(2, 7), 17)(3)
         with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):
-            learn_simplex(points, LearnerConfig(m=2))
+            learn_simplex(points, LearnerConfig())
 
     def test_n_plus_two_rows_suffice(self):
         for n in (2, 3):
             result = learn_simplex(simplex_source(random_truth(n, 24), 25)(n + 2), LearnerConfig(seed=0))
-            assert result.complete
+            assert result.found_count == n + 1
             assert np.isfinite(result.vertices).all()
 
 
@@ -277,20 +251,17 @@ class TestLearnerConfig:
     def test_defaults_resolve(self):
         config = LearnerConfig()
         assert config.r == 30
-        assert config.m is None
-        assert [f.name for f in fields(LearnerConfig)] == ["m", "r", "seed"]
-
-    def test_explicit_m_wins(self):
-        # the frame holds min(m, n+1) starts, n+1 = 3 by default
-        points = simplex_source(random_truth(2, 22), 23)(1000)
-        for m, starts in ((None, 3), (1, 1), (2, 2), (3, 3), (7, 3)):
-            assert learn_simplex(points, LearnerConfig(m=m, r=2, seed=0)).found_count == starts
+        assert config.seed == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LearnerConfig(m=0)
-        with pytest.raises(ValueError):
-            LearnerConfig(r=0)
+        # a float r used to fail inside range() and True to run one step; a
+        # bad seed failed later, inside SeedSequence, or ran as seed 1
+        for r in (0, 2.5, True, None):
+            with pytest.raises(ValueError, match="^r must be"):
+                LearnerConfig(r=r)
+        for seed in (-1, 1.5, True, None):
+            with pytest.raises(ValueError, match="^seed must be"):
+                LearnerConfig(seed=seed)
 
 
 def table_estimator(runs, table):
@@ -354,6 +325,10 @@ class TestBoost:
             boost(runs, 0.1)
         with pytest.raises(ValueError):
             boost(distinct_triangles(3), 0.0)
+        # nan used to reach an integer conversion, and inf a sample size of 0
+        for eps_prime in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^eps_prime must be positive and finite"):
+                boost(distinct_triangles(3), eps_prime)
 
     def test_default_estimator_on_identical_runs(self):
         runs = [Simplex(isotropic_simplex(2).vertices) for _ in range(3)]

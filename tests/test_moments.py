@@ -45,6 +45,15 @@ class TestPowerSums:
         # (3 (p1^2 + p2) + 6 p1 u + 6 u^2) / 60
         assert exact_grad_m3(u) == pytest.approx(np.array([192.0, 246.0, 312.0]) / 60.0)
 
+    @given(st.integers(2, 12), st.integers(1, 5), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_frame_gradient_stacks_the_column_gradients(self, m, k, seed, scale):
+        # a frame's columns are independent arguments: the power sums run along axis 0
+        u = scale * substream(seed, 4).standard_normal((m, k))
+        stacked = np.column_stack([exact_grad_m3(column) for column in u.T])
+        assert exact_grad_m3(u).shape == (m, k)
+        assert np.abs(exact_grad_m3(u) - stacked).max() <= 1e-14 * np.abs(stacked).max()
+
 
 class TestExactMoment:
     def test_vertex_direction(self):

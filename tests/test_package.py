@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -28,6 +29,12 @@ DELETED = [
     "SampleExhaustedError",
     "ExperimentReport",
 ]
+
+
+def test_learner_has_one_shape():
+    # no start budget: every run starts n+1 columns and learns a simplex
+    assert [f.name for f in dataclasses.fields(simplexlearn.LearnerConfig)] == ["r", "seed"]
+    assert not hasattr(simplexlearn.LearnedSimplex, "complete")
 
 
 def test_every_exported_name_resolves():

@@ -81,17 +81,17 @@ class TestSquaringDynamics:
 class TestExactOracle:
     def test_converges_to_a_vertex(self):
         for seed in range(6):
-            config = IterationConfig(iterations=40, seed=seed)
+            config = IterationConfig(iterations=40, seed=(seed,))
             result = find_vertex(exact_grad_m3, 5, config)
-            assert result.converged
-            assert nearest_vertex_error(result.u) <= 1e-9
+            assert result.converged.tolist() == [True]
+            assert nearest_vertex_error(result.u[:, 0]) <= 1e-9
 
     def test_deterministic_in_seed(self):
-        config = IterationConfig(iterations=25, seed=3)
+        config = IterationConfig(iterations=25, seed=(3,))
         a = find_vertex(exact_grad_m3, 4, config)
         b = find_vertex(exact_grad_m3, 4, config)
         assert (a.u == b.u).all()
-        other = IterationConfig(iterations=25, seed=4)
+        other = IterationConfig(iterations=25, seed=(4,))
         c = find_vertex(exact_grad_m3, 4, other)
         assert (a.u != c.u).any()
 
@@ -104,10 +104,10 @@ class TestExactOracle:
         def rotated_grad(u):
             return r @ exact_grad_m3(r.T @ u)
 
-        config = IterationConfig(iterations=40, seed=2)
+        config = IterationConfig(iterations=40, seed=(2,))
         result = find_vertex(rotated_grad, m, config)
-        assert result.converged
-        assert nearest_vertex_error(r.T @ result.u) <= 1e-8
+        assert result.converged.all()
+        assert nearest_vertex_error(r.T @ result.u[:, 0]) <= 1e-8
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_gradient_raises(self, value):
@@ -121,42 +121,46 @@ class TestExactOracle:
             return grad
 
         with pytest.raises(ValueError, match="gradient is not finite at iteration 3"):
-            find_vertex(oracle, 4, IterationConfig(iterations=10, seed=0))
+            find_vertex(oracle, 4, IterationConfig(iterations=10, seed=(0,)))
 
 
 def collapsing_grad(u):
-    """Gradient crafted so the reconstructed square is exactly zero."""
+    """Gradient crafted so that every column's reconstructed square is
+    exactly zero."""
     m = u.shape[0]
     c = m * (m + 1) * (m + 2) / 6.0
-    p1 = u.sum()
-    return (0.5 * p1 * p1 + 0.5 * (u @ u) + p1 * u) / c
+    p1 = u.sum(axis=0)
+    return (0.5 * p1 * p1 + 0.5 * (u * u).sum(axis=0) + p1 * u) / c
 
 
-def transient_collapse(calls: int):
-    """Gradient oracle that collapses on its first ``calls`` calls."""
+def transient_collapse(calls: int, columns=slice(None)):
+    """Exact frame gradient whose ``columns`` collapse on its first
+    ``calls`` calls."""
     count = itertools.count(1)
-    return lambda u: collapsing_grad(u) if next(count) <= calls else exact_grad_m3(u)
 
+    def gradient(u):
+        grad = exact_grad_m3(u)
+        if next(count) <= calls:
+            grad[:, columns] = collapsing_grad(u[:, columns])
+        return grad
 
-def by_column(oracles):
-    """Frame gradient applying one single-start oracle per column."""
-    return lambda u: np.column_stack([oracle(column) for oracle, column in zip(oracles, u.T)])
+    return gradient
 
 
 class TestCollapse:
     def test_always_collapsing_oracle_raises(self):
-        config = IterationConfig(iterations=30, seed=0)
+        config = IterationConfig(iterations=30, seed=(0,))
         with pytest.raises(RuntimeError):
             find_vertex(collapsing_grad, 4, config)
 
     def test_transient_collapse_raises(self):
         with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
-            find_vertex(transient_collapse(1), 4, IterationConfig(iterations=40, seed=0))
+            find_vertex(transient_collapse(1), 4, IterationConfig(iterations=40, seed=(0,)))
 
     def test_one_collapsed_column_stops_the_frame(self):
         config = IterationConfig(iterations=40, seed=(7, 8, 9))
         with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
-            find_vertex(by_column([exact_grad_m3, exact_grad_m3, transient_collapse(1)]), 4, config)
+            find_vertex(transient_collapse(1, columns=[2]), 4, config)
 
 
 class TestBatch:
@@ -170,26 +174,20 @@ class TestBatch:
         def rotated_grad(u):
             return r @ exact_grad_m3(r.T @ u)
 
-        result = find_vertex(by_column([rotated_grad] * m), m, IterationConfig(iterations=40, seed=seeds))
+        result = find_vertex(rotated_grad, m, IterationConfig(iterations=40, seed=seeds))
         assert result.converged.all()
         frame = r.T @ result.u
         order = np.abs(frame).argmax(axis=0)
         assert sorted(order) == list(range(m))
         assert np.abs(frame - np.eye(m)[:, order]).max() <= 1e-12
 
-    def test_one_column_frame_is_the_single_run(self):
-        single = find_vertex(exact_grad_m3, 4, IterationConfig(iterations=6, seed=3))
-        frame = find_vertex(by_column([exact_grad_m3]), 4, IterationConfig(iterations=6, seed=(3,)))
-        assert frame.u.shape == (4, 1)
-        assert np.abs(frame.u[:, 0] - single.u).max() <= 1e-15
-
     def test_frame_wider_than_the_space_rejected(self):
         with pytest.raises(ValueError, match="a frame of 4 starts does not fit in 3 coordinates"):
-            find_vertex(by_column([exact_grad_m3] * 4), 3, IterationConfig(seed=(0, 1, 2, 3)))
+            find_vertex(exact_grad_m3, 3, IterationConfig(seed=(0, 1, 2, 3)))
 
     def test_batch_trace_is_per_column(self):
         config = IterationConfig(iterations=4, seed=(1, 2), record_trace=True)
-        result = find_vertex(by_column([exact_grad_m3] * 2), 3, config)
+        result = find_vertex(exact_grad_m3, 3, config)
         assert [row["u"].shape for row in result.trace] == [(3, 2)] * 4
         assert result.trace[-1]["step"].shape == (2,)
 
@@ -206,15 +204,15 @@ def sampled_gradient(source, t):
 class TestNoiseFloorStop:
     def test_exact_gradient_stops_at_the_tolerance(self):
         for seed in range(6):
-            config = IterationConfig(iterations=40, seed=seed, record_trace=True)
+            config = IterationConfig(iterations=40, seed=(seed,), record_trace=True)
             result = find_vertex(exact_grad_m3, 5, config)
-            steps = [row["step"] for row in result.trace]
+            steps = [row["step"][0] for row in result.trace]
             assert result.iterations_run == len(steps) < 40
             assert steps[-1] <= 1e-9 < min(steps[:-1])
 
     def test_frame_stops_when_every_column_is_still(self):
         config = IterationConfig(iterations=40, seed=(0, 1, 2), record_trace=True)
-        result = find_vertex(by_column([exact_grad_m3] * 3), 4, config)
+        result = find_vertex(exact_grad_m3, 4, config)
         steps = np.array([row["step"] for row in result.trace])
         assert result.converged.all()
         assert (steps[-1] <= 1e-9).all()
@@ -225,25 +223,26 @@ class TestNoiseFloorStop:
         def noisy(u):
             return exact_grad_m3(u), np.ones_like(u)
 
-        result = find_vertex(noisy, 4, IterationConfig(iterations=30, seed=0))
+        result = find_vertex(noisy, 4, IterationConfig(iterations=30, seed=(0,)))
         assert result.iterations_run == 1
-        assert result.converged
+        assert result.converged.all()
 
     def test_negligible_error_is_the_exact_run(self):
-        exact = find_vertex(exact_grad_m3, 4, IterationConfig(iterations=30, seed=5))
-        tiny = find_vertex(lambda u: (exact_grad_m3(u), np.full_like(u, 1e-30)), 4, IterationConfig(iterations=30, seed=5))
+        config = IterationConfig(iterations=30, seed=(5,))
+        exact = find_vertex(exact_grad_m3, 4, config)
+        tiny = find_vertex(lambda u: (exact_grad_m3(u), np.full_like(u, 1e-30)), 4, config)
         assert tiny.iterations_run == exact.iterations_run
         assert (tiny.u == exact.u).all()
 
     def test_gradient_without_error_runs_to_the_cap(self):
         source = simplex_source(standard_simplex(3), 7)
-        result = find_vertex(sampled_gradient(source, 2000), 4, IterationConfig(iterations=9, seed=0))
+        result = find_vertex(sampled_gradient(source, 2000), 4, IterationConfig(iterations=9, seed=(0,)))
         assert result.iterations_run == 9
-        assert not result.converged
+        assert not result.converged.any()
 
     def test_error_shape_checked(self):
         with pytest.raises(ValueError, match="error must have the gradient's shape"):
-            find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), 4, IterationConfig(seed=0))
+            find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), 4, IterationConfig())
 
 
 class TestSampledGradients:
@@ -258,18 +257,18 @@ class TestSampledGradients:
 
         for r in (1, 7):
             calls.clear()
-            result = find_vertex(counting, n, IterationConfig(iterations=r, seed=0))
+            result = find_vertex(counting, n, IterationConfig(iterations=r))
             assert result.iterations_run == r
-            assert calls == [(n,)] * r
+            assert calls == [(n, 1)] * r
 
     def test_finds_vertices_at_moderate_sample_size(self):
         n = 4
         hits = 0
         for seed in range(5):
             source = simplex_source(standard_simplex(n - 1), seed + 10)
-            config = IterationConfig(iterations=20, seed=seed)
+            config = IterationConfig(iterations=20, seed=(seed,))
             result = find_vertex(sampled_gradient(source, 30_000), n, config)
-            if nearest_vertex_error(result.u) <= 0.05:
+            if nearest_vertex_error(result.u[:, 0]) <= 0.05:
                 hits += 1
         assert hits >= 4
 
@@ -316,21 +315,33 @@ class TestPolarStep:
 
 class TestConfigValidation:
     def test_bad_iterations(self):
-        with pytest.raises(ValueError):
-            IterationConfig(iterations=0)
+        # a float used to fail inside range(), and True to run one step
+        for iterations in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="^iterations must be"):
+                IterationConfig(iterations=iterations)
+
+    def test_bad_seeds(self):
+        # the seed is a tuple only: a frame of one column is (s,)
+        for seed in (0, [0, 1], (1.5,), (True,), (-1,)):
+            with pytest.raises(ValueError, match="^seed must"):
+                IterationConfig(seed=seed)
+        # two equal seeds start two equal columns, which collapse at once
+        with pytest.raises(ValueError, match=r"^seed must hold distinct integers, got \(0, 0\)"):
+            IterationConfig(seed=(0, 0))
 
 
 class TestTrace:
     def test_records_every_iteration(self):
         # the exact run stops at its 7th step, before the cap of 12
-        config = IterationConfig(iterations=12, seed=0, record_trace=True)
+        config = IterationConfig(iterations=12, record_trace=True)
         result = find_vertex(exact_grad_m3, 3, config)
         assert len(result.trace) == result.iterations_run == 7
         assert [row["iteration"] for row in result.trace] == list(range(7))
         for row in result.trace:
-            assert row["update_norm"] > 0
-            assert row["noise"] == 0.0
-            assert row["u"].shape == (3,)
+            assert row["update_norm"].shape == row["noise"].shape == row["step"].shape == (1,)
+            assert row["update_norm"][0] > 0
+            assert row["noise"][0] == 0.0
+            assert row["u"].shape == (3, 1)
 
 
 class TestTheoreticalParameters:
