@@ -194,7 +194,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         reduce_simplex_to_ica,
         separation_index,
     )
-    from .sampling import P_MAX, sample_lp_ball, sample_simplex, substream
+    from .sampling import P_MAX, _row_blocks, sample_lp_ball, sample_simplex, substream
 
     cfg = _resolve(args, "reduce", {"problem": "simplex", "n": 3, "p": None, "t": 200_000, "seed": 0})
     _validate_common(cfg, "reduce")
@@ -247,7 +247,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         q1, r1 = np.linalg.qr(rng.standard_normal((n, n)))
         q1 = q1 * np.sign(np.diag(r1))
         a = q1 * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
-        sample = sample_lp_ball(n, p, t, child_seed(seed, 104)) @ a.T
+        sample = sample_lp_ball(n, p, t, child_seed(seed, 104))
+        for rows in _row_blocks(0, t, merge_tail=True):  # sample @ a.T in place
+            sample[rows] = sample[rows] @ a.T
         reduction = reduce_lp_to_ica(sample, p, seed=seed)
         payload.update(
             {

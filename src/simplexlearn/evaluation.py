@@ -46,7 +46,10 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     membership in the other, so the estimate is exact in expectation and
     identically zero when K equals L.  No point is built: the barycentric
     coordinates in the smaller simplex are affine in those in the larger,
-    so one (n+1, n+1) matrix maps the drawn weights straight to them.
+    so one (n+1, n+1) matrix maps the drawn weights straight to them.  The
+    weights are drawn in row blocks, and each block is reduced to a count
+    of points inside before the next is drawn, so the estimate keeps no
+    array of mc_points rows.
 
     Args:
         k, l: full-dimensional simplices of equal dimension.
@@ -63,13 +66,15 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     mc_points = _check_count(mc_points, "mc_points")
     gen = rng if isinstance(rng, np.random.Generator) else substream(rng, 31)
     big, small = (k, l) if k.volume() >= l.volume() else (l, k)
-    weights = _simplex_weights(gen, big.dim + 1, mc_points)
     # a point w V_big has coordinates inv_small [V_big^T w^T; 1], and the
     # weights sum to 1, so inv_small [V_big^T; 1^T] maps w^T to them: one
-    # row of mc_points coordinates per vertex of the smaller simplex
+    # row of coordinates per vertex of the smaller simplex
     to_small = _solver(small).inverse @ np.vstack([big.vertices.T, np.ones((1, big.dim + 1))])
-    lam = to_small @ weights.T
-    outside = 1.0 - (lam.min(axis=0) >= -MEMBERSHIP_TOL).mean()
+    inside = 0
+    for _, weights in _simplex_weights(gen, big.dim + 1, mc_points):
+        lam = to_small @ weights.T
+        inside += int(np.count_nonzero(lam.min(axis=0) >= -MEMBERSHIP_TOL))
+    outside = 1.0 - inside / mc_points
     std_error = math.sqrt(max(outside * (1.0 - outside), 0.0) / mc_points)
     return TVEstimate(float(outside), std_error, mc_points)
 

@@ -29,6 +29,8 @@ from .sampling import (
     _check_p,
     _gamma_radii,
     _gamma_rescale,
+    _row_blocks,
+    _row_sums,
     child_seed,
     generalized_gaussian_std,
     sample_lp_ball,
@@ -178,7 +180,8 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
     Each point p is lifted to (p, 1) and scaled by an independent
     Gamma(n+1, 1) radius R, which makes the result a product of iid Exp(1)
     coordinates under the lifted vertex matrix.  The lifted rows (R p, R)
-    are written straight into one (t, n+1) array, with no (p, 1) copy.
+    are written straight into one (t, n+1) array, one row block of radii
+    at a time, with no (p, 1) copy and no (t,) array of radii.
     The inverted separating matrix has columns proportional to (v_j, 1) up
     to sign; multiplying every column by the sign of its last entry fixes
     the orientation, and dropping the last row leaves the vertices.
@@ -187,10 +190,10 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
     if points.ndim != 2:
         raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
     t, n = points.shape
-    radii = _gamma_radii(t, n + 1, 1.0, substream(seed, 67))
     lifted = np.empty((t, n + 1))
-    np.multiply(points, radii[:, None], out=lifted[:, :n])
-    lifted[:, n] = radii
+    for rows, radii in _gamma_radii(t, n + 1, 1.0, substream(seed, 67)):
+        np.multiply(points[rows], radii[:, None], out=lifted[rows, :n])
+        lifted[rows, n] = radii
     estimate = ica_estimate(lifted, "skew", seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
@@ -322,7 +325,9 @@ def lp_symmetric_difference(
     ||A_est^-1 A X||_p > 1, and A_est X falls outside A B_p when
     ||A^-1 A_est X||_p > 1, the second share weighted by the volume ratio
     |det A_est| / |det A|.  Each term stays unbiased; the sum of |y_i|^p
-    is compared with 1 directly, with no root.  Raises ValueError unless
+    is compared with 1 directly, with no root.  The draw is mapped and
+    counted in row blocks, so beside it no array of mc_points rows is
+    built.  Raises ValueError unless
     ``mc_points`` is an integer >= 1 and ``a`` and ``a_est`` are finite,
     nonsingular square matrices of one shape.
     """
@@ -334,11 +339,13 @@ def lp_symmetric_difference(
         if np.linalg.cond(m) * np.finfo(float).eps >= 1.0:
             raise ValueError(f"{name} is singular")
     x = sample_lp_ball(a.shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
-    shares = []
-    for composed in (np.linalg.solve(a_est, a), np.linalg.solve(a, a_est)):
-        y = x @ composed.T
-        np.abs(y, out=y)
-        y **= p
-        shares.append(float((y.sum(axis=1) > 1.0).mean()))
+    maps = (np.linalg.solve(a_est, a).T, np.linalg.solve(a, a_est).T)
+    outside = [0, 0]
+    for rows in _row_blocks(0, mc_points, merge_tail=True):
+        for half, composed in enumerate(maps):
+            y = x[rows] @ composed
+            np.abs(y, out=y)
+            y **= p
+            outside[half] += int(np.count_nonzero(_row_sums(y) > 1.0))
     ratio = abs(np.linalg.det(a_est)) / abs(np.linalg.det(a))
-    return shares[0] + ratio * shares[1]
+    return outside[0] / mc_points + ratio * (outside[1] / mc_points)

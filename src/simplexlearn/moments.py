@@ -13,8 +13,9 @@ local maxima are exactly the (projected) vertex directions.
 
 It also holds the two sample passes that the learner and ICA share: the
 mean and covariance of a sample, and the split-half power sums that drive
-both fixed points.  Each walks the sample in blocks of BLOCK_ROWS rows, so
-no intermediate is larger than a block.
+both fixed points.  Each walks the sample in the row blocks of
+``sampling.BLOCK_ROWS`` rows that every draw uses too, so no intermediate
+is larger than a block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .sampling import substream
+from .sampling import _row_blocks, substream
 
 __all__ = [
     "exact_m3",
@@ -33,16 +34,6 @@ __all__ = [
     "projected_p3_gradient",
     "certify_landscape",
 ]
-
-
-# Rows per block of a sample pass; a block of intermediates (under 1 MB)
-# stays in a core's 2 MB L2 cache.  Medians of 60 interleaved runs, 2 cores
-# of a Xeon with OpenBLAS, in ms per pass at 4096 / 8192 / 12288 rows, and
-# for the whole-array pass on a precomputed centered copy: a kurtosis ICA
-# sweep on a (200k, 4) sample 4.8 / 4.0 / 4.1 against 9.7, on (200k, 9)
-# 11.3 / 11.2 / 12.0 against 21.5; a learner step of 6 columns on (100k, 5)
-# 2.5 / 2.0 / 2.0 against 3.8.
-BLOCK_ROWS = 8192
 
 
 def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,10 +46,11 @@ def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``mean(axis=0)`` on rows of a few entries.
     """
     t, d = x.shape
-    ones = np.ones(min(BLOCK_ROWS, t))
+    blocks = _row_blocks(0, t)
+    ones = np.ones(blocks[0].stop)  # the first block is the longest
     count, mean, scatter = 0, np.zeros(d), np.zeros((d, d))
-    for start in range(0, t, BLOCK_ROWS):
-        block = x[start : start + BLOCK_ROWS]
+    for span in blocks:
+        block = x[span]
         rows = block.shape[0]
         block_mean = (ones[:rows] @ block) / rows
         centered = block - block_mean
@@ -87,8 +79,8 @@ def _split_half_power_sums(x: np.ndarray, a: np.ndarray, shift: np.ndarray, q: i
     sums = np.zeros((2, k))
     a_t, shift = a.T, shift[:, None]
     for part, (low, high) in enumerate(((0, half), (half, t))):
-        for start in range(low, high, BLOCK_ROWS):
-            block = x[start : min(start + BLOCK_ROWS, high)]
+        for rows in _row_blocks(low, high):
+            block = x[rows]
             f = a_t @ block.T
             f += shift
             f *= f if q == 2 else f * f

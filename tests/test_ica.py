@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from simplexlearn import ica, moments
+from simplexlearn import ica, sampling
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import DegenerateSimplexError, Simplex
 from simplexlearn.ica import (
@@ -141,7 +141,7 @@ class TestBlockedPasses:
         rng = substream(2, 611)
         x = exponential_mixture(rng.standard_normal((3, 3)), 50.0 + rng.standard_normal(3), t, seed=16)
         separating, mean, sweeps, converged = one_shot_ica(x, contrast, 3, max_sweeps)
-        monkeypatch.setattr(moments, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         est = ica_estimate(x, contrast, seed=3, max_sweeps=max_sweeps)
         assert est.sweeps == sweeps
         assert est.converged == converged
@@ -151,7 +151,7 @@ class TestBlockedPasses:
     def test_sweeps_do_not_depend_on_the_block(self, monkeypatch):
         sm = sample_simplex(Simplex(substream(3, 605).standard_normal((4, 3))), 20_001, 33)
         reference = reduce_simplex_to_ica(sm, seed=2)
-        monkeypatch.setattr(moments, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = reduce_simplex_to_ica(sm, seed=2)
         assert blocked.estimate.sweeps == reference.estimate.sweeps
         assert blocked.estimate.converged == reference.estimate.converged

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexlearn import moments
+from simplexlearn import sampling
 from simplexlearn.cli import _synthesize_simplex
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import Simplex, isotropic_simplex, make_embed_map
@@ -59,7 +59,7 @@ class TestEstimateFrame:
         # the fused block gradient against the gradient of the block pushed
         # through both maps, for one direction and for a batch of n+1; each
         # half of the odd 20_001-row block spans more than one row block
-        assert 10_000 > moments.BLOCK_ROWS
+        assert 10_000 > sampling.BLOCK_ROWS
         for n, seed in ((2, 3), (5, 4), (9, 5)):
             truth = random_truth(n, seed)
             frame = estimate_frame(sample_simplex(truth, 5000, seed))
@@ -82,7 +82,7 @@ class TestEstimateFrame:
         mean = x.mean(axis=0)
         centered = x - mean
         factor = np.linalg.cholesky(centered.T @ centered / t)
-        monkeypatch.setattr(moments, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         frame = estimate_frame(x)
         assert np.abs(frame.mean - mean).max() <= 1e-12 * np.abs(mean).max()
         assert np.abs(frame.factor - factor).max() <= 1e-12 * np.abs(factor).max()
@@ -95,7 +95,7 @@ class TestEstimateFrame:
         truth = random_truth(4, 8)
         points = simplex_source(truth, 9)(3001)
         reference = learn_simplex(points, LearnerConfig(seed=8))
-        monkeypatch.setattr(moments, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = learn_simplex(points, LearnerConfig(seed=8))
         assert blocked.iterations_run == reference.iterations_run
         scale = np.abs(reference.simplex.vertices).max()

@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from simplexlearn.geometry import Simplex, contains_points, standard_simplex
+from simplexlearn.evaluation import tv_distance_mc
+from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex, standard_simplex
 from simplexlearn.sampling import (
     _gamma_rescale,
     _simplex_weights,
+    child_seed,
     generalized_gaussian_std,
     rescale_lp_sample,
     rescale_simplex_sample,
@@ -52,7 +55,8 @@ class TestDeterminism:
         for seed in range(4):
             for t in (1, 7, 50_000):
                 e = substream(seed, 5).exponential(1.0, size=(t, m))
-                assert np.array_equal(_simplex_weights(substream(seed, 5), m, t), e / e.sum(axis=1, keepdims=True))
+                blocks = [weights.copy() for _, weights in _simplex_weights(substream(seed, 5), m, t)]
+                assert np.array_equal(np.concatenate(blocks), e / e.sum(axis=1, keepdims=True))
 
     def test_substream_repeatable(self):
         x = substream(1, 2, 3).standard_normal(5)
@@ -133,8 +137,6 @@ class TestSampleSimplex:
             assert abs(pts[:, j].mean() - s.centroid()[j]) <= 3 * se(pts[:, j])
 
     def test_isotropic_covariance(self):
-        from simplexlearn.geometry import isotropic_simplex
-
         pts = sample_simplex(isotropic_simplex(4), T, 8)
         cov = np.cov(pts.T, bias=True)
         assert np.abs(cov - np.eye(4)).max() <= 0.05
@@ -303,6 +305,45 @@ class TestRescaling:
         bad[4, 1] = value
         with pytest.raises(ValueError, match="finite"):
             rescale_lp_sample(bad, 2.0, 0)
+
+
+class TestRescaleShapes:
+    @pytest.mark.parametrize("shape", [(5,), (0, 3), (4, 0), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "rescale",
+        [lambda x: rescale_simplex_sample(x, 0), lambda x: rescale_lp_sample(x, 2.0, 0)],
+        ids=["simplex", "lp"],
+    )
+    def test_named_at_the_boundary(self, rescale, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            rescale(np.zeros(shape))
+
+
+SEED_CALLS = [
+    pytest.param(lambda s: substream(s, 1), id="substream"),
+    pytest.param(lambda s: child_seed(s, 1), id="child_seed"),
+    pytest.param(lambda s: sample_simplex(standard_simplex(2), 10, s), id="sample_simplex"),
+    pytest.param(lambda s: sample_lp_ball(3, 3.0, 10, s), id="sample_lp_ball"),
+    pytest.param(lambda s: sample_generalized_gaussian(3.0, 10, s), id="generalized_gaussian"),
+    pytest.param(lambda s: tv_distance_mc(isotropic_simplex(2), isotropic_simplex(2), 10, rng=s), id="tv_distance_mc"),
+]
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("bad", [1.5, True, "3", None])
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_non_integer_named(self, call, bad):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            call(bad)
+
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_negative_named(self, call):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            call(-1)
+
+    def test_numpy_integers_accepted(self):
+        assert (substream(np.int64(3), 1).random(4) == substream(3, 1).random(4)).all()
+        assert child_seed(np.uint32(3), 2) == child_seed(3, 2)
 
 
 class TestJointIndependence:
