@@ -28,7 +28,7 @@ from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -76,22 +76,22 @@ def _load_config_file(path: str, command: str) -> dict:
     return raw
 
 
-def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
+def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> tuple[dict, set]:
+    """defaults < config file < explicit flags; returns the merged
+    configuration and the keys the config file or a flag set."""
+    given = {}
     if args.config is not None:
-        loaded = _load_config_file(args.config, command)
+        given = _load_config_file(args.config, command)
         # a null would stand in for a default that is not null, such as a
         # seed that then comes from OS entropy
-        nulls = sorted(key for key, value in loaded.items() if value is None and defaults.get(key) is not None)
+        nulls = sorted(key for key, value in given.items() if value is None and defaults.get(key) is not None)
         if nulls:
             raise SchemaError(f"{nulls[0]} must not be null")
-        merged.update(loaded)
     for key in _ALLOWED[command]:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = value
-    return merged
+            given[key] = value
+    return {**defaults, **given}, set(given)
 
 
 def _validate_common(cfg: dict, command: str) -> None:
@@ -110,10 +110,8 @@ def _validate_common(cfg: dict, command: str) -> None:
         value = cfg.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
             raise SchemaError(f"{key} must be a positive integer")
-    if command == "learn" and cfg["t1"] < n + 2:
-        raise SchemaError(f"t1 must be at least n+2 = {n + 2}")
-    if command == "learn" and cfg["t3"] < 2:
-        raise SchemaError("t3 must be at least 2")
+    if command == "learn" and cfg["t1"] + cfg["t3"] < n + 2:
+        raise SchemaError(f"t1 + t3 must be at least n+2 = {n + 2}: n+1 points whiten to a regular simplex")
     if command == "learn" and cfg["m"] is not None and cfg["m"] < n + 1:
         raise SchemaError(f"m must be at least n+1 = {n + 1}: every run starts n+1 columns")
 
@@ -152,7 +150,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     from .learner import LearnerConfig, learn_simplex
     from .sampling import simplex_source
 
-    cfg = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": 30, "seed": 0})
+    cfg, _ = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": 30, "seed": 0})
     _validate_common(cfg, "learn")
 
     truth = _synthesize_simplex(cfg["n"], cfg["seed"])
@@ -196,7 +194,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     )
     from .sampling import P_MAX, _row_blocks, sample_lp_ball, sample_simplex, substream
 
-    cfg = _resolve(args, "reduce", {"problem": "simplex", "n": 3, "p": None, "t": 200_000, "seed": 0})
+    cfg, _ = _resolve(args, "reduce", {"problem": "simplex", "n": 3, "p": None, "t": 200_000, "seed": 0})
     _validate_common(cfg, "reduce")
     if cfg["problem"] not in ("simplex", "lp"):
         raise SchemaError("problem must be 'simplex' or 'lp'")
@@ -273,12 +271,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .diagnostics import SUITES, run_suite
 
-    cfg = _resolve(args, "verify", {"suite": "scaling", "n": None, "seed": 0})
+    cfg, given = _resolve(args, "verify", {"suite": "scaling", "n": None, "seed": 0})
     _validate_common(cfg, "verify")
     if cfg["suite"] not in SUITES:
         raise SchemaError(f"suite must be one of {sorted(SUITES)}")
     if cfg["suite"] == "tv" and cfg["n"] is not None:
         raise SchemaError("n applies only to verify --suite scaling or landscape")
+    # the default seed still names the $SIMPLEXLEARN_OUT file
+    if cfg["suite"] == "landscape" and "seed" in given:
+        raise SchemaError("seed applies only to verify --suite scaling or tv: the landscape suite draws no random numbers")
 
     started = time.perf_counter()
     result = run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
@@ -307,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = sub.add_parser("learn", help="learn a synthesized hidden simplex from uniform samples")
     learn.add_argument("--n", type=int, default=None, help="simplex dimension (default 5)")
-    learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share, at least n+2 points; a run draws t1 + t3 points (default 50000)")
-    learn.add_argument("--t3", type=int, default=None, help="second part of that block, at least 2 points (default 50000)")
+    learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2 (default 50000)")
+    learn.add_argument("--t3", type=int, default=None, help="second part of that block (default 50000)")
     learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
     learn.add_argument("--r", type=int, default=None, help="cap on fixed-point steps of the frame, which stops at its sampling noise floor (default 30)")
     common(learn)
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_.set_defaults(func=cmd_reduce)
 
     verify = sub.add_parser("verify", help="run a statistical verification suite")
-    verify.add_argument("--suite", type=str, default=None, choices=["scaling", "tv", "landscape"], help="suite name (default scaling)")
+    verify.add_argument("--suite", type=str, default=None, choices=["scaling", "tv", "landscape"], help="suite name (default scaling); landscape draws no random numbers and takes no --seed")
     verify.add_argument("--n", type=int, default=None, help="restrict the scaling or landscape suite to one dimension")
     common(verify)
     verify.set_defaults(func=cmd_verify)

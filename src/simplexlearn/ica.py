@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateSimplexError
-from .moments import _mean_and_covariance, _split_half_power_sums
+from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_power_sums
 from .sampling import (
     _check_count,
     _check_p,
@@ -78,7 +77,7 @@ def _whitener(cov: np.ndarray) -> np.ndarray:
     """The symmetric inverse square root of a covariance."""
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     if eigenvalues[0] <= 1e-12 * eigenvalues[-1]:
-        raise DegenerateSimplexError("sample covariance is singular; cannot whiten")
+        raise DegenerateSampleError("sample covariance is singular; cannot whiten")
     return (eigenvectors / np.sqrt(eigenvalues)) @ eigenvectors.T
 
 
@@ -121,7 +120,7 @@ def ica_estimate(
         t >= d+2 (d+1 points whiten to the vertices of a regular simplex,
         all of squared norm d, where the skew update is singular),
         ``contrast`` one of ``CONTRASTS`` and ``max_sweeps`` an integer
-        >= 1; DegenerateSimplexError for a singular covariance;
+        >= 1; DegenerateSampleError for a singular covariance;
         RuntimeError when the frame's update collapses.
     """
     if contrast not in CONTRASTS:

@@ -23,12 +23,11 @@ import numpy as np
 
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .moments import _mean_and_covariance, _split_half_power_sums
+from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_power_sums
 from .sampling import _check_count, child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
 __all__ = [
-    "DegenerateSampleError",
     "BoostFailureError",
     "LearnerConfig",
     "LearnedSimplex",
@@ -38,9 +37,6 @@ __all__ = [
     "learn_simplex",
     "boost",
 ]
-
-class DegenerateSampleError(ValueError):
-    """The sample covariance is singular, so no frame can be estimated."""
 
 
 class BoostFailureError(RuntimeError):

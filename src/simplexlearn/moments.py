@@ -9,7 +9,8 @@ where p_k are the power sums of u.  The numerator is 6 h3(u), the complete
 homogeneous symmetric polynomial, via the Newton identities.  This module
 exposes the exact value and gradient, the empirical gradient, and a
 certification of the landscape of p3 on the feasible sphere, whose strict
-local maxima are exactly the (projected) vertex directions.
+local maxima are exactly the (projected) vertex directions: the exact
+Hessian spectrum at every critical point, with no random trials.
 
 It also holds the two sample passes that the learner and ICA share: the
 mean and covariance of a sample, and the split-half power sums that drive
@@ -24,9 +25,10 @@ import math
 
 import numpy as np
 
-from .sampling import _row_blocks, substream
+from .sampling import _row_blocks
 
 __all__ = [
+    "DegenerateSampleError",
     "exact_m3",
     "exact_grad_m3",
     "empirical_m3_grad",
@@ -34,6 +36,11 @@ __all__ = [
     "projected_p3_gradient",
     "certify_landscape",
 ]
+
+
+class DegenerateSampleError(ValueError):
+    """The sample covariance is singular, so the sample cannot be put in
+    an isotropic frame."""
 
 
 def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,95 +166,63 @@ def projected_p3_gradient(v: np.ndarray) -> np.ndarray:
     return g - (g @ v) * v - (g @ w) * w
 
 
-def _p3(v: np.ndarray) -> float:
-    return float((v**3).sum())
+def certify_landscape(n: int) -> dict:
+    """Certify the landscape of p3 on {v . 1 = 0, |v| = 1} in R^(n+1) from
+    the exact second-order condition at every critical point.
 
+    A critical point solves 3 v^(2) = lambda v + mu 1, so each coordinate
+    is one of the two roots of a quadratic, and permuting coordinates
+    changes neither p3 nor the constraints: up to a permutation the
+    critical points are the n two-value points of
+    :func:`two_value_critical_point`, alpha = 1..n.  At each, lambda =
+    3 p3(v), and the Hessian of the Lagrangian is 3 (2 diag(v) - p3(v) I).
+    On the tangent space, the vectors orthogonal to v and 1, which are the
+    vectors of zero sum on the a entries and on the b entries, it is
+    2a - p3 = s on alpha - 1 directions and 2b - p3 = -s on n - alpha,
+    with s = 1/sqrt((n+1) gamma (1-gamma)).  So alpha = 1, the vertex
+    direction, is the one strict local maximum, where the spectrum is
+    -s = -sqrt((n+1)/n) throughout; at every other point a direction of
+    curvature s > 0 escapes.
 
-def certify_landscape(n: int, trials: int = 200, seed: int = 0) -> dict:
-    """Certify the optimization landscape of p3 on {v . 1 = 0, |v| = 1}.
-
-    Three families of checks, all reported in a JSON-ready dict:
-
-    - vertex directions (normalized projected canonical vectors) have
-      projected gradient norm <= 1e-8 and strictly dominate ``trials``
-      random tangent perturbations of magnitude 1e-3;
-    - every two-value critical point with alpha >= 2 admits the escape
-      direction (1, -1, 0, ...): its curvature 2a - lambda2 matches the
-      closed form 1/sqrt((n+1) gamma (1-gamma)) and is positive, so no
-      spurious strict maxima exist;
-    - the curvature minimum over gamma (at gamma = 1/2) equals 2/sqrt(n+1).
-
-    Args:
-        n: simplex dimension, n >= 2.
-        trials: random perturbations per vertex direction.
-        seed: perturbation stream seed.
+    A point passes when its projected gradient norm is at most 1e-8, the
+    tangent spectrum of 2 diag(v) - p3(v) I, on an orthonormal basis from
+    one QR, matches the closed form within 1e-10, and it is a strict
+    maximum (every tangent eigenvalue negative) exactly when alpha = 1.
+    No random numbers are drawn.
 
     Returns:
-        {"n", "vertex_checks", "saddle_checks", "gamma_min", "pass"}.
+        {"n", "checks", "pass"}, one check per alpha: "alpha", "gamma",
+        "projected_gradient_norm", "min_eigenvalue" and "max_eigenvalue"
+        beside "min_closed_form" and "max_closed_form", "strict_max" and
+        "passed"; "pass" when every check passed.  n must be >= 2.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     m = n + 1
-    rng = substream(seed, 11, n)
-    ones = np.ones(m)
-
-    vertex_checks = []
-    v1, _, _, _ = two_value_critical_point(n, 1)
-    base_value = _p3(v1)
-    for i in range(m):
-        v = np.roll(v1, i)
+    checks = []
+    for alpha in range(1, n + 1):
+        v = two_value_critical_point(n, alpha)[0]
+        gamma = alpha / m
+        s = 1.0 / math.sqrt(m * gamma * (1.0 - gamma))
+        closed = np.array([-s] * (n - alpha) + [s] * (alpha - 1))
+        q = np.linalg.qr(np.column_stack([v, np.ones(m)]), mode="complete")[0]
+        tangent = q[:, 2:]
+        spectrum = np.linalg.eigvalsh((tangent.T * (2.0 * v)) @ tangent) - float((v**3).sum())
         grad_norm = float(np.linalg.norm(projected_p3_gradient(v)))
-        drops = np.empty(trials)
-        for k in range(trials):
-            z = rng.standard_normal(m)
-            z -= (z @ ones) / m * ones
-            z -= (z @ v) * v
-            z /= np.linalg.norm(z)
-            vp = v + 1e-3 * z
-            vp /= np.linalg.norm(vp)
-            drops[k] = base_value - _p3(vp)
-        vertex_checks.append(
-            {
-                "vertex": i,
-                "projected_gradient_norm": grad_norm,
-                "gradient_ok": grad_norm <= 1e-8,
-                "min_decrease": float(drops.min()),
-                "strict_decrease": bool(drops.min() > 0.0),
-            }
-        )
-
-    saddle_checks = []
-    for alpha in range(2, n + 1):
-        v, gamma, a, _ = two_value_critical_point(n, alpha)
-        lam2 = _p3(v)  # multiplier of the sphere constraint at a critical point
-        curvature = 2.0 * a - lam2
-        closed = 1.0 / math.sqrt(m * gamma * (1.0 - gamma))
-        saddle_checks.append(
+        strict_max = bool(spectrum[-1] < 0.0)
+        checks.append(
             {
                 "alpha": alpha,
                 "gamma": gamma,
-                "curvature": curvature,
-                "closed_form": closed,
-                "matches": bool(abs(curvature - closed) <= 1e-10),
-                "positive": bool(curvature > 0.0),
+                "projected_gradient_norm": grad_norm,
+                "min_eigenvalue": float(spectrum[0]),
+                "min_closed_form": float(closed[0]),
+                "max_eigenvalue": float(spectrum[-1]),
+                "max_closed_form": float(closed[-1]),
+                "strict_max": strict_max,
+                "passed": bool(
+                    grad_norm <= 1e-8 and np.abs(spectrum - closed).max() <= 1e-10 and strict_max == (alpha == 1)
+                ),
             }
         )
-
-    gamma_min = {
-        "value": 1.0 / math.sqrt(m * 0.25),
-        "expected": 2.0 / math.sqrt(m),
-        "matches": bool(abs(1.0 / math.sqrt(m * 0.25) - 2.0 / math.sqrt(m)) <= 1e-10),
-    }
-
-    ok = (
-        all(c["gradient_ok"] and c["strict_decrease"] for c in vertex_checks)
-        and all(c["matches"] and c["positive"] for c in saddle_checks)
-        and gamma_min["matches"]
-    )
-    return {
-        "n": n,
-        "vertex_checks": vertex_checks,
-        "saddle_checks": saddle_checks,
-        "gamma_min": gamma_min,
-        "pass": ok,
-    }
+    return {"n": n, "checks": checks, "pass": all(c["passed"] for c in checks)}

@@ -316,9 +316,11 @@ def rescale_lp_sample(x: np.ndarray, p: float, seed: int) -> np.ndarray:
     """
     p = _check_p(p)
     pts = _sample_rows(x)
-    norms = (np.abs(pts) ** p).sum(axis=1) ** (1.0 / p)
-    if not norms.max() <= 1.0 + 1e-9:  # a NaN or Inf row fails too
-        raise ValueError("rows must be finite and lie in the unit lp ball")
+    for rows in _row_blocks(0, pts.shape[0]):
+        powers = np.abs(pts[rows])
+        powers **= p
+        if not (_row_sums(powers) ** (1.0 / p)).max() <= 1.0 + 1e-9:  # a NaN or Inf row fails too
+            raise ValueError("rows must be finite and lie in the unit lp ball")
     return _gamma_rescale(pts, pts.shape[1] / p + 1.0, p, substream(seed, _KEY_RESCALE_LP))
 
 
@@ -328,12 +330,14 @@ def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:
 
     Block k of a given size is always the same array for the same seed, and
     affine images of ``s`` with the same seed yield the pointwise image of
-    the same draws.
+    the same draws.  ``count`` must be an integer >= 0 (not a bool), else
+    ValueError naming it, and a rejected call takes no block.
     """
     counter = itertools.count()
     vertices = s.vertices
 
     def draw(count: int) -> np.ndarray:
+        count = _check_count(count, "count", minimum=0)
         return _simplex_points(substream(seed, _KEY_SOURCE, next(counter)), vertices, count)
 
     return draw

@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .moments import _moment_denominator
 from .sampling import _check_count, substream
 
 __all__ = [
@@ -134,12 +135,7 @@ def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
     if grad.shape != u.shape:
         raise ValueError("u and grad must have the same shape")
     p1 = u.sum(axis=0)
-    return _gradient_scale(u.shape[0]) * grad - 0.5 * p1 * p1 - 0.5 * (u * u).sum(axis=0) - p1 * u
-
-
-def _gradient_scale(m: int) -> float:
-    # C = n(n+1)(n+2)/6, the factor on the gradient in the squares identity
-    return m * (m + 1) * (m + 2) / 6.0
+    return _moment_denominator(u.shape[0]) / 6.0 * grad - 0.5 * p1 * p1 - 0.5 * (u * u).sum(axis=0) - p1 * u
 
 
 def _polar_step(
@@ -226,7 +222,7 @@ def find_vertex(
         if not (np.isfinite(grad).all() and np.isfinite(error).all()):
             raise ValueError(f"gradient is not finite at iteration {i}")
         update = reconstruct_squares(u, grad)
-        u, step, noise, converged = _polar_step(u, update, _gradient_scale(n) * error, i)
+        u, step, noise, converged = _polar_step(u, update, _moment_denominator(n) / 6.0 * error, i)
         if config.record_trace:
             trace.append(
                 {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}

@@ -79,7 +79,7 @@ def test_criterion_2_square_reconstruction_identity_to_1e_minus_10():
 def test_criterion_3_landscape_certification_n2_through_n8():
     started = time.perf_counter()
     for n in range(2, 9):
-        report = certify_landscape(n, trials=200, seed=0)
+        report = certify_landscape(n)
         assert report["pass"], f"landscape certification failed at n={n}: {report}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

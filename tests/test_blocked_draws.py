@@ -201,6 +201,12 @@ class TestMemory:
         output = 200_000 * 5 * 8 / 1e6
         assert traced_peak(lambda: sample_lp_ball(5, 3.0, 200_000, 0)) <= output + 3.0
 
+    def test_lp_rescale_checks_norms_block_by_block(self):
+        # the whole-array norm check peaked at 16.0 MB
+        x = sample_lp_ball(5, 3.0, 200_000, 0)
+        output = x.nbytes / 1e6
+        assert traced_peak(lambda: rescale_lp_sample(x, 3.0, 1)) <= output + 2.0
+
     def test_simplex_draw_builds_no_weights(self):
         s = random_simplex(9, 5)
         output = 200_000 * 8 * 8 / 1e6

@@ -42,7 +42,7 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 10
+        assert report["schema_version"] == 11
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["points_drawn"] == 4000 + 4000
@@ -94,7 +94,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 10
+        assert report["schema_version"] == 11
         assert report["converged"] == [True] * 3
         assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
 
@@ -150,12 +150,26 @@ class TestReduceCommand:
 class TestVerifyCommand:
     def test_landscape_single_dimension(self, tmp_path):
         out = str(tmp_path / "verify.json")
-        code = main(["verify", "--suite", "landscape", "--n", "3", "--seed", "0", "--out", out])
+        code = main(["verify", "--suite", "landscape", "--n", "3", "--out", out])
         assert code == 0
         report = read_json(out)
         assert report["suite"] == "landscape"
         assert report["pass"] is True
+        assert report["params"] == {"dims": [3]}
         assert [c["name"] for c in report["checks"]] == ["landscape_n3"]
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_landscape_takes_no_seed(self, tmp_path, capsys, seed):
+        # the suite draws no random numbers, so a seed would be recorded
+        # and ignored
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "landscape", "--seed", seed, "--out", str(out)]) == 1
+        assert "schema error: seed applies only to verify --suite scaling or tv" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "landscape", "seed": int(seed)}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "schema error: seed applies only to verify --suite scaling or tv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tv_suite(self, tmp_path):
         out = str(tmp_path / "verify.json")
@@ -167,14 +181,19 @@ class TestVerifyCommand:
 class TestOutputRouting:
     def test_env_var_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_ENV, str(tmp_path))
-        code = main(["verify", "--suite", "landscape", "--n", "2", "--seed", "7"])
+        code = main(LEARN_FAST + ["--seed", "7"])
         assert code == 0
-        report = read_json(tmp_path / "verify-seed7.json")
+        report = read_json(tmp_path / "learn-seed7.json")
         assert report["cli_config"]["seed"] == 7
+
+    def test_env_var_names_the_unseeded_suite_by_the_default_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUT_ENV, str(tmp_path))
+        assert main(["verify", "--suite", "landscape", "--n", "2"]) == 0
+        assert read_json(tmp_path / "verify-seed0.json")["suite"] == "landscape"
 
     def test_stdout_fallback(self, capsys, monkeypatch):
         monkeypatch.delenv(OUT_ENV, raising=False)
-        code = main(["verify", "--suite", "landscape", "--n", "2", "--seed", "0"])
+        code = main(["verify", "--suite", "landscape", "--n", "2"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "verify"
@@ -264,9 +283,12 @@ class TestValidation:
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_usage_limits_are_schema_errors(self, capsys):
-        assert main(["learn", "--n", "5", "--t1", "6"]) == 1
-        assert "schema error: t1 must be at least n+2 = 7" in capsys.readouterr().err
+    def test_usage_limits_are_schema_errors(self, capsys, tmp_path):
+        # learn draws one block of t1 + t3 points, however it is split
+        assert main(["learn", "--n", "5", "--t1", "3", "--t3", "3"]) == 1
+        assert "schema error: t1 + t3 must be at least n+2 = 7" in capsys.readouterr().err
+        assert main(["learn", "--n", "5", "--t1", "3", "--t3", "100", "--out", str(tmp_path / "learn.json")]) == 0
+        assert main(["learn", "--n", "2", "--t1", "100", "--t3", "1", "--out", str(tmp_path / "learn.json")]) == 0
         for suite in ("scaling", "landscape"):
             assert main(["verify", "--suite", suite, "--n", "1"]) == 1
             assert f"schema error: n must be >= 2 for verify --suite {suite}" in capsys.readouterr().err
@@ -280,11 +302,6 @@ class TestValidation:
         # flags a command would record in cli_config and otherwise ignore
         assert main(["verify", "--suite", "tv", "--n", "3"]) == 1
         assert "schema error: n applies only to verify --suite scaling or landscape" in capsys.readouterr().err
-
-    def test_t3_must_split_in_two(self, capsys):
-        # the gradient's standard error comes from the two halves of a block
-        assert main(["learn", "--n", "2", "--t3", "1"]) == 1
-        assert "schema error: t3 must be at least 2" in capsys.readouterr().err
         assert main(["reduce", "--problem", "simplex", "--p", "3"]) == 1
         assert "schema error: p applies only to --problem lp" in capsys.readouterr().err
 

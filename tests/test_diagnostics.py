@@ -60,11 +60,17 @@ class TestTvSuite:
 
 class TestLandscapeSuite:
     def test_single_dimension(self):
-        report = landscape_suite(dims=[3], trials=50, seed=0)
+        report = landscape_suite(dims=[3])
         assert_suite_shape(report, "landscape")
         assert report["pass"]
+        assert report["params"] == {"dims": [3]}
         assert report["checks"][0]["name"] == "landscape_n3"
         assert report["checks"][0]["report"]["n"] == 3
+
+    def test_default_dims(self):
+        report = landscape_suite()
+        assert report["pass"]
+        assert [c["name"] for c in report["checks"]] == [f"landscape_n{n}" for n in range(2, 9)]
 
 
 class TestRunSuite:

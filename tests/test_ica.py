@@ -5,7 +5,7 @@ import pytest
 
 from simplexlearn import ica, sampling
 from simplexlearn.evaluation import match_vertices
-from simplexlearn.geometry import DegenerateSimplexError, Simplex
+from simplexlearn.geometry import Simplex
 from simplexlearn.ica import (
     MAX_SWEEPS,
     align_signed_permutation,
@@ -17,6 +17,7 @@ from simplexlearn.ica import (
     separation_index,
     signed_permutation_deviation,
 )
+from simplexlearn.moments import DegenerateSampleError
 from simplexlearn.sampling import (
     _gamma_rescale,
     generalized_gaussian_std,
@@ -75,7 +76,7 @@ class TestIcaEstimate:
 
     def test_degenerate_covariance_rejected(self):
         line = np.outer(substream(0, 604).standard_normal(500), np.array([1.0, 2.0]))
-        with pytest.raises(DegenerateSimplexError):
+        with pytest.raises(DegenerateSampleError):
             ica_estimate(line)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexlearn import moments
 from simplexlearn.moments import (
     certify_landscape,
     empirical_m3_grad,
@@ -145,14 +146,78 @@ class TestCriticalPoints:
 
 
 class TestLandscapeCertificate:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(2, 41))
     def test_certifies(self, n):
-        report = certify_landscape(n, trials=100, seed=0)
+        report = certify_landscape(n)
         assert report["pass"]
         assert report["n"] == n
-        assert report["vertex_checks"] and report["saddle_checks"]
-        assert report["gamma_min"]["matches"]
-        assert report["gamma_min"]["value"] == pytest.approx(2.0 / math.sqrt(n + 1))
+        assert [c["alpha"] for c in report["checks"]] == list(range(1, n + 1))
+        assert [c["strict_max"] for c in report["checks"]] == [True] + [False] * (n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_vertex_spectrum_is_closed_form(self, n):
+        # at alpha = 1 the whole tangent spectrum is 2b - p3 = -sqrt((n+1)/n)
+        vertex = certify_landscape(n)["checks"][0]
+        for key in ("min_eigenvalue", "max_eigenvalue", "min_closed_form", "max_closed_form"):
+            assert vertex[key] == pytest.approx(-math.sqrt((n + 1) / n), abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_saddle_escape_curvature_is_at_least_two_over_root_n_plus_one(self, n):
+        # 1/sqrt((n+1) gamma (1-gamma)) is smallest at gamma = 1/2, which
+        # some alpha in 2..n reaches when n+1 is even
+        bound = 2.0 / math.sqrt(n + 1)
+        escape = min(c["max_eigenvalue"] for c in certify_landscape(n)["checks"][1:])
+        assert escape >= bound - 1e-12
+        if (n + 1) % 2 == 0:
+            assert escape == pytest.approx(bound, abs=1e-10)
+        else:
+            assert escape > bound + 1e-6
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certification drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert certify_landscape(6)["pass"]
+
+    def test_non_critical_point_fails(self, monkeypatch):
+        def perturbed(n, alpha):
+            v, gamma, a, b = two_value_critical_point(n, alpha)
+            w = v + 1e-3 * np.cos(np.arange(n + 1))
+            w -= w.mean()
+            return w / np.linalg.norm(w), gamma, a, b
+
+        monkeypatch.setattr(moments, "two_value_critical_point", perturbed)
+        report = certify_landscape(4)
+        assert not report["pass"]
+        assert all(c["projected_gradient_norm"] > 1e-8 and not c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_swapped_values_fail(self, monkeypatch, n):
+        # a on the n+1-alpha entries and b on alpha of them
+        def swapped(n, alpha):
+            v, gamma, a, b = two_value_critical_point(n, alpha)
+            return np.where(v == a, b, a), gamma, b, a
+
+        monkeypatch.setattr(moments, "two_value_critical_point", swapped)
+        report = certify_landscape(n)
+        assert not report["pass"]
+        assert not report["checks"][0]["passed"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_antipodal_point_has_the_wrong_strict_max_pattern(self, monkeypatch, n):
+        # -v is the critical point with -b on n+1-alpha entries and -a on
+        # the rest: the vertex direction becomes a local minimum
+        def antipodal(n, alpha):
+            v, gamma, a, b = two_value_critical_point(n, alpha)
+            return -v, gamma, -b, -a
+
+        monkeypatch.setattr(moments, "two_value_critical_point", antipodal)
+        report = certify_landscape(n)
+        assert not report["pass"]
+        assert all(c["projected_gradient_norm"] <= 1e-8 for c in report["checks"])
+        assert [c["strict_max"] for c in report["checks"]] == [False] * (n - 1) + [True]
 
     def test_random_search_finds_no_better_value(self):
         # vertex value is the global max of p3 on the constraint sphere
@@ -166,6 +231,6 @@ class TestLandscapeCertificate:
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             assert (u**3).sum(axis=1).max() <= target + 1e-9
 
-    def test_trial_validation(self):
+    def test_dimension_validation(self):
         with pytest.raises(ValueError):
             certify_landscape(1)

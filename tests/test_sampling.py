@@ -230,6 +230,7 @@ COUNT_CASES = [
     pytest.param(lambda v: sample_standard_simplex(3, v, 0), "t", id="standard_simplex-t"),
     pytest.param(lambda v: sample_standard_simplex(v, 10, 0), "n", id="standard_simplex-n"),
     pytest.param(lambda v: sample_simplex(standard_simplex(2), v, 0), "t", id="simplex-t"),
+    pytest.param(lambda v: simplex_source(standard_simplex(2), 0)(v), "count", id="simplex_source-count"),
 ]
 
 
@@ -371,6 +372,15 @@ class TestSources:
         src2 = simplex_source(standard_simplex(2), 0)
         assert (src2(100) == a).all()
         assert (src2(100) == b).all()
+
+    def test_rejected_count_takes_no_block(self):
+        src = simplex_source(standard_simplex(2), 0)
+        with pytest.raises(ValueError, match="^count must be >= 0"):
+            src(-1)
+        assert src(0).shape == (0, 3)
+        fresh = simplex_source(standard_simplex(2), 0)
+        fresh(0)
+        assert (src(np.int64(50)) == fresh(50)).all()
 
     def test_simplex_source_affine_coupling(self):
         rng = np.random.default_rng(2)
