@@ -7,7 +7,8 @@ The package has three layers:
   Gamma rescalings that make their coordinates independent, and the
   closed-form third moment whose local maxima are the vertices;
 - vertex_finder, learner: the third-moment fixed-point iteration and the
-  full pipeline (frame estimation, embedding, vertex collection, boosting);
+  full pipeline (frame estimation, embedding, one frame of n+1 starts,
+  boosting);
 - ica, evaluation, diagnostics, cli: reductions of simplex and lp-ball
   learning to ICA, recovery scoring (total variation, vertex matching),
   statistical verification suites, and the experiment harness.

@@ -28,7 +28,7 @@ from .sampling import child_seed
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -41,22 +41,6 @@ _ALLOWED = {
 
 class SchemaError(ValueError):
     """A config file or flag combination violates the command schema."""
-
-
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
 
 
 def _load_config_file(path: str, command: str) -> dict:
@@ -117,7 +101,7 @@ def _validate_common(cfg: dict, command: str) -> None:
 
 
 def _emit(payload: dict, cfg: dict, command: str) -> None:
-    text = json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda value: value.tolist()) + "\n"
     out = cfg.get("out")
     if out is None and os.environ.get(OUT_ENV):
         out = os.path.join(os.environ[OUT_ENV], f"{command}-seed{cfg['seed']}.json")
@@ -246,7 +230,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         q1 = q1 * np.sign(np.diag(r1))
         a = q1 * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
         sample = sample_lp_ball(n, p, t, child_seed(seed, 104))
-        for rows in _row_blocks(0, t, merge_tail=True):  # sample @ a.T in place
+        for rows in _row_blocks(0, t):  # sample @ a.T in place
             sample[rows] = sample[rows] @ a.T
         reduction = reduce_lp_to_ica(sample, p, seed=seed)
         payload.update(
@@ -277,7 +261,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SchemaError(f"suite must be one of {sorted(SUITES)}")
     if cfg["suite"] == "tv" and cfg["n"] is not None:
         raise SchemaError("n applies only to verify --suite scaling or landscape")
-    # the default seed still names the $SIMPLEXLEARN_OUT file
     if cfg["suite"] == "landscape" and "seed" in given:
         raise SchemaError("seed applies only to verify --suite scaling or tv: the landscape suite draws no random numbers")
 
@@ -285,7 +268,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result = run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
     payload = {
         "command": "verify",
-        "cli_config": cfg,
+        # the landscape report records no seed; the default one still
+        # names the $SIMPLEXLEARN_OUT file
+        "cli_config": {**cfg, "seed": None} if cfg["suite"] == "landscape" else cfg,
         "schema_version": SCHEMA_VERSION,
         **result,
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,

@@ -242,9 +242,7 @@ def compute_c_pn(p: float, n: int) -> float:
     (Barthe, Guedon, Mendelson and Naor, Ann. Probab. 2005).  The Gamma
     ratios are taken as differences of ``math.lgamma``.
     """
-    p = _check_p(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    p, n = _check_p(p), _check_count(n, "n")
     return generalized_gaussian_std(p) * math.exp(0.5 * (math.lgamma(n / p + 1.0) - math.lgamma((n + 2.0) / p + 1.0)))
 
 
@@ -284,9 +282,10 @@ def align_signed_permutation(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix: repeatedly take the largest remaining |entry|.
 
     Returns (perm, signs) such that column perm[i], flipped by signs[i],
-    is the one matched to row i.
+    is the one matched to row i.  Raises ValueError unless g is a finite
+    square matrix.
     """
-    g = np.asarray(g, dtype=float)
+    g = _finite_square(g, "g")
     d = g.shape[0]
     work = np.abs(g).copy()
     perm = np.full(d, -1, dtype=int)
@@ -302,8 +301,8 @@ def align_signed_permutation(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def signed_permutation_deviation(g: np.ndarray) -> float:
     """Max per-entry deviation of g from the nearest greedy-aligned signed
-    permutation matrix."""
-    g = np.asarray(g, dtype=float)
+    permutation matrix; ValueError unless g is a finite square matrix."""
+    g = _finite_square(g, "g")
     perm, signs = align_signed_permutation(g)
     target = np.zeros_like(g)
     target[np.arange(g.shape[0]), perm] = signs
@@ -340,7 +339,7 @@ def lp_symmetric_difference(
     x = sample_lp_ball(a.shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
     maps = (np.linalg.solve(a_est, a).T, np.linalg.solve(a, a_est).T)
     outside = [0, 0]
-    for rows in _row_blocks(0, mc_points, merge_tail=True):
+    for rows in _row_blocks(0, mc_points):
         for half, composed in enumerate(maps):
             y = x[rows] @ composed
             np.abs(y, out=y)

@@ -50,13 +50,18 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
     over the block in cache-sized row blocks (the pass ICA whitening
     shares), with no centered copy of the block.  Raises
     DegenerateSampleError when the covariance is not positive definite
-    (fewer than d+1 points, or points on a lower-dimensional flat).
+    (fewer than d+1 points, or points on a lower-dimensional flat), and
+    ValueError when a point or the covariance is not finite, which the
+    pass shows without a second look at the block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     t, d = pts.shape
     if t < d + 1:
         raise DegenerateSampleError(f"{t} points cannot determine a {d}-dimensional frame")
-    mean, cov = _mean_and_covariance(pts)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a covariance past 1e308
+        mean, cov = _mean_and_covariance(pts)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("points and their covariance must be finite")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

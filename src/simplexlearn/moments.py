@@ -15,8 +15,9 @@ Hessian spectrum at every critical point, with no random trials.
 It also holds the two sample passes that the learner and ICA share: the
 mean and covariance of a sample, and the split-half power sums that drive
 both fixed points.  Each walks the sample in the row blocks of
-``sampling.BLOCK_ROWS`` rows that every draw uses too, so no intermediate
-is larger than a block.
+``sampling._row_blocks`` that every draw uses too (BLOCK_ROWS rows, a
+short last block joined to the one before it), so no intermediate is
+larger than a block.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .sampling import _row_blocks
+from .sampling import _check_count, _row_blocks
 
 __all__ = [
     "DegenerateSampleError",
@@ -54,7 +55,7 @@ def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     t, d = x.shape
     blocks = _row_blocks(0, t)
-    ones = np.ones(blocks[0].stop)  # the first block is the longest
+    ones = np.ones(blocks[-1].stop - blocks[-1].start)  # the last block is the longest
     count, mean, scatter = 0, np.zeros(d), np.zeros((d, d))
     for span in blocks:
         block = x[span]
@@ -194,10 +195,10 @@ def certify_landscape(n: int) -> dict:
         {"n", "checks", "pass"}, one check per alpha: "alpha", "gamma",
         "projected_gradient_norm", "min_eigenvalue" and "max_eigenvalue"
         beside "min_closed_form" and "max_closed_form", "strict_max" and
-        "passed"; "pass" when every check passed.  n must be >= 2.
+        "passed"; "pass" when every check passed.  n must be an integer
+        >= 2, else ValueError.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = _check_count(n, "n", minimum=2)
     m = n + 1
     checks = []
     for alpha in range(1, n + 1):

@@ -5,11 +5,12 @@ Every producer returns a plain (t, d) float array, takes an integer seed
 and derives its stream from a keyed ``SeedSequence``, so calling it again
 with the same arguments reproduces the points bit for bit.
 
-Every draw fills its stream in blocks of BLOCK_ROWS rows, in row order,
-and reduces each block to points before it draws the next, so no
-intermediate is larger than a block.  A Generator yields the same
+Every draw fills its stream in the row blocks of :func:`_row_blocks`, in
+row order, and reduces each block to points before it draws the next, so
+no intermediate is larger than a block.  A Generator yields the same
 variates whether an array is filled in one call or in consecutive row
-blocks, so the points are the whole-array formulas' bit for bit.
+blocks, so the points are the whole-array formulas' bit for bit, with
+every row sum added left to right.
 """
 
 from __future__ import annotations
@@ -59,63 +60,32 @@ _KEY_SOURCE = 7
 BLOCK_ROWS = 8192
 
 
-def _row_blocks(start: int, stop: int, merge_tail: bool = False) -> list[slice]:
+def _row_blocks(start: int, stop: int) -> list[slice]:
     """Row slices that cover [start, stop) in order, BLOCK_ROWS rows each
-    but the last, which holds what is left.
+    but the last, which holds what is left; a short last block joins the
+    one before it, so every block holds at least BLOCK_ROWS rows unless
+    the range is shorter than one block.
 
-    With ``merge_tail`` a short last block joins the one before it, so
-    every block holds at least BLOCK_ROWS rows unless the range is shorter
-    than one block.  The draws and scorers use that, since a BLAS product
-    of a few rows need not round as the same rows do in a long product:
-    OpenBLAS sends a one-row product to gemv and one of at most 10^6
-    multiply-adds to its small-matrix kernel.
+    A BLAS product of a few rows need not round as the same rows do in a
+    long product (OpenBLAS sends a one-row product to gemv and one of at
+    most 10^6 multiply-adds to its small-matrix kernel), so no pass ever
+    runs one on a stray tail.
     """
     edges = [*range(start, stop, BLOCK_ROWS), stop]
-    if merge_tail and len(edges) > 2 and edges[-1] - edges[-2] < BLOCK_ROWS:
+    if len(edges) > 2 and edges[-1] - edges[-2] < BLOCK_ROWS:
         del edges[-2]
     return [slice(low, high) for low, high in zip(edges, edges[1:])]
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)`` of a 2-D array with at least one column, bit for
-    bit, added column by column into a new array.
-
-    numpy adds a row of fewer than 8 entries left to right, and a longer
-    one with 8 accumulators, pairwise, in halves past 128 entries; each
-    column add here is one step of that order for every row at once,
-    which runs far faster than numpy's reduction along rows of a few
-    entries.
-    """
-    return _pairwise_columns(a, 0, a.shape[1])
-
-
-def _pairwise_columns(a: np.ndarray, low: int, count: int) -> np.ndarray:
-    """Row sums of the columns low .. low+count-1 of ``a`` in numpy's
-    pairwise order."""
-    if count < 8:
-        total = a[:, low].copy()
-        for j in range(low + 1, low + count):
-            total += a[:, j]
-        return total
-    if count <= 128:
-        acc = [a[:, low + j].copy() for j in range(8)]
-        end = low + count - count % 8
-        for i in range(low + 8, end, 8):
-            for j in range(8):
-                acc[j] += a[:, i + j]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for j in (0, 2, 4, 6):
-            acc[j] += acc[j + 1]
-        acc[0] += acc[2]
-        acc[4] += acc[6]
-        total = acc[0]
-        total += acc[4]
-        for j in range(end, low + count):
-            total += a[:, j]
-        return total
-    half = count // 2 - count // 2 % 8
-    total = _pairwise_columns(a, low, half)
-    total += _pairwise_columns(a, low + half, count - half)
+    """Row sums of a 2-D array with at least one column, added left to
+    right column by column into a new array: ``np.cumsum(a, axis=1)[:,
+    -1]`` bit for bit, whatever the memory order of ``a``.  One column add
+    for every row at once runs far faster than numpy's reduction along
+    rows of a few entries."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
     return total
 
 
@@ -159,7 +129,7 @@ def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> Iterator[tuple
     block: each row slice with its weights, iid Exp(1) rows divided by
     their sums.  Every block is drawn into one buffer, so a block's
     weights last until the next block is drawn."""
-    blocks = _row_blocks(0, t, merge_tail=True)
+    blocks = _row_blocks(0, t)
     buffer = np.empty((max((rows.stop - rows.start for rows in blocks), default=0), m))
     for rows in blocks:
         e = rng.standard_exponential(out=buffer[: rows.stop - rows.start])
@@ -213,7 +183,7 @@ def _generalized_gaussian_into(rng: np.random.Generator, p: float, out: np.ndarr
     which one whole-array draw of each takes the stream.  With ``sums``,
     the row sums of H, that is of |x|^p, go into it.
     """
-    blocks = _row_blocks(0, out.shape[0], merge_tail=True)
+    blocks = _row_blocks(0, out.shape[0])
     for rows in blocks:
         block = out[rows]
         rng.standard_gamma(1.0 / p, out=block)
@@ -271,7 +241,7 @@ def _gamma_radii(count: int, shape: float, p: float, rng: np.random.Generator) -
     """``count`` independent Gamma(shape, 1)^(1/p) radii, the law behind
     both rescalings below and both ICA reductions, block by block: each
     row slice with its radii."""
-    for rows in _row_blocks(0, count, merge_tail=True):
+    for rows in _row_blocks(0, count):
         radii = rng.standard_gamma(shape, size=rows.stop - rows.start)
         radii **= 1.0 / p
         yield rows, radii

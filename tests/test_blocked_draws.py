@@ -1,10 +1,10 @@
 """Every draw and Monte Carlo scorer runs in row blocks; each is pinned
 here, bit for bit, against the whole-array formula it replaced, written
-out inline.  The sizes straddle a block (1, 7, BLOCK_ROWS - 1,
-BLOCK_ROWS, BLOCK_ROWS + 1 and 50_000 rows), and the block size of 7
-rows cuts every draw into thousands of blocks; the widths m cover
-numpy's sequential row sums (below 8 entries) and its 8-accumulator
-pairwise ones.  tracemalloc bounds the memory the blocks save."""
+out inline with every row sum added left to right.  The sizes straddle a
+block (1, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1 and 50_000 rows),
+and the block size of 7 rows cuts every draw into thousands of blocks;
+the widths m run from 2 to 21 entries per row sum.  tracemalloc bounds
+the memory the blocks save."""
 
 import tracemalloc
 
@@ -16,6 +16,7 @@ from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.geometry import MEMBERSHIP_TOL, Simplex, _solver
 from simplexlearn.ica import lp_symmetric_difference
 from simplexlearn.sampling import (
+    _row_blocks,
     _row_sums,
     rescale_lp_sample,
     rescale_simplex_sample,
@@ -43,7 +44,7 @@ def sizes(request, monkeypatch):
 
 def whole_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
     e = rng.standard_exponential(size=(t, m))
-    e /= e.sum(axis=1, keepdims=True)
+    e /= np.cumsum(e, axis=1)[:, -1:]
     return e
 
 
@@ -52,7 +53,7 @@ def whole_lp_ball(rng: np.random.Generator, n: int, p: float, t: int) -> np.ndar
     signs = 2.0 * rng.integers(0, 2, size=(t, n)) - 1.0
     g = signs * h ** (1.0 / p)
     z = rng.exponential(1.0, size=t)
-    g /= ((h.sum(axis=1) + z) ** (1.0 / p))[:, None]
+    g /= ((np.cumsum(h, axis=1)[:, -1] + z) ** (1.0 / p))[:, None]
     return g
 
 
@@ -78,15 +79,38 @@ def product_sizes(sizes: list, m: int) -> list:
     return [t for t in sizes if small(t) == small(min(t, sampling.BLOCK_ROWS))]
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [8192, 7])
+    def test_one_rule(self, monkeypatch, rows):
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", rows)
+        for start in (0, 3, rows):
+            for length in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 5 * rows + 3, 50_000}):
+                blocks = _row_blocks(start, start + length)
+                if length == 0:
+                    assert blocks == []
+                    continue
+                assert blocks[0].start == start and blocks[-1].stop == start + length
+                assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+                assert all(b.stop - b.start >= min(rows, length) for b in blocks)
+                assert all(b.stop - b.start == rows for b in blocks[:-1])
+
+
+def row_cases(m: int) -> dict:
+    """The same (500, m) values in C order, in Fortran order and as a
+    strided view, every row spanning 16 decades, with a row of -0.0."""
+    rng = substream(m, 801)
+    a = rng.standard_exponential((500, 2 * m)) * 10.0 ** rng.integers(-8, 8, size=(500, 2 * m))
+    a[0] = -0.0
+    return {"C": np.ascontiguousarray(a[:, :m]), "F": np.asfortranarray(a[:, :m]), "strided": a[:, ::2]}
+
+
 class TestRowSums:
-    @pytest.mark.parametrize("m", [*range(1, 40), 127, 128, 129, 200, 300])
-    def test_numpy_order(self, m):
-        rng = substream(m, 801)
-        a = rng.standard_exponential((500, m)) * 10.0 ** rng.integers(-8, 8, size=(500, m))
-        a[0] = -0.0
-        total = _row_sums(a)
-        assert np.array_equal(total, a.sum(axis=1))
-        assert np.signbit(total[0])
+    @pytest.mark.parametrize("m", [*range(1, 40), *range(127, 301)])
+    def test_left_to_right(self, m):
+        for a in row_cases(m).values():
+            total = _row_sums(a)
+            assert np.array_equal(total, np.cumsum(a, axis=1)[:, -1])
+            assert np.signbit(total[0])
 
     @pytest.mark.parametrize("m", [1, 3, 9, 200])
     def test_input_untouched(self, m):
@@ -176,7 +200,7 @@ class TestMonteCarloScorers:
             shares = []
             for composed in (np.linalg.solve(a_est, a), np.linalg.solve(a, a_est)):
                 y = np.abs(x @ composed.T) ** p
-                shares.append(float((y.sum(axis=1) > 1.0).mean()))
+                shares.append(float((np.cumsum(y, axis=1)[:, -1] > 1.0).mean()))
             expected = shares[0] + abs(np.linalg.det(a_est)) / abs(np.linalg.det(a)) * shares[1]
             assert lp_symmetric_difference(a, a_est, p, t, seed=11) == expected
 

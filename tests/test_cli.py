@@ -42,7 +42,7 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 11
+        assert report["schema_version"] == 12
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["points_drawn"] == 4000 + 4000
@@ -94,7 +94,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 11
+        assert report["schema_version"] == 12
         assert report["converged"] == [True] * 3
         assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
 
@@ -157,6 +157,15 @@ class TestVerifyCommand:
         assert report["pass"] is True
         assert report["params"] == {"dims": [3]}
         assert [c["name"] for c in report["checks"]] == ["landscape_n3"]
+
+    def test_landscape_report_records_no_seed(self, tmp_path):
+        # the suite reads no seed, so its report records none; a seeded
+        # suite records the one it ran with
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "landscape", "--n", "2", "--out", str(out)]) == 0
+        assert read_json(out)["cli_config"] == {"suite": "landscape", "n": 2, "seed": None, "out": str(out)}
+        assert main(["verify", "--suite", "tv", "--out", str(out)]) == 0
+        assert read_json(out)["cli_config"]["seed"] == 0
 
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_landscape_takes_no_seed(self, tmp_path, capsys, seed):

@@ -307,6 +307,11 @@ class TestCpn:
         with pytest.raises(ValueError):
             compute_c_pn(2.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3", None])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            compute_c_pn(2.0, n)
+
 
 class TestSeparationIndex:
     def test_zero_on_scaled_signed_permutation(self):
@@ -358,6 +363,14 @@ class TestSignedPermutationTools:
     def test_exact_signed_permutation_has_zero_deviation(self):
         g = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         assert signed_permutation_deviation(g) == 0.0
+
+    @pytest.mark.parametrize("tool", [align_signed_permutation, signed_permutation_deviation])
+    def test_rejects_non_square_and_non_finite(self, tool):
+        with pytest.raises(ValueError, match="^g must be a square matrix"):
+            tool(np.ones((2, 3)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^g holds non-finite values"):
+                tool(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 class TestLpSymmetricDifference:

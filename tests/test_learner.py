@@ -110,6 +110,24 @@ class TestEstimateFrame:
         with pytest.raises(DegenerateSampleError):
             estimate_frame(line)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points(self, bad):
+        # one bad entry in a later block, so the first block's mean is finite
+        points = substream(0, 41).standard_normal((3 * sampling.BLOCK_ROWS, 3))
+        points[-1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^points and their covariance must be finite") as caught:
+                estimate_frame(points)
+        assert not isinstance(caught.value, DegenerateSampleError)
+
+    def test_covariance_past_the_float_range(self):
+        points = substream(0, 42).standard_normal((100, 3)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^points and their covariance must be finite"):
+                estimate_frame(points)
+
 
 class TestLearnSimplex:
     def test_recovers_plane_truth(self):

@@ -234,3 +234,8 @@ class TestLandscapeCertificate:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             certify_landscape(1)
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            certify_landscape(n)
