@@ -13,6 +13,12 @@ Exp(1) sources are skewed and separate on the third cumulant, while the
 exp(-|t|^p) sources are symmetric and separate only on the fourth.
 :func:`ica_estimate` runs that one contrast on a whole orthonormal frame,
 with the polar step and the noise stop of the vertex finder.
+
+Neither reduction builds its rescaled sample.  ICA reads a sample only
+through its shape and its row blocks, so each reduction hands it the
+caller's points with one (t,) vector of radii, and every pass rebuilds
+the rescaled rows, lifted for the simplex, one row block at a time: no
+(t, d) array is allocated beside the input.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .sampling import (
     _check_count,
     _check_p,
     _gamma_radii,
-    _gamma_rescale,
     _row_blocks,
     _row_sums,
     child_seed,
@@ -73,6 +78,49 @@ class MixingEstimate:
     permutation_note: str = "components are recovered up to signed permutation"
 
 
+class _ScaledRows:
+    """A reduction's sample as ICA reads it: row i of ``points`` times
+    radius i, with a last column of the radii themselves when ``lift``.
+    The radii are the (t,) Gamma(shape, 1)^(1/p) stream of
+    :func:`~simplexlearn.sampling._gamma_radii`, drawn once, so every
+    value equals the rescaled array's.
+
+    ICA's passes read only ``shape`` and blocks ``[rows]`` of rows.  A
+    block is built transposed into one reused C-ordered (d, rows) buffer
+    and handed out as its (rows, d) transpose, whose products then read
+    contiguous memory; it lasts until the next block is built.
+    """
+
+    def __init__(self, points: np.ndarray, shape: float, p: float, rng: np.random.Generator, lift: bool):
+        t, n = points.shape
+        self.points, self.radii = points, np.empty(t)
+        for rows, radii in _gamma_radii(t, shape, p, rng):
+            self.radii[rows] = radii
+        self.shape = (t, n + lift)
+        self._buffer = np.empty(0)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        d, n, count = self.shape[1], self.points.shape[1], rows.stop - rows.start
+        if self._buffer.size < d * count:
+            self._buffer = np.empty(d * count)
+        block = self._buffer[: d * count].reshape(d, count)
+        np.multiply(self.points[rows].T, self.radii[rows], out=block[:n])
+        block[n:] = self.radii[rows]  # the lift row, if any
+        return block.T
+
+
+def _sample(points, letter: str, extra: int) -> np.ndarray:
+    """``points`` as a float (t, d) array; ValueError naming its shape
+    unless d >= 1 and t >= d + ``extra``, with d spelled ``letter``."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1 or x.shape[0] < x.shape[1] + extra:
+        raise ValueError(
+            f"sample must be a 2-D array with at least {letter}+{extra} rows for {letter} columns, "
+            f"{letter} >= 1, got shape {x.shape}"
+        )
+    return x
+
+
 def _whitener(cov: np.ndarray) -> np.ndarray:
     """The symmetric inverse square root of a covariance."""
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
@@ -103,7 +151,10 @@ def ica_estimate(
     z is never formed.  V folds into the frame, f = z W = (x - mu) (V^T W)
     and E[z f^q] = V E[(x - mu) f^q], so a sweep is one pass over the raw
     sample in cache-sized row blocks, and mu and the covariance come from
-    one such pass too: no (t, d) array is built beside the sample.
+    one such pass too: no (t, d) array is built beside the sample.  The
+    sample's finiteness is read from that mean and covariance.  The
+    passes read only the shape and row blocks of ``points``, so the
+    reductions hand in their rescaled rows, built a block at a time.
 
     The two halves of the sample give the update's standard error, and
     the loop stops at the first sweep where every direction's step is
@@ -116,9 +167,10 @@ def ica_estimate(
         dimension.  Non-convergence is flagged per component, not raised.
 
     Raises:
-        ValueError unless the sample is a finite (t, d) array with
+        ValueError unless the sample is a (t, d) array with d >= 1 and
         t >= d+2 (d+1 points whiten to the vertices of a regular simplex,
-        all of squared norm d, where the skew update is singular),
+        all of squared norm d, where the skew update is singular) whose
+        mean and covariance are finite,
         ``contrast`` one of ``CONTRASTS`` and ``max_sweeps`` an integer
         >= 1; DegenerateSampleError for a singular covariance;
         RuntimeError when the frame's update collapses.
@@ -127,13 +179,13 @@ def ica_estimate(
         raise ValueError(f"contrast must be one of {CONTRASTS}, got {contrast!r}")
     if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < points.shape[1] + 2:
-        raise ValueError(f"sample must be a 2-D array with at least d+2 rows for d columns, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError("sample holds non-finite values")
+    if not isinstance(points, _ScaledRows):
+        points = _sample(points, "d", 2)
     t, d = points.shape
-    mean, cov = _mean_and_covariance(points)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a covariance past 1e308
+        mean, cov = _mean_and_covariance(points)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("sample or its covariance holds non-finite values")
     whitener = _whitener(cov)
     power = 2 if contrast == "skew" else 3
     half = t // 2
@@ -178,21 +230,18 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
 
     Each point p is lifted to (p, 1) and scaled by an independent
     Gamma(n+1, 1) radius R, which makes the result a product of iid Exp(1)
-    coordinates under the lifted vertex matrix.  The lifted rows (R p, R)
-    are written straight into one (t, n+1) array, one row block of radii
-    at a time, with no (p, 1) copy and no (t,) array of radii.
+    coordinates under the lifted vertex matrix.  ICA reads the lifted rows
+    (R p, R) from the sample and one (t,) array of radii, one row block at
+    a time, so no (t, n+1) lift is built.
     The inverted separating matrix has columns proportional to (v_j, 1) up
     to sign; multiplying every column by the sign of its last entry fixes
     the orientation, and dropping the last row leaves the vertices.
+
+    Raises ValueError naming the sample's shape unless it is a (t, n)
+    array with n >= 1 and t >= n+3, the rows ICA needs for the lift.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
-    t, n = points.shape
-    lifted = np.empty((t, n + 1))
-    for rows, radii in _gamma_radii(t, n + 1, 1.0, substream(seed, 67)):
-        np.multiply(points[rows], radii[:, None], out=lifted[rows, :n])
-        lifted[rows, n] = radii
+    points = _sample(points, "n", 3)
+    lifted = _ScaledRows(points, points.shape[1] + 1, 1.0, substream(seed, 67), lift=True)
     estimate = ica_estimate(lifted, "skew", seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
@@ -219,13 +268,16 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
     separating matrix is divided by the standard deviation of that source
     density, so the recovered map carries the input's scale and matches A
     up to signed permutation of columns.  At p = 2 the ball is rotation
-    invariant and only the ellipsoid A A^T is identified.
+    invariant and only the ellipsoid A A^T is identified.  ICA reads the
+    scaled rows from the sample and one (t,) array of radii, one row
+    block at a time, so no scaled copy is built.
+
+    Raises ValueError unless ``p`` lies in [1, 64], or naming the
+    sample's shape unless it is a (t, d) array with d >= 1 and t >= d+2.
     """
     p = _check_p(p)
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"sample must be a 2-D (t, n) array, got shape {points.shape}")
-    scaled = _gamma_rescale(points, points.shape[1] / p + 1.0, p, substream(seed, 71))
+    points = _sample(points, "d", 2)
+    scaled = _ScaledRows(points, points.shape[1] / p + 1.0, p, substream(seed, 71), lift=False)
     estimate = ica_estimate(scaled, "kurtosis", seed=seed)
     mixing = estimate.mixing / generalized_gaussian_std(p)
     if abs(p - 2.0) < 1e-12:

@@ -1,10 +1,11 @@
 """Every draw and Monte Carlo scorer runs in row blocks; each is pinned
 here, bit for bit, against the whole-array formula it replaced, written
 out inline with every row sum added left to right.  The sizes straddle a
-block (1, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1 and 50_000 rows),
-and the block size of 7 rows cuts every draw into thousands of blocks;
-the widths m run from 2 to 21 entries per row sum.  tracemalloc bounds
-the memory the blocks save."""
+block (1, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, and 50_000 rows
+for 8192-row blocks or 2_000 for 7-row ones), and the block size of 7
+rows cuts every draw into hundreds of blocks; the widths m run from 2 to
+21 entries per row sum.  tracemalloc bounds the memory the blocks save,
+in the draws and in the ICA reductions."""
 
 import tracemalloc
 
@@ -14,7 +15,7 @@ import pytest
 from simplexlearn import sampling
 from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.geometry import MEMBERSHIP_TOL, Simplex, _solver
-from simplexlearn.ica import lp_symmetric_difference
+from simplexlearn.ica import lp_symmetric_difference, reduce_lp_to_ica, reduce_simplex_to_ica
 from simplexlearn.sampling import (
     _row_blocks,
     _row_sums,
@@ -33,13 +34,13 @@ WIDTHS = [2, 3, 4, 5, 6, 7, 8, 9, 11, 21]
 LP_CASES = [(n, [1.0, 1.5, 3.0][i % 3]) for i, n in enumerate(WIDTHS)]
 
 
-@pytest.fixture(params=[8192, 7], ids=["rows8192", "rows7"])
+@pytest.fixture(params=[(8192, 50_000), (7, 2_000)], ids=["rows8192", "rows7"])
 def sizes(request, monkeypatch):
     """Sample sizes around the block size under test, which is set for
-    the test's duration."""
-    monkeypatch.setattr(sampling, "BLOCK_ROWS", request.param)
-    b = request.param
-    return sorted({1, 7, b - 1, b, b + 1, 50_000})
+    the test's duration, and one of many blocks."""
+    b, many = request.param
+    monkeypatch.setattr(sampling, "BLOCK_ROWS", b)
+    return sorted({1, 7, b - 1, b, b + 1, many})
 
 
 def whole_weights(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
@@ -69,9 +70,10 @@ def product_sizes(sizes: list, m: int) -> list:
     small-matrix kernel, which at 21 vertices in R^20 rounds differently
     from its large one (at up to 11 vertices the two agree).  A draw is
     pinned there where its blocks and the whole product take the same
-    kernel.  That holds at every size for BLOCK_ROWS = 8192, since every
-    block of a longer draw has at least 8192 rows, but not for 7-row
-    blocks of 50_000 rows.
+    kernel.  That holds at every size used here: for BLOCK_ROWS = 8192
+    every block of a longer draw has at least 8192 rows, and 7-row blocks
+    run to 2_000 rows, which at 21 vertices still fits the small kernel.
+    It would not for 7-row blocks of 50_000 rows.
     """
     if m <= 11:
         return sizes
@@ -235,3 +237,14 @@ class TestMemory:
         s = random_simplex(9, 5)
         output = 200_000 * 8 * 8 / 1e6
         assert traced_peak(lambda: sample_simplex(s, 200_000, 0)) <= output + 2.0
+
+    # the rescaled copies the reductions built peaked at 16.3 and 9.0 MB
+    def test_simplex_reduction_keeps_one_vector_of_radii(self):
+        points = sample_simplex(random_simplex(9, 6), 200_000, 0)
+        radii = 200_000 * 8 / 1e6
+        assert traced_peak(lambda: reduce_simplex_to_ica(points, seed=0)) <= radii + 3.0
+
+    def test_lp_reduction_keeps_one_vector_of_radii(self):
+        points = sample_lp_ball(5, 3.0, 200_000, 0)
+        radii = 200_000 * 8 / 1e6
+        assert traced_peak(lambda: reduce_lp_to_ica(points, 3.0, seed=0)) <= radii + 3.0

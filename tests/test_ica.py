@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from simplexlearn.ica import (
 from simplexlearn.moments import DegenerateSampleError
 from simplexlearn.sampling import (
     _gamma_rescale,
+    _row_blocks,
     generalized_gaussian_std,
     sample_lp_ball,
     sample_simplex,
@@ -88,10 +90,15 @@ class TestIcaEstimate:
 
     # (4, 3): d+1 points whiten to a regular simplex, where the skew update
     # is singular
-    @pytest.mark.parametrize("shape", [(500,), (3, 3), (2, 5), (4, 3, 2), (4, 3)])
+    @pytest.mark.parametrize("shape", [(500,), (3, 3), (2, 5), (4, 3, 2), (4, 3), (10, 0)])
     def test_bad_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"2-D array with at least d\+2 rows for d columns"):
+        with pytest.raises(ValueError, match=re.escape(f"2-D array with at least d+2 rows for d columns, d >= 1, got shape {shape}")):
             ica_estimate(np.ones(shape))
+
+    def test_overflow_rejected_without_a_warning(self):
+        # the covariance pass overflows; any warning would fail the suite
+        with pytest.raises(ValueError, match="non-finite"):
+            ica_estimate(np.full((50, 3), 1e306))
 
     def test_non_convergence_is_flagged_not_raised(self):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
@@ -158,21 +165,38 @@ class TestBlockedPasses:
         assert blocked.estimate.converged == reference.estimate.converged
         assert np.abs(blocked.vertices - reference.vertices).max() <= 1e-12 * np.abs(reference.vertices).max()
 
-    def test_simplex_lift_is_unchanged(self, monkeypatch):
-        # the lift is written in place, bit for bit the rescaled (p, 1) rows
-        seen = []
+    @pytest.mark.parametrize("block_rows", [8192, 7])
+    @pytest.mark.parametrize("problem", ["simplex", "lp"])
+    def test_every_block_is_the_rescaled_sample(self, monkeypatch, block_rows, problem):
+        # ICA reads each block of the rescaled rows, lifted for the simplex,
+        # bit for bit as the rows of the whole rescaled array
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
+        if problem == "simplex":
+            points = sample_simplex(Simplex(substream(4, 605).standard_normal((5, 4))), 3001, 34)
+            t, n = points.shape
+            expected = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(9, 67))
+            estimate = lambda: reduce_simplex_to_ica(points, seed=9).estimate  # noqa: E731
+        else:
+            points = sample_lp_ball(4, 3.0, 3001, 34)
+            t, n = points.shape
+            expected = _gamma_rescale(points, n / 3.0 + 1.0, 3.0, substream(9, 71))
+            estimate = lambda: reduce_lp_to_ica(points, 3.0, seed=9).estimate  # noqa: E731
+        real, seen = ica._ScaledRows.__getitem__, set()
 
-        def spy(points, contrast="skew", **kwargs):
-            seen.append(points.copy())
-            return real(points, contrast, **kwargs)
+        def spy(self, rows):
+            block = real(self, rows)
+            assert np.array_equal(block, expected[rows])
+            seen.add((rows.start, rows.stop))
+            return block
 
-        real = ica.ica_estimate
-        monkeypatch.setattr(ica, "ica_estimate", spy)
-        points = sample_simplex(Simplex(substream(4, 605).standard_normal((5, 4))), 3001, 34)
-        reduce_simplex_to_ica(points, seed=9)
-        t, n = points.shape
-        expected = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(9, 67))
-        assert np.array_equal(seen[0], expected)
+        monkeypatch.setattr(ica._ScaledRows, "__getitem__", spy)
+        est = estimate()
+        passes = [*_row_blocks(0, t), *_row_blocks(0, t // 2), *_row_blocks(t // 2, t)]
+        assert seen == {(rows.start, rows.stop) for rows in passes}
+        built = ica_estimate(expected, est.contrast, seed=9)
+        assert est.sweeps == built.sweeps
+        assert est.converged == built.converged
+        assert np.abs(est.separating - built.separating).max() <= 1e-12 * np.abs(built.separating).max()
 
 
 class TestSkewNoiseStop:
@@ -243,6 +267,23 @@ class TestReductionInput:
             reduce_simplex_to_ica(np.ones(shape))
         with pytest.raises(ValueError, match="2-D"):
             reduce_lp_to_ica(np.ones(shape), 1.0)
+
+    # (4, 2) lifts to (4, 3), one row short of what ICA takes
+    @pytest.mark.parametrize("shape", [(10, 0), (4, 2)])
+    def test_simplex_shape_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"at least n+3 rows for n columns, n >= 1, got shape {shape}")):
+            reduce_simplex_to_ica(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(10, 0), (3, 2)])
+    def test_lp_shape_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"at least d+2 rows for d columns, d >= 1, got shape {shape}")):
+            reduce_lp_to_ica(np.ones(shape), 2.0)
+
+    def test_overflow_rejected_without_a_warning(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_simplex_to_ica(np.full((50, 2), 1e306))
+        with pytest.raises(ValueError, match="non-finite"):
+            reduce_lp_to_ica(np.full((50, 2), 1e300), 1.0)
 
     @pytest.mark.parametrize("p", [0.5, 100.0, math.nan])
     def test_p_checked_before_the_reduction_runs(self, p, monkeypatch):
