@@ -17,10 +17,13 @@ $SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import threading
 import time
+from functools import partial
 
 import numpy as np
 
@@ -167,11 +170,48 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _drawing_beside(*draws):
+    """Run ``draws``, callables of no argument, one after another on one
+    thread while the body runs.  Leaving the body joins the thread, so it
+    never outlives the body, and then raises what a draw raised."""
+    errors = []
+
+    def run():
+        try:
+            for draw in draws:
+                draw()
+        except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
+    """Draw a seeded instance's sample, reduce it to ICA and score the
+    result.  The reduction's radii and, for lp, the scorer's ball are
+    streams of their own, independent of the sample: one thread draws them
+    into arrays allocated here while this one draws the sample, and is
+    joined before ICA reads the radii.  Every stream keeps its seed, key
+    and fill order, so the report is that of the serial composition
+    ``reduce_*_to_ica(sample_*(...), seed)``, then
+    ``lp_symmetric_difference(..., seed=child_seed(seed, 105))``."""
     from .evaluation import match_vertices
     from .ica import (
+        SYMDIFF_POINTS,
+        _reduction_radii,
+        _ScaledRows,
+        _symdiff_ball,
+        _symdiff_maps,
+        _symdiff_score,
         compute_c_pn,
-        lp_symmetric_difference,
         reduce_lp_to_ica,
         reduce_simplex_to_ica,
         separation_index,
@@ -209,8 +249,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     if cfg["problem"] == "simplex":
         truth = _synthesize_simplex(n, seed)
-        sample = sample_simplex(truth, t, child_seed(seed, 101))
-        reduction = reduce_simplex_to_ica(sample, seed=seed)
+        radii = np.empty(t)
+        with _drawing_beside(partial(_reduction_radii, radii, n, None, seed)):
+            sample = sample_simplex(truth, t, child_seed(seed, 101))
+        reduction = reduce_simplex_to_ica(_ScaledRows(sample, radii, lift=True), seed=seed)
         match = match_vertices(truth.vertices, reduction.vertices)
         lifted = np.vstack([truth.vertices.T, np.ones(n + 1)])
         payload.update(
@@ -229,10 +271,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         q1, r1 = np.linalg.qr(rng.standard_normal((n, n)))
         q1 = q1 * np.sign(np.diag(r1))
         a = q1 * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
-        sample = sample_lp_ball(n, p, t, child_seed(seed, 104))
-        for rows in _row_blocks(0, t):  # sample @ a.T in place
-            sample[rows] = sample[rows] @ a.T
-        reduction = reduce_lp_to_ica(sample, p, seed=seed)
+        # the ball is drawn first, and its row sums are scratch in the
+        # radii's array until the radii overwrite them
+        ball, radii = np.empty((SYMDIFF_POINTS, n)), np.empty(max(t, SYMDIFF_POINTS))
+        with _drawing_beside(
+            partial(_symdiff_ball, p, child_seed(seed, 105), ball, radii[:SYMDIFF_POINTS]),
+            partial(_reduction_radii, radii[:t], n, p, seed),
+        ):
+            sample = sample_lp_ball(n, p, t, child_seed(seed, 104))
+            for rows in _row_blocks(0, t):  # sample @ a.T in place
+                sample[rows] = sample[rows] @ a.T
+        reduction = reduce_lp_to_ica(_ScaledRows(sample, radii[:t], lift=False), p, seed=seed)
+        del sample, radii  # the scorer reads only the ball
         payload.update(
             {
                 "p": p,
@@ -240,7 +290,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                 "max_match_error": None,
                 "separation_index": separation_index(reduction.estimate.separating @ a),
                 "c_pn": compute_c_pn(p, n),
-                "symdiff": lp_symmetric_difference(a, reduction.mixing, p, seed=child_seed(seed, 105)),
+                "symdiff": _symdiff_score(ball, _symdiff_maps(a, reduction.mixing), p),
             }
         )
 

@@ -19,6 +19,14 @@ through its shape and its row blocks, so each reduction hands it the
 caller's points with one (t,) vector of radii, and every pass rebuilds
 the rescaled rows, lifted for the simplex, one row block at a time: no
 (t, d) array is allocated beside the input.
+
+The radii are a stream of their own, independent of the points: one
+private helper holds each reduction's radius law and spawn key, and a
+caller that has drawn the radii already, on another thread beside the
+sample, hands a reduction its ``_ScaledRows`` in place of the points.
+The symmetric-difference scorer's ball is likewise a stream of its own,
+with a private draw into caller-allocated arrays and a private score of
+a drawn ball.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .sampling import (
     _check_count,
     _check_p,
     _gamma_radii,
+    _lp_ball_points,
     _row_blocks,
     _row_sums,
     child_seed,
@@ -58,6 +67,8 @@ __all__ = [
 
 MAX_SWEEPS = 500
 CONTRASTS = ("skew", "kurtosis")
+# points in the uniform ball draw that scores an lp reduction
+SYMDIFF_POINTS = 100_000
 
 
 @dataclass
@@ -78,12 +89,23 @@ class MixingEstimate:
     permutation_note: str = "components are recovered up to signed permutation"
 
 
+def _reduction_radii(out: np.ndarray, n: int, p: float | None, seed: int) -> np.ndarray:
+    """Fill ``out``, (t,), with the radii that the reduction of an
+    n-column sample scales its rows by, and return it: Gamma(n+1, 1) keyed
+    67 for the simplex (``p`` None), Gamma(n/p + 1, 1)^(1/p) keyed 71 for
+    the lp ball, each the stream of
+    :func:`~simplexlearn.sampling._gamma_radii`."""
+    shape, power, key = (n + 1, 1.0, 67) if p is None else (n / p + 1.0, p, 71)
+    for rows, radii in _gamma_radii(out.shape[0], shape, power, substream(seed, key)):
+        out[rows] = radii
+    return out
+
+
 class _ScaledRows:
     """A reduction's sample as ICA reads it: row i of ``points`` times
-    radius i, with a last column of the radii themselves when ``lift``.
-    The radii are the (t,) Gamma(shape, 1)^(1/p) stream of
-    :func:`~simplexlearn.sampling._gamma_radii`, drawn once, so every
-    value equals the rescaled array's.
+    ``radii[i]``, with a last column of the radii themselves when ``lift``.
+    With the radii of :func:`_reduction_radii`, every value equals the
+    rescaled array's.
 
     ICA's passes read only ``shape`` and blocks ``[rows]`` of rows.  A
     block is built transposed into one reused C-ordered (d, rows) buffer
@@ -91,11 +113,9 @@ class _ScaledRows:
     contiguous memory; it lasts until the next block is built.
     """
 
-    def __init__(self, points: np.ndarray, shape: float, p: float, rng: np.random.Generator, lift: bool):
+    def __init__(self, points: np.ndarray, radii: np.ndarray, lift: bool):
         t, n = points.shape
-        self.points, self.radii = points, np.empty(t)
-        for rows, radii in _gamma_radii(t, shape, p, rng):
-            self.radii[rows] = radii
+        self.points, self.radii = points, radii
         self.shape = (t, n + lift)
         self._buffer = np.empty(0)
 
@@ -239,10 +259,13 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
 
     Raises ValueError naming the sample's shape unless it is a (t, n)
     array with n >= 1 and t >= n+3, the rows ICA needs for the lift.
+    A lifted ``_ScaledRows`` whose radii are drawn already is taken as is.
     """
-    points = _sample(points, "n", 3)
-    lifted = _ScaledRows(points, points.shape[1] + 1, 1.0, substream(seed, 67), lift=True)
-    estimate = ica_estimate(lifted, "skew", seed=seed)
+    if not isinstance(points, _ScaledRows):
+        points = _sample(points, "n", 3)
+        radii = _reduction_radii(np.empty(points.shape[0]), points.shape[1], None, seed)
+        points = _ScaledRows(points, radii, lift=True)
+    estimate = ica_estimate(points, "skew", seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
     signs[signs == 0] = 1.0
@@ -274,11 +297,14 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
 
     Raises ValueError unless ``p`` lies in [1, 64], or naming the
     sample's shape unless it is a (t, d) array with d >= 1 and t >= d+2.
+    A ``_ScaledRows`` whose radii are drawn already is taken as is.
     """
     p = _check_p(p)
-    points = _sample(points, "d", 2)
-    scaled = _ScaledRows(points, points.shape[1] / p + 1.0, p, substream(seed, 71), lift=False)
-    estimate = ica_estimate(scaled, "kurtosis", seed=seed)
+    if not isinstance(points, _ScaledRows):
+        points = _sample(points, "d", 2)
+        radii = _reduction_radii(np.empty(points.shape[0]), points.shape[1], p, seed)
+        points = _ScaledRows(points, radii, lift=False)
+    estimate = ica_estimate(points, "kurtosis", seed=seed)
     mixing = estimate.mixing / generalized_gaussian_std(p)
     if abs(p - 2.0) < 1e-12:
         estimate.permutation_note = "p=2 ball is rotation invariant; only the ellipsoid A A^T is identified"
@@ -365,7 +391,7 @@ def lp_symmetric_difference(
     a: np.ndarray,
     a_est: np.ndarray,
     p: float,
-    mc_points: int = 100_000,
+    mc_points: int = SYMDIFF_POINTS,
     seed: int = 0,
 ) -> float:
     """Monte Carlo volume of (A B_p symdiff A_est B_p) / vol(A B_p).
@@ -382,20 +408,40 @@ def lp_symmetric_difference(
     nonsingular square matrices of one shape.
     """
     mc_points = _check_count(mc_points, "mc_points")
+    maps = _symdiff_maps(a, a_est)
+    x = sample_lp_ball(maps[0].shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
+    return _symdiff_score(x, maps, p)
+
+
+def _symdiff_ball(p: float, seed: int, out: np.ndarray, sums: np.ndarray) -> None:
+    """Fill ``out`` with the uniform ball draw that
+    :func:`lp_symmetric_difference` takes for ``seed``, with ``sums`` as
+    the draw's (mc_points,) row sums; the caller allocates both."""
+    _lp_ball_points(p, child_seed(seed, 79, 0), out, sums)
+
+
+def _symdiff_maps(a, a_est) -> tuple[np.ndarray, np.ndarray, float]:
+    """The composed maps (A_est^-1 A)^T and (A^-1 A_est)^T and the volume
+    ratio |det A_est| / |det A|; ValueError unless ``a`` and ``a_est`` are
+    finite, nonsingular square matrices of one shape."""
     a, a_est = _finite_square(a, "a"), _finite_square(a_est, "a_est")
     if a_est.shape != a.shape:
         raise ValueError(f"a_est must have the shape {a.shape} of a, got {a_est.shape}")
     for name, m in (("a", a), ("a_est", a_est)):
         if np.linalg.cond(m) * np.finfo(float).eps >= 1.0:
             raise ValueError(f"{name} is singular")
-    x = sample_lp_ball(a.shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
-    maps = (np.linalg.solve(a_est, a).T, np.linalg.solve(a, a_est).T)
+    return np.linalg.solve(a_est, a).T, np.linalg.solve(a, a_est).T, abs(np.linalg.det(a_est)) / abs(np.linalg.det(a))
+
+
+def _symdiff_score(x: np.ndarray, maps: tuple, p: float) -> float:
+    """The symmetric difference that the ball draw ``x`` scores under the
+    ``maps`` of :func:`_symdiff_maps`."""
+    forward, backward, ratio = maps
     outside = [0, 0]
-    for rows in _row_blocks(0, mc_points):
-        for half, composed in enumerate(maps):
+    for rows in _row_blocks(0, x.shape[0]):
+        for half, composed in enumerate((forward, backward)):
             y = x[rows] @ composed
             np.abs(y, out=y)
             y **= p
             outside[half] += int(np.count_nonzero(_row_sums(y) > 1.0))
-    ratio = abs(np.linalg.det(a_est)) / abs(np.linalg.det(a))
-    return outside[0] / mc_points + ratio * (outside[1] / mc_points)
+    return outside[0] / x.shape[0] + ratio * (outside[1] / x.shape[0])

@@ -64,7 +64,10 @@ def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         centered = block - block_mean
         delta = block_mean - mean
         total = count + rows
-        scatter += centered.T @ centered + np.outer(delta, delta) * (count * rows / total)
+        cross = centered.T @ centered
+        if count:  # the first block merges into nothing, and its outer product may overflow
+            cross += np.outer(delta, delta) * (count * rows / total)
+        scatter += cross
         mean += delta * (rows / total)
         count = total
     return mean, scatter / t

@@ -180,8 +180,10 @@ def _generalized_gaussian_into(rng: np.random.Generator, p: float, out: np.ndarr
     blocks: |x| = H^(1/p) with H ~ Gamma(1/p, 1), and a fair sign.
 
     All H blocks are drawn first and then all sign blocks, the order in
-    which one whole-array draw of each takes the stream.  With ``sums``,
-    the row sums of H, that is of |x|^p, go into it.
+    which one whole-array draw of each takes the stream.  A sign block is
+    turned into -1 and 1 in its own integer array, so it costs no float
+    temporaries.  With ``sums``, the row sums of H, that is of |x|^p, go
+    into it.
     """
     blocks = _row_blocks(0, out.shape[0])
     for rows in blocks:
@@ -191,7 +193,10 @@ def _generalized_gaussian_into(rng: np.random.Generator, p: float, out: np.ndarr
             sums[rows] = _row_sums(block)
         block **= 1.0 / p
     for rows in blocks:
-        out[rows] *= 2.0 * rng.integers(0, 2, size=out[rows].shape) - 1.0
+        signs = rng.integers(0, 2, size=out[rows].shape)
+        signs *= 2
+        signs -= 1
+        out[rows] *= signs
     return blocks
 
 
@@ -214,6 +219,18 @@ def generalized_gaussian_std(p: float) -> float:
     return math.exp(0.5 * (math.lgamma(3.0 / p) - math.lgamma(1.0 / p)))
 
 
+def _lp_ball_points(p: float, seed: int, out: np.ndarray, sums: np.ndarray) -> None:
+    """Fill ``out``, (t, n), with the points of ``sample_lp_ball(n, p, t,
+    seed)``, keeping the row sums of |G|^p in ``sums``, (t,).  The caller
+    allocates both, so a draw on another thread leaves no array behind in
+    that thread's allocator."""
+    rng = substream(seed, _KEY_LP_BALL)
+    for rows in _generalized_gaussian_into(rng, p, out, sums):
+        denominator = sums[rows]
+        denominator += rng.exponential(1.0, size=rows.stop - rows.start)
+        out[rows] /= (denominator ** (1.0 / p))[:, None]
+
+
 def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     """t points uniform in the unit lp ball of R^n.
 
@@ -227,13 +244,8 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     """
     p = _check_p(p)
     n, t = _check_count(n, "n"), _check_count(t, "t")
-    rng = substream(seed, _KEY_LP_BALL)
     out = np.empty((t, n))
-    sums = np.empty(t)
-    for rows in _generalized_gaussian_into(rng, p, out, sums):
-        denominator = sums[rows]
-        denominator += rng.exponential(1.0, size=rows.stop - rows.start)
-        out[rows] /= (denominator ** (1.0 / p))[:, None]
+    _lp_ball_points(p, seed, out, np.empty(t))
     return out
 
 

@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import simplexlearn
@@ -123,22 +125,86 @@ class TestReduceCommand:
         assert first == second
 
     def test_lp_op_draws_one_instance_and_one_scoring_sample(self, tmp_path, monkeypatch):
-        # the instance draw (--t points) goes through sampling, the scoring
-        # draw (the default mc_points) through ica; symdiff scores both of
-        # its terms on that one draw
+        # the instance draw (--t points) goes through sample_lp_ball, the
+        # scoring draw (SYMDIFF_POINTS) through ica on the second thread;
+        # both fill through the one private ball draw, and symdiff scores
+        # both of its terms on the scoring draw
         calls = []
-        original = sampling.sample_lp_ball
+        original = sampling._lp_ball_points
 
-        def counting(n, p, t, seed):
-            calls.append(t)
-            return original(n, p, t, seed)
+        def counting(p, seed, out, sums):
+            calls.append(out.shape[0])
+            original(p, seed, out, sums)
 
-        monkeypatch.setattr(sampling, "sample_lp_ball", counting)
-        monkeypatch.setattr(ica, "sample_lp_ball", counting)
+        monkeypatch.setattr(sampling, "_lp_ball_points", counting)
+        monkeypatch.setattr(ica, "_lp_ball_points", counting)
         out = str(tmp_path / "reduce.json")
         argv = ["reduce", "--problem", "lp", "--p", "3", "--n", "3", "--t", "2000", "--seed", "0", "--out", out]
         assert main(argv) in (0, 2)  # an unconverged run (exit 2) is still scored
-        assert calls == [2000, 100_000]
+        assert sorted(calls) == [2000, 100_000]
+
+    @pytest.mark.parametrize("problem", ["simplex", "lp"])
+    def test_overlapped_draws_match_the_serial_composition(self, tmp_path, problem):
+        # the radii and the scoring ball drawn beside the sample give the
+        # report of the public functions called one after another
+        from simplexlearn.cli import _synthesize_simplex
+        from simplexlearn.evaluation import match_vertices
+
+        n, t, seed = 3, 20_000, 5
+        out = str(tmp_path / "reduce.json")
+        argv = ["reduce", "--problem", problem, "--n", str(n), "--t", str(t), "--seed", str(seed), "--out", out]
+        if problem == "lp":
+            argv += ["--p", "3"]
+        assert main(argv) in (0, 2)
+        report = read_json(out)
+        if problem == "simplex":
+            truth = _synthesize_simplex(n, seed)
+            reduction = ica.reduce_simplex_to_ica(sampling.sample_simplex(truth, t, sampling.child_seed(seed, 101)), seed=seed)
+            match = match_vertices(truth.vertices, reduction.vertices)
+            assert report["matched_errors"] == list(match.per_vertex_error)
+            assert report["max_match_error"] == match.max_error
+            mixed = np.vstack([truth.vertices.T, np.ones(n + 1)])
+        else:
+            rng = sampling.substream(seed, 103)
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
+            mixed = q * np.sign(np.diag(r)) * rng.uniform(0.5, 2.0, size=n)
+            sample = sampling.sample_lp_ball(n, 3.0, t, sampling.child_seed(seed, 104))
+            for rows in sampling._row_blocks(0, t):  # as the command maps it
+                sample[rows] = sample[rows] @ mixed.T
+            reduction = ica.reduce_lp_to_ica(sample, 3.0, seed=seed)
+            symdiff = ica.lp_symmetric_difference(mixed, reduction.mixing, 3.0, seed=sampling.child_seed(seed, 105))
+            assert report["symdiff"] == symdiff
+        assert report["separation_index"] == ica.separation_index(reduction.estimate.separating @ mixed)
+        assert report["converged"] == reduction.estimate.converged
+        assert report["sweeps"] == reduction.estimate.sweeps
+
+    @pytest.mark.parametrize(
+        "problem, draw",
+        [("simplex", "_reduction_radii"), ("lp", "_reduction_radii"), ("lp", "_symdiff_ball")],
+    )
+    def test_failing_draw_beside_the_sample_is_loud(self, capsys, monkeypatch, problem, draw):
+        # the error crosses back to the command line and no thread is left
+        def failing(*args):
+            raise FloatingPointError("the second thread's draw failed")
+
+        monkeypatch.setattr(ica, draw, failing)
+        threads = threading.active_count()
+        argv = ["reduce", "--problem", problem, "--n", "3", "--t", "2000", "--seed", "0"]
+        if problem == "lp":
+            argv += ["--p", "3"]
+        assert main(argv) == 3
+        assert "error: FloatingPointError: the second thread's draw failed" in capsys.readouterr().err
+        assert threading.active_count() == threads
+
+    def test_failing_sample_joins_the_second_thread(self, capsys, monkeypatch):
+        def failing(*args):
+            raise MemoryError("no room for the sample")
+
+        monkeypatch.setattr(sampling, "sample_simplex", failing)
+        threads = threading.active_count()
+        assert main(["reduce", "--problem", "simplex", "--n", "3", "--t", "2000", "--seed", "0"]) == 3
+        assert "error: MemoryError: no room for the sample" in capsys.readouterr().err
+        assert threading.active_count() == threads
 
     def test_lp_requires_p(self):
         assert main(["reduce", "--problem", "lp", "--n", "2"]) == 1

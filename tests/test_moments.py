@@ -239,3 +239,26 @@ class TestLandscapeCertificate:
     def test_dimension_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match="^n must be an integer"):
             certify_landscape(n)
+
+
+class TestMeanAndCovariance:
+    # the first block merges into nothing: an outer product of its mean,
+    # past about 1.3e154, would overflow and its zero weight make NaN
+    def test_a_mean_past_the_square_root_of_the_float_range(self):
+        from simplexlearn.ica import ica_estimate
+        from simplexlearn.learner import estimate_frame
+
+        x = 1e160 + 1e150 * substream(0, 43).standard_exponential((5000, 3))
+        mean, cov = moments._mean_and_covariance(x)
+        assert np.isfinite(cov).all() and np.linalg.eigvalsh(cov).min() > 0.0
+        assert np.array_equal(estimate_frame(x).mean, mean)
+        assert ica_estimate(x, seed=0).mean.shape == (3,)
+
+    def test_a_constant_sample_far_from_zero_is_degenerate(self):
+        from simplexlearn.ica import ica_estimate
+        from simplexlearn.learner import estimate_frame
+
+        x = np.full((10, 3), 1e306)  # ten rows, whose mean is exactly 1e306
+        for estimate in (estimate_frame, ica_estimate):
+            with pytest.raises(moments.DegenerateSampleError):
+                estimate(x)
