@@ -8,7 +8,7 @@ import pytest
 from simplexlearn import sampling
 from simplexlearn.cli import _synthesize_simplex
 from simplexlearn.evaluation import match_vertices
-from simplexlearn.geometry import Simplex, isotropic_simplex, make_embed_map
+from simplexlearn.geometry import AffineFrame, Simplex, isotropic_simplex, make_embed_map
 from simplexlearn.learner import (
     BoostFailureError,
     DegenerateSampleError,
@@ -20,6 +20,7 @@ from simplexlearn.learner import (
 )
 from simplexlearn.moments import empirical_m3_grad
 from simplexlearn.sampling import child_seed, sample_simplex, simplex_source, substream
+from simplexlearn.vertex_finder import _polar_step, reconstruct_squares
 
 
 def random_truth(n: int, seed: int) -> Simplex:
@@ -38,6 +39,31 @@ def assert_matches_one_shot_gradient(fused, frame, emb, x, u):
     half = x.shape[0] // 2
     first, second = (empirical_m3_grad(emb.forward(frame.forward(part)), u) for part in (x[:half], x[half:]))
     assert np.abs(error - (first - second) / 2).max() <= 1e-12 * np.abs(reference).max()
+
+
+def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, int]:
+    """The whole-array form of learn_simplex: the frame from the centered
+    block, the whole block embedded, a gradient per half of it, and the
+    squares and polar step from the child_seed(seed, 41, k) starts.
+    Returns (vertices, iterations_run)."""
+    t, n = points.shape
+    mean = points.mean(axis=0)
+    centered = points - mean
+    frame = AffineFrame(mean=mean, factor=np.linalg.cholesky(centered.T @ centered / t))
+    emb = make_embed_map(n)
+    y = emb.forward(frame.forward(points))
+    half = t // 2
+    starts = [substream(child_seed(seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
+    u = np.column_stack([start / np.linalg.norm(start) for start in starts])
+    scale = (n + 1) * (n + 2) * (n + 3) / 6.0
+    for step in range(r):
+        first, second = empirical_m3_grad(y[:half], u), empirical_m3_grad(y[half:], u)
+        update = reconstruct_squares(u, (half * first + (t - half) * second) / t)
+        u, _, _, converged = _polar_step(u, update, scale * 0.5 * (first - second), step)
+        if converged.all():
+            break
+    directions = (u + (1.0 - u.sum(axis=0)) / (n + 1)).T
+    return frame.inverse(emb.inverse(directions)), step + 1
 
 
 class TestEstimateFrame:
@@ -90,6 +116,19 @@ class TestEstimateFrame:
         fused = embedded_m3_grad(frame, emb)
         for shape in ((n + 1,), (n + 1, n + 1)):
             assert_matches_one_shot_gradient(fused, frame, emb, x, substream(6, 6).standard_normal(shape))
+
+    # the whole run, frame, every step and the back-map, against
+    # one_shot_learn; t = n + 2 is the smallest block the learner takes
+    @pytest.mark.parametrize("block_rows", [7, 10**9])
+    @pytest.mark.parametrize("t", [1001, 7])
+    def test_learner_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t):
+        n = 5
+        x = simplex_source(random_truth(n, 10), 11)(t)
+        vertices, iterations_run = one_shot_learn(x, 2, 30)
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
+        result = learn_simplex(x, LearnerConfig(r=30, seed=2))
+        assert result.iterations_run == iterations_run
+        assert np.abs(result.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
 
     def test_iterations_do_not_depend_on_the_block(self, monkeypatch):
         truth = random_truth(4, 8)
