@@ -12,7 +12,7 @@ Each reduction fixes its source law, so it fixes the contrast too: the
 Exp(1) sources are skewed and separate on the third cumulant, while the
 exp(-|t|^p) sources are symmetric and separate only on the fourth.
 :func:`ica_estimate` runs that one contrast on a whole orthonormal frame,
-with the polar step and the noise stop of the vertex finder.
+in the fixed-point loop that the vertex finder runs on its own map.
 
 Neither reduction builds its rescaled sample.  ICA reads a sample only
 through its shape and its row blocks, so each reduction hands it the
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_power_sums
+from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_moment
 from .sampling import (
     _check_count,
     _check_p,
@@ -49,7 +49,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
-from .vertex_finder import _polar_step
+from .vertex_finder import _fixed_point
 
 __all__ = [
     "MixingEstimate",
@@ -168,19 +168,14 @@ def ica_estimate(
     sources such as Exp(1), and only kurtosis separates symmetric ones,
     whose third cumulant is 0.
 
-    z is never formed.  V folds into the frame, f = z W = (x - mu) (V^T W)
-    and E[z f^q] = V E[(x - mu) f^q], so a sweep is one pass over the raw
-    sample in cache-sized row blocks, and mu and the covariance come from
-    one such pass too: no (t, d) array is built beside the sample.  The
-    sample's finiteness is read from that mean and covariance.  The
-    passes read only the shape and row blocks of ``points``, so the
-    reductions hand in their rescaled rows, built a block at a time.
-
-    The two halves of the sample give the update's standard error, and
-    the loop stops at the first sweep where every direction's step is
-    within the noise that error puts on it, the stop of
-    :func:`~simplexlearn.vertex_finder.find_vertex`; ``max_sweeps`` caps
-    the sweeps.
+    z is never formed: a sweep is one split-half moment pass over the raw
+    sample (``moments._split_half_moment``), and mu and the covariance
+    come from one blocked pass too, which also shows whether the sample
+    is finite.  The passes read only the shape and row blocks of
+    ``points``, so the reductions hand in their rescaled rows, built a
+    block at a time.  The sweeps run in the fixed-point loop of
+    :func:`~simplexlearn.vertex_finder.find_vertex`, with its noise stop;
+    ``max_sweeps`` caps them.
 
     Returns:
         MixingEstimate; ``separating`` row count equals the sample
@@ -201,38 +196,30 @@ def ica_estimate(
         raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     if not isinstance(points, _ScaledRows):
         points = _sample(points, "d", 2)
-    t, d = points.shape
+    d = points.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a covariance past 1e308
         mean, cov = _mean_and_covariance(points)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise ValueError("sample or its covariance holds non-finite values")
     whitener = _whitener(cov)
-    power = 2 if contrast == "skew" else 3
-    half = t // 2
-    w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
+    power, shift = (2 if contrast == "skew" else 3), -(mean @ whitener.T)
 
-    for sweep in range(max_sweeps):
-        raw_frame = whitener.T @ w
-        moments, sums = _split_half_power_sums(points, raw_frame, -(mean @ raw_frame), power)
-        first, second = (
-            whitener @ (moments[part] - np.outer(mean, sums[part])) / count
-            for part, count in enumerate((half, t - half))
-        )
-        update = (half * first + (t - half) * second) / t
+    def sweep(w: np.ndarray, _: int) -> tuple[np.ndarray, np.ndarray]:
+        update, error = _split_half_moment(points, whitener.T, shift, w, power)
         if contrast == "kurtosis":
             update -= 3.0 * w
-        w, _, _, converged = _polar_step(w, update, 0.5 * (first - second), sweep)
-        if converged.all():
-            break
+        return update, error
 
-    separating = w.T @ whitener
+    start, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
+    found = _fixed_point(sweep, start, max_sweeps)
+    separating = found.u.T @ whitener
     return MixingEstimate(
         separating=separating,
         mixing=np.linalg.inv(separating),
         mean=mean,
-        converged=converged.tolist(),
+        converged=found.converged.tolist(),
         contrast=contrast,
-        sweeps=sweep + 1,
+        sweeps=found.iterations_run,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_power_sums
+from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_moment
 from .sampling import _check_count, child_seed, substream
 from .vertex_finder import IterationConfig, find_vertex
 
@@ -76,27 +76,17 @@ def embedded_m3_grad(
     its standard error) without building the embedded block.
 
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
-    b = offset - mean L solved once here.  With s = y u = x (L u) + b . u the
-    gradient (3/t) y^T s^2 is (3/t) (L^T (x^T s^2) + b sum(s^2)): one
-    blocked pass over the raw block gives x^T s^2 and sum(s^2) for each of
-    its two halves, and s is never formed for more than one cache-sized
-    row block.  The halves give gradients g_A and g_B at no extra cost; the
-    gradient is their point-weighted mean and the standard error of each
-    entry is estimated by |g_A - g_B| / 2 (the block needs two points).
-    u is (n+1,) or a frame (n+1, k).
+    b = offset - mean L solved once here, and the gradient is
+    3 E[y (y u)^2], one split-half moment pass over the raw block (see
+    ``moments._split_half_moment``; the block needs two points).  u is
+    (n+1,) or a frame (n+1, k).
     """
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
     shift = emb.offset - frame.mean @ linear
 
     def gradient(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        columns = u.reshape(u.shape[0], -1)
-        moments, sums = _split_half_power_sums(x, linear @ columns, shift @ columns, 2)
-        t, half = x.shape[0], x.shape[0] // 2
-        g_a, g_b = (
-            (3.0 / count) * (linear.T @ moments[part] + np.outer(shift, sums[part]))
-            for part, count in enumerate((half, t - half))
-        )
-        return ((half * g_a + (t - half) * g_b) / t).reshape(u.shape), (0.5 * (g_a - g_b)).reshape(u.shape)
+        moment, error = _split_half_moment(x, linear, shift, u.reshape(u.shape[0], -1), 2)
+        return 3.0 * moment.reshape(u.shape), 3.0 * error.reshape(u.shape)
 
     return gradient
 

@@ -13,7 +13,7 @@ local maxima are exactly the (projected) vertex directions: the exact
 Hessian spectrum at every critical point, with no random trials.
 
 It also holds the two sample passes that the learner and ICA share: the
-mean and covariance of a sample, and the split-half power sums that drive
+mean and covariance of a sample, and the split-half moment that drives
 both fixed points.  Each walks the sample in the row blocks of
 ``sampling._row_blocks`` that every draw uses too (BLOCK_ROWS rows, a
 short last block joined to the one before it), so no intermediate is
@@ -73,31 +73,36 @@ def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scatter / t
 
 
-def _split_half_power_sums(x: np.ndarray, a: np.ndarray, shift: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per half of the rows of x, the first t // 2 and then the rest: the
-    sums over the half of x^T f^q and of f^q, with f = x a + shift.
+def _split_half_moment(x: np.ndarray, linear: np.ndarray, shift: np.ndarray, u: np.ndarray, q: int) -> tuple:
+    """E[y f^q] over the rows of y = x linear + shift, with f = y u, and
+    its standard error, half the difference of its values on the two
+    halves of the rows (the first t // 2 and the rest).
 
-    x is (t, d), a (d, k) and shift (k,); q is 2 or 3.  Returns the
-    moments, shape (2, d, k), and the column sums, shape (2, k), one slice
-    per half.  The rows run in blocks that never straddle the split, and f
-    is formed transposed, one row of block entries per column of a, since
-    numpy shifts, powers and sums along long rows much faster than along
-    rows of k entries.
+    x is (t, d), linear L (d, e), shift b (e,), u a frame (e, k) and q 2
+    or 3; both results are (e, k).  y is never formed: f = x (L u) + b . u
+    and y^T f^q = L^T (x^T f^q) + b sum(f^q), so one pass over x, in row
+    blocks that never straddle the split, serves both halves.  f is formed
+    transposed, since numpy shifts, powers and sums along long rows much
+    faster than along rows of k entries.
     """
-    t, k = x.shape[0], a.shape[1]
+    t, k = x.shape[0], u.shape[1]
     half = t // 2
     moments = np.zeros((2, k, x.shape[1]))
     sums = np.zeros((2, k))
-    a_t, shift = a.T, shift[:, None]
+    a_t, c = (linear @ u).T, (shift @ u)[:, None]
     for part, (low, high) in enumerate(((0, half), (half, t))):
         for rows in _row_blocks(low, high):
             block = x[rows]
             f = a_t @ block.T
-            f += shift
+            f += c
             f *= f if q == 2 else f * f
             moments[part] += f @ block
             sums[part] += f.sum(axis=1)
-    return moments.transpose(0, 2, 1), sums
+    first, second = (
+        (linear.T @ moments[part].T + np.outer(shift, sums[part])) / count
+        for part, count in enumerate((half, t - half))
+    )
+    return (half * first + (t - half) * second) / t, 0.5 * (first - second)
 
 
 def _moment_denominator(m: int) -> float:

@@ -31,8 +31,8 @@ than the sample's own error on it: with a fresh block per step it only
 redraws that error (Hardt and Price, The Noisy Power Method, NeurIPS
 2014), and on one fixed block it only nears that block's fixed point,
 which carries the error.  An exact gradient has no error and stops at a
-1e-9 step.  The polar step and this stop are one helper, which the
-whole-frame ICA of :mod:`simplexlearn.ica` runs on its own contrast.
+1e-9 step.  The whole-frame ICA of :mod:`simplexlearn.ica` runs this one
+loop, with its polar step and stop, on its own contrast.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class IterationConfig:
 
 @dataclass
 class VertexResult:
-    """Output of :func:`find_vertex`.
+    """Output of :func:`find_vertex` and of its loop, which ICA shares.
 
     u is the final (n, k) frame of unit iterates with orthonormal columns,
     one per seed (not sign-normalized; vertex directions are inherently
@@ -165,6 +165,25 @@ def _polar_step(
     return new_u, step, noise, step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
 
 
+def _fixed_point(update_map: Callable, u: np.ndarray, cap: int, record_trace: bool = False) -> VertexResult:
+    """The fixed point that the learner and ICA share: step the frame u,
+    with orthonormal columns, to the polar factor of the map M that
+    update_map(u, i) returns in step i, beside the standard error of each
+    entry of M (see :func:`_polar_step`), until every column's stop fires
+    or for cap steps.  record_trace keeps every step."""
+    trace: list = []
+    for i in range(cap):
+        update, error = update_map(u, i)
+        u, step, noise, converged = _polar_step(u, update, error, i)
+        if record_trace:
+            trace.append(
+                {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}
+            )
+        if converged.all():
+            break
+    return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
+
+
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.standard_normal(n)
     return u / np.linalg.norm(u)
@@ -202,7 +221,7 @@ def find_vertex(
 
     Raises:
         ValueError: more seeds than coordinates, or the gradient returned a
-            non-finite value.
+            non-finite value or an error of another shape.
         RuntimeError: the update collapsed (the Gram matrix of the squared
             columns is singular), naming the iteration.  With the exact
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
@@ -211,9 +230,9 @@ def find_vertex(
     if len(config.seed) > n:
         raise ValueError(f"a frame of {len(config.seed)} starts does not fit in {n} coordinates")
 
-    u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in config.seed])
-    trace: list = []
-    for i in range(config.iterations):
+    scale = _moment_denominator(n) / 6.0
+
+    def squares(u: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         value = gradient(u)
         grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
         grad, error = np.asarray(grad, dtype=float), np.asarray(error, dtype=float)
@@ -221,15 +240,10 @@ def find_vertex(
             raise ValueError("the gradient's error must have the gradient's shape")
         if not (np.isfinite(grad).all() and np.isfinite(error).all()):
             raise ValueError(f"gradient is not finite at iteration {i}")
-        update = reconstruct_squares(u, grad)
-        u, step, noise, converged = _polar_step(u, update, _moment_denominator(n) / 6.0 * error, i)
-        if config.record_trace:
-            trace.append(
-                {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}
-            )
-        if converged.all():
-            break
-    return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
+        return reconstruct_squares(u, grad), scale * error
+
+    u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in config.seed])
+    return _fixed_point(squares, u, config.iterations, config.record_trace)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:
@@ -243,12 +257,14 @@ def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:
 
     Several of the underlying inequalities are loose, so the values are
     astronomically conservative; practical runs use the IterationConfig
-    defaults instead.
+    defaults instead.  Raises ValueError, naming the argument, unless n is
+    an integer >= 2, c finite and >= 0 and delta in (0, 1).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if delta <= 0 or delta >= 1:
-        raise ValueError("delta must lie in (0, 1)")
+    n = _check_count(n, "n", minimum=2)
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     r = math.ceil(math.log2(4.0 * (c + 3.0) * n * n * math.log(n) / delta))
     t = math.ceil(2.0**17 * float(n) ** (2.0 * c + 22.0) * (1.0 / delta) ** 2 * math.log(2.0 * n**5 * r / delta))
     return t, r

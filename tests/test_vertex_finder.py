@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -352,10 +353,21 @@ class TestTheoreticalParameters:
         assert r1 >= 1 and t1 > 10**6
         assert t2 > t1 and r2 >= r1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            theoretical_parameters(1, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            theoretical_parameters(5, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            theoretical_parameters(5, 1.0, 1.0)
+    @pytest.mark.parametrize(
+        "n, c, delta, name",
+        [
+            (1, 1.0, 0.1, "n"),
+            (2.5, 1.0, 0.1, "n"),
+            (True, 1.0, 0.1, "n"),
+            (5, -5.0, 0.1, "c"),
+            (5, math.inf, 0.1, "c"),
+            (5, math.nan, 0.1, "c"),
+            (5, 1.0, 0.0, "delta"),
+            (5, 1.0, 1.0, "delta"),
+            (5, 1.0, math.nan, "delta"),
+            (5, 1.0, math.inf, "delta"),
+        ],
+    )
+    def test_validation(self, n, c, delta, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            theoretical_parameters(n, c, delta)
