@@ -28,6 +28,7 @@ from functools import partial
 import numpy as np
 
 from .sampling import child_seed
+from .vertex_finder import MAX_STEPS
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
@@ -137,7 +138,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     from .learner import LearnerConfig, learn_simplex
     from .sampling import simplex_source
 
-    cfg, _ = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": 30, "seed": 0})
+    cfg, _ = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": MAX_STEPS, "seed": 0})
     _validate_common(cfg, "learn")
 
     truth = _synthesize_simplex(cfg["n"], cfg["seed"])
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2 (default 50000)")
     learn.add_argument("--t3", type=int, default=None, help="second part of that block (default 50000)")
     learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
-    learn.add_argument("--r", type=int, default=None, help="cap on fixed-point steps of the frame, which stops at its sampling noise floor (default 30)")
+    learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
     common(learn)
     learn.set_defaults(func=cmd_learn)
 

@@ -12,7 +12,8 @@ Each reduction fixes its source law, so it fixes the contrast too: the
 Exp(1) sources are skewed and separate on the third cumulant, while the
 exp(-|t|^p) sources are symmetric and separate only on the fourth.
 :func:`ica_estimate` runs that one contrast on a whole orthonormal frame,
-in the fixed-point loop that the vertex finder runs on its own map.
+in the one fixed-point loop of :mod:`simplexlearn.vertex_finder`, which
+the learner's vertex finder runs on its own map.
 
 Neither reduction builds its rescaled sample.  ICA reads a sample only
 through its shape and its row blocks, so each reduction hands it the
@@ -49,7 +50,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
-from .vertex_finder import _fixed_point
+from .vertex_finder import MAX_STEPS, _fixed_point
 
 __all__ = [
     "MixingEstimate",
@@ -65,7 +66,6 @@ __all__ = [
     "lp_symmetric_difference",
 ]
 
-MAX_SWEEPS = 500
 CONTRASTS = ("skew", "kurtosis")
 # points in the uniform ball draw that scores an lp reduction
 SYMDIFF_POINTS = 100_000
@@ -153,7 +153,6 @@ def ica_estimate(
     points: np.ndarray,
     contrast: str = "skew",
     seed: int = 0,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> MixingEstimate:
     """Symmetric fixed-point ICA with one contrast for every component.
 
@@ -173,9 +172,10 @@ def ica_estimate(
     come from one blocked pass too, which also shows whether the sample
     is finite.  The passes read only the shape and row blocks of
     ``points``, so the reductions hand in their rescaled rows, built a
-    block at a time.  The sweeps run in the fixed-point loop of
-    :func:`~simplexlearn.vertex_finder.find_vertex`, with its noise stop;
-    ``max_sweeps`` caps them.
+    block at a time.  The sweeps run in ``vertex_finder._fixed_point``,
+    the loop under the learner's vertex finder too, from a random
+    orthonormal frame drawn from ``seed``, with its checks, its noise stop
+    and its cap of ``MAX_STEPS`` sweeps.
 
     Returns:
         MixingEstimate; ``separating`` row count equals the sample
@@ -185,15 +185,13 @@ def ica_estimate(
         ValueError unless the sample is a (t, d) array with d >= 1 and
         t >= d+2 (d+1 points whiten to the vertices of a regular simplex,
         all of squared norm d, where the skew update is singular) whose
-        mean and covariance are finite,
-        ``contrast`` one of ``CONTRASTS`` and ``max_sweeps`` an integer
-        >= 1; DegenerateSampleError for a singular covariance;
-        RuntimeError when the frame's update collapses.
+        mean and covariance are finite, and ``contrast`` one of
+        ``CONTRASTS``, and naming the iteration when a sweep's update or
+        error is not finite; DegenerateSampleError for a singular
+        covariance; RuntimeError when the frame's update collapses.
     """
     if contrast not in CONTRASTS:
         raise ValueError(f"contrast must be one of {CONTRASTS}, got {contrast!r}")
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     if not isinstance(points, _ScaledRows):
         points = _sample(points, "d", 2)
     d = points.shape[1]
@@ -204,14 +202,14 @@ def ica_estimate(
     whitener = _whitener(cov)
     power, shift = (2 if contrast == "skew" else 3), -(mean @ whitener.T)
 
-    def sweep(w: np.ndarray, _: int) -> tuple[np.ndarray, np.ndarray]:
+    def sweep(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         update, error = _split_half_moment(points, whitener.T, shift, w, power)
         if contrast == "kurtosis":
             update -= 3.0 * w
         return update, error
 
     start, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
-    found = _fixed_point(sweep, start, max_sweeps)
+    found = _fixed_point(sweep, start, MAX_STEPS)
     separating = found.u.T @ whitener
     return MixingEstimate(
         separating=separating,

@@ -25,7 +25,7 @@ from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_moment
 from .sampling import _check_count, child_seed, substream
-from .vertex_finder import IterationConfig, find_vertex
+from .vertex_finder import MAX_STEPS, find_vertex
 
 __all__ = [
     "BoostFailureError",
@@ -70,9 +70,9 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
 
 
 def embedded_m3_grad(
-    frame: AffineFrame, emb: EmbedMap
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(x, u) -> (``empirical_m3_grad(emb.forward(frame.forward(x)), u)``,
+    frame: AffineFrame, emb: EmbedMap, block: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """u -> (``empirical_m3_grad(emb.forward(frame.forward(block)), u)``,
     its standard error) without building the embedded block.
 
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
@@ -84,8 +84,8 @@ def embedded_m3_grad(
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
     shift = emb.offset - frame.mean @ linear
 
-    def gradient(x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moment, error = _split_half_moment(x, linear, shift, u.reshape(u.shape[0], -1), 2)
+    def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        moment, error = _split_half_moment(block, linear, shift, u.reshape(u.shape[0], -1), 2)
         return 3.0 * moment.reshape(u.shape), 3.0 * error.reshape(u.shape)
 
     return gradient
@@ -95,17 +95,18 @@ def embedded_m3_grad(
 class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
-    r: cap on the fixed-point steps of the frame.  The frame stops at the
-       first step where every column has reached its sampling noise floor
-       (see :func:`~simplexlearn.vertex_finder.find_vertex`); every step
-       reads the same points.
+    r: cap on the fixed-point steps of the frame, the loop's MAX_STEPS by
+       default.  The frame stops at the first step where every column has
+       reached its sampling noise floor (see
+       :func:`~simplexlearn.vertex_finder.find_vertex`); every step reads
+       the same points.
     seed: master seed; start k begins from child_seed(seed, 41, k).
 
     Raises ValueError, naming the field, unless r is an integer >= 1 and
     seed one >= 0.
     """
 
-    r: int = 30
+    r: int = MAX_STEPS
     seed: int = 0
 
     def __post_init__(self):
@@ -146,15 +147,16 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         config: see :class:`LearnerConfig`.
 
     Returns:
-        LearnedSimplex.  The n+1 starts (start k from child_seed(seed, 41,
-        k)) run as one frame: every fixed-point step serves all columns
-        and orthonormalizes them symmetrically, so the columns end on
-        distinct vertices and no start is spent twice on one.  The frame
-        extends the paper's procedure and is not that procedure: the paper
-        runs independent starts until every vertex has been hit.  The
-        frame is the tensor power method of Anandkumar, Ge, Hsu, Kakade
-        and Telgarsky (JMLR 2014) with the symmetric decorrelation of
-        FastICA (Hyvarinen, IEEE TNN 1999).  Nor are its points the
+        LearnedSimplex.  The n+1 starts (start k a unit Gaussian from
+        substream(child_seed(seed, 41, k), 23)) run as one frame: every
+        fixed-point step serves all columns and orthonormalizes them
+        symmetrically, so the columns end on distinct vertices and no
+        start is spent twice on one.  The frame extends the paper's
+        procedure and is not that procedure: the paper runs independent
+        starts until every vertex has been hit.  The frame is the tensor
+        power method of Anandkumar, Ge, Hsu, Kakade and Telgarsky (JMLR
+        2014) with the symmetric decorrelation of FastICA (Hyvarinen,
+        IEEE TNN 1999).  Nor are its points the
         paper's: the paper draws an independent block for the frame and
         for every step, which its analysis needs, while here the frame and
         every step share one block, which is then exactly isotropic in its
@@ -175,13 +177,9 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
 
     frame = estimate_frame(block)
     emb = make_embed_map(n)
-    block_gradient = embedded_m3_grad(frame, emb)
-
-    def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return block_gradient(block, u)
-
-    seeds = tuple(child_seed(config.seed, 41, k) for k in range(n + 1))
-    found = find_vertex(gradient, n + 1, IterationConfig(iterations=config.r, seed=seeds))
+    starts = [substream(child_seed(config.seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
+    start = np.column_stack([u / np.linalg.norm(u) for u in starts])
+    found = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))

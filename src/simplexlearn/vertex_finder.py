@@ -32,22 +32,23 @@ redraws that error (Hardt and Price, The Noisy Power Method, NeurIPS
 2014), and on one fixed block it only nears that block's fixed point,
 which carries the error.  An exact gradient has no error and stops at a
 1e-9 step.  The whole-frame ICA of :mod:`simplexlearn.ica` runs this one
-loop, with its polar step and stop, on its own contrast.
+loop, with its polar step, its checks, its stop and its cap MAX_STEPS, on
+its own contrast; each caller hands the loop its own start frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .moments import _moment_denominator
-from .sampling import _check_count, substream
+from .sampling import _check_count
 
 __all__ = [
-    "IterationConfig",
+    "MAX_STEPS",
     "VertexResult",
     "find_vertex",
     "reconstruct_squares",
@@ -71,36 +72,13 @@ CONVERGENCE_TOL = 1e-9
 # fixed block the steps shrink on below the floor, and the stop fires at
 # the first step within it.
 NOISE_KAPPA = 2.0
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    """Knobs for :func:`find_vertex`.
-
-    iterations is the cap r on fixed-point steps: the loop stops earlier
-    once every column reaches its noise floor (see :func:`find_vertex`);
-    seed is a tuple of at most n distinct seeds, one column of the frame
-    per seed, column j starting from a random direction drawn from
-    seed[j]; record_trace keeps every iterate.  The default r is the
-    practical operating point; the proof-grade values from
-    :func:`theoretical_parameters` are far larger.
-
-    Raises ValueError, naming the field, unless iterations is an integer
-    >= 1 and seed a non-empty tuple of distinct nonnegative integers.
-    """
-
-    iterations: int = 30
-    seed: tuple[int, ...] = (0,)
-    record_trace: bool = False
-
-    def __post_init__(self):
-        _check_count(self.iterations, "iterations")
-        if not isinstance(self.seed, tuple) or not self.seed:
-            raise ValueError(f"seed must be a non-empty tuple of integers, got {self.seed!r}")
-        for seed in self.seed:
-            _check_count(seed, "seed", minimum=0)
-        if len(set(self.seed)) < len(self.seed):
-            raise ValueError(f"seed must hold distinct integers, got {self.seed!r}")
+# The cap on the steps of every fixed point, the learner's frame and ICA's
+# sweeps alike.  Both stop at their noise floor long before it: a
+# converging run takes at most about ten steps.  The proof-grade values of
+# theoretical_parameters are far larger.
+MAX_STEPS = 30
+# theoretical_parameters returns no t of this many bits or more.
+T_MAX_BITS = 2**20
 
 
 @dataclass
@@ -108,18 +86,18 @@ class VertexResult:
     """Output of :func:`find_vertex` and of its loop, which ICA shares.
 
     u is the final (n, k) frame of unit iterates with orthonormal columns,
-    one per seed (not sign-normalized; vertex directions are inherently
-    signed).  converged holds one bool per column, whether its last step
-    reached its noise floor; all are true when the stop fired, and
-    iterations_run is the step count, the cap r when it did not.  Each
-    trace row holds the step's per-column update_norm, noise and step and
-    the frame u after it.
+    one per column of the start (not sign-normalized; vertex directions
+    are inherently signed).  converged holds one bool per column, whether
+    its last step reached its noise floor; all are true when the stop
+    fired, and iterations_run is the step count, the cap when it did not.
+    trace holds one row per step: the step's per-column update_norm,
+    noise and step and the frame u after it.
     """
 
     u: np.ndarray
     converged: np.ndarray
     iterations_run: int
-    trace: list = field(default_factory=list)
+    trace: list
 
 
 def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -143,14 +121,15 @@ def _polar_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One step of a whole-frame fixed point: the polar factor of the update.
 
-    u is the current (d, k) frame with orthonormal columns, update the
-    fixed-point map M applied to it and error the standard error of each
-    entry of M.  The new frame is the polar factor M (M^T M)^(-1/2), the
-    orthonormal frame nearest M, the symmetric decorrelation of FastICA
-    (Hyvarinen, IEEE TNN 1999).  Column j's noise is |error_j| / |M_j|, the
-    error that M's error puts on the column after normalization, and its
-    stop fires once its sign-aligned step is at most NOISE_KAPPA times that
-    noise, or at most CONVERGENCE_TOL when the error is 0.
+    u is the current (d, k) frame, orthonormal after the first step,
+    update the fixed-point map M applied to it and error the standard
+    error of each entry of M.  The new frame is the polar factor
+    M (M^T M)^(-1/2), the orthonormal frame nearest M, the symmetric
+    decorrelation of FastICA (Hyvarinen, IEEE TNN 1999).  Column j's noise
+    is |error_j| / |M_j|, the error that M's error puts on the column after
+    normalization, and its stop fires once its sign-aligned step is at
+    most NOISE_KAPPA times that noise, or at most CONVERGENCE_TOL when the
+    error is 0.
 
     Returns (new frame, step, noise, stop), the last three per column.
     Raises RuntimeError naming ``iteration`` when the Gram matrix of M is
@@ -165,32 +144,46 @@ def _polar_step(
     return new_u, step, noise, step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
 
 
-def _fixed_point(update_map: Callable, u: np.ndarray, cap: int, record_trace: bool = False) -> VertexResult:
-    """The fixed point that the learner and ICA share: step the frame u,
-    with orthonormal columns, to the polar factor of the map M that
-    update_map(u, i) returns in step i, beside the standard error of each
-    entry of M (see :func:`_polar_step`), until every column's stop fires
-    or for cap steps.  record_trace keeps every step."""
-    trace: list = []
+def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexResult:
+    """The fixed point that the learner and ICA share: step the frame,
+    from the (n, k) start, to the polar factor of the map M that
+    update_map(u) returns, beside the standard error of each entry of M
+    (see :func:`_polar_step`), until every column's stop fires or for cap
+    steps, and keep every step in the trace.  The start need not be
+    orthonormal: the first step orthonormalizes it.
+
+    Raises ValueError, naming the argument, unless start is a finite 2-D
+    array with 1 <= k <= n columns and cap an integer >= 1, and, naming
+    the iteration, when the map returns an M or an error that does not
+    have the frame's shape or is not finite.
+    """
+    u = np.asarray(start, dtype=float)
+    if u.ndim != 2 or not 1 <= u.shape[1] <= u.shape[0] or not np.isfinite(u).all():
+        raise ValueError(f"start must be a finite (n, k) frame with 1 <= k <= n, got shape {u.shape}")
+    _check_count(cap, "cap")
+    trace = []
     for i in range(cap):
-        update, error = update_map(u, i)
-        u, step, noise, converged = _polar_step(u, update, error, i)
-        if record_trace:
-            trace.append(
-                {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}
+        update, error = update_map(u)
+        if update.shape != u.shape or error.shape != u.shape:
+            raise ValueError(
+                f"update and error must have the frame's shape {u.shape}, got {update.shape} and "
+                f"{error.shape} at iteration {i}"
             )
+        if not (np.isfinite(update).all() and np.isfinite(error).all()):
+            raise ValueError(f"update or error is not finite at iteration {i}")
+        u, step, noise, converged = _polar_step(u, update, error, i)
+        trace.append(
+            {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}
+        )
         if converged.all():
             break
     return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
 
 
-def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    u = rng.standard_normal(n)
-    return u / np.linalg.norm(u)
-
-
 def find_vertex(
-    gradient: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]], n: int, config: IterationConfig
+    gradient: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
+    start: np.ndarray,
+    cap: int = MAX_STEPS,
 ) -> VertexResult:
     """Run the third-moment fixed point until each column of a frame locks
     onto its own vertex.
@@ -201,8 +194,8 @@ def find_vertex(
     sigma_j = C |e_j| / |M_j| on column j after normalization (C as in
     :func:`reconstruct_squares`).  The loop stops after the first step at
     which every column's sign-aligned step is at most NOISE_KAPPA sigma_j,
-    or at most 1e-9 for an exact gradient (e = 0); config.iterations caps
-    the number of steps.
+    or at most 1e-9 for an exact gradient (e = 0), and after cap steps at
+    the latest.
 
     Args:
         gradient: U -> grad m3 at each column of the (n, k) frame U, for
@@ -212,38 +205,31 @@ def find_vertex(
             has the gradient's shape and holds the standard error of each
             entry, as a gradient averaged over a block of points can
             estimate from the difference of its two halves.
-        n: number of coordinates (the simplex has n vertices).
-        config: iteration knobs; config.seed holds one seed per column.
+        start: the (n, k) frame of k <= n starts, one per column; the
+            first step orthonormalizes it.
+        cap: the most steps to run, MAX_STEPS by default.
 
     Returns:
         VertexResult whose columns approximate distinct vertices of the
-        hidden simplex.
+        hidden simplex, with every step in its trace.
 
     Raises:
-        ValueError: more seeds than coordinates, or the gradient returned a
-            non-finite value or an error of another shape.
+        ValueError: a start that is not a finite (n, k) frame with
+            1 <= k <= n, a cap that is not an integer >= 1, or a gradient
+            whose squares or error are not finite or whose error does not
+            have its shape, naming the iteration.
         RuntimeError: the update collapsed (the Gram matrix of the squared
             columns is singular), naming the iteration.  With the exact
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
             for a unit u; a frame can only on a null set of iterates.
     """
-    if len(config.seed) > n:
-        raise ValueError(f"a frame of {len(config.seed)} starts does not fit in {n} coordinates")
 
-    scale = _moment_denominator(n) / 6.0
-
-    def squares(u: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         value = gradient(u)
         grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
-        grad, error = np.asarray(grad, dtype=float), np.asarray(error, dtype=float)
-        if error.shape != grad.shape:
-            raise ValueError("the gradient's error must have the gradient's shape")
-        if not (np.isfinite(grad).all() and np.isfinite(error).all()):
-            raise ValueError(f"gradient is not finite at iteration {i}")
-        return reconstruct_squares(u, grad), scale * error
+        return reconstruct_squares(u, grad), _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
 
-    u = np.column_stack([_random_direction(substream(seed, 23), n) for seed in config.seed])
-    return _fixed_point(squares, u, config.iterations, config.record_trace)
+    return _fixed_point(squares, start, cap)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:
@@ -256,15 +242,25 @@ def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:
         t = ceil(2^17 n^(2c+22) (1/delta)^2 ln(2 n^5 r / delta)).
 
     Several of the underlying inequalities are loose, so the values are
-    astronomically conservative; practical runs use the IterationConfig
-    defaults instead.  Raises ValueError, naming the argument, unless n is
-    an integer >= 2, c finite and >= 0 and delta in (0, 1).
+    astronomically conservative; practical runs stop at their noise floor
+    within MAX_STEPS steps instead.  Both are computed as base-2 logs, so
+    no product leaves the float range, and returned as Python ints; t
+    holds the 53 leading bits of 2^(log2 t), and zeros below them.  Raises
+    ValueError, naming the argument, unless n is an integer >= 2, c
+    finite and >= 0 and delta in (0, 1), and naming c when t would have
+    T_MAX_BITS bits or more.
     """
     n = _check_count(n, "n", minimum=2)
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0, got {c!r}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    r = math.ceil(math.log2(4.0 * (c + 3.0) * n * n * math.log(n) / delta))
-    t = math.ceil(2.0**17 * float(n) ** (2.0 * c + 22.0) * (1.0 / delta) ** 2 * math.log(2.0 * n**5 * r / delta))
-    return t, r
+    log_n, log_delta = math.log2(n), math.log2(delta)
+    r = math.ceil(2.0 + math.log2(c + 3.0) + 2.0 * log_n + math.log2(math.log(n)) - log_delta)
+    log_ln = math.log2(math.log(2.0) * (1.0 + 5.0 * log_n + math.log2(r) - log_delta))
+    log_t = 17.0 + (2.0 * c + 22.0) * log_n - 2.0 * log_delta + log_ln
+    if not log_t < T_MAX_BITS:
+        raise ValueError(f"c must keep t below 2**{T_MAX_BITS} at n = {n} and delta = {delta!r}, got {c!r}")
+    # 2^log_t = 2^(log_t - shift) * 2^shift, the first factor below 2^53
+    shift = max(0, math.floor(log_t) - 52)
+    return math.ceil(2.0 ** (log_t - shift)) << shift, r

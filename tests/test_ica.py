@@ -8,7 +8,6 @@ from simplexlearn import ica, sampling
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import Simplex
 from simplexlearn.ica import (
-    MAX_SWEEPS,
     align_signed_permutation,
     compute_c_pn,
     ica_estimate,
@@ -27,7 +26,7 @@ from simplexlearn.sampling import (
     sample_simplex,
     substream,
 )
-from simplexlearn.vertex_finder import _polar_step
+from simplexlearn.vertex_finder import MAX_STEPS, _polar_step
 
 
 def exponential_mixture(a: np.ndarray, shift: np.ndarray, t: int, seed: int) -> np.ndarray:
@@ -100,19 +99,43 @@ class TestIcaEstimate:
         with pytest.raises(ValueError, match="non-finite"):
             ica_estimate(np.full((50, 3), 1e306))
 
-    def test_non_convergence_is_flagged_not_raised(self):
+    def test_non_convergence_is_flagged_not_raised(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
-        est = ica_estimate(x, seed=0, max_sweeps=1)
+        monkeypatch.setattr(ica, "MAX_STEPS", 1)
+        est = ica_estimate(x, seed=0)
         assert not all(est.converged)
 
-    @pytest.mark.parametrize("max_sweeps", [0, -3, 2.5, True])
-    def test_invalid_max_sweeps_rejected(self, max_sweeps):
-        x = exponential_mixture(np.eye(2), np.zeros(2), 500, seed=6)
-        with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
-            ica_estimate(x, max_sweeps=max_sweeps)
+    # every sweep goes through the loop's checks, which name the iteration
+    @pytest.mark.parametrize("broken", ["update", "error"])
+    def test_non_finite_sweep_names_the_iteration(self, monkeypatch, broken):
+        x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
+        calls, real = [], ica._split_half_moment
+
+        def second_sweep_nan(*args):
+            update, error = real(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                (update if broken == "update" else error)[1, 2] = np.nan
+            return update, error
+
+        monkeypatch.setattr(ica, "_split_half_moment", second_sweep_nan)
+        with pytest.raises(ValueError, match="^update or error is not finite at iteration 1$"):
+            ica_estimate(x, seed=0)
+
+    def test_sweep_error_of_the_wrong_shape_rejected(self, monkeypatch):
+        x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
+        real = ica._split_half_moment
+
+        def flat_error(*args):
+            update, error = real(*args)
+            return update, error.ravel()
+
+        monkeypatch.setattr(ica, "_split_half_moment", flat_error)
+        with pytest.raises(ValueError, match=re.escape("shape (3, 3), got (3, 3) and (9,) at iteration 0")):
+            ica_estimate(x, seed=0)
 
 
-def one_shot_ica(points: np.ndarray, contrast: str, seed: int, max_sweeps: int):
+def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     """The whole-array form of ica_estimate: a centered copy, its whitened
     copy z, and a (t, d) contrast array per sweep.  Returns (separating,
     mean, sweeps, converged)."""
@@ -124,7 +147,7 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, max_sweeps: int):
     z = centered @ whitener.T
     half = t // 2
     w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
-    for sweep in range(max_sweeps):
+    for sweep in range(cap):
         f = (z @ w) ** (2 if contrast == "skew" else 3)
         first, second = z[:half].T @ f[:half] / half, z[half:].T @ f[half:] / (t - half)
         update = (half * first + (t - half) * second) / t
@@ -142,15 +165,16 @@ class TestBlockedPasses:
     # and t = d + 2 is the smallest sample ICA takes.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize(
-        "t, contrast, max_sweeps",
-        [(1001, "skew", MAX_SWEEPS), (1001, "kurtosis", MAX_SWEEPS), (5, "skew", 3), (5, "kurtosis", 3)],
+        "t, contrast, cap",
+        [(1001, "skew", MAX_STEPS), (1001, "kurtosis", MAX_STEPS), (5, "skew", 3), (5, "kurtosis", 3)],
     )
-    def test_ica_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, contrast, max_sweeps):
+    def test_ica_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, contrast, cap):
         rng = substream(2, 611)
         x = exponential_mixture(rng.standard_normal((3, 3)), 50.0 + rng.standard_normal(3), t, seed=16)
-        separating, mean, sweeps, converged = one_shot_ica(x, contrast, 3, max_sweeps)
+        separating, mean, sweeps, converged = one_shot_ica(x, contrast, 3, cap)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
-        est = ica_estimate(x, contrast, seed=3, max_sweeps=max_sweeps)
+        monkeypatch.setattr(ica, "MAX_STEPS", cap)
+        est = ica_estimate(x, contrast, seed=3)
         assert est.sweeps == sweeps
         assert est.converged == converged
         assert np.abs(est.separating - separating).max() <= 1e-12 * np.abs(separating).max()
@@ -211,12 +235,13 @@ class TestSkewNoiseStop:
         assert est.sweeps <= 10
         assert separation_index(est.separating @ a) <= 0.05
 
-    def test_sweeps_count_each_pass(self):
+    def test_sweeps_count_each_pass(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
-        assert ica_estimate(x, seed=0, max_sweeps=1).sweeps == 1
         est = ica_estimate(x, seed=0)
         assert all(est.converged)
-        assert 1 <= est.sweeps < MAX_SWEEPS
+        assert 1 <= est.sweeps < MAX_STEPS
+        monkeypatch.setattr(ica, "MAX_STEPS", 1)
+        assert ica_estimate(x, seed=0).sweeps == 1
 
 
 class TestSimplexReduction:

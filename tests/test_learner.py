@@ -30,10 +30,11 @@ def random_truth(n: int, seed: int) -> Simplex:
 
 
 def assert_matches_one_shot_gradient(fused, frame, emb, x, u):
-    """fused(x, u) against the gradient of x pushed through both maps, and
-    its error against half the difference of the gradients of the halves."""
+    """fused(u), bound to the block x, against the gradient of x pushed
+    through both maps, and its error against half the difference of the
+    gradients of the halves."""
     reference = empirical_m3_grad(emb.forward(frame.forward(x)), u)
-    grad, error = fused(x, u)
+    grad, error = fused(u)
     assert grad.shape == error.shape == u.shape
     assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
     half = x.shape[0] // 2
@@ -91,7 +92,7 @@ class TestEstimateFrame:
             frame = estimate_frame(sample_simplex(truth, 5000, seed))
             emb = make_embed_map(n)
             x = simplex_source(truth, seed + 1)(20_001)
-            fused = embedded_m3_grad(frame, emb)
+            fused = embedded_m3_grad(frame, emb, x)
             for shape in ((n + 1,), (n + 1, n + 1)):
                 u = substream(seed, 6).standard_normal(shape)
                 assert_matches_one_shot_gradient(fused, frame, emb, x, u)
@@ -113,7 +114,7 @@ class TestEstimateFrame:
         assert np.abs(frame.mean - mean).max() <= 1e-12 * np.abs(mean).max()
         assert np.abs(frame.factor - factor).max() <= 1e-12 * np.abs(factor).max()
         emb = make_embed_map(n)
-        fused = embedded_m3_grad(frame, emb)
+        fused = embedded_m3_grad(frame, emb, x)
         for shape in ((n + 1,), (n + 1, n + 1)):
             assert_matches_one_shot_gradient(fused, frame, emb, x, substream(6, 6).standard_normal(shape))
 

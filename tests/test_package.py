@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import importlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ import sys
 import pytest
 
 import simplexlearn
+from simplexlearn import cli, ica, sampling
+from simplexlearn.vertex_finder import MAX_STEPS
 
 MODULES = ["geometry", "sampling", "moments", "vertex_finder", "learner", "ica", "evaluation", "diagnostics"]
 
@@ -28,6 +33,7 @@ DELETED = [
     "array_source",
     "SampleExhaustedError",
     "ExperimentReport",
+    "IterationConfig",
 ]
 
 
@@ -35,6 +41,25 @@ def test_learner_has_one_shape():
     # no start budget: every run starts n+1 columns and learns a simplex
     assert [f.name for f in dataclasses.fields(simplexlearn.LearnerConfig)] == ["r", "seed"]
     assert not hasattr(simplexlearn.LearnedSimplex, "complete")
+
+
+def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
+    # the learner's r, the command line's default r and ICA's sweeps
+    assert simplexlearn.LearnerConfig().r == MAX_STEPS
+    out = tmp_path / "learn.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["learn", "--n", "2", "--t1", "2000", "--t3", "2000", "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["config"]["r"] == MAX_STEPS
+    caps, loop = [], ica._fixed_point
+
+    def spy(update_map, start, cap):
+        caps.append(cap)
+        return loop(update_map, start, cap)
+
+    monkeypatch.setattr(ica, "_fixed_point", spy)
+    ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, 2000, 0), "kurtosis")
+    assert caps == [MAX_STEPS]
 
 
 def test_every_exported_name_resolves():

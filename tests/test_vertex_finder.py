@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from simplexlearn.geometry import standard_simplex
 from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
 from simplexlearn.sampling import simplex_source, substream
 from simplexlearn.vertex_finder import (
-    IterationConfig,
+    MAX_STEPS,
     _polar_step,
     find_vertex,
     reconstruct_squares,
@@ -26,6 +27,13 @@ def nearest_vertex_error(u: np.ndarray) -> float:
         e[i] = 1.0
         best = min(best, np.linalg.norm(u - e), np.linalg.norm(u + e))
     return best
+
+
+def start_frame(n: int, *seeds: int) -> np.ndarray:
+    """The (n, k) start of one unit Gaussian column per seed, each drawn
+    from substream(seed, 23), as the learner draws its starts."""
+    columns = [substream(seed, 23).standard_normal(n) for seed in seeds]
+    return np.column_stack([column / np.linalg.norm(column) for column in columns])
 
 
 def rotation_fixing_ones(m: int, seed: int) -> np.ndarray:
@@ -82,18 +90,15 @@ class TestSquaringDynamics:
 class TestExactOracle:
     def test_converges_to_a_vertex(self):
         for seed in range(6):
-            config = IterationConfig(iterations=40, seed=(seed,))
-            result = find_vertex(exact_grad_m3, 5, config)
+            result = find_vertex(exact_grad_m3, start_frame(5, seed), 40)
             assert result.converged.tolist() == [True]
             assert nearest_vertex_error(result.u[:, 0]) <= 1e-9
 
     def test_deterministic_in_seed(self):
-        config = IterationConfig(iterations=25, seed=(3,))
-        a = find_vertex(exact_grad_m3, 4, config)
-        b = find_vertex(exact_grad_m3, 4, config)
+        a = find_vertex(exact_grad_m3, start_frame(4, 3), 25)
+        b = find_vertex(exact_grad_m3, start_frame(4, 3), 25)
         assert (a.u == b.u).all()
-        other = IterationConfig(iterations=25, seed=(4,))
-        c = find_vertex(exact_grad_m3, 4, other)
+        c = find_vertex(exact_grad_m3, start_frame(4, 4), 25)
         assert (a.u != c.u).any()
 
     def test_rotated_frame_equivariance(self):
@@ -105,8 +110,7 @@ class TestExactOracle:
         def rotated_grad(u):
             return r @ exact_grad_m3(r.T @ u)
 
-        config = IterationConfig(iterations=40, seed=(2,))
-        result = find_vertex(rotated_grad, m, config)
+        result = find_vertex(rotated_grad, start_frame(m, 2), 40)
         assert result.converged.all()
         assert nearest_vertex_error(r.T @ result.u[:, 0]) <= 1e-8
 
@@ -121,8 +125,8 @@ class TestExactOracle:
                 grad[1] = value
             return grad
 
-        with pytest.raises(ValueError, match="gradient is not finite at iteration 3"):
-            find_vertex(oracle, 4, IterationConfig(iterations=10, seed=(0,)))
+        with pytest.raises(ValueError, match="not finite at iteration 3$"):
+            find_vertex(oracle, start_frame(4, 0), 10)
 
 
 def collapsing_grad(u):
@@ -150,18 +154,16 @@ def transient_collapse(calls: int, columns=slice(None)):
 
 class TestCollapse:
     def test_always_collapsing_oracle_raises(self):
-        config = IterationConfig(iterations=30, seed=(0,))
         with pytest.raises(RuntimeError):
-            find_vertex(collapsing_grad, 4, config)
+            find_vertex(collapsing_grad, start_frame(4, 0), 30)
 
     def test_transient_collapse_raises(self):
         with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
-            find_vertex(transient_collapse(1), 4, IterationConfig(iterations=40, seed=(0,)))
+            find_vertex(transient_collapse(1), start_frame(4, 0), 40)
 
     def test_one_collapsed_column_stops_the_frame(self):
-        config = IterationConfig(iterations=40, seed=(7, 8, 9))
         with pytest.raises(RuntimeError, match="update collapsed at iteration 0$"):
-            find_vertex(transient_collapse(1, columns=[2]), 4, config)
+            find_vertex(transient_collapse(1, columns=[2]), start_frame(4, 7, 8, 9), 40)
 
 
 class TestBatch:
@@ -175,26 +177,17 @@ class TestBatch:
         def rotated_grad(u):
             return r @ exact_grad_m3(r.T @ u)
 
-        result = find_vertex(rotated_grad, m, IterationConfig(iterations=40, seed=seeds))
+        result = find_vertex(rotated_grad, start_frame(m, *seeds), 40)
         assert result.converged.all()
         frame = r.T @ result.u
         order = np.abs(frame).argmax(axis=0)
         assert sorted(order) == list(range(m))
         assert np.abs(frame - np.eye(m)[:, order]).max() <= 1e-12
 
-    def test_frame_wider_than_the_space_rejected(self):
-        with pytest.raises(ValueError, match="a frame of 4 starts does not fit in 3 coordinates"):
-            find_vertex(exact_grad_m3, 3, IterationConfig(seed=(0, 1, 2, 3)))
-
     def test_batch_trace_is_per_column(self):
-        config = IterationConfig(iterations=4, seed=(1, 2), record_trace=True)
-        result = find_vertex(exact_grad_m3, 3, config)
+        result = find_vertex(exact_grad_m3, start_frame(3, 1, 2), 4)
         assert [row["u"].shape for row in result.trace] == [(3, 2)] * 4
         assert result.trace[-1]["step"].shape == (2,)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            IterationConfig(seed=())
 
 
 def sampled_gradient(source, t):
@@ -205,15 +198,13 @@ def sampled_gradient(source, t):
 class TestNoiseFloorStop:
     def test_exact_gradient_stops_at_the_tolerance(self):
         for seed in range(6):
-            config = IterationConfig(iterations=40, seed=(seed,), record_trace=True)
-            result = find_vertex(exact_grad_m3, 5, config)
+            result = find_vertex(exact_grad_m3, start_frame(5, seed), 40)
             steps = [row["step"][0] for row in result.trace]
             assert result.iterations_run == len(steps) < 40
             assert steps[-1] <= 1e-9 < min(steps[:-1])
 
     def test_frame_stops_when_every_column_is_still(self):
-        config = IterationConfig(iterations=40, seed=(0, 1, 2), record_trace=True)
-        result = find_vertex(exact_grad_m3, 4, config)
+        result = find_vertex(exact_grad_m3, start_frame(4, 0, 1, 2), 40)
         steps = np.array([row["step"] for row in result.trace])
         assert result.converged.all()
         assert (steps[-1] <= 1e-9).all()
@@ -224,26 +215,25 @@ class TestNoiseFloorStop:
         def noisy(u):
             return exact_grad_m3(u), np.ones_like(u)
 
-        result = find_vertex(noisy, 4, IterationConfig(iterations=30, seed=(0,)))
+        result = find_vertex(noisy, start_frame(4, 0), 30)
         assert result.iterations_run == 1
         assert result.converged.all()
 
     def test_negligible_error_is_the_exact_run(self):
-        config = IterationConfig(iterations=30, seed=(5,))
-        exact = find_vertex(exact_grad_m3, 4, config)
-        tiny = find_vertex(lambda u: (exact_grad_m3(u), np.full_like(u, 1e-30)), 4, config)
+        exact = find_vertex(exact_grad_m3, start_frame(4, 5), 30)
+        tiny = find_vertex(lambda u: (exact_grad_m3(u), np.full_like(u, 1e-30)), start_frame(4, 5), 30)
         assert tiny.iterations_run == exact.iterations_run
         assert (tiny.u == exact.u).all()
 
     def test_gradient_without_error_runs_to_the_cap(self):
         source = simplex_source(standard_simplex(3), 7)
-        result = find_vertex(sampled_gradient(source, 2000), 4, IterationConfig(iterations=9, seed=(0,)))
+        result = find_vertex(sampled_gradient(source, 2000), start_frame(4, 0), 9)
         assert result.iterations_run == 9
         assert not result.converged.any()
 
     def test_error_shape_checked(self):
-        with pytest.raises(ValueError, match="error must have the gradient's shape"):
-            find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), 4, IterationConfig())
+        with pytest.raises(ValueError, match=r"must have the frame's shape \(4, 1\), got \(4, 1\) and \(3,\) at iteration 0$"):
+            find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), start_frame(4, 0))
 
 
 class TestSampledGradients:
@@ -258,7 +248,7 @@ class TestSampledGradients:
 
         for r in (1, 7):
             calls.clear()
-            result = find_vertex(counting, n, IterationConfig(iterations=r))
+            result = find_vertex(counting, start_frame(n, 0), r)
             assert result.iterations_run == r
             assert calls == [(n, 1)] * r
 
@@ -267,8 +257,7 @@ class TestSampledGradients:
         hits = 0
         for seed in range(5):
             source = simplex_source(standard_simplex(n - 1), seed + 10)
-            config = IterationConfig(iterations=20, seed=(seed,))
-            result = find_vertex(sampled_gradient(source, 30_000), n, config)
+            result = find_vertex(sampled_gradient(source, 30_000), start_frame(n, seed), 20)
             if nearest_vertex_error(result.u[:, 0]) <= 0.05:
                 hits += 1
         assert hits >= 4
@@ -314,28 +303,40 @@ class TestPolarStep:
         assert not moved.any()
 
 
-class TestConfigValidation:
-    def test_bad_iterations(self):
-        # a float used to fail inside range(), and True to run one step
-        for iterations in (0, 2.5, True, "3"):
-            with pytest.raises(ValueError, match="^iterations must be"):
-                IterationConfig(iterations=iterations)
+class TestStartAndCap:
+    @pytest.mark.parametrize(
+        "start",
+        [
+            np.ones(4),
+            np.array([[1.0], [np.nan], [0.0]]),
+            np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
+            np.ones((3, 0)),
+            np.eye(3, 4),
+        ],
+        ids=["1-D", "nan", "inf", "no-column", "more-columns-than-rows"],
+    )
+    def test_bad_start_rejected(self, start):
+        message = re.escape(f"start must be a finite (n, k) frame with 1 <= k <= n, got shape {start.shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            find_vertex(exact_grad_m3, start)
 
-    def test_bad_seeds(self):
-        # the seed is a tuple only: a frame of one column is (s,)
-        for seed in (0, [0, 1], (1.5,), (True,), (-1,)):
-            with pytest.raises(ValueError, match="^seed must"):
-                IterationConfig(seed=seed)
-        # two equal seeds start two equal columns, which collapse at once
-        with pytest.raises(ValueError, match=r"^seed must hold distinct integers, got \(0, 0\)"):
-            IterationConfig(seed=(0, 0))
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, "3", None])
+    def test_bad_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="^cap must be"):
+            find_vertex(exact_grad_m3, start_frame(3, 0), cap)
+
+    def test_cap_defaults_to_max_steps(self):
+        # a gradient without an error only stops at a 1e-9 step, which a
+        # fresh block per step never takes
+        source = simplex_source(standard_simplex(3), 7)
+        result = find_vertex(sampled_gradient(source, 200), start_frame(4, 0))
+        assert result.iterations_run == len(result.trace) == MAX_STEPS
 
 
 class TestTrace:
     def test_records_every_iteration(self):
         # the exact run stops at its 7th step, before the cap of 12
-        config = IterationConfig(iterations=12, record_trace=True)
-        result = find_vertex(exact_grad_m3, 3, config)
+        result = find_vertex(exact_grad_m3, start_frame(3, 0), 12)
         assert len(result.trace) == result.iterations_run == 7
         assert [row["iteration"] for row in result.trace] == list(range(7))
         for row in result.trace:
@@ -352,6 +353,26 @@ class TestTheoreticalParameters:
         assert isinstance(t1, int) and isinstance(r1, int)
         assert r1 >= 1 and t1 > 10**6
         assert t2 > t1 and r2 >= r1
+
+    # a t past the float range still comes back as an int
+    @pytest.mark.parametrize("n, c, delta", [(5, 1000.0, 0.1), (5, 1.0, 1e-300)])
+    def test_t_past_the_float_range_is_an_int(self, n, c, delta):
+        t, r = theoretical_parameters(n, c, delta)
+        assert isinstance(t, int) and isinstance(r, int)
+        assert t.bit_length() > 1024 and r >= 1
+        assert t > theoretical_parameters(n, 1.0, 0.1)[0]
+
+    def test_t_matches_its_formula(self):
+        # below the float range the log form agrees with the direct product
+        for n, c, delta in ((2, 0.0, 0.5), (5, 1.0, 0.1), (40, 3.0, 0.05)):
+            t, r = theoretical_parameters(n, c, delta)
+            assert r == math.ceil(math.log2(4.0 * (c + 3.0) * n * n * math.log(n) / delta))
+            direct = 2.0**17 * float(n) ** (2.0 * c + 22.0) / delta**2 * math.log(2.0 * n**5 * r / delta)
+            assert abs(t - direct) <= 1e-12 * direct
+
+    def test_t_with_too_many_bits_rejected(self):
+        with pytest.raises(ValueError, match="^c must keep t below 2"):
+            theoretical_parameters(5, 1e300, 0.1)
 
     @pytest.mark.parametrize(
         "n, c, delta, name",
