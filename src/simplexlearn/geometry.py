@@ -232,9 +232,9 @@ def isotropic_simplex(n: int) -> Simplex:
 class AffineFrame:
     """Affine change of coordinates x -> factor^-1 (x - mean).
 
-    ``factor`` is any invertible (d, d) matrix (in practice a Cholesky
-    factor of a covariance estimate).  ``forward`` moves raw points into
-    the frame; ``inverse`` undoes it.
+    ``factor`` is any invertible (d, d) matrix (in practice the symmetric
+    square root of a sample covariance, from ``moments._sample_frame``).
+    ``forward`` moves raw points into the frame; ``inverse`` undoes it.
     """
 
     mean: np.ndarray

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_moment
+from .moments import _sample_frame, _split_half_moment
 from .sampling import (
     _check_count,
     _check_p,
@@ -141,14 +141,6 @@ def _sample(points, letter: str, extra: int) -> np.ndarray:
     return x
 
 
-def _whitener(cov: np.ndarray) -> np.ndarray:
-    """The symmetric inverse square root of a covariance."""
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    if eigenvalues[0] <= 1e-12 * eigenvalues[-1]:
-        raise DegenerateSampleError("sample covariance is singular; cannot whiten")
-    return (eigenvectors / np.sqrt(eigenvalues)) @ eigenvectors.T
-
-
 def ica_estimate(
     points: np.ndarray,
     contrast: str = "skew",
@@ -157,8 +149,9 @@ def ica_estimate(
     """Symmetric fixed-point ICA with one contrast for every component.
 
     Iterates a whole orthonormal frame W of d directions on the sample
-    z = (x - mu) V^T, whitened by its mean mu and the inverse square root
-    V of its covariance: each sweep maps W to E[z (z W)^2] for the
+    z = (x - mu) S^-1, whitened by the learner's frame
+    (``moments._sample_frame``): its mean mu and the symmetric square root
+    S of its covariance.  Each sweep maps W to E[z (z W)^2] for the
     third-cumulant contrast ``"skew"``, or to E[z (z W)^3] - 3 W for the
     fourth-cumulant contrast ``"kurtosis"``, and takes its polar factor,
     the symmetric decorrelation of FastICA (Hyvarinen, IEEE TNN 1999) and
@@ -168,18 +161,18 @@ def ica_estimate(
     whose third cumulant is 0.
 
     z is never formed: a sweep is one split-half moment pass over the raw
-    sample (``moments._split_half_moment``), and mu and the covariance
-    come from one blocked pass too, which also shows whether the sample
-    is finite.  The passes read only the shape and row blocks of
-    ``points``, so the reductions hand in their rescaled rows, built a
-    block at a time.  The sweeps run in ``vertex_finder._fixed_point``,
-    the loop under the learner's vertex finder too, from a random
-    orthonormal frame drawn from ``seed``, with its checks, its noise stop
-    and its cap of ``MAX_STEPS`` sweeps.
+    sample (``moments._split_half_moment``), and the frame comes from one
+    blocked pass too, which also shows whether the sample is finite.  The
+    passes read only the shape and row blocks of ``points``, so the
+    reductions hand in their rescaled rows, built a block at a time.  The
+    sweeps run in ``vertex_finder._fixed_point``, the loop under the
+    learner's vertex finder too, from a random orthonormal frame drawn
+    from ``seed``, with its checks, its noise stop and its cap of
+    ``MAX_STEPS`` sweeps.
 
     Returns:
-        MixingEstimate; ``separating`` row count equals the sample
-        dimension.  Non-convergence is flagged per component, not raised.
+        MixingEstimate with ``separating`` W^T S^-1 and ``mixing`` S W,
+        its inverse.  Non-convergence is flagged per component, not raised.
 
     Raises:
         ValueError unless the sample is a (t, d) array with d >= 1 and
@@ -194,13 +187,8 @@ def ica_estimate(
         raise ValueError(f"contrast must be one of {CONTRASTS}, got {contrast!r}")
     if not isinstance(points, _ScaledRows):
         points = _sample(points, "d", 2)
-    d = points.shape[1]
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a covariance past 1e308
-        mean, cov = _mean_and_covariance(points)
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("sample or its covariance holds non-finite values")
-    whitener = _whitener(cov)
-    power, shift = (2 if contrast == "skew" else 3), -(mean @ whitener.T)
+    frame, whitener = _sample_frame(points)
+    power, shift = (2 if contrast == "skew" else 3), -(frame.mean @ whitener.T)
 
     def sweep(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         update, error = _split_half_moment(points, whitener.T, shift, w, power)
@@ -208,13 +196,12 @@ def ica_estimate(
             update -= 3.0 * w
         return update, error
 
-    start, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
+    start, _ = np.linalg.qr(substream(seed, 61).standard_normal(whitener.shape))
     found = _fixed_point(sweep, start, MAX_STEPS)
-    separating = found.u.T @ whitener
     return MixingEstimate(
-        separating=separating,
-        mixing=np.linalg.inv(separating),
-        mean=mean,
+        separating=found.u.T @ whitener,
+        mixing=frame.factor @ found.u,
+        mean=frame.mean,
         converged=found.converged.tolist(),
         contrast=contrast,
         sweeps=found.iterations_run,

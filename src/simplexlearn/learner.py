@@ -23,7 +23,7 @@ import numpy as np
 
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .moments import DegenerateSampleError, _mean_and_covariance, _split_half_moment
+from .moments import DegenerateSampleError, _sample_frame, _split_half_moment
 from .sampling import _check_count, child_seed, substream
 from .vertex_finder import MAX_STEPS, find_vertex
 
@@ -44,29 +44,12 @@ class BoostFailureError(RuntimeError):
 
 
 def estimate_frame(points: np.ndarray) -> AffineFrame:
-    """Mean and Cholesky covariance factor of a point block.
-
-    The covariance uses the biased 1/t normalizer and comes from one pass
-    over the block in cache-sized row blocks (the pass ICA whitening
-    shares), with no centered copy of the block.  Raises
-    DegenerateSampleError when the covariance is not positive definite
-    (fewer than d+1 points, or points on a lower-dimensional flat), and
-    ValueError when a point or the covariance is not finite, which the
-    pass shows without a second look at the block.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t, d = pts.shape
-    if t < d + 1:
-        raise DegenerateSampleError(f"{t} points cannot determine a {d}-dimensional frame")
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a covariance past 1e308
-        mean, cov = _mean_and_covariance(pts)
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("points and their covariance must be finite")
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSampleError("sample covariance is singular") from exc
-    return AffineFrame(mean=mean, factor=factor)
+    """Mean and symmetric square root of the biased (1/t) covariance of a
+    point block, from ``moments._sample_frame``, like ICA's whitening.  Raises
+    DegenerateSampleError when the covariance is singular (fewer than d+1
+    points, or points on a lower-dimensional flat), and ValueError when a
+    point or the covariance is not finite."""
+    return _sample_frame(np.atleast_2d(np.asarray(points, dtype=float)))[0]
 
 
 def embedded_m3_grad(

@@ -13,11 +13,11 @@ local maxima are exactly the (projected) vertex directions: the exact
 Hessian spectrum at every critical point, with no random trials.
 
 It also holds the two sample passes that the learner and ICA share: the
-mean and covariance of a sample, and the split-half moment that drives
-both fixed points.  Each walks the sample in the row blocks of
-``sampling._row_blocks`` that every draw uses too (BLOCK_ROWS rows, a
-short last block joined to the one before it), so no intermediate is
-larger than a block.
+mean and covariance behind their one affine frame, and the split-half
+moment that drives both fixed points.  Each walks the sample in the row
+blocks of ``sampling._row_blocks`` that every draw uses too (BLOCK_ROWS
+rows, a short last block joined to the one before it), so no
+intermediate is larger than a block.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from .geometry import AffineFrame
 from .sampling import _check_count, _row_blocks
 
 __all__ = [
@@ -71,6 +72,31 @@ def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mean += delta * (rows / total)
         count = total
     return mean, scatter / t
+
+
+def _sample_frame(x) -> tuple[AffineFrame, np.ndarray]:
+    """(AffineFrame(mu, S), S^-1) for the rows of x, a (t, d) array or the
+    reductions' rescaled rows: the one place the learner and ICA put a
+    sample in isotropic position.  One :func:`_mean_and_covariance` pass
+    gives mu and C = E diag(lambda) E^T, and S = E diag(sqrt lambda) E^T.
+
+    Raises DegenerateSampleError unless 1 <= d < t and lambda_min >
+    1e-12 lambda_max (points on a lower-dimensional flat fail at any
+    scale), and ValueError when a point or the covariance is not finite,
+    which the pass shows without a second look at the sample.
+    """
+    t, d = x.shape
+    if not 1 <= d < t:
+        raise DegenerateSampleError(f"a frame needs d+1 points in d >= 1 dimensions, got shape {x.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a covariance past 1e308
+        mean, cov = _mean_and_covariance(x)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("points and their covariance must be finite")
+    eigenvalues, vectors = np.linalg.eigh(cov)
+    if eigenvalues[0] <= 1e-12 * eigenvalues[-1]:
+        raise DegenerateSampleError("sample covariance is singular")
+    root = np.sqrt(eigenvalues)
+    return AffineFrame(mean=mean, factor=(vectors * root) @ vectors.T), (vectors / root) @ vectors.T
 
 
 def _split_half_moment(x: np.ndarray, linear: np.ndarray, shift: np.ndarray, u: np.ndarray, q: int) -> tuple:

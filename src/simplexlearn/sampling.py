@@ -47,6 +47,7 @@ _KEY_LP_BALL = 3
 _KEY_RESCALE_SIMPLEX = 5
 _KEY_RESCALE_LP = 6
 _KEY_SOURCE = 7
+_KEY_GENERALIZED_GAUSSIAN = 8
 
 
 # Rows per block of every pass over a sample and of every draw; a block
@@ -108,10 +109,6 @@ def child_seed(seed: int, *key: int) -> int:
     """Integer seed for (seed, key), for APIs that take a seed rather than
     a generator.  Keys play the same role as in :func:`substream`."""
     return int(np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(key)).generate_state(1)[0])
-
-
-def _as_rng(rng: int | np.random.Generator) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_check_seed(rng))
 
 
 def _check_count(value, name: str, minimum: int = 1) -> int:
@@ -205,10 +202,13 @@ def sample_generalized_gaussian(p: float, count: int, rng: int | np.random.Gener
 
     E|X|^p = 1/p for every p; at p=2 this is a centered normal with
     variance 1/2, at p=1 a Laplace with unit scale.  ``count`` may be 0.
+    ``rng`` is a Generator, or a seed keyed as every producer's is.
     """
     p = _check_p(p)
     out = np.empty(_check_count(count, "count", minimum=0))
-    _generalized_gaussian_into(_as_rng(rng), p, out)
+    if not isinstance(rng, np.random.Generator):
+        rng = substream(rng, _KEY_GENERALIZED_GAUSSIAN)
+    _generalized_gaussian_into(rng, p, out)
     return out
 
 

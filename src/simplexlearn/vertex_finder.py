@@ -216,8 +216,8 @@ def find_vertex(
     Raises:
         ValueError: a start that is not a finite (n, k) frame with
             1 <= k <= n, a cap that is not an integer >= 1, or a gradient
-            whose squares or error are not finite or whose error does not
-            have its shape, naming the iteration.
+            or error that does not have the frame's shape, or whose
+            squares or error are not finite, naming the iteration.
         RuntimeError: the update collapsed (the Gram matrix of the squared
             columns is singular), naming the iteration.  With the exact
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
@@ -227,7 +227,10 @@ def find_vertex(
     def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         value = gradient(u)
         grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
-        return reconstruct_squares(u, grad), _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
+        grad = np.asarray(grad, dtype=float)
+        # a gradient of the wrong shape reaches the loop's check, which names the iteration
+        update = reconstruct_squares(u, grad) if grad.shape == u.shape else grad
+        return update, _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
 
     return _fixed_point(squares, start, cap)
 

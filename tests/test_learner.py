@@ -42,6 +42,13 @@ def assert_matches_one_shot_gradient(fused, frame, emb, x, u):
     assert np.abs(error - (first - second) / 2).max() <= 1e-12 * np.abs(reference).max()
 
 
+def symmetric_root(centered: np.ndarray) -> np.ndarray:
+    """The symmetric square root of the biased covariance of a centered
+    sample, from its eigendecomposition."""
+    eigenvalues, vectors = np.linalg.eigh(centered.T @ centered / centered.shape[0])
+    return (vectors * np.sqrt(eigenvalues)) @ vectors.T
+
+
 def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, int]:
     """The whole-array form of learn_simplex: the frame from the centered
     block, the whole block embedded, a gradient per half of it, and the
@@ -49,8 +56,7 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
     Returns (vertices, iterations_run)."""
     t, n = points.shape
     mean = points.mean(axis=0)
-    centered = points - mean
-    frame = AffineFrame(mean=mean, factor=np.linalg.cholesky(centered.T @ centered / t))
+    frame = AffineFrame(mean=mean, factor=symmetric_root(points - mean))
     emb = make_embed_map(n)
     y = emb.forward(frame.forward(points))
     half = t // 2
@@ -107,8 +113,7 @@ class TestEstimateFrame:
         truth = random_truth(n, 6)
         x = simplex_source(truth, 7)(t) + 100.0
         mean = x.mean(axis=0)
-        centered = x - mean
-        factor = np.linalg.cholesky(centered.T @ centered / t)
+        factor = symmetric_root(x - mean)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         frame = estimate_frame(x)
         assert np.abs(frame.mean - mean).max() <= 1e-12 * np.abs(mean).max()

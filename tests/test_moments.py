@@ -254,14 +254,24 @@ class TestMeanAndCovariance:
         assert np.array_equal(estimate_frame(x).mean, mean)
         assert ica_estimate(x, seed=0).mean.shape == (3,)
 
+    # points on a flat: the plane of R^3 even has a Cholesky factor (its
+    # last diagonal entry about 4e-9), so only the ratio of the extreme
+    # eigenvalues shows it singular, in the learner as in ICA
     def test_a_constant_sample_far_from_zero_is_degenerate(self):
+        from simplexlearn.geometry import Simplex
         from simplexlearn.ica import ica_estimate
-        from simplexlearn.learner import estimate_frame
+        from simplexlearn.learner import LearnerConfig, estimate_frame, learn_simplex
 
-        x = np.full((10, 3), 1e306)  # ten rows, whose mean is exactly 1e306
-        for estimate in (estimate_frame, ica_estimate):
-            with pytest.raises(moments.DegenerateSampleError):
-                estimate(x)
+        triangle = sampling.sample_simplex(Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 20_000, 0)
+        samples = [
+            np.full((10, 3), 1e306),  # ten rows, whose mean is exactly 1e306
+            np.column_stack([triangle, triangle @ [0.3, 0.7] + 1.0]),  # a plane of R^3
+            np.column_stack([triangle, triangle @ [[0.3, -0.5], [0.7, 0.2]] + [1.0, -2.0]]),  # a plane of R^4
+        ]
+        for x in samples:
+            for estimate in (estimate_frame, lambda points: learn_simplex(points, LearnerConfig()), ica_estimate):
+                with pytest.raises(moments.DegenerateSampleError, match="^sample covariance is singular$"):
+                    estimate(x)
 
 
 class TestSplitHalfMoment:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import simplexlearn
-from simplexlearn import cli, ica, sampling
+from simplexlearn import cli, ica, learner, moments, sampling
 from simplexlearn.vertex_finder import MAX_STEPS
 
 MODULES = ["geometry", "sampling", "moments", "vertex_finder", "learner", "ica", "evaluation", "diagnostics"]
@@ -60,6 +60,22 @@ def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(ica, "_fixed_point", spy)
     ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, 2000, 0), "kurtosis")
     assert caps == [MAX_STEPS]
+
+
+def test_both_fixed_points_share_one_frame(monkeypatch):
+    # the learner's frame and ICA's whitening are one standardization
+    frames, real = [], moments._sample_frame
+
+    def spy(x):
+        frames.append(x.shape)
+        return real(x)
+
+    for module in (learner, ica):
+        monkeypatch.setattr(module, "_sample_frame", spy)
+    learner.learn_simplex(sampling.sample_standard_simplex(3, 2000, 0)[:, :2], learner.LearnerConfig())
+    assert frames == [(2000, 2)]
+    ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, 2000, 0), "kurtosis")
+    assert frames == [(2000, 2), (2000, 3)]
 
 
 def test_every_exported_name_resolves():

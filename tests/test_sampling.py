@@ -8,6 +8,7 @@ from scipy import integrate, stats
 from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex, standard_simplex
 from simplexlearn.sampling import (
+    _KEY_GENERALIZED_GAUSSIAN,
     _gamma_rescale,
     _simplex_weights,
     child_seed,
@@ -187,6 +188,12 @@ class TestGeneralizedGaussian:
         assert generalized_gaussian_std(2.0) == pytest.approx(math.sqrt(0.5))
         draws = sample_generalized_gaussian(4.0, T, substream(0, 9))
         assert abs(draws.std(ddof=1) - generalized_gaussian_std(4.0)) <= 0.01
+
+    def test_an_integer_seed_is_keyed(self):
+        # the stream of seed 5 under the producer's own key, not the bare seed's
+        draws = sample_generalized_gaussian(3.0, 100, 5)
+        assert np.array_equal(draws, sample_generalized_gaussian(3.0, 100, substream(5, _KEY_GENERALIZED_GAUSSIAN)))
+        assert not np.array_equal(draws, sample_generalized_gaussian(3.0, 100, np.random.default_rng(5)))
 
     def test_p_range(self):
         with pytest.raises(ValueError):

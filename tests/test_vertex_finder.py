@@ -235,6 +235,17 @@ class TestNoiseFloorStop:
         with pytest.raises(ValueError, match=r"must have the frame's shape \(4, 1\), got \(4, 1\) and \(3,\) at iteration 0$"):
             find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), start_frame(4, 0))
 
+    def test_gradient_shape_checked(self):
+        # the loop sees the gradient's shape before the squares are built
+        calls = []
+
+        def flat_third_gradient(u):
+            calls.append(1)
+            return exact_grad_m3(u).ravel() if len(calls) == 3 else exact_grad_m3(u)
+
+        with pytest.raises(ValueError, match=r"must have the frame's shape \(4, 1\), got \(4,\) and \(4,\) at iteration 2$"):
+            find_vertex(flat_third_gradient, start_frame(4, 0))
+
 
 class TestSampledGradients:
     def test_one_gradient_call_per_step(self):
