@@ -31,7 +31,16 @@ match = match_vertices(triangle.vertices, reduction.vertices)
 print("triangle vertices (true -> recovered):")
 for i, j in enumerate(match.permutation):
     print(f"  {np.round(triangle.vertices[i], 3)} -> {np.round(reduction.vertices[j], 3)}")
-print(f"max vertex error {match.max_error:.4f}; contrast {reduction.estimate.contrast}, {reduction.estimate.sweeps} sweeps")
+print(f"max vertex error {match.max_error:.4f}; contrast {reduction.estimate.contrast}")
+
+
+def print_sweeps(estimate, t):
+    """The sweeps on the first t // 8 rows apart from those on all t."""
+    whole = estimate.sweeps - estimate.prefix_sweeps
+    print(f"{estimate.prefix_sweeps} sweeps on the first {t // 8} rows, then {whole} on all {t}")
+
+
+print_sweeps(reduction.estimate, len(sample))
 
 # a stretched cross-polytope, recovered as a linear map
 a = np.diag([2.0, 1.0])
@@ -41,4 +50,5 @@ print("\nrecovered map for A = diag(2, 1) (up to signed permutation):")
 print(np.round(lp.mixing, 3))
 print(f"deviation from signed permutation of A: {signed_permutation_deviation(np.linalg.inv(a) @ lp.mixing):.4f}")
 print(f"symmetric-difference volume ratio: {lp_symmetric_difference(a, lp.mixing, 1.0, seed=1):.4f}")
-print(f"contrast {lp.estimate.contrast}, {lp.estimate.sweeps} sweeps")
+print(f"contrast {lp.estimate.contrast}")
+print_sweeps(lp.estimate, len(mapped))

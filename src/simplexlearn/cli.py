@@ -28,11 +28,11 @@ from functools import partial
 import numpy as np
 
 from .sampling import child_seed
-from .vertex_finder import MAX_STEPS
+from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)
@@ -150,7 +150,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=child_seed(cfg["seed"], 99))
     # found_count counts the starts of the frame and the vertices they
-    # found, iterations_run its steps; points_drawn is the one block
+    # found, iterations_run its steps, prefix_steps those that read only
+    # the block's prefix; points_drawn is the one block
     payload = {
         "command": "learn",
         "cli_config": cfg,
@@ -161,6 +162,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "points_drawn": count,
         "found_count": learned.found_count,
         "iterations_run": learned.iterations_run,
+        "prefix_steps": learned.prefix_steps,
         "vertices": learned.vertices,
         "per_vertex_match_error": match_vertices(truth, learned.simplex).per_vertex_error,
         "tv_estimate": tv.value,
@@ -297,6 +299,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     payload["converged"] = reduction.estimate.converged
     payload["sweeps"] = reduction.estimate.sweeps
+    payload["prefix_sweeps"] = reduction.estimate.prefix_sweeps
     payload["permutation_note"] = reduction.estimate.permutation_note
     payload["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
     _emit(payload, cfg, "reduce")
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2 (default 50000)")
     learn.add_argument("--t3", type=int, default=None, help="second part of that block (default 50000)")
     learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
-    learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
+    learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
     common(learn)
     learn.set_defaults(func=cmd_learn)
 

@@ -190,10 +190,14 @@ def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
 def match_vertices(truth, estimate) -> MatchResult:
     """Minimum-max-error bijection between two equal-size vertex sets.
 
-    The optimal bottleneck value is found by bisecting over the sorted
-    pairwise distances.  A threshold is feasible when the min-sum
-    assignment on the 0/1 costs ``dist > threshold`` costs nothing, that
-    is when some bijection keeps every pair within it.  Among the
+    The optimal bottleneck value is the smallest feasible pairwise
+    distance.  A threshold is feasible when the min-sum assignment on the
+    0/1 costs ``dist > threshold`` costs nothing, that is when some
+    bijection keeps every pair within it.  Every vertex of either set has
+    a partner in any bijection, so no bottleneck is below L, the largest
+    row-wise or column-wise minimum distance: one solve at L settles it
+    when L is feasible, as it is for an estimate near the truth, and
+    otherwise a bisection over the sorted distances above L finds it.  Among the
     bijections achieving the bottleneck, total error is then minimized by
     a second min-sum assignment that forbids the pairs beyond it.  Both
     use the package's own Hungarian method, so matching needs numpy only.
@@ -219,7 +223,8 @@ def match_vertices(truth, estimate) -> MatchResult:
         return bool((dist[rows, cols] <= threshold).all())
 
     levels = np.unique(dist)
-    lo, hi = 0, len(levels) - 1
+    lo = int(np.searchsorted(levels, max(dist.min(axis=1).max(), dist.min(axis=0).max())))
+    lo, hi = (lo, lo) if feasible(levels[lo]) else (lo + 1, len(levels) - 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(levels[mid]):

@@ -12,8 +12,8 @@ Each reduction fixes its source law, so it fixes the contrast too: the
 Exp(1) sources are skewed and separate on the third cumulant, while the
 exp(-|t|^p) sources are symmetric and separate only on the fourth.
 :func:`ica_estimate` runs that one contrast on a whole orthonormal frame,
-in the one fixed-point loop of :mod:`simplexlearn.vertex_finder`, which
-the learner's vertex finder runs on its own map.
+in the one fixed-point loop of :mod:`simplexlearn.vertex_finder`, coarse
+to fine as the learner runs it on its own map.
 
 Neither reduction builds its rescaled sample.  ICA reads a sample only
 through its shape and its row blocks, so each reduction hands it the
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
-from .vertex_finder import MAX_STEPS, _fixed_point
+from .vertex_finder import MAX_STEPS, _coarse_to_fine
 
 __all__ = [
     "MixingEstimate",
@@ -75,10 +76,11 @@ SYMDIFF_POINTS = 100_000
 class MixingEstimate:
     """ICA output: ``separating`` M with M (Y - mean) isotropic with
     independent coordinates, ``mixing`` its inverse, the ``contrast`` the
-    fixed point ran on, the whole-frame ``sweeps`` it took, and one
-    ``converged`` flag per component, true when that component's last step
-    was within its noise floor.  ``permutation_note`` records the inherent
-    ambiguity."""
+    fixed point ran on, the whole-frame ``sweeps`` it took,
+    ``prefix_sweeps`` of them on a prefix of the sample only, and one
+    ``converged`` flag per component, true when that component's last
+    sweep, on the whole sample, was within its noise floor.
+    ``permutation_note`` records the inherent ambiguity."""
 
     separating: np.ndarray
     mixing: np.ndarray
@@ -86,6 +88,7 @@ class MixingEstimate:
     converged: list
     contrast: str
     sweeps: int
+    prefix_sweeps: int
     permutation_note: str = "components are recovered up to signed permutation"
 
 
@@ -162,13 +165,15 @@ def ica_estimate(
 
     z is never formed: a sweep is one split-half moment pass over the raw
     sample (``moments._split_half_moment``), and the frame comes from one
-    blocked pass too, which also shows whether the sample is finite.  The
-    passes read only the shape and row blocks of ``points``, so the
-    reductions hand in their rescaled rows, built a block at a time.  The
-    sweeps run in ``vertex_finder._fixed_point``, the loop under the
-    learner's vertex finder too, from a random orthonormal frame drawn
-    from ``seed``, with its checks, its noise stop and its cap of
-    ``MAX_STEPS`` sweeps.
+    blocked pass over the whole sample too, which also shows whether the
+    sample is finite.  The passes read only the shape and row blocks of
+    ``points``, so the reductions hand in their rescaled rows, built a
+    block at a time.  The sweeps run in the learner's loop, coarse to fine
+    (``vertex_finder._coarse_to_fine``), from a random orthonormal frame
+    drawn from ``seed``: on a large sample the first sweeps read only its
+    first t // PREFIX_DIVISOR rows, and the last reads all of them, with
+    the loop's checks, its noise stop and one cap of ``MAX_STEPS`` sweeps
+    in all.
 
     Returns:
         MixingEstimate with ``separating`` W^T S^-1 and ``mixing`` S W,
@@ -190,14 +195,14 @@ def ica_estimate(
     frame, whitener = _sample_frame(points)
     power, shift = (2 if contrast == "skew" else 3), -(frame.mean @ whitener.T)
 
-    def sweep(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        update, error = _split_half_moment(points, whitener.T, shift, w, power)
+    def sweep(w: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        update, error = _split_half_moment(points, whitener.T, shift, w, power, stop)
         if contrast == "kurtosis":
             update -= 3.0 * w
         return update, error
 
     start, _ = np.linalg.qr(substream(seed, 61).standard_normal(whitener.shape))
-    found = _fixed_point(sweep, start, MAX_STEPS)
+    found = _coarse_to_fine(lambda stop: partial(sweep, stop=stop), points.shape[0], start, MAX_STEPS)
     return MixingEstimate(
         separating=found.u.T @ whitener,
         mixing=frame.factor @ found.u,
@@ -205,6 +210,7 @@ def ica_estimate(
         converged=found.converged.tolist(),
         contrast=contrast,
         sweeps=found.iterations_run,
+        prefix_sweeps=found.prefix_steps,
     )
 
 

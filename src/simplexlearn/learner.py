@@ -6,11 +6,14 @@ hidden simplex is nearly isotropic, embed it onto the hyperplane
 {y . 1 = 1} where it becomes a nearly standard simplex rotated about the
 all-ones direction (both maps compose into one, built once per run), and
 run the third-moment fixed point on one orthonormal frame of n+1 random
-starts, every step on that same block, so that each column ends on its
-own vertex.  The frame stops at the first step that is within its
-sampling noise, which the two halves of the block estimate, or after r
-steps.  Each column is projected exactly onto the hyperplane and mapped
-back through the frame.
+starts, so that each column ends on its own vertex.  The steps run
+coarse to fine: on a large block the first ones read only its first
+t // 8 rows, which carry the frame into the basin of the block's fixed
+point, and the last ones read the whole block.  Each stage stops at the
+first step that is within its sampling noise, which the two halves of
+the rows it reads estimate, and r steps cap both together.  Each column
+is projected exactly onto the hyperplane and mapped back through the
+frame.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import DegenerateSampleError, _sample_frame, _split_half_moment
 from .sampling import _check_count, child_seed, substream
-from .vertex_finder import MAX_STEPS, find_vertex
+from .vertex_finder import MAX_STEPS, _coarse_to_fine, _squares
 
 __all__ = [
     "BoostFailureError",
@@ -79,10 +82,11 @@ class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
     r: cap on the fixed-point steps of the frame, the loop's MAX_STEPS by
-       default.  The frame stops at the first step where every column has
-       reached its sampling noise floor (see
-       :func:`~simplexlearn.vertex_finder.find_vertex`); every step reads
-       the same points.
+       default, prefix and whole-block steps together.  Each stage stops
+       at the first step where every column has reached its sampling
+       noise floor (see :func:`~simplexlearn.vertex_finder.find_vertex`);
+       the last step reads the whole block, so r = 1 is one whole-block
+       step.
     seed: master seed; start k begins from child_seed(seed, 41, k).
 
     Raises ValueError, naming the field, unless r is an integer >= 1 and
@@ -105,13 +109,15 @@ class LearnedSimplex:
     vertices holds them one per row and directions the unit vertex
     direction each came from; found_count is their number, n+1.
     iterations_run counts the frame's steps: the step where the
-    noise-floor stop fired, or the cap r.
+    noise-floor stop fired on the whole block, or the cap r.
+    prefix_steps of them read only the block's prefix.
     """
 
     simplex: Simplex
     vertices: np.ndarray
     directions: np.ndarray
     iterations_run: int
+    prefix_steps: int
 
     @property
     def found_count(self) -> int:
@@ -126,7 +132,8 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
             unknown simplex in R^n, t >= n+2: n+1 points whiten to the
             vertices of a regular simplex, whatever simplex they came
             from.  The frame and every fixed-point step read this one
-            block; n is read from its width.
+            block, the first steps on a large block only its first
+            t // PREFIX_DIVISOR rows; n is read from its width.
         config: see :class:`LearnerConfig`.
 
     Returns:
@@ -142,31 +149,38 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         IEEE TNN 1999).  Nor are its points the
         paper's: the paper draws an independent block for the frame and
         for every step, which its analysis needs, while here the frame and
-        every step share one block, which is then exactly isotropic in its
-        own frame, as FastICA whitens once and iterates on one sample.
-        The frame stops at the first step where every column has reached
-        the noise floor the block's split-half standard error sets, with r
-        steps as the cap; iterations_run says where.
+        every step share one block (the prefix steps read its first rows),
+        and the block is then exactly isotropic in its own frame, as
+        FastICA whitens once and iterates on one sample.
+        The steps run coarse to fine (``vertex_finder._coarse_to_fine``):
+        when t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS, they read that prefix
+        of the block until its split-half noise floor or r - 1 steps, and
+        then the whole block until every column has reached the noise
+        floor the block's split-half standard error sets, with r steps in
+        all as the cap; iterations_run says where, and prefix_steps how
+        many read the prefix.
 
     Raises:
-        ValueError, naming the shape, when points is not a 2-D array of
-        finite values with at least one column and at least two more rows
-        than columns.
+        ValueError, naming the shape, when points is not a 2-D array with
+        at least one column and at least two more rows than columns, and
+        ValueError ("points and their covariance must be finite") for a
+        NaN or infinite point, which the frame's one pass reads off the
+        mean and covariance; DegenerateSampleError for points on a flat.
     """
     block = np.asarray(points, dtype=float)
-    if block.ndim != 2 or not 1 <= block.shape[1] <= block.shape[0] - 2 or not np.isfinite(block).all():
-        raise ValueError(f"points must be a non-empty finite (t, n) array with t >= n+2, got shape {block.shape}")
-    n = block.shape[1]
+    if block.ndim != 2 or not 1 <= block.shape[1] <= block.shape[0] - 2:
+        raise ValueError(f"points must be a non-empty (t, n) array with t >= n+2, got shape {block.shape}")
+    t, n = block.shape
 
     frame = estimate_frame(block)
     emb = make_embed_map(n)
     starts = [substream(child_seed(config.seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     start = np.column_stack([u / np.linalg.norm(u) for u in starts])
-    found = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r)
+    found = _coarse_to_fine(lambda stop: _squares(embedded_m3_grad(frame, emb, block[:stop])), t, start, config.r)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))
-    return LearnedSimplex(Simplex(vertices), vertices, directions, found.iterations_run)
+    return LearnedSimplex(Simplex(vertices), vertices, directions, found.iterations_run, found.prefix_steps)
 
 
 @dataclass

@@ -99,19 +99,23 @@ def _sample_frame(x) -> tuple[AffineFrame, np.ndarray]:
     return AffineFrame(mean=mean, factor=(vectors * root) @ vectors.T), (vectors / root) @ vectors.T
 
 
-def _split_half_moment(x: np.ndarray, linear: np.ndarray, shift: np.ndarray, u: np.ndarray, q: int) -> tuple:
+def _split_half_moment(
+    x: np.ndarray, linear: np.ndarray, shift: np.ndarray, u: np.ndarray, q: int, stop: int | None = None
+) -> tuple:
     """E[y f^q] over the rows of y = x linear + shift, with f = y u, and
     its standard error, half the difference of its values on the two
-    halves of the rows (the first t // 2 and the rest).
+    halves of the rows (the first t // 2 and the rest).  The rows are the
+    first t = ``stop`` rows of x, all of them by default, so a prefix of
+    the reductions' rescaled rows is read through the same object.
 
-    x is (t, d), linear L (d, e), shift b (e,), u a frame (e, k) and q 2
-    or 3; both results are (e, k).  y is never formed: f = x (L u) + b . u
+    x has d columns and at least t rows, linear L is (d, e), shift b (e,),
+    u a frame (e, k) and q 2 or 3; both results are (e, k).  y is never formed: f = x (L u) + b . u
     and y^T f^q = L^T (x^T f^q) + b sum(f^q), so one pass over x, in row
     blocks that never straddle the split, serves both halves.  f is formed
     transposed, since numpy shifts, powers and sums along long rows much
     faster than along rows of k entries.
     """
-    t, k = x.shape[0], u.shape[1]
+    t, k = x.shape[0] if stop is None else stop, u.shape[1]
     half = t // 2
     moments = np.zeros((2, k, x.shape[1]))
     sums = np.zeros((2, k))

@@ -34,6 +34,11 @@ which carries the error.  An exact gradient has no error and stops at a
 1e-9 step.  The whole-frame ICA of :mod:`simplexlearn.ica` runs this one
 loop, with its polar step, its checks, its stop and its cap MAX_STEPS, on
 its own contrast; each caller hands the loop its own start frame.
+
+On a large sample the learner and ICA run the loop coarse to fine
+(:func:`_coarse_to_fine`): the first steps read only the first
+t // PREFIX_DIVISOR rows, which is enough to carry the frame into the
+basin of the sample's fixed point, and the last steps read every row.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ from .sampling import _check_count
 
 __all__ = [
     "MAX_STEPS",
+    "PREFIX_DIVISOR",
+    "PREFIX_MIN_ROWS",
     "VertexResult",
     "find_vertex",
     "reconstruct_squares",
@@ -77,6 +84,16 @@ NOISE_KAPPA = 2.0
 # converging run takes at most about ten steps.  The proof-grade values of
 # theoretical_parameters are far larger.
 MAX_STEPS = 30
+# The prefix stage of a fixed point on a t-row sample reads the first
+# t // PREFIX_DIVISOR rows.  On the lp reductions (n = 5, t = 200k, seeds
+# 0-39) a prefix of t // 8 kept every worst-case separation index at or
+# below the whole-sample run's, and t // 16 did not (p = 3: 0.0954
+# against 0.0921).
+PREFIX_DIVISOR = 8
+# The stage runs only on a prefix of at least this many rows.  Below it
+# every step reads the whole sample: such a step is cheap, and each half
+# of the prefix would hold fewer than 1024 rows.
+PREFIX_MIN_ROWS = 2048
 # theoretical_parameters returns no t of this many bits or more.
 T_MAX_BITS = 2**20
 
@@ -91,13 +108,16 @@ class VertexResult:
     its last step reached its noise floor; all are true when the stop
     fired, and iterations_run is the step count, the cap when it did not.
     trace holds one row per step: the step's per-column update_norm,
-    noise and step and the frame u after it.
+    noise and step and the frame u after it, and, coarse to fine, the
+    rows the step read.  prefix_steps counts the steps that read only a
+    prefix of the sample, 0 outside :func:`_coarse_to_fine`.
     """
 
     u: np.ndarray
     converged: np.ndarray
     iterations_run: int
     trace: list
+    prefix_steps: int = 0
 
 
 def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -144,13 +164,15 @@ def _polar_step(
     return new_u, step, noise, step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
 
 
-def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexResult:
+def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, first: int = 0) -> VertexResult:
     """The fixed point that the learner and ICA share: step the frame,
     from the (n, k) start, to the polar factor of the map M that
     update_map(u) returns, beside the standard error of each entry of M
-    (see :func:`_polar_step`), until every column's stop fires or for cap
-    steps, and keep every step in the trace.  The start need not be
-    orthonormal: the first step orthonormalizes it.
+    (see :func:`_polar_step`), until every column's stop fires or cap
+    steps have run, and keep every step in the trace.  The start need not
+    be orthonormal: the first step orthonormalizes it.  Steps are numbered
+    from ``first``, the steps an earlier stage has run against the same
+    cap, so iterations_run counts both stages.
 
     Raises ValueError, naming the argument, unless start is a finite 2-D
     array with 1 <= k <= n columns and cap an integer >= 1, and, naming
@@ -162,7 +184,7 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexRes
         raise ValueError(f"start must be a finite (n, k) frame with 1 <= k <= n, got shape {u.shape}")
     _check_count(cap, "cap")
     trace = []
-    for i in range(cap):
+    for i in range(first, cap):
         update, error = update_map(u)
         if update.shape != u.shape or error.shape != u.shape:
             raise ValueError(
@@ -178,6 +200,50 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexRes
         if converged.all():
             break
     return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
+
+
+def _coarse_to_fine(stage_map: Callable[[int], Callable], t: int, start: np.ndarray, cap: int) -> VertexResult:
+    """:func:`_fixed_point` on a t-row sample, coarse to fine.
+    stage_map(stop) is the update map over the first stop rows.
+
+    When the prefix of the first t // PREFIX_DIVISOR rows holds at least
+    PREFIX_MIN_ROWS rows and cap > 1, the loop first runs on that prefix,
+    with its own split halves and the same stop, for at most cap - 1
+    steps.  From its final frame, or from the start, the loop then runs on
+    all t rows until its stop fires or the one cap is reached, so the last
+    step always reads every row and cap 1 is one whole-sample step.  The
+    prefix steps cost an eighth of a whole-sample step each and only carry
+    the frame into the basin of the sample's own fixed point.
+
+    Returns the whole-sample stage's frame and converged flags, with
+    iterations_run and the trace counting the steps of both stages, each
+    trace row with the ``rows`` its step read, and prefix_steps those on
+    the prefix.
+    """
+    prefix, prefix_steps, trace = t // PREFIX_DIVISOR, 0, []
+    if prefix >= PREFIX_MIN_ROWS and cap > 1:
+        coarse = _fixed_point(stage_map(prefix), start, cap - 1)
+        start, prefix_steps = coarse.u, coarse.iterations_run
+        trace = [{**row, "rows": prefix} for row in coarse.trace]
+    fine = _fixed_point(stage_map(t), start, cap, first=prefix_steps)
+    trace += [{**row, "rows": t} for row in fine.trace]
+    return VertexResult(fine.u, fine.converged, fine.iterations_run, trace, prefix_steps)
+
+
+def _squares(gradient: Callable) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The update map of :func:`find_vertex`: u -> the reconstructed
+    squares M at u and their standard error, from a gradient callable that
+    returns the gradient or the pair (gradient, error)."""
+
+    def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value = gradient(u)
+        grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
+        grad = np.asarray(grad, dtype=float)
+        # a gradient of the wrong shape reaches the loop's check, which names the iteration
+        update = reconstruct_squares(u, grad) if grad.shape == u.shape else grad
+        return update, _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
+
+    return squares
 
 
 def find_vertex(
@@ -223,16 +289,7 @@ def find_vertex(
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
             for a unit u; a frame can only on a null set of iterates.
     """
-
-    def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value = gradient(u)
-        grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
-        grad = np.asarray(grad, dtype=float)
-        # a gradient of the wrong shape reaches the loop's check, which names the iteration
-        update = reconstruct_squares(u, grad) if grad.shape == u.shape else grad
-        return update, _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
-
-    return _fixed_point(squares, start, cap)
+    return _fixed_point(_squares(gradient), start, cap)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import simplexlearn
-from simplexlearn import ica, sampling
+from simplexlearn import ica, learner, moments, sampling
 from simplexlearn.cli import OUT_ENV, main
 
 LEARN_FAST = ["learn", "--n", "2", "--t1", "4000", "--t3", "4000", "--m", "12"]
@@ -36,6 +36,7 @@ class TestLearnCommand:
             "n",
             "per_vertex_match_error",
             "points_drawn",
+            "prefix_steps",
             "schema_version",
             "seed",
             "tv_estimate",
@@ -44,9 +45,10 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 12
+        assert report["schema_version"] == 13
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
+        assert report["prefix_steps"] == 0  # 8000 // 8 rows are below the floor
         assert report["points_drawn"] == 4000 + 4000
         assert report["n"] == 2
         assert len(report["vertices"]) == 3
@@ -85,6 +87,42 @@ class TestLearnCommand:
         assert report["config"]["r"] == 40
 
 
+def moment_passes(monkeypatch) -> list:
+    """The rows each fixed-point step reads, learner and ICA alike, from a
+    spy on their moment pass."""
+    rows, real = [], moments._split_half_moment
+
+    def spy(x, linear, shift, u, q, stop=None):
+        rows.append(x.shape[0] if stop is None else stop)
+        return real(x, linear, shift, u, q, stop)
+
+    for module in (learner, ica):
+        monkeypatch.setattr(module, "_split_half_moment", spy)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv, t",
+    [
+        (["learn", "--n", "3"], 100_000),
+        (["reduce", "--problem", "simplex", "--n", "3", "--t", "20000"], 20_000),
+        (["reduce", "--problem", "lp", "--p", "3", "--n", "3", "--t", "20000"], 20_000),
+    ],
+)
+def test_reports_count_the_prefix_steps(tmp_path, monkeypatch, argv, t):
+    # the first steps read the first t // 8 rows, the rest all t, and the
+    # report's step count holds both
+    rows = moment_passes(monkeypatch)
+    out = str(tmp_path / "report.json")
+    assert main([*argv, "--seed", "1", "--out", out]) == 0
+    report = read_json(out)
+    steps, prefix = (
+        (report["iterations_run"], report["prefix_steps"]) if argv[0] == "learn" else (report["sweeps"], report["prefix_sweeps"])
+    )
+    assert isinstance(prefix, int) and 1 <= prefix < steps
+    assert rows == [t // 8] * prefix + [t] * (steps - prefix)
+
+
 class TestReduceCommand:
     def test_simplex_problem(self, tmp_path):
         out = str(tmp_path / "reduce.json")
@@ -96,7 +134,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 12
+        assert report["schema_version"] == 13
         assert report["converged"] == [True] * 3
         assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
 
@@ -177,6 +215,7 @@ class TestReduceCommand:
         assert report["separation_index"] == ica.separation_index(reduction.estimate.separating @ mixed)
         assert report["converged"] == reduction.estimate.converged
         assert report["sweeps"] == reduction.estimate.sweeps
+        assert report["prefix_sweeps"] == reduction.estimate.prefix_sweeps
 
     @pytest.mark.parametrize(
         "problem, draw",

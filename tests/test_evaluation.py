@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from simplexlearn import evaluation
 from simplexlearn.evaluation import (
     _min_sum_assignment,
     check_sandwich_bound,
@@ -16,6 +17,26 @@ from simplexlearn.evaluation import (
 )
 from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex, standard_simplex
 from simplexlearn.sampling import substream
+
+
+def bisected_match(a: np.ndarray, b: np.ndarray) -> tuple:
+    """match_vertices without its lower bound: the bottleneck by bisection
+    over every pairwise distance, then the same min-sum tie-break.
+    Returns (permutation, per_vertex_error, max_error)."""
+    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    rows = np.arange(len(dist))
+    levels = np.unique(dist)
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cols = _min_sum_assignment((dist > levels[mid]).astype(float))
+        if (dist[rows, cols] <= levels[mid]).all():
+            hi = mid
+        else:
+            lo = mid + 1
+    perm = _min_sum_assignment(np.where(dist <= levels[lo], dist, np.inf))
+    errors = dist[rows, perm]
+    return tuple(int(j) for j in perm), errors, float(errors.max())
 
 
 def right_simplex(n: int) -> Simplex:
@@ -242,6 +263,49 @@ class TestMatchVertices:
         result = match_vertices(a, b)
         assert result.max_error == 1.5
         assert result.permutation == (0, 1)
+
+
+    def assert_as_bisected(self, monkeypatch, a, b) -> int:
+        """match_vertices(a, b) is the bisection's result, field for field;
+        returns the Hungarian solves it took."""
+        calls, real = [], evaluation._min_sum_assignment
+
+        def counting(cost):
+            calls.append(1)
+            return real(cost)
+
+        monkeypatch.setattr(evaluation, "_min_sum_assignment", counting)
+        result = match_vertices(a, b)
+        permutation, errors, max_error = bisected_match(a, b)
+        assert result.permutation == permutation
+        assert np.array_equal(result.per_vertex_error, errors)
+        assert result.max_error == max_error
+        return len(calls)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13])
+    def test_the_lower_bound_keeps_the_bisection_result(self, monkeypatch, k):
+        rng = substream(k, 6)
+        for trial in range(10):
+            # an estimate near the truth, far from it, and tied distances
+            a = rng.standard_normal((k, 3))
+            self.assert_as_bisected(monkeypatch, a, a[rng.permutation(k)] + 0.05 * rng.standard_normal((k, 3)))
+            self.assert_as_bisected(monkeypatch, a, rng.standard_normal((k, 3)))
+            grid = rng.integers(0, 3, size=(2, k, 2)).astype(float)
+            self.assert_as_bisected(monkeypatch, grid[0], grid[1])
+
+    def test_a_near_estimate_takes_two_solves(self, monkeypatch):
+        # the bound is attained: one feasibility solve and the tie-break
+        a = substream(0, 7).standard_normal((41, 40))
+        assert self.assert_as_bisected(monkeypatch, a, a[::-1] + 1e-3) == 2
+
+    def test_an_infeasible_bound_bisects(self, monkeypatch):
+        # both of the first two true vertices are nearest the first
+        # estimate, so L = 0.5 admits no bijection: one of them must take
+        # the far estimate, about 14 away
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0]])
+        b = np.array([[0.5, 0.0], [10.0, 10.1], [10.0, 9.9]])
+        assert self.assert_as_bisected(monkeypatch, a, b) > 2
+        assert match_vertices(a, b).max_error > 13.0
 
 
 class TestMinSumAssignment:

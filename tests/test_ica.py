@@ -122,6 +122,25 @@ class TestIcaEstimate:
         with pytest.raises(ValueError, match="^update or error is not finite at iteration 1$"):
             ica_estimate(x, seed=0)
 
+    def test_the_iteration_counts_the_prefix_sweeps(self, monkeypatch):
+        # the first whole-sample sweep is named after the prefix sweeps
+        t = 20_001
+        x = exponential_mixture(np.eye(3), np.zeros(3), t, seed=4)
+        stops, real = [], ica._split_half_moment
+
+        def first_whole_sweep_nan(x, linear, shift, u, q, stop):
+            update, error = real(x, linear, shift, u, q, stop)
+            stops.append(stop)
+            if stop == t:
+                update[0, 0] = np.nan
+            return update, error
+
+        monkeypatch.setattr(ica, "_split_half_moment", first_whole_sweep_nan)
+        with pytest.raises(ValueError, match="at iteration ([0-9]+)$") as caught:
+            ica_estimate(x, seed=0)
+        assert stops.count(t // 8) >= 1
+        assert str(caught.value).endswith(f"at iteration {stops.count(t // 8)}")
+
     def test_sweep_error_of_the_wrong_shape_rejected(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
         real = ica._split_half_moment
@@ -137,45 +156,79 @@ class TestIcaEstimate:
 
 def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     """The whole-array form of ica_estimate: a centered copy, its whitened
-    copy z, and a (t, d) contrast array per sweep.  Returns (separating,
-    mean, sweeps, converged)."""
+    copy z, and a contrast array per sweep over the rows it reads.  Sweeps
+    run coarse to fine: when the first t // 8 rows number at least 2048
+    and cap > 1, up to cap - 1 sweeps read only those rows, and the rest,
+    cap in all, every row.  Returns (separating, mean, sweeps, converged,
+    prefix_sweeps)."""
     t, d = points.shape
     mean = points.mean(axis=0)
     centered = points - mean
     eigenvalues, vectors = np.linalg.eigh(centered.T @ centered / t)
     whitener = (vectors / np.sqrt(eigenvalues)) @ vectors.T
     z = centered @ whitener.T
-    half = t // 2
     w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
-    for sweep in range(cap):
-        f = (z @ w) ** (2 if contrast == "skew" else 3)
-        first, second = z[:half].T @ f[:half] / half, z[half:].T @ f[half:] / (t - half)
-        update = (half * first + (t - half) * second) / t
-        if contrast == "kurtosis":
-            update -= 3.0 * w
-        w, _, _, converged = _polar_step(w, update, 0.5 * (first - second), sweep)
-        if converged.all():
-            break
-    return w.T @ whitener, mean, sweep + 1, converged.tolist()
+
+    def run(rows: np.ndarray, w: np.ndarray, first: int, cap: int):
+        count, half = rows.shape[0], rows.shape[0] // 2
+        for sweep in range(first, cap):
+            f = (rows @ w) ** (2 if contrast == "skew" else 3)
+            first_half, second_half = rows[:half].T @ f[:half] / half, rows[half:].T @ f[half:] / (count - half)
+            update = (half * first_half + (count - half) * second_half) / count
+            if contrast == "kurtosis":
+                update -= 3.0 * w
+            w, _, _, converged = _polar_step(w, update, 0.5 * (first_half - second_half), sweep)
+            if converged.all():
+                break
+        return w, sweep + 1, converged.tolist()
+
+    prefix_sweeps = 0
+    if t // 8 >= 2048 and cap > 1:
+        w, prefix_sweeps, _ = run(z[: t // 8], w, 0, cap - 1)
+    w, sweeps, converged = run(z, w, prefix_sweeps, cap)
+    return w.T @ whitener, mean, sweeps, converged, prefix_sweeps
+
+
+def stops_read(monkeypatch) -> list:
+    """The rows each ICA sweep reads, in order, from a spy on its moment
+    pass."""
+    rows, real = [], ica._split_half_moment
+
+    def spy(x, linear, shift, u, q, stop):
+        rows.append(stop)
+        return real(x, linear, shift, u, q, stop)
+
+    monkeypatch.setattr(ica, "_split_half_moment", spy)
+    return rows
 
 
 class TestBlockedPasses:
     # 7 rows cut every pass into many blocks and a ragged last block per
     # half; 10**9 makes each half one block.  The odd t is no multiple of 7,
-    # and t = d + 2 is the smallest sample ICA takes.
+    # t = d + 2 is the smallest sample ICA takes, and at 20_001 rows the
+    # first sweeps read the first 2500.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize(
         "t, contrast, cap",
-        [(1001, "skew", MAX_STEPS), (1001, "kurtosis", MAX_STEPS), (5, "skew", 3), (5, "kurtosis", 3)],
+        [
+            (1001, "skew", MAX_STEPS),
+            (1001, "kurtosis", MAX_STEPS),
+            (5, "skew", 3),
+            (5, "kurtosis", 3),
+            (20_001, "skew", MAX_STEPS),
+            (20_001, "kurtosis", MAX_STEPS),
+            (20_001, "skew", 2),
+            (20_001, "kurtosis", 1),
+        ],
     )
     def test_ica_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, contrast, cap):
         rng = substream(2, 611)
         x = exponential_mixture(rng.standard_normal((3, 3)), 50.0 + rng.standard_normal(3), t, seed=16)
-        separating, mean, sweeps, converged = one_shot_ica(x, contrast, 3, cap)
+        separating, mean, sweeps, converged, prefix_sweeps = one_shot_ica(x, contrast, 3, cap)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(ica, "MAX_STEPS", cap)
         est = ica_estimate(x, contrast, seed=3)
-        assert est.sweeps == sweeps
+        assert (est.sweeps, est.prefix_sweeps) == (sweeps, prefix_sweeps)
         assert est.converged == converged
         assert np.abs(est.separating - separating).max() <= 1e-12 * np.abs(separating).max()
         assert np.abs(est.mean - mean).max() <= 1e-12 * np.abs(mean).max()
@@ -186,22 +239,25 @@ class TestBlockedPasses:
         monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = reduce_simplex_to_ica(sm, seed=2)
         assert blocked.estimate.sweeps == reference.estimate.sweeps
+        assert blocked.estimate.prefix_sweeps == reference.estimate.prefix_sweeps >= 1
         assert blocked.estimate.converged == reference.estimate.converged
         assert np.abs(blocked.vertices - reference.vertices).max() <= 1e-12 * np.abs(reference.vertices).max()
 
+    # at 20_001 rows the first sweeps read the halves of the first 2500
+    @pytest.mark.parametrize("t", [3001, 20_001])
     @pytest.mark.parametrize("block_rows", [8192, 7])
     @pytest.mark.parametrize("problem", ["simplex", "lp"])
-    def test_every_block_is_the_rescaled_sample(self, monkeypatch, block_rows, problem):
+    def test_every_block_is_the_rescaled_sample(self, monkeypatch, block_rows, problem, t):
         # ICA reads each block of the rescaled rows, lifted for the simplex,
         # bit for bit as the rows of the whole rescaled array
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         if problem == "simplex":
-            points = sample_simplex(Simplex(substream(4, 605).standard_normal((5, 4))), 3001, 34)
+            points = sample_simplex(Simplex(substream(4, 605).standard_normal((5, 4))), t, 34)
             t, n = points.shape
             expected = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(9, 67))
             estimate = lambda: reduce_simplex_to_ica(points, seed=9).estimate  # noqa: E731
         else:
-            points = sample_lp_ball(4, 3.0, 3001, 34)
+            points = sample_lp_ball(4, 3.0, t, 34)
             t, n = points.shape
             expected = _gamma_rescale(points, n / 3.0 + 1.0, 3.0, substream(9, 71))
             estimate = lambda: reduce_lp_to_ica(points, 3.0, seed=9).estimate  # noqa: E731
@@ -216,9 +272,12 @@ class TestBlockedPasses:
         monkeypatch.setattr(ica._ScaledRows, "__getitem__", spy)
         est = estimate()
         passes = [*_row_blocks(0, t), *_row_blocks(0, t // 2), *_row_blocks(t // 2, t)]
+        if t == 20_001:
+            assert est.prefix_sweeps >= 1
+            passes += [*_row_blocks(0, t // 16), *_row_blocks(t // 16, t // 8)]
         assert seen == {(rows.start, rows.stop) for rows in passes}
         built = ica_estimate(expected, est.contrast, seed=9)
-        assert est.sweeps == built.sweeps
+        assert (est.sweeps, est.prefix_sweeps) == (built.sweeps, built.prefix_sweeps)
         assert est.converged == built.converged
         assert np.abs(est.separating - built.separating).max() <= 1e-12 * np.abs(built.separating).max()
 
@@ -242,6 +301,29 @@ class TestSkewNoiseStop:
         assert 1 <= est.sweeps < MAX_STEPS
         monkeypatch.setattr(ica, "MAX_STEPS", 1)
         assert ica_estimate(x, seed=0).sweeps == 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, MAX_STEPS])
+    def test_one_cap_and_the_last_sweep_reads_every_row(self, monkeypatch, cap):
+        # up to cap - 1 sweeps on the first t // 8 rows, then every row to
+        # the stop or the cap: a cap of 1 is one whole-sample sweep
+        t = 20_001
+        x = exponential_mixture(substream(5, 612).standard_normal((4, 4)), np.zeros(4), t, seed=17)
+        monkeypatch.setattr(ica, "MAX_STEPS", cap)
+        rows = stops_read(monkeypatch)
+        est = ica_estimate(x, seed=1)
+        assert len(rows) == est.sweeps <= cap
+        assert rows == [t // 8] * est.prefix_sweeps + [t] * (est.sweeps - est.prefix_sweeps)
+        assert (1 <= est.prefix_sweeps <= cap - 1) if cap > 1 else rows == [t]
+
+    @pytest.mark.parametrize("block_rows", [7, 10**9])
+    @pytest.mark.parametrize("t, runs_prefix", [(16_383, False), (16_384, True)])
+    def test_the_prefix_floor(self, monkeypatch, block_rows, t, runs_prefix):
+        # t // 8 >= 2048 rows, whatever the block size of the passes
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
+        rows = stops_read(monkeypatch)
+        est = ica_estimate(exponential_mixture(np.eye(3), np.zeros(3), t, seed=18), seed=2)
+        assert (est.prefix_sweeps > 0) == runs_prefix
+        assert set(rows) == ({t // 8, t} if runs_prefix else {t})
 
 
 class TestSimplexReduction:

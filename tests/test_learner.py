@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexlearn import sampling
+from simplexlearn import learner, sampling
 from simplexlearn.cli import _synthesize_simplex
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import AffineFrame, Simplex, isotropic_simplex, make_embed_map
@@ -49,28 +49,52 @@ def symmetric_root(centered: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(eigenvalues)) @ vectors.T
 
 
-def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, int]:
+def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, int, int]:
     """The whole-array form of learn_simplex: the frame from the centered
-    block, the whole block embedded, a gradient per half of it, and the
-    squares and polar step from the child_seed(seed, 41, k) starts.
-    Returns (vertices, iterations_run)."""
+    block, the whole block embedded, a gradient per half of the rows a
+    step reads, and the squares and polar step from the
+    child_seed(seed, 41, k) starts.  Steps run coarse to fine: when the
+    first t // 8 rows number at least 2048 and r > 1, up to r - 1 steps
+    read only those rows, and the rest, r in all, read the whole block.
+    Returns (vertices, iterations_run, prefix_steps)."""
     t, n = points.shape
     mean = points.mean(axis=0)
     frame = AffineFrame(mean=mean, factor=symmetric_root(points - mean))
     emb = make_embed_map(n)
     y = emb.forward(frame.forward(points))
-    half = t // 2
     starts = [substream(child_seed(seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     u = np.column_stack([start / np.linalg.norm(start) for start in starts])
     scale = (n + 1) * (n + 2) * (n + 3) / 6.0
-    for step in range(r):
-        first, second = empirical_m3_grad(y[:half], u), empirical_m3_grad(y[half:], u)
-        update = reconstruct_squares(u, (half * first + (t - half) * second) / t)
-        u, _, _, converged = _polar_step(u, update, scale * 0.5 * (first - second), step)
-        if converged.all():
-            break
+
+    def run(rows: np.ndarray, u: np.ndarray, first: int, cap: int) -> tuple[np.ndarray, int]:
+        count, half = rows.shape[0], rows.shape[0] // 2
+        for step in range(first, cap):
+            first_half, second_half = empirical_m3_grad(rows[:half], u), empirical_m3_grad(rows[half:], u)
+            update = reconstruct_squares(u, (half * first_half + (count - half) * second_half) / count)
+            u, _, _, converged = _polar_step(u, update, scale * 0.5 * (first_half - second_half), step)
+            if converged.all():
+                break
+        return u, step + 1
+
+    prefix_steps = 0
+    if t // 8 >= 2048 and r > 1:
+        u, prefix_steps = run(y[: t // 8], u, 0, r - 1)
+    u, steps = run(y, u, prefix_steps, r)
     directions = (u + (1.0 - u.sum(axis=0)) / (n + 1)).T
-    return frame.inverse(emb.inverse(directions)), step + 1
+    return frame.inverse(emb.inverse(directions)), steps, prefix_steps
+
+
+def rows_read(monkeypatch) -> list:
+    """The rows each fixed-point step of the learner reads, in order, from
+    a spy on its moment pass."""
+    rows, real = [], learner._split_half_moment
+
+    def spy(x, *args):
+        rows.append(x.shape[0])
+        return real(x, *args)
+
+    monkeypatch.setattr(learner, "_split_half_moment", spy)
+    return rows
 
 
 class TestEstimateFrame:
@@ -124,25 +148,31 @@ class TestEstimateFrame:
             assert_matches_one_shot_gradient(fused, frame, emb, x, substream(6, 6).standard_normal(shape))
 
     # the whole run, frame, every step and the back-map, against
-    # one_shot_learn; t = n + 2 is the smallest block the learner takes
+    # one_shot_learn; t = n + 2 is the smallest block the learner takes,
+    # and at 20_001 rows the first steps read the first 2500
     @pytest.mark.parametrize("block_rows", [7, 10**9])
-    @pytest.mark.parametrize("t", [1001, 7])
-    def test_learner_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t):
+    @pytest.mark.parametrize("t, r", [(1001, 30), (7, 30), (20_001, 30), (20_001, 2), (20_001, 1)])
+    def test_learner_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, r):
         n = 5
         x = simplex_source(random_truth(n, 10), 11)(t)
-        vertices, iterations_run = one_shot_learn(x, 2, 30)
+        vertices, iterations_run, prefix_steps = one_shot_learn(x, 2, r)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
-        result = learn_simplex(x, LearnerConfig(r=30, seed=2))
-        assert result.iterations_run == iterations_run
+        result = learn_simplex(x, LearnerConfig(r=r, seed=2))
+        assert (result.iterations_run, result.prefix_steps) == (iterations_run, prefix_steps)
         assert np.abs(result.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
+        if t == 20_001 and r > 1:
+            assert prefix_steps >= 1
 
-    def test_iterations_do_not_depend_on_the_block(self, monkeypatch):
+    @pytest.mark.parametrize("t", [3001, 20_001])
+    def test_iterations_do_not_depend_on_the_block(self, monkeypatch, t):
         truth = random_truth(4, 8)
-        points = simplex_source(truth, 9)(3001)
+        points = simplex_source(truth, 9)(t)
         reference = learn_simplex(points, LearnerConfig(seed=8))
         monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = learn_simplex(points, LearnerConfig(seed=8))
         assert blocked.iterations_run == reference.iterations_run
+        assert blocked.prefix_steps == reference.prefix_steps
+        assert (reference.prefix_steps > 0) == (t == 20_001)
         scale = np.abs(reference.simplex.vertices).max()
         assert np.abs(blocked.simplex.vertices - reference.simplex.vertices).max() <= 1e-12 * scale
 
@@ -247,6 +277,29 @@ class TestLearnSimplex:
         with pytest.raises(ValueError, match=r"got shape \(4, 3\)"):
             learn_simplex(points, LearnerConfig())
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 30])
+    def test_one_cap_and_the_last_step_reads_every_row(self, monkeypatch, r):
+        # up to r - 1 steps on the first t // 8 rows, then the whole block
+        # to the stop or the cap: r = 1 is one whole-block step
+        t = 20_001
+        rows = rows_read(monkeypatch)
+        result = learn_simplex(simplex_source(random_truth(3, 5), 6)(t), LearnerConfig(r=r, seed=0))
+        assert len(rows) == result.iterations_run <= r
+        assert rows == [t // 8] * result.prefix_steps + [t] * (result.iterations_run - result.prefix_steps)
+        assert rows[-1] == t
+        assert (1 <= result.prefix_steps <= r - 1) if r > 1 else rows == [t]
+
+    # the floor is on the prefix, t // 8 >= 2048 rows, whatever the block
+    # size of the passes
+    @pytest.mark.parametrize("block_rows", [7, 10**9])
+    @pytest.mark.parametrize("t, runs_prefix", [(16_383, False), (16_384, True)])
+    def test_the_prefix_floor(self, monkeypatch, block_rows, t, runs_prefix):
+        monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
+        rows = rows_read(monkeypatch)
+        result = learn_simplex(simplex_source(random_truth(2, 5), 6)(t), LearnerConfig(seed=0))
+        assert (result.prefix_steps > 0) == runs_prefix
+        assert set(rows) == ({t // 8, t} if runs_prefix else {t})
+
     def test_report_contents(self):
         # the learner reports what it found; the command line adds the
         # run's configuration, the points drawn and the scores
@@ -278,15 +331,17 @@ def spoiled_points(row: int, value: float) -> np.ndarray:
 
 
 class TestSourceValidation:
+    # a non-finite point is read off the frame's one mean and covariance
+    # pass, with no second look at the block
     def test_nan_in_frame_block(self):
-        with pytest.raises(ValueError, match=r"finite \(t, n\) array with t >= n\+2, got shape \(4000, 2\)"):
+        with pytest.raises(ValueError, match="^points and their covariance must be finite$"):
             learn_simplex(spoiled_points(0, np.nan), LearnerConfig(seed=0))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_the_t3_rows(self, value):
         # the block's last row, drawn among the command line's t3 points,
-        # is checked before any arithmetic
-        with warnings.catch_warnings(), pytest.raises(ValueError, match=r"got shape \(4000, 2\)"):
+        # raises before any step and with no warning
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="^points and their covariance must be finite$"):
             warnings.simplefilter("error", RuntimeWarning)
             learn_simplex(spoiled_points(-1, value), LearnerConfig(seed=0))
 

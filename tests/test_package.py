@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import simplexlearn
-from simplexlearn import cli, ica, learner, moments, sampling
+from simplexlearn import cli, ica, learner, moments, sampling, vertex_finder
 from simplexlearn.vertex_finder import MAX_STEPS
 
 MODULES = ["geometry", "sampling", "moments", "vertex_finder", "learner", "ica", "evaluation", "diagnostics"]
@@ -44,22 +44,42 @@ def test_learner_has_one_shape():
 
 
 def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
-    # the learner's r, the command line's default r and ICA's sweeps
+    # the learner's r, the command line's default r and ICA's sweeps; on a
+    # sample whose first t // 8 rows reach the floor, the prefix stage
+    # takes at most all steps but one, and the whole-sample stage counts
+    # on from where it stopped, against the same cap
     assert simplexlearn.LearnerConfig().r == MAX_STEPS
+    calls, loop = [], vertex_finder._fixed_point
+
+    def spy(update_map, start, cap, first=0):
+        found = loop(update_map, start, cap, first)
+        calls.append((cap, first, found.iterations_run))
+        return found
+
+    monkeypatch.setattr(vertex_finder, "_fixed_point", spy)
+
+    def prefix_steps(t: int) -> int:
+        # the (cap, first) of each stage the spy saw, and the prefix steps
+        if t // 8 < 2048:
+            assert [call[:2] for call in calls] == [(MAX_STEPS, 0)]
+            return 0
+        assert [call[:2] for call in calls] == [(MAX_STEPS - 1, 0), (MAX_STEPS, calls[0][2])]
+        return calls[0][2]
+
     out = tmp_path / "learn.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["learn", "--n", "2", "--t1", "2000", "--t3", "2000", "--out", str(out)]) == 0
-    with open(out) as fh:
-        assert json.load(fh)["config"]["r"] == MAX_STEPS
-    caps, loop = [], ica._fixed_point
-
-    def spy(update_map, start, cap):
-        caps.append(cap)
-        return loop(update_map, start, cap)
-
-    monkeypatch.setattr(ica, "_fixed_point", spy)
-    ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, 2000, 0), "kurtosis")
-    assert caps == [MAX_STEPS]
+    for t in (4000, 20_000):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["learn", "--n", "2", "--t1", str(t // 2), "--t3", str(t // 2), "--out", str(out)]) == 0
+        with open(out) as fh:
+            report = json.load(fh)
+        assert report["config"]["r"] == MAX_STEPS
+        assert report["prefix_steps"] == prefix_steps(t)
+        assert report["iterations_run"] == calls[-1][2]
+        calls.clear()
+        estimate = ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, t, 0), "kurtosis")
+        assert estimate.prefix_sweeps == prefix_steps(t)
+        assert estimate.sweeps == calls[-1][2]
 
 
 def test_both_fixed_points_share_one_frame(monkeypatch):

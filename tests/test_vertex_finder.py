@@ -13,7 +13,9 @@ from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
 from simplexlearn.sampling import simplex_source, substream
 from simplexlearn.vertex_finder import (
     MAX_STEPS,
+    _coarse_to_fine,
     _polar_step,
+    _squares,
     find_vertex,
     reconstruct_squares,
     theoretical_parameters,
@@ -355,6 +357,27 @@ class TestTrace:
             assert row["update_norm"][0] > 0
             assert row["noise"][0] == 0.0
             assert row["u"].shape == (3, 1)
+
+
+class TestCoarseToFine:
+    # an error this large stops each stage after its first step
+    @pytest.mark.parametrize(
+        "t, cap, rows",
+        [(16_384, 30, [2048, 16_384]), (16_384, 2, [2048, 16_384]), (16_384, 1, [16_384]), (16_383, 30, [16_383])],
+    )
+    def test_the_trace_names_the_rows_and_counts_on(self, t, cap, rows):
+        stops = []
+
+        def stage_map(stop):
+            stops.append(stop)
+            return _squares(lambda u: (exact_grad_m3(u), np.ones_like(u)))
+
+        result = _coarse_to_fine(stage_map, t, start_frame(4, 0), cap)
+        assert stops == rows
+        assert [(row["iteration"], row["rows"]) for row in result.trace] == list(enumerate(rows))
+        assert result.iterations_run == len(rows)
+        assert result.prefix_steps == len(rows) - 1
+        assert result.converged.all()
 
 
 class TestTheoreticalParameters:
