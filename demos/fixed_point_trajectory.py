@@ -7,10 +7,10 @@ takes over doubly exponentially, and the run stops once a step falls to
 sampling noise floor instead of converging: the two halves of the rows a
 step reads estimate the noise the sample puts on the step, and a run
 stops once its step is at most twice that noise.  The sampled run goes
-coarse to fine, as the learner and ICA do on a large block: its first
-steps read only the first eighth of the block, which is enough to reach
-the vertex's basin, and from where they stop the last steps read every
-row.  Both traces are printed side by side, each up to the step where it
+coarse to fine through the learner's own helper, as the learner and ICA
+do on a large block: its first steps read only the first eighth of the
+block, until a step of at most 1e-2, which is enough to reach the
+vertex's basin, and from there the last steps read every row.  Both traces are printed side by side, each up to the step where it
 stopped, with the rows each sampled step read.  Both runs start from one
 unit Gaussian column drawn from seed 3, a one-column frame, so every
 trace row and result holds one column, printed as column 0.
@@ -21,7 +21,6 @@ import itertools
 import numpy as np
 
 from simplexlearn import (
-    PREFIX_DIVISOR,
     empirical_m3_grad,
     exact_grad_m3,
     find_vertex,
@@ -29,14 +28,15 @@ from simplexlearn import (
     standard_simplex,
     substream,
 )
+from simplexlearn.vertex_finder import _coarse_to_fine
 
 n = 4
 cap = 12
 start = substream(3, 23).standard_normal((n, 1))
 start /= np.linalg.norm(start)
-# one block of 20k points serves every step, as in the learner
-block = simplex_source(standard_simplex(n - 1), 5)(20_000)
-prefix = block[: len(block) // PREFIX_DIVISOR]
+# one block of 80k points serves every step, as in the learner; its
+# first 10k rows are above the prefix floor
+block = simplex_source(standard_simplex(n - 1), 5)(80_000)
 
 
 def sampled_gradient(rows):
@@ -52,23 +52,21 @@ def sampled_gradient(rows):
 
 
 exact = find_vertex(exact_grad_m3, start, cap)
-# up to cap - 1 steps on the prefix, then the whole block to the stop or
-# the one cap, so the last step reads every row
-coarse = find_vertex(sampled_gradient(prefix), start, cap - 1)
-fine = find_vertex(sampled_gradient(block), coarse.u, cap - coarse.iterations_run)
-sampled = [(len(prefix), row) for row in coarse.trace] + [(len(block), row) for row in fine.trace]
+# the learner's stages: runs of find_vertex on the first rows of the block
+sampled = _coarse_to_fine(lambda rows, u, steps: find_vertex(sampled_gradient(block[:rows]), u, steps), len(block), start, cap)
 
 print(f"{'iter':>4}  {'exact step':>12}  {'rows':>6}  {'sampled step':>12}  {'noise':>12}")
-for i, (row_e, row_s) in enumerate(itertools.zip_longest(exact.trace, sampled)):
+for i, (row_e, row_s) in enumerate(itertools.zip_longest(exact.trace, sampled.trace)):
     exact_step = f"{row_e['step'][0]:>12.3e}" if row_e else " " * 12
-    sampled_step = f"{row_s[0]:>6}  {row_s[1]['step'][0]:>12.3e}  {row_s[1]['noise'][0]:>12.3e}" if row_s else ""
+    sampled_step = f"{row_s['rows']:>6}  {row_s['step'][0]:>12.3e}  {row_s['noise'][0]:>12.3e}" if row_s else ""
     print(f"{i:>4}  {exact_step}  {sampled_step}")
 
 print(f"\nexact run stopped after step {exact.iterations_run} of {cap} (converged: {exact.converged[0]})")
 print(f"exact run final iterate {np.round(exact.u[:, 0], 6)}")
+whole = sampled.iterations_run - sampled.prefix_steps
 print(
-    f"sampled run: {coarse.iterations_run} steps on the first {len(prefix)} rows, then "
-    f"{fine.iterations_run} on all {len(block)}, of {cap} (at its noise floor: {fine.converged[0]})"
+    f"sampled run: {sampled.prefix_steps} steps on the first {sampled.trace[0]['rows']} rows, then "
+    f"{whole} on all {len(block)}, of {cap} (at its noise floor: {sampled.converged[0]})"
 )
-best = np.abs(fine.u[:, 0]).argmax()
-print(f"sampled run locked onto coordinate {best}; final iterate {np.round(fine.u[:, 0], 3)}")
+best = np.abs(sampled.u[:, 0]).argmax()
+print(f"sampled run locked onto coordinate {best}; final iterate {np.round(sampled.u[:, 0], 3)}")

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .sampling import child_seed
-from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS
+from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, PREFIX_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2 (default 50000)")
     learn.add_argument("--t3", type=int, default=None, help="second part of that block (default 50000)")
     learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
-    learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
+    learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {PREFIX_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
     common(learn)
     learn.set_defaults(func=cmd_learn)
 

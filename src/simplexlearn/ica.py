@@ -51,7 +51,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
-from .vertex_finder import MAX_STEPS, _coarse_to_fine
+from .vertex_finder import MAX_STEPS, VertexResult, _coarse_to_fine, _fixed_point
 
 __all__ = [
     "MixingEstimate",
@@ -171,7 +171,8 @@ def ica_estimate(
     block at a time.  The sweeps run in the learner's loop, coarse to fine
     (``vertex_finder._coarse_to_fine``), from a random orthonormal frame
     drawn from ``seed``: on a large sample the first sweeps read only its
-    first t // PREFIX_DIVISOR rows, and the last reads all of them, with
+    first t // PREFIX_DIVISOR rows, up to a sweep that moves the frame by
+    at most PREFIX_TOL, and the last reads all of them, with
     the loop's checks, its noise stop and one cap of ``MAX_STEPS`` sweeps
     in all.
 
@@ -202,7 +203,11 @@ def ica_estimate(
         return update, error
 
     start, _ = np.linalg.qr(substream(seed, 61).standard_normal(whitener.shape))
-    found = _coarse_to_fine(lambda stop: partial(sweep, stop=stop), points.shape[0], start, MAX_STEPS)
+
+    def stage(rows: int, w: np.ndarray, steps: int) -> VertexResult:
+        return _fixed_point(partial(sweep, stop=rows), w, steps)
+
+    found = _coarse_to_fine(stage, points.shape[0], start, MAX_STEPS)
     return MixingEstimate(
         separating=found.u.T @ whitener,
         mixing=frame.factor @ found.u,

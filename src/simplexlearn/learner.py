@@ -8,12 +8,12 @@ all-ones direction (both maps compose into one, built once per run), and
 run the third-moment fixed point on one orthonormal frame of n+1 random
 starts, so that each column ends on its own vertex.  The steps run
 coarse to fine: on a large block the first ones read only its first
-t // 8 rows, which carry the frame into the basin of the block's fixed
-point, and the last ones read the whole block.  Each stage stops at the
-first step that is within its sampling noise, which the two halves of
-the rows it reads estimate, and r steps cap both together.  Each column
-is projected exactly onto the hyperplane and mapped back through the
-frame.
+t // 8 rows, up to a step of 1e-2, which carries the frame into the
+basin of the block's fixed point, and the last ones read the whole
+block, to the first step that is within its sampling noise, which the
+two halves of the block estimate; r steps cap both together.  Each
+column is projected exactly onto the hyperplane and mapped back through
+the frame.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import DegenerateSampleError, _sample_frame, _split_half_moment
 from .sampling import _check_count, child_seed, substream
-from .vertex_finder import MAX_STEPS, _coarse_to_fine, _squares
+from .vertex_finder import MAX_STEPS, VertexResult, _coarse_to_fine, find_vertex
 
 __all__ = [
     "BoostFailureError",
@@ -56,10 +56,11 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
 
 
 def embedded_m3_grad(
-    frame: AffineFrame, emb: EmbedMap, block: np.ndarray
+    frame: AffineFrame, emb: EmbedMap, block: np.ndarray, stop: int | None = None
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """u -> (``empirical_m3_grad(emb.forward(frame.forward(block)), u)``,
-    its standard error) without building the embedded block.
+    """u -> (``empirical_m3_grad(emb.forward(frame.forward(block[:stop])), u)``,
+    its standard error) without building the embedded block; the first
+    ``stop`` rows, all of them by default.
 
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
     b = offset - mean L solved once here, and the gradient is
@@ -71,7 +72,7 @@ def embedded_m3_grad(
     shift = emb.offset - frame.mean @ linear
 
     def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moment, error = _split_half_moment(block, linear, shift, u.reshape(u.shape[0], -1), 2)
+        moment, error = _split_half_moment(block, linear, shift, u.reshape(u.shape[0], -1), 2, stop)
         return 3.0 * moment.reshape(u.shape), 3.0 * error.reshape(u.shape)
 
     return gradient
@@ -82,11 +83,11 @@ class LearnerConfig:
     """Parameters for :func:`learn_simplex`.
 
     r: cap on the fixed-point steps of the frame, the loop's MAX_STEPS by
-       default, prefix and whole-block steps together.  Each stage stops
-       at the first step where every column has reached its sampling
-       noise floor (see :func:`~simplexlearn.vertex_finder.find_vertex`);
-       the last step reads the whole block, so r = 1 is one whole-block
-       step.
+       default, prefix and whole-block steps together.  The whole-block
+       steps stop at the first step where every column has reached its
+       sampling noise floor (see
+       :func:`~simplexlearn.vertex_finder.find_vertex`); the last step
+       reads the whole block, so r = 1 is one whole-block step.
     seed: master seed; start k begins from child_seed(seed, 41, k).
 
     Raises ValueError, naming the field, unless r is an integer >= 1 and
@@ -154,11 +155,12 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         FastICA whitens once and iterates on one sample.
         The steps run coarse to fine (``vertex_finder._coarse_to_fine``):
         when t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS, they read that prefix
-        of the block until its split-half noise floor or r - 1 steps, and
-        then the whole block until every column has reached the noise
-        floor the block's split-half standard error sets, with r steps in
-        all as the cap; iterations_run says where, and prefix_steps how
-        many read the prefix.
+        of the block, each a ``find_vertex`` run of one step, until a step
+        of at most PREFIX_TOL or r - 1 steps, and then, in one more
+        ``find_vertex`` run, the whole block until every column has
+        reached the noise floor the block's split-half standard error
+        sets, with r steps in all as the cap; iterations_run says where,
+        and prefix_steps how many read the prefix.
 
     Raises:
         ValueError, naming the shape, when points is not a 2-D array with
@@ -176,7 +178,11 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
     emb = make_embed_map(n)
     starts = [substream(child_seed(config.seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     start = np.column_stack([u / np.linalg.norm(u) for u in starts])
-    found = _coarse_to_fine(lambda stop: _squares(embedded_m3_grad(frame, emb, block[:stop])), t, start, config.r)
+
+    def stage(rows: int, u: np.ndarray, steps: int) -> VertexResult:
+        return find_vertex(embedded_m3_grad(frame, emb, block, rows), u, steps)
+
+    found = _coarse_to_fine(stage, t, start, config.r)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))

@@ -37,8 +37,9 @@ its own contrast; each caller hands the loop its own start frame.
 
 On a large sample the learner and ICA run the loop coarse to fine
 (:func:`_coarse_to_fine`): the first steps read only the first
-t // PREFIX_DIVISOR rows, which is enough to carry the frame into the
-basin of the sample's fixed point, and the last steps read every row.
+t // PREFIX_DIVISOR rows, up to a step of PREFIX_TOL, which carries the
+frame into the basin of the sample's fixed point, and the last steps
+read every row, to the noise stop.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "MAX_STEPS",
     "PREFIX_DIVISOR",
     "PREFIX_MIN_ROWS",
+    "PREFIX_TOL",
     "VertexResult",
     "find_vertex",
     "reconstruct_squares",
@@ -85,15 +87,29 @@ NOISE_KAPPA = 2.0
 # theoretical_parameters are far larger.
 MAX_STEPS = 30
 # The prefix stage of a fixed point on a t-row sample reads the first
-# t // PREFIX_DIVISOR rows.  On the lp reductions (n = 5, t = 200k, seeds
-# 0-39) a prefix of t // 8 kept every worst-case separation index at or
-# below the whole-sample run's, and t // 16 did not (p = 3: 0.0954
-# against 0.0921).
+# t // PREFIX_DIVISOR rows.  On the reductions at t = 200k (seeds 0-39)
+# a prefix of t // 16 landed on the same separation indices as t // 8,
+# but left 1.4-1.8 whole-sample sweeps on average against 1.1-1.2.
 PREFIX_DIVISOR = 8
-# The stage runs only on a prefix of at least this many rows.  Below it
-# every step reads the whole sample: such a step is cheap, and each half
-# of the prefix would hold fewer than 1024 rows.
-PREFIX_MIN_ROWS = 2048
+# The stage runs only on a prefix of at least this many rows, t >= 65,536;
+# below it every step reads the whole sample.  Measured on reduce (lp at
+# n = 5, p = 1, 1.5, 3; simplex at n = 3, 5, 8) and learn (n = 5, 10, 20)
+# against one whole-sample stage: on prefixes of 512 to 6144 rows the
+# prefix of some lp or n = 20 runs never steps below PREFIX_TOL and
+# spends every step but one (24 of 180 runs at t = 4096, 3 at 32,768, 1
+# of 360 at 49,152), and some of those reductions end unconverged; from
+# 8192 rows on none did (0 of 1260 runs at t = 65,536 to 131,072), no
+# separation index or vertex error rose by more than the spread between
+# seeds, and the mean op time of every case fell, by 1 to 39 %.
+PREFIX_MIN_ROWS = 8192
+# The prefix stage stops at the first step of at most this size, near
+# the prefix's own fixed point, and not at its split-half noise floor: on
+# the prefix's halves that floor can read as reached on a frame still
+# outside the basin (lp, n = 5, p = 1.5, seed 31 stopped at separation
+# index 0.19, against 0.005 with one stage).  On the reductions at
+# t = 200k (seeds 0-39) a step of 1e-3 landed on the same separation
+# indices, one prefix step later.
+PREFIX_TOL = 1e-2
 # theoretical_parameters returns no t of this many bits or more.
 T_MAX_BITS = 2**20
 
@@ -164,15 +180,13 @@ def _polar_step(
     return new_u, step, noise, step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
 
 
-def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, first: int = 0) -> VertexResult:
+def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexResult:
     """The fixed point that the learner and ICA share: step the frame,
     from the (n, k) start, to the polar factor of the map M that
     update_map(u) returns, beside the standard error of each entry of M
-    (see :func:`_polar_step`), until every column's stop fires or cap
-    steps have run, and keep every step in the trace.  The start need not
-    be orthonormal: the first step orthonormalizes it.  Steps are numbered
-    from ``first``, the steps an earlier stage has run against the same
-    cap, so iterations_run counts both stages.
+    (see :func:`_polar_step`), until every column's stop fires or for cap
+    steps, and keep every step in the trace.  The start need not be
+    orthonormal: the first step orthonormalizes it.
 
     Raises ValueError, naming the argument, unless start is a finite 2-D
     array with 1 <= k <= n columns and cap an integer >= 1, and, naming
@@ -184,7 +198,7 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, first: int =
         raise ValueError(f"start must be a finite (n, k) frame with 1 <= k <= n, got shape {u.shape}")
     _check_count(cap, "cap")
     trace = []
-    for i in range(first, cap):
+    for i in range(cap):
         update, error = update_map(u)
         if update.shape != u.shape or error.shape != u.shape:
             raise ValueError(
@@ -202,48 +216,38 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, first: int =
     return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
 
 
-def _coarse_to_fine(stage_map: Callable[[int], Callable], t: int, start: np.ndarray, cap: int) -> VertexResult:
-    """:func:`_fixed_point` on a t-row sample, coarse to fine.
-    stage_map(stop) is the update map over the first stop rows.
+def _coarse_to_fine(
+    stage: Callable[[int, np.ndarray, int], VertexResult], t: int, start: np.ndarray, cap: int
+) -> VertexResult:
+    """A fixed point on a t-row sample, coarse to fine.  stage(rows, u,
+    steps) runs the loop from the frame u for at most ``steps`` steps on
+    the map over the sample's first ``rows`` rows: :func:`find_vertex` for
+    the learner, :func:`_fixed_point` for ICA.
 
-    When the prefix of the first t // PREFIX_DIVISOR rows holds at least
-    PREFIX_MIN_ROWS rows and cap > 1, the loop first runs on that prefix,
-    with its own split halves and the same stop, for at most cap - 1
-    steps.  From its final frame, or from the start, the loop then runs on
-    all t rows until its stop fires or the one cap is reached, so the last
-    step always reads every row and cap 1 is one whole-sample step.  The
-    prefix steps cost an eighth of a whole-sample step each and only carry
-    the frame into the basin of the sample's own fixed point.
+    When the first t // PREFIX_DIVISOR rows number at least
+    PREFIX_MIN_ROWS and cap > 1, the loop first steps on that prefix, one
+    step per run, until a step is at most PREFIX_TOL or cap - 1 steps
+    have run: the prefix only carries the frame into the basin of the
+    sample's fixed point, at an eighth of the cost of a whole-sample step.
+    From the prefix's final frame, or from the start, the loop then runs
+    on all t rows until its stop fires or the one cap is reached, so the
+    last step always reads every row and cap 1 is one whole-sample step.
 
-    Returns the whole-sample stage's frame and converged flags, with
-    iterations_run and the trace counting the steps of both stages, each
-    trace row with the ``rows`` its step read, and prefix_steps those on
-    the prefix.
+    Returns the last run's frame and converged flags, with iterations_run
+    and the trace counting the steps of every run, each trace row
+    numbered in that count and holding the ``rows`` its step read, and
+    prefix_steps those on the prefix.  A step that fails raises from its
+    run, which names the iteration within that run.
     """
-    prefix, prefix_steps, trace = t // PREFIX_DIVISOR, 0, []
-    if prefix >= PREFIX_MIN_ROWS and cap > 1:
-        coarse = _fixed_point(stage_map(prefix), start, cap - 1)
-        start, prefix_steps = coarse.u, coarse.iterations_run
-        trace = [{**row, "rows": prefix} for row in coarse.trace]
-    fine = _fixed_point(stage_map(t), start, cap, first=prefix_steps)
-    trace += [{**row, "rows": t} for row in fine.trace]
-    return VertexResult(fine.u, fine.converged, fine.iterations_run, trace, prefix_steps)
-
-
-def _squares(gradient: Callable) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The update map of :func:`find_vertex`: u -> the reconstructed
-    squares M at u and their standard error, from a gradient callable that
-    returns the gradient or the pair (gradient, error)."""
-
-    def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value = gradient(u)
-        grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
-        grad = np.asarray(grad, dtype=float)
-        # a gradient of the wrong shape reaches the loop's check, which names the iteration
-        update = reconstruct_squares(u, grad) if grad.shape == u.shape else grad
-        return update, _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
-
-    return squares
+    prefix, u, trace = t // PREFIX_DIVISOR, start, []
+    while prefix >= PREFIX_MIN_ROWS and len(trace) < cap - 1 and (not trace or trace[-1]["step"].max() > PREFIX_TOL):
+        found = stage(prefix, u, 1)
+        u = found.u
+        trace.append({**found.trace[0], "iteration": len(trace), "rows": prefix})
+    prefix_steps = len(trace)
+    found = stage(t, u, cap - prefix_steps)
+    trace += [{**row, "iteration": prefix_steps + k, "rows": t} for k, row in enumerate(found.trace)]
+    return VertexResult(found.u, found.converged, len(trace), trace, prefix_steps)
 
 
 def find_vertex(
@@ -289,7 +293,16 @@ def find_vertex(
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
             for a unit u; a frame can only on a null set of iterates.
     """
-    return _fixed_point(_squares(gradient), start, cap)
+
+    def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value = gradient(u)
+        grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
+        grad = np.asarray(grad, dtype=float)
+        # a gradient of the wrong shape reaches the loop's check, which names the iteration
+        update = reconstruct_squares(u, grad) if grad.shape == u.shape else grad
+        return update, _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
+
+    return _fixed_point(squares, start, cap)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

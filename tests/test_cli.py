@@ -105,8 +105,8 @@ def moment_passes(monkeypatch) -> list:
     "argv, t",
     [
         (["learn", "--n", "3"], 100_000),
-        (["reduce", "--problem", "simplex", "--n", "3", "--t", "20000"], 20_000),
-        (["reduce", "--problem", "lp", "--p", "3", "--n", "3", "--t", "20000"], 20_000),
+        (["reduce", "--problem", "simplex", "--n", "3", "--t", "65536"], 65_536),
+        (["reduce", "--problem", "lp", "--p", "3", "--n", "3", "--t", "65536"], 65_536),
     ],
 )
 def test_reports_count_the_prefix_steps(tmp_path, monkeypatch, argv, t):
@@ -188,7 +188,7 @@ class TestReduceCommand:
         from simplexlearn.cli import _synthesize_simplex
         from simplexlearn.evaluation import match_vertices
 
-        n, t, seed = 3, 20_000, 5
+        n, t, seed = 3, 65_536, 5
         out = str(tmp_path / "reduce.json")
         argv = ["reduce", "--problem", problem, "--n", str(n), "--t", str(t), "--seed", str(seed), "--out", out]
         if problem == "lp":

@@ -122,9 +122,10 @@ class TestIcaEstimate:
         with pytest.raises(ValueError, match="^update or error is not finite at iteration 1$"):
             ica_estimate(x, seed=0)
 
-    def test_the_iteration_counts_the_prefix_sweeps(self, monkeypatch):
-        # the first whole-sample sweep is named after the prefix sweeps
-        t = 20_001
+    def test_a_whole_sample_sweep_is_named_within_its_run(self, monkeypatch):
+        # the prefix sweeps are runs of their own, so the first whole-sample
+        # sweep is iteration 0 of the last run
+        t = 65_537
         x = exponential_mixture(np.eye(3), np.zeros(3), t, seed=4)
         stops, real = [], ica._split_half_moment
 
@@ -136,10 +137,9 @@ class TestIcaEstimate:
             return update, error
 
         monkeypatch.setattr(ica, "_split_half_moment", first_whole_sweep_nan)
-        with pytest.raises(ValueError, match="at iteration ([0-9]+)$") as caught:
+        with pytest.raises(ValueError, match="^update or error is not finite at iteration 0$"):
             ica_estimate(x, seed=0)
-        assert stops.count(t // 8) >= 1
-        assert str(caught.value).endswith(f"at iteration {stops.count(t // 8)}")
+        assert stops.count(t // 8) >= 2 and stops[-1] == t
 
     def test_sweep_error_of_the_wrong_shape_rejected(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
@@ -157,9 +157,10 @@ class TestIcaEstimate:
 def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     """The whole-array form of ica_estimate: a centered copy, its whitened
     copy z, and a contrast array per sweep over the rows it reads.  Sweeps
-    run coarse to fine: when the first t // 8 rows number at least 2048
-    and cap > 1, up to cap - 1 sweeps read only those rows, and the rest,
-    cap in all, every row.  Returns (separating, mean, sweeps, converged,
+    run coarse to fine: when the first t // 8 rows number at least 8192,
+    sweeps read only those rows until one moves every column by at most
+    1e-2 or cap - 1 have run, and the rest, cap in all, every row to the
+    noise stop.  Returns (separating, mean, sweeps, converged,
     prefix_sweeps)."""
     t, d = points.shape
     mean = points.mean(axis=0)
@@ -169,24 +170,29 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     z = centered @ whitener.T
     w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
 
-    def run(rows: np.ndarray, w: np.ndarray, first: int, cap: int):
+    def sweep(rows: np.ndarray, w: np.ndarray) -> tuple:
         count, half = rows.shape[0], rows.shape[0] // 2
-        for sweep in range(first, cap):
-            f = (rows @ w) ** (2 if contrast == "skew" else 3)
-            first_half, second_half = rows[:half].T @ f[:half] / half, rows[half:].T @ f[half:] / (count - half)
-            update = (half * first_half + (count - half) * second_half) / count
-            if contrast == "kurtosis":
-                update -= 3.0 * w
-            w, _, _, converged = _polar_step(w, update, 0.5 * (first_half - second_half), sweep)
-            if converged.all():
-                break
-        return w, sweep + 1, converged.tolist()
+        f = (rows @ w) ** (2 if contrast == "skew" else 3)
+        first_half, second_half = rows[:half].T @ f[:half] / half, rows[half:].T @ f[half:] / (count - half)
+        update = (half * first_half + (count - half) * second_half) / count
+        if contrast == "kurtosis":
+            update -= 3.0 * w
+        return _polar_step(w, update, 0.5 * (first_half - second_half), 0)
 
-    prefix_sweeps = 0
-    if t // 8 >= 2048 and cap > 1:
-        w, prefix_sweeps, _ = run(z[: t // 8], w, 0, cap - 1)
-    w, sweeps, converged = run(z, w, prefix_sweeps, cap)
-    return w.T @ whitener, mean, sweeps, converged, prefix_sweeps
+    sweeps = 0
+    if t // 8 >= 8192:
+        while sweeps < cap - 1:
+            w, moved, _, _ = sweep(z[: t // 8], w)
+            sweeps += 1
+            if moved.max() <= 1e-2:
+                break
+    prefix_sweeps = sweeps
+    while sweeps < cap:
+        w, _, _, converged = sweep(z, w)
+        sweeps += 1
+        if converged.all():
+            break
+    return w.T @ whitener, mean, sweeps, converged.tolist(), prefix_sweeps
 
 
 def stops_read(monkeypatch) -> list:
@@ -205,8 +211,8 @@ def stops_read(monkeypatch) -> list:
 class TestBlockedPasses:
     # 7 rows cut every pass into many blocks and a ragged last block per
     # half; 10**9 makes each half one block.  The odd t is no multiple of 7,
-    # t = d + 2 is the smallest sample ICA takes, and at 20_001 rows the
-    # first sweeps read the first 2500.
+    # t = d + 2 is the smallest sample ICA takes, and at 65_537 rows the
+    # first sweeps read the first 8192.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize(
         "t, contrast, cap",
@@ -215,10 +221,10 @@ class TestBlockedPasses:
             (1001, "kurtosis", MAX_STEPS),
             (5, "skew", 3),
             (5, "kurtosis", 3),
-            (20_001, "skew", MAX_STEPS),
-            (20_001, "kurtosis", MAX_STEPS),
-            (20_001, "skew", 2),
-            (20_001, "kurtosis", 1),
+            (65_537, "skew", MAX_STEPS),
+            (65_537, "kurtosis", MAX_STEPS),
+            (65_537, "skew", 2),
+            (65_537, "kurtosis", 1),
         ],
     )
     def test_ica_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, contrast, cap):
@@ -234,7 +240,7 @@ class TestBlockedPasses:
         assert np.abs(est.mean - mean).max() <= 1e-12 * np.abs(mean).max()
 
     def test_sweeps_do_not_depend_on_the_block(self, monkeypatch):
-        sm = sample_simplex(Simplex(substream(3, 605).standard_normal((4, 3))), 20_001, 33)
+        sm = sample_simplex(Simplex(substream(3, 605).standard_normal((4, 3))), 65_537, 33)
         reference = reduce_simplex_to_ica(sm, seed=2)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = reduce_simplex_to_ica(sm, seed=2)
@@ -243,8 +249,8 @@ class TestBlockedPasses:
         assert blocked.estimate.converged == reference.estimate.converged
         assert np.abs(blocked.vertices - reference.vertices).max() <= 1e-12 * np.abs(reference.vertices).max()
 
-    # at 20_001 rows the first sweeps read the halves of the first 2500
-    @pytest.mark.parametrize("t", [3001, 20_001])
+    # at 65_537 rows the first sweeps read the halves of the first 8192
+    @pytest.mark.parametrize("t", [3001, 65_537])
     @pytest.mark.parametrize("block_rows", [8192, 7])
     @pytest.mark.parametrize("problem", ["simplex", "lp"])
     def test_every_block_is_the_rescaled_sample(self, monkeypatch, block_rows, problem, t):
@@ -272,7 +278,7 @@ class TestBlockedPasses:
         monkeypatch.setattr(ica._ScaledRows, "__getitem__", spy)
         est = estimate()
         passes = [*_row_blocks(0, t), *_row_blocks(0, t // 2), *_row_blocks(t // 2, t)]
-        if t == 20_001:
+        if t == 65_537:
             assert est.prefix_sweeps >= 1
             passes += [*_row_blocks(0, t // 16), *_row_blocks(t // 16, t // 8)]
         assert seen == {(rows.start, rows.stop) for rows in passes}
@@ -306,7 +312,7 @@ class TestSkewNoiseStop:
     def test_one_cap_and_the_last_sweep_reads_every_row(self, monkeypatch, cap):
         # up to cap - 1 sweeps on the first t // 8 rows, then every row to
         # the stop or the cap: a cap of 1 is one whole-sample sweep
-        t = 20_001
+        t = 65_537
         x = exponential_mixture(substream(5, 612).standard_normal((4, 4)), np.zeros(4), t, seed=17)
         monkeypatch.setattr(ica, "MAX_STEPS", cap)
         rows = stops_read(monkeypatch)
@@ -316,9 +322,9 @@ class TestSkewNoiseStop:
         assert (1 <= est.prefix_sweeps <= cap - 1) if cap > 1 else rows == [t]
 
     @pytest.mark.parametrize("block_rows", [7, 10**9])
-    @pytest.mark.parametrize("t, runs_prefix", [(16_383, False), (16_384, True)])
+    @pytest.mark.parametrize("t, runs_prefix", [(65_535, False), (65_536, True)])
     def test_the_prefix_floor(self, monkeypatch, block_rows, t, runs_prefix):
-        # t // 8 >= 2048 rows, whatever the block size of the passes
+        # t // 8 >= 8192 rows, whatever the block size of the passes
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         rows = stops_read(monkeypatch)
         est = ica_estimate(exponential_mixture(np.eye(3), np.zeros(3), t, seed=18), seed=2)

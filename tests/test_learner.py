@@ -54,8 +54,9 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
     block, the whole block embedded, a gradient per half of the rows a
     step reads, and the squares and polar step from the
     child_seed(seed, 41, k) starts.  Steps run coarse to fine: when the
-    first t // 8 rows number at least 2048 and r > 1, up to r - 1 steps
-    read only those rows, and the rest, r in all, read the whole block.
+    first t // 8 rows number at least 8192, steps read only those rows
+    until one moves every column by at most 1e-2 or r - 1 have run, and
+    the rest, r in all, read the whole block to the noise stop.
     Returns (vertices, iterations_run, prefix_steps)."""
     t, n = points.shape
     mean = points.mean(axis=0)
@@ -66,20 +67,25 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
     u = np.column_stack([start / np.linalg.norm(start) for start in starts])
     scale = (n + 1) * (n + 2) * (n + 3) / 6.0
 
-    def run(rows: np.ndarray, u: np.ndarray, first: int, cap: int) -> tuple[np.ndarray, int]:
+    def step(rows: np.ndarray, u: np.ndarray) -> tuple:
         count, half = rows.shape[0], rows.shape[0] // 2
-        for step in range(first, cap):
-            first_half, second_half = empirical_m3_grad(rows[:half], u), empirical_m3_grad(rows[half:], u)
-            update = reconstruct_squares(u, (half * first_half + (count - half) * second_half) / count)
-            u, _, _, converged = _polar_step(u, update, scale * 0.5 * (first_half - second_half), step)
-            if converged.all():
-                break
-        return u, step + 1
+        first_half, second_half = empirical_m3_grad(rows[:half], u), empirical_m3_grad(rows[half:], u)
+        update = reconstruct_squares(u, (half * first_half + (count - half) * second_half) / count)
+        return _polar_step(u, update, scale * 0.5 * (first_half - second_half), 0)
 
-    prefix_steps = 0
-    if t // 8 >= 2048 and r > 1:
-        u, prefix_steps = run(y[: t // 8], u, 0, r - 1)
-    u, steps = run(y, u, prefix_steps, r)
+    steps = 0
+    if t // 8 >= 8192:
+        while steps < r - 1:
+            u, moved, _, _ = step(y[: t // 8], u)
+            steps += 1
+            if moved.max() <= 1e-2:
+                break
+    prefix_steps = steps
+    while steps < r:
+        u, _, _, converged = step(y, u)
+        steps += 1
+        if converged.all():
+            break
     directions = (u + (1.0 - u.sum(axis=0)) / (n + 1)).T
     return frame.inverse(emb.inverse(directions)), steps, prefix_steps
 
@@ -89,9 +95,9 @@ def rows_read(monkeypatch) -> list:
     a spy on its moment pass."""
     rows, real = [], learner._split_half_moment
 
-    def spy(x, *args):
-        rows.append(x.shape[0])
-        return real(x, *args)
+    def spy(x, linear, shift, u, q, stop):
+        rows.append(stop)
+        return real(x, linear, shift, u, q, stop)
 
     monkeypatch.setattr(learner, "_split_half_moment", spy)
     return rows
@@ -149,9 +155,9 @@ class TestEstimateFrame:
 
     # the whole run, frame, every step and the back-map, against
     # one_shot_learn; t = n + 2 is the smallest block the learner takes,
-    # and at 20_001 rows the first steps read the first 2500
+    # and at 65_537 rows the first steps read the first 8192
     @pytest.mark.parametrize("block_rows", [7, 10**9])
-    @pytest.mark.parametrize("t, r", [(1001, 30), (7, 30), (20_001, 30), (20_001, 2), (20_001, 1)])
+    @pytest.mark.parametrize("t, r", [(1001, 30), (7, 30), (65_537, 30), (65_537, 2), (65_537, 1)])
     def test_learner_matches_the_one_shot_formulas(self, monkeypatch, block_rows, t, r):
         n = 5
         x = simplex_source(random_truth(n, 10), 11)(t)
@@ -160,10 +166,10 @@ class TestEstimateFrame:
         result = learn_simplex(x, LearnerConfig(r=r, seed=2))
         assert (result.iterations_run, result.prefix_steps) == (iterations_run, prefix_steps)
         assert np.abs(result.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
-        if t == 20_001 and r > 1:
+        if t == 65_537 and r > 1:
             assert prefix_steps >= 1
 
-    @pytest.mark.parametrize("t", [3001, 20_001])
+    @pytest.mark.parametrize("t", [3001, 65_537])
     def test_iterations_do_not_depend_on_the_block(self, monkeypatch, t):
         truth = random_truth(4, 8)
         points = simplex_source(truth, 9)(t)
@@ -172,7 +178,7 @@ class TestEstimateFrame:
         blocked = learn_simplex(points, LearnerConfig(seed=8))
         assert blocked.iterations_run == reference.iterations_run
         assert blocked.prefix_steps == reference.prefix_steps
-        assert (reference.prefix_steps > 0) == (t == 20_001)
+        assert (reference.prefix_steps > 0) == (t == 65_537)
         scale = np.abs(reference.simplex.vertices).max()
         assert np.abs(blocked.simplex.vertices - reference.simplex.vertices).max() <= 1e-12 * scale
 
@@ -281,7 +287,7 @@ class TestLearnSimplex:
     def test_one_cap_and_the_last_step_reads_every_row(self, monkeypatch, r):
         # up to r - 1 steps on the first t // 8 rows, then the whole block
         # to the stop or the cap: r = 1 is one whole-block step
-        t = 20_001
+        t = 65_537
         rows = rows_read(monkeypatch)
         result = learn_simplex(simplex_source(random_truth(3, 5), 6)(t), LearnerConfig(r=r, seed=0))
         assert len(rows) == result.iterations_run <= r
@@ -289,10 +295,10 @@ class TestLearnSimplex:
         assert rows[-1] == t
         assert (1 <= result.prefix_steps <= r - 1) if r > 1 else rows == [t]
 
-    # the floor is on the prefix, t // 8 >= 2048 rows, whatever the block
+    # the floor is on the prefix, t // 8 >= 8192 rows, whatever the block
     # size of the passes
     @pytest.mark.parametrize("block_rows", [7, 10**9])
-    @pytest.mark.parametrize("t, runs_prefix", [(16_383, False), (16_384, True)])
+    @pytest.mark.parametrize("t, runs_prefix", [(65_535, False), (65_536, True)])
     def test_the_prefix_floor(self, monkeypatch, block_rows, t, runs_prefix):
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         rows = rows_read(monkeypatch)

@@ -45,29 +45,29 @@ def test_learner_has_one_shape():
 
 def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
     # the learner's r, the command line's default r and ICA's sweeps; on a
-    # sample whose first t // 8 rows reach the floor, the prefix stage
-    # takes at most all steps but one, and the whole-sample stage counts
-    # on from where it stopped, against the same cap
+    # sample whose first t // 8 rows reach the floor, the prefix steps one
+    # run at a time, at most all steps but one, and the whole-sample run
+    # gets what is left of the same cap
     assert simplexlearn.LearnerConfig().r == MAX_STEPS
     calls, loop = [], vertex_finder._fixed_point
 
-    def spy(update_map, start, cap, first=0):
-        found = loop(update_map, start, cap, first)
-        calls.append((cap, first, found.iterations_run))
+    def spy(update_map, start, cap):
+        found = loop(update_map, start, cap)
+        calls.append((cap, found.iterations_run))
         return found
 
-    monkeypatch.setattr(vertex_finder, "_fixed_point", spy)
+    for module in (vertex_finder, ica):
+        monkeypatch.setattr(module, "_fixed_point", spy)
 
     def prefix_steps(t: int) -> int:
-        # the (cap, first) of each stage the spy saw, and the prefix steps
-        if t // 8 < 2048:
-            assert [call[:2] for call in calls] == [(MAX_STEPS, 0)]
-            return 0
-        assert [call[:2] for call in calls] == [(MAX_STEPS - 1, 0), (MAX_STEPS, calls[0][2])]
-        return calls[0][2]
+        # the cap of each run the spy saw, and the prefix steps
+        done = len(calls) - 1
+        assert [cap for cap, _ in calls] == [1] * done + [MAX_STEPS - done]
+        assert (done > 0) == (t // 8 >= 8192)
+        return done
 
     out = tmp_path / "learn.json"
-    for t in (4000, 20_000):
+    for t in (4000, 65_536):
         calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["learn", "--n", "2", "--t1", str(t // 2), "--t3", str(t // 2), "--out", str(out)]) == 0
@@ -75,11 +75,11 @@ def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
             report = json.load(fh)
         assert report["config"]["r"] == MAX_STEPS
         assert report["prefix_steps"] == prefix_steps(t)
-        assert report["iterations_run"] == calls[-1][2]
+        assert report["iterations_run"] == report["prefix_steps"] + calls[-1][1]
         calls.clear()
         estimate = ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, t, 0), "kurtosis")
         assert estimate.prefix_sweeps == prefix_steps(t)
-        assert estimate.sweeps == calls[-1][2]
+        assert estimate.sweeps == estimate.prefix_sweeps + calls[-1][1]
 
 
 def test_both_fixed_points_share_one_frame(monkeypatch):

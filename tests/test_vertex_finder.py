@@ -13,9 +13,9 @@ from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
 from simplexlearn.sampling import simplex_source, substream
 from simplexlearn.vertex_finder import (
     MAX_STEPS,
+    PREFIX_TOL,
     _coarse_to_fine,
     _polar_step,
-    _squares,
     find_vertex,
     reconstruct_squares,
     theoretical_parameters,
@@ -360,24 +360,32 @@ class TestTrace:
 
 
 class TestCoarseToFine:
-    # an error this large stops each stage after its first step
-    @pytest.mark.parametrize(
-        "t, cap, rows",
-        [(16_384, 30, [2048, 16_384]), (16_384, 2, [2048, 16_384]), (16_384, 1, [16_384]), (16_383, 30, [16_383])],
-    )
-    def test_the_trace_names_the_rows_and_counts_on(self, t, cap, rows):
-        stops = []
+    # an error this large stops the whole-sample run at its first step;
+    # the prefix steps one run at a time until a step is at most
+    # PREFIX_TOL or all steps but one have run
+    @pytest.mark.parametrize("t, cap", [(65_536, 30), (65_536, 3), (65_536, 2), (65_536, 1), (65_535, 30)])
+    def test_the_trace_names_the_rows_and_counts_on(self, t, cap):
+        calls = []
 
-        def stage_map(stop):
-            stops.append(stop)
-            return _squares(lambda u: (exact_grad_m3(u), np.ones_like(u)))
+        def stage(rows, u, steps):
+            calls.append((rows, steps))
+            return find_vertex(lambda u: (exact_grad_m3(u), np.ones_like(u)), u, steps)
 
-        result = _coarse_to_fine(stage_map, t, start_frame(4, 0), cap)
-        assert stops == rows
+        result = _coarse_to_fine(stage, t, start_frame(4, 0), cap)
+        prefix = result.prefix_steps
+        assert calls == [(8192, 1)] * prefix + [(t, cap - prefix)]
+        rows = [8192] * prefix + [t]
         assert [(row["iteration"], row["rows"]) for row in result.trace] == list(enumerate(rows))
         assert result.iterations_run == len(rows)
-        assert result.prefix_steps == len(rows) - 1
         assert result.converged.all()
+        steps = [row["step"].max() for row in result.trace[:prefix]]
+        assert all(step > PREFIX_TOL for step in steps[:-1])
+        if t < 65_536 or cap == 1:
+            assert prefix == 0
+        elif cap == 30:
+            assert prefix >= 2 and steps[-1] <= PREFIX_TOL
+        else:
+            assert prefix == cap - 1
 
 
 class TestTheoreticalParameters:
