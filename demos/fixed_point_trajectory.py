@@ -6,11 +6,12 @@ takes over doubly exponentially, and the run stops once a step falls to
 1e-9.  With estimated gradients the same trajectory flattens out at the
 sampling noise floor instead of converging: the two halves of the rows a
 step reads estimate the noise the sample puts on the step, and a run
-stops once its step is at most twice that noise.  The sampled run goes
-coarse to fine through the learner's own helper, as the learner and ICA
-do on a large block: its first steps read only the first eighth of the
-block, until a step of at most 1e-2, which is enough to reach the
-vertex's basin, and from there the last steps read every row.  Both traces are printed side by side, each up to the step where it
+stops once its step is at most twice that noise.  The sampled run is one
+``find_vertex`` run over the block's rows, which goes coarse to fine as
+the learner and ICA do on a large block: its first steps read only the
+first eighth of the block, until a step of at most 1e-2, which is enough
+to reach the vertex's basin, and from there the last steps read every
+row.  Both traces are printed side by side, each up to the step where it
 stopped, with the rows each sampled step read.  Both runs start from one
 unit Gaussian column drawn from seed 3, a one-column frame, so every
 trace row and result holds one column, printed as column 0.
@@ -28,7 +29,6 @@ from simplexlearn import (
     standard_simplex,
     substream,
 )
-from simplexlearn.vertex_finder import _coarse_to_fine
 
 n = 4
 cap = 12
@@ -39,21 +39,17 @@ start /= np.linalg.norm(start)
 block = simplex_source(standard_simplex(n - 1), 5)(80_000)
 
 
-def sampled_gradient(rows):
-    """The gradient over ``rows``: the mean of its two halves' gradients,
-    and half their difference as its error."""
-    half = len(rows) // 2
-
-    def gradient(u):
-        first, second = empirical_m3_grad(rows[:half], u), empirical_m3_grad(rows[half:], u)
-        return (first + second) / 2, (first - second) / 2
-
-    return gradient
+def sampled_gradient(u, rows):
+    """The gradient over the block's first ``rows`` rows: the mean of its
+    two halves' gradients, and half their difference as its error."""
+    half = rows // 2
+    first, second = empirical_m3_grad(block[:half], u), empirical_m3_grad(block[half:rows], u)
+    return (first + second) / 2, (first - second) / 2
 
 
 exact = find_vertex(exact_grad_m3, start, cap)
-# the learner's stages: runs of find_vertex on the first rows of the block
-sampled = _coarse_to_fine(lambda rows, u, steps: find_vertex(sampled_gradient(block[:rows]), u, steps), len(block), start, cap)
+# one run over the block's rows, as the learner's: the loop picks the rows
+sampled = find_vertex(sampled_gradient, start, cap, len(block))
 
 print(f"{'iter':>4}  {'exact step':>12}  {'rows':>6}  {'sampled step':>12}  {'noise':>12}")
 for i, (row_e, row_s) in enumerate(itertools.zip_longest(exact.trace, sampled.trace)):

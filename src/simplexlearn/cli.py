@@ -48,11 +48,15 @@ class SchemaError(ValueError):
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config file is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"config file cannot be read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"config file is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
     unknown = set(raw) - _ALLOWED[command]

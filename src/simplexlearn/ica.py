@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
-from .vertex_finder import MAX_STEPS, VertexResult, _coarse_to_fine, _fixed_point
+from .vertex_finder import MAX_STEPS, _fixed_point
 
 __all__ = [
     "MixingEstimate",
@@ -168,29 +167,32 @@ def ica_estimate(
     blocked pass over the whole sample too, which also shows whether the
     sample is finite.  The passes read only the shape and row blocks of
     ``points``, so the reductions hand in their rescaled rows, built a
-    block at a time.  The sweeps run in the learner's loop, coarse to fine
-    (``vertex_finder._coarse_to_fine``), from a random orthonormal frame
-    drawn from ``seed``: on a large sample the first sweeps read only its
-    first t // PREFIX_DIVISOR rows, up to a sweep that moves the frame by
-    at most PREFIX_TOL, and the last reads all of them, with
-    the loop's checks, its noise stop and one cap of ``MAX_STEPS`` sweeps
-    in all.
+    block at a time.  The sweeps are one run of the learner's loop
+    (``vertex_finder._fixed_point``) over the t-row sample, from a random
+    orthonormal frame drawn from ``seed``, coarse to fine: on a large
+    sample the first sweeps read only its first t // PREFIX_DIVISOR rows,
+    up to a sweep that moves the frame by at most PREFIX_TOL, and the
+    last reads all of them, with the loop's checks, its noise stop and
+    one cap of ``MAX_STEPS`` sweeps in all.
 
     Returns:
         MixingEstimate with ``separating`` W^T S^-1 and ``mixing`` S W,
         its inverse.  Non-convergence is flagged per component, not raised.
 
     Raises:
-        ValueError unless the sample is a (t, d) array with d >= 1 and
-        t >= d+2 (d+1 points whiten to the vertices of a regular simplex,
-        all of squared norm d, where the skew update is singular) whose
-        mean and covariance are finite, and ``contrast`` one of
-        ``CONTRASTS``, and naming the iteration when a sweep's update or
-        error is not finite; DegenerateSampleError for a singular
-        covariance; RuntimeError when the frame's update collapses.
+        ValueError unless ``contrast`` is one of ``CONTRASTS`` and
+        ``seed`` an integer >= 0, both checked before any pass over the
+        sample, and the sample a (t, d) array with d >= 1 and t >= d+2
+        (d+1 points whiten to the vertices of a regular simplex, all of
+        squared norm d, where the skew update is singular) whose mean and
+        covariance are finite, and naming the sweep, counted over the
+        whole run, when a sweep's update or error is not finite;
+        DegenerateSampleError for a singular covariance; RuntimeError when
+        the frame's update collapses.
     """
     if contrast not in CONTRASTS:
         raise ValueError(f"contrast must be one of {CONTRASTS}, got {contrast!r}")
+    _check_count(seed, "seed", minimum=0)
     if not isinstance(points, _ScaledRows):
         points = _sample(points, "d", 2)
     frame, whitener = _sample_frame(points)
@@ -203,11 +205,7 @@ def ica_estimate(
         return update, error
 
     start, _ = np.linalg.qr(substream(seed, 61).standard_normal(whitener.shape))
-
-    def stage(rows: int, w: np.ndarray, steps: int) -> VertexResult:
-        return _fixed_point(partial(sweep, stop=rows), w, steps)
-
-    found = _coarse_to_fine(stage, points.shape[0], start, MAX_STEPS)
+    found = _fixed_point(sweep, start, MAX_STEPS, points.shape[0])
     return MixingEstimate(
         separating=found.u.T @ whitener,
         mixing=frame.factor @ found.u,

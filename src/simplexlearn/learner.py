@@ -6,14 +6,14 @@ hidden simplex is nearly isotropic, embed it onto the hyperplane
 {y . 1 = 1} where it becomes a nearly standard simplex rotated about the
 all-ones direction (both maps compose into one, built once per run), and
 run the third-moment fixed point on one orthonormal frame of n+1 random
-starts, so that each column ends on its own vertex.  The steps run
-coarse to fine: on a large block the first ones read only its first
-t // 8 rows, up to a step of 1e-2, which carries the frame into the
-basin of the block's fixed point, and the last ones read the whole
-block, to the first step that is within its sampling noise, which the
-two halves of the block estimate; r steps cap both together.  Each
-column is projected exactly onto the hyperplane and mapped back through
-the frame.
+starts, so that each column ends on its own vertex.  The steps, one
+run of the fixed point, go coarse to fine: on a large block the first
+ones read only its first t // 8 rows, up to a step of 1e-2, which
+carries the frame into the basin of the block's fixed point, and the
+last ones read the whole block, to the first step that is within its
+sampling noise, which the two halves of the block estimate; r steps cap
+both together.  Each column is projected exactly onto the hyperplane and
+mapped back through the frame.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import DegenerateSampleError, _sample_frame, _split_half_moment
 from .sampling import _check_count, child_seed, substream
-from .vertex_finder import MAX_STEPS, VertexResult, _coarse_to_fine, find_vertex
+from .vertex_finder import MAX_STEPS, find_vertex
 
 __all__ = [
     "BoostFailureError",
@@ -56,9 +56,9 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
 
 
 def embedded_m3_grad(
-    frame: AffineFrame, emb: EmbedMap, block: np.ndarray, stop: int | None = None
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """u -> (``empirical_m3_grad(emb.forward(frame.forward(block[:stop])), u)``,
+    frame: AffineFrame, emb: EmbedMap, block: np.ndarray
+) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """(u, stop) -> (``empirical_m3_grad(emb.forward(frame.forward(block[:stop])), u)``,
     its standard error) without building the embedded block; the first
     ``stop`` rows, all of them by default.
 
@@ -71,7 +71,7 @@ def embedded_m3_grad(
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
     shift = emb.offset - frame.mean @ linear
 
-    def gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(u: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         moment, error = _split_half_moment(block, linear, shift, u.reshape(u.shape[0], -1), 2, stop)
         return 3.0 * moment.reshape(u.shape), 3.0 * error.reshape(u.shape)
 
@@ -153,11 +153,10 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         every step share one block (the prefix steps read its first rows),
         and the block is then exactly isotropic in its own frame, as
         FastICA whitens once and iterates on one sample.
-        The steps run coarse to fine (``vertex_finder._coarse_to_fine``):
-        when t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS, they read that prefix
-        of the block, each a ``find_vertex`` run of one step, until a step
-        of at most PREFIX_TOL or r - 1 steps, and then, in one more
-        ``find_vertex`` run, the whole block until every column has
+        The steps are one ``find_vertex`` run over the t-row block,
+        coarse to fine: when t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS, they
+        read that prefix of the block until a step of at most PREFIX_TOL
+        or r - 1 steps, and then the whole block until every column has
         reached the noise floor the block's split-half standard error
         sets, with r steps in all as the cap; iterations_run says where,
         and prefix_steps how many read the prefix.
@@ -178,11 +177,7 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
     emb = make_embed_map(n)
     starts = [substream(child_seed(config.seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     start = np.column_stack([u / np.linalg.norm(u) for u in starts])
-
-    def stage(rows: int, u: np.ndarray, steps: int) -> VertexResult:
-        return find_vertex(embedded_m3_grad(frame, emb, block, rows), u, steps)
-
-    found = _coarse_to_fine(stage, t, start, config.r)
+    found = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r, t)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
     vertices = frame.inverse(emb.inverse(directions))

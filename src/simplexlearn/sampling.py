@@ -312,9 +312,11 @@ def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:
 
     Block k of a given size is always the same array for the same seed, and
     affine images of ``s`` with the same seed yield the pointwise image of
-    the same draws.  ``count`` must be an integer >= 0 (not a bool), else
+    the same draws.  ``seed`` must be an integer >= 0, else ValueError
+    before any draw; ``count`` must be an integer >= 0 (not a bool), else
     ValueError naming it, and a rejected call takes no block.
     """
+    seed = _check_seed(seed)
     counter = itertools.count()
     vertices = s.vertices
 

@@ -35,11 +35,10 @@ which carries the error.  An exact gradient has no error and stops at a
 loop, with its polar step, its checks, its stop and its cap MAX_STEPS, on
 its own contrast; each caller hands the loop its own start frame.
 
-On a large sample the learner and ICA run the loop coarse to fine
-(:func:`_coarse_to_fine`): the first steps read only the first
-t // PREFIX_DIVISOR rows, up to a step of PREFIX_TOL, which carries the
-frame into the basin of the sample's fixed point, and the last steps
-read every row, to the noise stop.
+On a large sample of t rows the loop runs coarse to fine: its first
+steps read only the first t // PREFIX_DIVISOR rows, up to a step of
+PREFIX_TOL, which carries the frame into the basin of the sample's fixed
+point, and its last steps read every row, to the noise stop.
 """
 
 from __future__ import annotations
@@ -123,10 +122,9 @@ class VertexResult:
     are inherently signed).  converged holds one bool per column, whether
     its last step reached its noise floor; all are true when the stop
     fired, and iterations_run is the step count, the cap when it did not.
-    trace holds one row per step: the step's per-column update_norm,
-    noise and step and the frame u after it, and, coarse to fine, the
-    rows the step read.  prefix_steps counts the steps that read only a
-    prefix of the sample, 0 outside :func:`_coarse_to_fine`.
+    trace holds one row per step, the step's index: the rows it read and
+    its per-column step and noise.  prefix_steps counts the steps that
+    read only a prefix of the sample.
     """
 
     u: np.ndarray
@@ -180,26 +178,40 @@ def _polar_step(
     return new_u, step, noise, step <= np.maximum(NOISE_KAPPA * noise, CONVERGENCE_TOL)
 
 
-def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexResult:
+def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, t: int = 0) -> VertexResult:
     """The fixed point that the learner and ICA share: step the frame,
     from the (n, k) start, to the polar factor of the map M that
-    update_map(u) returns, beside the standard error of each entry of M
-    (see :func:`_polar_step`), until every column's stop fires or for cap
+    update_map(u, rows) returns over the first ``rows`` rows of a t-row
+    sample, beside the standard error of each entry of M (see
+    :func:`_polar_step`), until every column's stop fires or for cap
     steps, and keep every step in the trace.  The start need not be
     orthonormal: the first step orthonormalizes it.
 
+    The loop runs coarse to fine.  When the first t // PREFIX_DIVISOR rows
+    number at least PREFIX_MIN_ROWS and cap > 1, the first steps read only
+    that prefix, without the noise stop, until a step is at most
+    PREFIX_TOL or cap - 1 steps have run: the prefix only carries the
+    frame into the basin of the sample's fixed point, at an eighth of the
+    cost of a whole-sample step.  Every later step reads all t rows, so
+    the last step always does, and cap 1 is one whole-sample step.  A map
+    that reads no sample of its own takes t = 0, and every step is
+    handed rows = 0.
+
     Raises ValueError, naming the argument, unless start is a finite 2-D
-    array with 1 <= k <= n columns and cap an integer >= 1, and, naming
-    the iteration, when the map returns an M or an error that does not
-    have the frame's shape or is not finite.
+    array with 1 <= k <= n columns, cap an integer >= 1 and t one >= 0,
+    and, naming the iteration, the step's index in the whole run, when
+    the map returns an M or an error that does not have the frame's
+    shape or is not finite.
     """
     u = np.asarray(start, dtype=float)
     if u.ndim != 2 or not 1 <= u.shape[1] <= u.shape[0] or not np.isfinite(u).all():
         raise ValueError(f"start must be a finite (n, k) frame with 1 <= k <= n, got shape {u.shape}")
     _check_count(cap, "cap")
-    trace = []
+    _check_count(t, "t", minimum=0)
+    rows = t // PREFIX_DIVISOR if t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS and cap > 1 else t
+    trace, prefix_steps = [], 0
     for i in range(cap):
-        update, error = update_map(u)
+        update, error = update_map(u, rows)
         if update.shape != u.shape or error.shape != u.shape:
             raise ValueError(
                 f"update and error must have the frame's shape {u.shape}, got {update.shape} and "
@@ -208,52 +220,21 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int) -> VertexRes
         if not (np.isfinite(update).all() and np.isfinite(error).all()):
             raise ValueError(f"update or error is not finite at iteration {i}")
         u, step, noise, converged = _polar_step(u, update, error, i)
-        trace.append(
-            {"iteration": i, "update_norm": np.linalg.norm(update, axis=0), "noise": noise, "step": step, "u": u}
-        )
-        if converged.all():
+        trace.append({"rows": rows, "step": step, "noise": noise})
+        if rows < t:
+            prefix_steps += 1
+            if step.max() <= PREFIX_TOL or prefix_steps == cap - 1:
+                rows = t
+        elif converged.all():
             break
-    return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace)
-
-
-def _coarse_to_fine(
-    stage: Callable[[int, np.ndarray, int], VertexResult], t: int, start: np.ndarray, cap: int
-) -> VertexResult:
-    """A fixed point on a t-row sample, coarse to fine.  stage(rows, u,
-    steps) runs the loop from the frame u for at most ``steps`` steps on
-    the map over the sample's first ``rows`` rows: :func:`find_vertex` for
-    the learner, :func:`_fixed_point` for ICA.
-
-    When the first t // PREFIX_DIVISOR rows number at least
-    PREFIX_MIN_ROWS and cap > 1, the loop first steps on that prefix, one
-    step per run, until a step is at most PREFIX_TOL or cap - 1 steps
-    have run: the prefix only carries the frame into the basin of the
-    sample's fixed point, at an eighth of the cost of a whole-sample step.
-    From the prefix's final frame, or from the start, the loop then runs
-    on all t rows until its stop fires or the one cap is reached, so the
-    last step always reads every row and cap 1 is one whole-sample step.
-
-    Returns the last run's frame and converged flags, with iterations_run
-    and the trace counting the steps of every run, each trace row
-    numbered in that count and holding the ``rows`` its step read, and
-    prefix_steps those on the prefix.  A step that fails raises from its
-    run, which names the iteration within that run.
-    """
-    prefix, u, trace = t // PREFIX_DIVISOR, start, []
-    while prefix >= PREFIX_MIN_ROWS and len(trace) < cap - 1 and (not trace or trace[-1]["step"].max() > PREFIX_TOL):
-        found = stage(prefix, u, 1)
-        u = found.u
-        trace.append({**found.trace[0], "iteration": len(trace), "rows": prefix})
-    prefix_steps = len(trace)
-    found = stage(t, u, cap - prefix_steps)
-    trace += [{**row, "iteration": prefix_steps + k, "rows": t} for k, row in enumerate(found.trace)]
-    return VertexResult(found.u, found.converged, len(trace), trace, prefix_steps)
+    return VertexResult(u=u, converged=converged, iterations_run=i + 1, trace=trace, prefix_steps=prefix_steps)
 
 
 def find_vertex(
-    gradient: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
+    gradient: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]],
     start: np.ndarray,
     cap: int = MAX_STEPS,
+    t: int = 0,
 ) -> VertexResult:
     """Run the third-moment fixed point until each column of a frame locks
     onto its own vertex.
@@ -265,12 +246,15 @@ def find_vertex(
     :func:`reconstruct_squares`).  The loop stops after the first step at
     which every column's sign-aligned step is at most NOISE_KAPPA sigma_j,
     or at most 1e-9 for an exact gradient (e = 0), and after cap steps at
-    the latest.
+    the latest.  A gradient over a t-row sample runs coarse to fine, its
+    first steps on a prefix of the sample (see :func:`_fixed_point`).
 
     Args:
         gradient: U -> grad m3 at each column of the (n, k) frame U, for
             the hidden rotated standard simplex in R^n, called once per
-            iteration.  It returns the (n, k) gradient, taken as exact
+            step, as gradient(U) when t is 0 and as gradient(U, rows),
+            over the sample's first ``rows`` rows, when t > 0.  It
+            returns the (n, k) gradient, taken as exact
             (``exact_grad_m3``), or a pair (gradient, error) whose error
             has the gradient's shape and holds the standard error of each
             entry, as a gradient averaged over a block of points can
@@ -278,6 +262,8 @@ def find_vertex(
         start: the (n, k) frame of k <= n starts, one per column; the
             first step orthonormalizes it.
         cap: the most steps to run, MAX_STEPS by default.
+        t: the rows of the sample the gradient reads, 0 for a gradient
+            that reads none (exact, or a fresh block per call).
 
     Returns:
         VertexResult whose columns approximate distinct vertices of the
@@ -285,24 +271,25 @@ def find_vertex(
 
     Raises:
         ValueError: a start that is not a finite (n, k) frame with
-            1 <= k <= n, a cap that is not an integer >= 1, or a gradient
-            or error that does not have the frame's shape, or whose
-            squares or error are not finite, naming the iteration.
+            1 <= k <= n, a cap that is not an integer >= 1, a t that is
+            not one >= 0, or a gradient or error that does not have the
+            frame's shape, or whose squares or error are not finite,
+            naming the iteration.
         RuntimeError: the update collapsed (the Gram matrix of the squared
             columns is singular), naming the iteration.  With the exact
             gradient one column cannot collapse, since |u^(2)| >= 1/sqrt(n)
             for a unit u; a frame can only on a null set of iterates.
     """
 
-    def squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value = gradient(u)
+    def squares(u: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        value = gradient(u, rows) if t else gradient(u)
         grad, error = value if isinstance(value, tuple) else (value, np.zeros_like(value))
         grad = np.asarray(grad, dtype=float)
         # a gradient of the wrong shape reaches the loop's check, which names the iteration
         update = reconstruct_squares(u, grad) if grad.shape == u.shape else grad
         return update, _moment_denominator(u.shape[0]) / 6.0 * np.asarray(error, dtype=float)
 
-    return _fixed_point(squares, start, cap)
+    return _fixed_point(squares, start, cap, t)
 
 
 def theoretical_parameters(n: int, c: float, delta: float) -> tuple[int, int]:

@@ -376,6 +376,22 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert main(["learn", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: path, "config file cannot be read"),
+            (lambda path: path.mkdir() or path, "config file cannot be read"),
+            (lambda path: path.write_bytes(b'{"n": "\xff"}') and path, "config file is not UTF-8 text"),
+        ],
+        ids=["missing", "directory", "not-utf-8"],
+    )
+    def test_unreadable_file_is_a_schema_error(self, tmp_path, capsys, make, message):
+        cfg = make(tmp_path / "cfg.json")
+        out = tmp_path / "report.json"
+        assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"schema error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidation:
     def test_n_floor(self):

@@ -75,6 +75,15 @@ class TestIcaEstimate:
         with pytest.raises(ValueError, match="contrast must be one of"):
             ica_estimate(x, "negentropy")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected_before_any_pass(self, monkeypatch, seed):
+        x = exponential_mixture(np.eye(2), np.zeros(2), 500, seed=6)
+        passes, real = [], ica._sample_frame
+        monkeypatch.setattr(ica, "_sample_frame", lambda points: passes.append(1) or real(points))
+        with pytest.raises(ValueError, match="^seed must be"):
+            ica_estimate(x, seed=seed)
+        assert passes == []
+
     def test_degenerate_covariance_rejected(self):
         line = np.outer(substream(0, 604).standard_normal(500), np.array([1.0, 2.0]))
         with pytest.raises(DegenerateSampleError):
@@ -122,11 +131,12 @@ class TestIcaEstimate:
         with pytest.raises(ValueError, match="^update or error is not finite at iteration 1$"):
             ica_estimate(x, seed=0)
 
-    def test_a_whole_sample_sweep_is_named_within_its_run(self, monkeypatch):
-        # the prefix sweeps are runs of their own, so the first whole-sample
-        # sweep is iteration 0 of the last run
+    def test_a_whole_sample_sweep_is_named_by_its_step(self, monkeypatch):
+        # one run holds the prefix sweeps and the rest, so the first
+        # whole-sample sweep is named by the sweeps before it
         t = 65_537
         x = exponential_mixture(np.eye(3), np.zeros(3), t, seed=4)
+        prefix_sweeps = ica_estimate(x, seed=0).prefix_sweeps
         stops, real = [], ica._split_half_moment
 
         def first_whole_sweep_nan(x, linear, shift, u, q, stop):
@@ -137,9 +147,10 @@ class TestIcaEstimate:
             return update, error
 
         monkeypatch.setattr(ica, "_split_half_moment", first_whole_sweep_nan)
-        with pytest.raises(ValueError, match="^update or error is not finite at iteration 0$"):
+        with pytest.raises(ValueError, match=f"^update or error is not finite at iteration {prefix_sweeps}$"):
             ica_estimate(x, seed=0)
-        assert stops.count(t // 8) >= 2 and stops[-1] == t
+        assert stops == [t // 8] * prefix_sweeps + [t]
+        assert prefix_sweeps >= 2
 
     def test_sweep_error_of_the_wrong_shape_rejected(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)

@@ -132,6 +132,8 @@ class TestEstimateFrame:
             for shape in ((n + 1,), (n + 1, n + 1)):
                 u = substream(seed, 6).standard_normal(shape)
                 assert_matches_one_shot_gradient(fused, frame, emb, x, u)
+                # the second argument reads only the block's first rows
+                assert_matches_one_shot_gradient(lambda u: fused(u, 5001), frame, emb, x[:5001], u)
 
     # 7 rows cut every pass into many blocks and a ragged last block per
     # half; 10**9 makes each half one block.  1001 is odd and no multiple
@@ -305,6 +307,27 @@ class TestLearnSimplex:
         result = learn_simplex(simplex_source(random_truth(2, 5), 6)(t), LearnerConfig(seed=0))
         assert (result.prefix_steps > 0) == runs_prefix
         assert set(rows) == ({t // 8, t} if runs_prefix else {t})
+
+    def test_a_whole_block_step_is_named_by_its_step(self, monkeypatch):
+        # one run holds the prefix steps and the rest, so the first
+        # whole-block step is named by the steps before it
+        t = 65_537
+        points = simplex_source(random_truth(3, 5), 6)(t)
+        prefix_steps = learn_simplex(points, LearnerConfig(seed=0)).prefix_steps
+        stops, real = [], learner._split_half_moment
+
+        def first_whole_step_nan(x, linear, shift, u, q, stop):
+            moment, error = real(x, linear, shift, u, q, stop)
+            stops.append(stop)
+            if stop == t:
+                moment[0, 0] = np.nan
+            return moment, error
+
+        monkeypatch.setattr(learner, "_split_half_moment", first_whole_step_nan)
+        with pytest.raises(ValueError, match=f"^update or error is not finite at iteration {prefix_steps}$"):
+            learn_simplex(points, LearnerConfig(seed=0))
+        assert stops == [t // 8] * prefix_steps + [t]
+        assert prefix_steps >= 2
 
     def test_report_contents(self):
         # the learner reports what it found; the command line adds the

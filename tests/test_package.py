@@ -44,27 +44,20 @@ def test_learner_has_one_shape():
 
 
 def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
-    # the learner's r, the command line's default r and ICA's sweeps; on a
-    # sample whose first t // 8 rows reach the floor, the prefix steps one
-    # run at a time, at most all steps but one, and the whole-sample run
-    # gets what is left of the same cap
+    # the learner's r, the command line's default r and ICA's sweeps: each
+    # is one run of the loop over the whole sample, with the one cap, and
+    # on a sample whose first t // 8 rows reach the floor the run's first
+    # steps read only those rows
     assert simplexlearn.LearnerConfig().r == MAX_STEPS
     calls, loop = [], vertex_finder._fixed_point
 
-    def spy(update_map, start, cap):
-        found = loop(update_map, start, cap)
-        calls.append((cap, found.iterations_run))
+    def spy(update_map, start, cap, t=0):
+        found = loop(update_map, start, cap, t)
+        calls.append((cap, t, found.iterations_run, found.prefix_steps))
         return found
 
     for module in (vertex_finder, ica):
         monkeypatch.setattr(module, "_fixed_point", spy)
-
-    def prefix_steps(t: int) -> int:
-        # the cap of each run the spy saw, and the prefix steps
-        done = len(calls) - 1
-        assert [cap for cap, _ in calls] == [1] * done + [MAX_STEPS - done]
-        assert (done > 0) == (t // 8 >= 8192)
-        return done
 
     out = tmp_path / "learn.json"
     for t in (4000, 65_536):
@@ -74,12 +67,12 @@ def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
         with open(out) as fh:
             report = json.load(fh)
         assert report["config"]["r"] == MAX_STEPS
-        assert report["prefix_steps"] == prefix_steps(t)
-        assert report["iterations_run"] == report["prefix_steps"] + calls[-1][1]
+        assert calls == [(MAX_STEPS, t, report["iterations_run"], report["prefix_steps"])]
+        assert (report["prefix_steps"] > 0) == (t // 8 >= 8192)
         calls.clear()
         estimate = ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, t, 0), "kurtosis")
-        assert estimate.prefix_sweeps == prefix_steps(t)
-        assert estimate.sweeps == estimate.prefix_sweeps + calls[-1][1]
+        assert calls == [(MAX_STEPS, t, estimate.sweeps, estimate.prefix_sweeps)]
+        assert (estimate.prefix_sweeps > 0) == (t // 8 >= 8192)
 
 
 def test_both_fixed_points_share_one_frame(monkeypatch):

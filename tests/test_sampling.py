@@ -330,6 +330,8 @@ class TestRescaleShapes:
 SEED_CALLS = [
     pytest.param(lambda s: substream(s, 1), id="substream"),
     pytest.param(lambda s: child_seed(s, 1), id="child_seed"),
+    # the factory itself rejects the seed, before its first draw
+    pytest.param(lambda s: simplex_source(standard_simplex(2), s), id="simplex_source"),
     pytest.param(lambda s: sample_simplex(standard_simplex(2), 10, s), id="sample_simplex"),
     pytest.param(lambda s: sample_lp_ball(3, 3.0, 10, s), id="sample_lp_ball"),
     pytest.param(lambda s: sample_generalized_gaussian(3.0, 10, s), id="generalized_gaussian"),

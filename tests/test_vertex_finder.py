@@ -14,7 +14,6 @@ from simplexlearn.sampling import simplex_source, substream
 from simplexlearn.vertex_finder import (
     MAX_STEPS,
     PREFIX_TOL,
-    _coarse_to_fine,
     _polar_step,
     find_vertex,
     reconstruct_squares,
@@ -188,8 +187,8 @@ class TestBatch:
 
     def test_batch_trace_is_per_column(self):
         result = find_vertex(exact_grad_m3, start_frame(3, 1, 2), 4)
-        assert [row["u"].shape for row in result.trace] == [(3, 2)] * 4
-        assert result.trace[-1]["step"].shape == (2,)
+        assert [row["step"].shape for row in result.trace] == [(2,)] * 4
+        assert [row["noise"].shape for row in result.trace] == [(2,)] * 4
 
 
 def sampled_gradient(source, t):
@@ -338,6 +337,11 @@ class TestStartAndCap:
         with pytest.raises(ValueError, match="^cap must be"):
             find_vertex(exact_grad_m3, start_frame(3, 0), cap)
 
+    @pytest.mark.parametrize("t", [-1, 2.5, True, "3", None])
+    def test_bad_row_count_rejected(self, t):
+        with pytest.raises(ValueError, match="^t must be"):
+            find_vertex(exact_grad_m3, start_frame(3, 0), MAX_STEPS, t)
+
     def test_cap_defaults_to_max_steps(self):
         # a gradient without an error only stops at a 1e-9 step, which a
         # fresh block per step never takes
@@ -347,35 +351,35 @@ class TestStartAndCap:
 
 
 class TestTrace:
-    def test_records_every_iteration(self):
-        # the exact run stops at its 7th step, before the cap of 12
+    def test_records_every_step(self):
+        # the exact run stops at its 7th step, before the cap of 12; it
+        # reads no sample, so every step reads 0 rows
         result = find_vertex(exact_grad_m3, start_frame(3, 0), 12)
         assert len(result.trace) == result.iterations_run == 7
-        assert [row["iteration"] for row in result.trace] == list(range(7))
+        assert result.prefix_steps == 0
         for row in result.trace:
-            assert row["update_norm"].shape == row["noise"].shape == row["step"].shape == (1,)
-            assert row["update_norm"][0] > 0
+            assert sorted(row) == ["noise", "rows", "step"]
+            assert row["rows"] == 0
+            assert row["noise"].shape == row["step"].shape == (1,)
             assert row["noise"][0] == 0.0
-            assert row["u"].shape == (3, 1)
 
 
 class TestCoarseToFine:
-    # an error this large stops the whole-sample run at its first step;
-    # the prefix steps one run at a time until a step is at most
-    # PREFIX_TOL or all steps but one have run
+    # an error this large stops the loop at its first whole-sample step;
+    # the prefix steps until a step is at most PREFIX_TOL or all steps but
+    # one have run
     @pytest.mark.parametrize("t, cap", [(65_536, 30), (65_536, 3), (65_536, 2), (65_536, 1), (65_535, 30)])
     def test_the_trace_names_the_rows_and_counts_on(self, t, cap):
         calls = []
 
-        def stage(rows, u, steps):
-            calls.append((rows, steps))
-            return find_vertex(lambda u: (exact_grad_m3(u), np.ones_like(u)), u, steps)
+        def gradient(u, rows):
+            calls.append(rows)
+            return exact_grad_m3(u), np.ones_like(u)
 
-        result = _coarse_to_fine(stage, t, start_frame(4, 0), cap)
+        result = find_vertex(gradient, start_frame(4, 0), cap, t)
         prefix = result.prefix_steps
-        assert calls == [(8192, 1)] * prefix + [(t, cap - prefix)]
         rows = [8192] * prefix + [t]
-        assert [(row["iteration"], row["rows"]) for row in result.trace] == list(enumerate(rows))
+        assert calls == [row["rows"] for row in result.trace] == rows
         assert result.iterations_run == len(rows)
         assert result.converged.all()
         steps = [row["step"].max() for row in result.trace[:prefix]]
@@ -386,6 +390,20 @@ class TestCoarseToFine:
             assert prefix >= 2 and steps[-1] <= PREFIX_TOL
         else:
             assert prefix == cap - 1
+
+    def test_an_error_names_the_step_across_the_prefix(self):
+        # a NaN in the first whole-sample step names its step in the run
+        prefix = find_vertex(lambda u, rows: (exact_grad_m3(u), np.ones_like(u)), start_frame(4, 0), 30, 65_536)
+        assert prefix.prefix_steps >= 2
+
+        def gradient(u, rows):
+            grad = exact_grad_m3(u)
+            if rows == 65_536:
+                grad[0] = np.nan
+            return grad, np.ones_like(u)
+
+        with pytest.raises(ValueError, match=f"not finite at iteration {prefix.prefix_steps}$"):
+            find_vertex(gradient, start_frame(4, 0), 30, 65_536)
 
 
 class TestTheoreticalParameters:
