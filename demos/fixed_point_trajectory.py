@@ -25,8 +25,7 @@ from simplexlearn import (
     empirical_m3_grad,
     exact_grad_m3,
     find_vertex,
-    simplex_source,
-    standard_simplex,
+    sample_standard_simplex,
     substream,
 )
 
@@ -34,9 +33,9 @@ n = 4
 cap = 12
 start = substream(3, 23).standard_normal((n, 1))
 start /= np.linalg.norm(start)
-# one block of 80k points serves every step, as in the learner; its
-# first 10k rows are above the prefix floor
-block = simplex_source(standard_simplex(n - 1), 5)(80_000)
+# one block of 80k points of the standard simplex in R^n serves every
+# step, as in the learner; its first 10k rows are above the prefix floor
+block = sample_standard_simplex(n, 80_000, 5)
 
 
 def sampled_gradient(u, rows):

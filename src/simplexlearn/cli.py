@@ -11,7 +11,9 @@ Exit codes: 0 on success (a learned simplex, a converged reduction, or
 all checks passed), 2 on an unconverged reduction or a failed check
 (learn never exits 2), 1 on usage or schema errors, 3 when the run
 itself fails.  Reports go to --out, else to
-$SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout.
+$SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout; a report
+path that cannot name a file (empty, a directory, or below a file) is a
+schema error before the run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -108,16 +111,26 @@ def _validate_common(cfg: dict, command: str) -> None:
         raise SchemaError(f"m must be at least n+1 = {n + 1}: every run starts n+1 columns")
 
 
-def _emit(payload: dict, cfg: dict, command: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda value: value.tolist()) + "\n"
+def _report_path(cfg: dict, command: str) -> str | None:
+    """--out, else $SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else None
+    for stdout.  Called before the run: a path that cannot name a file,
+    empty, a directory or below a file, is a SchemaError before any draw."""
     out = cfg.get("out")
     if out is None and os.environ.get(OUT_ENV):
         out = os.path.join(os.environ[OUT_ENV], f"{command}-seed{cfg['seed']}.json")
+    if out is not None and (not out or out.endswith(os.sep) or os.path.isdir(out)):
+        raise SchemaError(f"report path {out!r} does not name a file")
+    if out is not None and any(path.exists() and not path.is_dir() for path in Path(os.path.abspath(out)).parents):
+        raise SchemaError(f"report path {out!r} lies below a file, which is not a directory")
+    return out
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda value: value.tolist()) + "\n"
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     with open(out, "w") as fh:
         fh.write(text)
     print(f"wrote {out}")
@@ -144,6 +157,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     cfg, _ = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": MAX_STEPS, "seed": 0})
     _validate_common(cfg, "learn")
+    out = _report_path(cfg, "learn")
 
     truth = _synthesize_simplex(cfg["n"], cfg["seed"])
     count = cfg["t1"] + cfg["t3"]
@@ -167,13 +181,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "found_count": learned.found_count,
         "iterations_run": learned.iterations_run,
         "prefix_steps": learned.prefix_steps,
-        "vertices": learned.vertices,
+        "vertices": learned.simplex.vertices,
         "per_vertex_match_error": match_vertices(truth, learned.simplex).per_vertex_error,
         "tv_estimate": tv.value,
         "tv_std_error": tv.std_error,
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
-    _emit(payload, cfg, "learn")
+    _emit(payload, out)
     return 0
 
 
@@ -242,6 +256,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
     if t < dims + 2:
         raise SchemaError(f"t must be at least {dims + 2} for --problem {cfg['problem']} at n = {n}")
+    out = _report_path(cfg, "reduce")
 
     started = time.perf_counter()
     payload = {
@@ -306,7 +321,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     payload["prefix_sweeps"] = reduction.estimate.prefix_sweeps
     payload["permutation_note"] = reduction.estimate.permutation_note
     payload["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-    _emit(payload, cfg, "reduce")
+    _emit(payload, out)
     return 0 if all(reduction.estimate.converged) else 2
 
 
@@ -321,6 +336,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SchemaError("n applies only to verify --suite scaling or landscape")
     if cfg["suite"] == "landscape" and "seed" in given:
         raise SchemaError("seed applies only to verify --suite scaling or tv: the landscape suite draws no random numbers")
+    out = _report_path(cfg, "verify")
 
     started = time.perf_counter()
     result = run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
@@ -333,7 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         **result,
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
-    _emit(payload, cfg, "verify")
+    _emit(payload, out)
     return 0 if result["pass"] else 2
 
 

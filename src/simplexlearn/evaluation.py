@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MEMBERSHIP_TOL, Simplex, _solver, contains_points
+from .geometry import MEMBERSHIP_TOL, Simplex, _coordinates, contains_points
 from .sampling import _check_count, _simplex_weights, substream
 
 __all__ = [
@@ -33,11 +33,6 @@ class TVEstimate:
     mc_points: int
 
 
-def _require_full_dimensional(s: Simplex, name: str) -> None:
-    if s.ambient_dim != s.dim:
-        raise ValueError(f"{name} must be full-dimensional for volume-based TV")
-
-
 def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.Generator = 0) -> TVEstimate:
     """Estimate d_TV(uniform on K, uniform on L).
 
@@ -52,24 +47,21 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     array of mc_points rows.
 
     Args:
-        k, l: full-dimensional simplices of equal dimension.
+        k, l: simplices of equal dimension.
         mc_points: Monte Carlo sample size, an integer >= 1.
         rng: integer seed or numpy Generator.
 
     Returns:
         TVEstimate with value, std_error = sqrt(v(1-v)/mc_points), mc_points.
     """
-    _require_full_dimensional(k, "K")
-    _require_full_dimensional(l, "L")
     if k.dim != l.dim:
         raise ValueError("simplices must have equal dimension")
     mc_points = _check_count(mc_points, "mc_points")
     gen = rng if isinstance(rng, np.random.Generator) else substream(rng, 31)
     big, small = (k, l) if k.volume() >= l.volume() else (l, k)
-    # a point w V_big has coordinates inv_small [V_big^T w^T; 1], and the
-    # weights sum to 1, so inv_small [V_big^T; 1^T] maps w^T to them: one
-    # row of coordinates per vertex of the smaller simplex
-    to_small = _solver(small).inverse @ np.vstack([big.vertices.T, np.ones((1, big.dim + 1))])
+    # the weights w sum to 1, so the point w V_big has coordinates C w^T in
+    # the smaller simplex, column j of C holding those of big's vertex j
+    to_small = _coordinates(small, big.vertices)
     inside = 0
     for _, weights in _simplex_weights(gen, big.dim + 1, mc_points):
         lam = to_small @ weights.T
@@ -107,11 +99,9 @@ def check_sandwich_bound(
     """
     if not 0 < alpha <= beta:
         raise ValueError("need 0 < alpha <= beta")
-    inner = k.scaled(alpha)
-    outer = k.scaled(beta)
-    if not contains_points(l, inner.vertices).all():
+    if not contains_points(l, k.scaled(alpha).vertices).all():
         raise ValueError("alpha K is not contained in L")
-    if not contains_points(outer, l.vertices).all():
+    if not contains_points(k.scaled(beta), l.vertices).all():
         raise ValueError("L is not contained in beta K")
     tv = tv_distance_mc(k, l, mc_points, rng)
     bound = 2.0 * (1.0 - (alpha / beta) ** k.dim)

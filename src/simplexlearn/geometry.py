@@ -1,8 +1,9 @@
 """Simplex geometry primitives.
 
-Vertex-list simplices with cached barycentric solvers, the orthonormal
-embedding of R^n onto the hyperplane {y . 1 = 1} in R^(n+1), and affine
-frames for moving point clouds between coordinate systems.
+Full-dimensional simplices, n+1 vertices in R^n, with one cached inverse
+of their barycentric system, which answers membership and the gauge; the
+orthonormal embedding of R^n onto the hyperplane {y . 1 = 1} in R^(n+1);
+and affine frames for moving point clouds between coordinate systems.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "Simplex",
     "EmbedMap",
     "AffineFrame",
-    "standard_simplex",
     "isotropic_simplex",
     "make_embed_map",
     "contains",
@@ -27,10 +27,6 @@ __all__ = [
 # Barycentric coordinates this far below zero still count as inside.
 MEMBERSHIP_TOL = 1e-12
 
-# Relative residual above which a point is considered off the affine hull
-# of a lower-dimensional simplex.
-HULL_RESIDUAL_TOL = 1e-9
-
 
 class DegenerateSimplexError(ValueError):
     """The operation needs affinely independent vertices and the simplex
@@ -39,43 +35,31 @@ class DegenerateSimplexError(ValueError):
 
 @dataclass
 class Simplex:
-    """A simplex given by its vertex list.
+    """An n-simplex in R^n given by its vertex list.
 
-    ``vertices`` is an (n+1, d) array whose rows are the vertices, with n
-    the simplex dimension and d >= n the ambient dimension.  Vertices are
+    ``vertices`` is an (n+1, n) array, n >= 1, whose rows are the
+    vertices; any other shape raises ValueError naming it.  Vertices are
     expected to be affinely independent; operations that must solve the
     barycentric system raise :class:`DegenerateSimplexError` when they are
     not.  Instances are immutable by convention; the only mutable state is
-    an internal solver cache.
+    the cached inverse of the barycentric system.
     """
 
     vertices: np.ndarray
-    _solver: object = field(default=None, init=False, repr=False, compare=False)
+    _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float, copy=True)
-        if v.ndim != 2 or v.shape[0] < 2:
-            raise ValueError("vertices must form a (n+1, d) array with n >= 1")
-        if v.shape[0] > v.shape[1] + 1:
-            raise ValueError(
-                f"{v.shape[0]} vertices need ambient dimension >= {v.shape[0] - 1}, got {v.shape[1]}"
-            )
+        if v.ndim != 2 or v.shape[1] < 1 or v.shape[0] != v.shape[1] + 1:
+            raise ValueError(f"vertices must form an (n+1, n) array with n >= 1, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
         self.vertices = v
 
     @property
     def dim(self) -> int:
-        """Simplex dimension n (one less than the number of vertices)."""
-        return self.vertices.shape[0] - 1
-
-    @property
-    def ambient_dim(self) -> int:
+        """Dimension n of the simplex and of the space it lives in."""
         return self.vertices.shape[1]
-
-    def edge_matrix(self) -> np.ndarray:
-        """Columns v_i - v_0, shape (d, n)."""
-        return (self.vertices[1:] - self.vertices[0]).T
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -86,86 +70,51 @@ class Simplex:
         return float(np.linalg.norm(self.vertices - self.centroid(), axis=1).max())
 
     def volume(self) -> float:
-        """n-dimensional volume: |det E| / n! for full-dimensional simplices,
-        Gram-determinant generalization for embedded ones."""
-        edges = self.edge_matrix()
-        n = self.dim
-        if edges.shape[0] == n:
-            det = abs(np.linalg.det(edges))
-        else:
-            det = math.sqrt(max(np.linalg.det(edges.T @ edges), 0.0))
-        return det / math.factorial(n)
+        """n-dimensional volume |det E| / n!, E the edges v_i - v_0 as columns."""
+        return abs(np.linalg.det((self.vertices[1:] - self.vertices[0]).T)) / math.factorial(self.dim)
 
     def scaled(self, factor: float) -> "Simplex":
         """The simplex scaled about the origin."""
         return Simplex(factor * self.vertices)
 
 
-class _BarycentricSolver:
-    """Cached inverse of the system [V^T; 1^T] lam = [x; 1].
-
-    For full-dimensional simplices the square system is inverted once.
-    For simplices embedded in a higher-dimensional space the pseudo-inverse
-    is cached instead, and membership additionally requires the point to
-    sit on the affine hull (small reconstruction residual).
-    """
-
-    def __init__(self, simplex: Simplex):
-        v = simplex.vertices
-        m = v.shape[0]
-        system = np.vstack([v.T, np.ones((1, m))])  # (d+1, m)
+def _barycentric(s: Simplex) -> np.ndarray:
+    """The inverse of the square system [V^T; 1^T] lam = [x; 1], cached on
+    ``s``: it maps [x; 1] to the barycentric coordinates lam of x, and its
+    last column is lam(0).  Raises DegenerateSimplexError when the smallest
+    singular value of the system is at most 1e-12 times the largest."""
+    if s._inverse is None:
+        system = np.vstack([s.vertices.T, np.ones((1, s.dim + 1))])
         svals = np.linalg.svd(system, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
-            raise DegenerateSimplexError(
-                "vertices are affinely dependent; barycentric system is singular"
-            )
-        self.system = system
-        self.square = system.shape[0] == system.shape[1]
-        self.inverse = np.linalg.inv(system) if self.square else np.linalg.pinv(system)
-
-    def coordinates(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Barycentric coordinates (t, m) and an on-hull mask (t,)."""
-        rhs = np.vstack([points.T, np.ones((1, points.shape[0]))])
-        lam = self.inverse @ rhs
-        if self.square:
-            on_hull = np.ones(points.shape[0], dtype=bool)
-        else:
-            residual = np.abs(self.system @ lam - rhs).max(axis=0)
-            scale = 1.0 + np.abs(rhs).max(axis=0)
-            on_hull = residual <= HULL_RESIDUAL_TOL * scale
-        return lam.T, on_hull
+            raise DegenerateSimplexError("vertices are affinely dependent; barycentric system is singular")
+        s._inverse = np.linalg.inv(system)
+    return s._inverse
 
 
-def _solver(s: Simplex) -> _BarycentricSolver:
-    if s._solver is None:
-        s._solver = _BarycentricSolver(s)
-    return s._solver
+def _coordinates(s: Simplex, points: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates in ``s`` of the t rows of ``points``, (n+1, t)."""
+    return _barycentric(s) @ np.vstack([points.T, np.ones((1, points.shape[0]))])
+
+
+def _gauge(s: Simplex, points: np.ndarray) -> np.ndarray:
+    """gauge_s(x) = min {c > 0 : x in c s} = max_i (1 - lam_i(x) / lam_i(0))
+    for each row x of ``points``; needs the origin strictly inside ``s``."""
+    return (1.0 - _coordinates(s, np.atleast_2d(points)) / _barycentric(s)[:, -1:]).max(axis=0)
 
 
 def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Vectorized membership test; returns a boolean array of length t.
-
-    A point is inside when every barycentric coordinate is >= -tol (and,
-    for embedded simplices, the point lies on the affine hull).
-    """
+    """Membership of each row of ``points``, a boolean array of length t:
+    a point is inside when every barycentric coordinate is >= -tol."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != s.ambient_dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.ambient_dim}")
-    lam, on_hull = _solver(s).coordinates(pts)
-    return (lam >= -tol).all(axis=1) & on_hull
+    if pts.shape[1] != s.dim:
+        raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.dim}")
+    return (_coordinates(s, pts) >= -tol).all(axis=0)
 
 
 def contains(s: Simplex, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
     """True when the single point ``x`` lies in ``s`` (boundary included)."""
     return bool(contains_points(s, np.asarray(x, dtype=float)[None, :], tol=tol)[0])
-
-
-def standard_simplex(n: int) -> Simplex:
-    """The standard n-simplex: convex hull of the n+1 canonical basis
-    vectors of R^(n+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Simplex(np.eye(n + 1))
 
 
 @dataclass
@@ -182,10 +131,6 @@ class EmbedMap:
     basis: np.ndarray  # (n+1, n), orthonormal columns, each orthogonal to 1
     scale: float
     offset: float  # every output coordinate is shifted by this amount
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map points of R^n (shape (..., n)) onto the hyperplane."""

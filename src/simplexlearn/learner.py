@@ -106,8 +106,8 @@ class LearnerConfig:
 class LearnedSimplex:
     """Result of :func:`learn_simplex`.
 
-    simplex has the n+1 found vertices, one per start of the frame;
-    vertices holds them one per row and directions the unit vertex
+    simplex has the n+1 found vertices, one per start of the frame, as
+    the rows of simplex.vertices; directions holds the unit vertex
     direction each came from; found_count is their number, n+1.
     iterations_run counts the frame's steps: the step where the
     noise-floor stop fired on the whole block, or the cap r.
@@ -115,7 +115,6 @@ class LearnedSimplex:
     """
 
     simplex: Simplex
-    vertices: np.ndarray
     directions: np.ndarray
     iterations_run: int
     prefix_steps: int
@@ -180,8 +179,7 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
     found = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r, t)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
-    vertices = frame.inverse(emb.inverse(directions))
-    return LearnedSimplex(Simplex(vertices), vertices, directions, found.iterations_run, found.prefix_steps)
+    return LearnedSimplex(Simplex(frame.inverse(emb.inverse(directions))), directions, found.iterations_run, found.prefix_steps)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import Simplex, _solver
+from .geometry import Simplex, _barycentric
 
 __all__ = [
     "substream",
@@ -161,11 +161,15 @@ def sample_simplex(s: Simplex, t: int, seed: int) -> np.ndarray:
     on S and F(S) with equal seeds are coupled through F.
     """
     t = _check_count(t, "t")
-    _solver(s)  # rejects affinely dependent vertices up front
+    _barycentric(s)  # rejects affinely dependent vertices up front
     return _simplex_points(substream(seed, _KEY_SIMPLEX), s.vertices, t)
 
 
-def _check_p(p: float) -> float:
+def _check_p(p) -> float:
+    """``p`` as a float; ValueError naming ``p`` unless it is a real number
+    (a bool or a string is not) in [P_MIN, P_MAX]."""
+    if isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating)):
+        raise ValueError(f"p must be a real number, got {p!r}")
     p = float(p)
     if not (P_MIN <= p <= P_MAX):
         raise ValueError(f"p must lie in [{P_MIN}, {P_MAX}], got {p}")

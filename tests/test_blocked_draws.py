@@ -14,7 +14,7 @@ import pytest
 
 from simplexlearn import sampling
 from simplexlearn.evaluation import tv_distance_mc
-from simplexlearn.geometry import MEMBERSHIP_TOL, Simplex, _solver
+from simplexlearn.geometry import MEMBERSHIP_TOL, Simplex, _barycentric
 from simplexlearn.ica import lp_symmetric_difference, reduce_lp_to_ica, reduce_simplex_to_ica
 from simplexlearn.sampling import (
     _row_blocks,
@@ -186,7 +186,7 @@ class TestMonteCarloScorers:
         rng = substream(m, 805)
         l = Simplex(k.vertices @ (np.eye(n) + 0.15 * rng.standard_normal((n, n))) + 0.1 * rng.standard_normal(n))
         big, small = (k, l) if k.volume() >= l.volume() else (l, k)
-        to_small = _solver(small).inverse @ np.vstack([big.vertices.T, np.ones((1, m))])
+        to_small = _barycentric(small) @ np.vstack([big.vertices.T, np.ones((1, m))])
         for t in sizes:
             lam = to_small @ whole_weights(substream(9, 31), m, t).T
             expected = 1.0 - (lam.min(axis=0) >= -MEMBERSHIP_TOL).mean()

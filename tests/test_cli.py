@@ -313,6 +313,35 @@ class TestOutputRouting:
         assert report["command"] == "verify"
 
 
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["learn", "--out", ""], None, "does not name a file"),
+            (["reduce", "--out", "{tmp}/"], None, "does not name a file"),
+            (["reduce", "--out", "{tmp}"], None, "does not name a file"),
+            (["learn", "--out", "{tmp}/file/learn.json"], None, "which is not a directory"),
+            (["learn"], "{tmp}/file", "which is not a directory"),
+        ],
+        ids=["empty", "directory-slash", "directory", "below-a-file", "env-names-a-file"],
+    )
+    def test_unusable_path_is_a_schema_error_before_any_draw(self, tmp_path, capsys, monkeypatch, argv, env, message):
+        # the path is checked before anything is drawn, so a bad one costs no run
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the report path was checked")
+
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(sampling, "substream", no_draw)
+        if env is None:
+            monkeypatch.delenv(OUT_ENV, raising=False)
+        else:
+            monkeypatch.setenv(OUT_ENV, env.format(tmp=tmp_path))
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert "schema error: report path" in captured.err and message in captured.err
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+
 class TestConfigFile:
     def test_config_supplies_values_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -3,14 +3,12 @@ import pytest
 
 from simplexlearn.diagnostics import (
     SUITES,
-    _facet_normals,
-    _gauge,
     landscape_suite,
     run_suite,
     scaling_suite,
     tv_suite,
 )
-from simplexlearn.geometry import isotropic_simplex
+from simplexlearn.geometry import Simplex, _gauge, contains_points, isotropic_simplex
 from simplexlearn.sampling import substream
 
 
@@ -88,26 +86,30 @@ class TestRunSuite:
             run_suite("nonsense")
 
 
-class TestFacetGauge:
+class TestGauge:
     def test_own_vertices_have_unit_gauge(self):
         s = isotropic_simplex(3)
-        normals = _facet_normals(s)
-        assert np.allclose(_gauge(normals, s.vertices), 1.0, atol=1e-9)
+        assert np.allclose(_gauge(s, s.vertices), 1.0, atol=1e-9)
 
     def test_homogeneous_and_monotone(self):
         s = isotropic_simplex(2)
-        normals = _facet_normals(s)
         x = substream(0, 1).standard_normal(2)
-        g1 = _gauge(normals, x)[0]
-        g2 = _gauge(normals, 2.0 * x)[0]
+        g1 = _gauge(s, x)[0]
+        g2 = _gauge(s, 2.0 * x)[0]
         assert g2 == pytest.approx(2.0 * g1)
-        assert _gauge(normals, np.zeros(2))[0] == 0.0
+        assert _gauge(s, np.zeros(2))[0] == 0.0
 
     def test_membership_iff_gauge_at_most_one(self):
-        from simplexlearn.geometry import contains_points
-
         s = isotropic_simplex(3)
-        normals = _facet_normals(s)
         pts = substream(0, 2).standard_normal((500, 3))
         inside = contains_points(s, pts)
-        assert (inside == (_gauge(normals, pts) <= 1.0 + 1e-12)).all()
+        assert (inside == (_gauge(s, pts) <= 1.0 + 1e-12)).all()
+
+    def test_equals_the_facet_normal_gauge(self):
+        # s = {x : a_i . x <= 1 for all i}, with a_i normal to the facet
+        # opposite vertex i, so the gauge is also max_i a_i . x
+        rng = substream(0, 3)
+        s = Simplex(isotropic_simplex(3).vertices + 0.05 * rng.standard_normal((4, 3)))
+        normals = np.array([np.linalg.solve(np.delete(s.vertices, i, axis=0), np.ones(3)) for i in range(4)])
+        pts = rng.standard_normal((200, 3))
+        np.testing.assert_allclose(_gauge(s, pts), (pts @ normals.T).max(axis=1), rtol=1e-12, atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from simplexlearn.geometry import (
     AffineFrame,
     DegenerateSimplexError,
     Simplex,
-    _solver,
+    _barycentric,
+    _coordinates,
     contains,
     contains_points,
     isotropic_simplex,
     make_embed_map,
-    standard_simplex,
 )
 
 
@@ -46,21 +47,15 @@ class TestSimplex:
     def test_basic_properties(self):
         s = right_triangle()
         assert s.dim == 2
-        assert s.ambient_dim == 2
         assert np.allclose(s.centroid(), [1 / 3, 1 / 3])
         assert s.volume() == pytest.approx(0.5)
-        assert s.edge_matrix().shape == (2, 2)
-
-    def test_embedded_volume_uses_gram_determinant(self):
-        # area of conv{e1, e2, e3} in R^3 is sqrt(3)/2
-        assert standard_simplex(2).volume() == pytest.approx(math.sqrt(3) / 2)
 
     def test_scaled_volume(self):
         s = right_triangle()
         assert s.scaled(3.0).volume() == pytest.approx(9 * s.volume())
 
     def test_vertices_are_copied(self):
-        v = np.eye(3)
+        v = np.eye(3)[:, :2]
         s = Simplex(v)
         v[0, 0] = 99.0
         assert s.vertices[0, 0] == 1.0
@@ -71,9 +66,13 @@ class TestSimplex:
         with pytest.raises(ValueError):
             Simplex(np.zeros((1, 2)))  # single vertex
         with pytest.raises(ValueError):
-            Simplex(np.zeros((4, 2)))  # 4 vertices need ambient >= 3
-        with pytest.raises(ValueError):
             Simplex(np.array([[0.0, np.nan], [1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 3), (1, 0), (3,), (2, 2, 1)])
+    def test_only_n_plus_one_vertices_in_r_n(self, shape):
+        # a simplex is full-dimensional: n+1 vertices in R^n, nothing embedded
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            Simplex(np.ones(shape))
 
     def test_circumscribed_radius_regular(self):
         # every vertex of the isotropic n-simplex sits at sqrt(n(n+2))
@@ -85,7 +84,7 @@ class TestBarycentric:
         rng = np.random.default_rng(5)
         s = Simplex(rng.standard_normal((4, 3)))
         pts = rng.standard_normal((50, 3))
-        lam = _solver(s).coordinates(pts)[0]
+        lam = _coordinates(s, pts).T
         assert np.allclose(lam.sum(axis=1), 1.0)
         assert np.allclose(lam @ s.vertices, pts)
 
@@ -94,13 +93,13 @@ class TestBarycentric:
         point = np.array([0.25, 0.25])
         assert contains_points(s, point).shape == (1,)
         assert contains(s, point)
-        assert np.allclose(_solver(s).coordinates(point[None, :])[0], [[0.5, 0.25, 0.25]])
+        assert np.allclose(_coordinates(s, point[None, :]).T, [[0.5, 0.25, 0.25]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains_points(right_triangle(), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="points have dimension 2, simplex lives in 3"):
-            contains_points(Simplex(np.eye(3)), np.zeros((4, 2)))
+            contains_points(isotropic_simplex(3), np.zeros((4, 2)))
 
     def test_degenerate_raises(self):
         flat = Simplex(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
@@ -117,7 +116,7 @@ class TestBarycentric:
             ours = contains_points(s, pts)
             oracle = halfspace_membership(s, pts)
             # points within numerical slack of the boundary may differ
-            lam = _solver(s).coordinates(pts)[0]
+            lam = _coordinates(s, pts).T
             clear = np.abs(lam).min(axis=1) > 1e-9
             assert (ours[clear] == oracle[clear]).all()
             assert ours[400:].all()
@@ -131,11 +130,10 @@ class TestBarycentric:
         interior = rng.dirichlet(np.ones(n + 1), size=200) @ v
         box = rng.uniform(v.min(axis=0), v.max(axis=0), size=(400, n))
         pts = np.vstack([v, midpoints, interior, box])
-        lam, on_hull = _solver(s).coordinates(pts)
+        lam = _coordinates(s, pts).T
         system = np.vstack([v.T, np.ones((1, n + 1))])
         reference = lu_solve(lu_factor(system), np.vstack([pts.T, np.ones((1, len(pts)))])).T
         np.testing.assert_allclose(lam, reference, rtol=0, atol=1e-12)
-        assert on_hull.all()
         inside = contains_points(s, pts)
         assert np.array_equal(inside, (reference >= -MEMBERSHIP_TOL).all(axis=1))
         # vertices and edge midpoints sit on the boundary and count as inside
@@ -148,19 +146,12 @@ class TestBarycentric:
         assert contains(s, s.centroid())
         assert not contains(s, np.array([1.0, 1.0]))
 
-    def test_embedded_membership_needs_hull(self):
-        s = standard_simplex(2)
-        on_hull = np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]])
-        off_hull = np.array([[0.4, 0.4, 0.4]])
-        assert contains_points(s, on_hull).all()
-        assert not contains_points(s, off_hull).any()
-
-    def test_solver_is_cached(self):
+    def test_inverse_is_cached(self):
         s = right_triangle()
         contains(s, np.zeros(2))
-        first = s._solver
+        first = _barycentric(s)
         contains(s, np.ones(2))
-        assert s._solver is first
+        assert _barycentric(s) is first
 
 
 class TestEmbedMap:
@@ -266,6 +257,6 @@ def test_barycentric_reconstruction_property(n, seed):
         return
     s = Simplex(vertices)
     pts = rng.standard_normal((5, n))
-    lam = _solver(s).coordinates(pts)[0]
+    lam = _coordinates(s, pts).T
     assert np.allclose(lam.sum(axis=1), 1.0, atol=1e-8)
     assert np.allclose(lam @ s.vertices, pts, atol=1e-7)

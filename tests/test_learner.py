@@ -167,7 +167,7 @@ class TestEstimateFrame:
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         result = learn_simplex(x, LearnerConfig(r=r, seed=2))
         assert (result.iterations_run, result.prefix_steps) == (iterations_run, prefix_steps)
-        assert np.abs(result.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
+        assert np.abs(result.simplex.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
         if t == 65_537 and r > 1:
             assert prefix_steps >= 1
 
@@ -269,7 +269,7 @@ class TestLearnSimplex:
             config = LearnerConfig(seed=seed)
             runs = [learn_simplex(simplex_source(truth, 30 + seed)(20_000), config) for _ in range(2)]
             assert runs[0].iterations_run == runs[1].iterations_run < config.r
-            assert (runs[0].vertices == runs[1].vertices).all()
+            assert (runs[0].simplex.vertices == runs[1].simplex.vertices).all()
 
     def test_completes_the_n15_cli_truth(self):
         # independent starts at the default budget found 15 of 16 vertices
@@ -334,8 +334,8 @@ class TestLearnSimplex:
         # run's configuration, the points drawn and the scores
         config = LearnerConfig(seed=9)
         result = learn_simplex(simplex_source(random_truth(2, 8), 18)(6000), config)
-        assert result.vertices.shape == (3, 2)
-        assert (result.vertices == result.simplex.vertices).all()
+        assert result.simplex.vertices.shape == (3, 2)
+        assert not hasattr(result, "vertices")
         assert result.directions.shape == (3, 3)
         assert result.found_count == len(result.directions) == 3
         assert 1 <= result.iterations_run <= config.r
@@ -391,7 +391,7 @@ class TestSourceValidation:
         for n in (2, 3):
             result = learn_simplex(simplex_source(random_truth(n, 24), 25)(n + 2), LearnerConfig(seed=0))
             assert result.found_count == n + 1
-            assert np.isfinite(result.vertices).all()
+            assert np.isfinite(result.simplex.vertices).all()
 
 
 class TestLearnerConfig:

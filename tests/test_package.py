@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ DELETED = [
     "SampleExhaustedError",
     "ExperimentReport",
     "IterationConfig",
+    "standard_simplex",
 ]
 
 
@@ -109,6 +112,23 @@ def test_deleted_names_are_gone(name):
     assert not hasattr(simplexlearn, name)
     with pytest.raises(ImportError):
         exec(f"from simplexlearn import {name}", {})
+
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demos_import_only_public_names(demo):
+    # a demo shows the package as a user sees it: every name it imports
+    # from simplexlearn or a submodule is one the package exports
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(demo.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "simplexlearn"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name not in simplexlearn.__all__] == []
 
 
 # learn and reduce run on numpy alone: scipy would add about a second of

@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate, stats
 
 from simplexlearn.evaluation import tv_distance_mc
-from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex, standard_simplex
+from simplexlearn.ica import compute_c_pn, lp_symmetric_difference, reduce_lp_to_ica
+from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex
 from simplexlearn.sampling import (
     _KEY_GENERALIZED_GAUSSIAN,
     _gamma_rescale,
@@ -26,6 +27,12 @@ from simplexlearn.sampling import (
 T = 100_000
 
 
+def corner_triangle() -> Simplex:
+    """conv{e1, e2, 0} in R^2: the first two coordinates of the standard
+    simplex in R^3, so a draw's weights times its vertices round nothing."""
+    return Simplex(np.eye(3)[:, :2])
+
+
 def se(values: np.ndarray) -> float:
     return values.std(ddof=1) / math.sqrt(values.size)
 
@@ -35,7 +42,7 @@ class TestDeterminism:
         producers = [
             lambda seed: sample_standard_simplex(4, 100, seed),
             lambda seed: sample_lp_ball(3, 1.5, 100, seed),
-            lambda seed: sample_simplex(standard_simplex(2), 100, seed),
+            lambda seed: sample_simplex(corner_triangle(), 100, seed),
         ]
         for producer in producers:
             a, b = producer(42), producer(42)
@@ -128,7 +135,7 @@ class TestSampleSimplex:
 
     def test_standard_vertices_match_direct_sampler(self):
         direct = sample_standard_simplex(3, 20_000, 5)[:, 0]
-        pushed = sample_simplex(standard_simplex(2), 20_000, 6)[:, 0]
+        pushed = sample_simplex(corner_triangle(), 20_000, 6)[:, 0]
         assert stats.ks_2samp(direct, pushed).pvalue >= 0.01
 
     def test_centroid(self):
@@ -236,9 +243,29 @@ COUNT_CASES = [
     pytest.param(lambda v: sample_generalized_gaussian(3.0, v, 0), "count", id="generalized_gaussian-count"),
     pytest.param(lambda v: sample_standard_simplex(3, v, 0), "t", id="standard_simplex-t"),
     pytest.param(lambda v: sample_standard_simplex(v, 10, 0), "n", id="standard_simplex-n"),
-    pytest.param(lambda v: sample_simplex(standard_simplex(2), v, 0), "t", id="simplex-t"),
-    pytest.param(lambda v: simplex_source(standard_simplex(2), 0)(v), "count", id="simplex_source-count"),
+    pytest.param(lambda v: sample_simplex(corner_triangle(), v, 0), "t", id="simplex-t"),
+    pytest.param(lambda v: simplex_source(corner_triangle(), 0)(v), "count", id="simplex_source-count"),
 ]
+
+
+# every public function that takes an lp exponent
+P_CASES = [
+    pytest.param(lambda p: sample_generalized_gaussian(p, 10, 0), id="sample_generalized_gaussian"),
+    pytest.param(generalized_gaussian_std, id="generalized_gaussian_std"),
+    pytest.param(lambda p: sample_lp_ball(3, p, 10, 0), id="sample_lp_ball"),
+    pytest.param(lambda p: rescale_lp_sample(np.zeros((10, 3)), p, 0), id="rescale_lp_sample"),
+    pytest.param(lambda p: reduce_lp_to_ica(np.zeros((10, 3)), p), id="reduce_lp_to_ica"),
+    pytest.param(lambda p: compute_c_pn(p, 3), id="compute_c_pn"),
+    pytest.param(lambda p: lp_symmetric_difference(np.eye(3), np.eye(3), p, 10), id="lp_symmetric_difference"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, "2", None, 2 + 0j])
+@pytest.mark.parametrize("call", P_CASES)
+def test_p_must_be_a_real_number(call, bad):
+    # a bool or a string is no exponent, though float() would take it
+    with pytest.raises(ValueError, match="^p must be a real number"):
+        call(bad)
 
 
 class TestCountArguments:
@@ -331,8 +358,8 @@ SEED_CALLS = [
     pytest.param(lambda s: substream(s, 1), id="substream"),
     pytest.param(lambda s: child_seed(s, 1), id="child_seed"),
     # the factory itself rejects the seed, before its first draw
-    pytest.param(lambda s: simplex_source(standard_simplex(2), s), id="simplex_source"),
-    pytest.param(lambda s: sample_simplex(standard_simplex(2), 10, s), id="sample_simplex"),
+    pytest.param(lambda s: simplex_source(corner_triangle(), s), id="simplex_source"),
+    pytest.param(lambda s: sample_simplex(corner_triangle(), 10, s), id="sample_simplex"),
     pytest.param(lambda s: sample_lp_ball(3, 3.0, 10, s), id="sample_lp_ball"),
     pytest.param(lambda s: sample_generalized_gaussian(3.0, 10, s), id="generalized_gaussian"),
     pytest.param(lambda s: tv_distance_mc(isotropic_simplex(2), isotropic_simplex(2), 10, rng=s), id="tv_distance_mc"),
@@ -375,19 +402,19 @@ class TestJointIndependence:
 
 class TestSources:
     def test_simplex_source_fresh_blocks(self):
-        src = simplex_source(standard_simplex(2), 0)
+        src = simplex_source(corner_triangle(), 0)
         a, b = src(100), src(100)
         assert (a != b).any()
-        src2 = simplex_source(standard_simplex(2), 0)
+        src2 = simplex_source(corner_triangle(), 0)
         assert (src2(100) == a).all()
         assert (src2(100) == b).all()
 
     def test_rejected_count_takes_no_block(self):
-        src = simplex_source(standard_simplex(2), 0)
+        src = simplex_source(corner_triangle(), 0)
         with pytest.raises(ValueError, match="^count must be >= 0"):
             src(-1)
-        assert src(0).shape == (0, 3)
-        fresh = simplex_source(standard_simplex(2), 0)
+        assert src(0).shape == (0, 2)
+        fresh = simplex_source(corner_triangle(), 0)
         fresh(0)
         assert (src(np.int64(50)) == fresh(50)).all()
 

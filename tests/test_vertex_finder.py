@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from simplexlearn.geometry import standard_simplex
 from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
-from simplexlearn.sampling import simplex_source, substream
+from simplexlearn.sampling import _KEY_SOURCE, _simplex_points, substream
 from simplexlearn.vertex_finder import (
     MAX_STEPS,
     PREFIX_TOL,
@@ -28,6 +27,16 @@ def nearest_vertex_error(u: np.ndarray) -> float:
         e[i] = 1.0
         best = min(best, np.linalg.norm(u - e), np.linalg.norm(u + e))
     return best
+
+
+def standard_source(n: int, seed: int):
+    """A draw(count) callable of fresh uniform blocks on the standard
+    simplex in R^n, nonnegative coordinates summing to one.  Block k is
+    drawn as ``simplex_source`` draws its k-th block, from
+    substream(seed, _KEY_SOURCE, k); its weights times the identity, a
+    product that rounds nothing, are the points."""
+    blocks = itertools.count()
+    return lambda count: _simplex_points(substream(seed, _KEY_SOURCE, next(blocks)), np.eye(n), count)
 
 
 def start_frame(n: int, *seeds: int) -> np.ndarray:
@@ -227,7 +236,7 @@ class TestNoiseFloorStop:
         assert (tiny.u == exact.u).all()
 
     def test_gradient_without_error_runs_to_the_cap(self):
-        source = simplex_source(standard_simplex(3), 7)
+        source = standard_source(4, 7)
         result = find_vertex(sampled_gradient(source, 2000), start_frame(4, 0), 9)
         assert result.iterations_run == 9
         assert not result.converged.any()
@@ -251,7 +260,7 @@ class TestNoiseFloorStop:
 class TestSampledGradients:
     def test_one_gradient_call_per_step(self):
         n = 4
-        gradient = sampled_gradient(simplex_source(standard_simplex(n - 1), 3), 50)
+        gradient = sampled_gradient(standard_source(n, 3), 50)
         calls = []
 
         def counting(u):
@@ -268,7 +277,7 @@ class TestSampledGradients:
         n = 4
         hits = 0
         for seed in range(5):
-            source = simplex_source(standard_simplex(n - 1), seed + 10)
+            source = standard_source(n, seed + 10)
             result = find_vertex(sampled_gradient(source, 30_000), start_frame(n, seed), 20)
             if nearest_vertex_error(result.u[:, 0]) <= 0.05:
                 hits += 1
@@ -345,7 +354,7 @@ class TestStartAndCap:
     def test_cap_defaults_to_max_steps(self):
         # a gradient without an error only stops at a 1e-9 step, which a
         # fresh block per step never takes
-        source = simplex_source(standard_simplex(3), 7)
+        source = standard_source(4, 7)
         result = find_vertex(sampled_gradient(source, 200), start_frame(4, 0))
         assert result.iterations_run == len(result.trace) == MAX_STEPS
 
