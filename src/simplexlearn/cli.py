@@ -25,7 +25,7 @@ import os
 import sys
 import threading
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -353,7 +353,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result["pass"] else 2
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: a parse
+    leaves no state in it for the next."""
     parser = argparse.ArgumentParser(
         prog="simplexlearn",
         description="Simplex learning and ICA-reduction experiment harness.",
@@ -372,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
     learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {PREFIX_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
     common(learn)
-    learn.set_defaults(func=cmd_learn)
 
     reduce_ = sub.add_parser("reduce", help="recover a synthesized instance through the ICA reduction")
     reduce_.add_argument("--problem", type=str, default=None, choices=["simplex", "lp"], help="instance family (default simplex)")
@@ -380,13 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_.add_argument("--p", type=float, default=None, help="lp-ball exponent, required for --problem lp and rejected otherwise")
     reduce_.add_argument("--t", type=int, default=None, help="sample size (default 200000)")
     common(reduce_)
-    reduce_.set_defaults(func=cmd_reduce)
 
     verify = sub.add_parser("verify", help="run a statistical verification suite")
     verify.add_argument("--suite", type=str, default=None, choices=["scaling", "tv", "landscape"], help="suite name (default scaling); landscape draws no random numbers and takes no --seed")
     verify.add_argument("--n", type=int, default=None, help="restrict the scaling or landscape suite to one dimension")
     common(verify)
-    verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -398,7 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on a usage error; 2 is reserved for failed runs
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        # the command's function is looked up by name at each call, so a
+        # rebound cmd_* global is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import MEMBERSHIP_TOL, Simplex, _coordinates, contains_points
-from .sampling import _check_count, _simplex_weights, substream
+from .sampling import _check_count, _exponential_rows, substream
 
 __all__ = [
     "TVEstimate",
@@ -41,10 +41,14 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     membership in the other, so the estimate is exact in expectation and
     identically zero when K equals L.  No point is built: the barycentric
     coordinates in the smaller simplex are affine in those in the larger,
-    so one (n+1, n+1) matrix maps the drawn weights straight to them.  The
-    weights are drawn in row blocks, and each block is reduced to a count
-    of points inside before the next is drawn, so the estimate keeps no
-    array of mc_points rows.
+    so one (n+1, n+1) matrix C maps the weights straight to them.  Nor are
+    the weights: the point of weights e / sum(e), e a row of iid Exp(1)
+    draws from the stream and row blocks that ``sampling`` uses for
+    uniform weights, is inside when min_i (C e)_i + tol sum(e) >= 0, the
+    membership test C (e / sum(e)) >= -tol multiplied through by sum(e) >
+    0.  One (n+2, n+1) product [C; tol 1^T] e^T gives both terms.  Each
+    block of e is reduced to a count of points inside before the next is
+    drawn, so the estimate keeps no array of mc_points rows.
 
     Args:
         k, l: simplices of equal dimension.
@@ -59,13 +63,17 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     mc_points = _check_count(mc_points, "mc_points")
     gen = rng if isinstance(rng, np.random.Generator) else substream(rng, 31)
     big, small = (k, l) if k.volume() >= l.volume() else (l, k)
-    # the weights w sum to 1, so the point w V_big has coordinates C w^T in
-    # the smaller simplex, column j of C holding those of big's vertex j
-    to_small = _coordinates(small, big.vertices)
+    # weights w summing to 1 give the point w V_big coordinates C w^T in
+    # the smaller simplex, column j of C holding those of big's vertex j;
+    # the last row of the kernel sums each row of e, times the tolerance
+    m = big.dim + 1
+    kernel = np.vstack([_coordinates(small, big.vertices), np.full((1, m), MEMBERSHIP_TOL)])
     inside = 0
-    for _, weights in _simplex_weights(gen, big.dim + 1, mc_points):
-        lam = to_small @ weights.T
-        inside += int(np.count_nonzero(lam.min(axis=0) >= -MEMBERSHIP_TOL))
+    for _, e in _exponential_rows(gen, m, mc_points):
+        products = kernel @ e.T
+        margin = products[:-1].min(axis=0)
+        margin += products[-1]
+        inside += int(np.count_nonzero(margin >= 0.0))
     outside = 1.0 - inside / mc_points
     std_error = math.sqrt(max(outside * (1.0 - outside), 0.0) / mc_points)
     return TVEstimate(float(outside), std_error, mc_points)

@@ -9,7 +9,7 @@ and affine frames for moving point clouds between coordinate systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class DegenerateSimplexError(ValueError):
     does not have them (singular barycentric system)."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Simplex:
     """An n-simplex in R^n given by its vertex list.
 
@@ -41,12 +41,13 @@ class Simplex:
     vertices; any other shape raises ValueError naming it.  Vertices are
     expected to be affinely independent; operations that must solve the
     barycentric system raise :class:`DegenerateSimplexError` when they are
-    not.  Instances are immutable by convention; the only mutable state is
-    the cached inverse of the barycentric system.
+    not.  A simplex is a frozen value: ``vertices`` is a read-only copy of
+    the input and cannot be rebound, so the inverse of the barycentric
+    system, cached on first use, always belongs to it.  Two simplices are
+    equal when their vertex arrays are.
     """
 
     vertices: np.ndarray
-    _inverse: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float, copy=True)
@@ -54,7 +55,17 @@ class Simplex:
             raise ValueError(f"vertices must form an (n+1, n) array with n >= 1, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
-        self.vertices = v
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Simplex):
+            return NotImplemented
+        return bool(np.array_equal(self.vertices, other.vertices))
+
+    def __hash__(self) -> int:
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.vertices.shape, (self.vertices + 0.0).tobytes()))
 
     @property
     def dim(self) -> int:
@@ -83,13 +94,16 @@ def _barycentric(s: Simplex) -> np.ndarray:
     ``s``: it maps [x; 1] to the barycentric coordinates lam of x, and its
     last column is lam(0).  Raises DegenerateSimplexError when the smallest
     singular value of the system is at most 1e-12 times the largest."""
-    if s._inverse is None:
+    inverse = vars(s).get("_inverse")
+    if inverse is None:
         system = np.vstack([s.vertices.T, np.ones((1, s.dim + 1))])
         svals = np.linalg.svd(system, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
             raise DegenerateSimplexError("vertices are affinely dependent; barycentric system is singular")
-        s._inverse = np.linalg.inv(system)
-    return s._inverse
+        inverse = np.linalg.inv(system)
+        inverse.flags.writeable = False
+        object.__setattr__(s, "_inverse", inverse)
+    return inverse
 
 
 def _coordinates(s: Simplex, points: np.ndarray) -> np.ndarray:

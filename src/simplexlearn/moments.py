@@ -52,20 +52,25 @@ def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairwise update of Chan, Golub and LeVeque (1979), so the pass keeps
     no (t, d) copy and a large offset costs no precision.  Block means
     are ones-vector products, which BLAS takes far faster than
-    ``mean(axis=0)`` on rows of a few entries.
+    ``mean(axis=0)`` on rows of a few entries.  A block is centered
+    transposed, into one reused C-ordered (d, rows) buffer, since numpy
+    subtracts along long rows much faster than along rows of d entries;
+    its scatter is then ``centered @ centered.T``, whatever the memory
+    order of x.
     """
     t, d = x.shape
     blocks = _row_blocks(0, t)
-    ones = np.ones(blocks[-1].stop - blocks[-1].start)  # the last block is the longest
+    longest = blocks[-1].stop - blocks[-1].start  # the last block is the longest
+    ones, buffer = np.ones(longest), np.empty(d * longest)
     count, mean, scatter = 0, np.zeros(d), np.zeros((d, d))
     for span in blocks:
         block = x[span]
         rows = block.shape[0]
         block_mean = (ones[:rows] @ block) / rows
-        centered = block - block_mean
+        centered = np.subtract(block.T, block_mean[:, None], out=buffer[: d * rows].reshape(d, rows))
         delta = block_mean - mean
         total = count + rows
-        cross = centered.T @ centered
+        cross = centered @ centered.T
         if count:  # the first block merges into nothing, and its outer product may overflow
             cross += np.outer(delta, delta) * (count * rows / total)
         scatter += cross

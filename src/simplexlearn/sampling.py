@@ -121,15 +121,21 @@ def _check_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Uniform barycentric weights of t points on Delta^(m-1), block by
-    block: each row slice with its weights, iid Exp(1) rows divided by
-    their sums.  Every block is drawn into one buffer, so a block's
-    weights last until the next block is drawn."""
+def _exponential_rows(rng: np.random.Generator, m: int, t: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """t rows of m iid Exp(1) variates, block by block: each row slice
+    with its rows.  Every block is drawn into one buffer, so a block lasts
+    until the next block is drawn."""
     blocks = _row_blocks(0, t)
     buffer = np.empty((max((rows.stop - rows.start for rows in blocks), default=0), m))
     for rows in blocks:
-        e = rng.standard_exponential(out=buffer[: rows.stop - rows.start])
+        yield rows, rng.standard_exponential(out=buffer[: rows.stop - rows.start])
+
+
+def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Uniform barycentric weights of t points on Delta^(m-1), block by
+    block: the rows of :func:`_exponential_rows` divided in place by their
+    sums, so a block's weights last until the next block is drawn."""
+    for rows, e in _exponential_rows(rng, m, t):
         e /= _row_sums(e)[:, None]
         yield rows, e
 

@@ -481,6 +481,42 @@ class TestValidation:
         assert "--t3" in capsys.readouterr().out
 
 
+class TestSharedParser:
+    # main parses with one parser per process, so a second call must see
+    # nothing of the first: the same output, report and exit code
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (LEARN_FAST + ["--seed", "1"], 0),
+            (["reduce", "--problem", "lp", "--p", "3", "--n", "2", "--t", "3000", "--seed", "1"], 0),
+            (["verify", "--suite", "landscape", "--n", "2"], 0),
+            (["learn", "--n", "1"], 1),  # a schema error
+            (["reduce", "--problem", "cube"], 1),  # a usage error
+            (["verify", "--help"], 0),
+        ],
+    )
+    def test_a_second_call_repeats_the_first(self, tmp_path, capsys, argv, code):
+        out = str(tmp_path / "report.json")
+        runs = []
+        for _ in range(2):
+            exit_code = main(argv + ["--out", out])
+            report = read_json(out) if os.path.exists(out) else None
+            if report is not None:
+                os.remove(out)
+                report.pop("wall_time_ms")
+            runs.append((exit_code, capsys.readouterr(), report))
+        assert runs[0][0] == code and runs[0] == runs[1]
+
+    def test_main_calls_the_command_bound_at_call_time(self, tmp_path, monkeypatch):
+        from simplexlearn import cli
+
+        assert main(["verify", "--suite", "landscape", "--n", "2", "--out", str(tmp_path / "report.json")]) == 0
+        called = []
+        monkeypatch.setattr(cli, "cmd_learn", lambda args: called.append(args.n) or 7)
+        assert main(["learn", "--n", "4"]) == 7
+        assert called == [4]
+
+
 def benchmark_argvs():
     """The workloads perfbench/run.py defines, read from its source (which
     stays unchanged), and their command lines: the warm-up op of each and

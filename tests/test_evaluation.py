@@ -121,20 +121,42 @@ class TestTVDistance:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_weights_kernel_equals_point_membership(self, n):
-        # the reference builds the points from the same weights and tests
-        # them with contains_points; the kernel must agree exactly
+        # the reference builds the points from the normalized weights and
+        # tests them with contains_points; the kernel, which never
+        # normalizes, must agree exactly.  The last two pairs move one
+        # vertex by about 1e-12, so each point's coordinates in the two
+        # simplices differ by about MEMBERSHIP_TOL
         mc = 20_000
         for seed in range(4):
             rng = substream(seed, n, 7)
             k = Simplex(rng.standard_normal((n + 1, n)))
             l = Simplex(k.vertices @ (np.eye(n) + 0.15 * rng.standard_normal((n, n))) + 0.1 * rng.standard_normal(n))
-            for first, second in ((k, l), (l, k)):
+            moved = k.vertices.copy()
+            moved[-1] += 1e-12 * rng.standard_normal(n)
+            nudged = Simplex(moved)
+            for first, second in ((k, l), (l, k), (k, nudged), (nudged, k)):
                 big, small = (first, second) if first.volume() >= second.volume() else (second, first)
                 e = substream(seed, 31).standard_exponential((mc, n + 1))
                 weights = e / e.sum(axis=1, keepdims=True)
                 reference = 1.0 - contains_points(small, weights @ big.vertices).mean()
                 assert tv_distance_mc(first, second, mc, rng=seed).value == reference
             assert tv_distance_mc(k, Simplex(k.vertices.copy()), mc, rng=seed).value == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, 0.05])
+    def test_tolerance_is_scaled_by_the_row_sum(self, monkeypatch, tol):
+        # at tolerance 0.05 a tenth or so of the points of the larger
+        # simplex sit in the band the tolerance lets in, so a kernel that
+        # compared C e with the bare tolerance would miss the reference
+        n, mc = 3, 20_000
+        k = isotropic_simplex(n)
+        l = Simplex(0.9 * k.vertices + 0.05)
+        monkeypatch.setattr(evaluation, "MEMBERSHIP_TOL", tol)
+        e = substream(2, 31).standard_exponential((mc, n + 1))
+        points = (e / e.sum(axis=1, keepdims=True)) @ k.vertices
+        inside = contains_points(l, points, tol=tol)
+        assert tv_distance_mc(k, l, mc, rng=2).value == 1.0 - inside.mean()
+        if tol:
+            assert 0.05 < (inside & ~contains_points(l, points, tol=0.0)).mean() < 0.5
 
 
 class TestSandwichBound:

@@ -60,6 +60,28 @@ class TestSimplex:
         v[0, 0] = 99.0
         assert s.vertices[0, 0] == 1.0
 
+    def test_equality_compares_vertices_and_never_raises(self):
+        a, b = isotropic_simplex(2), isotropic_simplex(2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.scaled(2.0)
+        assert a != isotropic_simplex(3)  # another shape
+        assert a != "simplex" and a != None  # noqa: E711
+        zero = Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        signed = Simplex(np.array([[-0.0, 0.0], [1.0, -0.0], [0.0, 1.0]]))
+        assert zero == signed and hash(zero) == hash(signed)
+
+    def test_frozen_so_the_cached_inverse_stays_valid(self):
+        s = isotropic_simplex(2)
+        contains_points(s, np.zeros((1, 2)))
+        with pytest.raises(AttributeError):
+            s.vertices = s.vertices + 100.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.vertices[0, 0] = 100.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.vertices += 100.0
+        assert s == isotropic_simplex(2)
+        assert np.array_equal(_barycentric(s), _barycentric(isotropic_simplex(2)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Simplex(np.zeros(3))  # not 2-D

@@ -241,7 +241,39 @@ class TestLandscapeCertificate:
             certify_landscape(n)
 
 
+def three_layouts(x: np.ndarray) -> list:
+    """The rows of x as a C-ordered array, an F-ordered array and the
+    ``_ScaledRows`` blocks of ICA with unit radii."""
+    from simplexlearn.ica import _ScaledRows
+
+    return [np.ascontiguousarray(x), np.asfortranarray(x), _ScaledRows(np.ascontiguousarray(x), np.ones(len(x)), lift=False)]
+
+
 class TestMeanAndCovariance:
+    # every block is centered transposed into one buffer, whatever the
+    # layout of its rows.  An F-ordered array and _ScaledRows both hand
+    # BLAS column-major blocks and agree bit for bit; a C-ordered array's
+    # block means come from another BLAS kernel, which may round them
+    # otherwise, so it agrees within rounding.  The last block holds 9193
+    # rows, joined from a short tail
+    def test_every_input_layout_reads_the_same_rows(self):
+        x = 100.0 + substream(0, 44).standard_exponential((2 * sampling.BLOCK_ROWS + 1001, 5))
+        c_ordered, f_ordered, scaled = (moments._mean_and_covariance(rows) for rows in three_layouts(x))
+        assert all(np.array_equal(a, b) for a, b in zip(scaled, f_ordered))
+        assert np.allclose(c_ordered[0], f_ordered[0], rtol=1e-14, atol=0.0)
+        assert np.abs(c_ordered[1] - f_ordered[1]).max() <= 1e-13 * np.abs(f_ordered[1]).max()
+
+    # small integers in blocks of BLOCK_ROWS = 2^13 rows: every block mean,
+    # centered entry, product and sum is exact in floating point, so any
+    # summation order gives the two-pass formula's bits in every layout
+    def test_exact_rows_give_the_two_pass_bits_in_every_layout(self):
+        x = substream(1, 44).integers(-8, 9, size=(2 * sampling.BLOCK_ROWS, 4)).astype(float) + 100.0
+        mean = x.mean(axis=0)
+        covariance = (x - mean).T @ (x - mean) / len(x)
+        for rows in three_layouts(x):
+            got_mean, got_covariance = moments._mean_and_covariance(rows)
+            assert np.array_equal(got_mean, mean) and np.array_equal(got_covariance, covariance)
+
     # the first block merges into nothing: an outer product of its mean,
     # past about 1.3e154, would overflow and its zero weight make NaN
     def test_a_mean_past_the_square_root_of_the_float_range(self):
