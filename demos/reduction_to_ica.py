@@ -19,7 +19,7 @@ from simplexlearn import (
     reduce_simplex_to_ica,
     sample_lp_ball,
     sample_simplex,
-    signed_permutation_deviation,
+    separation_index,
     substream,
 )
 
@@ -48,7 +48,7 @@ mapped = sample_lp_ball(2, 1.0, 200_000, 40) @ a.T
 lp = reduce_lp_to_ica(mapped, 1.0, seed=0)
 print("\nrecovered map for A = diag(2, 1) (up to signed permutation):")
 print(np.round(lp.mixing, 3))
-print(f"deviation from signed permutation of A: {signed_permutation_deviation(np.linalg.inv(a) @ lp.mixing):.4f}")
+print(f"separation index of inv(A) @ recovered (0 for a signed permutation): {separation_index(np.linalg.inv(a) @ lp.mixing):.4f}")
 print(f"symmetric-difference volume ratio: {lp_symmetric_difference(a, lp.mixing, 1.0, seed=1):.4f}")
 print(f"contrast {lp.estimate.contrast}")
 print_sweeps(lp.estimate, len(mapped))

@@ -1,9 +1,13 @@
 """Run the statistical verification suites and print their check tables.
 
-The scaling suite confirms the distributional identities behind the
-samplers and reductions, the tv suite the total-variation machinery, and
-the landscape suite the critical-point structure of the third power sum.
-The same suites back `simplexlearn verify` on the command line.
+The scaling suite reads the rows that the ICA reductions build, through
+their own radii and scaled rows, and confirms that their coordinates have
+the laws the reductions need (Exp(1) and Gamma(n+1) for the simplex,
+exp(-|x|^p) for the lp ball), along with the lp-ball sampler's
+independence facts; the tv suite checks the total-variation machinery,
+and the landscape suite the critical-point structure of the third power
+sum.  Every statistic is computed with numpy alone.  The same suites back
+`simplexlearn verify` on the command line.
 """
 
 from simplexlearn.diagnostics import run_suite

@@ -35,7 +35,7 @@ from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, PREFIX_TO
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 # flags each command accepts, for config-file validation (unknown keys are
 # rejected rather than ignored)

@@ -2,12 +2,14 @@
 
 Each suite runs a fixed list of named checks and returns a JSON-ready dict
 {"suite", "params", "checks", "pass"}.  The checks are distribution-level
-facts the rest of the package relies on: the rescalings that turn simplex
-and lp-ball samples into iid coordinates, the norm/direction independence
-behind the ball sampler, the total-variation identities used by the
-evaluator and the sandwich bound, whose containment ratios come from the
-gauges of the simplices' barycentric inverses, and the third-moment
-landscape certification.
+facts the rest of the package relies on: the rows that the ICA reductions
+read, built by the reductions' own radii and scaled rows, have iid
+coordinates of the known laws; the ball sampler's norm and direction are
+independent, as are its points and the denominator it divides by; the
+total-variation identities used by the evaluator and the sandwich bound,
+whose containment ratios come from the gauges of the simplices'
+barycentric inverses; and the third-moment landscape certification.
+Every statistic and p-value is computed with numpy and ``math``.
 
 The scaling and tv suites derive all randomness from the suite seed, so a
 suite invocation is a deterministic regression test; significance levels
@@ -25,16 +27,9 @@ import numpy as np
 
 from .evaluation import check_sandwich_bound, tv_distance_mc
 from .geometry import Simplex, _gauge, isotropic_simplex
+from .ica import _reduction_radii, _ScaledRows
 from .moments import certify_landscape
-from .sampling import (
-    child_seed,
-    rescale_lp_sample,
-    rescale_simplex_sample,
-    sample_generalized_gaussian,
-    sample_lp_ball,
-    sample_standard_simplex,
-    substream,
-)
+from .sampling import _check_count, _lp_ball_points, child_seed, sample_lp_ball, sample_simplex, substream
 
 __all__ = [
     "scaling_suite",
@@ -57,6 +52,68 @@ def _finish(suite: str, params: dict, checks: list[dict]) -> dict:
     }
 
 
+def _kolmogorov_sf(z: float) -> float:
+    """P(K > z) for the Kolmogorov distribution, the limit law of sqrt(N) D,
+    from four terms of whichever of its two series converges fast at z
+    (Numerical Recipes, 3rd ed., sec. 6.14)."""
+    if z < 1.18:
+        y = math.exp(-(math.pi**2) / (8.0 * z * z))
+        return 1.0 - math.sqrt(2.0 * math.pi) / z * (y + y**9 + y**25 + y**49)
+    y = math.exp(-2.0 * z * z)
+    return 2.0 * (y - y**4 + y**9)
+
+
+def _ks_check(name: str, sample: np.ndarray, cdf) -> dict:
+    """Two-sided Kolmogorov-Smirnov check of the pooled ``sample`` against
+    the continuous ``cdf``, with the asymptotic p-value Q(sqrt(N) D)."""
+    x = np.sort(sample, axis=None)
+    f, count = cdf(x), x.size
+    d = max(float((np.arange(1.0, count + 1) / count - f).max()), float((f - np.arange(0.0, count) / count).max()))
+    p_value = _kolmogorov_sf(math.sqrt(count) * d)
+    return {"name": name, "statistic": d, "p_value": p_value, "passed": bool(p_value >= KS_ALPHA)}
+
+
+def _gamma_cdf(shape: int):
+    """CDF of Gamma(shape, 1) for an integer shape >= 1, as the finite sum
+    1 - e^-x (1 + x + ... + x^(shape-1) / (shape-1)!)."""
+
+    def cdf(x: np.ndarray) -> np.ndarray:
+        term, tail = np.exp(-x), -np.expm1(-x)
+        for j in range(1, shape):
+            term *= x / j
+            tail -= term
+        return tail
+
+    return cdf
+
+
+def _half_variance_normal_cdf(x: np.ndarray) -> np.ndarray:
+    """CDF of the normal law with mean 0 and variance 1/2: (1 + erf(x)) / 2."""
+    return 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(x).astype(float))
+
+
+def _chi2_sf_9(x: float) -> float:
+    """P(chi^2 > x) on 9 degrees of freedom: erfc(sqrt(x/2)) plus
+    sqrt(2x/pi) e^(-x/2) (1 + x/3 + x^2/15 + x^3/105)."""
+    return math.erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0) * (
+        1.0 + x / 3.0 + x * x / 15.0 + x**3 / 105.0
+    )
+
+
+def _correlation_check(name: str, a: np.ndarray, b: np.ndarray) -> dict:
+    """Sample correlation of ``a`` and ``b`` within 3 / sqrt(N) of zero."""
+    r, tolerance = float(np.corrcoef(a, b)[0, 1]), 3.0 / math.sqrt(a.size)
+    return {"name": name, "correlation": r, "tolerance": tolerance, "passed": bool(abs(r) <= tolerance)}
+
+
+def _reduction_rows(points: np.ndarray, p: float | None, seed: int, lift: bool) -> np.ndarray:
+    """The (t, d) rows that a reduction with ``seed`` hands ICA for
+    ``points``: the ``_ScaledRows`` of the radii of ``_reduction_radii``,
+    read as one block."""
+    t, n = points.shape
+    return _ScaledRows(points, _reduction_radii(np.empty(t), n, p, seed), lift=lift)[0:t]
+
+
 def scaling_suite(
     seed: int = 0,
     t: int = 100_000,
@@ -64,65 +121,48 @@ def scaling_suite(
     lp_powers: Sequence[float] = (1.0, 2.0, 3.0),
     lp_dim: int = 4,
 ) -> dict:
-    """Distributional checks on the sample rescalings.
+    """Distributional checks on the rows the ICA reductions read and on
+    the lp-ball sampler, on numpy and ``math`` alone.
 
-    - simplex rescaling: pooled coordinates of a rescaled uniform simplex
-      sample are Exp(1) (KS), pairwise uncorrelated (3 sigma), and the row
-      sums are Gamma(n, 1) (KS);
-    - lp rescaling: pooled coordinates of a rescaled uniform ball sample
-      have E|x|^p = 1/p (3 sigma), with KS checks against the explicit
-      densities at p = 1 (Laplace) and p = 2 (normal with variance 1/2);
-    - norm/direction independence of the normalized-vector representation
-      (correlation within 3 sigma of zero);
-    - joint independence of the normalized vector and its denominator,
-      chi-square on a 4 x 4 quantile binning.
+    - simplex reduction: a ``sample_simplex`` draw of the corner simplex
+      conv{0, e_1, ..., e_n} becomes, through ``_reduction_radii`` and the
+      lifted ``_ScaledRows`` as ``reduce_simplex_to_ica`` builds them, rows
+      (E_1, ..., E_n, E_0 + ... + E_n) with E_i iid Exp(1): the first n
+      columns are Exp(1) (KS) and pairwise uncorrelated (3 sigma), and the
+      last column, the lift, is Gamma(n+1, 1) (KS);
+    - lp reduction: a ``sample_lp_ball`` draw, scaled as
+      ``reduce_lp_to_ica`` scales it, has pooled coordinates with
+      E|x|^p = 1/p (3 sigma), with KS checks against the explicit
+      densities at p = 1 (|x| is Exp(1)) and p = 2 (normal with variance
+      1/2);
+    - norm/direction independence of a ``sample_lp_ball`` draw X:
+      ||X||_p and |X_1| / ||X||_p are uncorrelated (3 sigma);
+    - joint independence of |X_1|^p and the denominator sum |G_i|^p + Z
+      that the ball sampler divides by, chi-square on a 4 x 4 quartile
+      binning.
 
-    The only function in the package that uses scipy; it imports
-    ``scipy.stats`` on call, so ``learn`` and ``reduce`` never load it.
+    KS p-values are the asymptotic Kolmogorov tail, and the chi-square
+    tail on its 9 degrees of freedom is a closed form.  Every simplex
+    dimension must be an integer >= 2, else ValueError naming ``n``
+    before any draw.
     """
-    from scipy import stats
-
+    simplex_dims = [_check_count(n, "n", minimum=2) for n in simplex_dims]
     checks: list[dict] = []
 
     for n in simplex_dims:
-        x = sample_standard_simplex(n, t, seed=child_seed(seed, 83, n, 0))
-        y = rescale_simplex_sample(x, seed=child_seed(seed, 83, n, 1))
-        pooled = y.ravel()
-        ks = stats.kstest(pooled, "expon")
-        checks.append(
-            {
-                "name": f"simplex_rescale_exp_ks_n{n}",
-                "statistic": float(ks.statistic),
-                "p_value": float(ks.pvalue),
-                "passed": bool(ks.pvalue >= KS_ALPHA),
-            }
-        )
-        r = float(np.corrcoef(y[:, 0], y[:, 1])[0, 1])
-        checks.append(
-            {
-                "name": f"simplex_rescale_decorrelated_n{n}",
-                "correlation": r,
-                "tolerance": 3.0 / math.sqrt(t),
-                "passed": bool(abs(r) <= 3.0 / math.sqrt(t)),
-            }
-        )
-        sums = y.sum(axis=1)
-        ks_sum = stats.kstest(sums, "gamma", args=(n,))
-        checks.append(
-            {
-                "name": f"simplex_rescale_rowsum_gamma_ks_n{n}",
-                "statistic": float(ks_sum.statistic),
-                "p_value": float(ks_sum.pvalue),
-                "passed": bool(ks_sum.pvalue >= KS_ALPHA),
-            }
-        )
+        corner = Simplex(np.vstack([np.zeros(n), np.eye(n)]))
+        points = sample_simplex(corner, t, child_seed(seed, 83, n, 0))
+        rows = _reduction_rows(points, None, child_seed(seed, 83, n, 1), lift=True)
+        checks.append(_ks_check(f"simplex_rescale_exp_ks_n{n}", rows[:, :n], _gamma_cdf(1)))
+        checks.append(_correlation_check(f"simplex_rescale_decorrelated_n{n}", rows[:, 0], rows[:, 1]))
+        checks.append(_ks_check(f"simplex_rescale_lift_gamma_ks_n{n}", rows[:, -1], _gamma_cdf(n + 1)))
 
     for p in lp_powers:
-        x = sample_lp_ball(lp_dim, p, t, seed=child_seed(seed, 84, int(round(8 * p)), 0))
-        y = rescale_lp_sample(x, p, seed=child_seed(seed, 84, int(round(8 * p)), 1))
-        pooled = np.abs(y.ravel()) ** p
-        mean = float(pooled.mean())
-        se = float(pooled.std(ddof=1) / math.sqrt(pooled.size))
+        key = int(round(8 * p))
+        ball = sample_lp_ball(lp_dim, p, t, child_seed(seed, 84, key, 0))
+        rows = _reduction_rows(ball, p, child_seed(seed, 84, key, 1), lift=False)
+        powers = np.abs(rows) ** p
+        mean, se = float(powers.mean()), float(powers.std(ddof=1) / math.sqrt(powers.size))
         checks.append(
             {
                 "name": f"lp_rescale_moment_p{p:g}_n{lp_dim}",
@@ -133,61 +173,30 @@ def scaling_suite(
             }
         )
         if p == 1.0:
-            ks = stats.kstest(np.abs(y.ravel()), "expon")
-            checks.append(
-                {
-                    "name": f"lp_rescale_abs_exp_ks_p1_n{lp_dim}",
-                    "statistic": float(ks.statistic),
-                    "p_value": float(ks.pvalue),
-                    "passed": bool(ks.pvalue >= KS_ALPHA),
-                }
-            )
+            checks.append(_ks_check(f"lp_rescale_abs_exp_ks_p1_n{lp_dim}", np.abs(rows), _gamma_cdf(1)))
         if p == 2.0:
-            ks = stats.kstest(y.ravel(), "norm", args=(0.0, math.sqrt(0.5)))
-            checks.append(
-                {
-                    "name": f"lp_rescale_normal_ks_p2_n{lp_dim}",
-                    "statistic": float(ks.statistic),
-                    "p_value": float(ks.pvalue),
-                    "passed": bool(ks.pvalue >= KS_ALPHA),
-                }
-            )
+            checks.append(_ks_check(f"lp_rescale_normal_ks_p2_n{lp_dim}", rows, _half_variance_normal_cdf))
 
-    # norm/direction independence of X = G / ||G||_p
     p_ind, n_ind = 3.0, 4
-    g = sample_generalized_gaussian(p_ind, t * n_ind, substream(seed, 85)).reshape(t, n_ind)
-    norms = (np.abs(g) ** p_ind).sum(axis=1) ** (1.0 / p_ind)
-    direction_coord = g[:, 0] / norms
-    r = float(np.corrcoef(norms, direction_coord)[0, 1])
-    checks.append(
-        {
-            "name": f"cone_norm_direction_decorrelated_p{p_ind:g}_n{n_ind}",
-            "correlation": r,
-            "tolerance": 3.0 / math.sqrt(t),
-            "passed": bool(abs(r) <= 3.0 / math.sqrt(t)),
-        }
-    )
+    x = sample_lp_ball(n_ind, p_ind, t, child_seed(seed, 85))
+    norms = (np.abs(x) ** p_ind).sum(axis=1) ** (1.0 / p_ind)
+    checks.append(_correlation_check(f"cone_norm_direction_decorrelated_p{p_ind:g}_n{n_ind}", norms, np.abs(x[:, 0]) / norms))
 
-    # joint independence of H / (sum H + W) and sum H + W, 4 x 4 binning
     p_joint, n_joint = 2.0, 3
-    rng = substream(seed, 86)
-    h = rng.gamma(1.0 / p_joint, 1.0, size=(t, n_joint))
-    w = rng.exponential(1.0, size=t)
-    denom = h.sum(axis=1) + w
-    first = h[:, 0] / denom
-    qx = np.quantile(first, [0.25, 0.5, 0.75])
-    qy = np.quantile(denom, [0.25, 0.5, 0.75])
-    counts = np.zeros((4, 4))
-    ix = np.searchsorted(qx, first)
-    iy = np.searchsorted(qy, denom)
-    np.add.at(counts, (ix, iy), 1)
-    chi2 = stats.chi2_contingency(counts)
+    x, denominators = np.empty((t, n_joint)), np.empty(t)
+    _lp_ball_points(p_joint, child_seed(seed, 86), x, denominators)
+    first = np.abs(x[:, 0]) ** p_joint
+    bins = [np.searchsorted(np.quantile(v, [0.25, 0.5, 0.75]), v) for v in (first, denominators)]
+    counts = np.bincount(4 * bins[0] + bins[1], minlength=16).reshape(4, 4).astype(float)
+    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    p_value = _chi2_sf_9(statistic)
     checks.append(
         {
             "name": f"joint_independence_chi2_p{p_joint:g}_n{n_joint}",
-            "statistic": float(chi2.statistic),
-            "p_value": float(chi2.pvalue),
-            "passed": bool(chi2.pvalue >= CHI2_ALPHA),
+            "statistic": statistic,
+            "p_value": p_value,
+            "passed": bool(p_value >= CHI2_ALPHA),
         }
     )
 
@@ -295,10 +304,13 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> dict:
     """Dispatch a named suite; ``n`` restricts landscape/scaling dims when
-    given.  The landscape suite draws no random numbers, so ``seed`` does
-    not reach it."""
+    given, and is a ValueError for the tv suite, whose dims are fixed.
+    The landscape suite draws no random numbers, so ``seed`` does not
+    reach it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if name == "tv" and n is not None:
+        raise ValueError(f"n applies only to the scaling and landscape suites, got n={n!r} for tv")
     if name == "landscape":
         return landscape_suite(dims=[n] if n is not None else range(2, 9))
     if name == "scaling":

@@ -20,7 +20,6 @@ __all__ = [
     "AffineFrame",
     "isotropic_simplex",
     "make_embed_map",
-    "contains",
     "contains_points",
 ]
 
@@ -124,11 +123,6 @@ def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL)
     if pts.shape[1] != s.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.dim}")
     return (_coordinates(s, pts) >= -tol).all(axis=0)
-
-
-def contains(s: Simplex, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-    """True when the single point ``x`` lies in ``s`` (boundary included)."""
-    return bool(contains_points(s, np.asarray(x, dtype=float)[None, :], tol=tol)[0])
 
 
 @dataclass

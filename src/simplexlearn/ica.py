@@ -22,9 +22,11 @@ the rescaled rows, lifted for the simplex, one row block at a time: no
 (t, d) array is allocated beside the input.
 
 The radii are a stream of their own, independent of the points: one
-private helper holds each reduction's radius law and spawn key, and a
-caller that has drawn the radii already, on another thread beside the
-sample, hands a reduction its ``_ScaledRows`` in place of the points.
+private helper, :func:`_reduction_radii`, holds both reductions' radius
+law and spawn keys, and a caller that has drawn the radii already, on
+another thread beside the sample, hands a reduction its ``_ScaledRows``
+in place of the points.  ``verify --suite scaling`` tests the rows that
+this helper and ``_ScaledRows`` build.
 The symmetric-difference scorer's ball is likewise a stream of its own,
 with a private draw into caller-allocated arrays and a private score of
 a drawn ball.
@@ -41,7 +43,6 @@ from .moments import _sample_frame, _split_half_moment
 from .sampling import (
     _check_count,
     _check_p,
-    _gamma_radii,
     _lp_ball_points,
     _row_blocks,
     _row_sums,
@@ -61,8 +62,6 @@ __all__ = [
     "reduce_lp_to_ica",
     "compute_c_pn",
     "separation_index",
-    "align_signed_permutation",
-    "signed_permutation_deviation",
     "lp_symmetric_difference",
 ]
 
@@ -95,11 +94,12 @@ def _reduction_radii(out: np.ndarray, n: int, p: float | None, seed: int) -> np.
     """Fill ``out``, (t,), with the radii that the reduction of an
     n-column sample scales its rows by, and return it: Gamma(n+1, 1) keyed
     67 for the simplex (``p`` None), Gamma(n/p + 1, 1)^(1/p) keyed 71 for
-    the lp ball, each the stream of
-    :func:`~simplexlearn.sampling._gamma_radii`."""
-    shape, power, key = (n + 1, 1.0, 67) if p is None else (n / p + 1.0, p, 71)
-    for rows, radii in _gamma_radii(out.shape[0], shape, power, substream(seed, key)):
-        out[rows] = radii
+    the lp ball.  The one home of the radius law: the Gamma variates are
+    drawn straight into ``out``, so the draw builds no other array."""
+    shape, key = (n + 1.0, 67) if p is None else (n / p + 1.0, 71)
+    substream(seed, key).standard_gamma(shape, out=out)
+    if p is not None:
+        out **= 1.0 / p
     return out
 
 
@@ -334,38 +334,6 @@ def separation_index(g: np.ndarray) -> float:
     rows = (g.sum(axis=1) / g.max(axis=1) - 1.0).sum()
     cols = (g.sum(axis=0) / g.max(axis=0) - 1.0).sum()
     return float((rows + cols) / (2.0 * d * (d - 1.0)))
-
-
-def align_signed_permutation(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy signed-permutation alignment of a near-signed-permutation
-    matrix: repeatedly take the largest remaining |entry|.
-
-    Returns (perm, signs) such that column perm[i], flipped by signs[i],
-    is the one matched to row i.  Raises ValueError unless g is a finite
-    square matrix.
-    """
-    g = _finite_square(g, "g")
-    d = g.shape[0]
-    work = np.abs(g).copy()
-    perm = np.full(d, -1, dtype=int)
-    signs = np.ones(d)
-    for _ in range(d):
-        i, j = np.unravel_index(np.argmax(work), work.shape)
-        perm[i] = j
-        signs[i] = 1.0 if g[i, j] >= 0 else -1.0
-        work[i, :] = -np.inf
-        work[:, j] = -np.inf
-    return perm, signs
-
-
-def signed_permutation_deviation(g: np.ndarray) -> float:
-    """Max per-entry deviation of g from the nearest greedy-aligned signed
-    permutation matrix; ValueError unless g is a finite square matrix."""
-    g = _finite_square(g, "g")
-    perm, signs = align_signed_permutation(g)
-    target = np.zeros_like(g)
-    target[np.arange(g.shape[0]), perm] = signs
-    return float(np.abs(g - target).max())
 
 
 def lp_symmetric_difference(

@@ -1,5 +1,4 @@
-"""Seeded samplers for simplices and lp balls, plus the gamma rescalings
-that turn bounded uniform samples into products of independent coordinates.
+"""Seeded samplers for simplices, lp balls and the exp(-|x|^p) density.
 
 Every producer returns a plain (t, d) float array, takes an integer seed
 and derives its stream from a keyed ``SeedSequence``, so calling it again
@@ -31,21 +30,17 @@ __all__ = [
     "sample_generalized_gaussian",
     "generalized_gaussian_std",
     "sample_lp_ball",
-    "rescale_simplex_sample",
-    "rescale_lp_sample",
     "simplex_source",
 ]
 
 P_MIN, P_MAX = 1.0, 64.0
 
 # Spawn-key namespaces, one per producer, so equal seeds never collide
-# across sources.  Key 4 is retired; the others keep their numbers so
-# their streams do not change.
+# across sources.  Keys 4, 5 and 6 are retired; the others keep their
+# numbers so their streams do not change.
 _KEY_STANDARD = 1
 _KEY_SIMPLEX = 2
 _KEY_LP_BALL = 3
-_KEY_RESCALE_SIMPLEX = 5
-_KEY_RESCALE_LP = 6
 _KEY_SOURCE = 7
 _KEY_GENERALIZED_GAUSSIAN = 8
 
@@ -257,63 +252,6 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     out = np.empty((t, n))
     _lp_ball_points(p, seed, out, np.empty(t))
     return out
-
-
-def _gamma_radii(count: int, shape: float, p: float, rng: np.random.Generator) -> Iterator[tuple[slice, np.ndarray]]:
-    """``count`` independent Gamma(shape, 1)^(1/p) radii, the law behind
-    both rescalings below and both ICA reductions, block by block: each
-    row slice with its radii."""
-    for rows in _row_blocks(0, count):
-        radii = rng.standard_gamma(shape, size=rows.stop - rows.start)
-        radii **= 1.0 / p
-        yield rows, radii
-
-
-def _gamma_rescale(points: np.ndarray, shape: float, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Each row of ``points`` times an independent radius of
-    :func:`_gamma_radii`, written block by block into a new array."""
-    out = np.empty_like(points)
-    for rows, radii in _gamma_radii(points.shape[0], shape, p, rng):
-        np.multiply(points[rows], radii[:, None], out=out[rows])
-    return out
-
-
-def _sample_rows(x: np.ndarray) -> np.ndarray:
-    """``x`` as a float (t, d) array; ValueError naming the shape unless it
-    is 2-D with at least one row and one column."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2 or pts.size == 0:
-        raise ValueError(f"sample must be a non-empty 2-D (t, d) array, got shape {pts.shape}")
-    return pts
-
-
-def rescale_simplex_sample(x: np.ndarray, seed: int) -> np.ndarray:
-    """Scale each simplex point by an independent Gamma(n, 1) radius.
-
-    For rows uniform on Delta^(n-1) the output coordinates are iid Exp(1).
-    Rows must be finite and sum to one within 1e-9.
-    """
-    pts = _sample_rows(x)
-    if not np.abs(pts.sum(axis=1) - 1.0).max() <= 1e-9:  # a NaN or Inf row fails too
-        raise ValueError("rows must be finite and lie on the simplex (coordinates summing to one)")
-    return _gamma_rescale(pts, pts.shape[1], 1.0, substream(seed, _KEY_RESCALE_SIMPLEX))
-
-
-def rescale_lp_sample(x: np.ndarray, p: float, seed: int) -> np.ndarray:
-    """Scale each lp-ball point by T^(1/p) with T ~ Gamma(n/p + 1, 1).
-
-    For rows uniform in the unit lp ball the output coordinates are iid
-    with density proportional to exp(-|t|^p).  Rows must be finite and
-    have lp norm at most 1 + 1e-9.
-    """
-    p = _check_p(p)
-    pts = _sample_rows(x)
-    for rows in _row_blocks(0, pts.shape[0]):
-        powers = np.abs(pts[rows])
-        powers **= p
-        if not (_row_sums(powers) ** (1.0 / p)).max() <= 1.0 + 1e-9:  # a NaN or Inf row fails too
-            raise ValueError("rows must be finite and lie in the unit lp ball")
-    return _gamma_rescale(pts, pts.shape[1] / p + 1.0, p, substream(seed, _KEY_RESCALE_LP))
 
 
 def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:

@@ -15,12 +15,10 @@ import pytest
 from simplexlearn import sampling
 from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.geometry import MEMBERSHIP_TOL, Simplex, _barycentric
-from simplexlearn.ica import lp_symmetric_difference, reduce_lp_to_ica, reduce_simplex_to_ica
+from simplexlearn.ica import _reduction_radii, lp_symmetric_difference, reduce_lp_to_ica, reduce_simplex_to_ica
 from simplexlearn.sampling import (
     _row_blocks,
     _row_sums,
-    rescale_lp_sample,
-    rescale_simplex_sample,
     sample_generalized_gaussian,
     sample_lp_ball,
     sample_simplex,
@@ -162,20 +160,18 @@ class TestLpDraws:
             assert np.array_equal(sample_generalized_gaussian(p, t, substream(3, 803)), expected)
 
 
-class TestRescalings:
+class TestReductionRadii:
     @pytest.mark.parametrize("m", WIDTHS)
-    def test_simplex_rescale(self, sizes, m):
+    def test_simplex_radii(self, sizes, m):
         for t in sizes:
-            x = whole_weights(substream(4, 808), m, t)
-            radii = substream(5, sampling._KEY_RESCALE_SIMPLEX).gamma(m, 1.0, size=t) ** 1.0
-            assert np.array_equal(rescale_simplex_sample(x, 5), x * radii[:, None])
+            expected = substream(5, 67).gamma(m, 1.0, size=t)
+            assert np.array_equal(_reduction_radii(np.empty(t), m - 1, None, 5), expected)
 
     @pytest.mark.parametrize("n, p", LP_CASES)
-    def test_lp_rescale(self, sizes, n, p):
+    def test_lp_radii(self, sizes, n, p):
         for t in sizes:
-            x = substream(6, 807).uniform(-1.0 / n, 1.0 / n, size=(t, n))  # inside every unit lp ball
-            radii = substream(7, sampling._KEY_RESCALE_LP).gamma(n / p + 1.0, 1.0, size=t) ** (1.0 / p)
-            assert np.array_equal(rescale_lp_sample(x, p, 7), x * radii[:, None])
+            expected = substream(7, 71).gamma(n / p + 1.0, 1.0, size=t) ** (1.0 / p)
+            assert np.array_equal(_reduction_radii(np.empty(t), n, p, 7), expected)
 
 
 class TestMonteCarloScorers:
@@ -227,11 +223,9 @@ class TestMemory:
         output = 200_000 * 5 * 8 / 1e6
         assert traced_peak(lambda: sample_lp_ball(5, 3.0, 200_000, 0)) <= output + 3.0
 
-    def test_lp_rescale_checks_norms_block_by_block(self):
-        # the whole-array norm check peaked at 16.0 MB
-        x = sample_lp_ball(5, 3.0, 200_000, 0)
-        output = x.nbytes / 1e6
-        assert traced_peak(lambda: rescale_lp_sample(x, 3.0, 1)) <= output + 2.0
+    def test_radii_are_drawn_into_their_array(self):
+        radii = np.empty(200_000)
+        assert traced_peak(lambda: _reduction_radii(radii, 5, 3.0, 1)) <= 0.01
 
     def test_simplex_draw_builds_no_weights(self):
         s = random_simplex(9, 5)

@@ -45,7 +45,7 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 13
+        assert report["schema_version"] == 14
         assert report["found_count"] == 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["prefix_steps"] == 0  # 8000 // 8 rows are below the floor
@@ -134,7 +134,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 13
+        assert report["schema_version"] == 14
         assert report["converged"] == [True] * 3
         assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
 

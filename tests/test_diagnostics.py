@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simplexlearn import diagnostics, ica
 from simplexlearn.diagnostics import (
     SUITES,
     landscape_suite,
@@ -38,6 +39,43 @@ class TestScalingSuite:
         a = scaling_suite(seed=3, t=10_000, simplex_dims=(3,), lp_powers=(1.0,), lp_dim=3)
         b = scaling_suite(seed=3, t=10_000, simplex_dims=(3,), lp_powers=(1.0,), lp_dim=3)
         assert a == b
+
+
+def radii_of_shape_n(out, n, p, seed):
+    # Gamma(n) radii for the simplex, one short of the lift's n + 1
+    return ica._reduction_radii(out, n - 1 if p is None else n, p, seed)
+
+
+def radii_without_the_root(out, n, p, seed):
+    # Gamma(n/p + 1) radii for the lp ball, not their p-th roots
+    out = ica._reduction_radii(out, n, p, seed)
+    if p is not None:
+        out **= p
+    return out
+
+
+MUTANTS = [
+    pytest.param("_reduction_radii", radii_of_shape_n, "simplex_rescale", id="simplex-radii-gamma-n"),
+    pytest.param("_reduction_radii", radii_without_the_root, "lp_rescale", id="lp-radii-without-1/p"),
+    pytest.param(
+        "_ScaledRows",
+        lambda points, radii, lift: ica._ScaledRows(points, radii, lift=False),
+        "simplex_rescale_lift",
+        id="rows-without-the-lift",
+    ),
+]
+
+
+class TestScalingSuiteReadsWhatRuns:
+    @pytest.mark.parametrize("name, mutant, caught_by", MUTANTS)
+    def test_a_broken_reduction_fails_the_suite(self, monkeypatch, name, mutant, caught_by):
+        # the suite builds its rows with the reductions' own radii and
+        # scaled rows, so a fault in either fails it at the fixed seed
+        monkeypatch.setattr(diagnostics, name, mutant)
+        report = scaling_suite(seed=0)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert not report["pass"]
+        assert failed and all(check.startswith(caught_by) for check in failed)
 
 
 class TestTvSuite:
@@ -80,6 +118,15 @@ class TestRunSuite:
     def test_scaling_dimension_restriction(self):
         report = run_suite("scaling", seed=0, n=3)
         assert report["params"]["simplex_dims"] == [3]
+
+    def test_scaling_simplex_needs_two_dimensions(self):
+        # its decorrelation check reads two Exp(1) columns, not the lift
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
+            run_suite("scaling", seed=0, n=1)
+
+    def test_tv_suite_takes_no_n(self):
+        with pytest.raises(ValueError, match="^n applies only to the scaling and landscape suites, got n=3"):
+            run_suite("tv", seed=0, n=3)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

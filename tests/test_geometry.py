@@ -14,7 +14,6 @@ from simplexlearn.geometry import (
     Simplex,
     _barycentric,
     _coordinates,
-    contains,
     contains_points,
     isotropic_simplex,
     make_embed_map,
@@ -114,7 +113,7 @@ class TestBarycentric:
         s = right_triangle()
         point = np.array([0.25, 0.25])
         assert contains_points(s, point).shape == (1,)
-        assert contains(s, point)
+        assert contains_points(s, point)[0]
         assert np.allclose(_coordinates(s, point[None, :]).T, [[0.5, 0.25, 0.25]])
 
     def test_dimension_mismatch(self):
@@ -165,14 +164,14 @@ class TestBarycentric:
     def test_vertices_and_centroid_inside(self):
         s = right_triangle()
         assert contains_points(s, s.vertices).all()
-        assert contains(s, s.centroid())
-        assert not contains(s, np.array([1.0, 1.0]))
+        assert contains_points(s, s.centroid())[0]
+        assert not contains_points(s, np.array([1.0, 1.0]))[0]
 
     def test_inverse_is_cached(self):
         s = right_triangle()
-        contains(s, np.zeros(2))
+        contains_points(s, np.zeros(2))
         first = _barycentric(s)
-        contains(s, np.ones(2))
+        contains_points(s, np.ones(2))
         assert _barycentric(s) is first
 
 

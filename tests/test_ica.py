@@ -8,18 +8,15 @@ from simplexlearn import ica, sampling
 from simplexlearn.evaluation import match_vertices
 from simplexlearn.geometry import Simplex
 from simplexlearn.ica import (
-    align_signed_permutation,
     compute_c_pn,
     ica_estimate,
     lp_symmetric_difference,
     reduce_lp_to_ica,
     reduce_simplex_to_ica,
     separation_index,
-    signed_permutation_deviation,
 )
 from simplexlearn.moments import DegenerateSampleError
 from simplexlearn.sampling import (
-    _gamma_rescale,
     _row_blocks,
     generalized_gaussian_std,
     sample_lp_ball,
@@ -27,6 +24,17 @@ from simplexlearn.sampling import (
     substream,
 )
 from simplexlearn.vertex_finder import MAX_STEPS, _polar_step
+
+
+def signed_permutation_deviation(g: np.ndarray) -> float:
+    """Max per-entry deviation of g from the signed permutation matrix
+    that matches, greedily, the largest remaining |entry| of g."""
+    work, target = np.abs(g), np.zeros_like(g)
+    for _ in range(g.shape[0]):
+        i, j = np.unravel_index(np.argmax(work), work.shape)
+        target[i, j] = 1.0 if g[i, j] >= 0 else -1.0
+        work[i, :] = work[:, j] = -np.inf
+    return float(np.abs(g - target).max())
 
 
 def exponential_mixture(a: np.ndarray, shift: np.ndarray, t: int, seed: int) -> np.ndarray:
@@ -271,12 +279,12 @@ class TestBlockedPasses:
         if problem == "simplex":
             points = sample_simplex(Simplex(substream(4, 605).standard_normal((5, 4))), t, 34)
             t, n = points.shape
-            expected = _gamma_rescale(np.hstack([points, np.ones((t, 1))]), n + 1, 1.0, substream(9, 67))
+            expected = np.hstack([points, np.ones((t, 1))]) * substream(9, 67).gamma(n + 1, 1.0, size=t)[:, None]
             estimate = lambda: reduce_simplex_to_ica(points, seed=9).estimate  # noqa: E731
         else:
             points = sample_lp_ball(4, 3.0, t, 34)
             t, n = points.shape
-            expected = _gamma_rescale(points, n / 3.0 + 1.0, 3.0, substream(9, 71))
+            expected = points * substream(9, 71).gamma(n / 3.0 + 1.0, 1.0, size=t)[:, None] ** (1.0 / 3.0)
             estimate = lambda: reduce_lp_to_ica(points, 3.0, seed=9).estimate  # noqa: E731
         real, seen = ica._ScaledRows.__getitem__, set()
 
@@ -512,30 +520,6 @@ class TestSeparationIndex:
     def test_zero_row_or_column_rejected(self, g, line):
         with pytest.raises(ValueError, match=f"g has a zero {line}"):
             separation_index(g)
-
-
-class TestSignedPermutationTools:
-    def test_align_recovers_construction(self):
-        g = np.array([[0.1, 0.98], [-1.02, 0.05]])
-        perm, signs = align_signed_permutation(g)
-        assert perm.tolist() == [1, 0]
-        assert signs.tolist() == [1.0, -1.0]
-
-    def test_deviation_of_crafted_matrix(self):
-        g = np.array([[0.1, 0.98], [-1.02, 0.05]])
-        assert signed_permutation_deviation(g) == pytest.approx(0.1)
-
-    def test_exact_signed_permutation_has_zero_deviation(self):
-        g = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        assert signed_permutation_deviation(g) == 0.0
-
-    @pytest.mark.parametrize("tool", [align_signed_permutation, signed_permutation_deviation])
-    def test_rejects_non_square_and_non_finite(self, tool):
-        with pytest.raises(ValueError, match="^g must be a square matrix"):
-            tool(np.ones((2, 3)))
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="^g holds non-finite values"):
-                tool(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 class TestLpSymmetricDifference:

@@ -37,6 +37,11 @@ DELETED = [
     "ExperimentReport",
     "IterationConfig",
     "standard_simplex",
+    "rescale_simplex_sample",
+    "rescale_lp_sample",
+    "align_signed_permutation",
+    "signed_permutation_deviation",
+    "contains",
 ]
 
 
@@ -131,7 +136,7 @@ def test_demos_import_only_public_names(demo):
     assert [name for name in imported if name not in simplexlearn.__all__] == []
 
 
-# learn and reduce run on numpy alone: scipy would add about a second of
+# every command runs on numpy alone: scipy would add about a second of
 # import and a second OpenBLAS thread pool to every invocation
 _NO_SCIPY = """
 import contextlib, io, sys
@@ -140,12 +145,14 @@ out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     assert simplexlearn.cli.main(["learn", "--n", "3", "--t1", "2000", "--t3", "2000", "--r", "5", "--out", out]) == 0
     assert simplexlearn.cli.main(["reduce", "--problem", "lp", "--p", "3", "--t", "20000", "--out", out]) == 0
+    for suite in ("scaling", "tv", "landscape"):
+        assert simplexlearn.cli.main(["verify", "--suite", suite, "--out", out]) == 0
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
 
-def test_learn_and_reduce_never_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # the child imports the package this suite imported, installed or not
     root = os.path.dirname(os.path.dirname(simplexlearn.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
@@ -153,3 +160,14 @@ def test_learn_and_reduce_never_import_scipy(tmp_path):
         [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "report.json")], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test extra only: no module imports it, at load or on call
+    for path in Path(simplexlearn.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            assert [name for name in names if name.split(".")[0] == "scipy"] == [], path.name

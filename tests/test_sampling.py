@@ -10,12 +10,9 @@ from simplexlearn.ica import compute_c_pn, lp_symmetric_difference, reduce_lp_to
 from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex
 from simplexlearn.sampling import (
     _KEY_GENERALIZED_GAUSSIAN,
-    _gamma_rescale,
     _simplex_weights,
     child_seed,
     generalized_gaussian_std,
-    rescale_lp_sample,
-    rescale_simplex_sample,
     sample_generalized_gaussian,
     sample_lp_ball,
     sample_simplex,
@@ -75,8 +72,9 @@ class TestDeterminism:
 
 
 def gamma_radii(shape: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The Gamma(shape, 1) radii that ``_gamma_rescale`` puts on rows at p = 1."""
-    return _gamma_rescale(np.ones((count, 1)), shape, 1.0, rng)[:, 0]
+    """``count`` Gamma(shape, 1) radii, the law of the simplex reduction's
+    radii at shape n + 1."""
+    return rng.gamma(shape, 1.0, size=count)
 
 
 class TestGamma:
@@ -253,7 +251,6 @@ P_CASES = [
     pytest.param(lambda p: sample_generalized_gaussian(p, 10, 0), id="sample_generalized_gaussian"),
     pytest.param(generalized_gaussian_std, id="generalized_gaussian_std"),
     pytest.param(lambda p: sample_lp_ball(3, p, 10, 0), id="sample_lp_ball"),
-    pytest.param(lambda p: rescale_lp_sample(np.zeros((10, 3)), p, 0), id="rescale_lp_sample"),
     pytest.param(lambda p: reduce_lp_to_ica(np.zeros((10, 3)), p), id="reduce_lp_to_ica"),
     pytest.param(lambda p: compute_c_pn(p, 3), id="compute_c_pn"),
     pytest.param(lambda p: lp_symmetric_difference(np.eye(3), np.eye(3), p, 10), id="lp_symmetric_difference"),
@@ -285,73 +282,6 @@ class TestCountArguments:
 
     def test_zero_generalized_gaussian_draws(self):
         assert sample_generalized_gaussian(3.0, 0, 0).shape == (0,)
-
-
-class TestRescaling:
-    def test_simplex_rescale_pooled_exponential(self):
-        x = sample_standard_simplex(5, T, 6)
-        y = rescale_simplex_sample(x, 7)
-        pooled = y.ravel()
-        assert stats.kstest(pooled, "expon").pvalue >= 0.01
-
-    def test_simplex_rescale_decorrelates(self):
-        y = rescale_simplex_sample(sample_standard_simplex(5, T, 8), 9)
-        r = np.corrcoef(y[:, 0], y[:, 1])[0, 1]
-        assert abs(r) <= 3 / math.sqrt(T)
-
-    def test_simplex_rescale_row_sums_gamma(self):
-        n = 5
-        y = rescale_simplex_sample(sample_standard_simplex(n, T, 10), 11)
-        assert stats.kstest(y.sum(axis=1), "gamma", args=(n,)).pvalue >= 0.01
-
-    def test_simplex_rescale_rejects_non_simplex_rows(self):
-        bad = sample_standard_simplex(3, 10, 0) * 2.0
-        with pytest.raises(ValueError):
-            rescale_simplex_sample(bad, 0)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_simplex_rescale_rejects_non_finite_rows(self, value):
-        bad = sample_standard_simplex(3, 10, 0)
-        bad[4, 1] = value
-        with pytest.raises(ValueError, match="finite"):
-            rescale_simplex_sample(bad, 0)
-
-    def test_lp_rescale_p1_pooled_exponential(self):
-        y = rescale_lp_sample(sample_lp_ball(4, 1.0, T, 12), 1.0, 13)
-        assert stats.kstest(np.abs(y.ravel()), "expon").pvalue >= 0.01
-
-    def test_lp_rescale_p2_pooled_normal(self):
-        y = rescale_lp_sample(sample_lp_ball(4, 2.0, T, 14), 2.0, 15)
-        assert stats.kstest(y.ravel(), "norm", args=(0.0, math.sqrt(0.5))).pvalue >= 0.01
-
-    def test_lp_rescale_p3_third_moment(self):
-        y = rescale_lp_sample(sample_lp_ball(4, 3.0, T, 16), 3.0, 17)
-        a = np.abs(y.ravel()) ** 3
-        assert abs(a.mean() - 1 / 3) <= 3 * se(a)
-
-    def test_lp_rescale_rejects_outside_rows(self):
-        bad = sample_lp_ball(3, 2.0, 10, 0) * 3.0
-        with pytest.raises(ValueError):
-            rescale_lp_sample(bad, 2.0, 0)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_lp_rescale_rejects_non_finite_rows(self, value):
-        bad = sample_lp_ball(3, 2.0, 10, 0)
-        bad[4, 1] = value
-        with pytest.raises(ValueError, match="finite"):
-            rescale_lp_sample(bad, 2.0, 0)
-
-
-class TestRescaleShapes:
-    @pytest.mark.parametrize("shape", [(5,), (0, 3), (4, 0), (2, 2, 2)])
-    @pytest.mark.parametrize(
-        "rescale",
-        [lambda x: rescale_simplex_sample(x, 0), lambda x: rescale_lp_sample(x, 2.0, 0)],
-        ids=["simplex", "lp"],
-    )
-    def test_named_at_the_boundary(self, rescale, shape):
-        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-            rescale(np.zeros(shape))
 
 
 SEED_CALLS = [
