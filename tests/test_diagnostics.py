@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from simplexlearn import diagnostics, ica
 from simplexlearn.diagnostics import (
@@ -76,6 +79,47 @@ class TestScalingSuiteReadsWhatRuns:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert not report["pass"]
         assert failed and all(check.startswith(caught_by) for check in failed)
+
+
+class TestStatistics:
+    # the suite's numpy-only laws against scipy's
+    @pytest.mark.parametrize("z", [0.3, 0.8, 1.17, 1.18, 1.5, 2.5])
+    def test_kolmogorov_tail(self, z):
+        assert diagnostics._kolmogorov_sf(z) == pytest.approx(stats.kstwobign.sf(z), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [1, 2, 4, 9])
+    def test_gamma_cdf(self, shape):
+        x = np.linspace(0.0, 40.0, 401)
+        np.testing.assert_allclose(diagnostics._gamma_cdf(shape)(x), stats.gamma.cdf(x, shape), rtol=0, atol=1e-12)
+
+    def test_half_variance_normal_cdf(self):
+        x = np.linspace(-5.0, 5.0, 201)
+        expected = stats.norm.cdf(x, scale=math.sqrt(0.5))
+        np.testing.assert_allclose(diagnostics._half_variance_normal_cdf(x), expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("x", [0.5, 3.0, 9.0, 20.0, 40.0])
+    def test_chi2_tail_on_nine_degrees(self, x):
+        assert diagnostics._chi2_sf_9(x) == pytest.approx(stats.chi2.sf(x, 9), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "draw, cdf, scipy_law",
+        [
+            pytest.param(lambda rng: rng.exponential(size=20_000), diagnostics._gamma_cdf(1), ("expon",), id="exp"),
+            pytest.param(
+                lambda rng: rng.normal(0.0, math.sqrt(0.5), size=20_000),
+                diagnostics._half_variance_normal_cdf,
+                ("norm", (0.0, math.sqrt(0.5))),
+                id="normal",
+            ),
+        ],
+    )
+    def test_ks_check(self, draw, cdf, scipy_law):
+        sample = draw(substream(0, 880))
+        check = diagnostics._ks_check("ks", sample, cdf)
+        reference = stats.kstest(sample, *scipy_law, method="asymp")
+        assert check["statistic"] == pytest.approx(reference.statistic, rel=0, abs=1e-12)
+        assert check["p_value"] == pytest.approx(reference.pvalue, rel=0, abs=1e-12)
+        assert check["passed"] == (reference.pvalue >= 0.01)
 
 
 class TestTvSuite:

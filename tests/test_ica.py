@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from simplexlearn import ica, sampling
 from simplexlearn.evaluation import match_vertices
@@ -427,6 +428,92 @@ class TestReductionInput:
         monkeypatch.setattr(ica, "ica_estimate", unreachable)
         with pytest.raises(ValueError, match="p must lie in"):
             reduce_lp_to_ica(sample_lp_ball(2, 3.0, 1000, 0), p)
+
+
+REDUCTIONS = [
+    pytest.param(lambda x: reduce_simplex_to_ica(x), id="simplex"),
+    pytest.param(lambda x: reduce_lp_to_ica(x, 2.0), id="lp"),
+]
+
+
+class TestReductionSamples:
+    @pytest.mark.parametrize("shape", [(5,), (0, 3), (4, 0), (2, 2, 2)])
+    @pytest.mark.parametrize("reduce", REDUCTIONS)
+    def test_shape_named_at_the_boundary(self, reduce, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            reduce(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("reduce", REDUCTIONS)
+    def test_non_finite_rows_rejected(self, reduce, value):
+        bad = sample_lp_ball(3, 2.0, 50, 0)
+        bad[4, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            reduce(bad)
+
+
+class _Captured(Exception):
+    pass
+
+
+def rows_handed_to_ica(reduce, monkeypatch) -> np.ndarray:
+    """The rows, read as one block, that ``reduce()`` hands ICA."""
+
+    def capture(points, contrast, **kwargs):
+        raise _Captured(points[0 : points.shape[0]].copy())
+
+    monkeypatch.setattr(ica, "ica_estimate", capture)
+    with pytest.raises(_Captured) as caught:
+        reduce()
+    return caught.value.args[0]
+
+
+ROWS_T = 100_000
+
+
+def corner_rows(n: int, seed: int, monkeypatch) -> np.ndarray:
+    # conv{0, e_1, ..., e_n}: the lifted rows are (E_1, ..., E_n, E_0 + ... + E_n)
+    corner = Simplex(np.vstack([np.zeros(n), np.eye(n)]))
+    points = sample_simplex(corner, ROWS_T, seed)
+    return rows_handed_to_ica(lambda: reduce_simplex_to_ica(points, seed=seed + 1), monkeypatch)
+
+
+def lp_rows(p: float, seed: int, monkeypatch) -> np.ndarray:
+    ball = sample_lp_ball(4, p, ROWS_T, seed)
+    return rows_handed_to_ica(lambda: reduce_lp_to_ica(ball, p, seed=seed + 1), monkeypatch)
+
+
+class TestReductionRows:
+    def test_simplex_rows_are_exponential(self, monkeypatch):
+        rows = corner_rows(4, 6, monkeypatch)
+        assert rows.shape == (ROWS_T, 5)
+        assert stats.kstest(rows[:, :4].ravel(), "expon").pvalue >= 0.01
+
+    def test_simplex_rows_decorrelate(self, monkeypatch):
+        rows = corner_rows(4, 8, monkeypatch)
+        assert abs(np.corrcoef(rows[:, 0], rows[:, 1])[0, 1]) <= 3 / math.sqrt(ROWS_T)
+
+    def test_simplex_lift_is_gamma(self, monkeypatch):
+        rows = corner_rows(4, 10, monkeypatch)
+        assert stats.kstest(rows[:, -1], "gamma", args=(5,)).pvalue >= 0.01
+
+    def test_simplex_weight_of_the_origin_is_exponential(self, monkeypatch):
+        # the lift less the first n columns is E_0, the origin's scaled weight
+        rows = corner_rows(4, 12, monkeypatch)
+        assert stats.kstest(rows[:, -1] - rows[:, :4].sum(axis=1), "expon").pvalue >= 0.01
+
+    def test_lp_rows_p1_are_laplace(self, monkeypatch):
+        rows = lp_rows(1.0, 14, monkeypatch)
+        assert rows.shape == (ROWS_T, 4)
+        assert stats.kstest(np.abs(rows.ravel()), "expon").pvalue >= 0.01
+
+    def test_lp_rows_p2_are_normal(self, monkeypatch):
+        rows = lp_rows(2.0, 16, monkeypatch)
+        assert stats.kstest(rows.ravel(), "norm", args=(0.0, math.sqrt(0.5))).pvalue >= 0.01
+
+    def test_lp_rows_p3_third_moment(self, monkeypatch):
+        a = np.abs(lp_rows(3.0, 18, monkeypatch).ravel()) ** 3
+        assert abs(a.mean() - 1 / 3) <= 3 * a.std(ddof=1) / math.sqrt(a.size)
 
 
 class TestLpReduction:
