@@ -14,6 +14,12 @@ itself fails.  Reports go to --out, else to
 $SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout; a report
 path that cannot name a file (empty, a directory, or below a file) is a
 schema error before the run.
+
+One table, ``_FLAGS``, holds each command's keys with their type,
+default and help; it builds the parser, the keys a config file may set,
+the defaults and the help's "(default X)".  One rule per type checks
+every value, a flag's and a config file's alike; the checks that compare
+fields stay in their command.
 """
 
 from __future__ import annotations
@@ -30,20 +36,42 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import child_seed
+from . import diagnostics, evaluation, geometry, ica, learner, sampling
 from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, PREFIX_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
 SCHEMA_VERSION = 14
 
-# flags each command accepts, for config-file validation (unknown keys are
-# rejected rather than ignored)
-_ALLOWED = {
-    "learn": {"n", "t1", "t3", "m", "r", "seed", "out"},
-    "reduce": {"problem", "n", "p", "t", "seed", "out"},
-    "verify": {"suite", "n", "seed", "out"},
+# every key a command takes, as a flag or in a config file: its type, its
+# default when neither sets it, and its help, which states that default
+_SHARED = {
+    "seed": (int, 0, "master seed"),
+    "out": (str, None, f"report path; without it ${OUT_ENV}/<command>-seed<seed>.json, else stdout"),
 }
+_FLAGS = {
+    "learn": {
+        "n": (int, 5, "simplex dimension"),
+        "t1": (int, 50_000, "first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2"),
+        "t3": (int, 50_000, "second part of that block"),
+        "m": (int, None, "kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns"),
+        "r": (int, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {PREFIX_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share"),
+        **_SHARED,
+    },
+    "reduce": {
+        "problem": (str, "simplex", "instance family"),
+        "n": (int, 3, "ambient dimension"),
+        "p": (float, None, "lp-ball exponent, required for --problem lp and rejected otherwise"),
+        "t": (int, 200_000, "sample size"),
+        **_SHARED,
+    },
+    "verify": {
+        "suite": (str, "scaling", "suite name; landscape draws no random numbers and takes no --seed"),
+        "n": (int, None, "restrict the scaling or landscape suite to one dimension"),
+        **_SHARED,
+    },
+}
+_CHOICES = {"problem": ("simplex", "lp"), "suite": tuple(diagnostics.SUITES)}
 
 
 class SchemaError(ValueError):
@@ -62,53 +90,45 @@ def _load_config_file(path: str, command: str) -> dict:
         raise SchemaError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config file must hold a JSON object")
-    unknown = set(raw) - _ALLOWED[command]
+    unknown = set(raw) - set(_FLAGS[command])
     if unknown:
         raise SchemaError(f"unknown config fields for {command}: {sorted(unknown)}")
-    for key in ("suite", "problem", "out"):
-        if key in raw and not isinstance(raw[key], str):
-            raise SchemaError(f"{key} must be a string")
     return raw
 
 
-def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> tuple[dict, set]:
-    """defaults < config file < explicit flags; returns the merged
-    configuration and the keys the config file or a flag set."""
-    given = {}
-    if args.config is not None:
-        given = _load_config_file(args.config, command)
+def _check(key: str, value, kind: type, default) -> None:
+    """One rule per type, for a flag's value and a config file's alike."""
+    if value is None:
         # a null would stand in for a default that is not null, such as a
         # seed that then comes from OS entropy
-        nulls = sorted(key for key, value in given.items() if value is None and defaults.get(key) is not None)
-        if nulls:
-            raise SchemaError(f"{nulls[0]} must not be null")
-    for key in _ALLOWED[command]:
-        value = getattr(args, key, None)
-        if value is not None:
-            given[key] = value
+        if default is not None:
+            raise SchemaError(f"{key} must not be null")
+    elif kind is int:
+        low = 0 if key == "seed" else 1
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise SchemaError(f"{key} must be a {'nonnegative' if low == 0 else 'positive'} integer")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{key} must be a number")
+    elif not isinstance(value, str):
+        raise SchemaError(f"{key} must be a string")
+    elif key in _CHOICES and value not in _CHOICES[key]:
+        raise SchemaError(f"{key} must be one of {sorted(_CHOICES[key])}")
+
+
+def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, set]:
+    """defaults < config file < explicit flags; returns the merged
+    configuration and the keys the config file or a flag set.  Every value
+    of both is checked, a config file's too where a flag overrides it."""
+    flags = _FLAGS[command]
+    given = {} if args.config is None else _load_config_file(args.config, command)
+    flagged = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    for key, value in [*given.items(), *flagged.items()]:
+        _check(key, value, *flags[key][:2])
+    given.update(flagged)
+    # the report records its own path only when one was given
+    defaults = {key: default for key, (_, default, _) in flags.items() if key != "out"}
     return {**defaults, **given}, set(given)
-
-
-def _validate_common(cfg: dict, command: str) -> None:
-    n = cfg.get("n")
-    if n is not None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise SchemaError("n must be an integer")
-        floor = 2 if command == "learn" or cfg.get("suite") in ("scaling", "landscape") else 1
-        if n < floor:
-            where = f"{command} --suite {cfg['suite']}" if command == "verify" else command
-            raise SchemaError(f"n must be >= {floor} for {where}")
-    seed = cfg.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
-        raise SchemaError("seed must be a nonnegative integer")
-    for key in ("t", "t1", "t3", "m", "r"):
-        value = cfg.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 1):
-            raise SchemaError(f"{key} must be a positive integer")
-    if command == "learn" and cfg["t1"] + cfg["t3"] < n + 2:
-        raise SchemaError(f"t1 + t3 must be at least n+2 = {n + 2}: n+1 points whiten to a regular simplex")
-    if command == "learn" and cfg["m"] is not None and cfg["m"] < n + 1:
-        raise SchemaError(f"m must be at least n+1 = {n + 1}: every run starts n+1 columns")
 
 
 def _report_path(cfg: dict, command: str) -> str | None:
@@ -136,37 +156,41 @@ def _emit(payload: dict, out: str | None) -> None:
     print(f"wrote {out}")
 
 
-def _synthesize_simplex(n: int, seed: int):
+def _rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random orthogonal (n, n) matrix: the Q of a Gaussian matrix's
+    QR, its columns signed by the diagonal of R."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _synthesize_simplex(n: int, seed: int) -> geometry.Simplex:
     """Seeded hidden instance: the isotropic simplex under a Haar-random
     rotation and a normal shift."""
-    from .geometry import Simplex, isotropic_simplex
-    from .sampling import substream
-
-    rng = substream(seed, 97)
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
+    rng = sampling.substream(seed, 97)
+    q = _rotation(rng, n)
     shift = rng.standard_normal(n)
-    return Simplex(isotropic_simplex(n).vertices @ q.T + shift)
+    return geometry.Simplex(geometry.isotropic_simplex(n).vertices @ q.T + shift)
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    from .evaluation import match_vertices, tv_distance_mc
-    from .learner import LearnerConfig, learn_simplex
-    from .sampling import simplex_source
-
-    cfg, _ = _resolve(args, "learn", {"n": 5, "t1": 50_000, "t3": 50_000, "m": None, "r": MAX_STEPS, "seed": 0})
-    _validate_common(cfg, "learn")
+    cfg, _ = _resolve(args, "learn")
+    n = cfg["n"]
+    if n < 2:
+        raise SchemaError("n must be >= 2 for learn")
+    if cfg["t1"] + cfg["t3"] < n + 2:
+        raise SchemaError(f"t1 + t3 must be at least n+2 = {n + 2}: n+1 points whiten to a regular simplex")
+    if cfg["m"] is not None and cfg["m"] < n + 1:
+        raise SchemaError(f"m must be at least n+1 = {n + 1}: every run starts n+1 columns")
     out = _report_path(cfg, "learn")
 
-    truth = _synthesize_simplex(cfg["n"], cfg["seed"])
+    truth = _synthesize_simplex(n, cfg["seed"])
     count = cfg["t1"] + cfg["t3"]
     started = time.perf_counter()
     # no name holds the block, so it is freed before scoring runs
-    draw = simplex_source(truth, child_seed(cfg["seed"], 98))
-    learned = learn_simplex(draw(count), LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
+    draw = sampling.simplex_source(truth, sampling.child_seed(cfg["seed"], 98))
+    learned = learner.learn_simplex(draw(count), learner.LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
 
-    tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=child_seed(cfg["seed"], 99))
+    tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, rng=sampling.child_seed(cfg["seed"], 99))
     # found_count counts the starts of the frame and the vertices they
     # found, iterations_run its steps, prefix_steps those that read only
     # the block's prefix; points_drawn is the one block
@@ -174,7 +198,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "command": "learn",
         "cli_config": cfg,
         "schema_version": SCHEMA_VERSION,
-        "n": cfg["n"],
+        "n": n,
         "seed": cfg["seed"],
         "config": {key: cfg[key] for key in ("t1", "t3", "m", "r", "seed")},
         "points_drawn": count,
@@ -182,7 +206,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "iterations_run": learned.iterations_run,
         "prefix_steps": learned.prefix_steps,
         "vertices": learned.simplex.vertices,
-        "per_vertex_match_error": match_vertices(truth, learned.simplex).per_vertex_error,
+        "per_vertex_match_error": evaluation.match_vertices(truth, learned.simplex).per_vertex_error,
         "tv_estimate": tv.value,
         "tv_std_error": tv.std_error,
         "wall_time_ms": (time.perf_counter() - started) * 1000.0,
@@ -224,34 +248,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     and fill order, so the report is that of the serial composition
     ``reduce_*_to_ica(sample_*(...), seed)``, then
     ``lp_symmetric_difference(..., seed=child_seed(seed, 105))``."""
-    from .evaluation import match_vertices
-    from .ica import (
-        SYMDIFF_POINTS,
-        _reduction_radii,
-        _ScaledRows,
-        _symdiff_ball,
-        _symdiff_maps,
-        _symdiff_score,
-        compute_c_pn,
-        reduce_lp_to_ica,
-        reduce_simplex_to_ica,
-        separation_index,
-    )
-    from .sampling import P_MAX, _row_blocks, sample_lp_ball, sample_simplex, substream
-
-    cfg, _ = _resolve(args, "reduce", {"problem": "simplex", "n": 3, "p": None, "t": 200_000, "seed": 0})
-    _validate_common(cfg, "reduce")
-    if cfg["problem"] not in ("simplex", "lp"):
-        raise SchemaError("problem must be 'simplex' or 'lp'")
-    if cfg["p"] is not None and (not isinstance(cfg["p"], (int, float)) or isinstance(cfg["p"], bool)):
-        raise SchemaError("p must be a number")
+    cfg, _ = _resolve(args, "reduce")
     if cfg["problem"] == "simplex" and cfg["p"] is not None:
         raise SchemaError("p applies only to --problem lp")
     if cfg["problem"] == "lp":
         if cfg["p"] is None:
             raise SchemaError("--p is required for --problem lp")
-        if not 1.0 <= float(cfg["p"]) <= P_MAX:
-            raise SchemaError(f"p must lie in [1, {P_MAX:g}]")
+        if not 1.0 <= float(cfg["p"]) <= sampling.P_MAX:
+            raise SchemaError(f"p must lie in [1, {sampling.P_MAX:g}]")
     n, t, seed = cfg["n"], cfg["t"], cfg["seed"]
     dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
     if t < dims + 2:
@@ -272,47 +276,45 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if cfg["problem"] == "simplex":
         truth = _synthesize_simplex(n, seed)
         radii = np.empty(t)
-        with _drawing_beside(partial(_reduction_radii, radii, n, None, seed)):
-            sample = sample_simplex(truth, t, child_seed(seed, 101))
-        reduction = reduce_simplex_to_ica(_ScaledRows(sample, radii, lift=True), seed=seed)
-        match = match_vertices(truth.vertices, reduction.vertices)
+        with _drawing_beside(partial(ica._reduction_radii, radii, n, None, seed)):
+            sample = sampling.sample_simplex(truth, t, sampling.child_seed(seed, 101))
+        reduction = ica.reduce_simplex_to_ica(ica._ScaledRows(sample, radii, lift=True), seed=seed)
+        match = evaluation.match_vertices(truth.vertices, reduction.vertices)
         lifted = np.vstack([truth.vertices.T, np.ones(n + 1)])
         payload.update(
             {
                 "p": None,
                 "matched_errors": list(match.per_vertex_error),
                 "max_match_error": match.max_error,
-                "separation_index": separation_index(reduction.estimate.separating @ lifted),
+                "separation_index": ica.separation_index(reduction.estimate.separating @ lifted),
                 "c_pn": None,
                 "symdiff": None,
             }
         )
     else:
         p = float(cfg["p"])
-        rng = substream(seed, 103)
-        q1, r1 = np.linalg.qr(rng.standard_normal((n, n)))
-        q1 = q1 * np.sign(np.diag(r1))
-        a = q1 * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
+        rng = sampling.substream(seed, 103)
+        a = _rotation(rng, n) * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
         # the ball is drawn first, and its row sums are scratch in the
         # radii's array until the radii overwrite them
-        ball, radii = np.empty((SYMDIFF_POINTS, n)), np.empty(max(t, SYMDIFF_POINTS))
+        ball, radii = np.empty((ica.SYMDIFF_POINTS, n)), np.empty(max(t, ica.SYMDIFF_POINTS))
         with _drawing_beside(
-            partial(_symdiff_ball, p, child_seed(seed, 105), ball, radii[:SYMDIFF_POINTS]),
-            partial(_reduction_radii, radii[:t], n, p, seed),
+            partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, radii[: ica.SYMDIFF_POINTS]),
+            partial(ica._reduction_radii, radii[:t], n, p, seed),
         ):
-            sample = sample_lp_ball(n, p, t, child_seed(seed, 104))
-            for rows in _row_blocks(0, t):  # sample @ a.T in place
+            sample = sampling.sample_lp_ball(n, p, t, sampling.child_seed(seed, 104))
+            for rows in sampling._row_blocks(0, t):  # sample @ a.T in place
                 sample[rows] = sample[rows] @ a.T
-        reduction = reduce_lp_to_ica(_ScaledRows(sample, radii[:t], lift=False), p, seed=seed)
+        reduction = ica.reduce_lp_to_ica(ica._ScaledRows(sample, radii[:t], lift=False), p, seed=seed)
         del sample, radii  # the scorer reads only the ball
         payload.update(
             {
                 "p": p,
                 "matched_errors": None,
                 "max_match_error": None,
-                "separation_index": separation_index(reduction.estimate.separating @ a),
-                "c_pn": compute_c_pn(p, n),
-                "symdiff": _symdiff_score(ball, _symdiff_maps(a, reduction.mixing), p),
+                "separation_index": ica.separation_index(reduction.estimate.separating @ a),
+                "c_pn": ica.compute_c_pn(p, n),
+                "symdiff": ica._symdiff_score(ball, ica._symdiff_maps(a, reduction.mixing), p),
             }
         )
 
@@ -326,20 +328,17 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .diagnostics import SUITES, run_suite
-
-    cfg, given = _resolve(args, "verify", {"suite": "scaling", "n": None, "seed": 0})
-    _validate_common(cfg, "verify")
-    if cfg["suite"] not in SUITES:
-        raise SchemaError(f"suite must be one of {sorted(SUITES)}")
+    cfg, given = _resolve(args, "verify")
     if cfg["suite"] == "tv" and cfg["n"] is not None:
         raise SchemaError("n applies only to verify --suite scaling or landscape")
+    if cfg["n"] is not None and cfg["n"] < 2:
+        raise SchemaError(f"n must be >= 2 for verify --suite {cfg['suite']}")
     if cfg["suite"] == "landscape" and "seed" in given:
         raise SchemaError("seed applies only to verify --suite scaling or tv: the landscape suite draws no random numbers")
     out = _report_path(cfg, "verify")
 
     started = time.perf_counter()
-    result = run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
+    result = diagnostics.run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
     payload = {
         "command": "verify",
         # the landscape report records no seed; the default one still
@@ -363,30 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-        p.add_argument("--out", type=str, default=None, help=f"report path (default ${OUT_ENV}/<command>-seed<seed>.json, else stdout)")
-        p.add_argument("--config", type=str, default=None, help="JSON config file; explicit flags override it")
-
-    learn = sub.add_parser("learn", help="learn a synthesized hidden simplex from uniform samples")
-    learn.add_argument("--n", type=int, default=None, help="simplex dimension (default 5)")
-    learn.add_argument("--t1", type=int, default=None, help="first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2 (default 50000)")
-    learn.add_argument("--t3", type=int, default=None, help="second part of that block (default 50000)")
-    learn.add_argument("--m", type=int, default=None, help="kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns")
-    learn.add_argument("--r", type=int, default=None, help=f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {PREFIX_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share (default {MAX_STEPS})")
-    common(learn)
-
-    reduce_ = sub.add_parser("reduce", help="recover a synthesized instance through the ICA reduction")
-    reduce_.add_argument("--problem", type=str, default=None, choices=["simplex", "lp"], help="instance family (default simplex)")
-    reduce_.add_argument("--n", type=int, default=None, help="ambient dimension (default 3)")
-    reduce_.add_argument("--p", type=float, default=None, help="lp-ball exponent, required for --problem lp and rejected otherwise")
-    reduce_.add_argument("--t", type=int, default=None, help="sample size (default 200000)")
-    common(reduce_)
-
-    verify = sub.add_parser("verify", help="run a statistical verification suite")
-    verify.add_argument("--suite", type=str, default=None, choices=["scaling", "tv", "landscape"], help="suite name (default scaling); landscape draws no random numbers and takes no --seed")
-    verify.add_argument("--n", type=int, default=None, help="restrict the scaling or landscape suite to one dimension")
-    common(verify)
+    helps = {
+        "learn": "learn a synthesized hidden simplex from uniform samples",
+        "reduce": "recover a synthesized instance through the ICA reduction",
+        "verify": "run a statistical verification suite",
+    }
+    for command, flags in _FLAGS.items():
+        command_parser = sub.add_parser(command, help=helps[command])
+        for key, (kind, default, text) in flags.items():
+            text += "" if default is None else f" (default {default})"
+            command_parser.add_argument(f"--{key}", type=kind, choices=_CHOICES.get(key), help=text)
+        command_parser.add_argument("--config", type=str, help="JSON config file; explicit flags override it")
 
     return parser
 

@@ -27,6 +27,16 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-12
 
 
+def _check_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer >= ``minimum`` (a bool is not an integer here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 class DegenerateSimplexError(ValueError):
     """The operation needs affinely independent vertices and the simplex
     does not have them (singular barycentric system)."""
@@ -158,13 +168,12 @@ def make_embed_map(n: int) -> EmbedMap:
     form an orthonormal basis of its complement.
 
     Args:
-        n: dimension of the domain, n >= 1.
+        n: dimension of the domain, an integer >= 1, else ValueError.
 
     Returns:
         EmbedMap with scale 1/sqrt((n+1)(n+2)) and offset 1/(n+1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count(n, "n")
     m = n + 1
     seed_matrix = np.zeros((m, m))
     np.fill_diagonal(seed_matrix, 1.0)
@@ -176,7 +185,8 @@ def make_embed_map(n: int) -> EmbedMap:
 def isotropic_simplex(n: int) -> Simplex:
     """The regular n-simplex in isotropic position: centroid at the origin,
     uniform-distribution covariance equal to the identity.  Obtained by
-    pulling the standard simplex back through the canonical embedding."""
+    pulling the standard simplex back through the canonical embedding.
+    n must be an integer >= 1, else ValueError."""
     emb = make_embed_map(n)
     return Simplex(emb.inverse(np.eye(n + 1)))
 

@@ -147,8 +147,11 @@ def _moment_denominator(m: int) -> float:
 
 def exact_m3(u: np.ndarray) -> float:
     """E[(u . X)^3] for X uniform on the standard simplex with as many
-    vertices as u has coordinates."""
+    vertices as u has coordinates.  u must be one direction, of shape (m,),
+    else ValueError; :func:`exact_grad_m3` also takes a frame."""
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"u must have shape (m,), got {u.shape}")
     p1, p2, p3 = float(u.sum()), float((u * u).sum()), float((u * u * u).sum())
     return (p1**3 + 3.0 * p1 * p2 + 2.0 * p3) / _moment_denominator(u.shape[0])
 
@@ -186,10 +189,12 @@ def two_value_critical_point(n: int, alpha: int) -> tuple[np.ndarray, float, flo
         a = sqrt((1-gamma) / (gamma (n+1))),  b = -sqrt(gamma / ((1-gamma)(n+1))).
 
     Returns (v, gamma, a, b).  alpha = 1 gives the vertex directions (the
-    strict maxima); 2 <= alpha <= n gives the saddles and minima.
+    strict maxima); 2 <= alpha <= n gives the saddles and minima.  n and
+    alpha must be integers with 1 <= alpha <= n, else ValueError.
     """
+    n, alpha = _check_count(n, "n"), _check_count(alpha, "alpha")
     m = n + 1
-    if not 1 <= alpha <= n:
+    if alpha > n:
         raise ValueError("alpha must satisfy 1 <= alpha <= n")
     gamma = alpha / m
     a = math.sqrt((1.0 - gamma) / (gamma * m))

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import Simplex, _barycentric
+from .geometry import Simplex, _barycentric, _check_count
 
 __all__ = [
     "substream",
@@ -104,16 +104,6 @@ def child_seed(seed: int, *key: int) -> int:
     """Integer seed for (seed, key), for APIs that take a seed rather than
     a generator.  Keys play the same role as in :func:`substream`."""
     return int(np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=tuple(key)).generate_state(1)[0])
-
-
-def _check_count(value, name: str, minimum: int = 1) -> int:
-    """``value`` as a Python int; ValueError naming ``name`` unless it is an
-    integer >= ``minimum`` (a bool is not an integer here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _exponential_rows(rng: np.random.Generator, m: int, t: int) -> Iterator[tuple[slice, np.ndarray]]:

@@ -11,7 +11,7 @@ import pytest
 
 import simplexlearn
 from simplexlearn import ica, learner, moments, sampling
-from simplexlearn.cli import OUT_ENV, main
+from simplexlearn.cli import OUT_ENV, _resolve, build_parser, main
 
 LEARN_FAST = ["learn", "--n", "2", "--t1", "4000", "--t3", "4000", "--m", "12"]
 
@@ -479,6 +479,85 @@ class TestValidation:
     def test_help_exits_zero(self, capsys):
         assert main(["learn", "--help"]) == 0
         assert "--t3" in capsys.readouterr().out
+
+
+def long_options(command: str) -> dict:
+    """The command's long options but --help and --config, by name."""
+    sub = next(action for action in build_parser()._actions if action.dest == "command")
+    return {
+        option[2:]: action
+        for action in sub.choices[command]._actions
+        for option in action.option_strings
+        if option.startswith("--") and option not in ("--help", "--config")
+    }
+
+
+COMMANDS = ["learn", "reduce", "verify"]
+
+
+class TestSchemaTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_keys_are_the_long_options(self, tmp_path, capsys, command):
+        # a config file accepts exactly the keys the command's flags name:
+        # a list is no key's value, so every accepted key fails on its type
+        options = set(long_options(command))
+        cfg = tmp_path / "cfg.json"
+        for key in sorted(set().union(*map(long_options, COMMANDS)) | {"config", "bogus"}):
+            cfg.write_text(json.dumps({key: []}))
+            assert main([command, "--config", str(cfg)]) == 1
+            unknown = "schema error: unknown config fields" in capsys.readouterr().err
+            assert unknown == (key not in options), key
+
+    @pytest.mark.parametrize(
+        "command, context, key, value",
+        [
+            ("learn", {}, "n", 1),
+            ("reduce", {}, "n", 0),
+            ("verify", {"suite": "scaling"}, "n", 1),
+            ("verify", {"suite": "landscape"}, "n", 1),
+            *[("learn", {}, key, 0) for key in ("t1", "t3", "m", "r")],
+            ("reduce", {}, "t", 0),
+            *[(command, {}, "seed", -1) for command in COMMANDS],
+            ("learn", {}, "r", True),
+            ("reduce", {}, "t", True),
+            ("reduce", {}, "problem", "cube"),
+            ("verify", {}, "suite", "x"),
+            ("reduce", {"problem": "lp"}, "p", "abc"),
+        ],
+    )
+    def test_flag_and_config_file_reject_alike(self, tmp_path, capsys, command, context, key, value):
+        # one rule per value, whichever way it comes in
+        out = tmp_path / "report.json"
+        values = {**context, key: value}
+        flags = [arg for name, given in values.items() for arg in (f"--{name}", str(given))]
+        assert main([command, *flags, "--out", str(out)]) == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, flag", [("learn", "seed", -1, "3"), ("reduce", "n", 0, "3"), ("verify", "suite", 1, "tv")]
+    )
+    def test_a_flag_does_not_hide_a_bad_config_value(self, tmp_path, capsys, command, key, value, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "report.json"
+        assert main([command, "--config", str(cfg), f"--{key}", flag, "--out", str(out)]) == 1
+        assert f"schema error: {key} must be a" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_states_the_resolved_default(self, command):
+        # the default a flag's help names is the one a run without the flag uses
+        resolved, _ = _resolve(build_parser().parse_args([command]), command)
+        for key, action in long_options(command).items():
+            default = resolved.get(key)
+            if default is None:
+                assert "(default" not in action.help, key
+            else:
+                assert action.help.endswith(f"(default {default})"), key
 
 
 class TestSharedParser:

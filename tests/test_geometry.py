@@ -244,6 +244,16 @@ class TestIsotropicSimplex:
         with pytest.raises(ValueError):
             isotropic_simplex(0)
 
+    @pytest.mark.parametrize("build", [isotropic_simplex, make_embed_map])
+    @pytest.mark.parametrize("n", [2.0, True, "3"])
+    def test_dimension_must_be_an_integer(self, build, n):
+        # a float raised a TypeError deep in numpy, and True built a 1-simplex
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            build(n)
+
+    def test_numpy_integer_dimension(self):
+        assert isotropic_simplex(np.int64(3)) == isotropic_simplex(3)
+
 
 class TestAffineFrame:
     def test_round_trip(self):

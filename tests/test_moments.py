@@ -55,6 +55,14 @@ class TestPowerSums:
         assert exact_grad_m3(u).shape == (m, k)
         assert np.abs(exact_grad_m3(u) - stacked).max() <= 1e-14 * np.abs(stacked).max()
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 1), (), (1, 4)])
+    def test_moment_takes_one_direction(self, shape):
+        # a frame would pool its columns' power sums into one number that
+        # is the moment of no direction
+        u = substream(0, 4).standard_normal(shape)
+        with pytest.raises(ValueError, match=r"u must have shape \(m,\)"):
+            exact_m3(u)
+
 
 class TestExactMoment:
     def test_vertex_direction(self):
@@ -136,6 +144,14 @@ class TestCriticalPoints:
             two_value_critical_point(3, 0)
         with pytest.raises(ValueError):
             two_value_critical_point(3, 4)
+
+    @pytest.mark.parametrize(
+        "n, alpha, name", [(2.0, 1, "n"), (True, 1, "n"), (3, 1.0, "alpha"), (3, True, "alpha"), ("3", 1, "n")]
+    )
+    def test_arguments_must_be_integers(self, n, alpha, name):
+        # a float raised a TypeError, and n = True returned a point
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            two_value_critical_point(n, alpha)
 
     def test_non_critical_direction_has_gradient(self):
         rng = substream(0, 4)

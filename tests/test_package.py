@@ -171,3 +171,16 @@ def test_no_module_imports_scipy():
             else:
                 names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             assert [name for name in names if name.split(".")[0] == "scipy"] == [], path.name
+
+
+def test_every_import_is_at_module_level():
+    # a module's dependencies are all named at its top, and it calls into
+    # the package through module attributes that a patch or a tracer sees
+    for path in Path(simplexlearn.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        nested = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+        ]
+        assert nested == [], path.name
