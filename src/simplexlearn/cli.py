@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, evaluation, geometry, ica, learner, sampling
-from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, PREFIX_TOL
+from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
@@ -55,7 +55,7 @@ _FLAGS = {
         "t1": (int, 50_000, "first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2"),
         "t3": (int, 50_000, "second part of that block"),
         "m": (int, None, "kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns"),
-        "r": (int, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at its sampling noise floor; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {PREFIX_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share"),
+        "r": (int, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at a step of at most {STEP_TOL:g}; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {STEP_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share"),
         **_SHARED,
     },
     "reduce": {
@@ -108,7 +108,8 @@ def _check(key: str, value, kind: type, default) -> None:
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise SchemaError(f"{key} must be a {'nonnegative' if low == 0 else 'positive'} integer")
     elif kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        # a JSON integer past the float range has no float to record
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > sys.float_info.max:
             raise SchemaError(f"{key} must be a number")
     elif not isinstance(value, str):
         raise SchemaError(f"{key} must be a string")
@@ -126,6 +127,8 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, set]:
     for key, value in [*given.items(), *flagged.items()]:
         _check(key, value, *flags[key][:2])
     given.update(flagged)
+    # a number is recorded as a float, so a config file's 3 and the flag's agree
+    given.update({key: float(value) for key, value in given.items() if flags[key][0] is float and value is not None})
     # the report records its own path only when one was given
     defaults = {key: default for key, (_, default, _) in flags.items() if key != "out"}
     return {**defaults, **given}, set(given)
@@ -254,7 +257,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if cfg["problem"] == "lp":
         if cfg["p"] is None:
             raise SchemaError("--p is required for --problem lp")
-        if not 1.0 <= float(cfg["p"]) <= sampling.P_MAX:
+        if not 1.0 <= cfg["p"] <= sampling.P_MAX:
             raise SchemaError(f"p must lie in [1, {sampling.P_MAX:g}]")
     n, t, seed = cfg["n"], cfg["t"], cfg["seed"]
     dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
@@ -292,7 +295,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             }
         )
     else:
-        p = float(cfg["p"])
+        p = cfg["p"]
         rng = sampling.substream(seed, 103)
         a = _rotation(rng, n) * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
         # the ball is drawn first, and its row sums are scratch in the

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import _sample_frame, _split_half_moment
+from .moments import _power_moment, _sample_frame
 from .sampling import (
     _check_count,
     _check_p,
@@ -77,7 +77,7 @@ class MixingEstimate:
     fixed point ran on, the whole-frame ``sweeps`` it took,
     ``prefix_sweeps`` of them on a prefix of the sample only, and one
     ``converged`` flag per component, true when that component's last
-    sweep, on the whole sample, was within its noise floor.
+    sweep, on the whole sample, moved it by at most STEP_TOL.
     ``permutation_note`` records the inherent ambiguity."""
 
     separating: np.ndarray
@@ -162,8 +162,8 @@ def ica_estimate(
     sources such as Exp(1), and only kurtosis separates symmetric ones,
     whose third cumulant is 0.
 
-    z is never formed: a sweep is one split-half moment pass over the raw
-    sample (``moments._split_half_moment``), and the frame comes from one
+    z is never formed: a sweep is one moment pass over the raw sample
+    (``moments._power_moment``), and the frame comes from one
     blocked pass over the whole sample too, which also shows whether the
     sample is finite.  The passes read only the shape and row blocks of
     ``points``, so the reductions hand in their rescaled rows, built a
@@ -171,9 +171,9 @@ def ica_estimate(
     (``vertex_finder._fixed_point``) over the t-row sample, from a random
     orthonormal frame drawn from ``seed``, coarse to fine: on a large
     sample the first sweeps read only its first t // PREFIX_DIVISOR rows,
-    up to a sweep that moves the frame by at most PREFIX_TOL, and the
-    last reads all of them, with the loop's checks, its noise stop and
-    one cap of ``MAX_STEPS`` sweeps in all.
+    up to a sweep that moves the frame by at most STEP_TOL, and the last
+    ones read all of them, up to such a sweep again, with the loop's
+    checks and one cap of ``MAX_STEPS`` sweeps in all.
 
     Returns:
         MixingEstimate with ``separating`` W^T S^-1 and ``mixing`` S W,
@@ -186,7 +186,7 @@ def ica_estimate(
         (d+1 points whiten to the vertices of a regular simplex, all of
         squared norm d, where the skew update is singular) whose mean and
         covariance are finite, and naming the sweep, counted over the
-        whole run, when a sweep's update or error is not finite;
+        whole run, when a sweep's update is not finite;
         DegenerateSampleError for a singular covariance; RuntimeError when
         the frame's update collapses.
     """
@@ -198,11 +198,11 @@ def ica_estimate(
     frame, whitener = _sample_frame(points)
     power, shift = (2 if contrast == "skew" else 3), -(frame.mean @ whitener.T)
 
-    def sweep(w: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        update, error = _split_half_moment(points, whitener.T, shift, w, power, stop)
+    def sweep(w: np.ndarray, stop: int) -> np.ndarray:
+        update = _power_moment(points, whitener.T, shift, w, power, stop)
         if contrast == "kurtosis":
             update -= 3.0 * w
-        return update, error
+        return update
 
     start, _ = np.linalg.qr(substream(seed, 61).standard_normal(whitener.shape))
     found = _fixed_point(sweep, start, MAX_STEPS, points.shape[0])

@@ -10,10 +10,9 @@ starts, so that each column ends on its own vertex.  The steps, one
 run of the fixed point, go coarse to fine: on a large block the first
 ones read only its first t // 8 rows, up to a step of 1e-2, which
 carries the frame into the basin of the block's fixed point, and the
-last ones read the whole block, to the first step that is within its
-sampling noise, which the two halves of the block estimate; r steps cap
-both together.  Each column is projected exactly onto the hyperplane and
-mapped back through the frame.
+last ones read the whole block, up to a step of 1e-2 again, which lands
+on that fixed point; r steps cap both together.  Each column is
+projected exactly onto the hyperplane and mapped back through the frame.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .moments import DegenerateSampleError, _sample_frame, _split_half_moment
+from .moments import DegenerateSampleError, _power_moment, _sample_frame
 from .sampling import _check_count, child_seed, substream
 from .vertex_finder import MAX_STEPS, find_vertex
 
@@ -55,25 +54,21 @@ def estimate_frame(points: np.ndarray) -> AffineFrame:
     return _sample_frame(np.atleast_2d(np.asarray(points, dtype=float)))[0]
 
 
-def embedded_m3_grad(
-    frame: AffineFrame, emb: EmbedMap, block: np.ndarray
-) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
-    """(u, stop) -> (``empirical_m3_grad(emb.forward(frame.forward(block[:stop])), u)``,
-    its standard error) without building the embedded block; the first
-    ``stop`` rows, all of them by default.
+def embedded_m3_grad(frame: AffineFrame, emb: EmbedMap, block: np.ndarray) -> Callable[..., np.ndarray]:
+    """(u, stop) -> ``empirical_m3_grad(emb.forward(frame.forward(block[:stop])), u)``
+    without building the embedded block; the first ``stop`` rows, all of
+    them by default.
 
     Both maps compose into y = x L + b, with L = scale factor^-T basis^T and
     b = offset - mean L solved once here, and the gradient is
-    3 E[y (y u)^2], one split-half moment pass over the raw block (see
-    ``moments._split_half_moment``; the block needs two points).  u is
-    (n+1,) or a frame (n+1, k).
+    3 E[y (y u)^2], one moment pass over the raw block (see
+    ``moments._power_moment``).  u is (n+1,) or a frame (n+1, k).
     """
     linear = emb.scale * np.linalg.solve(frame.factor.T, emb.basis.T)
     shift = emb.offset - frame.mean @ linear
 
-    def gradient(u: np.ndarray, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        moment, error = _split_half_moment(block, linear, shift, u.reshape(u.shape[0], -1), 2, stop)
-        return 3.0 * moment.reshape(u.shape), 3.0 * error.reshape(u.shape)
+    def gradient(u: np.ndarray, stop: int | None = None) -> np.ndarray:
+        return 3.0 * _power_moment(block, linear, shift, u.reshape(u.shape[0], -1), 2, stop).reshape(u.shape)
 
     return gradient
 
@@ -84,8 +79,8 @@ class LearnerConfig:
 
     r: cap on the fixed-point steps of the frame, the loop's MAX_STEPS by
        default, prefix and whole-block steps together.  The whole-block
-       steps stop at the first step where every column has reached its
-       sampling noise floor (see
+       steps stop at the first step that moves every column by at most
+       STEP_TOL = 1e-2 (see
        :func:`~simplexlearn.vertex_finder.find_vertex`); the last step
        reads the whole block, so r = 1 is one whole-block step.
     seed: master seed; start k begins from child_seed(seed, 41, k).
@@ -109,8 +104,8 @@ class LearnedSimplex:
     simplex has the n+1 found vertices, one per start of the frame, as
     the rows of simplex.vertices; directions holds the unit vertex
     direction each came from; found_count is their number, n+1.
-    iterations_run counts the frame's steps: the step where the
-    noise-floor stop fired on the whole block, or the cap r.
+    iterations_run counts the frame's steps: the step where the stop
+    fired on the whole block, or the cap r.
     prefix_steps of them read only the block's prefix.
     """
 
@@ -154,11 +149,10 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         FastICA whitens once and iterates on one sample.
         The steps are one ``find_vertex`` run over the t-row block,
         coarse to fine: when t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS, they
-        read that prefix of the block until a step of at most PREFIX_TOL
-        or r - 1 steps, and then the whole block until every column has
-        reached the noise floor the block's split-half standard error
-        sets, with r steps in all as the cap; iterations_run says where,
-        and prefix_steps how many read the prefix.
+        read that prefix of the block until a step of at most STEP_TOL
+        or r - 1 steps, and then the whole block until a step of at most
+        STEP_TOL, with r steps in all as the cap; iterations_run says
+        where, and prefix_steps how many read the prefix.
 
     Raises:
         ValueError, naming the shape, when points is not a 2-D array with

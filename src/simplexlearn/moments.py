@@ -13,7 +13,7 @@ local maxima are exactly the (projected) vertex directions: the exact
 Hessian spectrum at every critical point, with no random trials.
 
 It also holds the two sample passes that the learner and ICA share: the
-mean and covariance behind their one affine frame, and the split-half
+mean and covariance behind their one affine frame, and the power
 moment that drives both fixed points.  Each walks the sample in the row
 blocks of ``sampling._row_blocks`` that every draw uses too (BLOCK_ROWS
 rows, a short last block joined to the one before it), so no
@@ -104,40 +104,32 @@ def _sample_frame(x) -> tuple[AffineFrame, np.ndarray]:
     return AffineFrame(mean=mean, factor=(vectors * root) @ vectors.T), (vectors / root) @ vectors.T
 
 
-def _split_half_moment(
+def _power_moment(
     x: np.ndarray, linear: np.ndarray, shift: np.ndarray, u: np.ndarray, q: int, stop: int | None = None
-) -> tuple:
-    """E[y f^q] over the rows of y = x linear + shift, with f = y u, and
-    its standard error, half the difference of its values on the two
-    halves of the rows (the first t // 2 and the rest).  The rows are the
-    first t = ``stop`` rows of x, all of them by default, so a prefix of
-    the reductions' rescaled rows is read through the same object.
+) -> np.ndarray:
+    """E[y f^q] over the rows of y = x linear + shift, with f = y u.  The
+    rows are the first t = ``stop`` rows of x, all of them by default, so
+    a prefix of the reductions' rescaled rows is read through the same
+    object.
 
     x has d columns and at least t rows, linear L is (d, e), shift b (e,),
-    u a frame (e, k) and q 2 or 3; both results are (e, k).  y is never formed: f = x (L u) + b . u
-    and y^T f^q = L^T (x^T f^q) + b sum(f^q), so one pass over x, in row
-    blocks that never straddle the split, serves both halves.  f is formed
+    u a frame (e, k) and q 2 or 3; the result is (e, k).  y is never
+    formed: f = x (L u) + b . u and y^T f^q = L^T (x^T f^q) + b sum(f^q),
+    so one pass over x, in row blocks, serves both terms.  f is formed
     transposed, since numpy shifts, powers and sums along long rows much
     faster than along rows of k entries.
     """
-    t, k = x.shape[0] if stop is None else stop, u.shape[1]
-    half = t // 2
-    moments = np.zeros((2, k, x.shape[1]))
-    sums = np.zeros((2, k))
+    t = x.shape[0] if stop is None else stop
+    moment, sums = np.zeros((u.shape[1], x.shape[1])), np.zeros(u.shape[1])
     a_t, c = (linear @ u).T, (shift @ u)[:, None]
-    for part, (low, high) in enumerate(((0, half), (half, t))):
-        for rows in _row_blocks(low, high):
-            block = x[rows]
-            f = a_t @ block.T
-            f += c
-            f *= f if q == 2 else f * f
-            moments[part] += f @ block
-            sums[part] += f.sum(axis=1)
-    first, second = (
-        (linear.T @ moments[part].T + np.outer(shift, sums[part])) / count
-        for part, count in enumerate((half, t - half))
-    )
-    return (half * first + (t - half) * second) / t, 0.5 * (first - second)
+    for rows in _row_blocks(0, t):
+        block = x[rows]
+        f = a_t @ block.T
+        f += c
+        f *= f if q == 2 else f * f
+        moment += f @ block
+        sums += f.sum(axis=1)
+    return (linear.T @ moment.T + np.outer(shift, sums)) / t
 
 
 def _moment_denominator(m: int) -> float:

@@ -90,14 +90,14 @@ class TestLearnCommand:
 def moment_passes(monkeypatch) -> list:
     """The rows each fixed-point step reads, learner and ICA alike, from a
     spy on their moment pass."""
-    rows, real = [], moments._split_half_moment
+    rows, real = [], moments._power_moment
 
     def spy(x, linear, shift, u, q, stop=None):
         rows.append(x.shape[0] if stop is None else stop)
         return real(x, linear, shift, u, q, stop)
 
     for module in (learner, ica):
-        monkeypatch.setattr(module, "_split_half_moment", spy)
+        monkeypatch.setattr(module, "_power_moment", spy)
     return rows
 
 
@@ -121,6 +121,33 @@ def test_reports_count_the_prefix_steps(tmp_path, monkeypatch, argv, t):
     )
     assert isinstance(prefix, int) and 1 <= prefix < steps
     assert rows == [t // 8] * prefix + [t] * (steps - prefix)
+
+
+class TestStopAtTheFixedPoint:
+    """Runs that a stop short of the sample's fixed point once ended with
+    exit 0 and a wrong answer: mid-rotation on the whole sample, below the
+    prefix floor (t = 50k), and near p = 2, where the kurtosis contrast
+    vanishes and no sweep of at most 1e-2 comes within the cap."""
+
+    @pytest.mark.parametrize("seed", [19, 31])
+    def test_learn_n20_at_t50k(self, tmp_path, seed):
+        out = str(tmp_path / "learn.json")
+        assert main(["learn", "--n", "20", "--t1", "25000", "--t3", "25000", "--seed", str(seed), "--out", out]) == 0
+        # the truth's circumradius is sqrt(n (n+2)), as in criterion 5
+        assert max(read_json(out)["per_vertex_match_error"]) <= 0.1 * (20 * 22) ** 0.5
+
+    @pytest.mark.parametrize("p, seed", [("1.5", 16), ("1.5", 13), ("3", 16)])
+    def test_reduce_lp_n5_at_t50k(self, tmp_path, p, seed):
+        out = str(tmp_path / "reduce.json")
+        argv = ["reduce", "--problem", "lp", "--n", "5", "--t", "50000", "--p", p, "--seed", str(seed), "--out", out]
+        assert main(argv) == 0
+        assert read_json(out)["separation_index"] <= 0.05
+
+    def test_reduce_lp_at_p2_exits_unconverged(self, tmp_path):
+        out = str(tmp_path / "reduce.json")
+        assert main(["reduce", "--problem", "lp", "--n", "5", "--p", "2.0", "--seed", "0", "--out", out]) == 2
+        report = read_json(out)
+        assert report["sweeps"] == 30 and not all(report["converged"])
 
 
 class TestReduceCommand:
@@ -353,12 +380,25 @@ class TestConfigFile:
         assert report["cli_config"]["t1"] == 4000
         assert report["cli_config"]["seed"] == 4  # flag beats config file
 
+    def test_an_integer_p_is_recorded_as_the_flag_records_it(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "lp", "p": 3}))
+        out = str(tmp_path / "reduce.json")
+        common = ["reduce", "--n", "3", "--t", "20000", "--seed", "2", "--out", out]
+        reports = []
+        for argv in ([*common, "--config", str(cfg)], [*common, "--problem", "lp", "--p", "3"]):
+            assert main(argv) == 0
+            reports.append(read_json(out))
+            reports[-1].pop("wall_time_ms")
+        assert reports[0]["cli_config"]["p"] == 3.0 and isinstance(reports[0]["cli_config"]["p"], float)
+        assert reports[0] == reports[1]
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["learn", "--config", str(cfg)]) == 1
 
-    @pytest.mark.parametrize("p", ["abc", True, [3]])
+    @pytest.mark.parametrize("p", ["abc", True, [3], pytest.param(10**400, id="past-the-float-range")])
     def test_p_must_be_a_number(self, tmp_path, capsys, p):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "lp", "p": p, "n": 2}))

@@ -124,20 +124,19 @@ class TestIcaEstimate:
         assert not all(est.converged)
 
     # every sweep goes through the loop's checks, which name the iteration
-    @pytest.mark.parametrize("broken", ["update", "error"])
-    def test_non_finite_sweep_names_the_iteration(self, monkeypatch, broken):
+    def test_non_finite_sweep_names_the_iteration(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
-        calls, real = [], ica._split_half_moment
+        calls, real = [], ica._power_moment
 
         def second_sweep_nan(*args):
-            update, error = real(*args)
+            update = real(*args)
             calls.append(1)
             if len(calls) == 2:
-                (update if broken == "update" else error)[1, 2] = np.nan
-            return update, error
+                update[1, 2] = np.nan
+            return update
 
-        monkeypatch.setattr(ica, "_split_half_moment", second_sweep_nan)
-        with pytest.raises(ValueError, match="^update or error is not finite at iteration 1$"):
+        monkeypatch.setattr(ica, "_power_moment", second_sweep_nan)
+        with pytest.raises(ValueError, match="^update is not finite at iteration 1$"):
             ica_estimate(x, seed=0)
 
     def test_a_whole_sample_sweep_is_named_by_its_step(self, monkeypatch):
@@ -146,32 +145,20 @@ class TestIcaEstimate:
         t = 65_537
         x = exponential_mixture(np.eye(3), np.zeros(3), t, seed=4)
         prefix_sweeps = ica_estimate(x, seed=0).prefix_sweeps
-        stops, real = [], ica._split_half_moment
+        stops, real = [], ica._power_moment
 
         def first_whole_sweep_nan(x, linear, shift, u, q, stop):
-            update, error = real(x, linear, shift, u, q, stop)
+            update = real(x, linear, shift, u, q, stop)
             stops.append(stop)
             if stop == t:
                 update[0, 0] = np.nan
-            return update, error
+            return update
 
-        monkeypatch.setattr(ica, "_split_half_moment", first_whole_sweep_nan)
-        with pytest.raises(ValueError, match=f"^update or error is not finite at iteration {prefix_sweeps}$"):
+        monkeypatch.setattr(ica, "_power_moment", first_whole_sweep_nan)
+        with pytest.raises(ValueError, match=f"^update is not finite at iteration {prefix_sweeps}$"):
             ica_estimate(x, seed=0)
         assert stops == [t // 8] * prefix_sweeps + [t]
         assert prefix_sweeps >= 2
-
-    def test_sweep_error_of_the_wrong_shape_rejected(self, monkeypatch):
-        x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
-        real = ica._split_half_moment
-
-        def flat_error(*args):
-            update, error = real(*args)
-            return update, error.ravel()
-
-        monkeypatch.setattr(ica, "_split_half_moment", flat_error)
-        with pytest.raises(ValueError, match=re.escape("shape (3, 3), got (3, 3) and (9,) at iteration 0")):
-            ica_estimate(x, seed=0)
 
 
 def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
@@ -179,9 +166,9 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     copy z, and a contrast array per sweep over the rows it reads.  Sweeps
     run coarse to fine: when the first t // 8 rows number at least 8192,
     sweeps read only those rows until one moves every column by at most
-    1e-2 or cap - 1 have run, and the rest, cap in all, every row to the
-    noise stop.  Returns (separating, mean, sweeps, converged,
-    prefix_sweeps)."""
+    1e-2 or cap - 1 have run, and the rest, cap in all, every row until
+    one moves every column by at most 1e-2 again.  Returns (separating,
+    mean, sweeps, converged, prefix_sweeps)."""
     t, d = points.shape
     mean = points.mean(axis=0)
     centered = points - mean
@@ -191,46 +178,43 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     w, _ = np.linalg.qr(substream(seed, 61).standard_normal((d, d)))
 
     def sweep(rows: np.ndarray, w: np.ndarray) -> tuple:
-        count, half = rows.shape[0], rows.shape[0] // 2
-        f = (rows @ w) ** (2 if contrast == "skew" else 3)
-        first_half, second_half = rows[:half].T @ f[:half] / half, rows[half:].T @ f[half:] / (count - half)
-        update = (half * first_half + (count - half) * second_half) / count
+        update = rows.T @ (rows @ w) ** (2 if contrast == "skew" else 3) / rows.shape[0]
         if contrast == "kurtosis":
             update -= 3.0 * w
-        return _polar_step(w, update, 0.5 * (first_half - second_half), 0)
+        return _polar_step(w, update, 0)
 
     sweeps = 0
     if t // 8 >= 8192:
         while sweeps < cap - 1:
-            w, moved, _, _ = sweep(z[: t // 8], w)
+            w, moved = sweep(z[: t // 8], w)
             sweeps += 1
             if moved.max() <= 1e-2:
                 break
     prefix_sweeps = sweeps
     while sweeps < cap:
-        w, _, _, converged = sweep(z, w)
+        w, moved = sweep(z, w)
         sweeps += 1
-        if converged.all():
+        if moved.max() <= 1e-2:
             break
-    return w.T @ whitener, mean, sweeps, converged.tolist(), prefix_sweeps
+    return w.T @ whitener, mean, sweeps, (moved <= 1e-2).tolist(), prefix_sweeps
 
 
 def stops_read(monkeypatch) -> list:
     """The rows each ICA sweep reads, in order, from a spy on its moment
     pass."""
-    rows, real = [], ica._split_half_moment
+    rows, real = [], ica._power_moment
 
     def spy(x, linear, shift, u, q, stop):
         rows.append(stop)
         return real(x, linear, shift, u, q, stop)
 
-    monkeypatch.setattr(ica, "_split_half_moment", spy)
+    monkeypatch.setattr(ica, "_power_moment", spy)
     return rows
 
 
 class TestBlockedPasses:
-    # 7 rows cut every pass into many blocks and a ragged last block per
-    # half; 10**9 makes each half one block.  The odd t is no multiple of 7,
+    # 7 rows cut every pass into many blocks and a ragged last block;
+    # 10**9 makes the whole sample one block.  The odd t is no multiple of 7,
     # t = d + 2 is the smallest sample ICA takes, and at 65_537 rows the
     # first sweeps read the first 8192.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
@@ -269,7 +253,7 @@ class TestBlockedPasses:
         assert blocked.estimate.converged == reference.estimate.converged
         assert np.abs(blocked.vertices - reference.vertices).max() <= 1e-12 * np.abs(reference.vertices).max()
 
-    # at 65_537 rows the first sweeps read the halves of the first 8192
+    # at 65_537 rows the first sweeps read the first 8192
     @pytest.mark.parametrize("t", [3001, 65_537])
     @pytest.mark.parametrize("block_rows", [8192, 7])
     @pytest.mark.parametrize("problem", ["simplex", "lp"])
@@ -297,10 +281,10 @@ class TestBlockedPasses:
 
         monkeypatch.setattr(ica._ScaledRows, "__getitem__", spy)
         est = estimate()
-        passes = [*_row_blocks(0, t), *_row_blocks(0, t // 2), *_row_blocks(t // 2, t)]
+        passes = [*_row_blocks(0, t)]
         if t == 65_537:
             assert est.prefix_sweeps >= 1
-            passes += [*_row_blocks(0, t // 16), *_row_blocks(t // 16, t // 8)]
+            passes += [*_row_blocks(0, t // 8)]
         assert seen == {(rows.start, rows.stop) for rows in passes}
         built = ica_estimate(expected, est.contrast, seed=9)
         assert (est.sweeps, est.prefix_sweeps) == (built.sweeps, built.prefix_sweeps)
@@ -308,10 +292,10 @@ class TestBlockedPasses:
         assert np.abs(est.separating - built.separating).max() <= 1e-12 * np.abs(built.separating).max()
 
 
-class TestSkewNoiseStop:
+class TestSweepStop:
     def test_skewed_sources_keep_every_skew_pass(self):
-        # nine skewed components in one frame: every one converges at the
-        # sample's noise floor, long before the sweep cap
+        # nine skewed components in one frame: every one converges at a
+        # sweep of at most 1e-2, long before the sweep cap
         rng = substream(4, 610)
         a = rng.standard_normal((9, 9))
         x = exponential_mixture(a, rng.standard_normal(9), 200_000, seed=15)

@@ -31,15 +31,11 @@ def random_truth(n: int, seed: int) -> Simplex:
 
 def assert_matches_one_shot_gradient(fused, frame, emb, x, u):
     """fused(u), bound to the block x, against the gradient of x pushed
-    through both maps, and its error against half the difference of the
-    gradients of the halves."""
+    through both maps."""
     reference = empirical_m3_grad(emb.forward(frame.forward(x)), u)
-    grad, error = fused(u)
-    assert grad.shape == error.shape == u.shape
+    grad = fused(u)
+    assert grad.shape == u.shape
     assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
-    half = x.shape[0] // 2
-    first, second = (empirical_m3_grad(emb.forward(frame.forward(part)), u) for part in (x[:half], x[half:]))
-    assert np.abs(error - (first - second) / 2).max() <= 1e-12 * np.abs(reference).max()
 
 
 def symmetric_root(centered: np.ndarray) -> np.ndarray:
@@ -51,12 +47,12 @@ def symmetric_root(centered: np.ndarray) -> np.ndarray:
 
 def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, int, int]:
     """The whole-array form of learn_simplex: the frame from the centered
-    block, the whole block embedded, a gradient per half of the rows a
-    step reads, and the squares and polar step from the
-    child_seed(seed, 41, k) starts.  Steps run coarse to fine: when the
-    first t // 8 rows number at least 8192, steps read only those rows
-    until one moves every column by at most 1e-2 or r - 1 have run, and
-    the rest, r in all, read the whole block to the noise stop.
+    block, the whole block embedded, the gradient of the rows a step
+    reads, and the squares and polar step from the child_seed(seed, 41, k)
+    starts.  Steps run coarse to fine: when the first t // 8 rows number
+    at least 8192, steps read only those rows until one moves every column
+    by at most 1e-2 or r - 1 have run, and the rest, r in all, read the
+    whole block until one moves every column by at most 1e-2.
     Returns (vertices, iterations_run, prefix_steps)."""
     t, n = points.shape
     mean = points.mean(axis=0)
@@ -65,26 +61,22 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
     y = emb.forward(frame.forward(points))
     starts = [substream(child_seed(seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     u = np.column_stack([start / np.linalg.norm(start) for start in starts])
-    scale = (n + 1) * (n + 2) * (n + 3) / 6.0
 
     def step(rows: np.ndarray, u: np.ndarray) -> tuple:
-        count, half = rows.shape[0], rows.shape[0] // 2
-        first_half, second_half = empirical_m3_grad(rows[:half], u), empirical_m3_grad(rows[half:], u)
-        update = reconstruct_squares(u, (half * first_half + (count - half) * second_half) / count)
-        return _polar_step(u, update, scale * 0.5 * (first_half - second_half), 0)
+        return _polar_step(u, reconstruct_squares(u, empirical_m3_grad(rows, u)), 0)
 
     steps = 0
     if t // 8 >= 8192:
         while steps < r - 1:
-            u, moved, _, _ = step(y[: t // 8], u)
+            u, moved = step(y[: t // 8], u)
             steps += 1
             if moved.max() <= 1e-2:
                 break
     prefix_steps = steps
     while steps < r:
-        u, _, _, converged = step(y, u)
+        u, moved = step(y, u)
         steps += 1
-        if converged.all():
+        if moved.max() <= 1e-2:
             break
     directions = (u + (1.0 - u.sum(axis=0)) / (n + 1)).T
     return frame.inverse(emb.inverse(directions)), steps, prefix_steps
@@ -93,13 +85,13 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
 def rows_read(monkeypatch) -> list:
     """The rows each fixed-point step of the learner reads, in order, from
     a spy on its moment pass."""
-    rows, real = [], learner._split_half_moment
+    rows, real = [], learner._power_moment
 
     def spy(x, linear, shift, u, q, stop):
         rows.append(stop)
         return real(x, linear, shift, u, q, stop)
 
-    monkeypatch.setattr(learner, "_split_half_moment", spy)
+    monkeypatch.setattr(learner, "_power_moment", spy)
     return rows
 
 
@@ -120,8 +112,8 @@ class TestEstimateFrame:
 
     def test_embedded_map_composes_frame_and_embedding(self):
         # the fused block gradient against the gradient of the block pushed
-        # through both maps, for one direction and for a batch of n+1; each
-        # half of the odd 20_001-row block spans more than one row block
+        # through both maps, for one direction and for a batch of n+1; the
+        # odd 20_001-row block spans more than one row block
         assert 10_000 > sampling.BLOCK_ROWS
         for n, seed in ((2, 3), (5, 4), (9, 5)):
             truth = random_truth(n, seed)
@@ -135,8 +127,8 @@ class TestEstimateFrame:
                 # the second argument reads only the block's first rows
                 assert_matches_one_shot_gradient(lambda u: fused(u, 5001), frame, emb, x[:5001], u)
 
-    # 7 rows cut every pass into many blocks and a ragged last block per
-    # half; 10**9 makes each half one block.  1001 is odd and no multiple
+    # 7 rows cut every pass into many blocks and a ragged last block;
+    # 10**9 makes the whole block one.  1001 is odd and no multiple
     # of 7, and n + 1 rows is the smallest block a frame takes.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize("t", [1001, 6])
@@ -241,7 +233,7 @@ class TestLearnSimplex:
         config = LearnerConfig(seed=0)
         result = learn_simplex(simplex_source(truth, 14)(8000), config)
         # one block serves one frame of n+1 starts; r is a cap, and the
-        # frame stops at its noise floor before it
+        # frame stops at a step of at most 1e-2 before it
         assert result.iterations_run < config.r
         assert result.found_count == n + 1
 
@@ -314,17 +306,17 @@ class TestLearnSimplex:
         t = 65_537
         points = simplex_source(random_truth(3, 5), 6)(t)
         prefix_steps = learn_simplex(points, LearnerConfig(seed=0)).prefix_steps
-        stops, real = [], learner._split_half_moment
+        stops, real = [], learner._power_moment
 
         def first_whole_step_nan(x, linear, shift, u, q, stop):
-            moment, error = real(x, linear, shift, u, q, stop)
+            moment = real(x, linear, shift, u, q, stop)
             stops.append(stop)
             if stop == t:
                 moment[0, 0] = np.nan
-            return moment, error
+            return moment
 
-        monkeypatch.setattr(learner, "_split_half_moment", first_whole_step_nan)
-        with pytest.raises(ValueError, match=f"^update or error is not finite at iteration {prefix_steps}$"):
+        monkeypatch.setattr(learner, "_power_moment", first_whole_step_nan)
+        with pytest.raises(ValueError, match=f"^update is not finite at iteration {prefix_steps}$"):
             learn_simplex(points, LearnerConfig(seed=0))
         assert stops == [t // 8] * prefix_steps + [t]
         assert prefix_steps >= 2

@@ -322,27 +322,26 @@ class TestMeanAndCovariance:
                     estimate(x)
 
 
-class TestSplitHalfMoment:
-    # 7 rows cut each half into many blocks and a ragged last block;
-    # 10**9 makes each half one block.  1001 is odd and no multiple of 7,
-    # and d + 2 rows is the smallest sample ICA takes.  The shift cancels
-    # the offset of 100 on x, as the learner's and ICA's do.
+class TestPowerMoment:
+    # 7 rows cut the pass into many blocks and a ragged last block; 10**9
+    # makes the sample one block.  1001 is odd and no multiple of 7, and
+    # d + 2 rows is the smallest sample ICA takes.  The shift cancels the
+    # offset of 100 on x, as the learner's and ICA's do.
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize("t", [1001, 6])
     @pytest.mark.parametrize("q", [2, 3])
-    def test_matches_the_whole_array_halves(self, monkeypatch, block_rows, t, q):
+    def test_matches_the_whole_array(self, monkeypatch, block_rows, t, q):
         d, e, k = 4, 5, 3
         rng = substream(t, 47)
         x = rng.standard_exponential((t, d)) + 100.0
         linear, u = rng.standard_normal((d, e)), rng.standard_normal((e, k))
         shift = rng.standard_normal(e) - 100.0 * linear.sum(axis=0)
         y = x @ linear + shift
-        half = t // 2
-        expected = y.T @ (y @ u) ** q / t
-        first, second = (part.T @ (part @ u) ** q / part.shape[0] for part in (y[:half], y[half:]))
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
-        mean, error = moments._split_half_moment(x, linear, shift, u, q)
-        assert mean.shape == error.shape == (e, k)
-        scale = np.abs(expected).max()
-        assert np.abs(mean - expected).max() <= 1e-12 * scale
-        assert np.abs(error - (first - second) / 2).max() <= 1e-12 * scale
+        # the whole sample by default, and its first rows with a stop
+        for stop in (None, t - 1):
+            rows = y[:stop]
+            expected = rows.T @ (rows @ u) ** q / rows.shape[0]
+            moment = moments._power_moment(x, linear, shift, u, q, stop)
+            assert moment.shape == (e, k)
+            assert np.abs(moment - expected).max() <= 1e-12 * np.abs(expected).max()

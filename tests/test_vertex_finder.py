@@ -12,7 +12,7 @@ from simplexlearn.moments import empirical_m3_grad, exact_grad_m3
 from simplexlearn.sampling import _KEY_SOURCE, _simplex_points, substream
 from simplexlearn.vertex_finder import (
     MAX_STEPS,
-    PREFIX_TOL,
+    STEP_TOL,
     _polar_step,
     find_vertex,
     reconstruct_squares,
@@ -197,7 +197,6 @@ class TestBatch:
     def test_batch_trace_is_per_column(self):
         result = find_vertex(exact_grad_m3, start_frame(3, 1, 2), 4)
         assert [row["step"].shape for row in result.trace] == [(2,)] * 4
-        assert [row["noise"].shape for row in result.trace] == [(2,)] * 4
 
 
 def sampled_gradient(source, t):
@@ -205,7 +204,7 @@ def sampled_gradient(source, t):
     return lambda u: empirical_m3_grad(source(t), u)
 
 
-class TestNoiseFloorStop:
+class TestStepStop:
     def test_exact_gradient_stops_at_the_tolerance(self):
         for seed in range(6):
             result = find_vertex(exact_grad_m3, start_frame(5, seed), 40)
@@ -220,30 +219,32 @@ class TestNoiseFloorStop:
         assert (steps[-1] <= 1e-9).all()
         assert (steps[:-1].max(axis=1) > 1e-9).all()
 
-    def test_step_within_the_noise_stops(self):
-        # an error of this size puts a noise floor far above any step
-        def noisy(u):
-            return exact_grad_m3(u), np.ones_like(u)
+    def test_a_map_over_a_sample_stops_at_the_step_tolerance(self):
+        # the exact map handed as one over a 1000-row sample, too few rows
+        # for a prefix: the same steps, up to the first of at most STEP_TOL
+        exact = find_vertex(exact_grad_m3, start_frame(5, 0, 1), 40)
+        sampled = find_vertex(lambda u, rows: exact_grad_m3(u), start_frame(5, 0, 1), 40, 1000)
+        steps = np.array([row["step"] for row in sampled.trace])
+        assert sampled.converged.all() and sampled.prefix_steps == 0
+        assert (steps[-1] <= STEP_TOL).all()
+        assert (steps[:-1].max(axis=1) > STEP_TOL).all()
+        assert 1 <= sampled.iterations_run < exact.iterations_run
+        assert all((row["step"] == kept["step"]).all() for row, kept in zip(sampled.trace, exact.trace))
 
-        result = find_vertex(noisy, start_frame(4, 0), 30)
-        assert result.iterations_run == 1
-        assert result.converged.all()
+    def test_converged_names_the_still_columns(self):
+        # at the cap, each column's flag is its own last step against the
+        # tolerance
+        result = find_vertex(lambda u, rows: exact_grad_m3(u), start_frame(5, 0, 1, 2), 2, 1000)
+        assert result.iterations_run == 2
+        assert (result.converged == (result.trace[-1]["step"] <= STEP_TOL)).all()
 
-    def test_negligible_error_is_the_exact_run(self):
-        exact = find_vertex(exact_grad_m3, start_frame(4, 5), 30)
-        tiny = find_vertex(lambda u: (exact_grad_m3(u), np.full_like(u, 1e-30)), start_frame(4, 5), 30)
-        assert tiny.iterations_run == exact.iterations_run
-        assert (tiny.u == exact.u).all()
-
-    def test_gradient_without_error_runs_to_the_cap(self):
+    def test_a_fresh_block_per_step_runs_to_the_cap(self):
+        # a gradient that reads no sample of its own (t = 0) stops only at
+        # a 1e-9 step, which a fresh block per step never takes
         source = standard_source(4, 7)
         result = find_vertex(sampled_gradient(source, 2000), start_frame(4, 0), 9)
         assert result.iterations_run == 9
         assert not result.converged.any()
-
-    def test_error_shape_checked(self):
-        with pytest.raises(ValueError, match=r"must have the frame's shape \(4, 1\), got \(4, 1\) and \(3,\) at iteration 0$"):
-            find_vertex(lambda u: (exact_grad_m3(u), np.zeros(3)), start_frame(4, 0))
 
     def test_gradient_shape_checked(self):
         # the loop sees the gradient's shape before the squares are built
@@ -253,7 +254,7 @@ class TestNoiseFloorStop:
             calls.append(1)
             return exact_grad_m3(u).ravel() if len(calls) == 3 else exact_grad_m3(u)
 
-        with pytest.raises(ValueError, match=r"must have the frame's shape \(4, 1\), got \(4,\) and \(4,\) at iteration 2$"):
+        with pytest.raises(ValueError, match=r"must have the frame's shape \(4, 1\), got \(4,\) at iteration 2$"):
             find_vertex(flat_third_gradient, start_frame(4, 0))
 
 
@@ -291,37 +292,26 @@ class TestPolarStep:
             update = rng.standard_normal((d, k))
             left, _, right = np.linalg.svd(update, full_matrices=False)
             u, _ = np.linalg.qr(rng.standard_normal((d, k)))
-            new_u, _, _, _ = _polar_step(u, update, np.zeros((d, k)), 0)
+            new_u, _ = _polar_step(u, update, 0)
             assert np.abs(new_u - left @ right).max() <= 1e-12
 
     def test_rank_deficient_update_raises(self):
         update = np.ones((4, 2))
         with pytest.raises(RuntimeError, match="update collapsed at iteration 5$"):
-            _polar_step(np.eye(4)[:, :2], update, np.zeros((4, 2)), 5)
+            _polar_step(np.eye(4)[:, :2], update, 5)
 
-    def test_stop_fires_exactly_within_twice_the_noise(self):
-        rng = substream(1, 901)
-        u, _ = np.linalg.qr(rng.standard_normal((5, 4)))
-        update = 3.0 * u + 0.01 * rng.standard_normal((5, 4))
-        _, step, _, _ = _polar_step(u, update, np.zeros((5, 4)), 0)
-        assert (step > 1e-9).all()
-        # column j gets noise factor[j] * step_j / 2, so its stop fires iff factor[j] >= 1
-        factor = np.array([0.5, 0.999, 1.001, 4.0])
-        scale = factor * step / 2.0 * np.linalg.norm(update, axis=0)
-        error = scale * np.eye(5)[:, :4]
-        _, step2, noise, stop = _polar_step(u, update, error, 0)
-        assert (step2 == step).all()
-        assert np.allclose(noise, factor * step / 2.0, rtol=1e-12)
-        assert stop.tolist() == [False, False, True, True]
-        assert (stop == (step <= np.maximum(2.0 * noise, 1e-9))).all()
-
-    def test_exact_update_stops_at_the_tolerance(self):
+    def test_exact_update_steps_below_the_tolerance(self):
         u, _ = np.linalg.qr(substream(2, 901).standard_normal((4, 3)))
-        _, step, noise, stop = _polar_step(u, 2.0 * u, np.zeros((4, 3)), 0)
-        assert (noise == 0.0).all()
-        assert (step <= 1e-9).all() and stop.all()
-        _, _, _, moved = _polar_step(u, 2.0 * u + 1e-6 * np.ones((4, 3)), np.zeros((4, 3)), 0)
-        assert not moved.any()
+        _, step = _polar_step(u, 2.0 * u, 0)
+        assert (step <= 1e-9).all()
+        _, moved = _polar_step(u, 2.0 * u + 1e-6 * np.ones((4, 3)), 0)
+        assert (moved > 1e-9).all()
+
+    def test_step_is_sign_aligned(self):
+        # a column that flips its sign has not moved
+        u, _ = np.linalg.qr(substream(3, 901).standard_normal((4, 3)))
+        _, step = _polar_step(u, u * np.array([1.0, -1.0, 1.0]), 0)
+        assert (step <= 1e-12).all()
 
 
 class TestStartAndCap:
@@ -352,8 +342,8 @@ class TestStartAndCap:
             find_vertex(exact_grad_m3, start_frame(3, 0), MAX_STEPS, t)
 
     def test_cap_defaults_to_max_steps(self):
-        # a gradient without an error only stops at a 1e-9 step, which a
-        # fresh block per step never takes
+        # a gradient that reads no sample of its own only stops at a 1e-9
+        # step, which a fresh block per step never takes
         source = standard_source(4, 7)
         result = find_vertex(sampled_gradient(source, 200), start_frame(4, 0))
         assert result.iterations_run == len(result.trace) == MAX_STEPS
@@ -367,49 +357,50 @@ class TestTrace:
         assert len(result.trace) == result.iterations_run == 7
         assert result.prefix_steps == 0
         for row in result.trace:
-            assert sorted(row) == ["noise", "rows", "step"]
+            assert sorted(row) == ["rows", "step"]
             assert row["rows"] == 0
-            assert row["noise"].shape == row["step"].shape == (1,)
-            assert row["noise"][0] == 0.0
+            assert row["step"].shape == (1,)
 
 
 class TestCoarseToFine:
-    # an error this large stops the loop at its first whole-sample step;
-    # the prefix steps until a step is at most PREFIX_TOL or all steps but
-    # one have run
+    # the exact map over a t-row sample: the prefix steps until a step is
+    # at most STEP_TOL or all steps but one have run, and the whole sample
+    # until such a step again or the cap
     @pytest.mark.parametrize("t, cap", [(65_536, 30), (65_536, 3), (65_536, 2), (65_536, 1), (65_535, 30)])
     def test_the_trace_names_the_rows_and_counts_on(self, t, cap):
         calls = []
 
         def gradient(u, rows):
             calls.append(rows)
-            return exact_grad_m3(u), np.ones_like(u)
+            return exact_grad_m3(u)
 
         result = find_vertex(gradient, start_frame(4, 0), cap, t)
         prefix = result.prefix_steps
-        rows = [8192] * prefix + [t]
+        rows = [8192] * prefix + [t] * (result.iterations_run - prefix)
         assert calls == [row["rows"] for row in result.trace] == rows
-        assert result.iterations_run == len(rows)
-        assert result.converged.all()
-        steps = [row["step"].max() for row in result.trace[:prefix]]
-        assert all(step > PREFIX_TOL for step in steps[:-1])
+        steps = [row["step"].max() for row in result.trace]
+        prefix_steps, whole_steps = steps[:prefix], steps[prefix:]
+        assert all(step > STEP_TOL for step in prefix_steps[:-1] + whole_steps[:-1])
+        assert result.converged.all() == (whole_steps[-1] <= STEP_TOL)
         if t < 65_536 or cap == 1:
             assert prefix == 0
         elif cap == 30:
-            assert prefix >= 2 and steps[-1] <= PREFIX_TOL
+            # the exact map squares the step, so one whole-sample step ends it
+            assert prefix >= 2 and prefix_steps[-1] <= STEP_TOL
+            assert len(whole_steps) == 1 and result.converged.all()
         else:
             assert prefix == cap - 1
 
     def test_an_error_names_the_step_across_the_prefix(self):
         # a NaN in the first whole-sample step names its step in the run
-        prefix = find_vertex(lambda u, rows: (exact_grad_m3(u), np.ones_like(u)), start_frame(4, 0), 30, 65_536)
+        prefix = find_vertex(lambda u, rows: exact_grad_m3(u), start_frame(4, 0), 30, 65_536)
         assert prefix.prefix_steps >= 2
 
         def gradient(u, rows):
             grad = exact_grad_m3(u)
             if rows == 65_536:
                 grad[0] = np.nan
-            return grad, np.ones_like(u)
+            return grad
 
         with pytest.raises(ValueError, match=f"not finite at iteration {prefix.prefix_steps}$"):
             find_vertex(gradient, start_frame(4, 0), 30, 65_536)
