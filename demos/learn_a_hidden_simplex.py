@@ -32,7 +32,9 @@ learned = learn_simplex(points, config)
 
 match = match_vertices(truth, learned.simplex)
 tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=2)
-print(f"found all {learned.found_count} vertices")
+fit = learned.fit
+print(f"found {len(learned.simplex.vertices)} vertices in {fit.iterations_run} steps, {fit.prefix_steps} of them on the first {len(points) // 8} rows")
+print(f"every vertex's last step at most 1e-2: {fit.converged.tolist()}")
 for i, err in enumerate(match.per_vertex_error):
     print(f"  vertex {i}: matched with error {err:.4f}")
 print(f"max vertex error {match.max_error:.4f}, estimated TV {tv.value:.4f} (+- {tv.std_error:.4f})")

@@ -35,9 +35,11 @@ print(f"max vertex error {match.max_error:.4f}; contrast {reduction.estimate.con
 
 
 def print_sweeps(estimate, t):
-    """The sweeps on the first t // 8 rows apart from those on all t."""
-    whole = estimate.sweeps - estimate.prefix_sweeps
-    print(f"{estimate.prefix_sweeps} sweeps on the first {t // 8} rows, then {whole} on all {t}")
+    """The sweeps on the first t // 8 rows apart from those on all t, from
+    the fixed point's own record."""
+    fit = estimate.fit
+    whole = fit.iterations_run - fit.prefix_steps
+    print(f"{fit.prefix_steps} sweeps on the first {t // 8} rows, then {whole} on all {t}; converged {fit.converged.tolist()}")
 
 
 print_sweeps(reduction.estimate, len(sample))

@@ -7,10 +7,10 @@ report embeds the resolved configuration and a schema_version, and is
 byte-identical across runs with the same configuration except for the
 wall_time_ms field.
 
-Exit codes: 0 on success (a learned simplex, a converged reduction, or
-all checks passed), 2 on an unconverged reduction or a failed check
-(learn never exits 2), 1 on usage or schema errors, 3 when the run
-itself fails.  Reports go to --out, else to
+Exit codes: 0 on success, 2 when some column of learn's or reduce's
+fixed point did not converge or a verify check failed, 1 on usage or
+schema errors, 3 when the run itself fails; exit 0 reports convergence,
+not accuracy.  Reports go to --out, else to
 $SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout; a report
 path that cannot name a file (empty, a directory, or below a file) is a
 schema error before the run.
@@ -37,11 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, evaluation, geometry, ica, learner, sampling
-from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL
+from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL, VertexResult
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 # every key a command takes, as a flag or in a config file: its type, its
 # default when neither sets it, and its help, which states that default
@@ -54,8 +54,8 @@ _FLAGS = {
         "n": (int, 5, "simplex dimension"),
         "t1": (int, 50_000, "first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2"),
         "t3": (int, 50_000, "second part of that block"),
-        "m": (int, None, "kept for old command lines: at least n+1, recorded in the report's config, and otherwise without effect, since every run starts n+1 columns"),
-        "r": (int, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at a step of at most {STEP_TOL:g}; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps read only its first t // {PREFIX_DIVISOR} rows, up to a step of {STEP_TOL:g}, and the cap counts them too; the last step always reads the whole block, so --r 1 runs one whole-block step; the one cap of the fixed-point loop, which ICA's sweeps share"),
+        "m": (int, None, "kept for old command lines: at least n+1, recorded in the report's cli_config, and otherwise without effect, since every run starts n+1 columns"),
+        "r": (int, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at a step of at most {STEP_TOL:g}; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps, at most r // 2 of them, read only its first t // {PREFIX_DIVISOR} rows, up to a step of {STEP_TOL:g}, and the cap counts them too; so the last step always reads the whole block, and --r 1 runs one whole-block step; a column still moving at the cap exits 2; the one cap of the fixed-point loop, which ICA's sweeps share"),
         **_SHARED,
     },
     "reduce": {
@@ -194,28 +194,36 @@ def cmd_learn(args: argparse.Namespace) -> int:
     learned = learner.learn_simplex(draw(count), learner.LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
 
     tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, rng=sampling.child_seed(cfg["seed"], 99))
-    # found_count counts the starts of the frame and the vertices they
-    # found, iterations_run its steps, prefix_steps those that read only
-    # the block's prefix; points_drawn is the one block
+    # points_drawn is the one block; found_count, always n+1, stays for
+    # the benchmark, which reads it
     payload = {
         "command": "learn",
         "cli_config": cfg,
         "schema_version": SCHEMA_VERSION,
         "n": n,
         "seed": cfg["seed"],
-        "config": {key: cfg[key] for key in ("t1", "t3", "m", "r", "seed")},
         "points_drawn": count,
-        "found_count": learned.found_count,
-        "iterations_run": learned.iterations_run,
-        "prefix_steps": learned.prefix_steps,
+        "found_count": len(learned.simplex.vertices),
         "vertices": learned.simplex.vertices,
         "per_vertex_match_error": evaluation.match_vertices(truth, learned.simplex).per_vertex_error,
         "tv_estimate": tv.value,
         "tv_std_error": tv.std_error,
-        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
+    return _finish(payload, learned.fit, started, out)
+
+
+def _finish(payload: dict, fit: VertexResult, started: float, out: str | None) -> int:
+    """Write a learn or reduce report with the fixed point's record under
+    the loop's own names and the wall time since ``started``, and return
+    both commands' exit code: 2 when some column did not converge, else 0."""
+    payload.update(
+        iterations_run=fit.iterations_run,
+        prefix_steps=fit.prefix_steps,
+        converged=fit.converged,
+        wall_time_ms=(time.perf_counter() - started) * 1000.0,
+    )
     _emit(payload, out)
-    return 0
+    return 0 if fit.converged.all() else 2
 
 
 @contextlib.contextmanager
@@ -321,13 +329,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             }
         )
 
-    payload["converged"] = reduction.estimate.converged
-    payload["sweeps"] = reduction.estimate.sweeps
-    payload["prefix_sweeps"] = reduction.estimate.prefix_sweeps
     payload["permutation_note"] = reduction.estimate.permutation_note
-    payload["wall_time_ms"] = (time.perf_counter() - started) * 1000.0
-    _emit(payload, out)
-    return 0 if all(reduction.estimate.converged) else 2
+    return _finish(payload, reduction.estimate.fit, started, out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -51,7 +51,7 @@ from .sampling import (
     sample_lp_ball,
     substream,
 )
-from .vertex_finder import MAX_STEPS, _fixed_point
+from .vertex_finder import MAX_STEPS, VertexResult, _fixed_point
 
 __all__ = [
     "MixingEstimate",
@@ -74,19 +74,19 @@ SYMDIFF_POINTS = 100_000
 class MixingEstimate:
     """ICA output: ``separating`` M with M (Y - mean) isotropic with
     independent coordinates, ``mixing`` its inverse, the ``contrast`` the
-    fixed point ran on, the whole-frame ``sweeps`` it took,
-    ``prefix_sweeps`` of them on a prefix of the sample only, and one
-    ``converged`` flag per component, true when that component's last
-    sweep, on the whole sample, moved it by at most STEP_TOL.
-    ``permutation_note`` records the inherent ambiguity."""
+    fixed point ran on, and ``fit``, the fixed point's own record
+    (:class:`~simplexlearn.vertex_finder.VertexResult`): the whole-frame
+    sweeps it took as ``iterations_run``, ``prefix_steps`` of them on a
+    prefix of the sample only, and one ``converged`` flag per component,
+    true when that component's last sweep, on the whole sample, moved it
+    by at most STEP_TOL.  ``permutation_note`` records the inherent
+    ambiguity."""
 
     separating: np.ndarray
     mixing: np.ndarray
     mean: np.ndarray
-    converged: list
     contrast: str
-    sweeps: int
-    prefix_sweeps: int
+    fit: VertexResult
     permutation_note: str = "components are recovered up to signed permutation"
 
 
@@ -171,13 +171,14 @@ def ica_estimate(
     (``vertex_finder._fixed_point``) over the t-row sample, from a random
     orthonormal frame drawn from ``seed``, coarse to fine: on a large
     sample the first sweeps read only its first t // PREFIX_DIVISOR rows,
-    up to a sweep that moves the frame by at most STEP_TOL, and the last
-    ones read all of them, up to such a sweep again, with the loop's
-    checks and one cap of ``MAX_STEPS`` sweeps in all.
+    up to a sweep that moves the frame by at most STEP_TOL or half the
+    cap, and the last ones read all of them, up to such a sweep again,
+    with the loop's checks and one cap of ``MAX_STEPS`` sweeps in all.
 
     Returns:
         MixingEstimate with ``separating`` W^T S^-1 and ``mixing`` S W,
-        its inverse.  Non-convergence is flagged per component, not raised.
+        its inverse, and the loop's record as ``fit``.  Non-convergence
+        is flagged per component, in ``fit.converged``, not raised.
 
     Raises:
         ValueError unless ``contrast`` is one of ``CONTRASTS`` and
@@ -205,16 +206,8 @@ def ica_estimate(
         return update
 
     start, _ = np.linalg.qr(substream(seed, 61).standard_normal(whitener.shape))
-    found = _fixed_point(sweep, start, MAX_STEPS, points.shape[0])
-    return MixingEstimate(
-        separating=found.u.T @ whitener,
-        mixing=frame.factor @ found.u,
-        mean=frame.mean,
-        converged=found.converged.tolist(),
-        contrast=contrast,
-        sweeps=found.iterations_run,
-        prefix_sweeps=found.prefix_steps,
-    )
+    fit = _fixed_point(sweep, start, MAX_STEPS, points.shape[0])
+    return MixingEstimate(separating=fit.u.T @ whitener, mixing=frame.factor @ fit.u, mean=frame.mean, contrast=contrast, fit=fit)
 
 
 @dataclass
@@ -260,7 +253,6 @@ class LpReduction:
 
     mixing: np.ndarray
     estimate: MixingEstimate
-    p: float
 
 
 def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction:
@@ -289,7 +281,7 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
     mixing = estimate.mixing / generalized_gaussian_std(p)
     if abs(p - 2.0) < 1e-12:
         estimate.permutation_note = "p=2 ball is rotation invariant; only the ellipsoid A A^T is identified"
-    return LpReduction(mixing=mixing, estimate=estimate, p=p)
+    return LpReduction(mixing=mixing, estimate=estimate)
 
 
 def compute_c_pn(p: float, n: int) -> float:

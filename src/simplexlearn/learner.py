@@ -11,8 +11,9 @@ run of the fixed point, go coarse to fine: on a large block the first
 ones read only its first t // 8 rows, up to a step of 1e-2, which
 carries the frame into the basin of the block's fixed point, and the
 last ones read the whole block, up to a step of 1e-2 again, which lands
-on that fixed point; r steps cap both together.  Each column is
-projected exactly onto the hyperplane and mapped back through the frame.
+on that fixed point; r steps cap both together, and the prefix at most
+r // 2.  Each column is projected exactly onto the hyperplane and mapped
+back through the frame.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import DegenerateSampleError, _power_moment, _sample_frame
 from .sampling import _check_count, child_seed, substream
-from .vertex_finder import MAX_STEPS, find_vertex
+from .vertex_finder import MAX_STEPS, VertexResult, find_vertex
 
 __all__ = [
     "BoostFailureError",
@@ -81,8 +82,9 @@ class LearnerConfig:
        default, prefix and whole-block steps together.  The whole-block
        steps stop at the first step that moves every column by at most
        STEP_TOL = 1e-2 (see
-       :func:`~simplexlearn.vertex_finder.find_vertex`); the last step
-       reads the whole block, so r = 1 is one whole-block step.
+       :func:`~simplexlearn.vertex_finder.find_vertex`); at most r // 2
+       steps read only the prefix, so the last step reads the whole
+       block, and r = 1 is one whole-block step.
     seed: master seed; start k begins from child_seed(seed, 41, k).
 
     Raises ValueError, naming the field, unless r is an integer >= 1 and
@@ -102,21 +104,16 @@ class LearnedSimplex:
     """Result of :func:`learn_simplex`.
 
     simplex has the n+1 found vertices, one per start of the frame, as
-    the rows of simplex.vertices; directions holds the unit vertex
-    direction each came from; found_count is their number, n+1.
-    iterations_run counts the frame's steps: the step where the stop
-    fired on the whole block, or the cap r.
-    prefix_steps of them read only the block's prefix.
+    the rows of simplex.vertices.  fit is the fixed point's own record
+    (:class:`~simplexlearn.vertex_finder.VertexResult`): the final frame
+    u, whose column k, projected onto the hyperplane {u . 1 = 1}, maps
+    back to vertex k; one converged flag per vertex; iterations_run, the
+    step where the stop fired on the whole block, or the cap r; and
+    prefix_steps, those of them that read only the block's prefix.
     """
 
     simplex: Simplex
-    directions: np.ndarray
-    iterations_run: int
-    prefix_steps: int
-
-    @property
-    def found_count(self) -> int:
-        return len(self.directions)
+    fit: VertexResult
 
 
 def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
@@ -150,9 +147,9 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         The steps are one ``find_vertex`` run over the t-row block,
         coarse to fine: when t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS, they
         read that prefix of the block until a step of at most STEP_TOL
-        or r - 1 steps, and then the whole block until a step of at most
-        STEP_TOL, with r steps in all as the cap; iterations_run says
-        where, and prefix_steps how many read the prefix.
+        or r // 2 steps, and then the whole block until a step of at most
+        STEP_TOL, with r steps in all as the cap; fit is the run's record,
+        with a converged flag per vertex.
 
     Raises:
         ValueError, naming the shape, when points is not a 2-D array with
@@ -170,10 +167,10 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
     emb = make_embed_map(n)
     starts = [substream(child_seed(config.seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     start = np.column_stack([u / np.linalg.norm(u) for u in starts])
-    found = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r, t)
+    fit = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r, t)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
-    directions = (found.u + (1.0 - found.u.sum(axis=0)) / (n + 1)).T
-    return LearnedSimplex(Simplex(frame.inverse(emb.inverse(directions))), directions, found.iterations_run, found.prefix_steps)
+    directions = (fit.u + (1.0 - fit.u.sum(axis=0)) / (n + 1)).T
+    return LearnedSimplex(Simplex(frame.inverse(emb.inverse(directions))), fit)
 
 
 @dataclass

@@ -35,8 +35,9 @@ hands the loop its own start frame.
 
 On a large sample of t rows the loop runs coarse to fine: its first
 steps read only the first t // PREFIX_DIVISOR rows, up to a step of
-STEP_TOL, which carries the frame into the basin of the sample's fixed
-point, and its last steps read every row, to the same stop.
+STEP_TOL or half the cap, which carries the frame into the basin of the
+sample's fixed point, and its last steps read every row, to the same
+stop.  The callers keep the loop's one record, :class:`VertexResult`.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ T_MAX_BITS = 2**20
 
 @dataclass
 class VertexResult:
-    """Output of :func:`find_vertex` and of its loop, which ICA shares.
+    """Output of :func:`find_vertex` and of its loop, which ICA shares,
+    and the record that the learner's and ICA's results keep as ``fit``.
 
     u is the final (n, k) frame of unit iterates with orthonormal columns,
     one per column of the start (not sign-normalized; vertex directions
@@ -114,7 +116,7 @@ class VertexResult:
     iterations_run is the step count, the cap when it did not.  trace
     holds one row per step, the step's index: the rows it read and its
     per-column step.  prefix_steps counts the steps that read only a
-    prefix of the sample.
+    prefix of the sample, at most half the cap.
     """
 
     u: np.ndarray
@@ -170,12 +172,12 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, t: int = 0) 
     orthonormal: the first step orthonormalizes it.
 
     The loop runs coarse to fine.  When the first t // PREFIX_DIVISOR rows
-    number at least PREFIX_MIN_ROWS and cap > 1, the first steps read only
-    that prefix, until a step is at most STEP_TOL or cap - 1 steps have
-    run: the prefix only carries the frame into the basin of the sample's
-    fixed point, at an eighth of the cost of a whole-sample step.  Every
-    later step reads all t rows, so the last step always does, and cap 1
-    is one whole-sample step.
+    number at least PREFIX_MIN_ROWS, the first steps read only that
+    prefix, until a step is at most STEP_TOL or cap // 2 steps have run:
+    the prefix only carries the frame into the basin of the sample's
+    fixed point, at an eighth of the cost of a whole-sample step, and the
+    whole sample keeps at least half the cap, so the last step always
+    reads all t rows, and cap 1 is one whole-sample step.
 
     Raises ValueError, naming the argument, unless start is a finite 2-D
     array with 1 <= k <= n columns, cap an integer >= 1 and t one >= 0,
@@ -189,7 +191,8 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, t: int = 0) 
     _check_count(cap, "cap")
     _check_count(t, "t", minimum=0)
     tol = STEP_TOL if t else CONVERGENCE_TOL
-    rows = t // PREFIX_DIVISOR if t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS and cap > 1 else t
+    prefix_cap = cap // 2 if t // PREFIX_DIVISOR >= PREFIX_MIN_ROWS else 0
+    rows = t // PREFIX_DIVISOR if prefix_cap else t
     trace, prefix_steps = [], 0
     for i in range(cap):
         update = update_map(u, rows)
@@ -202,7 +205,7 @@ def _fixed_point(update_map: Callable, start: np.ndarray, cap: int, t: int = 0) 
         converged = step <= tol
         if rows < t:
             prefix_steps += 1
-            if converged.all() or prefix_steps == cap - 1:
+            if converged.all() or prefix_steps == prefix_cap:
                 rows = t
         elif converged.all():
             break
@@ -218,8 +221,9 @@ def find_vertex(gradient: Callable[..., np.ndarray], start: np.ndarray, cap: int
     first step at which every column's sign-aligned step is at most
     STEP_TOL = 1e-2 for a gradient over a t-row sample, or at most 1e-9
     for one that reads none (t = 0), and after cap steps at the latest.
-    A gradient over a t-row sample runs coarse to fine, its first steps on
-    a prefix of the sample (see :func:`_fixed_point`).
+    A gradient over a t-row sample runs coarse to fine, its first steps,
+    at most cap // 2 of them, on a prefix of the sample (see
+    :func:`_fixed_point`).
 
     Args:
         gradient: U -> grad m3 at each column of the (n, k) frame U, for

@@ -30,7 +30,7 @@ class TestLearnCommand:
         assert sorted(report) == [
             "cli_config",
             "command",
-            "config",
+            "converged",
             "found_count",
             "iterations_run",
             "n",
@@ -45,8 +45,9 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 14
+        assert report["schema_version"] == 15
         assert report["found_count"] == 3
+        assert report["converged"] == [True] * 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["prefix_steps"] == 0  # 8000 // 8 rows are below the floor
         assert report["points_drawn"] == 4000 + 4000
@@ -55,8 +56,7 @@ class TestLearnCommand:
         assert len(report["per_vertex_match_error"]) == 3
         assert report["tv_estimate"] is not None
         assert report["tv_estimate"] <= 0.5
-        assert report["cli_config"]["t1"] == 4000
-        assert report["config"] == {"t1": 4000, "t3": 4000, "m": 12, "r": 30, "seed": 0}
+        assert report["cli_config"] == {"n": 2, "t1": 4000, "t3": 4000, "m": 12, "r": 30, "seed": 0, "out": out}
         assert report["seed"] == 0
         assert "wrote" in capsys.readouterr().out
 
@@ -67,7 +67,7 @@ class TestLearnCommand:
         assert "schema error: m must be at least n+1 = 6" in capsys.readouterr().err
         assert not out.exists()
         assert main(["learn", "--m", "6", "--n", "5", "--t1", "2000", "--t3", "2000", "--out", str(out)]) == 0
-        assert read_json(out)["config"]["m"] == 6
+        assert read_json(out)["cli_config"]["m"] == 6
 
     def test_byte_determinism_modulo_wall_time(self, tmp_path):
         out = str(tmp_path / "learn.json")
@@ -84,7 +84,31 @@ class TestLearnCommand:
         code = main(LEARN_FAST + ["--r", "40", "--seed", "0", "--out", out])
         assert code == 0
         report = read_json(out)
-        assert report["config"]["r"] == 40
+        assert report["cli_config"]["r"] == 40
+
+
+class TestOneExitRule:
+    # learn and reduce write the loop's record under its own names and exit
+    # 2 when some column did not converge: a learn run cut at one step once
+    # exited 0 at a max vertex error of 0.91 of the circumradius
+    def test_a_capped_learn_run_names_its_unconverged_columns(self, tmp_path):
+        out = str(tmp_path / "learn.json")
+        assert main(["learn", "--n", "5", "--r", "1", "--seed", "0", "--out", out]) == 2
+        report = read_json(out)
+        assert report["iterations_run"] == 1 and report["converged"] == [False] * 6
+
+    def test_a_default_learn_run_converges_in_every_column(self, tmp_path):
+        out = str(tmp_path / "learn.json")
+        assert main(["learn", "--n", "5", "--seed", "0", "--out", out]) == 0
+        assert read_json(out)["converged"] == [True] * 6
+
+    @pytest.mark.parametrize("argv", [LEARN_FAST, ["reduce", "--n", "2", "--t", "3000"]])
+    def test_both_reports_share_the_record(self, tmp_path, argv):
+        out = str(tmp_path / "report.json")
+        assert main([*argv, "--out", out]) == 0
+        keys = set(read_json(out))
+        assert {"iterations_run", "prefix_steps", "converged"} <= keys
+        assert not {"sweeps", "prefix_sweeps", "config"} & keys
 
 
 def moment_passes(monkeypatch) -> list:
@@ -111,14 +135,12 @@ def moment_passes(monkeypatch) -> list:
 )
 def test_reports_count_the_prefix_steps(tmp_path, monkeypatch, argv, t):
     # the first steps read the first t // 8 rows, the rest all t, and the
-    # report's step count holds both
+    # report's step count holds both, under the loop's names in both commands
     rows = moment_passes(monkeypatch)
     out = str(tmp_path / "report.json")
     assert main([*argv, "--seed", "1", "--out", out]) == 0
     report = read_json(out)
-    steps, prefix = (
-        (report["iterations_run"], report["prefix_steps"]) if argv[0] == "learn" else (report["sweeps"], report["prefix_sweeps"])
-    )
+    steps, prefix = report["iterations_run"], report["prefix_steps"]
     assert isinstance(prefix, int) and 1 <= prefix < steps
     assert rows == [t // 8] * prefix + [t] * (steps - prefix)
 
@@ -147,7 +169,18 @@ class TestStopAtTheFixedPoint:
         out = str(tmp_path / "reduce.json")
         assert main(["reduce", "--problem", "lp", "--n", "5", "--p", "2.0", "--seed", "0", "--out", out]) == 2
         report = read_json(out)
-        assert report["sweeps"] == 30 and not all(report["converged"])
+        assert report["iterations_run"] == 30 and not all(report["converged"])
+
+    # with up to 29 prefix sweeps these runs left one whole-sample sweep and
+    # exited 2 (separation indices 0.172 and 0.018); half the cap leaves
+    # the whole sample enough sweeps to land
+    @pytest.mark.parametrize("p, seed", [("2.1", 3), ("1.8", 9)])
+    def test_reduce_lp_n5_near_p2_keeps_whole_sample_sweeps(self, tmp_path, p, seed):
+        out = str(tmp_path / "reduce.json")
+        assert main(["reduce", "--problem", "lp", "--n", "5", "--p", p, "--seed", str(seed), "--out", out]) == 0
+        report = read_json(out)
+        assert report["prefix_steps"] <= 15 and all(report["converged"])
+        assert report["separation_index"] <= 0.05
 
 
 class TestReduceCommand:
@@ -161,9 +194,9 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 14
+        assert report["schema_version"] == 15
         assert report["converged"] == [True] * 3
-        assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
+        assert isinstance(report["iterations_run"], int) and 1 <= report["iterations_run"] <= 30
 
     def test_lp_problem(self, tmp_path):
         out = str(tmp_path / "reduce.json")
@@ -175,7 +208,7 @@ class TestReduceCommand:
         assert report["c_pn"] == pytest.approx(1.0 / 6.0**0.5, abs=1e-12)
         assert report["matched_errors"] is None
         assert report["converged"] == [True] * 2
-        assert isinstance(report["sweeps"], int) and 1 <= report["sweeps"] <= 500
+        assert isinstance(report["iterations_run"], int) and 1 <= report["iterations_run"] <= 30
 
     @pytest.mark.parametrize("problem", [["--problem", "simplex"], ["--problem", "lp", "--p", "3"]])
     def test_byte_determinism_modulo_wall_time(self, tmp_path, problem):
@@ -240,9 +273,9 @@ class TestReduceCommand:
             symdiff = ica.lp_symmetric_difference(mixed, reduction.mixing, 3.0, seed=sampling.child_seed(seed, 105))
             assert report["symdiff"] == symdiff
         assert report["separation_index"] == ica.separation_index(reduction.estimate.separating @ mixed)
-        assert report["converged"] == reduction.estimate.converged
-        assert report["sweeps"] == reduction.estimate.sweeps
-        assert report["prefix_sweeps"] == reduction.estimate.prefix_sweeps
+        fit = reduction.estimate.fit
+        assert report["converged"] == fit.converged.tolist()
+        assert (report["iterations_run"], report["prefix_steps"]) == (fit.iterations_run, fit.prefix_steps)
 
     @pytest.mark.parametrize(
         "problem, draw",

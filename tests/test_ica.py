@@ -53,7 +53,7 @@ class TestIcaEstimate:
         g = est.separating @ a
         assert separation_index(g) <= 0.05
         assert signed_permutation_deviation(g) <= 0.1
-        assert all(est.converged)
+        assert est.fit.converged.all()
         assert est.contrast == "skew"
 
     def test_separating_whitens_the_input(self):
@@ -76,7 +76,7 @@ class TestIcaEstimate:
         sources = rng.uniform(-math.sqrt(3), math.sqrt(3), size=(100_000, 3))
         est = ica_estimate(sources @ a.T, "kurtosis", seed=0)
         assert est.contrast == "kurtosis"
-        assert all(est.converged)
+        assert est.fit.converged.all()
         assert separation_index(est.separating @ a) <= 0.05
 
     def test_unknown_contrast_rejected(self):
@@ -121,7 +121,7 @@ class TestIcaEstimate:
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
         monkeypatch.setattr(ica, "MAX_STEPS", 1)
         est = ica_estimate(x, seed=0)
-        assert not all(est.converged)
+        assert not est.fit.converged.all()
 
     # every sweep goes through the loop's checks, which name the iteration
     def test_non_finite_sweep_names_the_iteration(self, monkeypatch):
@@ -144,7 +144,7 @@ class TestIcaEstimate:
         # whole-sample sweep is named by the sweeps before it
         t = 65_537
         x = exponential_mixture(np.eye(3), np.zeros(3), t, seed=4)
-        prefix_sweeps = ica_estimate(x, seed=0).prefix_sweeps
+        prefix_sweeps = ica_estimate(x, seed=0).fit.prefix_steps
         stops, real = [], ica._power_moment
 
         def first_whole_sweep_nan(x, linear, shift, u, q, stop):
@@ -166,7 +166,7 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
     copy z, and a contrast array per sweep over the rows it reads.  Sweeps
     run coarse to fine: when the first t // 8 rows number at least 8192,
     sweeps read only those rows until one moves every column by at most
-    1e-2 or cap - 1 have run, and the rest, cap in all, every row until
+    1e-2 or cap // 2 have run, and the rest, cap in all, every row until
     one moves every column by at most 1e-2 again.  Returns (separating,
     mean, sweeps, converged, prefix_sweeps)."""
     t, d = points.shape
@@ -185,7 +185,7 @@ def one_shot_ica(points: np.ndarray, contrast: str, seed: int, cap: int):
 
     sweeps = 0
     if t // 8 >= 8192:
-        while sweeps < cap - 1:
+        while sweeps < cap // 2:
             w, moved = sweep(z[: t // 8], w)
             sweeps += 1
             if moved.max() <= 1e-2:
@@ -238,8 +238,8 @@ class TestBlockedPasses:
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         monkeypatch.setattr(ica, "MAX_STEPS", cap)
         est = ica_estimate(x, contrast, seed=3)
-        assert (est.sweeps, est.prefix_sweeps) == (sweeps, prefix_sweeps)
-        assert est.converged == converged
+        assert (est.fit.iterations_run, est.fit.prefix_steps) == (sweeps, prefix_sweeps)
+        assert est.fit.converged.tolist() == converged
         assert np.abs(est.separating - separating).max() <= 1e-12 * np.abs(separating).max()
         assert np.abs(est.mean - mean).max() <= 1e-12 * np.abs(mean).max()
 
@@ -248,9 +248,10 @@ class TestBlockedPasses:
         reference = reduce_simplex_to_ica(sm, seed=2)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = reduce_simplex_to_ica(sm, seed=2)
-        assert blocked.estimate.sweeps == reference.estimate.sweeps
-        assert blocked.estimate.prefix_sweeps == reference.estimate.prefix_sweeps >= 1
-        assert blocked.estimate.converged == reference.estimate.converged
+        blocked_fit, fit = blocked.estimate.fit, reference.estimate.fit
+        assert blocked_fit.iterations_run == fit.iterations_run
+        assert blocked_fit.prefix_steps == fit.prefix_steps >= 1
+        assert (blocked_fit.converged == fit.converged).all()
         assert np.abs(blocked.vertices - reference.vertices).max() <= 1e-12 * np.abs(reference.vertices).max()
 
     # at 65_537 rows the first sweeps read the first 8192
@@ -283,12 +284,12 @@ class TestBlockedPasses:
         est = estimate()
         passes = [*_row_blocks(0, t)]
         if t == 65_537:
-            assert est.prefix_sweeps >= 1
+            assert est.fit.prefix_steps >= 1
             passes += [*_row_blocks(0, t // 8)]
         assert seen == {(rows.start, rows.stop) for rows in passes}
         built = ica_estimate(expected, est.contrast, seed=9)
-        assert (est.sweeps, est.prefix_sweeps) == (built.sweeps, built.prefix_sweeps)
-        assert est.converged == built.converged
+        assert (est.fit.iterations_run, est.fit.prefix_steps) == (built.fit.iterations_run, built.fit.prefix_steps)
+        assert (est.fit.converged == built.fit.converged).all()
         assert np.abs(est.separating - built.separating).max() <= 1e-12 * np.abs(built.separating).max()
 
 
@@ -300,30 +301,30 @@ class TestSweepStop:
         a = rng.standard_normal((9, 9))
         x = exponential_mixture(a, rng.standard_normal(9), 200_000, seed=15)
         est = ica_estimate(x, seed=4)
-        assert all(est.converged)
-        assert est.sweeps <= 10
+        assert est.fit.converged.all()
+        assert est.fit.iterations_run <= 10
         assert separation_index(est.separating @ a) <= 0.05
 
     def test_sweeps_count_each_pass(self, monkeypatch):
         x = exponential_mixture(np.eye(3), np.zeros(3), 5000, seed=4)
         est = ica_estimate(x, seed=0)
-        assert all(est.converged)
-        assert 1 <= est.sweeps < MAX_STEPS
+        assert est.fit.converged.all()
+        assert 1 <= est.fit.iterations_run < MAX_STEPS
         monkeypatch.setattr(ica, "MAX_STEPS", 1)
-        assert ica_estimate(x, seed=0).sweeps == 1
+        assert ica_estimate(x, seed=0).fit.iterations_run == 1
 
     @pytest.mark.parametrize("cap", [1, 2, 3, MAX_STEPS])
     def test_one_cap_and_the_last_sweep_reads_every_row(self, monkeypatch, cap):
-        # up to cap - 1 sweeps on the first t // 8 rows, then every row to
+        # up to cap // 2 sweeps on the first t // 8 rows, then every row to
         # the stop or the cap: a cap of 1 is one whole-sample sweep
         t = 65_537
         x = exponential_mixture(substream(5, 612).standard_normal((4, 4)), np.zeros(4), t, seed=17)
         monkeypatch.setattr(ica, "MAX_STEPS", cap)
         rows = stops_read(monkeypatch)
-        est = ica_estimate(x, seed=1)
-        assert len(rows) == est.sweeps <= cap
-        assert rows == [t // 8] * est.prefix_sweeps + [t] * (est.sweeps - est.prefix_sweeps)
-        assert (1 <= est.prefix_sweeps <= cap - 1) if cap > 1 else rows == [t]
+        fit = ica_estimate(x, seed=1).fit
+        assert len(rows) == fit.iterations_run <= cap
+        assert rows == [t // 8] * fit.prefix_steps + [t] * (fit.iterations_run - fit.prefix_steps)
+        assert (1 <= fit.prefix_steps <= cap // 2) if cap > 1 else rows == [t]
 
     @pytest.mark.parametrize("block_rows", [7, 10**9])
     @pytest.mark.parametrize("t, runs_prefix", [(65_535, False), (65_536, True)])
@@ -332,7 +333,7 @@ class TestSweepStop:
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         rows = stops_read(monkeypatch)
         est = ica_estimate(exponential_mixture(np.eye(3), np.zeros(3), t, seed=18), seed=2)
-        assert (est.prefix_sweeps > 0) == runs_prefix
+        assert (est.fit.prefix_steps > 0) == runs_prefix
         assert set(rows) == ({t // 8, t} if runs_prefix else {t})
 
 

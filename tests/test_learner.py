@@ -51,7 +51,7 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
     reads, and the squares and polar step from the child_seed(seed, 41, k)
     starts.  Steps run coarse to fine: when the first t // 8 rows number
     at least 8192, steps read only those rows until one moves every column
-    by at most 1e-2 or r - 1 have run, and the rest, r in all, read the
+    by at most 1e-2 or r // 2 have run, and the rest, r in all, read the
     whole block until one moves every column by at most 1e-2.
     Returns (vertices, iterations_run, prefix_steps)."""
     t, n = points.shape
@@ -67,7 +67,7 @@ def one_shot_learn(points: np.ndarray, seed: int, r: int) -> tuple[np.ndarray, i
 
     steps = 0
     if t // 8 >= 8192:
-        while steps < r - 1:
+        while steps < r // 2:
             u, moved = step(y[: t // 8], u)
             steps += 1
             if moved.max() <= 1e-2:
@@ -158,7 +158,7 @@ class TestEstimateFrame:
         vertices, iterations_run, prefix_steps = one_shot_learn(x, 2, r)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         result = learn_simplex(x, LearnerConfig(r=r, seed=2))
-        assert (result.iterations_run, result.prefix_steps) == (iterations_run, prefix_steps)
+        assert (result.fit.iterations_run, result.fit.prefix_steps) == (iterations_run, prefix_steps)
         assert np.abs(result.simplex.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
         if t == 65_537 and r > 1:
             assert prefix_steps >= 1
@@ -170,9 +170,9 @@ class TestEstimateFrame:
         reference = learn_simplex(points, LearnerConfig(seed=8))
         monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
         blocked = learn_simplex(points, LearnerConfig(seed=8))
-        assert blocked.iterations_run == reference.iterations_run
-        assert blocked.prefix_steps == reference.prefix_steps
-        assert (reference.prefix_steps > 0) == (t == 65_537)
+        assert blocked.fit.iterations_run == reference.fit.iterations_run
+        assert blocked.fit.prefix_steps == reference.fit.prefix_steps
+        assert (reference.fit.prefix_steps > 0) == (t == 65_537)
         scale = np.abs(reference.simplex.vertices).max()
         assert np.abs(blocked.simplex.vertices - reference.simplex.vertices).max() <= 1e-12 * scale
 
@@ -208,7 +208,7 @@ class TestLearnSimplex:
     def test_recovers_plane_truth(self):
         truth = random_truth(2, 1)
         result = learn_simplex(simplex_source(truth, 10)(8000), LearnerConfig(seed=0))
-        assert result.found_count == 3
+        assert len(result.simplex.vertices) == 3
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_recovers_space_truth(self):
@@ -221,11 +221,10 @@ class TestLearnSimplex:
         config = LearnerConfig(seed=5)
         a = learn_simplex(simplex_source(truth, 12)(6000), config)
         b = learn_simplex(simplex_source(truth, 12)(6000), config)
-        assert a.found_count == b.found_count
-        assert (a.directions == b.directions).all()
+        assert (a.fit.u == b.fit.u).all()
         assert (a.simplex.vertices == b.simplex.vertices).all()
         other = learn_simplex(simplex_source(truth, 13)(6000), config)
-        assert (a.directions != other.directions).any()
+        assert (a.fit.u != other.fit.u).any()
 
     def test_stops_early_once_complete(self):
         n = 2
@@ -234,8 +233,8 @@ class TestLearnSimplex:
         result = learn_simplex(simplex_source(truth, 14)(8000), config)
         # one block serves one frame of n+1 starts; r is a cap, and the
         # frame stops at a step of at most 1e-2 before it
-        assert result.iterations_run < config.r
-        assert result.found_count == n + 1
+        assert result.fit.iterations_run < config.r and result.fit.converged.all()
+        assert len(result.simplex.vertices) == n + 1
 
     def test_one_draw_whatever_the_step_count(self):
         # the caller's one block serves every step, and the learner leaves
@@ -244,7 +243,7 @@ class TestLearnSimplex:
         kept = points.copy()
         steps = set()
         for r in (1, 2, 30):
-            steps.add(learn_simplex(points, LearnerConfig(r=r, seed=0)).iterations_run)
+            steps.add(learn_simplex(points, LearnerConfig(r=r, seed=0)).fit.iterations_run)
             assert (points == kept).all()
         assert len(steps) == 3
 
@@ -252,7 +251,7 @@ class TestLearnSimplex:
         truth = _synthesize_simplex(5, 0)
         config = LearnerConfig(seed=0)
         result = learn_simplex(simplex_source(truth, child_seed(0, 98))(100_000), config)
-        assert result.iterations_run < config.r
+        assert result.fit.iterations_run < config.r
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(5 * 7)
 
     def test_iterations_run_is_deterministic(self):
@@ -260,7 +259,7 @@ class TestLearnSimplex:
             truth = random_truth(3, seed)
             config = LearnerConfig(seed=seed)
             runs = [learn_simplex(simplex_source(truth, 30 + seed)(20_000), config) for _ in range(2)]
-            assert runs[0].iterations_run == runs[1].iterations_run < config.r
+            assert runs[0].fit.iterations_run == runs[1].fit.iterations_run < config.r
             assert (runs[0].simplex.vertices == runs[1].simplex.vertices).all()
 
     def test_completes_the_n15_cli_truth(self):
@@ -268,7 +267,7 @@ class TestLearnSimplex:
         # here; the frame ends on all of them
         truth = _synthesize_simplex(15, 0)
         result = learn_simplex(simplex_source(truth, child_seed(0, 98))(100_000), LearnerConfig(seed=0))
-        assert result.found_count == 16
+        assert len(result.simplex.vertices) == 16
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(15 * 17)
 
     def test_t1_checked_against_dimension(self):
@@ -279,15 +278,15 @@ class TestLearnSimplex:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 30])
     def test_one_cap_and_the_last_step_reads_every_row(self, monkeypatch, r):
-        # up to r - 1 steps on the first t // 8 rows, then the whole block
+        # up to r // 2 steps on the first t // 8 rows, then the whole block
         # to the stop or the cap: r = 1 is one whole-block step
         t = 65_537
         rows = rows_read(monkeypatch)
-        result = learn_simplex(simplex_source(random_truth(3, 5), 6)(t), LearnerConfig(r=r, seed=0))
-        assert len(rows) == result.iterations_run <= r
-        assert rows == [t // 8] * result.prefix_steps + [t] * (result.iterations_run - result.prefix_steps)
+        fit = learn_simplex(simplex_source(random_truth(3, 5), 6)(t), LearnerConfig(r=r, seed=0)).fit
+        assert len(rows) == fit.iterations_run <= r
+        assert rows == [t // 8] * fit.prefix_steps + [t] * (fit.iterations_run - fit.prefix_steps)
         assert rows[-1] == t
-        assert (1 <= result.prefix_steps <= r - 1) if r > 1 else rows == [t]
+        assert (1 <= fit.prefix_steps <= r // 2) if r > 1 else rows == [t]
 
     # the floor is on the prefix, t // 8 >= 8192 rows, whatever the block
     # size of the passes
@@ -297,7 +296,7 @@ class TestLearnSimplex:
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         rows = rows_read(monkeypatch)
         result = learn_simplex(simplex_source(random_truth(2, 5), 6)(t), LearnerConfig(seed=0))
-        assert (result.prefix_steps > 0) == runs_prefix
+        assert (result.fit.prefix_steps > 0) == runs_prefix
         assert set(rows) == ({t // 8, t} if runs_prefix else {t})
 
     def test_a_whole_block_step_is_named_by_its_step(self, monkeypatch):
@@ -305,7 +304,7 @@ class TestLearnSimplex:
         # whole-block step is named by the steps before it
         t = 65_537
         points = simplex_source(random_truth(3, 5), 6)(t)
-        prefix_steps = learn_simplex(points, LearnerConfig(seed=0)).prefix_steps
+        prefix_steps = learn_simplex(points, LearnerConfig(seed=0)).fit.prefix_steps
         stops, real = [], learner._power_moment
 
         def first_whole_step_nan(x, linear, shift, u, q, stop):
@@ -328,9 +327,9 @@ class TestLearnSimplex:
         result = learn_simplex(simplex_source(random_truth(2, 8), 18)(6000), config)
         assert result.simplex.vertices.shape == (3, 2)
         assert not hasattr(result, "vertices")
-        assert result.directions.shape == (3, 3)
-        assert result.found_count == len(result.directions) == 3
-        assert 1 <= result.iterations_run <= config.r
+        assert result.fit.u.shape == (3, 3)
+        assert result.fit.converged.shape == (3,)
+        assert 1 <= result.fit.iterations_run <= config.r
 
     def test_back_map_matches_explicit_formula(self):
         # v = sqrt((n+1)(n+2)) (u - 1/(n+1)) B A^T + mu, with B the embedding
@@ -340,8 +339,31 @@ class TestLearnSimplex:
         result = learn_simplex(points, LearnerConfig(seed=0))
         frame = estimate_frame(points)
         basis = make_embed_map(n).basis
-        explicit = math.sqrt((n + 1) * (n + 2)) * ((result.directions - 1.0 / (n + 1)) @ basis) @ frame.factor.T + frame.mean
+        # the frame's columns, projected exactly onto the hyperplane {u . 1 = 1}
+        directions = (result.fit.u + (1.0 - result.fit.u.sum(axis=0)) / (n + 1)).T
+        explicit = math.sqrt((n + 1) * (n + 2)) * ((directions - 1.0 / (n + 1)) @ basis) @ frame.factor.T + frame.mean
         assert np.abs(result.simplex.vertices - explicit).max() <= 1e-9 * (1.0 + np.abs(explicit).max())
+
+
+class TestAffineEquivariance:
+    # the frame, the embedding and the polar step are all equivariant, so
+    # at the block's fixed point learn(F X + c) is F learn(X) + c as a
+    # vertex set (each start may end on another vertex).  F has condition
+    # number 1e3: a Gaussian F with column scales up to 1e2 reached 1.5e6
+    # at n = 20 and raised DegenerateSampleError, as it should.  The worst
+    # gap measured over these cases was 1.5e-7 of the circumradius.
+    @pytest.mark.parametrize("n, seed", [*((n, seed) for n in (3, 5, 10) for seed in range(5)), (20, 0)])
+    def test_learning_commutes_with_an_affine_map(self, n, seed):
+        rng = substream(seed, 800)
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        f = q1 @ np.diag(np.logspace(0, 3, n)) @ q2
+        shift = 10.0 * rng.standard_normal(n)
+        points = simplex_source(_synthesize_simplex(n, seed), seed)(100_000)
+        config = LearnerConfig(seed=seed)
+        image = Simplex(learn_simplex(points, config).simplex.vertices @ f.T + shift)
+        mapped = learn_simplex(points @ f.T + shift, config).simplex
+        assert match_vertices(image, mapped).max_error <= 1e-5 * image.circumscribed_radius()
 
 
 def spoiled_points(row: int, value: float) -> np.ndarray:
@@ -382,7 +404,7 @@ class TestSourceValidation:
     def test_n_plus_two_rows_suffice(self):
         for n in (2, 3):
             result = learn_simplex(simplex_source(random_truth(n, 24), 25)(n + 2), LearnerConfig(seed=0))
-            assert result.found_count == n + 1
+            assert len(result.simplex.vertices) == n + 1
             assert np.isfinite(result.simplex.vertices).all()
 
 

@@ -51,6 +51,16 @@ def test_learner_has_one_shape():
     assert not hasattr(simplexlearn.LearnedSimplex, "complete")
 
 
+def test_both_results_keep_the_loops_record():
+    # the learner's and ICA's results hold the loop's VertexResult as fit,
+    # with no renamed copies of its fields beside it
+    assert [f.name for f in dataclasses.fields(simplexlearn.LearnedSimplex)] == ["simplex", "fit"]
+    assert not hasattr(simplexlearn.LearnedSimplex, "found_count")
+    fields = {f.name for f in dataclasses.fields(simplexlearn.MixingEstimate)}
+    assert "fit" in fields and not {"sweeps", "prefix_sweeps", "converged"} & fields
+    assert [f.name for f in dataclasses.fields(simplexlearn.LpReduction)] == ["mixing", "estimate"]
+
+
 def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
     # the learner's r, the command line's default r and ICA's sweeps: each
     # is one run of the loop over the whole sample, with the one cap, and
@@ -74,13 +84,13 @@ def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
             assert cli.main(["learn", "--n", "2", "--t1", str(t // 2), "--t3", str(t // 2), "--out", str(out)]) == 0
         with open(out) as fh:
             report = json.load(fh)
-        assert report["config"]["r"] == MAX_STEPS
+        assert report["cli_config"]["r"] == MAX_STEPS
         assert calls == [(MAX_STEPS, t, report["iterations_run"], report["prefix_steps"])]
         assert (report["prefix_steps"] > 0) == (t // 8 >= 8192)
         calls.clear()
         estimate = ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, t, 0), "kurtosis")
-        assert calls == [(MAX_STEPS, t, estimate.sweeps, estimate.prefix_sweeps)]
-        assert (estimate.prefix_sweeps > 0) == (t // 8 >= 8192)
+        assert calls == [(MAX_STEPS, t, estimate.fit.iterations_run, estimate.fit.prefix_steps)]
+        assert (estimate.fit.prefix_steps > 0) == (t // 8 >= 8192)
 
 
 def test_both_fixed_points_share_one_frame(monkeypatch):

@@ -364,7 +364,7 @@ class TestTrace:
 
 class TestCoarseToFine:
     # the exact map over a t-row sample: the prefix steps until a step is
-    # at most STEP_TOL or all steps but one have run, and the whole sample
+    # at most STEP_TOL or cap // 2 steps have run, and the whole sample
     # until such a step again or the cap
     @pytest.mark.parametrize("t, cap", [(65_536, 30), (65_536, 3), (65_536, 2), (65_536, 1), (65_535, 30)])
     def test_the_trace_names_the_rows_and_counts_on(self, t, cap):
@@ -389,7 +389,7 @@ class TestCoarseToFine:
             assert prefix >= 2 and prefix_steps[-1] <= STEP_TOL
             assert len(whole_steps) == 1 and result.converged.all()
         else:
-            assert prefix == cap - 1
+            assert prefix == cap // 2
 
     def test_an_error_names_the_step_across_the_prefix(self):
         # a NaN in the first whole-sample step names its step in the run
