@@ -1,8 +1,9 @@
 """Experiment harness: ``simplexlearn learn | reduce | verify``.
 
-Commands synthesize a seeded ground-truth instance (a rotated and shifted
-simplex, or a linearly mapped lp ball), run the corresponding pipeline,
-score the result against the truth, and write one JSON report.  Every
+Commands draw a seeded hidden instance with its sample from
+``sampling.hidden_instance`` (a rotated and shifted simplex, or a linearly
+mapped lp ball), run the corresponding pipeline, score the result
+against the truth, and write one JSON report.  Every
 report embeds the resolved configuration and a schema_version, and is
 byte-identical across runs with the same configuration except for the
 wall_time_ms field.
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, evaluation, geometry, ica, learner, sampling
+from . import diagnostics, evaluation, ica, learner, sampling
 from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL, VertexResult
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
@@ -159,22 +160,6 @@ def _emit(payload: dict, out: str | None) -> None:
     print(f"wrote {out}")
 
 
-def _rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A Haar-random orthogonal (n, n) matrix: the Q of a Gaussian matrix's
-    QR, its columns signed by the diagonal of R."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def _synthesize_simplex(n: int, seed: int) -> geometry.Simplex:
-    """Seeded hidden instance: the isotropic simplex under a Haar-random
-    rotation and a normal shift."""
-    rng = sampling.substream(seed, 97)
-    q = _rotation(rng, n)
-    shift = rng.standard_normal(n)
-    return geometry.Simplex(geometry.isotropic_simplex(n).vertices @ q.T + shift)
-
-
 def cmd_learn(args: argparse.Namespace) -> int:
     cfg, _ = _resolve(args, "learn")
     n = cfg["n"]
@@ -186,12 +171,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
         raise SchemaError(f"m must be at least n+1 = {n + 1}: every run starts n+1 columns")
     out = _report_path(cfg, "learn")
 
-    truth = _synthesize_simplex(n, cfg["seed"])
     count = cfg["t1"] + cfg["t3"]
     started = time.perf_counter()
-    # no name holds the block, so it is freed before scoring runs
-    draw = sampling.simplex_source(truth, sampling.child_seed(cfg["seed"], 98))
-    learned = learner.learn_simplex(draw(count), learner.LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
+    truth, sample = sampling.hidden_instance("learn", n, count, cfg["seed"])
+    learned = learner.learn_simplex(sample, learner.LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
+    del sample  # the block is freed before scoring runs
 
     tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, rng=sampling.child_seed(cfg["seed"], 99))
     # points_drawn is the one block; found_count, always n+1, stays for
@@ -251,14 +235,15 @@ def _drawing_beside(*draws):
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    """Draw a seeded instance's sample, reduce it to ICA and score the
-    result.  The reduction's radii and, for lp, the scorer's ball are
-    streams of their own, independent of the sample: one thread draws them
-    into arrays allocated here while this one draws the sample, and is
-    joined before ICA reads the radii.  Every stream keeps its seed, key
-    and fill order, so the report is that of the serial composition
-    ``reduce_*_to_ica(sample_*(...), seed)``, then
-    ``lp_symmetric_difference(..., seed=child_seed(seed, 105))``."""
+    """Draw a seeded instance and its sample from ``hidden_instance``,
+    reduce the sample to ICA and score the result.  The reduction's radii
+    and, for lp, the scorer's ball are streams of their own, independent
+    of the sample: one thread draws them into arrays allocated here while
+    this one draws the instance, and is joined before ICA reads the radii.
+    Every stream keeps its seed, key and fill order, so the report is that
+    of the serial composition ``reduce_*_to_ica(hidden_instance(...)[1],
+    seed)``, then ``lp_symmetric_difference(..., seed=child_seed(seed,
+    105))``."""
     cfg, _ = _resolve(args, "reduce")
     if cfg["problem"] == "simplex" and cfg["p"] is not None:
         raise SchemaError("p applies only to --problem lp")
@@ -285,10 +270,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     }
 
     if cfg["problem"] == "simplex":
-        truth = _synthesize_simplex(n, seed)
         radii = np.empty(t)
         with _drawing_beside(partial(ica._reduction_radii, radii, n, None, seed)):
-            sample = sampling.sample_simplex(truth, t, sampling.child_seed(seed, 101))
+            truth, sample = sampling.hidden_instance("simplex", n, t, seed)
         reduction = ica.reduce_simplex_to_ica(ica._ScaledRows(sample, radii, lift=True), seed=seed)
         match = evaluation.match_vertices(truth.vertices, reduction.vertices)
         lifted = np.vstack([truth.vertices.T, np.ones(n + 1)])
@@ -304,8 +288,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         )
     else:
         p = cfg["p"]
-        rng = sampling.substream(seed, 103)
-        a = _rotation(rng, n) * rng.uniform(0.5, 2.0, size=n)  # rotation times per-axis scale
         # the ball is drawn first, and its row sums are scratch in the
         # radii's array until the radii overwrite them
         ball, radii = np.empty((ica.SYMDIFF_POINTS, n)), np.empty(max(t, ica.SYMDIFF_POINTS))
@@ -313,9 +295,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, radii[: ica.SYMDIFF_POINTS]),
             partial(ica._reduction_radii, radii[:t], n, p, seed),
         ):
-            sample = sampling.sample_lp_ball(n, p, t, sampling.child_seed(seed, 104))
-            for rows in sampling._row_blocks(0, t):  # sample @ a.T in place
-                sample[rows] = sample[rows] @ a.T
+            a, sample = sampling.hidden_instance("lp", n, t, seed, p)
         reduction = ica.reduce_lp_to_ica(ica._ScaledRows(sample, radii[:t], lift=False), p, seed=seed)
         del sample, radii  # the scorer reads only the ball
         payload.update(

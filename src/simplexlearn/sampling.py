@@ -9,7 +9,8 @@ row order, and reduces each block to points before it draws the next, so
 no intermediate is larger than a block.  A Generator yields the same
 variates whether an array is filled in one call or in consecutive row
 blocks, so the points are the whole-array formulas' bit for bit, with
-every row sum added left to right.
+every row sum added left to right.  :func:`hidden_instance` holds the
+command line's seeded hidden truths and their samples, with their keys.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import Simplex, _barycentric, _check_count
+from .geometry import Simplex, _barycentric, _check_count, isotropic_simplex
 
 __all__ = [
     "substream",
@@ -31,6 +32,7 @@ __all__ = [
     "generalized_gaussian_std",
     "sample_lp_ball",
     "simplex_source",
+    "hidden_instance",
 ]
 
 P_MIN, P_MAX = 1.0, 64.0
@@ -263,3 +265,37 @@ def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:
         return _simplex_points(substream(seed, _KEY_SOURCE, next(counter)), vertices, count)
 
     return draw
+
+
+def hidden_instance(problem: str, n: int, t: int, seed: int, p: float | None = None) -> tuple:
+    """The command line's seeded hidden instance and t uniform points of it,
+    as (truth, sample).  For ``"learn"`` and ``"simplex"`` the truth is the
+    isotropic simplex under a Haar rotation (the Q of a Gaussian matrix's
+    QR, its columns signed by the diagonal of R) and a normal shift, from
+    key 97; learn draws ``simplex_source(truth, child_seed(seed, 98))(t)``
+    and reduce ``sample_simplex(truth, t, child_seed(seed, 101))``: two
+    streams, since sharing one would move every reduce report.  Both are
+    prefix stable, a longer draw beginning with these t points.  For
+    ``"lp"`` the truth is A = rotation · diag(uniform(0.5, 2)), from key 103,
+    and the sample ``sample_lp_ball(n, p, t, child_seed(seed, 104))`` mapped
+    by Aᵀ in place, which is not prefix stable: the ball draws every Gamma
+    block before any sign.  ``p`` is required for ``"lp"`` and rejected
+    otherwise; an unknown ``problem`` raises ValueError."""
+    if problem not in ("learn", "simplex", "lp"):
+        raise ValueError(f"problem must be 'learn', 'simplex' or 'lp', got {problem!r}")
+    if problem != "lp" and p is not None:
+        raise ValueError(f"p applies only to problem 'lp', got {p!r}")
+    n = _check_count(n, "n")
+    rng = substream(seed, 103 if problem == "lp" else 97)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    rotation = q * np.sign(np.diag(r))
+    if problem == "lp":
+        truth = rotation * rng.uniform(0.5, 2.0, size=n)
+        sample = sample_lp_ball(n, p, t, child_seed(seed, 104))
+        for rows in _row_blocks(0, t):  # sample @ truth.T in place
+            sample[rows] = sample[rows] @ truth.T
+        return truth, sample
+    truth = Simplex(isotropic_simplex(n).vertices @ rotation.T + rng.standard_normal(n))
+    if problem == "learn":
+        return truth, simplex_source(truth, child_seed(seed, 98))(t)
+    return truth, sample_simplex(truth, t, child_seed(seed, 101))

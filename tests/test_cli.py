@@ -79,6 +79,15 @@ class TestLearnCommand:
         second.pop("wall_time_ms")
         assert first == second
 
+    def test_vertices_are_those_learned_from_the_hidden_instance(self, tmp_path):
+        # the command learns the library's seeded instance, one block of
+        # t1 + t3 points
+        out = str(tmp_path / "learn.json")
+        assert main(["learn", "--n", "3", "--t1", "3000", "--t3", "2000", "--r", "12", "--seed", "4", "--out", out]) == 0
+        points = sampling.hidden_instance("learn", 3, 5000, 4)[1]
+        learned = learner.learn_simplex(points, learner.LearnerConfig(r=12, seed=4))
+        assert read_json(out)["vertices"] == learned.simplex.vertices.tolist()
+
     def test_iteration_count_flag(self, tmp_path):
         out = str(tmp_path / "learn.json")
         code = main(LEARN_FAST + ["--r", "40", "--seed", "0", "--out", out])
@@ -245,7 +254,6 @@ class TestReduceCommand:
     def test_overlapped_draws_match_the_serial_composition(self, tmp_path, problem):
         # the radii and the scoring ball drawn beside the sample give the
         # report of the public functions called one after another
-        from simplexlearn.cli import _synthesize_simplex
         from simplexlearn.evaluation import match_vertices
 
         n, t, seed = 3, 65_536, 5
@@ -256,19 +264,14 @@ class TestReduceCommand:
         assert main(argv) in (0, 2)
         report = read_json(out)
         if problem == "simplex":
-            truth = _synthesize_simplex(n, seed)
-            reduction = ica.reduce_simplex_to_ica(sampling.sample_simplex(truth, t, sampling.child_seed(seed, 101)), seed=seed)
+            truth, sample = sampling.hidden_instance("simplex", n, t, seed)
+            reduction = ica.reduce_simplex_to_ica(sample, seed=seed)
             match = match_vertices(truth.vertices, reduction.vertices)
             assert report["matched_errors"] == list(match.per_vertex_error)
             assert report["max_match_error"] == match.max_error
             mixed = np.vstack([truth.vertices.T, np.ones(n + 1)])
         else:
-            rng = sampling.substream(seed, 103)
-            q, r = np.linalg.qr(rng.standard_normal((n, n)))
-            mixed = q * np.sign(np.diag(r)) * rng.uniform(0.5, 2.0, size=n)
-            sample = sampling.sample_lp_ball(n, 3.0, t, sampling.child_seed(seed, 104))
-            for rows in sampling._row_blocks(0, t):  # as the command maps it
-                sample[rows] = sample[rows] @ mixed.T
+            mixed, sample = sampling.hidden_instance("lp", n, t, seed, 3.0)
             reduction = ica.reduce_lp_to_ica(sample, 3.0, seed=seed)
             symdiff = ica.lp_symmetric_difference(mixed, reduction.mixing, 3.0, seed=sampling.child_seed(seed, 105))
             assert report["symdiff"] == symdiff

@@ -129,6 +129,11 @@ def test_deleted_names_are_gone(name):
         exec(f"from simplexlearn import {name}", {})
 
 
+def test_the_hidden_instance_has_one_home():
+    # the command line draws its truths and samples through the library
+    assert not hasattr(cli, "_rotation") and not hasattr(cli, "_synthesize_simplex")
+
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 

@@ -10,9 +10,11 @@ from simplexlearn.ica import compute_c_pn, lp_symmetric_difference, reduce_lp_to
 from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex
 from simplexlearn.sampling import (
     _KEY_GENERALIZED_GAUSSIAN,
+    _row_blocks,
     _simplex_weights,
     child_seed,
     generalized_gaussian_std,
+    hidden_instance,
     sample_generalized_gaussian,
     sample_lp_ball,
     sample_simplex,
@@ -356,3 +358,60 @@ class TestSources:
         a = simplex_source(s, 5)(300)
         c = simplex_source(image, 5)(300)
         assert np.allclose(a @ m.T + b, c, atol=1e-12)
+
+
+def reference_instance(problem: str, n: int, t: int, seed: int, p: float | None = None):
+    """The command line's hidden-instance law written out: a Haar rotation
+    (QR of a Gaussian matrix, columns signed by diag R) from key 97 for a
+    simplex or 103 for lp; the isotropic simplex rotated and shifted, with
+    learn's points from key 98 and reduce's from key 101; or the map
+    A = rotation diag(uniform(0.5, 2)) applied to the key-104 ball, block
+    by block."""
+    rng = substream(seed, 103 if problem == "lp" else 97)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    rotation = q * np.sign(np.diag(r))
+    if problem == "lp":
+        a = rotation * rng.uniform(0.5, 2.0, size=n)
+        ball = sample_lp_ball(n, p, t, child_seed(seed, 104))
+        return a, np.vstack([ball[rows] @ a.T for rows in _row_blocks(0, t)])
+    truth = Simplex(isotropic_simplex(n).vertices @ rotation.T + rng.standard_normal(n))
+    if problem == "learn":
+        return truth, simplex_source(truth, child_seed(seed, 98))(t)
+    return truth, sample_simplex(truth, t, child_seed(seed, 101))
+
+
+class TestHiddenInstance:
+    @pytest.mark.parametrize("problem, p", [("learn", None), ("simplex", None), ("lp", 1.0), ("lp", 3.0)])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bits_of_the_written_law(self, problem, p, n):
+        for seed in range(3):
+            truth, sample = hidden_instance(problem, n, 20_000, seed, p)
+            expected_truth, expected = reference_instance(problem, n, 20_000, seed, p)
+            if problem != "lp":
+                truth, expected_truth = truth.vertices, expected_truth.vertices
+            assert (truth == expected_truth).all()
+            assert sample.shape == (20_000, n)
+            assert (sample == expected).all()
+
+    # a longer draw of a simplex instance begins with the shorter one, so a
+    # run that needs more points can extend its block
+    @pytest.mark.parametrize("problem", ["learn", "simplex"])
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    @pytest.mark.parametrize("t", [1000, 8192, 10_000, 50_000, 65_537])
+    def test_simplex_draws_are_prefix_stable(self, problem, n, t):
+        seed = t + n
+        assert (hidden_instance(problem, n, 2 * t + 123, seed)[1][:t] == hidden_instance(problem, n, t, seed)[1]).all()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("reduce", 3, 100, 0), "^problem must be 'learn', 'simplex' or 'lp', got 'reduce'$"),
+            (("learn", 3, 100, 0, 3.0), "^p applies only to problem 'lp', got 3.0$"),
+            (("simplex", 3, 100, 0, 1), "^p applies only to problem 'lp', got 1$"),
+            (("lp", 3, 100, 0), "^p must be a real number, got None$"),
+            (("lp", 0, 100, 0, 3.0), "^n must be >= 1, got 0$"),
+        ],
+    )
+    def test_rejected_arguments(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            hidden_instance(*args)
