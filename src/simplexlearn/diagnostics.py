@@ -139,7 +139,11 @@ def scaling_suite(
       ||X||_p and |X_1| / ||X||_p are uncorrelated (3 sigma);
     - joint independence of |X_1|^p and the denominator sum |G_i|^p + Z
       that the ball sampler divides by, chi-square on a 4 x 4 quartile
-      binning.
+      binning.  Its edges are the order statistics x_(k), k = floor((t - 1)
+      q / 4), of a sort: numpy's interpolated quartile lies between x_(k)
+      and x_(k+1), with no sample strictly between them, so every point
+      falls in the bin that ``np.quantile`` edges give it, and numpy.ma,
+      which ``np.quantile`` loads on its first call, stays unimported.
 
     KS p-values are the asymptotic Kolmogorov tail, and the chi-square
     tail on its 9 degrees of freedom is a closed form.  Every simplex
@@ -186,7 +190,8 @@ def scaling_suite(
     x, denominators = np.empty((t, n_joint)), np.empty(t)
     _lp_ball_points(p_joint, child_seed(seed, 86), x, denominators)
     first = np.abs(x[:, 0]) ** p_joint
-    bins = [np.searchsorted(np.quantile(v, [0.25, 0.5, 0.75]), v) for v in (first, denominators)]
+    quartiles = [(t - 1) * q // 4 for q in (1, 2, 3)]
+    bins = [np.searchsorted(np.sort(v)[quartiles], v) for v in (first, denominators)]
     counts = np.bincount(4 * bins[0] + bins[1], minlength=16).reshape(4, 4).astype(float)
     expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
     statistic = float(((counts - expected) ** 2 / expected).sum())

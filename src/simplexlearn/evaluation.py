@@ -195,7 +195,10 @@ def match_vertices(truth, estimate) -> MatchResult:
     a partner in any bijection, so no bottleneck is below L, the largest
     row-wise or column-wise minimum distance: one solve at L settles it
     when L is feasible, as it is for an estimate near the truth, and
-    otherwise a bisection over the sorted distances above L finds it.  Among the
+    otherwise a bisection over the sorted distances above L finds it.  The
+    levels are the k^2 distances sorted, repeats kept: a repeated level
+    changes no feasibility test, so the bisection stops on the same value,
+    and a sort, unlike ``np.unique``, does not load numpy.ma.  Among the
     bijections achieving the bottleneck, total error is then minimized by
     a second min-sum assignment that forbids the pairs beyond it.  Both
     use the package's own Hungarian method, so matching needs numpy only.
@@ -220,7 +223,7 @@ def match_vertices(truth, estimate) -> MatchResult:
         cols = _min_sum_assignment((dist > threshold).astype(float))
         return bool((dist[rows, cols] <= threshold).all())
 
-    levels = np.unique(dist)
+    levels = np.sort(dist, axis=None)
     lo = int(np.searchsorted(levels, max(dist.min(axis=1).max(), dist.min(axis=0).max())))
     lo, hi = (lo, lo) if feasible(levels[lo]) else (lo + 1, len(levels) - 1)
     while lo < hi:

@@ -13,7 +13,7 @@ from simplexlearn.diagnostics import (
     tv_suite,
 )
 from simplexlearn.geometry import Simplex, _gauge, contains_points, isotropic_simplex
-from simplexlearn.sampling import substream
+from simplexlearn.sampling import _lp_ball_points, child_seed, substream
 
 
 def assert_suite_shape(report: dict, name: str):
@@ -42,6 +42,28 @@ class TestScalingSuite:
         a = scaling_suite(seed=3, t=10_000, simplex_dims=(3,), lp_powers=(1.0,), lp_dim=3)
         b = scaling_suite(seed=3, t=10_000, simplex_dims=(3,), lp_powers=(1.0,), lp_dim=3)
         assert a == b
+
+
+def quantile_binned_chi2(seed: int, t: int) -> float:
+    """The suite's joint-independence statistic, binned on numpy's
+    interpolated quartiles instead of order statistics."""
+    x, denominators = np.empty((t, 3)), np.empty(t)
+    _lp_ball_points(2.0, child_seed(seed, 86), x, denominators)
+    first = np.abs(x[:, 0]) ** 2.0
+    bins = [np.searchsorted(np.quantile(v, [0.25, 0.5, 0.75]), v) for v in (first, denominators)]
+    counts = np.bincount(4 * bins[0] + bins[1], minlength=16).reshape(4, 4).astype(float)
+    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+class TestJointIndependenceBins:
+    # at t = 100,000 the quartiles interpolate between two order
+    # statistics; at t = 100,001 they are order statistics themselves
+    @pytest.mark.parametrize("seed, t", [(seed, 100_000) for seed in range(5)] + [(0, 100_001)])
+    def test_order_statistics_bin_as_quantiles(self, seed, t):
+        report = scaling_suite(seed=seed, t=t, simplex_dims=(2,), lp_powers=(), lp_dim=2)
+        [check] = [c for c in report["checks"] if c["name"] == "joint_independence_chi2_p2_n3"]
+        assert check["statistic"] == quantile_binned_chi2(seed, t)
 
 
 def radii_of_shape_n(out, n, p, seed):

@@ -152,27 +152,29 @@ def test_demos_import_only_public_names(demo):
 
 
 # every command runs on numpy alone: scipy would add about a second of
-# import and a second OpenBLAS thread pool to every invocation
-_NO_SCIPY = """
+# import and a second OpenBLAS thread pool to every invocation, and
+# numpy.ma, which np.unique and np.quantile load, about 1.2 MB and 10 ms
+_IMPORT_CHECK = """
 import contextlib, io, sys
 import simplexlearn, simplexlearn.cli
 out = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()):
     assert simplexlearn.cli.main(["learn", "--n", "3", "--t1", "2000", "--t3", "2000", "--r", "5", "--out", out]) == 0
+    assert simplexlearn.cli.main(["reduce", "--problem", "simplex", "--t", "20000", "--out", out]) == 0
     assert simplexlearn.cli.main(["reduce", "--problem", "lp", "--p", "3", "--t", "20000", "--out", out]) == 0
     for suite in ("scaling", "tv", "landscape"):
         assert simplexlearn.cli.main(["verify", "--suite", suite, "--out", out]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"])
 assert not loaded, loaded
 """
 
 
-def test_no_command_imports_scipy(tmp_path):
+def test_no_command_imports_scipy_or_numpy_ma(tmp_path):
     # the child imports the package this suite imported, installed or not
     root = os.path.dirname(os.path.dirname(simplexlearn.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "report.json")], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _IMPORT_CHECK, str(tmp_path / "report.json")], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
 
