@@ -6,16 +6,15 @@ the learner the points, and score the recovered vertex set against the
 truth it never saw.  Finishes in a few seconds.
 """
 
-from simplexlearn import LearnerConfig, hidden_instance, learn_simplex, match_vertices, tv_distance_mc
+from simplexlearn import MAX_STEPS, hidden_instance, learn_simplex, match_vertices, tv_distance_mc
 
 n = 3
 truth, points = hidden_instance("learn", n, 100_000, 12)
 print(f"hidden simplex: {n + 1} vertices in R^{n}, circumradius {truth.circumscribed_radius():.3f}")
 
-config = LearnerConfig(seed=0)
-print(f"budget: one block of {len(points)} points for the frame and every step, {n + 1} starts, at most {config.r} steps")
+print(f"budget: one block of {len(points)} points for the frame and every step, {n + 1} starts, at most {MAX_STEPS} steps")
 
-learned = learn_simplex(points, config)
+learned = learn_simplex(points, r=MAX_STEPS, seed=0)
 
 match = match_vertices(truth, learned.simplex)
 tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=2)

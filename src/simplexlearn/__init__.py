@@ -14,6 +14,11 @@ The package has three layers:
   statistical verification suites that test the rows the reductions
   build, and the experiment harness.
 
+The learner's entry is ``learn_simplex(points, r, seed)``, as ICA's is
+``ica_estimate(points, contrast, seed)``: both check the sample's shape
+by one rule, put it in isotropic position by one pass and run one
+fixed-point loop on it.
+
 Each public name is declared once, in its module's ``__all__``, and
 re-exported here.
 """

@@ -174,7 +174,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     count = cfg["t1"] + cfg["t3"]
     started = time.perf_counter()
     truth, sample = sampling.hidden_instance("learn", n, count, cfg["seed"])
-    learned = learner.learn_simplex(sample, learner.LearnerConfig(r=cfg["r"], seed=cfg["seed"]))
+    learned = learner.learn_simplex(sample, r=cfg["r"], seed=cfg["seed"])
     del sample  # the block is freed before scoring runs
 
     tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, rng=sampling.child_seed(cfg["seed"], 99))

@@ -300,11 +300,7 @@ def landscape_suite(dims: Iterable[int] = range(2, 9)) -> dict:
     return _finish("landscape", {"dims": dims}, checks)
 
 
-SUITES = {
-    "scaling": scaling_suite,
-    "tv": tv_suite,
-    "landscape": landscape_suite,
-}
+SUITES = ("scaling", "tv", "landscape")
 
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> dict:
@@ -320,6 +316,6 @@ def run_suite(name: str, seed: int = 0, n: int | None = None) -> dict:
         return landscape_suite(dims=[n] if n is not None else range(2, 9))
     if name == "scaling":
         if n is not None:
-            return scaling_suite(seed=seed, simplex_dims=(n,), lp_dim=max(n, 2))
+            return scaling_suite(seed=seed, simplex_dims=(n,), lp_dim=n)
         return scaling_suite(seed=seed)
     return tv_suite(seed=seed)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import _power_moment, _sample_frame
+from .moments import _power_moment, _sample, _sample_frame
 from .sampling import (
     _check_count,
     _check_p,
@@ -48,7 +48,6 @@ from .sampling import (
     _row_sums,
     child_seed,
     generalized_gaussian_std,
-    sample_lp_ball,
     substream,
 )
 from .vertex_finder import MAX_STEPS, VertexResult, _fixed_point
@@ -131,18 +130,6 @@ class _ScaledRows:
         return block.T
 
 
-def _sample(points, letter: str, extra: int) -> np.ndarray:
-    """``points`` as a float (t, d) array; ValueError naming its shape
-    unless d >= 1 and t >= d + ``extra``, with d spelled ``letter``."""
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1 or x.shape[0] < x.shape[1] + extra:
-        raise ValueError(
-            f"sample must be a 2-D array with at least {letter}+{extra} rows for {letter} columns, "
-            f"{letter} >= 1, got shape {x.shape}"
-        )
-    return x
-
-
 def ica_estimate(
     points: np.ndarray,
     contrast: str = "skew",
@@ -184,10 +171,9 @@ def ica_estimate(
         ValueError unless ``contrast`` is one of ``CONTRASTS`` and
         ``seed`` an integer >= 0, both checked before any pass over the
         sample, and the sample a (t, d) array with d >= 1 and t >= d+2
-        (d+1 points whiten to the vertices of a regular simplex, all of
-        squared norm d, where the skew update is singular) whose mean and
-        covariance are finite, and naming the sweep, counted over the
-        whole run, when a sweep's update is not finite;
+        (see ``moments._sample``) whose mean and covariance are finite,
+        and naming the sweep, counted over the whole run, when a sweep's
+        update is not finite;
         DegenerateSampleError for a singular covariance; RuntimeError when
         the frame's update collapses.
     """
@@ -345,12 +331,13 @@ def lp_symmetric_difference(
     is compared with 1 directly, with no root.  The draw is mapped and
     counted in row blocks, so beside it no array of mc_points rows is
     built.  Raises ValueError unless
-    ``mc_points`` is an integer >= 1 and ``a`` and ``a_est`` are finite,
-    nonsingular square matrices of one shape.
+    ``mc_points`` is an integer >= 1, ``a`` and ``a_est`` are finite,
+    nonsingular square matrices of one shape and ``p`` lies in [1, 64].
     """
     mc_points = _check_count(mc_points, "mc_points")
-    maps = _symdiff_maps(a, a_est)
-    x = sample_lp_ball(maps[0].shape[0], p, mc_points, seed=child_seed(seed, 79, 0))
+    maps, p = _symdiff_maps(a, a_est), _check_p(p)
+    x = np.empty((mc_points, maps[0].shape[0]))
+    _symdiff_ball(p, seed, x, np.empty(mc_points))
     return _symdiff_score(x, maps, p)
 
 

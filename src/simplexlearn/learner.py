@@ -26,13 +26,12 @@ import numpy as np
 
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
-from .moments import DegenerateSampleError, _power_moment, _sample_frame
+from .moments import DegenerateSampleError, _power_moment, _sample, _sample_frame
 from .sampling import _check_count, child_seed, substream
 from .vertex_finder import MAX_STEPS, VertexResult, find_vertex
 
 __all__ = [
     "BoostFailureError",
-    "LearnerConfig",
     "LearnedSimplex",
     "BoostResult",
     "estimate_frame",
@@ -74,31 +73,6 @@ def embedded_m3_grad(frame: AffineFrame, emb: EmbedMap, block: np.ndarray) -> Ca
     return gradient
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Parameters for :func:`learn_simplex`.
-
-    r: cap on the fixed-point steps of the frame, the loop's MAX_STEPS by
-       default, prefix and whole-block steps together.  The whole-block
-       steps stop at the first step that moves every column by at most
-       STEP_TOL = 1e-2 (see
-       :func:`~simplexlearn.vertex_finder.find_vertex`); at most r // 2
-       steps read only the prefix, so the last step reads the whole
-       block, and r = 1 is one whole-block step.
-    seed: master seed; start k begins from child_seed(seed, 41, k).
-
-    Raises ValueError, naming the field, unless r is an integer >= 1 and
-    seed one >= 0.
-    """
-
-    r: int = MAX_STEPS
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_count(self.r, "r")
-        _check_count(self.seed, "seed", minimum=0)
-
-
 @dataclass
 class LearnedSimplex:
     """Result of :func:`learn_simplex`.
@@ -116,17 +90,23 @@ class LearnedSimplex:
     fit: VertexResult
 
 
-def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
+def learn_simplex(points: np.ndarray, r: int = MAX_STEPS, seed: int = 0) -> LearnedSimplex:
     """Learn an n-dimensional simplex from t uniform samples.
 
     Args:
         points: a finite (t, n) array of iid uniform points from the
-            unknown simplex in R^n, t >= n+2: n+1 points whiten to the
-            vertices of a regular simplex, whatever simplex they came
-            from.  The frame and every fixed-point step read this one
-            block, the first steps on a large block only its first
+            unknown simplex in R^n, t >= n+2 (see ``moments._sample``).
+            The frame and every fixed-point step read this one block, the
+            first steps on a large block only its first
             t // PREFIX_DIVISOR rows; n is read from its width.
-        config: see :class:`LearnerConfig`.
+        r: cap on the fixed-point steps of the frame, the loop's
+            MAX_STEPS by default, prefix and whole-block steps together.
+            The whole-block steps stop at the first step that moves every
+            column by at most STEP_TOL = 1e-2 (see
+            :func:`~simplexlearn.vertex_finder.find_vertex`); at most
+            r // 2 steps read only the prefix, so the last step reads the
+            whole block, and r = 1 is one whole-block step.
+        seed: master seed; start k begins from child_seed(seed, 41, k).
 
     Returns:
         LearnedSimplex.  The n+1 starts (start k a unit Gaussian from
@@ -152,22 +132,23 @@ def learn_simplex(points: np.ndarray, config: LearnerConfig) -> LearnedSimplex:
         with a converged flag per vertex.
 
     Raises:
-        ValueError, naming the shape, when points is not a 2-D array with
-        at least one column and at least two more rows than columns, and
+        ValueError, naming the argument, unless r is an integer >= 1 and
+        seed one >= 0, both checked before the sample is read; ValueError,
+        naming the shape, when points is not a 2-D array with at least one
+        column and at least two more rows than columns, and
         ValueError ("points and their covariance must be finite") for a
         NaN or infinite point, which the frame's one pass reads off the
         mean and covariance; DegenerateSampleError for points on a flat.
     """
-    block = np.asarray(points, dtype=float)
-    if block.ndim != 2 or not 1 <= block.shape[1] <= block.shape[0] - 2:
-        raise ValueError(f"points must be a non-empty (t, n) array with t >= n+2, got shape {block.shape}")
+    r, seed = _check_count(r, "r"), _check_count(seed, "seed", minimum=0)
+    block = _sample(points, "n", 2)
     t, n = block.shape
 
     frame = estimate_frame(block)
     emb = make_embed_map(n)
-    starts = [substream(child_seed(config.seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
+    starts = [substream(child_seed(seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     start = np.column_stack([u / np.linalg.norm(u) for u in starts])
-    fit = find_vertex(embedded_m3_grad(frame, emb, block), start, config.r, t)
+    fit = find_vertex(embedded_m3_grad(frame, emb, block), start, r, t)
     # exact projection of each column onto the hyperplane {u . 1 = 1}
     directions = (fit.u + (1.0 - fit.u.sum(axis=0)) / (n + 1)).T
     return LearnedSimplex(Simplex(frame.inverse(emb.inverse(directions))), fit)

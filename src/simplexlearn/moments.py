@@ -104,6 +104,27 @@ def _sample_frame(x) -> tuple[AffineFrame, np.ndarray]:
     return AffineFrame(mean=mean, factor=(vectors * root) @ vectors.T), (vectors / root) @ vectors.T
 
 
+def _sample(points, letter: str, extra: int) -> np.ndarray:
+    """``points`` as a float (t, d) array; ValueError naming its shape
+    unless d >= 1 and t >= d + ``extra``, with d spelled ``letter``.
+
+    The one home of the rule that the learner, ICA and both reductions
+    check before :func:`_sample_frame`: a sample whitened as it is needs
+    t >= d+2 rows (``extra`` 2), since d+1 points whiten to the vertices
+    of a regular simplex, all of squared norm d, whatever law they came
+    from, where the skew update is singular.  The simplex reduction asks
+    n+3 rows of its n columns (``extra`` 3), d+2 for the n+1 columns of
+    its lift.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1 or x.shape[0] < x.shape[1] + extra:
+        raise ValueError(
+            f"sample must be a 2-D array with at least {letter}+{extra} rows for {letter} columns, "
+            f"{letter} >= 1, got shape {x.shape}"
+        )
+    return x
+
+
 def _power_moment(
     x: np.ndarray, linear: np.ndarray, shift: np.ndarray, u: np.ndarray, q: int, stop: int | None = None
 ) -> np.ndarray:

@@ -280,12 +280,13 @@ def hidden_instance(problem: str, n: int, t: int, seed: int, p: float | None = N
     and the sample ``sample_lp_ball(n, p, t, child_seed(seed, 104))`` mapped
     by Aᵀ in place, which is not prefix stable: the ball draws every Gamma
     block before any sign.  ``p`` is required for ``"lp"`` and rejected
-    otherwise; an unknown ``problem`` raises ValueError."""
+    otherwise; an unknown ``problem``, or ``n`` or ``t`` not an integer
+    >= 1, raises ValueError before any draw."""
     if problem not in ("learn", "simplex", "lp"):
         raise ValueError(f"problem must be 'learn', 'simplex' or 'lp', got {problem!r}")
     if problem != "lp" and p is not None:
         raise ValueError(f"p applies only to problem 'lp', got {p!r}")
-    n = _check_count(n, "n")
+    n, t = _check_count(n, "n"), _check_count(t, "t")
     rng = substream(seed, 103 if problem == "lp" else 97)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     rotation = q * np.sign(np.diag(r))

@@ -21,7 +21,7 @@ from simplexlearn.ica import (
     reduce_simplex_to_ica,
     separation_index,
 )
-from simplexlearn.learner import LearnerConfig, boost, learn_simplex
+from simplexlearn.learner import boost, learn_simplex
 from simplexlearn.moments import certify_landscape, exact_grad_m3, exact_m3
 from simplexlearn.sampling import (
     sample_lp_ball,
@@ -114,7 +114,7 @@ def test_criterion_5_end_to_end_recovery_on_isotropic_truth():
         bound = 0.1 * math.sqrt(n * (n + 2))
         good = 0
         for seed in range(10):
-            result = learn_simplex(simplex_source(truth, seed)(100_000), LearnerConfig(seed=seed))
+            result = learn_simplex(simplex_source(truth, seed)(100_000), seed=seed)
             err = match_vertices(truth, result.simplex).max_error
             tv = tv_distance_mc(truth, result.simplex, 100_000, rng=seed).value
             if err <= bound and tv <= 0.25:
@@ -137,9 +137,8 @@ def test_criterion_6_affine_equivariance_via_shared_seeds():
     f_shift = rng.standard_normal(n)
     image = Simplex(s.vertices @ f_mat.T + f_shift)
 
-    config = LearnerConfig(seed=0)
-    learned_s = learn_simplex(simplex_source(s, 7)(100_000), config)
-    learned_image = learn_simplex(simplex_source(image, 7)(100_000), config)
+    learned_s = learn_simplex(simplex_source(s, 7)(100_000), seed=0)
+    learned_image = learn_simplex(simplex_source(image, 7)(100_000), seed=0)
 
     mapped = learned_s.simplex.vertices @ f_mat.T + f_shift
     rel = match_vertices(mapped, learned_image.simplex.vertices).max_error / image.circumscribed_radius()

@@ -85,7 +85,7 @@ class TestLearnCommand:
         out = str(tmp_path / "learn.json")
         assert main(["learn", "--n", "3", "--t1", "3000", "--t3", "2000", "--r", "12", "--seed", "4", "--out", out]) == 0
         points = sampling.hidden_instance("learn", 3, 5000, 4)[1]
-        learned = learner.learn_simplex(points, learner.LearnerConfig(r=12, seed=4))
+        learned = learner.learn_simplex(points, r=12, seed=4)
         assert read_json(out)["vertices"] == learned.simplex.vertices.tolist()
 
     def test_iteration_count_flag(self, tmp_path):

@@ -669,12 +669,12 @@ class TestLpSymmetricDifference:
     def test_one_ball_draw_scores_both_terms(self, monkeypatch):
         # The two terms share one uniform draw from B_p; a second draw per
         # term would double the cost of scoring an lp reduction.
-        calls = []
+        calls, draw = [], ica._lp_ball_points
 
-        def counting(n, p, t, seed):
-            calls.append(t)
-            return sample_lp_ball(n, p, t, seed)
+        def counting(p, seed, out, sums):
+            calls.append(out.shape[0])
+            draw(p, seed, out, sums)
 
-        monkeypatch.setattr(ica, "sample_lp_ball", counting)
+        monkeypatch.setattr(ica, "_lp_ball_points", counting)
         lp_symmetric_difference(np.eye(3), np.diag([1.1, 0.9, 1.0]), 3.0, mc_points=1_000, seed=0)
         assert calls == [1_000]

@@ -11,7 +11,6 @@ from simplexlearn.geometry import AffineFrame, Simplex, isotropic_simplex, make_
 from simplexlearn.learner import (
     BoostFailureError,
     DegenerateSampleError,
-    LearnerConfig,
     boost,
     embedded_m3_grad,
     estimate_frame,
@@ -19,7 +18,7 @@ from simplexlearn.learner import (
 )
 from simplexlearn.moments import empirical_m3_grad
 from simplexlearn.sampling import child_seed, hidden_instance, sample_simplex, simplex_source, substream
-from simplexlearn.vertex_finder import _polar_step, reconstruct_squares
+from simplexlearn.vertex_finder import MAX_STEPS, _polar_step, reconstruct_squares
 
 
 def random_truth(n: int, seed: int) -> Simplex:
@@ -156,7 +155,7 @@ class TestEstimateFrame:
         x = simplex_source(random_truth(n, 10), 11)(t)
         vertices, iterations_run, prefix_steps = one_shot_learn(x, 2, r)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
-        result = learn_simplex(x, LearnerConfig(r=r, seed=2))
+        result = learn_simplex(x, r=r, seed=2)
         assert (result.fit.iterations_run, result.fit.prefix_steps) == (iterations_run, prefix_steps)
         assert np.abs(result.simplex.vertices - vertices).max() <= 1e-10 * np.abs(vertices).max()
         if t == 65_537 and r > 1:
@@ -166,9 +165,9 @@ class TestEstimateFrame:
     def test_iterations_do_not_depend_on_the_block(self, monkeypatch, t):
         truth = random_truth(4, 8)
         points = simplex_source(truth, 9)(t)
-        reference = learn_simplex(points, LearnerConfig(seed=8))
+        reference = learn_simplex(points, seed=8)
         monkeypatch.setattr(sampling, "BLOCK_ROWS", 7)
-        blocked = learn_simplex(points, LearnerConfig(seed=8))
+        blocked = learn_simplex(points, seed=8)
         assert blocked.fit.iterations_run == reference.fit.iterations_run
         assert blocked.fit.prefix_steps == reference.fit.prefix_steps
         assert (reference.fit.prefix_steps > 0) == (t == 65_537)
@@ -206,33 +205,31 @@ class TestEstimateFrame:
 class TestLearnSimplex:
     def test_recovers_plane_truth(self):
         truth = random_truth(2, 1)
-        result = learn_simplex(simplex_source(truth, 10)(8000), LearnerConfig(seed=0))
+        result = learn_simplex(simplex_source(truth, 10)(8000), seed=0)
         assert len(result.simplex.vertices) == 3
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_recovers_space_truth(self):
         truth = random_truth(3, 2)
-        result = learn_simplex(simplex_source(truth, 11)(40_000), LearnerConfig(seed=0))
+        result = learn_simplex(simplex_source(truth, 11)(40_000), seed=0)
         assert match_vertices(truth, result.simplex).max_error <= 0.3
 
     def test_deterministic(self):
         truth = random_truth(2, 3)
-        config = LearnerConfig(seed=5)
-        a = learn_simplex(simplex_source(truth, 12)(6000), config)
-        b = learn_simplex(simplex_source(truth, 12)(6000), config)
+        a = learn_simplex(simplex_source(truth, 12)(6000), seed=5)
+        b = learn_simplex(simplex_source(truth, 12)(6000), seed=5)
         assert (a.fit.u == b.fit.u).all()
         assert (a.simplex.vertices == b.simplex.vertices).all()
-        other = learn_simplex(simplex_source(truth, 13)(6000), config)
+        other = learn_simplex(simplex_source(truth, 13)(6000), seed=5)
         assert (a.fit.u != other.fit.u).any()
 
     def test_stops_early_once_complete(self):
         n = 2
         truth = random_truth(n, 4)
-        config = LearnerConfig(seed=0)
-        result = learn_simplex(simplex_source(truth, 14)(8000), config)
+        result = learn_simplex(simplex_source(truth, 14)(8000), seed=0)
         # one block serves one frame of n+1 starts; r is a cap, and the
         # frame stops at a step of at most 1e-2 before it
-        assert result.fit.iterations_run < config.r and result.fit.converged.all()
+        assert result.fit.iterations_run < MAX_STEPS and result.fit.converged.all()
         assert len(result.simplex.vertices) == n + 1
 
     def test_one_draw_whatever_the_step_count(self):
@@ -242,30 +239,28 @@ class TestLearnSimplex:
         kept = points.copy()
         steps = set()
         for r in (1, 2, 30):
-            steps.add(learn_simplex(points, LearnerConfig(r=r, seed=0)).fit.iterations_run)
+            steps.add(learn_simplex(points, r=r, seed=0).fit.iterations_run)
             assert (points == kept).all()
         assert len(steps) == 3
 
     def test_default_n5_run_stops_before_the_cap(self):
         truth, points = hidden_instance("learn", 5, 100_000, 0)
-        config = LearnerConfig(seed=0)
-        result = learn_simplex(points, config)
-        assert result.fit.iterations_run < config.r
+        result = learn_simplex(points, seed=0)
+        assert result.fit.iterations_run < MAX_STEPS
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(5 * 7)
 
     def test_iterations_run_is_deterministic(self):
         for seed in (0, 1, 2):
             truth = random_truth(3, seed)
-            config = LearnerConfig(seed=seed)
-            runs = [learn_simplex(simplex_source(truth, 30 + seed)(20_000), config) for _ in range(2)]
-            assert runs[0].fit.iterations_run == runs[1].fit.iterations_run < config.r
+            runs = [learn_simplex(simplex_source(truth, 30 + seed)(20_000), seed=seed) for _ in range(2)]
+            assert runs[0].fit.iterations_run == runs[1].fit.iterations_run < MAX_STEPS
             assert (runs[0].simplex.vertices == runs[1].simplex.vertices).all()
 
     def test_completes_the_n15_cli_truth(self):
         # independent starts at the default budget found 15 of 16 vertices
         # here; the frame ends on all of them
         truth, points = hidden_instance("learn", 15, 100_000, 0)
-        result = learn_simplex(points, LearnerConfig(seed=0))
+        result = learn_simplex(points, seed=0)
         assert len(result.simplex.vertices) == 16
         assert match_vertices(truth, result.simplex).max_error <= 0.1 * math.sqrt(15 * 17)
 
@@ -273,7 +268,7 @@ class TestLearnSimplex:
         # the row floor follows n: 4 rows would do in the plane, not in space
         points = simplex_source(random_truth(3, 7), 17)(4)
         with pytest.raises(ValueError, match=r"got shape \(4, 3\)"):
-            learn_simplex(points, LearnerConfig())
+            learn_simplex(points)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 30])
     def test_one_cap_and_the_last_step_reads_every_row(self, monkeypatch, r):
@@ -281,7 +276,7 @@ class TestLearnSimplex:
         # to the stop or the cap: r = 1 is one whole-block step
         t = 65_537
         rows = rows_read(monkeypatch)
-        fit = learn_simplex(simplex_source(random_truth(3, 5), 6)(t), LearnerConfig(r=r, seed=0)).fit
+        fit = learn_simplex(simplex_source(random_truth(3, 5), 6)(t), r=r, seed=0).fit
         assert len(rows) == fit.iterations_run <= r
         assert rows == [t // 8] * fit.prefix_steps + [t] * (fit.iterations_run - fit.prefix_steps)
         assert rows[-1] == t
@@ -294,7 +289,7 @@ class TestLearnSimplex:
     def test_the_prefix_floor(self, monkeypatch, block_rows, t, runs_prefix):
         monkeypatch.setattr(sampling, "BLOCK_ROWS", block_rows)
         rows = rows_read(monkeypatch)
-        result = learn_simplex(simplex_source(random_truth(2, 5), 6)(t), LearnerConfig(seed=0))
+        result = learn_simplex(simplex_source(random_truth(2, 5), 6)(t), seed=0)
         assert (result.fit.prefix_steps > 0) == runs_prefix
         assert set(rows) == ({t // 8, t} if runs_prefix else {t})
 
@@ -303,7 +298,7 @@ class TestLearnSimplex:
         # whole-block step is named by the steps before it
         t = 65_537
         points = simplex_source(random_truth(3, 5), 6)(t)
-        prefix_steps = learn_simplex(points, LearnerConfig(seed=0)).fit.prefix_steps
+        prefix_steps = learn_simplex(points, seed=0).fit.prefix_steps
         stops, real = [], learner._power_moment
 
         def first_whole_step_nan(x, linear, shift, u, q, stop):
@@ -315,27 +310,26 @@ class TestLearnSimplex:
 
         monkeypatch.setattr(learner, "_power_moment", first_whole_step_nan)
         with pytest.raises(ValueError, match=f"^update is not finite at iteration {prefix_steps}$"):
-            learn_simplex(points, LearnerConfig(seed=0))
+            learn_simplex(points, seed=0)
         assert stops == [t // 8] * prefix_steps + [t]
         assert prefix_steps >= 2
 
     def test_report_contents(self):
         # the learner reports what it found; the command line adds the
         # run's configuration, the points drawn and the scores
-        config = LearnerConfig(seed=9)
-        result = learn_simplex(simplex_source(random_truth(2, 8), 18)(6000), config)
+        result = learn_simplex(simplex_source(random_truth(2, 8), 18)(6000), seed=9)
         assert result.simplex.vertices.shape == (3, 2)
         assert not hasattr(result, "vertices")
         assert result.fit.u.shape == (3, 3)
         assert result.fit.converged.shape == (3,)
-        assert 1 <= result.fit.iterations_run <= config.r
+        assert 1 <= result.fit.iterations_run <= MAX_STEPS
 
     def test_back_map_matches_explicit_formula(self):
         # v = sqrt((n+1)(n+2)) (u - 1/(n+1)) B A^T + mu, with B the embedding
         # basis and (mu, A) the frame estimated from the same one block
         n = 3
         points = simplex_source(random_truth(n, 9), 19)(40_000)
-        result = learn_simplex(points, LearnerConfig(seed=0))
+        result = learn_simplex(points, seed=0)
         frame = estimate_frame(points)
         basis = make_embed_map(n).basis
         # the frame's columns, projected exactly onto the hyperplane {u . 1 = 1}
@@ -360,9 +354,8 @@ class TestAffineEquivariance:
         f = q1 @ np.diag(np.logspace(0, 3, n)) @ q2
         shift = 10.0 * rng.standard_normal(n)
         points = hidden_instance("learn", n, 100_000, seed)[1]
-        config = LearnerConfig(seed=seed)
-        image = Simplex(learn_simplex(points, config).simplex.vertices @ f.T + shift)
-        mapped = learn_simplex(points @ f.T + shift, config).simplex
+        image = Simplex(learn_simplex(points, seed=seed).simplex.vertices @ f.T + shift)
+        mapped = learn_simplex(points @ f.T + shift, seed=seed).simplex
         assert match_vertices(image, mapped).max_error <= 1e-5 * image.circumscribed_radius()
 
 
@@ -374,9 +367,8 @@ class TestRowOrder:
     @pytest.mark.parametrize("n, seed", [(n, seed) for n in (5, 10, 20) for seed in range(3)])
     def test_learning_ignores_the_row_order(self, n, seed):
         points = hidden_instance("learn", n, 100_000, seed)[1]
-        config = LearnerConfig(seed=seed)
-        learned = learn_simplex(points, config)
-        permuted = learn_simplex(points[substream(seed, 801).permutation(len(points))], config)
+        learned = learn_simplex(points, seed=seed)
+        permuted = learn_simplex(points[substream(seed, 801).permutation(len(points))], seed=seed)
         assert learned.fit.converged.all() and permuted.fit.converged.all()
         image = learned.simplex
         assert match_vertices(image, permuted.simplex).max_error <= 1e-3 * image.circumscribed_radius()
@@ -394,7 +386,7 @@ class TestSourceValidation:
     # pass, with no second look at the block
     def test_nan_in_frame_block(self):
         with pytest.raises(ValueError, match="^points and their covariance must be finite$"):
-            learn_simplex(spoiled_points(0, np.nan), LearnerConfig(seed=0))
+            learn_simplex(spoiled_points(0, np.nan), seed=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_in_the_t3_rows(self, value):
@@ -402,43 +394,41 @@ class TestSourceValidation:
         # raises before any step and with no warning
         with warnings.catch_warnings(), pytest.raises(ValueError, match="^points and their covariance must be finite$"):
             warnings.simplefilter("error", RuntimeWarning)
-            learn_simplex(spoiled_points(-1, value), LearnerConfig(seed=0))
+            learn_simplex(spoiled_points(-1, value), seed=0)
 
     def test_wrong_width(self):
         # n is read from the width, so a block without one is rejected
         points = simplex_source(random_truth(2, 20), 21)(4000)
         for block in (points[:, 0], points[:, :, None], np.zeros((100, 0))):
             with pytest.raises(ValueError, match=rf"got shape {re.escape(str(block.shape))}"):
-                learn_simplex(block, LearnerConfig(seed=0))
+                learn_simplex(block, seed=0)
 
     def test_short_block(self):
         # n+1 points whiten to a regular simplex whatever their law
         points = simplex_source(random_truth(2, 7), 17)(3)
         with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):
-            learn_simplex(points, LearnerConfig())
+            learn_simplex(points)
 
     def test_n_plus_two_rows_suffice(self):
         for n in (2, 3):
-            result = learn_simplex(simplex_source(random_truth(n, 24), 25)(n + 2), LearnerConfig(seed=0))
+            result = learn_simplex(simplex_source(random_truth(n, 24), 25)(n + 2), seed=0)
             assert len(result.simplex.vertices) == n + 1
             assert np.isfinite(result.simplex.vertices).all()
 
 
-class TestLearnerConfig:
-    def test_defaults_resolve(self):
-        config = LearnerConfig()
-        assert config.r == 30
-        assert config.seed == 0
-
+class TestArguments:
     def test_validation(self):
         # a float r used to fail inside range() and True to run one step; a
-        # bad seed failed later, inside SeedSequence, or ran as seed 1
-        for r in (0, 2.5, True, None):
-            with pytest.raises(ValueError, match="^r must be"):
-                LearnerConfig(r=r)
-        for seed in (-1, 1.5, True, None):
-            with pytest.raises(ValueError, match="^seed must be"):
-                LearnerConfig(seed=seed)
+        # bad seed failed later, inside SeedSequence, or ran as seed 1.  Both
+        # are checked before the sample is read, so a bad sample beside them
+        # is not what is reported
+        for points in (simplex_source(random_truth(2, 7), 17)(100), np.zeros(3)):
+            for r in (0, 2.5, True, None):
+                with pytest.raises(ValueError, match="^r must be"):
+                    learn_simplex(points, r=r)
+            for seed in (-1, 1.5, True, None):
+                with pytest.raises(ValueError, match="^seed must be"):
+                    learn_simplex(points, seed=seed)
 
 
 def table_estimator(runs, table):

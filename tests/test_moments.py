@@ -308,7 +308,7 @@ class TestMeanAndCovariance:
     def test_a_constant_sample_far_from_zero_is_degenerate(self):
         from simplexlearn.geometry import Simplex
         from simplexlearn.ica import ica_estimate
-        from simplexlearn.learner import LearnerConfig, estimate_frame, learn_simplex
+        from simplexlearn.learner import estimate_frame, learn_simplex
 
         triangle = sampling.sample_simplex(Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 20_000, 0)
         samples = [
@@ -317,7 +317,7 @@ class TestMeanAndCovariance:
             np.column_stack([triangle, triangle @ [[0.3, -0.5], [0.7, 0.2]] + [1.0, -2.0]]),  # a plane of R^4
         ]
         for x in samples:
-            for estimate in (estimate_frame, lambda points: learn_simplex(points, LearnerConfig()), ica_estimate):
+            for estimate in (estimate_frame, learn_simplex, ica_estimate):
                 with pytest.raises(moments.DegenerateSampleError, match="^sample covariance is singular$"):
                     estimate(x)
 

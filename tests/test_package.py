@@ -2,6 +2,7 @@ import ast
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import os
@@ -42,13 +43,32 @@ DELETED = [
     "align_signed_permutation",
     "signed_permutation_deviation",
     "contains",
+    "LearnerConfig",
 ]
 
 
 def test_learner_has_one_shape():
-    # no start budget: every run starts n+1 columns and learns a simplex
-    assert [f.name for f in dataclasses.fields(simplexlearn.LearnerConfig)] == ["r", "seed"]
+    # no start budget: every run starts n+1 columns and learns a simplex;
+    # the learner takes (points, r, seed) as ICA takes (points, contrast, seed)
+    parameters = inspect.signature(simplexlearn.learn_simplex).parameters
+    assert [(p.name, p.default) for p in parameters.values()] == [
+        ("points", inspect.Parameter.empty),
+        ("r", MAX_STEPS),
+        ("seed", 0),
+    ]
     assert not hasattr(simplexlearn.LearnedSimplex, "complete")
+
+
+def test_the_sample_shape_rule_has_one_home():
+    # t >= d+2 and its reason are written once, beside the frame that the
+    # learner, ICA and both reductions share
+    homes = [
+        path.name
+        for path in Path(simplexlearn.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_sample"
+    ]
+    assert homes == ["moments.py"]
 
 
 def test_both_results_keep_the_loops_record():
@@ -66,7 +86,7 @@ def test_every_fixed_point_has_the_one_cap(tmp_path, monkeypatch):
     # is one run of the loop over the whole sample, with the one cap, and
     # on a sample whose first t // 8 rows reach the floor the run's first
     # steps read only those rows
-    assert simplexlearn.LearnerConfig().r == MAX_STEPS
+    assert inspect.signature(simplexlearn.learn_simplex).parameters["r"].default == MAX_STEPS
     calls, loop = [], vertex_finder._fixed_point
 
     def spy(update_map, start, cap, t=0):
@@ -103,7 +123,7 @@ def test_both_fixed_points_share_one_frame(monkeypatch):
 
     for module in (learner, ica):
         monkeypatch.setattr(module, "_sample_frame", spy)
-    learner.learn_simplex(sampling.sample_standard_simplex(3, 2000, 0)[:, :2], learner.LearnerConfig())
+    learner.learn_simplex(sampling.sample_standard_simplex(3, 2000, 0)[:, :2])
     assert frames == [(2000, 2)]
     ica.ica_estimate(sampling.sample_lp_ball(3, 1.0, 2000, 0), "kurtosis")
     assert frames == [(2000, 2), (2000, 3)]
@@ -201,3 +221,34 @@ def test_every_import_is_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
         ]
         assert nested == [], path.name
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported(tmp_path):
+    # the suite's warnings are errors, and a failing @given test makes
+    # Hypothesis import libcst, whose import warns: the failure must still
+    # be reported as one, not end the session with an internal error
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

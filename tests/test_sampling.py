@@ -410,6 +410,12 @@ class TestHiddenInstance:
             (("simplex", 3, 100, 0, 1), "^p applies only to problem 'lp', got 1$"),
             (("lp", 3, 100, 0), "^p must be a real number, got None$"),
             (("lp", 0, 100, 0, 3.0), "^n must be >= 1, got 0$"),
+            (("learn", 3, 0, 0), "^t must be >= 1, got 0$"),
+            (("simplex", 3, 0, 0), "^t must be >= 1, got 0$"),
+            (("lp", 3, 0, 0, 3.0), "^t must be >= 1, got 0$"),
+            (("learn", 3, True, 0), "^t must be an integer, got True$"),
+            (("simplex", 3, True, 0), "^t must be an integer, got True$"),
+            (("lp", 3, True, 0, 3.0), "^t must be an integer, got True$"),
         ],
     )
     def test_rejected_arguments(self, args, message):
