@@ -86,8 +86,6 @@ class SandwichReport:
     tv: TVEstimate
     bound: float
     holds: bool
-    alpha: float
-    beta: float
 
 
 def check_sandwich_bound(
@@ -113,7 +111,7 @@ def check_sandwich_bound(
         raise ValueError("L is not contained in beta K")
     tv = tv_distance_mc(k, l, mc_points, rng)
     bound = 2.0 * (1.0 - (alpha / beta) ** k.dim)
-    return SandwichReport(tv=tv, bound=bound, holds=bool(tv.value <= bound + 3.0 * tv.std_error), alpha=alpha, beta=beta)
+    return SandwichReport(tv=tv, bound=bound, holds=bool(tv.value <= bound + 3.0 * tv.std_error))
 
 
 @dataclass(frozen=True)

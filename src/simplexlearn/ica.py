@@ -344,7 +344,7 @@ def lp_symmetric_difference(
 def _symdiff_ball(p: float, seed: int, out: np.ndarray, sums: np.ndarray) -> None:
     """Fill ``out`` with the uniform ball draw that
     :func:`lp_symmetric_difference` takes for ``seed``, with ``sums`` as
-    the draw's (mc_points,) row sums; the caller allocates both."""
+    the draw's (mc_points,) denominators; the caller allocates both."""
     _lp_ball_points(p, child_seed(seed, 79, 0), out, sums)
 
 

@@ -1,16 +1,16 @@
-"""Seeded samplers for simplices, lp balls and the exp(-|x|^p) density.
+"""Seeded samplers for simplices and lp balls.
 
 Every producer returns a plain (t, d) float array, takes an integer seed
 and derives its stream from a keyed ``SeedSequence``, so calling it again
 with the same arguments reproduces the points bit for bit.
 
 Every draw fills its stream in the row blocks of :func:`_row_blocks`, in
-row order, and reduces each block to points before it draws the next, so
-no intermediate is larger than a block.  A Generator yields the same
-variates whether an array is filled in one call or in consecutive row
-blocks, so the points are the whole-array formulas' bit for bit, with
-every row sum added left to right.  :func:`hidden_instance` holds the
-command line's seeded hidden truths and their samples, with their keys.
+row order, in one pass or (the lp ball) three, so no intermediate is
+larger than a block.  A Generator yields the same variates whether an
+array is filled in one call or in consecutive row blocks, so the points
+are the whole-array formulas' bit for bit, with every row sum added left
+to right.  :func:`hidden_instance` holds the command line's seeded hidden
+truths and their samples, with their keys.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "child_seed",
     "sample_standard_simplex",
     "sample_simplex",
-    "sample_generalized_gaussian",
     "generalized_gaussian_std",
     "sample_lp_ball",
     "simplex_source",
@@ -38,13 +37,13 @@ __all__ = [
 P_MIN, P_MAX = 1.0, 64.0
 
 # Spawn-key namespaces, one per producer, so equal seeds never collide
-# across sources.  Keys 4, 5 and 6 are retired; the others keep their
-# numbers so their streams do not change.
+# across sources.  Keys 4, 5, 6 and 8 are retired and never reused, since
+# a reused key would correlate two streams; the others keep their numbers
+# so their streams do not change.
 _KEY_STANDARD = 1
 _KEY_SIMPLEX = 2
 _KEY_LP_BALL = 3
 _KEY_SOURCE = 7
-_KEY_GENERALIZED_GAUSSIAN = 8
 
 
 # Rows per block of every pass over a sample and of every draw; a block
@@ -169,46 +168,6 @@ def _check_p(p) -> float:
     return p
 
 
-def _generalized_gaussian_into(rng: np.random.Generator, p: float, out: np.ndarray, sums: np.ndarray | None = None) -> list[slice]:
-    """Fill ``out`` with signed exp(-|x|^p) variates and return its row
-    blocks: |x| = H^(1/p) with H ~ Gamma(1/p, 1), and a fair sign.
-
-    All H blocks are drawn first and then all sign blocks, the order in
-    which one whole-array draw of each takes the stream.  A sign block is
-    turned into -1 and 1 in its own integer array, so it costs no float
-    temporaries.  With ``sums``, the row sums of H, that is of |x|^p, go
-    into it.
-    """
-    blocks = _row_blocks(0, out.shape[0])
-    for rows in blocks:
-        block = out[rows]
-        rng.standard_gamma(1.0 / p, out=block)
-        if sums is not None:
-            sums[rows] = _row_sums(block)
-        block **= 1.0 / p
-    for rows in blocks:
-        signs = rng.integers(0, 2, size=out[rows].shape)
-        signs *= 2
-        signs -= 1
-        out[rows] *= signs
-    return blocks
-
-
-def sample_generalized_gaussian(p: float, count: int, rng: int | np.random.Generator) -> np.ndarray:
-    """``count`` draws with density proportional to exp(-|x|^p).
-
-    E|X|^p = 1/p for every p; at p=2 this is a centered normal with
-    variance 1/2, at p=1 a Laplace with unit scale.  ``count`` may be 0.
-    ``rng`` is a Generator, or a seed keyed as every producer's is.
-    """
-    p = _check_p(p)
-    out = np.empty(_check_count(count, "count", minimum=0))
-    if not isinstance(rng, np.random.Generator):
-        rng = substream(rng, _KEY_GENERALIZED_GAUSSIAN)
-    _generalized_gaussian_into(rng, p, out)
-    return out
-
-
 def generalized_gaussian_std(p: float) -> float:
     """Standard deviation of the exp(-|x|^p) density:
     sqrt(Gamma(3/p) / Gamma(1/p)), from ``math.lgamma``."""
@@ -218,11 +177,31 @@ def generalized_gaussian_std(p: float) -> float:
 
 def _lp_ball_points(p: float, seed: int, out: np.ndarray, sums: np.ndarray) -> None:
     """Fill ``out``, (t, n), with the points of ``sample_lp_ball(n, p, t,
-    seed)``, keeping the row sums of |G|^p in ``sums``, (t,).  The caller
-    allocates both, so a draw on another thread leaves no array behind in
-    that thread's allocator."""
+    seed)`` and ``sums``, (t,), with their denominators sum |G_i|^p + Z; the
+    caller allocates both, so a draw on another thread leaves no array
+    behind in that thread's allocator.
+
+    The stream goes in three passes over the row blocks, as one whole-array
+    draw of each would take it: every Gamma(1/p) block H, raised in place
+    to |G| = H^(1/p) once its row sums are kept, then every sign block (-1
+    and 1 in its own integer array, so no float temporaries), then every Z
+    block, which divides its rows in place.  A longer draw's signs start
+    after all of its Gamma variates, so its first t points are not the
+    t-point draw.
+    """
     rng = substream(seed, _KEY_LP_BALL)
-    for rows in _generalized_gaussian_into(rng, p, out, sums):
+    blocks = _row_blocks(0, out.shape[0])
+    for rows in blocks:
+        block = out[rows]
+        rng.standard_gamma(1.0 / p, out=block)
+        sums[rows] = _row_sums(block)
+        block **= 1.0 / p
+    for rows in blocks:
+        signs = rng.integers(0, 2, size=out[rows].shape)
+        signs *= 2
+        signs -= 1
+        out[rows] *= signs
+    for rows in blocks:
         denominator = sums[rows]
         denominator += rng.exponential(1.0, size=rows.stop - rows.start)
         out[rows] /= (denominator ** (1.0 / p))[:, None]
@@ -231,13 +210,11 @@ def _lp_ball_points(p: float, seed: int, out: np.ndarray, sums: np.ndarray) -> N
 def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
     """t points uniform in the unit lp ball of R^n.
 
-    Uses the exact representation G / (sum |G_i|^p + Z)^(1/p) with G having
-    iid exp(-|x|^p) coordinates and Z an independent Exp(1), which is
-    uniform in the ball with no rejection step.  The denominator sums the
-    Gamma(1/p) draws |G_i|^p that G was built from, so no power is taken
-    twice.  G is drawn into the output block by block, and the draw keeps
-    only the output and the (t,) row sums of |G|^p: each Z block then
-    divides its rows in place.
+    The exact representation G / (sum |G_i|^p + Z)^(1/p), with G's
+    coordinates iid exp(-|x|^p) and Z an independent Exp(1), is uniform in
+    the ball with no rejection step.  The denominator sums the Gamma(1/p)
+    draws |G_i|^p that G was built from, so no power is taken twice, and
+    the draw keeps only the output and those (t,) sums.
     """
     p = _check_p(p)
     n, t = _check_count(n, "n"), _check_count(t, "t")

@@ -19,7 +19,6 @@ from simplexlearn.ica import _reduction_radii, lp_symmetric_difference, reduce_l
 from simplexlearn.sampling import (
     _row_blocks,
     _row_sums,
-    sample_generalized_gaussian,
     sample_lp_ball,
     sample_simplex,
     sample_standard_simplex,
@@ -150,14 +149,6 @@ class TestLpDraws:
         for t in sizes:
             expected = whole_lp_ball(substream(n, sampling._KEY_LP_BALL), n, p, t)
             assert np.array_equal(sample_lp_ball(n, p, t, n), expected)
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
-    def test_generalized_gaussian(self, sizes, p):
-        for t in sizes:
-            rng = substream(3, 803)
-            h = rng.gamma(1.0 / p, 1.0, size=t)
-            expected = (2.0 * rng.integers(0, 2, size=t) - 1.0) * h ** (1.0 / p)
-            assert np.array_equal(sample_generalized_gaussian(p, t, substream(3, 803)), expected)
 
 
 class TestReductionRadii:

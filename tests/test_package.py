@@ -44,6 +44,7 @@ DELETED = [
     "signed_permutation_deviation",
     "contains",
     "LearnerConfig",
+    "sample_generalized_gaussian",
 ]
 
 
@@ -147,6 +148,31 @@ def test_deleted_names_are_gone(name):
     assert not hasattr(simplexlearn, name)
     with pytest.raises(ImportError):
         exec(f"from simplexlearn import {name}", {})
+
+
+# keys that named a producer's stream once; none may name another
+RETIRED_KEYS = {4, 5, 6, 8}
+
+
+def test_stream_keys_are_distinct_and_not_retired():
+    # a reused key would silently correlate two producers' streams
+    keys = {
+        target.id: node.value.value
+        for node in ast.parse(Path(sampling.__file__).read_text()).body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("_KEY_")
+    }
+    assert keys
+    assert len(set(keys.values())) == len(keys), keys
+    assert not RETIRED_KEYS & set(keys.values()), keys
+
+
+def test_the_package_draws_one_sign_stream():
+    # the lp ball is the one exp(-|x|^p) draw, and its signs are the only
+    # fair bits the package takes from a stream
+    sources = [path.read_text() for path in Path(simplexlearn.__file__).parent.glob("*.py")]
+    assert sum(source.count("rng.integers(0, 2") for source in sources) == 1
 
 
 def test_the_hidden_instance_has_one_home():

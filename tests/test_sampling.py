@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from simplexlearn.diagnostics import _reduction_rows
 from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.ica import compute_c_pn, lp_symmetric_difference, reduce_lp_to_ica
 from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex
 from simplexlearn.sampling import (
-    _KEY_GENERALIZED_GAUSSIAN,
     _row_blocks,
     _simplex_weights,
     child_seed,
     generalized_gaussian_std,
     hidden_instance,
-    sample_generalized_gaussian,
     sample_lp_ball,
     sample_simplex,
     sample_standard_simplex,
@@ -168,45 +167,40 @@ class TestSampleSimplex:
             sample_simplex(flat, 10, 0)
 
 
+def exp_p_coordinates(p: float) -> np.ndarray:
+    """The 3 columns, pooled, of the rows that ``reduce_lp_to_ica`` hands
+    ICA for a ball draw: the package's one exp(-|x|^p) draw, rescaled to
+    iid coordinates with that density."""
+    return _reduction_rows(sample_lp_ball(3, p, T, 0), p, 1, lift=False).ravel()
+
+
 class TestGeneralizedGaussian:
     def test_p2_is_normal_variance_half(self):
-        draws = sample_generalized_gaussian(2.0, T, substream(0, 5))
+        draws = exp_p_coordinates(2.0)
         assert abs(draws.var(ddof=1) - 0.5) <= 3 * se((draws - draws.mean()) ** 2)
         assert stats.kstest(draws, "norm", args=(0.0, math.sqrt(0.5))).pvalue >= 0.01
 
     def test_p1_is_laplace(self):
-        draws = sample_generalized_gaussian(1.0, T, substream(0, 6))
+        draws = exp_p_coordinates(1.0)
         a = np.abs(draws)
         assert abs(a.mean() - 1.0) <= 3 * se(a)
         assert stats.kstest(a, "expon").pvalue >= 0.01
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 7.0])
     def test_pth_absolute_moment(self, p):
-        draws = sample_generalized_gaussian(p, T, substream(0, 7))
+        draws = exp_p_coordinates(p)
         a = np.abs(draws) ** p
         assert abs(a.mean() - 1.0 / p) <= 3 * se(a)
 
     def test_symmetry(self):
-        draws = sample_generalized_gaussian(3.0, T, substream(0, 8))
+        draws = exp_p_coordinates(3.0)
         assert abs(draws.mean()) <= 3 * se(draws)
 
     def test_std_constant(self):
         # closed form sqrt(Gamma(3/p)/Gamma(1/p)); p=2 gives sqrt(1/2)
         assert generalized_gaussian_std(2.0) == pytest.approx(math.sqrt(0.5))
-        draws = sample_generalized_gaussian(4.0, T, substream(0, 9))
+        draws = exp_p_coordinates(4.0)
         assert abs(draws.std(ddof=1) - generalized_gaussian_std(4.0)) <= 0.01
-
-    def test_an_integer_seed_is_keyed(self):
-        # the stream of seed 5 under the producer's own key, not the bare seed's
-        draws = sample_generalized_gaussian(3.0, 100, 5)
-        assert np.array_equal(draws, sample_generalized_gaussian(3.0, 100, substream(5, _KEY_GENERALIZED_GAUSSIAN)))
-        assert not np.array_equal(draws, sample_generalized_gaussian(3.0, 100, np.random.default_rng(5)))
-
-    def test_p_range(self):
-        with pytest.raises(ValueError):
-            sample_generalized_gaussian(0.5, 10, 0)
-        with pytest.raises(ValueError):
-            sample_generalized_gaussian(100.0, 10, 0)
 
 
 class TestLpBall:
@@ -240,7 +234,6 @@ class TestLpBall:
 COUNT_CASES = [
     pytest.param(lambda v: sample_lp_ball(3, 3.0, v, 0), "t", id="lp_ball-t"),
     pytest.param(lambda v: sample_lp_ball(v, 3.0, 10, 0), "n", id="lp_ball-n"),
-    pytest.param(lambda v: sample_generalized_gaussian(3.0, v, 0), "count", id="generalized_gaussian-count"),
     pytest.param(lambda v: sample_standard_simplex(3, v, 0), "t", id="standard_simplex-t"),
     pytest.param(lambda v: sample_standard_simplex(v, 10, 0), "n", id="standard_simplex-n"),
     pytest.param(lambda v: sample_simplex(corner_triangle(), v, 0), "t", id="simplex-t"),
@@ -250,7 +243,6 @@ COUNT_CASES = [
 
 # every public function that takes an lp exponent
 P_CASES = [
-    pytest.param(lambda p: sample_generalized_gaussian(p, 10, 0), id="sample_generalized_gaussian"),
     pytest.param(generalized_gaussian_std, id="generalized_gaussian_std"),
     pytest.param(lambda p: sample_lp_ball(3, p, 10, 0), id="sample_lp_ball"),
     pytest.param(lambda p: reduce_lp_to_ica(np.zeros((10, 3)), p), id="reduce_lp_to_ica"),
@@ -282,9 +274,6 @@ class TestCountArguments:
     def test_numpy_integers_accepted(self):
         assert sample_lp_ball(np.int64(2), 3.0, np.int32(4), 0).shape == (4, 2)
 
-    def test_zero_generalized_gaussian_draws(self):
-        assert sample_generalized_gaussian(3.0, 0, 0).shape == (0,)
-
 
 SEED_CALLS = [
     pytest.param(lambda s: substream(s, 1), id="substream"),
@@ -293,7 +282,6 @@ SEED_CALLS = [
     pytest.param(lambda s: simplex_source(corner_triangle(), s), id="simplex_source"),
     pytest.param(lambda s: sample_simplex(corner_triangle(), 10, s), id="sample_simplex"),
     pytest.param(lambda s: sample_lp_ball(3, 3.0, 10, s), id="sample_lp_ball"),
-    pytest.param(lambda s: sample_generalized_gaussian(3.0, 10, s), id="generalized_gaussian"),
     pytest.param(lambda s: tv_distance_mc(isotropic_simplex(2), isotropic_simplex(2), 10, rng=s), id="tv_distance_mc"),
 ]
 
