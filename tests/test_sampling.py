@@ -7,7 +7,13 @@ from scipy import integrate, stats
 
 from simplexlearn.diagnostics import _reduction_rows
 from simplexlearn.evaluation import tv_distance_mc
-from simplexlearn.ica import compute_c_pn, lp_symmetric_difference, reduce_lp_to_ica
+from simplexlearn.ica import (
+    compute_c_pn,
+    ica_estimate,
+    lp_symmetric_difference,
+    reduce_lp_to_ica,
+    reduce_simplex_to_ica,
+)
 from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex
 from simplexlearn.sampling import (
     _row_blocks,
@@ -248,6 +254,7 @@ P_CASES = [
     pytest.param(lambda p: reduce_lp_to_ica(np.zeros((10, 3)), p), id="reduce_lp_to_ica"),
     pytest.param(lambda p: compute_c_pn(p, 3), id="compute_c_pn"),
     pytest.param(lambda p: lp_symmetric_difference(np.eye(3), np.eye(3), p, 10), id="lp_symmetric_difference"),
+    pytest.param(lambda p: hidden_instance("lp", 3, 10, 0, p), id="hidden_instance"),
 ]
 
 
@@ -281,7 +288,13 @@ SEED_CALLS = [
     # the factory itself rejects the seed, before its first draw
     pytest.param(lambda s: simplex_source(corner_triangle(), s), id="simplex_source"),
     pytest.param(lambda s: sample_simplex(corner_triangle(), 10, s), id="sample_simplex"),
+    pytest.param(lambda s: sample_standard_simplex(3, 10, s), id="sample_standard_simplex"),
     pytest.param(lambda s: sample_lp_ball(3, 3.0, 10, s), id="sample_lp_ball"),
+    pytest.param(lambda s: hidden_instance("lp", 3, 10, s, 3.0), id="hidden_instance"),
+    pytest.param(lambda s: reduce_simplex_to_ica(np.zeros((10, 2)), s), id="reduce_simplex_to_ica"),
+    pytest.param(lambda s: reduce_lp_to_ica(np.zeros((10, 2)), 3.0, s), id="reduce_lp_to_ica"),
+    pytest.param(lambda s: ica_estimate(np.zeros((10, 2)), seed=s), id="ica_estimate"),
+    pytest.param(lambda s: lp_symmetric_difference(np.eye(3), np.eye(3), 3.0, 10, s), id="lp_symmetric_difference"),
     pytest.param(lambda s: tv_distance_mc(isotropic_simplex(2), isotropic_simplex(2), 10, rng=s), id="tv_distance_mc"),
 ]
 
