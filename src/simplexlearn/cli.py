@@ -250,8 +250,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if cfg["problem"] == "lp":
         if cfg["p"] is None:
             raise SchemaError("--p is required for --problem lp")
-        if not 1.0 <= cfg["p"] <= sampling.P_MAX:
-            raise SchemaError(f"p must lie in [1, {sampling.P_MAX:g}]")
+        if not sampling.P_MIN <= cfg["p"] <= sampling.P_MAX:
+            raise SchemaError(f"p must lie in [{sampling.P_MIN:g}, {sampling.P_MAX:g}]")
     n, t, seed = cfg["n"], cfg["t"], cfg["seed"]
     dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
     if t < dims + 2:

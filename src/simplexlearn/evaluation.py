@@ -33,7 +33,7 @@ class TVEstimate:
     mc_points: int
 
 
-def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.Generator = 0) -> TVEstimate:
+def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int = 0) -> TVEstimate:
     """Estimate d_TV(uniform on K, uniform on L).
 
     Uses the identity d_TV = vol(K \\ L) / vol(K) for vol(K) >= vol(L):
@@ -53,7 +53,8 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     Args:
         k, l: simplices of equal dimension.
         mc_points: Monte Carlo sample size, an integer >= 1.
-        rng: integer seed or numpy Generator.
+        rng: integer seed >= 0; the points come from substream(rng, 31),
+            so equal arguments give equal estimates.
 
     Returns:
         TVEstimate with value, std_error = sqrt(v(1-v)/mc_points), mc_points.
@@ -61,7 +62,7 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     if k.dim != l.dim:
         raise ValueError("simplices must have equal dimension")
     mc_points = _check_count(mc_points, "mc_points")
-    gen = rng if isinstance(rng, np.random.Generator) else substream(rng, 31)
+    stream = substream(rng, 31)
     big, small = (k, l) if k.volume() >= l.volume() else (l, k)
     # weights w summing to 1 give the point w V_big coordinates C w^T in
     # the smaller simplex, column j of C holding those of big's vertex j;
@@ -69,7 +70,7 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int | np.random.
     m = big.dim + 1
     kernel = np.vstack([_coordinates(small, big.vertices), np.full((1, m), MEMBERSHIP_TOL)])
     inside = 0
-    for _, e in _exponential_rows(gen, m, mc_points):
+    for _, e in _exponential_rows(stream, m, mc_points):
         products = kernel @ e.T
         margin = products[:-1].min(axis=0)
         margin += products[-1]
@@ -94,11 +95,12 @@ def check_sandwich_bound(
     alpha: float,
     beta: float,
     mc_points: int,
-    rng: int | np.random.Generator = 0,
+    rng: int = 0,
 ) -> SandwichReport:
     """Verify alpha K <= L <= beta K by vertex membership, then check the
     sandwich bound d_TV <= 2 (1 - (alpha/beta)^n) against the Monte Carlo
-    estimate (with a 3 sigma allowance).
+    estimate (with a 3 sigma allowance), drawn by :func:`tv_distance_mc`
+    from the integer seed ``rng``.
 
     Scaling is about the origin, so K should contain it.  Raises ValueError
     when the claimed containments fail.

@@ -43,6 +43,7 @@ from .moments import _power_moment, _sample, _sample_frame
 from .sampling import (
     _check_count,
     _check_p,
+    _check_seed,
     _lp_ball_points,
     _row_blocks,
     _row_sums,
@@ -179,7 +180,7 @@ def ica_estimate(
     """
     if contrast not in CONTRASTS:
         raise ValueError(f"contrast must be one of {CONTRASTS}, got {contrast!r}")
-    _check_count(seed, "seed", minimum=0)
+    _check_seed(seed)
     if not isinstance(points, _ScaledRows):
         points = _sample(points, "d", 2)
     frame, whitener = _sample_frame(points)

@@ -27,7 +27,7 @@ import numpy as np
 from .evaluation import hoeffding_sample_size, tv_distance_mc
 from .geometry import AffineFrame, EmbedMap, Simplex, make_embed_map
 from .moments import DegenerateSampleError, _power_moment, _sample, _sample_frame
-from .sampling import _check_count, child_seed, substream
+from .sampling import _check_count, _check_seed, child_seed, substream
 from .vertex_finder import MAX_STEPS, VertexResult, find_vertex
 
 __all__ = [
@@ -140,7 +140,7 @@ def learn_simplex(points: np.ndarray, r: int = MAX_STEPS, seed: int = 0) -> Lear
         NaN or infinite point, which the frame's one pass reads off the
         mean and covariance; DegenerateSampleError for points on a flat.
     """
-    r, seed = _check_count(r, "r"), _check_count(seed, "seed", minimum=0)
+    r, seed = _check_count(r, "r"), _check_seed(seed)
     block = _sample(points, "n", 2)
     t, n = block.shape
 
@@ -184,9 +184,12 @@ def boost(
         eps_prime: target accuracy of the individual runs.
         tv_estimator: pairwise distance estimate; defaults to Monte Carlo
             TV with a Hoeffding sample size for additive error eps_prime/10
-            at confidence 0.95.
-        seed: seed for the default estimator.
+            at confidence 0.95, every pair drawn from the integer seed
+            child_seed(seed, 53).
+        seed: seed for the default estimator, an integer >= 0, checked
+            first whichever estimator runs (ValueError naming it).
     """
+    seed = _check_seed(seed)
     t = len(learn_runs)
     if t < 3:
         raise ValueError("boosting needs at least 3 runs")
@@ -196,7 +199,7 @@ def boost(
         mc = hoeffding_sample_size(eps_prime / 10.0, 0.05)
 
         def tv_estimator(a: Simplex, b: Simplex, _mc=mc) -> float:
-            return tv_distance_mc(a, b, _mc, rng=substream(seed, 53)).value
+            return tv_distance_mc(a, b, _mc, rng=child_seed(seed, 53)).value
 
     pairwise = np.zeros((t, t))
     for i in range(t):

@@ -15,7 +15,6 @@ truths and their samples, with their keys.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Iterator
 
@@ -224,22 +223,26 @@ def sample_lp_ball(n: int, p: float, t: int, seed: int) -> np.ndarray:
 
 
 def simplex_source(s: Simplex, seed: int) -> Callable[[int], np.ndarray]:
-    """A stateful draw(count) callable yielding fresh uniform points from
-    ``s`` on every call, deterministically from ``seed``.
+    """A draw(count) callable returning the first ``count`` uniform points
+    of ``s`` from one keyed stream of ``seed``.
 
-    Block k of a given size is always the same array for the same seed, and
-    affine images of ``s`` with the same seed yield the pointwise image of
-    the same draws.  ``seed`` must be an integer >= 0, else ValueError
+    The callable keeps no state: equal calls return equal points, and a
+    longer call draws a shorter one's weights first, so its points begin
+    with the shorter call's (bit for bit where BLAS rounds both products
+    alike, which a one-row product need not).  Affine images of ``s``
+    with the same seed yield the pointwise image of the same draws.
+    ``seed`` must be an integer >= 0, else ValueError, and ``s`` have
+    affinely independent vertices, else DegenerateSimplexError, both
     before any draw; ``count`` must be an integer >= 0 (not a bool), else
-    ValueError naming it, and a rejected call takes no block.
+    ValueError naming it.
     """
     seed = _check_seed(seed)
-    counter = itertools.count()
+    _barycentric(s)  # rejects affinely dependent vertices up front
     vertices = s.vertices
 
     def draw(count: int) -> np.ndarray:
         count = _check_count(count, "count", minimum=0)
-        return _simplex_points(substream(seed, _KEY_SOURCE, next(counter)), vertices, count)
+        return _simplex_points(substream(seed, _KEY_SOURCE, 0), vertices, count)
 
     return draw
 

@@ -12,6 +12,7 @@ import pytest
 import simplexlearn
 from simplexlearn import ica, learner, moments, sampling
 from simplexlearn.cli import OUT_ENV, _resolve, build_parser, main
+from simplexlearn.geometry import isotropic_simplex
 
 LEARN_FAST = ["learn", "--n", "2", "--t1", "4000", "--t3", "4000", "--m", "12"]
 
@@ -539,6 +540,9 @@ class TestValidation:
         assert "schema error: n applies only to verify --suite scaling or landscape" in capsys.readouterr().err
         assert main(["reduce", "--problem", "simplex", "--p", "3"]) == 1
         assert "schema error: p applies only to --problem lp" in capsys.readouterr().err
+        # NaN is a number, and only the range check stops it
+        assert main(["reduce", "--problem", "lp", "--p", "nan"]) == 1
+        assert "schema error: p must lie in [1, 64]" in capsys.readouterr().err
 
     def test_runtime_failure_is_not_a_schema_error(self, capsys, monkeypatch):
         import simplexlearn.learner as learner
@@ -672,13 +676,11 @@ class TestSharedParser:
         assert called == [4]
 
 
-def benchmark_argvs():
-    """The workloads perfbench/run.py defines, read from its source (which
-    stays unchanged), and their command lines: the warm-up op of each and
-    the first pool op of each command shape, that is of each argv up to
-    its trailing "--seed <seed>"."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, read from its source (which stays
+    unchanged) without leaving it in sys.modules or its path edits."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     path_before = list(sys.path)  # run.py puts perfbench/ on the path
     sys.modules[spec.name] = module  # dataclasses look their module up here
@@ -687,6 +689,14 @@ def benchmark_argvs():
     finally:
         del sys.modules[spec.name]
         sys.path[:] = path_before
+    return module
+
+
+def benchmark_argvs():
+    """The workloads perfbench/run.py defines and their command lines: the
+    warm-up op of each and the first pool op of each command shape, that
+    is of each argv up to its trailing "--seed <seed>"."""
+    module = load_perfbench("run")
     argvs = {}
     for workload in module.WORKLOADS.values():
         for argv in (workload.warmup, *(op.argv for op in workload.pool)):
@@ -706,6 +716,34 @@ class TestBenchmarkArgv:
     @pytest.mark.parametrize("argv", BENCHMARK_ARGVS)
     def test_exits_zero(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+
+
+TRACER = load_perfbench("tracer")
+
+
+class TestTracerHooks:
+    # the tracer skips a hook whose target is missing, and its layer then
+    # reads 0; a rename of a hooked function fails here instead
+    @pytest.mark.parametrize("module_name, attr", [hook[:2] for hook in TRACER.HOOKS])
+    def test_hook_resolves(self, module_name, attr):
+        module = importlib.import_module(f"simplexlearn.{module_name}")
+        owner_name, _, method = attr.rpartition(".")
+        if owner_name:
+            assert method in vars(getattr(module, owner_name))
+        else:
+            assert callable(getattr(module, attr))
+
+    def test_count_only_source_counts_every_point(self):
+        assert TRACER.COUNT_ONLY == [("sampling", "simplex_source")]
+        draw = sampling.simplex_source(isotropic_simplex(3), 0)
+        assert callable(draw) and draw(1234).shape == (1234, 3)
+        tracer = TRACER.Tracer(record_spans=False)
+        tracer.install(TRACER.COUNT_ONLY)
+        try:
+            sampling.hidden_instance("learn", 3, 1234, 0)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["sampling.points"] == 1234
 
 
 class TestConsoleScript:

@@ -94,11 +94,14 @@ class TestTVDistance:
         est = tv_distance_mc(shifted, outer, 100_000, rng=5)
         assert abs(est.value - (1.0 - 0.5**3)) <= 3.0 * max(est.std_error, 1e-12)
 
-    def test_generator_argument_accepted(self):
+    def test_generator_rejected(self):
+        # the estimate is a function of its integer seed, never of a
+        # generator's state
         s = right_simplex(2)
-        a = tv_distance_mc(s, s.scaled(0.7), 10_000, rng=substream(9, 31))
-        b = tv_distance_mc(s, s.scaled(0.7), 10_000, rng=substream(9, 31))
-        assert a.value == b.value
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            tv_distance_mc(s, s.scaled(0.7), 100, rng=substream(9, 31))
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            check_sandwich_bound(s, s, 1.0, 1.0, 100, rng=substream(9, 31))
 
     def test_validation(self):
         with pytest.raises(ValueError):

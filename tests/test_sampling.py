@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from simplexlearn.diagnostics import _reduction_rows
-from simplexlearn.evaluation import tv_distance_mc
+from simplexlearn.diagnostics import _reduction_rows, run_suite, scaling_suite, tv_suite
+from simplexlearn.evaluation import check_sandwich_bound, tv_distance_mc
 from simplexlearn.ica import (
     compute_c_pn,
     ica_estimate,
@@ -14,7 +15,8 @@ from simplexlearn.ica import (
     reduce_lp_to_ica,
     reduce_simplex_to_ica,
 )
-from simplexlearn.geometry import Simplex, contains_points, isotropic_simplex
+from simplexlearn.geometry import DegenerateSimplexError, Simplex, contains_points, isotropic_simplex
+from simplexlearn.learner import boost, learn_simplex
 from simplexlearn.sampling import (
     _row_blocks,
     _simplex_weights,
@@ -282,6 +284,17 @@ class TestCountArguments:
         assert sample_lp_ball(np.int64(2), 3.0, np.int32(4), 0).shape == (4, 2)
 
 
+def triangle_points() -> np.ndarray:
+    return sample_simplex(corner_triangle(), 200, 0)
+
+
+def boost_runs() -> list:
+    k = isotropic_simplex(2)
+    return [k, k.scaled(0.99), k.scaled(0.98)]
+
+
+# every public function that takes a seed; the samples are valid, so a
+# good seed runs the call through
 SEED_CALLS = [
     pytest.param(lambda s: substream(s, 1), id="substream"),
     pytest.param(lambda s: child_seed(s, 1), id="child_seed"),
@@ -291,12 +304,52 @@ SEED_CALLS = [
     pytest.param(lambda s: sample_standard_simplex(3, 10, s), id="sample_standard_simplex"),
     pytest.param(lambda s: sample_lp_ball(3, 3.0, 10, s), id="sample_lp_ball"),
     pytest.param(lambda s: hidden_instance("lp", 3, 10, s, 3.0), id="hidden_instance"),
-    pytest.param(lambda s: reduce_simplex_to_ica(np.zeros((10, 2)), s), id="reduce_simplex_to_ica"),
-    pytest.param(lambda s: reduce_lp_to_ica(np.zeros((10, 2)), 3.0, s), id="reduce_lp_to_ica"),
-    pytest.param(lambda s: ica_estimate(np.zeros((10, 2)), seed=s), id="ica_estimate"),
+    pytest.param(lambda s: reduce_simplex_to_ica(triangle_points(), s), id="reduce_simplex_to_ica"),
+    pytest.param(lambda s: reduce_lp_to_ica(sample_lp_ball(2, 3.0, 200, 0), 3.0, s), id="reduce_lp_to_ica"),
+    pytest.param(lambda s: ica_estimate(triangle_points(), seed=s), id="ica_estimate"),
     pytest.param(lambda s: lp_symmetric_difference(np.eye(3), np.eye(3), 3.0, 10, s), id="lp_symmetric_difference"),
     pytest.param(lambda s: tv_distance_mc(isotropic_simplex(2), isotropic_simplex(2), 10, rng=s), id="tv_distance_mc"),
+    pytest.param(
+        lambda s: check_sandwich_bound(isotropic_simplex(2), isotropic_simplex(2).scaled(0.9), 0.9, 1.0, 100, rng=s),
+        id="check_sandwich_bound",
+    ),
+    pytest.param(lambda s: learn_simplex(triangle_points(), seed=s), id="learn_simplex"),
+    pytest.param(lambda s: boost(boost_runs(), 0.1, seed=s), id="boost"),
+    # the seed is checked even where no default estimator reads it
+    pytest.param(lambda s: boost(boost_runs(), 0.1, tv_estimator=lambda a, b: 0.0, seed=s), id="boost-estimator"),
+    pytest.param(
+        lambda s: scaling_suite(s, t=500, simplex_dims=(2,), lp_powers=(1.0,), lp_dim=2), id="scaling_suite"
+    ),
+    pytest.param(lambda s: tv_suite(s, mc_points=100, alphas=(0.5,), dims=(2,)), id="tv_suite"),
+    pytest.param(lambda s: run_suite("scaling", s, n=2), id="run_suite-scaling"),
 ]
+
+
+def assert_same(a, b) -> None:
+    """a and b hold equal values, every array equal bit for bit; a draw
+    callable is called twice, a generator compared by its state."""
+    if callable(a):
+        assert_same(a(50), a(50))
+    elif isinstance(a, np.random.Generator):
+        assert a.bit_generator.state == b.bit_generator.state
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for field in dataclasses.fields(a):
+            assert_same(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, float):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    else:
+        assert type(a) is type(b) and a == b
 
 
 class TestSeeds:
@@ -310,6 +363,11 @@ class TestSeeds:
     def test_negative_named(self, call):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
             call(-1)
+
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_same_seed_same_result(self, call):
+        # every draw is a function of its integer seed alone
+        assert_same(call(5), call(5))
 
     def test_numpy_integers_accepted(self):
         assert (substream(np.int64(3), 1).random(4) == substream(3, 1).random(4)).all()
@@ -334,13 +392,24 @@ class TestJointIndependence:
 
 
 class TestSources:
-    def test_simplex_source_fresh_blocks(self):
+    def test_simplex_source_is_stateless(self):
+        # the corner triangle's products round nothing, so the prefix law
+        # holds for the points bit for bit, as it does for their weights
         src = simplex_source(corner_triangle(), 0)
         a, b = src(100), src(100)
-        assert (a != b).any()
-        src2 = simplex_source(corner_triangle(), 0)
-        assert (src2(100) == a).all()
-        assert (src2(100) == b).all()
+        assert (a == b).all()
+        assert (src(40) == a[:40]).all()
+        assert (src(250)[:100] == a).all()
+        assert (simplex_source(corner_triangle(), 0)(100) == a).all()
+        assert (simplex_source(corner_triangle(), 1)(100) != a).any()
+
+    def test_simplex_source_rejects_a_flat_simplex(self):
+        # as sample_simplex does, before any draw
+        flat = Simplex([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(DegenerateSimplexError):
+            sample_simplex(flat, 5, 0)
+        with pytest.raises(DegenerateSimplexError):
+            simplex_source(flat, 0)
 
     def test_rejected_count_takes_no_block(self):
         src = simplex_source(corner_triangle(), 0)

@@ -31,10 +31,12 @@ def nearest_vertex_error(u: np.ndarray) -> float:
 
 def standard_source(n: int, seed: int):
     """A draw(count) callable of fresh uniform blocks on the standard
-    simplex in R^n, nonnegative coordinates summing to one.  Block k is
-    drawn as ``simplex_source`` draws its k-th block, from
-    substream(seed, _KEY_SOURCE, k); its weights times the identity, a
-    product that rounds nothing, are the points."""
+    simplex in R^n, nonnegative coordinates summing to one, for tests that
+    want new points on every gradient call.  Block k comes from
+    substream(seed, _KEY_SOURCE, k), so block 0 is the draw of
+    ``simplex_source`` (which keeps no counter and always reads block 0);
+    its weights times the identity, a product that rounds nothing, are the
+    points."""
     blocks = itertools.count()
     return lambda count: _simplex_points(substream(seed, _KEY_SOURCE, next(blocks)), np.eye(n), count)
 
