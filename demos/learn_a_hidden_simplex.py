@@ -17,7 +17,7 @@ print(f"budget: one block of {len(points)} points for the frame and every step, 
 learned = learn_simplex(points, r=MAX_STEPS, seed=0)
 
 match = match_vertices(truth, learned.simplex)
-tv = tv_distance_mc(truth, learned.simplex, 100_000, rng=2)
+tv = tv_distance_mc(truth, learned.simplex, 100_000, seed=2)
 fit = learned.fit
 print(f"found {len(learned.simplex.vertices)} vertices in {fit.iterations_run} steps, {fit.prefix_steps} of them on the first {len(points) // 8} rows")
 print(f"every vertex's last step at most 1e-2: {fit.converged.tolist()}")

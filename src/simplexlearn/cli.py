@@ -177,7 +177,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     learned = learner.learn_simplex(sample, r=cfg["r"], seed=cfg["seed"])
     del sample  # the block is freed before scoring runs
 
-    tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, rng=sampling.child_seed(cfg["seed"], 99))
+    tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, seed=sampling.child_seed(cfg["seed"], 99))
     # points_drawn is the one block; found_count, always n+1, stays for
     # the benchmark, which reads it
     payload = {

@@ -235,13 +235,13 @@ def tv_suite(
     checks: list[dict] = []
 
     k_identity = isotropic_simplex(2)
-    est = tv_distance_mc(k_identity, k_identity, mc_points, rng=child_seed(seed, 89, 0))
+    est = tv_distance_mc(k_identity, k_identity, mc_points, seed=child_seed(seed, 89, 0))
     checks.append({"name": "identity_zero", "value": est.value, "passed": bool(est.value == 0.0)})
 
     for n in dims:
         k = isotropic_simplex(n)
         for alpha in alphas:
-            est = tv_distance_mc(k, k.scaled(alpha), mc_points, rng=child_seed(seed, 89, n, int(round(100 * alpha))))
+            est = tv_distance_mc(k, k.scaled(alpha), mc_points, seed=child_seed(seed, 89, n, int(round(100 * alpha))))
             expected = 1.0 - alpha**n
             tol = 3.0 * max(est.std_error, 1e-12)
             checks.append(
@@ -255,12 +255,12 @@ def tv_suite(
             )
 
     k3 = isotropic_simplex(3)
-    report = check_sandwich_bound(k3, k3, 1.0, 1.0, mc_points, rng=child_seed(seed, 90, 0))
+    report = check_sandwich_bound(k3, k3, 1.0, 1.0, mc_points, seed=child_seed(seed, 90, 0))
     checks.append(
         {"name": "sandwich_identity", "tv": report.tv.value, "bound": report.bound, "passed": bool(report.holds)}
     )
 
-    report = check_sandwich_bound(k3, k3.scaled(0.9), 0.9, 1.0, mc_points, rng=child_seed(seed, 90, 1))
+    report = check_sandwich_bound(k3, k3.scaled(0.9), 0.9, 1.0, mc_points, seed=child_seed(seed, 90, 1))
     checks.append(
         {"name": "sandwich_scaled_0.9", "tv": report.tv.value, "bound": report.bound, "passed": bool(report.holds)}
     )
@@ -269,7 +269,7 @@ def tv_suite(
     perturbed = Simplex(k3.vertices + 0.05 * rng.standard_normal(k3.vertices.shape))
     alpha_cert = float(1.0 / _gauge(perturbed, k3.vertices).max()) * (1.0 - 1e-9)
     beta_cert = float(_gauge(k3, perturbed.vertices).max()) * (1.0 + 1e-9)
-    report = check_sandwich_bound(k3, perturbed, alpha_cert, beta_cert, mc_points, rng=child_seed(seed, 90, 3))
+    report = check_sandwich_bound(k3, perturbed, alpha_cert, beta_cert, mc_points, seed=child_seed(seed, 90, 3))
     checks.append(
         {
             "name": "sandwich_perturbed_certified",

@@ -33,7 +33,7 @@ class TVEstimate:
     mc_points: int
 
 
-def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int = 0) -> TVEstimate:
+def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, seed: int = 0) -> TVEstimate:
     """Estimate d_TV(uniform on K, uniform on L).
 
     Uses the identity d_TV = vol(K \\ L) / vol(K) for vol(K) >= vol(L):
@@ -53,7 +53,7 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int = 0) -> TVEs
     Args:
         k, l: simplices of equal dimension.
         mc_points: Monte Carlo sample size, an integer >= 1.
-        rng: integer seed >= 0; the points come from substream(rng, 31),
+        seed: integer >= 0; the points come from substream(seed, 31),
             so equal arguments give equal estimates.
 
     Returns:
@@ -62,7 +62,7 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, rng: int = 0) -> TVEs
     if k.dim != l.dim:
         raise ValueError("simplices must have equal dimension")
     mc_points = _check_count(mc_points, "mc_points")
-    stream = substream(rng, 31)
+    stream = substream(seed, 31)
     big, small = (k, l) if k.volume() >= l.volume() else (l, k)
     # weights w summing to 1 give the point w V_big coordinates C w^T in
     # the smaller simplex, column j of C holding those of big's vertex j;
@@ -95,12 +95,12 @@ def check_sandwich_bound(
     alpha: float,
     beta: float,
     mc_points: int,
-    rng: int = 0,
+    seed: int = 0,
 ) -> SandwichReport:
     """Verify alpha K <= L <= beta K by vertex membership, then check the
     sandwich bound d_TV <= 2 (1 - (alpha/beta)^n) against the Monte Carlo
     estimate (with a 3 sigma allowance), drawn by :func:`tv_distance_mc`
-    from the integer seed ``rng``.
+    from the integer ``seed``.
 
     Scaling is about the origin, so K should contain it.  Raises ValueError
     when the claimed containments fail.
@@ -111,7 +111,7 @@ def check_sandwich_bound(
         raise ValueError("alpha K is not contained in L")
     if not contains_points(k.scaled(beta), l.vertices).all():
         raise ValueError("L is not contained in beta K")
-    tv = tv_distance_mc(k, l, mc_points, rng)
+    tv = tv_distance_mc(k, l, mc_points, seed)
     bound = 2.0 * (1.0 - (alpha / beta) ** k.dim)
     return SandwichReport(tv=tv, bound=bound, holds=bool(tv.value <= bound + 3.0 * tv.std_error))
 

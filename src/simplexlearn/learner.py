@@ -12,8 +12,8 @@ ones read only its first t // 8 rows, up to a step of 1e-2, which
 carries the frame into the basin of the block's fixed point, and the
 last ones read the whole block, up to a step of 1e-2 again, which lands
 on that fixed point; r steps cap both together, and the prefix at most
-r // 2.  Each column is projected exactly onto the hyperplane and mapped
-back through the frame.
+r // 2.  Each column is mapped back through the embedding, whose inverse
+ignores the all-ones direction, and the frame.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class LearnedSimplex:
     simplex has the n+1 found vertices, one per start of the frame, as
     the rows of simplex.vertices.  fit is the fixed point's own record
     (:class:`~simplexlearn.vertex_finder.VertexResult`): the final frame
-    u, whose column k, projected onto the hyperplane {u . 1 = 1}, maps
-    back to vertex k; one converged flag per vertex; iterations_run, the
-    step where the stop fired on the whole block, or the cap r; and
-    prefix_steps, those of them that read only the block's prefix.
+    u, whose column k maps back to vertex k; one converged flag per
+    vertex; iterations_run, the step where the stop fired on the whole
+    block, or the cap r; and prefix_steps, those of them that read only
+    the block's prefix.
     """
 
     simplex: Simplex
@@ -149,9 +149,7 @@ def learn_simplex(points: np.ndarray, r: int = MAX_STEPS, seed: int = 0) -> Lear
     starts = [substream(child_seed(seed, 41, k), 23).standard_normal(n + 1) for k in range(n + 1)]
     start = np.column_stack([u / np.linalg.norm(u) for u in starts])
     fit = find_vertex(embedded_m3_grad(frame, emb, block), start, r, t)
-    # exact projection of each column onto the hyperplane {u . 1 = 1}
-    directions = (fit.u + (1.0 - fit.u.sum(axis=0)) / (n + 1)).T
-    return LearnedSimplex(Simplex(frame.inverse(emb.inverse(directions))), fit)
+    return LearnedSimplex(Simplex(frame.inverse(emb.inverse(fit.u.T))), fit)
 
 
 @dataclass
@@ -199,7 +197,7 @@ def boost(
         mc = hoeffding_sample_size(eps_prime / 10.0, 0.05)
 
         def tv_estimator(a: Simplex, b: Simplex, _mc=mc) -> float:
-            return tv_distance_mc(a, b, _mc, rng=child_seed(seed, 53)).value
+            return tv_distance_mc(a, b, _mc, seed=child_seed(seed, 53)).value
 
     pairwise = np.zeros((t, t))
     for i in range(t):

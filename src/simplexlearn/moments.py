@@ -13,8 +13,9 @@ local maxima are exactly the (projected) vertex directions: the exact
 Hessian spectrum at every critical point, with no random trials.
 
 It also holds the two sample passes that the learner and ICA share: the
-mean and covariance behind their one affine frame, and the power
-moment that drives both fixed points.  Each walks the sample in the row
+mean and covariance behind their one affine frame, taken about one
+shift, with the same bits for every memory order of the sample, and the
+power moment that drives both fixed points.  Each walks the sample in the row
 blocks of ``sampling._row_blocks`` that every draw uses too (BLOCK_ROWS
 rows, a short last block joined to the one before it), so no
 intermediate is larger than a block.
@@ -48,35 +49,32 @@ class DegenerateSampleError(ValueError):
 def _mean_and_covariance(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and biased (1/t) covariance of the rows of x, block by block.
 
-    Each block is centered on its own mean, and the blocks merge by the
-    pairwise update of Chan, Golub and LeVeque (1979), so the pass keeps
-    no (t, d) copy and a large offset costs no precision.  Block means
-    are ones-vector products, which BLAS takes far faster than
-    ``mean(axis=0)`` on rows of a few entries.  A block is centered
-    transposed, into one reused C-ordered (d, rows) buffer, since numpy
-    subtracts along long rows much faster than along rows of d entries;
-    its scatter is then ``centered @ centered.T``, whatever the memory
-    order of x.
+    Every row is centered on one shift c, the first block's mean, and the
+    pass sums the centered rows s and their scatter M; the mean is
+    c + s/t and the covariance M/t - (s/t)(s/t)^T, the shifted-data form
+    of Chan, Golub and LeVeque (1983).  So the pass keeps no (t, d) copy,
+    and a large offset costs no precision.  A block (and the first one
+    once more, for c) is copied transposed into one reused C-ordered
+    (d, rows) buffer, since numpy subtracts along long rows much faster
+    than along rows of d entries; every product then reads that buffer,
+    so the bits do not depend on the memory order of x.
     """
     t, d = x.shape
     blocks = _row_blocks(0, t)
     longest = blocks[-1].stop - blocks[-1].start  # the last block is the longest
     ones, buffer = np.ones(longest), np.empty(d * longest)
-    count, mean, scatter = 0, np.zeros(d), np.zeros((d, d))
+    first = blocks[0].stop
+    head = buffer[: d * first].reshape(d, first)
+    head[...] = x[blocks[0]].T
+    shift = (head @ ones[:first]) / first
+    total, scatter = np.zeros(d), np.zeros((d, d))
     for span in blocks:
-        block = x[span]
-        rows = block.shape[0]
-        block_mean = (ones[:rows] @ block) / rows
-        centered = np.subtract(block.T, block_mean[:, None], out=buffer[: d * rows].reshape(d, rows))
-        delta = block_mean - mean
-        total = count + rows
-        cross = centered @ centered.T
-        if count:  # the first block merges into nothing, and its outer product may overflow
-            cross += np.outer(delta, delta) * (count * rows / total)
-        scatter += cross
-        mean += delta * (rows / total)
-        count = total
-    return mean, scatter / t
+        rows = span.stop - span.start
+        centered = np.subtract(x[span].T, shift[:, None], out=buffer[: d * rows].reshape(d, rows))
+        total += centered @ ones[:rows]
+        scatter += centered @ centered.T
+    offset = total / t
+    return shift + offset, scatter / t - np.outer(offset, offset)
 
 
 def _sample_frame(x) -> tuple[AffineFrame, np.ndarray]:

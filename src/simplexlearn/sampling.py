@@ -116,32 +116,24 @@ def _exponential_rows(rng: np.random.Generator, m: int, t: int) -> Iterator[tupl
         yield rows, rng.standard_exponential(out=buffer[: rows.stop - rows.start])
 
 
-def _simplex_weights(rng: np.random.Generator, m: int, t: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Uniform barycentric weights of t points on Delta^(m-1), block by
-    block: the rows of :func:`_exponential_rows` divided in place by their
-    sums, so a block's weights last until the next block is drawn."""
-    for rows, e in _exponential_rows(rng, m, t):
-        e /= _row_sums(e)[:, None]
-        yield rows, e
-
-
 def _simplex_points(rng: np.random.Generator, vertices: np.ndarray, t: int) -> np.ndarray:
-    """t points ``weights @ vertices``, each block's product written
-    straight into the output."""
+    """t points ``weights @ vertices``, the uniform barycentric weights on
+    Delta^(m-1) being the rows of :func:`_exponential_rows` divided in
+    place by their sums; each block's product is written straight into
+    the output."""
     out = np.empty((t, vertices.shape[1]))
-    for rows, weights in _simplex_weights(rng, vertices.shape[0], t):
-        np.matmul(weights, vertices, out=out[rows])
+    for rows, e in _exponential_rows(rng, vertices.shape[0], t):
+        e /= _row_sums(e)[:, None]
+        np.matmul(e, vertices, out=out[rows])
     return out
 
 
 def sample_standard_simplex(n: int, t: int, seed: int) -> np.ndarray:
     """t points uniform on the standard simplex Delta^(n-1) in R^n
-    (nonnegative coordinates summing to one)."""
+    (nonnegative coordinates summing to one): the weights themselves,
+    since a product with the identity rounds nothing."""
     n, t = _check_count(n, "n", minimum=2), _check_count(t, "t")
-    out = np.empty((t, n))
-    for rows, weights in _simplex_weights(substream(seed, _KEY_STANDARD), n, t):
-        out[rows] = weights
-    return out
+    return _simplex_points(substream(seed, _KEY_STANDARD), np.eye(n), t)
 
 
 def sample_simplex(s: Simplex, t: int, seed: int) -> np.ndarray:
@@ -255,7 +247,11 @@ def hidden_instance(problem: str, n: int, t: int, seed: int, p: float | None = N
     key 97; learn draws ``simplex_source(truth, child_seed(seed, 98))(t)``
     and reduce ``sample_simplex(truth, t, child_seed(seed, 101))``: two
     streams, since sharing one would move every reduce report.  Both are
-    prefix stable, a longer draw beginning with these t points.  For
+    prefix stable from two rows up: a longer draw begins with these t
+    points, bit for bit wherever BLAS rounds both products alike.  A
+    one-row product goes to gemv and rounds otherwise, and at some widths
+    so does a short one in OpenBLAS's small-matrix kernel (at n = 20, up
+    to some 2000 rows); the weights always agree.  For
     ``"lp"`` the truth is A = rotation · diag(uniform(0.5, 2)), from key 103,
     and the sample ``sample_lp_ball(n, p, t, child_seed(seed, 104))`` mapped
     by Aᵀ in place, which is not prefix stable: the ball draws every Gamma

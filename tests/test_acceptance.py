@@ -116,7 +116,7 @@ def test_criterion_5_end_to_end_recovery_on_isotropic_truth():
         for seed in range(10):
             result = learn_simplex(simplex_source(truth, seed)(100_000), seed=seed)
             err = match_vertices(truth, result.simplex).max_error
-            tv = tv_distance_mc(truth, result.simplex, 100_000, rng=seed).value
+            tv = tv_distance_mc(truth, result.simplex, 100_000, seed=seed).value
             if err <= bound and tv <= 0.25:
                 good += 1
         assert good >= 8, f"n={n}: only {good}/10 seeds recovered within tolerance"

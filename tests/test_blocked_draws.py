@@ -180,7 +180,7 @@ class TestMonteCarloScorers:
         for t in sizes:
             lam = to_small @ whole_weights(substream(9, 31), m, t).T
             expected = 1.0 - (lam.min(axis=0) >= -MEMBERSHIP_TOL).mean()
-            assert tv_distance_mc(k, l, t, rng=9).value == expected
+            assert tv_distance_mc(k, l, t, seed=9).value == expected
 
     @pytest.mark.parametrize("n, p", LP_CASES)
     def test_lp_symmetric_difference(self, sizes, n, p):
@@ -211,7 +211,7 @@ class TestMemory:
     # whole-array peaks before blocking: 10.5, 24.1 and 27.2 MB
     def test_tv_distance_keeps_no_point_array(self):
         k = random_simplex(6, 4)
-        assert traced_peak(lambda: tv_distance_mc(k, k.scaled(0.9), 100_000, rng=0)) <= 2.0
+        assert traced_peak(lambda: tv_distance_mc(k, k.scaled(0.9), 100_000, seed=0)) <= 2.0
 
     def test_lp_ball_keeps_the_output_and_the_row_sums(self):
         output = 200_000 * 5 * 8 / 1e6

@@ -58,7 +58,7 @@ def scipy_bottleneck_match(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class TestTVDistance:
     def test_identical_is_exact_zero(self):
         s = isotropic_simplex(3)
-        est = tv_distance_mc(s, s, 5000, rng=0)
+        est = tv_distance_mc(s, s, 5000, seed=0)
         assert est.value == 0.0
         assert est.std_error == 0.0
         assert est.mc_points == 5000
@@ -67,22 +67,22 @@ class TestTVDistance:
     def test_scaled_copy_closed_form(self, n, alpha):
         # shrinking about an interior point removes 1 - alpha^n of the mass
         s = isotropic_simplex(n)
-        est = tv_distance_mc(s, s.scaled(alpha), 200_000, rng=1)
+        est = tv_distance_mc(s, s.scaled(alpha), 200_000, seed=1)
         target = 1.0 - alpha**n
         assert abs(est.value - target) <= 3.0 * max(est.std_error, 1e-12)
 
     def test_disjoint_is_one(self):
         a = right_simplex(2)
         b = Simplex(a.vertices + 100.0)
-        est = tv_distance_mc(a, b, 2000, rng=2)
+        est = tv_distance_mc(a, b, 2000, seed=2)
         assert est.value == 1.0
 
     def test_symmetric_in_arguments(self):
         rng = substream(0, 1)
         a = Simplex(rng.standard_normal((4, 3)))
         b = Simplex(a.vertices + 0.2 * rng.standard_normal((4, 3)))
-        x = tv_distance_mc(a, b, 150_000, rng=3)
-        y = tv_distance_mc(b, a, 150_000, rng=4)
+        x = tv_distance_mc(a, b, 150_000, seed=3)
+        y = tv_distance_mc(b, a, 150_000, seed=4)
         assert abs(x.value - y.value) <= 3.0 * (x.std_error + y.std_error)
 
     def test_volume_ordering_drives_sampling(self):
@@ -91,7 +91,7 @@ class TestTVDistance:
         outer = right_simplex(3)
         inner = outer.scaled(0.5)
         shifted = Simplex(inner.vertices + 0.1)
-        est = tv_distance_mc(shifted, outer, 100_000, rng=5)
+        est = tv_distance_mc(shifted, outer, 100_000, seed=5)
         assert abs(est.value - (1.0 - 0.5**3)) <= 3.0 * max(est.std_error, 1e-12)
 
     def test_generator_rejected(self):
@@ -99,9 +99,9 @@ class TestTVDistance:
         # generator's state
         s = right_simplex(2)
         with pytest.raises(ValueError, match="^seed must be an integer"):
-            tv_distance_mc(s, s.scaled(0.7), 100, rng=substream(9, 31))
+            tv_distance_mc(s, s.scaled(0.7), 100, seed=substream(9, 31))
         with pytest.raises(ValueError, match="^seed must be an integer"):
-            check_sandwich_bound(s, s, 1.0, 1.0, 100, rng=substream(9, 31))
+            check_sandwich_bound(s, s, 1.0, 1.0, 100, seed=substream(9, 31))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,9 +118,9 @@ class TestTVDistance:
 
     def test_mc_points_held_as_a_python_int(self):
         s = right_simplex(2)
-        est = tv_distance_mc(s, s.scaled(0.5), np.int64(1000), rng=0)
+        est = tv_distance_mc(s, s.scaled(0.5), np.int64(1000), seed=0)
         assert type(est.mc_points) is int and est.mc_points == 1000
-        assert est.value == tv_distance_mc(s, s.scaled(0.5), 1000, rng=0).value
+        assert est.value == tv_distance_mc(s, s.scaled(0.5), 1000, seed=0).value
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_weights_kernel_equals_point_membership(self, n):
@@ -142,8 +142,8 @@ class TestTVDistance:
                 e = substream(seed, 31).standard_exponential((mc, n + 1))
                 weights = e / e.sum(axis=1, keepdims=True)
                 reference = 1.0 - contains_points(small, weights @ big.vertices).mean()
-                assert tv_distance_mc(first, second, mc, rng=seed).value == reference
-            assert tv_distance_mc(k, Simplex(k.vertices.copy()), mc, rng=seed).value == 0.0
+                assert tv_distance_mc(first, second, mc, seed=seed).value == reference
+            assert tv_distance_mc(k, Simplex(k.vertices.copy()), mc, seed=seed).value == 0.0
 
     @pytest.mark.parametrize("tol", [0.0, 0.05])
     def test_tolerance_is_scaled_by_the_row_sum(self, monkeypatch, tol):
@@ -157,7 +157,7 @@ class TestTVDistance:
         e = substream(2, 31).standard_exponential((mc, n + 1))
         points = (e / e.sum(axis=1, keepdims=True)) @ k.vertices
         inside = contains_points(l, points, tol=tol)
-        assert tv_distance_mc(k, l, mc, rng=2).value == 1.0 - inside.mean()
+        assert tv_distance_mc(k, l, mc, seed=2).value == 1.0 - inside.mean()
         if tol:
             assert 0.05 < (inside & ~contains_points(l, points, tol=0.0)).mean() < 0.5
 
@@ -165,14 +165,14 @@ class TestTVDistance:
 class TestSandwichBound:
     def test_equal_simplices(self):
         s = isotropic_simplex(3)
-        report = check_sandwich_bound(s, s, 1.0, 1.0, 5000, rng=0)
+        report = check_sandwich_bound(s, s, 1.0, 1.0, 5000, seed=0)
         assert report.holds
         assert report.bound == 0.0
         assert report.tv.value == 0.0
 
     def test_scaled_pair(self):
         s = isotropic_simplex(3)
-        report = check_sandwich_bound(s, s.scaled(0.9), 0.9, 1.0, 100_000, rng=1)
+        report = check_sandwich_bound(s, s.scaled(0.9), 0.9, 1.0, 100_000, seed=1)
         assert report.holds
         assert report.bound == pytest.approx(2.0 * (1.0 - 0.9**3))
         assert report.tv.value == pytest.approx(1.0 - 0.9**3, abs=3 * report.tv.std_error + 1e-12)
@@ -180,9 +180,9 @@ class TestSandwichBound:
     def test_claimed_containment_checked(self):
         s = isotropic_simplex(2)
         with pytest.raises(ValueError):
-            check_sandwich_bound(s, s.scaled(0.5), 0.9, 1.0, 100, rng=0)
+            check_sandwich_bound(s, s.scaled(0.5), 0.9, 1.0, 100, seed=0)
         with pytest.raises(ValueError):
-            check_sandwich_bound(s, s.scaled(1.5), 0.9, 1.0, 100, rng=0)
+            check_sandwich_bound(s, s.scaled(1.5), 0.9, 1.0, 100, seed=0)
 
     def test_alpha_beta_validation(self):
         s = isotropic_simplex(2)

@@ -266,18 +266,28 @@ def three_layouts(x: np.ndarray) -> list:
 
 
 class TestMeanAndCovariance:
-    # every block is centered transposed into one buffer, whatever the
-    # layout of its rows.  An F-ordered array and _ScaledRows both hand
-    # BLAS column-major blocks and agree bit for bit; a C-ordered array's
-    # block means come from another BLAS kernel, which may round them
-    # otherwise, so it agrees within rounding.  The last block holds 9193
-    # rows, joined from a short tail
+    # every block is copied transposed into one buffer, and every product
+    # reads that buffer, so the three layouts give the same bits.  The
+    # last block holds 9193 rows, joined from a short tail
     def test_every_input_layout_reads_the_same_rows(self):
         x = 100.0 + substream(0, 44).standard_exponential((2 * sampling.BLOCK_ROWS + 1001, 5))
         c_ordered, f_ordered, scaled = (moments._mean_and_covariance(rows) for rows in three_layouts(x))
         assert all(np.array_equal(a, b) for a, b in zip(scaled, f_ordered))
-        assert np.allclose(c_ordered[0], f_ordered[0], rtol=1e-14, atol=0.0)
-        assert np.abs(c_ordered[1] - f_ordered[1]).max() <= 1e-13 * np.abs(f_ordered[1]).max()
+        assert all(np.array_equal(a, b) for a, b in zip(c_ordered, f_ordered))
+
+    # a thin sample (variances 1 and 1e-10 on axes at 45 degrees) whose
+    # first row lies 1e3 out on the wide axis: the shifted sums lose about
+    # eps |c - mean|^2 to cancellation: 2e-10 with the first row as the
+    # shift c, past the small eigenvalue, but almost nothing with the
+    # first block's mean, which lies within 0.2 of the mean
+    def test_a_far_first_row_keeps_the_small_eigenvalue(self):
+        z = substream(0, 45).standard_normal((50_000, 2)) * [1.0, 1e-5]
+        z[0] = [1e3, 0.0]
+        x = z @ (np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)).T
+        centered = x - x.mean(axis=0)
+        two_pass = np.linalg.eigvalsh(centered.T @ centered / len(x))[0]
+        smallest = np.linalg.eigvalsh(moments._mean_and_covariance(x)[1])[0]
+        assert abs(smallest - two_pass) <= 1e-2 * two_pass
 
     # small integers in blocks of BLOCK_ROWS = 2^13 rows: every block mean,
     # centered entry, product and sum is exact in floating point, so any
@@ -290,8 +300,8 @@ class TestMeanAndCovariance:
             got_mean, got_covariance = moments._mean_and_covariance(rows)
             assert np.array_equal(got_mean, mean) and np.array_equal(got_covariance, covariance)
 
-    # the first block merges into nothing: an outer product of its mean,
-    # past about 1.3e154, would overflow and its zero weight make NaN
+    # no product squares the mean, whose outer product would overflow
+    # past about 1.3e154
     def test_a_mean_past_the_square_root_of_the_float_range(self):
         from simplexlearn.ica import ica_estimate
         from simplexlearn.learner import estimate_frame
