@@ -19,6 +19,7 @@ from simplexlearn.geometry import DegenerateSimplexError, Simplex, contains_poin
 from simplexlearn.learner import boost, learn_simplex
 from simplexlearn.sampling import (
     _row_blocks,
+    _simplex_points,
     child_seed,
     generalized_gaussian_std,
     hidden_instance,
@@ -60,6 +61,17 @@ class TestDeterminism:
         a = sample_standard_simplex(3, 50, 7)
         b = sample_lp_ball(3, 1.0, 50, 7)
         assert (a != b).any()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 11, 21])
+    def test_simplex_weights_bits_pinned(self, m):
+        # the weights behind every simplex sampler and source stay the
+        # exponential(1.0) rows over their sums they were, bit for bit;
+        # a product with the identity rounds nothing, so the points are them
+        for seed in range(4):
+            for t in (1, 7, 50_000):
+                e = substream(seed, 5).exponential(1.0, size=(t, m))
+                points = _simplex_points(substream(seed, 5), np.eye(m), t)
+                assert np.array_equal(points, e / np.cumsum(e, axis=1)[:, -1:])
 
     def test_substream_repeatable(self):
         x = substream(1, 2, 3).standard_normal(5)
