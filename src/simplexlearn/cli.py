@@ -236,13 +236,15 @@ def _drawing_beside(*draws):
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     """Draw a seeded instance and its sample from ``hidden_instance``,
-    reduce the sample to ICA and score the result.  The reduction's radii
-    and, for lp, the scorer's ball are streams of their own, independent
-    of the sample: one thread draws them into arrays allocated here while
-    this one draws the instance, and is joined before ICA reads the radii.
-    Every stream keeps its seed, key and fill order, so the report is that
-    of the serial composition ``reduce_*_to_ica(hidden_instance(...)[1],
-    seed)``, then ``lp_symmetric_difference(..., seed=child_seed(seed,
+    reduce the sample to ICA and score the result, in one sequence for
+    both problems.  The reduction's radii and the lp scorer's ball are
+    streams of their own, independent of the sample: one thread draws the
+    ball, then the radii, into arrays allocated here while this one draws
+    the instance, and is joined before ICA reads the radii.  The simplex
+    is scored without a ball, so its ball has no rows and draws nothing.
+    Every stream keeps its seed, key and fill order, so the report is
+    that of the serial composition ``reduce_*_to_ica(hidden_instance(...)[1],
+    seed)``, then for lp ``lp_symmetric_difference(..., seed=child_seed(seed,
     105))``."""
     cfg, _ = _resolve(args, "reduce")
     if cfg["problem"] == "simplex" and cfg["p"] is not None:
@@ -252,64 +254,49 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             raise SchemaError("--p is required for --problem lp")
         if not sampling.P_MIN <= cfg["p"] <= sampling.P_MAX:
             raise SchemaError(f"p must lie in [{sampling.P_MIN:g}, {sampling.P_MAX:g}]")
-    n, t, seed = cfg["n"], cfg["t"], cfg["seed"]
-    dims = n + 1 if cfg["problem"] == "simplex" else n  # ICA works in n+1 dimensions after the simplex lift
+    n, t, seed, p = cfg["n"], cfg["t"], cfg["seed"], cfg["p"]
+    dims = n + 1 if p is None else n  # ICA works in n+1 dimensions after the simplex lift
     if t < dims + 2:
         raise SchemaError(f"t must be at least {dims + 2} for --problem {cfg['problem']} at n = {n}")
     out = _report_path(cfg, "reduce")
 
     started = time.perf_counter()
+    # the ball is drawn first, and its row sums are scratch in the radii's
+    # array until the radii overwrite them
+    ball = np.empty((0 if p is None else ica.SYMDIFF_POINTS, n))
+    radii = np.empty(max(t, len(ball)))
+    with _drawing_beside(
+        partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, radii[: len(ball)]),
+        partial(ica._reduction_radii, radii[:t], n, p, seed),
+    ):
+        truth, sample = sampling.hidden_instance(cfg["problem"], n, t, seed, p)
+    rows = ica._ScaledRows(sample, radii[:t], lift=p is None)
+    del sample, radii  # the rows hold both while ICA reads them
+    if p is None:
+        reduction = ica.reduce_simplex_to_ica(rows, seed=seed)
+        match = evaluation.match_vertices(truth.vertices, reduction.vertices)
+        mixed = np.vstack([truth.vertices.T, np.ones(n + 1)])
+        scores = {"matched_errors": list(match.per_vertex_error), "max_match_error": match.max_error, "c_pn": None, "symdiff": None}
+    else:
+        reduction = ica.reduce_lp_to_ica(rows, p, seed=seed)
+        del rows  # the scorer reads only the ball
+        mixed = truth
+        symdiff = ica._symdiff_score(ball, ica._symdiff_maps(truth, reduction.mixing), p)
+        scores = {"matched_errors": None, "max_match_error": None, "c_pn": ica.compute_c_pn(p, n), "symdiff": symdiff}
+
     payload = {
         "command": "reduce",
         "cli_config": cfg,
         "problem": cfg["problem"],
         "n": n,
+        "p": p,
         "t": t,
         "seed": seed,
         "schema_version": SCHEMA_VERSION,
+        "separation_index": ica.separation_index(reduction.estimate.separating @ mixed),
+        "permutation_note": reduction.estimate.permutation_note,
+        **scores,
     }
-
-    if cfg["problem"] == "simplex":
-        radii = np.empty(t)
-        with _drawing_beside(partial(ica._reduction_radii, radii, n, None, seed)):
-            truth, sample = sampling.hidden_instance("simplex", n, t, seed)
-        reduction = ica.reduce_simplex_to_ica(ica._ScaledRows(sample, radii, lift=True), seed=seed)
-        match = evaluation.match_vertices(truth.vertices, reduction.vertices)
-        lifted = np.vstack([truth.vertices.T, np.ones(n + 1)])
-        payload.update(
-            {
-                "p": None,
-                "matched_errors": list(match.per_vertex_error),
-                "max_match_error": match.max_error,
-                "separation_index": ica.separation_index(reduction.estimate.separating @ lifted),
-                "c_pn": None,
-                "symdiff": None,
-            }
-        )
-    else:
-        p = cfg["p"]
-        # the ball is drawn first, and its row sums are scratch in the
-        # radii's array until the radii overwrite them
-        ball, radii = np.empty((ica.SYMDIFF_POINTS, n)), np.empty(max(t, ica.SYMDIFF_POINTS))
-        with _drawing_beside(
-            partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, radii[: ica.SYMDIFF_POINTS]),
-            partial(ica._reduction_radii, radii[:t], n, p, seed),
-        ):
-            a, sample = sampling.hidden_instance("lp", n, t, seed, p)
-        reduction = ica.reduce_lp_to_ica(ica._ScaledRows(sample, radii[:t], lift=False), p, seed=seed)
-        del sample, radii  # the scorer reads only the ball
-        payload.update(
-            {
-                "p": p,
-                "matched_errors": None,
-                "max_match_error": None,
-                "separation_index": ica.separation_index(reduction.estimate.separating @ a),
-                "c_pn": ica.compute_c_pn(p, n),
-                "symdiff": ica._symdiff_score(ball, ica._symdiff_maps(a, reduction.mixing), p),
-            }
-        )
-
-    payload["permutation_note"] = reduction.estimate.permutation_note
     return _finish(payload, reduction.estimate.fit, started, out)
 
 

@@ -3,7 +3,7 @@
 Each suite runs a fixed list of named checks and returns a JSON-ready dict
 {"suite", "params", "checks", "pass"}.  The checks are distribution-level
 facts the rest of the package relies on: the rows that the ICA reductions
-read, built by the reductions' own radii and scaled rows, have iid
+read, built by their one recipe ``ica._reduction_rows``, have iid
 coordinates of the known laws; the ball sampler's norm and direction are
 independent, as are its points and the denominator it divides by; the
 total-variation identities used by the evaluator and the sandwich bound,
@@ -27,7 +27,7 @@ import numpy as np
 
 from .evaluation import check_sandwich_bound, tv_distance_mc
 from .geometry import Simplex, _gauge, isotropic_simplex
-from .ica import _reduction_radii, _ScaledRows
+from .ica import _reduction_rows
 from .moments import certify_landscape
 from .sampling import _check_count, _lp_ball_points, child_seed, sample_lp_ball, sample_simplex, substream
 
@@ -106,14 +106,6 @@ def _correlation_check(name: str, a: np.ndarray, b: np.ndarray) -> dict:
     return {"name": name, "correlation": r, "tolerance": tolerance, "passed": bool(abs(r) <= tolerance)}
 
 
-def _reduction_rows(points: np.ndarray, p: float | None, seed: int, lift: bool) -> np.ndarray:
-    """The (t, d) rows that a reduction with ``seed`` hands ICA for
-    ``points``: the ``_ScaledRows`` of the radii of ``_reduction_radii``,
-    read as one block."""
-    t, n = points.shape
-    return _ScaledRows(points, _reduction_radii(np.empty(t), n, p, seed), lift=lift)[0:t]
-
-
 def scaling_suite(
     seed: int = 0,
     t: int = 100_000,
@@ -125,16 +117,16 @@ def scaling_suite(
     the lp-ball sampler, on numpy and ``math`` alone.
 
     - simplex reduction: a ``sample_simplex`` draw of the corner simplex
-      conv{0, e_1, ..., e_n} becomes, through ``_reduction_radii`` and the
-      lifted ``_ScaledRows`` as ``reduce_simplex_to_ica`` builds them, rows
+      conv{0, e_1, ..., e_n} becomes, through ``ica._reduction_rows`` as
+      ``reduce_simplex_to_ica`` calls it, read as one block, rows
       (E_1, ..., E_n, E_0 + ... + E_n) with E_i iid Exp(1): the first n
       columns are Exp(1) (KS) and pairwise uncorrelated (3 sigma), and the
       last column, the lift, is Gamma(n+1, 1) (KS);
-    - lp reduction: a ``sample_lp_ball`` draw, scaled as
-      ``reduce_lp_to_ica`` scales it, has pooled coordinates with
-      E|x|^p = 1/p (3 sigma), with KS checks against the explicit
-      densities at p = 1 (|x| is Exp(1)) and p = 2 (normal with variance
-      1/2);
+    - lp reduction: a ``sample_lp_ball`` draw, scaled by
+      ``ica._reduction_rows`` as ``reduce_lp_to_ica`` calls it, has pooled
+      coordinates with E|x|^p = 1/p (3 sigma), with KS checks against the
+      explicit densities at p = 1 (|x| is Exp(1)) and p = 2 (normal with
+      variance 1/2);
     - norm/direction independence of a ``sample_lp_ball`` draw X:
       ||X||_p and |X_1| / ||X||_p are uncorrelated (3 sigma);
     - joint independence of |X_1|^p and the denominator sum |G_i|^p + Z
@@ -156,7 +148,7 @@ def scaling_suite(
     for n in simplex_dims:
         corner = Simplex(np.vstack([np.zeros(n), np.eye(n)]))
         points = sample_simplex(corner, t, child_seed(seed, 83, n, 0))
-        rows = _reduction_rows(points, None, child_seed(seed, 83, n, 1), lift=True)
+        rows = _reduction_rows(points, None, child_seed(seed, 83, n, 1))[0:t]
         checks.append(_ks_check(f"simplex_rescale_exp_ks_n{n}", rows[:, :n], _gamma_cdf(1)))
         checks.append(_correlation_check(f"simplex_rescale_decorrelated_n{n}", rows[:, 0], rows[:, 1]))
         checks.append(_ks_check(f"simplex_rescale_lift_gamma_ks_n{n}", rows[:, -1], _gamma_cdf(n + 1)))
@@ -164,7 +156,7 @@ def scaling_suite(
     for p in lp_powers:
         key = int(round(8 * p))
         ball = sample_lp_ball(lp_dim, p, t, child_seed(seed, 84, key, 0))
-        rows = _reduction_rows(ball, p, child_seed(seed, 84, key, 1), lift=False)
+        rows = _reduction_rows(ball, p, child_seed(seed, 84, key, 1))[0:t]
         powers = np.abs(rows) ** p
         mean, se = float(powers.mean()), float(powers.std(ddof=1) / math.sqrt(powers.size))
         checks.append(

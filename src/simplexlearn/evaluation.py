@@ -134,6 +134,8 @@ def _vertex_array(x, name: str) -> np.ndarray:
     if isinstance(x, Simplex):
         return x.vertices
     v = np.atleast_2d(np.asarray(x, dtype=float))
+    if v.ndim != 2:
+        raise ValueError(f"{name} vertices must form a (k, d) array, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} vertices must be finite")
     return v

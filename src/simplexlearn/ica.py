@@ -21,12 +21,14 @@ caller's points with one (t,) vector of radii, and every pass rebuilds
 the rescaled rows, lifted for the simplex, one row block at a time: no
 (t, d) array is allocated beside the input.
 
-The radii are a stream of their own, independent of the points: one
-private helper, :func:`_reduction_radii`, holds both reductions' radius
-law and spawn keys, and a caller that has drawn the radii already, on
-another thread beside the sample, hands a reduction its ``_ScaledRows``
-in place of the points.  ``verify --suite scaling`` tests the rows that
-this helper and ``_ScaledRows`` build.
+The radii are a stream of their own, independent of the points.  One
+private helper, :func:`_reduction_radii`, is the one radius law, with
+both reductions' spawn keys, and one, :func:`_reduction_rows`, is the one
+recipe for the rows: the ``_ScaledRows`` of the points with those radii,
+lifted for the simplex.  Both reductions and ``verify --suite scaling``
+build their rows through it; a caller that has drawn the radii already,
+on another thread beside the sample, hands a reduction its
+``_ScaledRows`` in place of the points.
 The symmetric-difference scorer's ball is likewise a stream of its own,
 with a private draw into caller-allocated arrays and a private score of
 a drawn ball.
@@ -131,6 +133,14 @@ class _ScaledRows:
         return block.T
 
 
+def _reduction_rows(points: np.ndarray, p: float | None, seed: int) -> _ScaledRows:
+    """The rows that the reduction with ``seed`` hands ICA for the (t, n)
+    ``points``: their ``_ScaledRows`` with the radii of
+    :func:`_reduction_radii`, lifted for the simplex (``p`` None)."""
+    t, n = points.shape
+    return _ScaledRows(points, _reduction_radii(np.empty(t), n, p, seed), lift=p is None)
+
+
 def ica_estimate(
     points: np.ndarray,
     contrast: str = "skew",
@@ -212,8 +222,9 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
     Each point p is lifted to (p, 1) and scaled by an independent
     Gamma(n+1, 1) radius R, which makes the result a product of iid Exp(1)
     coordinates under the lifted vertex matrix.  ICA reads the lifted rows
-    (R p, R) from the sample and one (t,) array of radii, one row block at
-    a time, so no (t, n+1) lift is built.
+    (R p, R) of :func:`_reduction_rows`, built from the sample and one
+    (t,) array of radii one row block at a time, so no (t, n+1) lift is
+    built.
     The inverted separating matrix has columns proportional to (v_j, 1) up
     to sign; multiplying every column by the sign of its last entry fixes
     the orientation, and dropping the last row leaves the vertices.
@@ -223,9 +234,7 @@ def reduce_simplex_to_ica(points: np.ndarray, seed: int = 0) -> SimplexReduction
     A lifted ``_ScaledRows`` whose radii are drawn already is taken as is.
     """
     if not isinstance(points, _ScaledRows):
-        points = _sample(points, "n", 3)
-        radii = _reduction_radii(np.empty(points.shape[0]), points.shape[1], None, seed)
-        points = _ScaledRows(points, radii, lift=True)
+        points = _reduction_rows(_sample(points, "n", 3), None, seed)
     estimate = ica_estimate(points, "skew", seed=seed)
     mixing = estimate.mixing.copy()
     signs = np.sign(mixing[-1, :])
@@ -252,8 +261,9 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
     density, so the recovered map carries the input's scale and matches A
     up to signed permutation of columns.  At p = 2 the ball is rotation
     invariant and only the ellipsoid A A^T is identified.  ICA reads the
-    scaled rows from the sample and one (t,) array of radii, one row
-    block at a time, so no scaled copy is built.
+    scaled rows of :func:`_reduction_rows`, built from the sample and one
+    (t,) array of radii one row block at a time, so no scaled copy is
+    built.
 
     Raises ValueError unless ``p`` lies in [1, 64], or naming the
     sample's shape unless it is a (t, d) array with d >= 1 and t >= d+2.
@@ -261,9 +271,7 @@ def reduce_lp_to_ica(points: np.ndarray, p: float, seed: int = 0) -> LpReduction
     """
     p = _check_p(p)
     if not isinstance(points, _ScaledRows):
-        points = _sample(points, "d", 2)
-        radii = _reduction_radii(np.empty(points.shape[0]), points.shape[1], p, seed)
-        points = _ScaledRows(points, radii, lift=False)
+        points = _reduction_rows(_sample(points, "d", 2), p, seed)
     estimate = ica_estimate(points, "kurtosis", seed=seed)
     mixing = estimate.mixing / generalized_gaussian_std(p)
     if abs(p - 2.0) < 1e-12:
@@ -286,10 +294,10 @@ def compute_c_pn(p: float, n: int) -> float:
 
 def _finite_square(value, name: str) -> np.ndarray:
     """``value`` as a float (d, d) array; ValueError naming ``name`` unless
-    it is a finite square matrix."""
+    it is a finite square matrix with d >= 1."""
     m = np.asarray(value, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{name} must be a square matrix of at least one row, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} holds non-finite values")
     return m
@@ -300,8 +308,8 @@ def separation_index(g: np.ndarray) -> float:
 
     For each row, sum(|g|)/max(|g|) - 1, likewise for columns, averaged and
     normalized by d-1 so the result lies in [0, 1]; 0 means g is exactly a
-    scaled signed permutation.  Raises ValueError unless g is a finite
-    square matrix with no zero row or column.
+    scaled signed permutation.  Raises ValueError unless g is a finite,
+    nonempty square matrix with no zero row or column.
     """
     g = np.abs(_finite_square(g, "g"))
     d = g.shape[0]

@@ -66,14 +66,19 @@ class TestJointIndependenceBins:
         assert check["statistic"] == quantile_binned_chi2(seed, t)
 
 
+# the real helpers, captured before a mutant replaces them on ica, so a
+# mutant calls the real one and not itself
+REDUCTION_RADII, SCALED_ROWS = ica._reduction_radii, ica._ScaledRows
+
+
 def radii_of_shape_n(out, n, p, seed):
     # Gamma(n) radii for the simplex, one short of the lift's n + 1
-    return ica._reduction_radii(out, n - 1 if p is None else n, p, seed)
+    return REDUCTION_RADII(out, n - 1 if p is None else n, p, seed)
 
 
 def radii_without_the_root(out, n, p, seed):
     # Gamma(n/p + 1) radii for the lp ball, not their p-th roots
-    out = ica._reduction_radii(out, n, p, seed)
+    out = REDUCTION_RADII(out, n, p, seed)
     if p is not None:
         out **= p
     return out
@@ -84,7 +89,7 @@ MUTANTS = [
     pytest.param("_reduction_radii", radii_without_the_root, "lp_rescale", id="lp-radii-without-1/p"),
     pytest.param(
         "_ScaledRows",
-        lambda points, radii, lift: ica._ScaledRows(points, radii, lift=False),
+        lambda points, radii, lift: SCALED_ROWS(points, radii, lift=False),
         "simplex_rescale_lift",
         id="rows-without-the-lift",
     ),
@@ -94,9 +99,10 @@ MUTANTS = [
 class TestScalingSuiteReadsWhatRuns:
     @pytest.mark.parametrize("name, mutant, caught_by", MUTANTS)
     def test_a_broken_reduction_fails_the_suite(self, monkeypatch, name, mutant, caught_by):
-        # the suite builds its rows with the reductions' own radii and
-        # scaled rows, so a fault in either fails it at the fixed seed
-        monkeypatch.setattr(diagnostics, name, mutant)
+        # the suite builds its rows through the reductions' own recipe,
+        # ica._reduction_rows, so a fault in its radii or its scaled rows
+        # fails it at the fixed seed
+        monkeypatch.setattr(ica, name, mutant)
         report = scaling_suite(seed=0)
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert not report["pass"]

@@ -228,6 +228,12 @@ class TestMatchVertices:
         with pytest.raises(ValueError, match="vertex sets must not be empty"):
             match_vertices(np.zeros(shape), np.zeros(shape))
 
+    @pytest.mark.parametrize("name", ["truth", "estimate"])
+    def test_more_than_two_dimensions_rejected(self, name):
+        arrays = {"truth": np.zeros((2, 2)), "estimate": np.zeros((2, 2)), name: np.zeros((2, 2, 2))}
+        with pytest.raises(ValueError, match=rf"^{name} vertices must form a \(k, d\) array, got shape \(2, 2, 2\)"):
+            match_vertices(arrays["truth"], arrays["estimate"])
+
     def test_optimal_against_brute_force(self):
         rng = substream(0, 4)
         for trial in range(20):

@@ -574,9 +574,10 @@ class TestSeparationIndex:
     def test_one_by_one(self):
         assert separation_index(np.array([[7.0]])) == 0.0
 
-    def test_non_square_rejected(self):
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)])
+    def test_non_square_rejected(self, shape):
         with pytest.raises(ValueError, match="g must be a square matrix"):
-            separation_index(np.ones((2, 3)))
+            separation_index(np.ones(shape))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, value):
@@ -620,7 +621,7 @@ class TestLpSymmetricDifference:
             lp_symmetric_difference(bad["a"], bad["a_est"], 2.0, mc_points=10)
 
     @pytest.mark.parametrize("name", ["a", "a_est"])
-    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 3, 3)])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 3, 3), (0, 0)])
     def test_non_square_rejected(self, name, shape):
         bad = {"a": np.eye(3), "a_est": np.eye(3), name: np.ones(shape)}
         with pytest.raises(ValueError, match=f"^{name} must be a square matrix"):

@@ -175,6 +175,33 @@ def test_the_package_draws_one_sign_stream():
     assert sum(source.count("rng.integers(0, 2") for source in sources) == 1
 
 
+def callers(callee: str) -> list[str]:
+    """``module.function`` of every call in the package that names
+    ``callee`` as the function it calls or as the first argument, as
+    ``partial`` binds it; one entry per call."""
+    found = []
+    for path in sorted(Path(simplexlearn.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                found += [
+                    f"{path.stem}.{function.name}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and callee in [getattr(named, "id", None) or getattr(named, "attr", None) for named in [node.func, *node.args[:1]]]
+                ]
+    return found
+
+
+def test_the_reduction_rows_have_one_recipe():
+    # the reductions and the scaling suite build their rows through
+    # ica._reduction_rows; only the command line, which draws the radii
+    # beside the sample, builds them itself, once for both problems
+    assert sorted(callers("_ScaledRows")) == ["cli.cmd_reduce", "ica._reduction_rows"]
+    assert sorted(callers("_reduction_radii")) == ["cli.cmd_reduce", "ica._reduction_rows"]
+    for callee in ("_drawing_beside", "hidden_instance"):
+        assert callers(callee).count("cli.cmd_reduce") == 1, callee
+
+
 def test_the_hidden_instance_has_one_home():
     # the command line draws its truths and samples through the library
     assert not hasattr(cli, "_rotation") and not hasattr(cli, "_synthesize_simplex")

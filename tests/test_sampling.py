@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from simplexlearn.diagnostics import _reduction_rows, run_suite, scaling_suite, tv_suite
+from simplexlearn.diagnostics import run_suite, scaling_suite, tv_suite
 from simplexlearn.evaluation import check_sandwich_bound, tv_distance_mc
 from simplexlearn.ica import (
+    _reduction_rows,
     compute_c_pn,
     ica_estimate,
     lp_symmetric_difference,
@@ -180,7 +181,7 @@ def exp_p_coordinates(p: float) -> np.ndarray:
     """The 3 columns, pooled, of the rows that ``reduce_lp_to_ica`` hands
     ICA for a ball draw: the package's one exp(-|x|^p) draw, rescaled to
     iid coordinates with that density."""
-    return _reduction_rows(sample_lp_ball(3, p, T, 0), p, 1, lift=False).ravel()
+    return _reduction_rows(sample_lp_ball(3, p, T, 0), p, 1)[0:T].ravel()
 
 
 class TestGeneralizedGaussian:
