@@ -30,7 +30,6 @@ class TVEstimate:
 
     value: float
     std_error: float
-    mc_points: int
 
 
 def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, seed: int = 0) -> TVEstimate:
@@ -57,7 +56,7 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, seed: int = 0) -> TVE
             so equal arguments give equal estimates.
 
     Returns:
-        TVEstimate with value, std_error = sqrt(v(1-v)/mc_points), mc_points.
+        TVEstimate with value v and std_error = sqrt(v(1-v)/mc_points).
     """
     if k.dim != l.dim:
         raise ValueError("simplices must have equal dimension")
@@ -76,8 +75,7 @@ def tv_distance_mc(k: Simplex, l: Simplex, mc_points: int, seed: int = 0) -> TVE
         margin += products[-1]
         inside += int(np.count_nonzero(margin >= 0.0))
     outside = 1.0 - inside / mc_points
-    std_error = math.sqrt(max(outside * (1.0 - outside), 0.0) / mc_points)
-    return TVEstimate(float(outside), std_error, mc_points)
+    return TVEstimate(float(outside), math.sqrt(outside * (1.0 - outside) / mc_points))
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ class MatchResult:
 def _vertex_array(x, name: str) -> np.ndarray:
     if isinstance(x, Simplex):
         return x.vertices
-    v = np.atleast_2d(np.asarray(x, dtype=float))
+    v = np.asarray(x, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"{name} vertices must form a (k, d) array, got shape {v.shape}")
     if not np.isfinite(v).all():
@@ -207,7 +205,7 @@ def match_vertices(truth, estimate) -> MatchResult:
 
     Args:
         truth, estimate: Simplex instances or (k, d) arrays of finite
-            vertices, k and d at least 1.
+            vertices, k and d at least 1, else ValueError naming the shape.
 
     Returns:
         MatchResult ordered by truth index.

@@ -127,9 +127,12 @@ def _gauge(s: Simplex, points: np.ndarray) -> np.ndarray:
 
 
 def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-    """Membership of each row of ``points``, a boolean array of length t:
-    a point is inside when every barycentric coordinate is >= -tol."""
+    """Membership of each row of ``points``, (t, d) or one (d,) point read
+    as one row, a boolean array of length t: a point is inside when every
+    barycentric coordinate is >= -tol; other shapes are a ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2:
+        raise ValueError(f"points must form a (t, d) array or one (d,) point, got shape {pts.shape}")
     if pts.shape[1] != s.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.dim}")
     return (_coordinates(s, pts) >= -tol).all(axis=0)
@@ -195,8 +198,9 @@ def isotropic_simplex(n: int) -> Simplex:
 class AffineFrame:
     """Affine change of coordinates x -> factor^-1 (x - mean).
 
-    ``factor`` is any invertible (d, d) matrix (in practice the symmetric
-    square root of a sample covariance, from ``moments._sample_frame``).
+    ``mean`` is a (d,) vector and ``factor`` any invertible (d, d) matrix
+    (in practice the symmetric square root of a sample covariance, from
+    ``moments._sample_frame``); other shapes are a ValueError naming them.
     ``forward`` moves raw points into the frame; ``inverse`` undoes it.
     """
 
@@ -206,9 +210,8 @@ class AffineFrame:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.factor = np.asarray(self.factor, dtype=float)
-        d = self.mean.shape[0]
-        if self.factor.shape != (d, d):
-            raise ValueError("factor must be square and match the mean dimension")
+        if self.mean.ndim != 1 or self.factor.shape != 2 * self.mean.shape:
+            raise ValueError(f"mean must be (d,) and factor (d, d), got shapes {self.mean.shape} and {self.factor.shape}")
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

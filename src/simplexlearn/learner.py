@@ -47,11 +47,14 @@ class BoostFailureError(RuntimeError):
 
 def estimate_frame(points: np.ndarray) -> AffineFrame:
     """Mean and symmetric square root of the biased (1/t) covariance of a
-    point block, from ``moments._sample_frame``, like ICA's whitening.  Raises
-    DegenerateSampleError when the covariance is singular (fewer than d+1
-    points, or points on a lower-dimensional flat), and ValueError when a
-    point or the covariance is not finite."""
-    return _sample_frame(np.atleast_2d(np.asarray(points, dtype=float)))[0]
+    (t, d) point block, from ``moments._sample_frame``, like ICA's whitening.
+    Raises ValueError naming any other shape or when a point or the
+    covariance is not finite, and DegenerateSampleError when the covariance
+    is singular (fewer than d+1 points, or points on a lower-dimensional flat)."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"points must form a (t, d) array, got shape {x.shape}")
+    return _sample_frame(x)[0]
 
 
 def embedded_m3_grad(frame: AffineFrame, emb: EmbedMap, block: np.ndarray) -> Callable[..., np.ndarray]:

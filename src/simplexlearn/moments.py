@@ -182,9 +182,12 @@ def exact_grad_m3(u: np.ndarray) -> np.ndarray:
 
 def empirical_m3_grad(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Plug-in estimate of the gradient of m3 at u from t sample points:
-    (3/t) sum (u . x)^2 x."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    (3/t) sum (u . x)^2 x.  points is (t, d), one point a (1, d) row, and
+    u is (d,) or a frame (d, k); other shapes are a ValueError naming them."""
+    pts = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
+    if pts.ndim != 2 or u.ndim not in (1, 2):
+        raise ValueError(f"points must form a (t, d) array and u a (d,) or (d, k) one, got shapes {pts.shape} and {u.shape}")
     if pts.shape[1] != u.shape[0]:
         raise ValueError("direction and sample dimensions differ")
     s = pts @ u

@@ -480,6 +480,21 @@ class TestConfigFile:
         assert f"schema error: {key} must not be null" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", ["[1, 2]", "3"], ids=["array", "number"])
+    def test_json_that_is_not_an_object_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch, content):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the config file was checked")
+
+        monkeypatch.setattr(sampling, "substream", no_draw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        out = tmp_path / "report.json"
+        assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "schema error: config file must hold a JSON object" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -165,6 +165,16 @@ class TestTvSuite:
         assert 0.0 < cert["alpha"] <= 1.0 + 1e-6
         assert cert["beta"] >= cert["alpha"]
 
+    def test_sandwich_checks_keep_their_fields(self):
+        # only the certified case reports the ratios it certified
+        report = tv_suite(seed=0, mc_points=100, alphas=(0.9,), dims=(2,))
+        sandwich = [(c["name"], list(c)[1:]) for c in report["checks"] if c["name"].startswith("sandwich_")]
+        assert sandwich == [
+            ("sandwich_identity", ["tv", "bound", "passed"]),
+            ("sandwich_scaled_0.9", ["tv", "bound", "passed"]),
+            ("sandwich_perturbed_certified", ["alpha", "beta", "tv", "bound", "passed"]),
+        ]
+
 
 class TestLandscapeSuite:
     def test_single_dimension(self):

@@ -116,6 +116,12 @@ class TestBarycentric:
         assert contains_points(s, point)[0]
         assert np.allclose(_coordinates(s, point[None, :]).T, [[0.5, 0.25, 0.25]])
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 2)])
+    def test_points_past_two_dimensions_rejected(self, shape):
+        # one 1-D point is one row; a stack of point sets is not
+        with pytest.raises(ValueError, match=rf"^points must form a \(t, d\) array or one \(d,\) point, got shape {re.escape(str(shape))}$"):
+            contains_points(right_triangle(), np.zeros(shape))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains_points(right_triangle(), np.zeros((2, 3)))
@@ -272,6 +278,13 @@ class TestAffineFrame:
     def test_validation(self):
         with pytest.raises(ValueError):
             AffineFrame(mean=np.zeros(3), factor=np.eye(2))
+
+    @pytest.mark.parametrize("mean_shape,factor_shape", [((2, 2), (2, 2)), ((), (2, 2)), ((2,), (2, 2, 2)), ((2,), (2,))])
+    def test_shapes_named(self, mean_shape, factor_shape):
+        # a 2-D mean is not a (d,) vector, though a (d, d) factor fits its rows
+        shapes = rf"got shapes {re.escape(str(mean_shape))} and {re.escape(str(factor_shape))}$"
+        with pytest.raises(ValueError, match=rf"^mean must be \(d,\) and factor \(d, d\), {shapes}"):
+            AffineFrame(mean=np.zeros(mean_shape), factor=np.ones(factor_shape))
 
 
 @given(

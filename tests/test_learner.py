@@ -178,6 +178,13 @@ class TestEstimateFrame:
         with pytest.raises(DegenerateSampleError):
             estimate_frame(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(3,), (5, 2, 2)])
+    def test_points_not_two_dimensional_rejected(self, shape):
+        # malformed, not degenerate: one 1-D vector is not read as one point
+        with pytest.raises(ValueError, match=rf"^points must form a \(t, d\) array, got shape {re.escape(str(shape))}$") as caught:
+            estimate_frame(np.zeros(shape))
+        assert not isinstance(caught.value, DegenerateSampleError)
+
     def test_rank_deficient_points(self):
         line = np.outer(np.arange(10.0), np.ones(3))
         with pytest.raises(DegenerateSampleError):

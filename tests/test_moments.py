@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ class TestExactMoment:
         sm = sample_standard_simplex(3, 10, 0)
         with pytest.raises(ValueError):
             empirical_m3_grad(sm, np.ones(4))
+
+    @pytest.mark.parametrize(
+        "points_shape,u_shape", [((2, 3, 3), (3,)), ((3,), (3,)), ((4, 3), ()), ((4, 3), (3, 2, 2))]
+    )
+    def test_empirical_shapes_rejected(self, points_shape, u_shape):
+        # a 1-D sample is not read as one point, nor a stack of samples as one
+        shapes = rf"got shapes {re.escape(str(points_shape))} and {re.escape(str(u_shape))}$"
+        with pytest.raises(ValueError, match=rf"^points must form a \(t, d\) array .*{shapes}"):
+            empirical_m3_grad(np.ones(points_shape), np.ones(u_shape))
 
 
 class TestTangentRestriction:

@@ -202,6 +202,17 @@ def test_the_reduction_rows_have_one_recipe():
         assert callers(callee).count("cli.cmd_reduce") == 1, callee
 
 
+def test_only_geometry_reads_a_point_as_one_row():
+    # contains_points and the gauge take one point as one row, and a frame
+    # keeps a point's shape; every other entry takes the shape it is given
+    assert sorted(callers("atleast_2d")) == ["geometry._gauge", "geometry.contains_points", "geometry.forward"]
+
+
+def test_the_sandwich_bound_is_checked_from_one_place():
+    # the tv suite runs its sandwich cases from one table
+    assert callers("check_sandwich_bound") == ["diagnostics.tv_suite"]
+
+
 def test_the_hidden_instance_has_one_home():
     # the command line draws its truths and samples through the library
     assert not hasattr(cli, "_rotation") and not hasattr(cli, "_synthesize_simplex")
