@@ -16,11 +16,12 @@ $SIMPLEXLEARN_OUT/<command>-seed<seed>.json, else to stdout; a report
 path that cannot name a file (empty, a directory, or below a file) is a
 schema error before the run.
 
-One table, ``_FLAGS``, holds each command's keys with their type,
+One table, ``_FLAGS``, holds each command's keys with their type, rule,
 default and help; it builds the parser, the keys a config file may set,
-the defaults and the help's "(default X)".  One rule per type checks
-every value, a flag's and a config file's alike; the checks that compare
-fields stay in their command.
+the defaults and the help's bound and "(default X)".  One check per type
+holds every value to its key's rule, a flag's and a config file's alike,
+so a flag cannot hide a bad config value; the checks that compare fields
+stay in their command, and one writer emits every report.
 """
 
 from __future__ import annotations
@@ -38,41 +39,42 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, evaluation, ica, learner, sampling
-from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL, VertexResult
+from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
 SCHEMA_VERSION = 15
 
-# every key a command takes, as a flag or in a config file: its type, its
-# default when neither sets it, and its help, which states that default
+# every key a command takes, as a flag or in a config file: its type; its
+# rule, an integer's minimum, a number's range or a string's choices (None
+# for any string); its default when neither sets it; and its help, which
+# states the rule and the default
 _SHARED = {
-    "seed": (int, 0, "master seed"),
-    "out": (str, None, f"report path; without it ${OUT_ENV}/<command>-seed<seed>.json, else stdout"),
+    "seed": (int, 0, 0, "master seed"),
+    "out": (str, None, None, f"report path; without it ${OUT_ENV}/<command>-seed<seed>.json, else stdout"),
 }
 _FLAGS = {
     "learn": {
-        "n": (int, 5, "simplex dimension"),
-        "t1": (int, 50_000, "first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2"),
-        "t3": (int, 50_000, "second part of that block"),
-        "m": (int, None, "kept for old command lines: at least n+1, recorded in the report's cli_config, and otherwise without effect, since every run starts n+1 columns"),
-        "r": (int, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at a step of at most {STEP_TOL:g}; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps, at most r // 2 of them, read only its first t // {PREFIX_DIVISOR} rows, up to a step of {STEP_TOL:g}, and the cap counts them too; so the last step always reads the whole block, and --r 1 runs one whole-block step; a column still moving at the cap exits 2; the one cap of the fixed-point loop, which ICA's sweeps share"),
+        "n": (int, 2, 5, "simplex dimension"),
+        "t1": (int, 1, 50_000, "first part of the one block that the frame and every fixed-point step share; a run draws t1 + t3 points, at least n+2"),
+        "t3": (int, 1, 50_000, "second part of that block"),
+        "m": (int, 1, None, "kept for old command lines: at least n+1, recorded in the report's cli_config, and otherwise without effect, since every run starts n+1 columns"),
+        "r": (int, 1, MAX_STEPS, f"cap on the fixed-point steps of the frame, which stops earlier at a step of at most {STEP_TOL:g}; on a block of at least {PREFIX_DIVISOR * PREFIX_MIN_ROWS} points the first steps, at most r // 2 of them, read only its first t // {PREFIX_DIVISOR} rows, up to a step of {STEP_TOL:g}, and the cap counts them too; so the last step always reads the whole block, and --r 1 runs one whole-block step; a column still moving at the cap exits 2; the one cap of the fixed-point loop, which ICA's sweeps share"),
         **_SHARED,
     },
     "reduce": {
-        "problem": (str, "simplex", "instance family"),
-        "n": (int, 3, "ambient dimension"),
-        "p": (float, None, "lp-ball exponent, required for --problem lp and rejected otherwise"),
-        "t": (int, 200_000, "sample size"),
+        "problem": (str, ("simplex", "lp"), "simplex", "instance family"),
+        "n": (int, 1, 3, "ambient dimension"),
+        "p": (float, (sampling.P_MIN, sampling.P_MAX), None, "lp-ball exponent, required for --problem lp and rejected otherwise"),
+        "t": (int, 1, 200_000, "sample size"),
         **_SHARED,
     },
     "verify": {
-        "suite": (str, "scaling", "suite name; landscape draws no random numbers and takes no --seed"),
-        "n": (int, None, "restrict the scaling or landscape suite to one dimension"),
+        "suite": (str, tuple(diagnostics.SUITES), "scaling", "suite name; landscape draws no random numbers and takes no --seed"),
+        "n": (int, 2, None, "restrict the scaling or landscape suite to one dimension"),
         **_SHARED,
     },
 }
-_CHOICES = {"problem": ("simplex", "lp"), "suite": tuple(diagnostics.SUITES)}
 
 
 class SchemaError(ValueError):
@@ -97,25 +99,35 @@ def _load_config_file(path: str, command: str) -> dict:
     return raw
 
 
-def _check(key: str, value, kind: type, default) -> None:
-    """One rule per type, for a flag's value and a config file's alike."""
+def _must(kind: type, rule) -> str:
+    """What a key's rule asks of its value, as its help and its schema error say it."""
+    if kind is int:
+        return f"be an integer >= {rule}"
+    return f"lie in [{rule[0]:g}, {rule[1]:g}]" if kind is float else f"be one of {sorted(rule)}"
+
+
+def _check(key: str, value, kind: type, rule, default) -> None:
+    """One check per type, with the key's rule, for a flag's value and a
+    config file's alike."""
     if value is None:
         # a null would stand in for a default that is not null, such as a
         # seed that then comes from OS entropy
         if default is not None:
             raise SchemaError(f"{key} must not be null")
     elif kind is int:
-        low = 0 if key == "seed" else 1
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise SchemaError(f"{key} must be a {'nonnegative' if low == 0 else 'positive'} integer")
+        if isinstance(value, bool) or not isinstance(value, int) or value < rule:
+            raise SchemaError(f"{key} must {_must(kind, rule)}")
     elif kind is float:
         # a JSON integer past the float range has no float to record
         if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > sys.float_info.max:
             raise SchemaError(f"{key} must be a number")
+        # NaN is a number, and only the range stops it
+        if not rule[0] <= value <= rule[1]:
+            raise SchemaError(f"{key} must {_must(kind, rule)}")
     elif not isinstance(value, str):
         raise SchemaError(f"{key} must be a string")
-    elif key in _CHOICES and value not in _CHOICES[key]:
-        raise SchemaError(f"{key} must be one of {sorted(_CHOICES[key])}")
+    elif rule is not None and value not in rule:
+        raise SchemaError(f"{key} must {_must(kind, rule)}")
 
 
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, set]:
@@ -126,12 +138,12 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, set]:
     given = {} if args.config is None else _load_config_file(args.config, command)
     flagged = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     for key, value in [*given.items(), *flagged.items()]:
-        _check(key, value, *flags[key][:2])
+        _check(key, value, *flags[key][:3])
     given.update(flagged)
     # a number is recorded as a float, so a config file's 3 and the flag's agree
     given.update({key: float(value) for key, value in given.items() if flags[key][0] is float and value is not None})
     # the report records its own path only when one was given
-    defaults = {key: default for key, (_, default, _) in flags.items() if key != "out"}
+    defaults = {key: default for key, (_, _, default, _) in flags.items() if key != "out"}
     return {**defaults, **given}, set(given)
 
 
@@ -160,11 +172,18 @@ def _emit(payload: dict, out: str | None) -> None:
     print(f"wrote {out}")
 
 
+def _write_report(command: str, cfg: dict, record: dict, passed: bool, started: float, out: str | None) -> int:
+    """Write ``record``, a command's own fields, beside the command, its
+    configuration, the schema version and the wall time since ``started``;
+    return the one exit rule: 0 when the run passed, else 2."""
+    wall_time_ms = (time.perf_counter() - started) * 1000.0
+    _emit({"command": command, "cli_config": cfg, "schema_version": SCHEMA_VERSION, **record, "wall_time_ms": wall_time_ms}, out)
+    return 0 if passed else 2
+
+
 def cmd_learn(args: argparse.Namespace) -> int:
     cfg, _ = _resolve(args, "learn")
     n = cfg["n"]
-    if n < 2:
-        raise SchemaError("n must be >= 2 for learn")
     if cfg["t1"] + cfg["t3"] < n + 2:
         raise SchemaError(f"t1 + t3 must be at least n+2 = {n + 2}: n+1 points whiten to a regular simplex")
     if cfg["m"] is not None and cfg["m"] < n + 1:
@@ -178,12 +197,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     del sample  # the block is freed before scoring runs
 
     tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, seed=sampling.child_seed(cfg["seed"], 99))
+    fit = learned.fit
     # points_drawn is the one block; found_count, always n+1, stays for
     # the benchmark, which reads it
-    payload = {
-        "command": "learn",
-        "cli_config": cfg,
-        "schema_version": SCHEMA_VERSION,
+    record = {
         "n": n,
         "seed": cfg["seed"],
         "points_drawn": count,
@@ -192,22 +209,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "per_vertex_match_error": evaluation.match_vertices(truth, learned.simplex).per_vertex_error,
         "tv_estimate": tv.value,
         "tv_std_error": tv.std_error,
+        "iterations_run": fit.iterations_run,
+        "prefix_steps": fit.prefix_steps,
+        "converged": fit.converged,
     }
-    return _finish(payload, learned.fit, started, out)
-
-
-def _finish(payload: dict, fit: VertexResult, started: float, out: str | None) -> int:
-    """Write a learn or reduce report with the fixed point's record under
-    the loop's own names and the wall time since ``started``, and return
-    both commands' exit code: 2 when some column did not converge, else 0."""
-    payload.update(
-        iterations_run=fit.iterations_run,
-        prefix_steps=fit.prefix_steps,
-        converged=fit.converged,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    _emit(payload, out)
-    return 0 if fit.converged.all() else 2
+    return _write_report("learn", cfg, record, fit.converged.all(), started, out)
 
 
 @contextlib.contextmanager
@@ -249,11 +255,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     cfg, _ = _resolve(args, "reduce")
     if cfg["problem"] == "simplex" and cfg["p"] is not None:
         raise SchemaError("p applies only to --problem lp")
-    if cfg["problem"] == "lp":
-        if cfg["p"] is None:
-            raise SchemaError("--p is required for --problem lp")
-        if not sampling.P_MIN <= cfg["p"] <= sampling.P_MAX:
-            raise SchemaError(f"p must lie in [{sampling.P_MIN:g}, {sampling.P_MAX:g}]")
+    if cfg["problem"] == "lp" and cfg["p"] is None:
+        raise SchemaError("--p is required for --problem lp")
     n, t, seed, p = cfg["n"], cfg["t"], cfg["seed"], cfg["p"]
     dims = n + 1 if p is None else n  # ICA works in n+1 dimensions after the simplex lift
     if t < dims + 2:
@@ -284,45 +287,37 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         symdiff = ica._symdiff_score(ball, ica._symdiff_maps(truth, reduction.mixing), p)
         scores = {"matched_errors": None, "max_match_error": None, "c_pn": ica.compute_c_pn(p, n), "symdiff": symdiff}
 
-    payload = {
-        "command": "reduce",
-        "cli_config": cfg,
+    fit = reduction.estimate.fit
+    record = {
         "problem": cfg["problem"],
         "n": n,
         "p": p,
         "t": t,
         "seed": seed,
-        "schema_version": SCHEMA_VERSION,
         "separation_index": ica.separation_index(reduction.estimate.separating @ mixed),
         "permutation_note": reduction.estimate.permutation_note,
         **scores,
+        "iterations_run": fit.iterations_run,
+        "prefix_steps": fit.prefix_steps,
+        "converged": fit.converged,
     }
-    return _finish(payload, reduction.estimate.fit, started, out)
+    return _write_report("reduce", cfg, record, fit.converged.all(), started, out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg, given = _resolve(args, "verify")
     if cfg["suite"] == "tv" and cfg["n"] is not None:
         raise SchemaError("n applies only to verify --suite scaling or landscape")
-    if cfg["n"] is not None and cfg["n"] < 2:
-        raise SchemaError(f"n must be >= 2 for verify --suite {cfg['suite']}")
     if cfg["suite"] == "landscape" and "seed" in given:
         raise SchemaError("seed applies only to verify --suite scaling or tv: the landscape suite draws no random numbers")
     out = _report_path(cfg, "verify")
 
     started = time.perf_counter()
     result = diagnostics.run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
-    payload = {
-        "command": "verify",
-        # the landscape report records no seed; the default one still
-        # names the $SIMPLEXLEARN_OUT file
-        "cli_config": {**cfg, "seed": None} if cfg["suite"] == "landscape" else cfg,
-        "schema_version": SCHEMA_VERSION,
-        **result,
-        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
-    }
-    _emit(payload, out)
-    return 0 if result["pass"] else 2
+    # the landscape report records no seed; the default one still names
+    # the $SIMPLEXLEARN_OUT file
+    recorded = {**cfg, "seed": None} if cfg["suite"] == "landscape" else cfg
+    return _write_report("verify", recorded, result, result["pass"], started, out)
 
 
 @cache
@@ -342,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for command, flags in _FLAGS.items():
         command_parser = sub.add_parser(command, help=helps[command])
-        for key, (kind, default, text) in flags.items():
+        for key, (kind, rule, default, text) in flags.items():
+            text += "" if rule is None else f"; {key} must {_must(kind, rule)}"
             text += "" if default is None else f" (default {default})"
-            command_parser.add_argument(f"--{key}", type=kind, choices=_CHOICES.get(key), help=text)
+            command_parser.add_argument(f"--{key}", type=kind, choices=rule if kind is str else None, help=text)
         command_parser.add_argument("--config", type=str, help="JSON config file; explicit flags override it")
 
     return parser

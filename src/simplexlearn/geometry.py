@@ -129,10 +129,12 @@ def _gauge(s: Simplex, points: np.ndarray) -> np.ndarray:
 def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Membership of each row of ``points``, (t, d) or one (d,) point read
     as one row, a boolean array of length t: a point is inside when every
-    barycentric coordinate is >= -tol; other shapes are a ValueError."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2:
+    barycentric coordinate is >= -tol; other shapes, a 0-D value among
+    them, are a ValueError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2):
         raise ValueError(f"points must form a (t, d) array or one (d,) point, got shape {pts.shape}")
+    pts = np.atleast_2d(pts)
     if pts.shape[1] != s.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.dim}")
     return (_coordinates(s, pts) >= -tol).all(axis=0)

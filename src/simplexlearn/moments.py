@@ -158,11 +158,11 @@ def _moment_denominator(m: int) -> float:
 
 def exact_m3(u: np.ndarray) -> float:
     """E[(u . X)^3] for X uniform on the standard simplex with as many
-    vertices as u has coordinates.  u must be one direction, of shape (m,),
-    else ValueError; :func:`exact_grad_m3` also takes a frame."""
+    vertices as u has coordinates.  u must be one direction, of shape (m,)
+    with m >= 1, else ValueError; :func:`exact_grad_m3` also takes a frame."""
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise ValueError(f"u must have shape (m,), got {u.shape}")
+    if u.ndim != 1 or not u.size:
+        raise ValueError(f"u must have shape (m,) with m >= 1, got {u.shape}")
     p1, p2, p3 = float(u.sum()), float((u * u).sum()), float((u * u * u).sum())
     return (p1**3 + 3.0 * p1 * p2 + 2.0 * p3) / _moment_denominator(u.shape[0])
 
@@ -182,12 +182,15 @@ def exact_grad_m3(u: np.ndarray) -> np.ndarray:
 
 def empirical_m3_grad(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Plug-in estimate of the gradient of m3 at u from t sample points:
-    (3/t) sum (u . x)^2 x.  points is (t, d), one point a (1, d) row, and
-    u is (d,) or a frame (d, k); other shapes are a ValueError naming them."""
+    (3/t) sum (u . x)^2 x.  points is (t, d) with t >= 1, one point a (1, d)
+    row, and u is (d,) or a frame (d, k); other shapes are a ValueError
+    naming them."""
     pts = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
-    if pts.ndim != 2 or u.ndim not in (1, 2):
-        raise ValueError(f"points must form a (t, d) array and u a (d,) or (d, k) one, got shapes {pts.shape} and {u.shape}")
+    if pts.ndim != 2 or not len(pts) or u.ndim not in (1, 2):
+        raise ValueError(
+            f"points must form a (t, d) array with t >= 1 and u a (d,) or (d, k) one, got shapes {pts.shape} and {u.shape}"
+        )
     if pts.shape[1] != u.shape[0]:
         raise ValueError("direction and sample dimensions differ")
     s = pts @ u

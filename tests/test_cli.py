@@ -545,7 +545,7 @@ class TestValidation:
         assert main(["learn", "--n", "2", "--t1", "100", "--t3", "1", "--out", str(tmp_path / "learn.json")]) == 0
         for suite in ("scaling", "landscape"):
             assert main(["verify", "--suite", suite, "--n", "1"]) == 1
-            assert f"schema error: n must be >= 2 for verify --suite {suite}" in capsys.readouterr().err
+            assert "schema error: n must be an integer >= 2" in capsys.readouterr().err
         # ICA needs d+2 rows in d = n+1 (simplex) or n (lp) dimensions:
         # d+1 points whiten to a regular simplex
         for t in ("4", "5"):
@@ -591,6 +591,12 @@ def long_options(command: str) -> dict:
 
 
 COMMANDS = ["learn", "reduce", "verify"]
+# every integer key's minimum, as --help states it
+MINIMUMS = {
+    "learn": {"n": 2, "t1": 1, "t3": 1, "m": 1, "r": 1, "seed": 0},
+    "reduce": {"n": 1, "t": 1, "seed": 0},
+    "verify": {"n": 2, "seed": 0},
+}
 
 
 class TestSchemaTable:
@@ -636,26 +642,43 @@ class TestSchemaTable:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
-        "command, key, value, flag", [("learn", "seed", -1, "3"), ("reduce", "n", 0, "3"), ("verify", "suite", 1, "tv")]
+        "command, context, key, value, flag, message",
+        [
+            ("learn", [], "seed", -1, "3", "be an integer >= 0"),
+            ("reduce", [], "n", 0, "3", "be an integer >= 1"),
+            ("verify", [], "suite", 1, "tv", "be a string"),
+            # a per-key bound holds a config value as its type does
+            ("learn", [], "n", 1, "2", "be an integer >= 2"),
+            ("verify", ["--suite", "landscape"], "n", 1, "2", "be an integer >= 2"),
+            ("reduce", ["--problem", "lp"], "p", 100, "3", "lie in [1, 64]"),
+        ],
     )
-    def test_a_flag_does_not_hide_a_bad_config_value(self, tmp_path, capsys, command, key, value, flag):
+    def test_a_flag_does_not_hide_a_bad_config_value(self, tmp_path, capsys, command, context, key, value, flag, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         out = tmp_path / "report.json"
-        assert main([command, "--config", str(cfg), f"--{key}", flag, "--out", str(out)]) == 1
-        assert f"schema error: {key} must be a" in capsys.readouterr().err
+        assert main([command, *context, "--config", str(cfg), f"--{key}", flag, "--out", str(out)]) == 1
+        assert f"schema error: {key} must {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_states_the_resolved_default(self, command):
-        # the default a flag's help names is the one a run without the flag uses
+        # the default a flag's help names is the one a run without the flag
+        # uses; before it, the help names the key's bound, one below which
+        # test_flag_and_config_file_reject_alike rejects
         resolved, _ = _resolve(build_parser().parse_args([command]), command)
-        for key, action in long_options(command).items():
+        options = long_options(command)
+        assert sorted(MINIMUMS[command]) == sorted(key for key, action in options.items() if action.type is int)
+        for key, action in options.items():
             default = resolved.get(key)
             if default is None:
                 assert "(default" not in action.help, key
             else:
                 assert action.help.endswith(f"(default {default})"), key
+            if key in MINIMUMS[command]:
+                assert f"; {key} must be an integer >= {MINIMUMS[command][key]}" in action.help.split(" (default")[0], key
+        if command == "reduce":
+            assert options["p"].help.endswith("; p must lie in [1, 64]")
 
 
 class TestSharedParser:

@@ -116,9 +116,10 @@ class TestBarycentric:
         assert contains_points(s, point)[0]
         assert np.allclose(_coordinates(s, point[None, :]).T, [[0.5, 0.25, 0.25]])
 
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 2)])
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 2), ()])
     def test_points_past_two_dimensions_rejected(self, shape):
-        # one 1-D point is one row; a stack of point sets is not
+        # one 1-D point is one row; a stack of point sets is not, nor is a
+        # 0-D value, which has no coordinates to read as a point's
         with pytest.raises(ValueError, match=rf"^points must form a \(t, d\) array or one \(d,\) point, got shape {re.escape(str(shape))}$"):
             contains_points(right_triangle(), np.zeros(shape))
 

@@ -56,10 +56,10 @@ class TestPowerSums:
         assert exact_grad_m3(u).shape == (m, k)
         assert np.abs(exact_grad_m3(u) - stacked).max() <= 1e-14 * np.abs(stacked).max()
 
-    @pytest.mark.parametrize("shape", [(4, 2), (4, 1), (), (1, 4)])
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 1), (), (1, 4), (0,)])
     def test_moment_takes_one_direction(self, shape):
         # a frame would pool its columns' power sums into one number that
-        # is the moment of no direction
+        # is the moment of no direction, and an empty u names no simplex
         u = substream(0, 4).standard_normal(shape)
         with pytest.raises(ValueError, match=r"u must have shape \(m,\)"):
             exact_m3(u)
@@ -105,10 +105,11 @@ class TestExactMoment:
             empirical_m3_grad(sm, np.ones(4))
 
     @pytest.mark.parametrize(
-        "points_shape,u_shape", [((2, 3, 3), (3,)), ((3,), (3,)), ((4, 3), ()), ((4, 3), (3, 2, 2))]
+        "points_shape,u_shape", [((2, 3, 3), (3,)), ((3,), (3,)), ((4, 3), ()), ((4, 3), (3, 2, 2)), ((0, 3), (3,))]
     )
     def test_empirical_shapes_rejected(self, points_shape, u_shape):
-        # a 1-D sample is not read as one point, nor a stack of samples as one
+        # a 1-D sample is not read as one point, nor a stack of samples as
+        # one, and an empty sample has no mean to estimate
         shapes = rf"got shapes {re.escape(str(points_shape))} and {re.escape(str(u_shape))}$"
         with pytest.raises(ValueError, match=rf"^points must form a \(t, d\) array .*{shapes}"):
             empirical_m3_grad(np.ones(points_shape), np.ones(u_shape))

@@ -213,6 +213,13 @@ def test_the_sandwich_bound_is_checked_from_one_place():
     assert callers("check_sandwich_bound") == ["diagnostics.tv_suite"]
 
 
+def test_every_report_has_one_writer():
+    # learn, reduce and verify hand their fields to one writer, which adds
+    # the header every report carries and sets the exit code
+    assert callers("_emit") == ["cli._write_report"]
+    assert sorted(callers("_write_report")) == ["cli.cmd_learn", "cli.cmd_reduce", "cli.cmd_verify"]
+
+
 def test_the_hidden_instance_has_one_home():
     # the command line draws its truths and samples through the library
     assert not hasattr(cli, "_rotation") and not hasattr(cli, "_synthesize_simplex")
