@@ -194,7 +194,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     truth, sample = sampling.hidden_instance("learn", n, count, cfg["seed"])
     learned = learner.learn_simplex(sample, r=cfg["r"], seed=cfg["seed"])
-    del sample  # the block is freed before scoring runs
+    # the block is freed before scoring runs; TV's draw does not run
+    # beside the block, which would hold its 100k x (n+1) weights too,
+    # 4.8 MB at n = 5 on a 46 MB peak
+    del sample
 
     tv = evaluation.tv_distance_mc(truth, learned.simplex, 100_000, seed=sampling.child_seed(cfg["seed"], 99))
     fit = learned.fit
@@ -220,7 +223,19 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def _drawing_beside(*draws):
     """Run ``draws``, callables of no argument, one after another on one
     thread while the body runs.  Leaving the body joins the thread, so it
-    never outlives the body, and then raises what a draw raised."""
+    never outlives the body, and then raises what a draw raised.
+
+    Only random fills go beside the body: numpy's generators release the
+    GIL while they fill, so two ``standard_gamma(1/3)`` fills of 500k
+    values took 65 ms one after the other and 34 ms on two threads, while
+    two (200k, 5) moment passes took 11.0 and 11.3 ms (2 cores, OpenBLAS,
+    medians of 15 and 25).  A draw fills arrays that the calling thread
+    allocated, since a thread's own allocations go to its glibc arena,
+    which keeps their pages, and calls nothing that the benchmark's
+    tracer hooks, since it keeps one span stack per process.  A plain
+    thread and not ``concurrent.futures``, whose import, with
+    ``logging``, takes 5-9 ms in a process that has numpy loaded.
+    """
     errors = []
 
     def run():
@@ -264,16 +279,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     out = _report_path(cfg, "reduce")
 
     started = time.perf_counter()
-    # the ball is drawn first, and its row sums are scratch in the radii's
-    # array until the radii overwrite them
     ball = np.empty((0 if p is None else ica.SYMDIFF_POINTS, n))
-    radii = np.empty(max(t, len(ball)))
+    radii = np.empty(t)
     with _drawing_beside(
-        partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, radii[: len(ball)]),
-        partial(ica._reduction_radii, radii[:t], n, p, seed),
+        partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, np.empty(len(ball))),
+        partial(ica._reduction_radii, radii, n, p, seed),
     ):
         truth, sample = sampling.hidden_instance(cfg["problem"], n, t, seed, p)
-    rows = ica._ScaledRows(sample, radii[:t], lift=p is None)
+    rows = ica._ScaledRows(sample, radii, lift=p is None)
     del sample, radii  # the rows hold both while ICA reads them
     if p is None:
         reduction = ica.reduce_simplex_to_ica(rows, seed=seed)

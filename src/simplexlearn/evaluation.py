@@ -205,7 +205,9 @@ def match_vertices(truth, estimate) -> MatchResult:
 
     Args:
         truth, estimate: Simplex instances or (k, d) arrays of finite
-            vertices, k and d at least 1, else ValueError naming the shape.
+            vertices, k and d at least 1, else ValueError naming the shape,
+            whose pairwise distances are finite too, else ValueError
+            naming the overflow.
 
     Returns:
         MatchResult ordered by truth index.
@@ -216,7 +218,10 @@ def match_vertices(truth, estimate) -> MatchResult:
         raise ValueError("vertex sets must have matching shapes")
     if a.size == 0:
         raise ValueError(f"vertex sets must not be empty, got shape {a.shape}")
-    dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    if not np.isfinite(dist).all():
+        raise ValueError("vertex distances overflow the float range")
     rows = np.arange(len(dist))
 
     def feasible(threshold: float) -> bool:

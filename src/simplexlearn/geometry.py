@@ -1,9 +1,9 @@
 """Simplex geometry primitives.
 
-Full-dimensional simplices, n+1 vertices in R^n, with one cached inverse
-of their barycentric system, which answers membership and the gauge; the
-orthonormal embedding of R^n onto the hyperplane {y . 1 = 1} in R^(n+1);
-and affine frames for moving point clouds between coordinate systems.
+Full-dimensional simplices, n+1 vertices in R^n, whose barycentric
+system answers membership and the gauge; the orthonormal embedding of
+R^n onto the hyperplane {y . 1 = 1} in R^(n+1); and affine frames for
+moving point clouds between coordinate systems.
 """
 
 from __future__ import annotations
@@ -50,10 +50,9 @@ class Simplex:
     vertices; any other shape raises ValueError naming it.  Vertices are
     expected to be affinely independent; operations that must solve the
     barycentric system raise :class:`DegenerateSimplexError` when they are
-    not.  A simplex is a frozen value: ``vertices`` is a read-only copy of
-    the input and cannot be rebound, so the inverse of the barycentric
-    system, cached on first use, always belongs to it.  Two simplices are
-    equal when their vertex arrays are.
+    not.  A simplex is a frozen, hashable value: ``vertices`` is a
+    read-only copy of the input and cannot be rebound, and two simplices
+    are equal, and hash alike, when their vertex arrays are.
     """
 
     vertices: np.ndarray
@@ -65,7 +64,7 @@ class Simplex:
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
         v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
+        vars(self)["vertices"] = v  # the frozen field, set once through the instance dict
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Simplex):
@@ -99,20 +98,15 @@ class Simplex:
 
 
 def _barycentric(s: Simplex) -> np.ndarray:
-    """The inverse of the square system [V^T; 1^T] lam = [x; 1], cached on
-    ``s``: it maps [x; 1] to the barycentric coordinates lam of x, and its
-    last column is lam(0).  Raises DegenerateSimplexError when the smallest
-    singular value of the system is at most 1e-12 times the largest."""
-    inverse = vars(s).get("_inverse")
-    if inverse is None:
-        system = np.vstack([s.vertices.T, np.ones((1, s.dim + 1))])
-        svals = np.linalg.svd(system, compute_uv=False)
-        if svals[-1] <= 1e-12 * svals[0]:
-            raise DegenerateSimplexError("vertices are affinely dependent; barycentric system is singular")
-        inverse = np.linalg.inv(system)
-        inverse.flags.writeable = False
-        object.__setattr__(s, "_inverse", inverse)
-    return inverse
+    """The inverse of the square system [V^T; 1^T] lam = [x; 1]: it maps
+    [x; 1] to the barycentric coordinates lam of x, and its last column is
+    lam(0).  Raises DegenerateSimplexError when the smallest singular value
+    of the system is at most 1e-12 times the largest."""
+    system = np.vstack([s.vertices.T, np.ones((1, s.dim + 1))])
+    svals = np.linalg.svd(system, compute_uv=False)
+    if svals[-1] <= 1e-12 * svals[0]:
+        raise DegenerateSimplexError("vertices are affinely dependent; barycentric system is singular")
+    return np.linalg.inv(system)
 
 
 def _coordinates(s: Simplex, points: np.ndarray) -> np.ndarray:
@@ -122,21 +116,26 @@ def _coordinates(s: Simplex, points: np.ndarray) -> np.ndarray:
 
 def _gauge(s: Simplex, points: np.ndarray) -> np.ndarray:
     """gauge_s(x) = min {c > 0 : x in c s} = max_i (1 - lam_i(x) / lam_i(0))
-    for each row x of ``points``; needs the origin strictly inside ``s``."""
-    return (1.0 - _coordinates(s, np.atleast_2d(points)) / _barycentric(s)[:, -1:]).max(axis=0)
+    for each row x of ``points``; needs the origin strictly inside ``s``.
+    One inverse gives both lam(x) and lam(0)."""
+    inverse, pts = _barycentric(s), np.atleast_2d(points)
+    return (1.0 - inverse @ np.vstack([pts.T, np.ones((1, pts.shape[0]))]) / inverse[:, -1:]).max(axis=0)
 
 
 def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Membership of each row of ``points``, (t, d) or one (d,) point read
     as one row, a boolean array of length t: a point is inside when every
     barycentric coordinate is >= -tol; other shapes, a 0-D value among
-    them, are a ValueError."""
+    them, are a ValueError, and so is a NaN or infinite point, which is
+    neither inside nor outside."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (1, 2):
         raise ValueError(f"points must form a (t, d) array or one (d,) point, got shape {pts.shape}")
     pts = np.atleast_2d(pts)
     if pts.shape[1] != s.dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.dim}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     return (_coordinates(s, pts) >= -tol).all(axis=0)
 
 

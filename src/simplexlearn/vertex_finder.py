@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .moments import _moment_denominator
+from .moments import _direction, _moment_denominator
 from .sampling import _check_count
 
 __all__ = [
@@ -132,9 +132,11 @@ def reconstruct_squares(u: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
         C grad - 1/2 (u . 1)^2 1 - 1/2 (u . u) 1 - (u . 1) u.
 
-    u and grad are (n,) or (n, k); a matrix is a frame of columns.
+    u and grad are (n,) or (n, k), of one shape; a matrix is a frame of
+    columns.  Any other shape, an empty one among them, is a ValueError
+    naming it.
     """
-    u = np.asarray(u, dtype=float)
+    u = _direction(u, frames=True)
     grad = np.asarray(grad, dtype=float)
     if grad.shape != u.shape:
         raise ValueError("u and grad must have the same shape")

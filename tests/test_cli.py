@@ -251,8 +251,8 @@ class TestReduceCommand:
         assert main(argv) in (0, 2)  # an unconverged run (exit 2) is still scored
         assert sorted(calls) == [2000, 100_000]
 
-    # below SYMDIFF_POINTS the ball's row sums run past radii[:t]; at
-    # 131,072, as at the default 200,000, the radii overwrite all of them
+    # one sample shorter than the scoring ball's SYMDIFF_POINTS rows and
+    # one longer, as the default 200,000 is; both take the prefix stage
     @pytest.mark.parametrize("t", [65_536, 131_072])
     @pytest.mark.parametrize("problem", ["simplex", "lp"])
     def test_overlapped_draws_match_the_serial_composition(self, tmp_path, problem, t):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +290,16 @@ class TestMatchVertices:
             match_vertices(broken, v)
         with pytest.raises(ValueError, match="estimate vertices must be finite"):
             match_vertices(v, np.full_like(v, bad))
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200])
+    def test_overflowing_distances_are_named(self, scale):
+        # finite vertices whose differences, or their squares, leave the
+        # float range warned and then found no assignment of finite cost
+        a = scale * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^vertex distances overflow the float range$"):
+                match_vertices(a, -a)
 
     def test_bottleneck_beats_min_sum_when_they_differ(self):
         # classic trap: min-sum pairing takes one huge edge that the

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.geometry import (
     MEMBERSHIP_TOL,
     AffineFrame,
@@ -14,6 +15,7 @@ from simplexlearn.geometry import (
     Simplex,
     _barycentric,
     _coordinates,
+    _gauge,
     contains_points,
     isotropic_simplex,
     make_embed_map,
@@ -69,9 +71,8 @@ class TestSimplex:
         signed = Simplex(np.array([[-0.0, 0.0], [1.0, -0.0], [0.0, 1.0]]))
         assert zero == signed and hash(zero) == hash(signed)
 
-    def test_frozen_so_the_cached_inverse_stays_valid(self):
+    def test_frozen_with_read_only_vertices(self):
         s = isotropic_simplex(2)
-        contains_points(s, np.zeros((1, 2)))
         with pytest.raises(AttributeError):
             s.vertices = s.vertices + 100.0
         with pytest.raises(ValueError, match="read-only"):
@@ -122,6 +123,15 @@ class TestBarycentric:
         # 0-D value, which has no coordinates to read as a point's
         with pytest.raises(ValueError, match=rf"^points must form a \(t, d\) array or one \(d,\) point, got shape {re.escape(str(shape))}$"):
             contains_points(right_triangle(), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2)])
+    def test_points_must_be_finite(self, bad, shape):
+        # a NaN point read as outside, since NaN >= -tol is false
+        points = np.zeros(shape)
+        points.flat[-1] = bad
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            contains_points(right_triangle(), points)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -174,12 +184,15 @@ class TestBarycentric:
         assert contains_points(s, s.centroid())[0]
         assert not contains_points(s, np.array([1.0, 1.0]))[0]
 
-    def test_inverse_is_cached(self):
-        s = right_triangle()
+    def test_a_simplex_holds_only_its_vertices(self):
+        # membership, the gauge and the TV scorer solve the barycentric
+        # system where they need it and leave nothing on the simplex
+        s, other = isotropic_simplex(2), isotropic_simplex(2).scaled(0.5)
         contains_points(s, np.zeros(2))
-        first = _barycentric(s)
-        contains_points(s, np.ones(2))
-        assert _barycentric(s) is first
+        _gauge(s, np.full(2, 0.1))
+        tv_distance_mc(other, s, 10)
+        tv_distance_mc(s, other, 10)
+        assert list(vars(s)) == list(vars(other)) == ["vertices"]
 
 
 class TestEmbedMap:

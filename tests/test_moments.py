@@ -64,6 +64,13 @@ class TestPowerSums:
         with pytest.raises(ValueError, match=r"u must have shape \(m,\)"):
             exact_m3(u)
 
+    @pytest.mark.parametrize("shape", [(0,), (), (2, 2, 2), (3, 0), (0, 2)])
+    def test_gradient_takes_a_direction_or_frame(self, shape):
+        # an empty u returned [], a 0-D one raised IndexError and a stack
+        # of frames returned zeros
+        with pytest.raises(ValueError, match=rf"^u must have shape \(m,\) or \(m, k\) with m, k >= 1, got {re.escape(str(shape))}$"):
+            exact_grad_m3(np.zeros(shape))
+
 
 class TestExactMoment:
     def test_vertex_direction(self):
@@ -163,6 +170,13 @@ class TestCriticalPoints:
         # a float raised a TypeError, and n = True returned a point
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             two_value_critical_point(n, alpha)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 2, 2), (4, 4)])
+    def test_projected_gradient_takes_one_direction(self, shape):
+        # a 0-D v raised IndexError, and a square frame returned a matrix
+        # that is the gradient at no point
+        with pytest.raises(ValueError, match=rf"^v must have shape \(m,\) with m >= 1, got {re.escape(str(shape))}$"):
+            projected_p3_gradient(np.zeros(shape))
 
     def test_non_critical_direction_has_gradient(self):
         rng = substream(0, 4)

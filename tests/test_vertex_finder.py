@@ -77,6 +77,12 @@ class TestReconstructSquares:
         with pytest.raises(ValueError):
             reconstruct_squares(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("shape", [(0,), (), (2, 2, 2), (3, 0)])
+    def test_direction_or_frame_shape_named(self, shape):
+        # an empty u and grad returned []
+        with pytest.raises(ValueError, match=rf"^u must have shape .* got {re.escape(str(shape))}$"):
+            reconstruct_squares(np.zeros(shape), np.zeros(shape))
+
 
 class TestSquaringDynamics:
     def test_coordinate_ratios_square_each_step(self):
