@@ -43,7 +43,7 @@ from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 15
+SCHEMA_VERSION = 16
 
 # every key a command takes, as a flag or in a config file: its type; its
 # rule, an integer's minimum, a number's range or a string's choices (None
@@ -173,9 +173,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _write_report(command: str, cfg: dict, record: dict, passed: bool, started: float, out: str | None) -> int:
-    """Write ``record``, a command's own fields, beside the command, its
-    configuration, the schema version and the wall time since ``started``;
-    return the one exit rule: 0 when the run passed, else 2."""
+    """Write ``record``, a command's own fields, none of which repeats a
+    key of its configuration, beside the command, that configuration, the
+    schema version and the wall time since ``started``; return the one
+    exit rule: 0 when the run passed, else 2."""
     wall_time_ms = (time.perf_counter() - started) * 1000.0
     _emit({"command": command, "cli_config": cfg, "schema_version": SCHEMA_VERSION, **record, "wall_time_ms": wall_time_ms}, out)
     return 0 if passed else 2
@@ -204,8 +205,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
     # points_drawn is the one block; found_count, always n+1, stays for
     # the benchmark, which reads it
     record = {
-        "n": n,
-        "seed": cfg["seed"],
         "points_drawn": count,
         "found_count": len(learned.simplex.vertices),
         "vertices": learned.simplex.vertices,
@@ -262,7 +261,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     streams of their own, independent of the sample: one thread draws the
     ball, then the radii, into arrays allocated here while this one draws
     the instance, and is joined before ICA reads the radii.  The simplex
-    is scored without a ball, so its ball has no rows and draws nothing.
+    is scored without a ball, so only its radii are drawn beside it.
     Every stream keeps its seed, key and fill order, so the report is
     that of the serial composition ``reduce_*_to_ica(hidden_instance(...)[1],
     seed)``, then for lp ``lp_symmetric_difference(..., seed=child_seed(seed,
@@ -279,12 +278,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     out = _report_path(cfg, "reduce")
 
     started = time.perf_counter()
-    ball = np.empty((0 if p is None else ica.SYMDIFF_POINTS, n))
     radii = np.empty(t)
-    with _drawing_beside(
-        partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, np.empty(len(ball))),
-        partial(ica._reduction_radii, radii, n, p, seed),
-    ):
+    draws = [partial(ica._reduction_radii, radii, n, p, seed)]
+    if p is not None:
+        ball = np.empty((ica.SYMDIFF_POINTS, n))
+        draws.insert(0, partial(ica._symdiff_ball, p, sampling.child_seed(seed, 105), ball, np.empty(len(ball))))
+    with _drawing_beside(*draws):
         truth, sample = sampling.hidden_instance(cfg["problem"], n, t, seed, p)
     rows = ica._ScaledRows(sample, radii, lift=p is None)
     del sample, radii  # the rows hold both while ICA reads them
@@ -292,21 +291,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         reduction = ica.reduce_simplex_to_ica(rows, seed=seed)
         match = evaluation.match_vertices(truth.vertices, reduction.vertices)
         mixed = np.vstack([truth.vertices.T, np.ones(n + 1)])
-        scores = {"matched_errors": list(match.per_vertex_error), "max_match_error": match.max_error, "c_pn": None, "symdiff": None}
+        scores = {"matched_errors": list(match.per_vertex_error), "max_match_error": match.max_error, "symdiff": None}
     else:
         reduction = ica.reduce_lp_to_ica(rows, p, seed=seed)
         del rows  # the scorer reads only the ball
         mixed = truth
         symdiff = ica._symdiff_score(ball, ica._symdiff_maps(truth, reduction.mixing), p)
-        scores = {"matched_errors": None, "max_match_error": None, "c_pn": ica.compute_c_pn(p, n), "symdiff": symdiff}
+        scores = {"matched_errors": None, "max_match_error": None, "symdiff": symdiff}
 
     fit = reduction.estimate.fit
     record = {
-        "problem": cfg["problem"],
-        "n": n,
-        "p": p,
-        "t": t,
-        "seed": seed,
         "separation_index": ica.separation_index(reduction.estimate.separating @ mixed),
         "permutation_note": reduction.estimate.permutation_note,
         **scores,

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -34,31 +35,27 @@ class TestLearnCommand:
             "converged",
             "found_count",
             "iterations_run",
-            "n",
             "per_vertex_match_error",
             "points_drawn",
             "prefix_steps",
             "schema_version",
-            "seed",
             "tv_estimate",
             "tv_std_error",
             "vertices",
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 15
+        assert report["schema_version"] == 16
         assert report["found_count"] == 3
         assert report["converged"] == [True] * 3
         assert 1 <= report["iterations_run"] <= 30
         assert report["prefix_steps"] == 0  # 8000 // 8 rows are below the floor
         assert report["points_drawn"] == 4000 + 4000
-        assert report["n"] == 2
         assert len(report["vertices"]) == 3
         assert len(report["per_vertex_match_error"]) == 3
         assert report["tv_estimate"] is not None
         assert report["tv_estimate"] <= 0.5
         assert report["cli_config"] == {"n": 2, "t1": 4000, "t3": 4000, "m": 12, "r": 30, "seed": 0, "out": out}
-        assert report["seed"] == 0
         assert "wrote" in capsys.readouterr().out
 
     def test_start_budget_below_n_plus_one_is_a_schema_error(self, tmp_path, capsys):
@@ -199,12 +196,11 @@ class TestReduceCommand:
         code = main(["reduce", "--problem", "simplex", "--n", "2", "--t", "100000", "--seed", "0", "--out", out])
         assert code == 0
         report = read_json(out)
-        assert report["problem"] == "simplex"
         assert len(report["matched_errors"]) == 3
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
-        assert report["c_pn"] is None and report["symdiff"] is None
-        assert report["schema_version"] == 15
+        assert report["symdiff"] is None
+        assert report["schema_version"] == 16
         assert report["converged"] == [True] * 3
         assert isinstance(report["iterations_run"], int) and 1 <= report["iterations_run"] <= 30
 
@@ -213,9 +209,8 @@ class TestReduceCommand:
         code = main(["reduce", "--problem", "lp", "--p", "1", "--n", "2", "--t", "100000", "--seed", "0", "--out", out])
         assert code == 0
         report = read_json(out)
-        assert report["p"] == 1.0
+        assert report["cli_config"]["p"] == 1.0
         assert report["symdiff"] <= 0.2
-        assert report["c_pn"] == pytest.approx(1.0 / 6.0**0.5, abs=1e-12)
         assert report["matched_errors"] is None
         assert report["converged"] == [True] * 2
         assert isinstance(report["iterations_run"], int) and 1 <= report["iterations_run"] <= 30
@@ -250,6 +245,21 @@ class TestReduceCommand:
         argv = ["reduce", "--problem", "lp", "--p", "3", "--n", "3", "--t", "2000", "--seed", "0", "--out", out]
         assert main(argv) in (0, 2)  # an unconverged run (exit 2) is still scored
         assert sorted(calls) == [2000, 100_000]
+
+    @pytest.mark.parametrize("problem, balls", [(["--problem", "simplex"], 0), (["--problem", "lp", "--p", "3"], 1)])
+    def test_only_lp_draws_a_scoring_ball(self, tmp_path, monkeypatch, problem, balls):
+        # the simplex is scored without a ball, so its op seeds no ball stream
+        calls = []
+        real = ica._symdiff_ball
+
+        def spy(p, seed, out, sums):
+            calls.append(out.shape)
+            real(p, seed, out, sums)
+
+        monkeypatch.setattr(ica, "_symdiff_ball", spy)
+        argv = ["reduce", *problem, "--n", "3", "--t", "2000", "--seed", "0", "--out", str(tmp_path / "reduce.json")]
+        assert main(argv) in (0, 2)
+        assert calls == [(ica.SYMDIFF_POINTS, 3)] * balls
 
     # one sample shorter than the scoring ball's SYMDIFF_POINTS rows and
     # one longer, as the default 200,000 is; both take the prefix stage
@@ -317,6 +327,55 @@ class TestReduceCommand:
 
     def test_p_range_checked(self):
         assert main(["reduce", "--problem", "lp", "--p", "0.5", "--n", "2"]) == 1
+
+
+# the fields that every report carries first, whatever the command
+HEADER = {"command", "cli_config", "schema_version", "wall_time_ms"}
+SMALL_RUNS = {
+    "learn": LEARN_FAST,
+    "reduce-simplex": ["reduce", "--problem", "simplex", "--n", "2", "--t", "3000"],
+    "reduce-lp": ["reduce", "--problem", "lp", "--p", "3", "--n", "2", "--t", "3000"],
+}
+
+
+@pytest.fixture(scope="module")
+def small_reports(tmp_path_factory):
+    """The report of one small run of each command and problem, by name."""
+    reports = {}
+    for name, argv in SMALL_RUNS.items():
+        out = tmp_path_factory.mktemp(name) / "report.json"
+        assert main([*argv, "--out", str(out)]) in (0, 2)
+        reports[name] = read_json(out)
+    return reports
+
+
+def readme_report_fields() -> dict:
+    """The backticked names in each bullet of README's list of learn and
+    reduce report fields, by the bullet's label."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    after = text.split("Every report carries", 1)[1]
+    block = after[after.index("\n- ") + 1 :].split("\n\n", 1)[0]
+    fields = {}
+    for bullet in block.removeprefix("- ").split("\n- "):
+        label, _, body = bullet.partition(":")
+        fields[label] = set(re.findall(r"`(\w+)`", body))
+    return fields
+
+
+class TestReportFields:
+    # a report states each fact once: a value of the configuration, or a
+    # closed form of its values such as c_pn, is read from cli_config
+    @pytest.mark.parametrize("name", SMALL_RUNS)
+    def test_no_field_repeats_the_configuration(self, small_reports, name):
+        report = small_reports[name]
+        assert not (set(report) - HEADER) & set(report["cli_config"])
+        assert "c_pn" not in report
+
+    @pytest.mark.parametrize("name", SMALL_RUNS)
+    def test_readme_lists_the_fields_a_run_writes(self, small_reports, name):
+        listed = readme_report_fields()
+        command = name.split("-")[0]
+        assert set(small_reports[name]) - HEADER == listed["`learn` and `reduce` alike"] | listed[f"`{command}`"]
 
 
 class TestVerifyCommand:

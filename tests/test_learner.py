@@ -381,6 +381,22 @@ class TestRowOrder:
         assert match_vertices(image, permuted.simplex).max_error <= 1e-3 * image.circumscribed_radius()
 
 
+class TestMemoryLayout:
+    # the frame pass gives the same bits in either order, but the moment
+    # pass's products over F-ordered blocks round differently; the learner
+    # takes the same steps to vertices a few ulps apart (worst 3.6e-15 of
+    # the largest coordinate over these cases), and the CLI hands it C order
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (5, 10, 20) for seed in range(3)])
+    def test_learning_ignores_the_memory_layout(self, n, seed):
+        points = hidden_instance("learn", n, 100_000, seed)[1]
+        learned = learn_simplex(points, seed=seed)
+        fortran = learn_simplex(np.asfortranarray(points), seed=seed)
+        steps = [(fit.iterations_run, fit.prefix_steps, fit.converged.tolist()) for fit in (learned.fit, fortran.fit)]
+        assert steps[0] == steps[1]
+        vertices = learned.simplex.vertices
+        assert np.abs(fortran.simplex.vertices - vertices).max() <= 1e-13 * np.abs(vertices).max()
+
+
 def spoiled_points(row: int, value: float) -> np.ndarray:
     """A (4000, 2) block from a plane truth with entry (row, 0) set to value."""
     points = simplex_source(random_truth(2, 20), 21)(4000)

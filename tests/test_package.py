@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -152,20 +153,87 @@ def test_deleted_names_are_gone(name):
 
 # keys that named a producer's stream once; none may name another
 RETIRED_KEYS = {4, 5, 6, 8}
+# the calls that take a stream's key after its seed
+STREAM_CALLS = ("substream", "child_seed")
+
+
+def _place(value: ast.expr, index: int) -> ast.expr | None:
+    """The ``index``-th element of a tuple ``value``, in either branch of a
+    conditional one; None for any other value."""
+    if isinstance(value, ast.IfExp):
+        return ast.IfExp(value.test, _place(value.body, index), _place(value.orelse, index))
+    return value.elts[index] if isinstance(value, ast.Tuple) else None
+
+
+def _bound(name: str, scopes: list[ast.AST]) -> list[ast.expr | None]:
+    """What the assignments in ``scopes`` bind ``name`` to, a tuple
+    target's name its place in the value."""
+    bound = []
+    for scope in scopes:
+        for assign in ast.walk(scope):
+            for target in assign.targets if isinstance(assign, ast.Assign) else []:
+                if isinstance(target, ast.Name) and target.id == name:
+                    bound.append(assign.value)
+                elif isinstance(target, ast.Tuple) and name in (places := [getattr(elt, "id", None) for elt in target.elts]):
+                    bound.append(_place(assign.value, places.index(name)))
+    return bound
+
+
+def _key_values(node: ast.expr | None, scopes: list[ast.AST]) -> list[int] | None:
+    """The integers a key argument can take: a literal, those of both
+    branches of a conditional, or those of what ``scopes`` bind a name to;
+    None when it can take anything else."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        branches = [node.body, node.orelse]
+    elif isinstance(node, ast.Name):
+        branches = _bound(node.id, scopes)
+    else:
+        return None
+    values = [_key_values(branch, scopes) for branch in branches]
+    return None if not values or None in values else [value for branch in values for value in branch]
+
+
+def stream_keys() -> list[tuple[str, tuple]]:
+    """(module, key) for every key that a ``substream(...)`` or
+    ``child_seed(...)`` call in the package can take: its leading key as an
+    integer, the rest as source text.  The leading key is resolved through
+    module constants such as ``sampling._KEY_*``, the enclosing functions'
+    assignments and conditionals; one that does not resolve fails."""
+    found = []
+    for path in sorted(Path(simplexlearn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = ast.Module([stmt for stmt in tree.body if isinstance(stmt, ast.Assign)], [])
+        parents = {child: parent for parent in ast.walk(tree) for child in ast.iter_child_nodes(parent)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) not in STREAM_CALLS:
+                continue
+            site = f"{path.stem}:{call.lineno}"
+            assert len(call.args) >= 2, f"{site} draws a stream with no key"
+            scopes, node = [constants], call
+            while node in parents:
+                node = parents[node]
+                scopes += [node] if isinstance(node, ast.FunctionDef) else []
+            leading = _key_values(call.args[1], scopes)
+            assert leading, f"{site}: the leading key {ast.unparse(call.args[1])} does not resolve to integers"
+            found += [(path.stem, (key, *map(ast.unparse, call.args[2:]))) for key in leading]
+    return found
 
 
 def test_stream_keys_are_distinct_and_not_retired():
     # a reused key would silently correlate two producers' streams
-    keys = {
-        target.id: node.value.value
-        for node in ast.parse(Path(sampling.__file__).read_text()).body
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
-        for target in node.targets
-        if isinstance(target, ast.Name) and target.id.startswith("_KEY_")
-    }
-    assert keys
-    assert len(set(keys.values())) == len(keys), keys
-    assert not RETIRED_KEYS & set(keys.values()), keys
+    keys = stream_keys()
+    modules = {}
+    for module, key in keys:
+        modules.setdefault(key[0], set()).add(module)
+    assert not {key: names for key, names in modules.items() if len(names) > 1}
+    assert not [key for key, count in Counter(key for _, key in keys).items() if count > 1]
+    assert not RETIRED_KEYS & set(modules)
+    # the keys are read in every drawing module, both branches of each
+    # conditional key too
+    assert set().union(*modules.values()) == {"sampling", "learner", "evaluation", "ica", "diagnostics", "cli"}
+    assert {67, 71, 97, 103} <= set(modules)
 
 
 def test_the_package_draws_one_sign_stream():
