@@ -43,7 +43,7 @@ from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
-SCHEMA_VERSION = 16
+SCHEMA_VERSION = 17
 
 # every key a command takes, as a flag or in a config file: its type; its
 # rule, an integer's minimum, a number's range or a string's choices (None

@@ -1,27 +1,28 @@
 """Statistical verification suites.
 
-Each suite runs a fixed list of named checks and returns a JSON-ready dict
-{"suite", "params", "checks", "pass"}.  The checks are distribution-level
-facts the rest of the package relies on: the rows that the ICA reductions
-read, built by their one recipe ``ica._reduction_rows``, have iid
-coordinates of the known laws; the ball sampler's norm and direction are
-independent, as are its points and the denominator it divides by; the
-total-variation identities used by the evaluator and the sandwich bound,
-whose containment ratios come from the gauges of the simplices'
-barycentric inverses; and the third-moment landscape certification.
+Each suite runs a fixed list of named checks, whose names carry their
+dimensions and powers, and returns a JSON-ready dict {"checks", "pass"}.
+The checks are distribution-level facts the rest of the package relies
+on: the rows that the ICA reductions read, built by their one recipe
+``ica._reduction_rows``, have iid coordinates of the known laws; the
+ball sampler's norm and direction are independent, as are its points
+and the denominator it divides by; the total-variation identities used
+by the evaluator and the sandwich bound, whose containment ratios come
+from the gauges of the simplices' barycentric inverses; and the
+third-moment landscape certification.
 Every statistic and p-value is computed with numpy and ``math``.
 
 The scaling and tv suites derive all randomness from the suite seed, so a
 suite invocation is a deterministic regression test; significance levels
 (0.01 for KS and chi-square, 3 sigma for moment and correlation checks)
 are chosen so that the fixed-seed runs pass with margin.  The landscape
-suite is exact and draws no random numbers, so it takes no seed.
+suite is exact and draws no random numbers, so it takes no seed.  Sizes
+are the module constants below; ``n`` restricts a suite's dimensions.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,27 +30,25 @@ from .evaluation import check_sandwich_bound, tv_distance_mc
 from .geometry import Simplex, _gauge, isotropic_simplex
 from .ica import _reduction_rows
 from .moments import certify_landscape
-from .sampling import _check_count, _lp_ball_points, child_seed, sample_lp_ball, sample_simplex, substream
+from .sampling import _check_count, _check_seed, _lp_ball_points, child_seed, sample_lp_ball, sample_simplex, substream
 
-__all__ = [
-    "scaling_suite",
-    "tv_suite",
-    "landscape_suite",
-    "run_suite",
-    "SUITES",
-]
+__all__ = ["scaling_suite", "tv_suite", "landscape_suite", "run_suite", "SUITES"]
 
 KS_ALPHA = 0.01
 CHI2_ALPHA = 0.01
 
+SCALING_T = 100_000
+SCALING_SIMPLEX_DIMS = (3, 8)
+SCALING_LP_POWERS = (1.0, 2.0, 3.0)
+SCALING_LP_DIM = 4
+TV_POINTS = 20_000
+TV_ALPHAS = (0.5, 0.8, 0.95)
+TV_DIMS = (2, 3, 4, 5, 6)
+LANDSCAPE_DIMS = range(2, 9)
 
-def _finish(suite: str, params: dict, checks: list[dict]) -> dict:
-    return {
-        "suite": suite,
-        "params": params,
-        "checks": checks,
-        "pass": bool(all(c["passed"] for c in checks)),
-    }
+
+def _finish(checks: list[dict]) -> dict:
+    return {"checks": checks, "pass": bool(all(c["passed"] for c in checks))}
 
 
 def _kolmogorov_sf(z: float) -> float:
@@ -106,13 +105,7 @@ def _correlation_check(name: str, a: np.ndarray, b: np.ndarray) -> dict:
     return {"name": name, "correlation": r, "tolerance": tolerance, "passed": bool(abs(r) <= tolerance)}
 
 
-def scaling_suite(
-    seed: int = 0,
-    t: int = 100_000,
-    simplex_dims: Sequence[int] = (3, 8),
-    lp_powers: Sequence[float] = (1.0, 2.0, 3.0),
-    lp_dim: int = 4,
-) -> dict:
+def scaling_suite(seed: int = 0, n: int | None = None) -> dict:
     """Distributional checks on the rows the ICA reductions read and on
     the lp-ball sampler, on numpy and ``math`` alone.
 
@@ -138,22 +131,25 @@ def scaling_suite(
       which ``np.quantile`` loads on its first call, stays unimported.
 
     KS p-values are the asymptotic Kolmogorov tail, and the chi-square
-    tail on its 9 degrees of freedom is a closed form.  Every simplex
-    dimension must be an integer >= 2, else ValueError naming ``n``
-    before any draw.
+    tail on its 9 degrees of freedom is a closed form.  Each draw has
+    SCALING_T rows.  ``n``, an integer >= 2 else ValueError before any
+    draw, replaces SCALING_SIMPLEX_DIMS and SCALING_LP_DIM.
     """
-    simplex_dims = [_check_count(n, "n", minimum=2) for n in simplex_dims]
+    if n is not None:
+        n = _check_count(n, "n", minimum=2)
+    t = SCALING_T
+    lp_dim = SCALING_LP_DIM if n is None else n
     checks: list[dict] = []
 
-    for n in simplex_dims:
-        corner = Simplex(np.vstack([np.zeros(n), np.eye(n)]))
-        points = sample_simplex(corner, t, child_seed(seed, 83, n, 0))
-        rows = _reduction_rows(points, None, child_seed(seed, 83, n, 1))[0:t]
-        checks.append(_ks_check(f"simplex_rescale_exp_ks_n{n}", rows[:, :n], _gamma_cdf(1)))
-        checks.append(_correlation_check(f"simplex_rescale_decorrelated_n{n}", rows[:, 0], rows[:, 1]))
-        checks.append(_ks_check(f"simplex_rescale_lift_gamma_ks_n{n}", rows[:, -1], _gamma_cdf(n + 1)))
+    for dim in SCALING_SIMPLEX_DIMS if n is None else [n]:
+        corner = Simplex(np.vstack([np.zeros(dim), np.eye(dim)]))
+        points = sample_simplex(corner, t, child_seed(seed, 83, dim, 0))
+        rows = _reduction_rows(points, None, child_seed(seed, 83, dim, 1))[0:t]
+        checks.append(_ks_check(f"simplex_rescale_exp_ks_n{dim}", rows[:, :dim], _gamma_cdf(1)))
+        checks.append(_correlation_check(f"simplex_rescale_decorrelated_n{dim}", rows[:, 0], rows[:, 1]))
+        checks.append(_ks_check(f"simplex_rescale_lift_gamma_ks_n{dim}", rows[:, -1], _gamma_cdf(dim + 1)))
 
-    for p in lp_powers:
+    for p in SCALING_LP_POWERS:
         key = int(round(8 * p))
         ball = sample_lp_ball(lp_dim, p, t, child_seed(seed, 84, key, 0))
         rows = _reduction_rows(ball, p, child_seed(seed, 84, key, 1))[0:t]
@@ -197,46 +193,32 @@ def scaling_suite(
         }
     )
 
-    return _finish(
-        "scaling",
-        {
-            "seed": seed,
-            "t": t,
-            "simplex_dims": list(simplex_dims),
-            "lp_powers": [float(p) for p in lp_powers],
-            "lp_dim": lp_dim,
-        },
-        checks,
-    )
+    return _finish(checks)
 
 
-def tv_suite(
-    seed: int = 0,
-    mc_points: int = 20_000,
-    alphas: Sequence[float] = (0.5, 0.8, 0.95),
-    dims: Sequence[int] = (2, 3, 4, 5, 6),
-) -> dict:
-    """Total-variation identities and the sandwich bound.
+def tv_suite(seed: int = 0) -> dict:
+    """Total-variation identities and the sandwich bound, each TV from
+    TV_POINTS Monte Carlo points.
 
     The grid checks d_TV(K, alpha K) = 1 - alpha^n within 3 standard
-    errors over alphas x dims.  One table of sandwich cases, run through
-    one :func:`check_sandwich_bound` call, covers the identity, a pure
-    scaling, and a perturbation drawn first from substream(seed, 90, 2),
-    whose containment ratios are certified before the bound is tested,
-    from gauges that the barycentric coordinates give: gauge_s(x) =
-    max_i (1 - lam_i(x) / lam_i(0)); only that case reports them.  Each
-    case draws its TV from child_seed(seed, 90, key), keys 0, 1 and 3.
+    errors over TV_ALPHAS x TV_DIMS.  One table of sandwich cases, run
+    through one :func:`check_sandwich_bound` call, covers the identity,
+    a pure scaling, and a perturbation drawn first from substream(seed,
+    90, 2), whose containment ratios are certified before the bound is
+    tested, from gauges that the barycentric coordinates give: gauge_s(x)
+    = max_i (1 - lam_i(x) / lam_i(0)); only that case reports them.
+    Each case draws its TV from child_seed(seed, 90, key), keys 0, 1, 3.
     """
     checks: list[dict] = []
 
     k_identity = isotropic_simplex(2)
-    est = tv_distance_mc(k_identity, k_identity, mc_points, seed=child_seed(seed, 89, 0))
+    est = tv_distance_mc(k_identity, k_identity, TV_POINTS, seed=child_seed(seed, 89, 0))
     checks.append({"name": "identity_zero", "value": est.value, "passed": bool(est.value == 0.0)})
 
-    for n in dims:
+    for n in TV_DIMS:
         k = isotropic_simplex(n)
-        for alpha in alphas:
-            est = tv_distance_mc(k, k.scaled(alpha), mc_points, seed=child_seed(seed, 89, n, int(round(100 * alpha))))
+        for alpha in TV_ALPHAS:
+            est = tv_distance_mc(k, k.scaled(alpha), TV_POINTS, seed=child_seed(seed, 89, n, int(round(100 * alpha))))
             expected = 1.0 - alpha**n
             tol = 3.0 * max(est.std_error, 1e-12)
             checks.append(
@@ -261,27 +243,23 @@ def tv_suite(
         ("sandwich_perturbed_certified", perturbed, alpha_cert, beta_cert, 3, True),
     ]
     for name, l, alpha, beta, key, certified in cases:
-        report = check_sandwich_bound(k3, l, alpha, beta, mc_points, seed=child_seed(seed, 90, key))
+        report = check_sandwich_bound(k3, l, alpha, beta, TV_POINTS, seed=child_seed(seed, 90, key))
         ratios = {"alpha": alpha, "beta": beta} if certified else {}
         checks.append({"name": name, **ratios, "tv": report.tv.value, "bound": report.bound, "passed": bool(report.holds)})
 
-    return _finish(
-        "tv",
-        {"seed": seed, "mc_points": mc_points, "alphas": [float(a) for a in alphas], "dims": list(dims)},
-        checks,
-    )
+    return _finish(checks)
 
 
-def landscape_suite(dims: Iterable[int] = range(2, 9)) -> dict:
-    """Landscape certification of the third power sum over a range of
-    dimensions, from the exact Hessian spectrum at every critical point;
-    see :func:`simplexlearn.moments.certify_landscape`."""
+def landscape_suite(n: int | None = None) -> dict:
+    """Landscape certification of the third power sum at each dimension
+    of LANDSCAPE_DIMS, or at ``n`` alone, from the exact Hessian spectrum
+    at every critical point.  Each dimension's check holds the per-point
+    checks of :func:`simplexlearn.moments.certify_landscape`."""
     checks = []
-    dims = list(dims)
-    for n in dims:
-        report = certify_landscape(n)
-        checks.append({"name": f"landscape_n{n}", "passed": report["pass"], "report": report})
-    return _finish("landscape", {"dims": dims}, checks)
+    for dim in LANDSCAPE_DIMS if n is None else [n]:
+        report = certify_landscape(dim)
+        checks.append({"name": f"landscape_n{dim}", "passed": report["pass"], "checks": report["checks"]})
+    return _finish(checks)
 
 
 SUITES = ("scaling", "tv", "landscape")
@@ -290,16 +268,13 @@ SUITES = ("scaling", "tv", "landscape")
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> dict:
     """Dispatch a named suite; ``n`` restricts landscape/scaling dims when
     given, and is a ValueError for the tv suite, whose dims are fixed.
-    The landscape suite draws no random numbers, so ``seed`` does not
-    reach it."""
+    ``seed`` must be an integer >= 0 for every suite, though the
+    landscape suite draws no random numbers and does not read it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    _check_seed(seed)
     if name == "tv" and n is not None:
         raise ValueError(f"n applies only to the scaling and landscape suites, got n={n!r} for tv")
     if name == "landscape":
-        return landscape_suite(dims=[n] if n is not None else range(2, 9))
-    if name == "scaling":
-        if n is not None:
-            return scaling_suite(seed=seed, simplex_dims=(n,), lp_dim=n)
-        return scaling_suite(seed=seed)
-    return tv_suite(seed=seed)
+        return landscape_suite(n)
+    return scaling_suite(seed, n) if name == "scaling" else tv_suite(seed)

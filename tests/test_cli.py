@@ -45,7 +45,7 @@ class TestLearnCommand:
             "wall_time_ms",
         ]
         assert report["command"] == "learn"
-        assert report["schema_version"] == 16
+        assert report["schema_version"] == 17
         assert report["found_count"] == 3
         assert report["converged"] == [True] * 3
         assert 1 <= report["iterations_run"] <= 30
@@ -200,7 +200,7 @@ class TestReduceCommand:
         assert report["max_match_error"] <= 0.1
         assert report["separation_index"] <= 0.1
         assert report["symdiff"] is None
-        assert report["schema_version"] == 16
+        assert report["schema_version"] == 17
         assert report["converged"] == [True] * 3
         assert isinstance(report["iterations_run"], int) and 1 <= report["iterations_run"] <= 30
 
@@ -335,6 +335,8 @@ SMALL_RUNS = {
     "learn": LEARN_FAST,
     "reduce-simplex": ["reduce", "--problem", "simplex", "--n", "2", "--t", "3000"],
     "reduce-lp": ["reduce", "--problem", "lp", "--p", "3", "--n", "2", "--t", "3000"],
+    "verify-tv": ["verify", "--suite", "tv"],
+    "verify-landscape": ["verify", "--suite", "landscape", "--n", "2"],
 }
 
 
@@ -350,8 +352,8 @@ def small_reports(tmp_path_factory):
 
 
 def readme_report_fields() -> dict:
-    """The backticked names in each bullet of README's list of learn and
-    reduce report fields, by the bullet's label."""
+    """The backticked names in each bullet of README's list of report
+    fields, by the bullet's label."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     after = text.split("Every report carries", 1)[1]
     block = after[after.index("\n- ") + 1 :].split("\n\n", 1)[0]
@@ -375,7 +377,8 @@ class TestReportFields:
     def test_readme_lists_the_fields_a_run_writes(self, small_reports, name):
         listed = readme_report_fields()
         command = name.split("-")[0]
-        assert set(small_reports[name]) - HEADER == listed["`learn` and `reduce` alike"] | listed[f"`{command}`"]
+        shared = set() if command == "verify" else listed["`learn` and `reduce` alike"]
+        assert set(small_reports[name]) - HEADER == shared | listed[f"`{command}`"]
 
 
 class TestVerifyCommand:
@@ -384,9 +387,7 @@ class TestVerifyCommand:
         code = main(["verify", "--suite", "landscape", "--n", "3", "--out", out])
         assert code == 0
         report = read_json(out)
-        assert report["suite"] == "landscape"
         assert report["pass"] is True
-        assert report["params"] == {"dims": [3]}
         assert [c["name"] for c in report["checks"]] == ["landscape_n3"]
 
     def test_landscape_report_records_no_seed(self, tmp_path):
@@ -417,6 +418,18 @@ class TestVerifyCommand:
         assert code == 0
         assert read_json(out)["pass"] is True
 
+    @pytest.mark.parametrize("suite", [["--suite", "tv"], ["--suite", "scaling", "--n", "2"]])
+    def test_byte_determinism_modulo_wall_time(self, tmp_path, suite):
+        # the written file, byte for byte, once its wall_time_ms line is cut
+        out = tmp_path / "verify.json"
+        texts = []
+        for _ in range(2):
+            assert main(["verify", *suite, "--out", str(out)]) == 0
+            text, cut = re.subn(r'\n  "wall_time_ms": [^\n]*', "", out.read_text())
+            assert cut == 1
+            texts.append(text)
+        assert texts[0] == texts[1]
+
 
 class TestOutputRouting:
     def test_env_var_directory(self, tmp_path, monkeypatch):
@@ -429,7 +442,7 @@ class TestOutputRouting:
     def test_env_var_names_the_unseeded_suite_by_the_default_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_ENV, str(tmp_path))
         assert main(["verify", "--suite", "landscape", "--n", "2"]) == 0
-        assert read_json(tmp_path / "verify-seed0.json")["suite"] == "landscape"
+        assert read_json(tmp_path / "verify-seed0.json")["cli_config"]["suite"] == "landscape"
 
     def test_stdout_fallback(self, capsys, monkeypatch):
         monkeypatch.delenv(OUT_ENV, raising=False)

@@ -16,9 +16,8 @@ from simplexlearn.geometry import Simplex, _gauge, contains_points, isotropic_si
 from simplexlearn.sampling import _lp_ball_points, child_seed, substream
 
 
-def assert_suite_shape(report: dict, name: str):
-    assert report["suite"] == name
-    assert isinstance(report["params"], dict)
+def assert_suite_shape(report: dict):
+    assert list(report) == ["checks", "pass"]
     assert report["checks"]
     for check in report["checks"]:
         assert isinstance(check["name"], str)
@@ -26,22 +25,25 @@ def assert_suite_shape(report: dict, name: str):
     assert report["pass"] == all(c["passed"] for c in report["checks"])
 
 
-class TestScalingSuite:
-    def test_passes_at_default_seed(self):
-        report = scaling_suite(seed=0, t=30_000, simplex_dims=(3,), lp_powers=(1.0, 2.0), lp_dim=3)
-        assert_suite_shape(report, "scaling")
-        assert report["pass"]
+@pytest.fixture(scope="module")
+def scaling_n3():
+    """The scaling suite at seed 0, restricted to n = 3."""
+    return run_suite("scaling", seed=0, n=3)
 
-    def test_check_names_cover_both_rescalings(self):
-        report = scaling_suite(seed=0, t=20_000, simplex_dims=(4,), lp_powers=(2.0,), lp_dim=3)
-        names = {c["name"] for c in report["checks"]}
+
+class TestScalingSuite:
+    def test_passes_at_default_seed(self, scaling_n3):
+        assert_suite_shape(scaling_n3)
+        assert scaling_n3["pass"]
+
+    def test_check_names_cover_both_rescalings(self, scaling_n3):
+        names = {c["name"] for c in scaling_n3["checks"]}
         assert any(name.startswith("simplex_rescale") for name in names)
         assert any(name.startswith("lp_rescale") for name in names)
 
-    def test_deterministic(self):
-        a = scaling_suite(seed=3, t=10_000, simplex_dims=(3,), lp_powers=(1.0,), lp_dim=3)
-        b = scaling_suite(seed=3, t=10_000, simplex_dims=(3,), lp_powers=(1.0,), lp_dim=3)
-        assert a == b
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "SCALING_T", 10_000)
+        assert scaling_suite(seed=3, n=3) == scaling_suite(seed=3, n=3)
 
 
 def quantile_binned_chi2(seed: int, t: int) -> float:
@@ -60,8 +62,11 @@ class TestJointIndependenceBins:
     # at t = 100,000 the quartiles interpolate between two order
     # statistics; at t = 100,001 they are order statistics themselves
     @pytest.mark.parametrize("seed, t", [(seed, 100_000) for seed in range(5)] + [(0, 100_001)])
-    def test_order_statistics_bin_as_quantiles(self, seed, t):
-        report = scaling_suite(seed=seed, t=t, simplex_dims=(2,), lp_powers=(), lp_dim=2)
+    def test_order_statistics_bin_as_quantiles(self, monkeypatch, seed, t):
+        # the suite's own t, with no lp powers to draw
+        monkeypatch.setattr(diagnostics, "SCALING_T", t)
+        monkeypatch.setattr(diagnostics, "SCALING_LP_POWERS", ())
+        report = scaling_suite(seed=seed, n=2)
         [check] = [c for c in report["checks"] if c["name"] == "joint_independence_chi2_p2_n3"]
         assert check["statistic"] == quantile_binned_chi2(seed, t)
 
@@ -150,25 +155,28 @@ class TestStatistics:
         assert check["passed"] == (reference.pvalue >= 0.01)
 
 
+@pytest.fixture(scope="module")
+def tv_default():
+    """The tv suite at its default seed."""
+    return tv_suite()
+
+
 class TestTvSuite:
-    def test_passes_at_default_seed(self):
-        report = tv_suite(seed=0, mc_points=20_000, alphas=(0.8,), dims=(2, 3))
-        assert_suite_shape(report, "tv")
-        assert report["pass"]
+    def test_passes_at_default_seed(self, tv_default):
+        assert_suite_shape(tv_default)
+        assert tv_default["pass"]
 
     def test_identity_check_is_exact(self):
-        report = tv_suite(seed=1, mc_points=5000, alphas=(0.9,), dims=(2,))
-        byname = {c["name"]: c for c in report["checks"]}
+        byname = {c["name"]: c for c in tv_suite(seed=1)["checks"]}
         assert byname["identity_zero"]["value"] == 0.0
         assert "sandwich_perturbed_certified" in byname
         cert = byname["sandwich_perturbed_certified"]
         assert 0.0 < cert["alpha"] <= 1.0 + 1e-6
         assert cert["beta"] >= cert["alpha"]
 
-    def test_sandwich_checks_keep_their_fields(self):
+    def test_sandwich_checks_keep_their_fields(self, tv_default):
         # only the certified case reports the ratios it certified
-        report = tv_suite(seed=0, mc_points=100, alphas=(0.9,), dims=(2,))
-        sandwich = [(c["name"], list(c)[1:]) for c in report["checks"] if c["name"].startswith("sandwich_")]
+        sandwich = [(c["name"], list(c)[1:]) for c in tv_default["checks"] if c["name"].startswith("sandwich_")]
         assert sandwich == [
             ("sandwich_identity", ["tv", "bound", "passed"]),
             ("sandwich_scaled_0.9", ["tv", "bound", "passed"]),
@@ -178,12 +186,14 @@ class TestTvSuite:
 
 class TestLandscapeSuite:
     def test_single_dimension(self):
-        report = landscape_suite(dims=[3])
-        assert_suite_shape(report, "landscape")
+        report = landscape_suite(n=3)
+        assert_suite_shape(report)
         assert report["pass"]
-        assert report["params"] == {"dims": [3]}
-        assert report["checks"][0]["name"] == "landscape_n3"
-        assert report["checks"][0]["report"]["n"] == 3
+        [check] = report["checks"]
+        # the certificate's per-point checks, one per alpha = 1..3
+        assert list(check) == ["name", "passed", "checks"]
+        assert check["name"] == "landscape_n3"
+        assert [c["alpha"] for c in check["checks"]] == [1, 2, 3]
 
     def test_default_dims(self):
         report = landscape_suite()
@@ -197,9 +207,14 @@ class TestRunSuite:
         report = run_suite("landscape", seed=0, n=4)
         assert [c["name"] for c in report["checks"]] == ["landscape_n4"]
 
-    def test_scaling_dimension_restriction(self):
-        report = run_suite("scaling", seed=0, n=3)
-        assert report["params"]["simplex_dims"] == [3]
+    def test_scaling_dimension_restriction(self, scaling_n3):
+        names = [c["name"] for c in scaling_n3["checks"]]
+        assert [name for name in names if name.startswith("simplex_rescale")] == [
+            "simplex_rescale_exp_ks_n3",
+            "simplex_rescale_decorrelated_n3",
+            "simplex_rescale_lift_gamma_ks_n3",
+        ]
+        assert all(name.endswith("_n3") for name in names if name.startswith("lp_rescale"))
 
     def test_scaling_simplex_needs_two_dimensions(self):
         # its decorrelation check reads two Exp(1) columns, not the lift

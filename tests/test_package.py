@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import simplexlearn
-from simplexlearn import cli, ica, learner, moments, sampling, vertex_finder
+from simplexlearn import cli, diagnostics, ica, learner, moments, sampling, vertex_finder
 from simplexlearn.vertex_finder import MAX_STEPS
 
 MODULES = ["geometry", "sampling", "moments", "vertex_finder", "learner", "ica", "evaluation", "diagnostics"]
@@ -59,6 +59,23 @@ def test_learner_has_one_shape():
         ("seed", 0),
     ]
     assert not hasattr(simplexlearn.LearnedSimplex, "complete")
+
+
+def test_suites_take_only_a_seed_and_n(monkeypatch):
+    # a suite's sizes are constants of the code: a seed and a dimension
+    # are all a caller sets, and the result repeats neither its name nor
+    # its settings, at any size
+    monkeypatch.setattr(diagnostics, "SCALING_T", 1_000)
+    shapes = {
+        diagnostics.scaling_suite: [("seed", 0), ("n", None)],
+        diagnostics.tv_suite: [("seed", 0)],
+        diagnostics.landscape_suite: [("n", None)],
+    }
+    for suite, shape in shapes.items():
+        assert [(p.name, p.default) for p in inspect.signature(suite).parameters.values()] == shape
+    for name in diagnostics.SUITES:
+        result = diagnostics.run_suite(name, n=None if name == "tv" else 2)
+        assert not {"suite", "params"} & set(result)
 
 
 def test_the_sample_shape_rule_has_one_home():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from simplexlearn import diagnostics
 from simplexlearn.diagnostics import run_suite, scaling_suite, tv_suite
 from simplexlearn.evaluation import check_sandwich_bound, tv_distance_mc
 from simplexlearn.ica import (
@@ -319,11 +320,11 @@ SEED_CALLS = [
     pytest.param(lambda s: boost(boost_runs(), 0.1, seed=s), id="boost"),
     # the seed is checked even where no default estimator reads it
     pytest.param(lambda s: boost(boost_runs(), 0.1, tv_estimator=lambda a, b: 0.0, seed=s), id="boost-estimator"),
-    pytest.param(
-        lambda s: scaling_suite(s, t=500, simplex_dims=(2,), lp_powers=(1.0,), lp_dim=2), id="scaling_suite"
-    ),
-    pytest.param(lambda s: tv_suite(s, mc_points=100, alphas=(0.5,), dims=(2,)), id="tv_suite"),
+    pytest.param(lambda s: scaling_suite(s, n=2), id="scaling_suite"),
+    pytest.param(tv_suite, id="tv_suite"),
     pytest.param(lambda s: run_suite("scaling", s, n=2), id="run_suite-scaling"),
+    # the seed is checked even where the suite draws no random numbers
+    pytest.param(lambda s: run_suite("landscape", s, n=2), id="run_suite-landscape"),
 ]
 
 
@@ -355,6 +356,11 @@ def assert_same(a, b) -> None:
 
 
 class TestSeeds:
+    @pytest.fixture(autouse=True)
+    def small_scaling_draws(self, monkeypatch):
+        # the scaling suite reads its seed alike at any number of rows
+        monkeypatch.setattr(diagnostics, "SCALING_T", 500)
+
     @pytest.mark.parametrize("bad", [1.5, True, "3", None])
     @pytest.mark.parametrize("call", SEED_CALLS)
     def test_non_integer_named(self, call, bad):
