@@ -10,10 +10,9 @@ sum.  Every statistic is computed with numpy alone.  The same suites back
 `simplexlearn verify` on the command line.
 """
 
-from simplexlearn.diagnostics import run_suite
+from simplexlearn.diagnostics import landscape_suite, scaling_suite, tv_suite
 
-for name in ("scaling", "tv", "landscape"):
-    report = run_suite(name, seed=0, n=4 if name == "landscape" else None)
+for name, report in (("scaling", scaling_suite(seed=0)), ("tv", tv_suite(seed=0)), ("landscape", landscape_suite(n=4))):
     print(f"== {name} suite: {'PASS' if report['pass'] else 'FAIL'} ({len(report['checks'])} checks)")
     for check in report["checks"]:
         detail = ""

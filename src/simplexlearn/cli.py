@@ -38,12 +38,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, evaluation, ica, learner, sampling
+from . import evaluation, ica, learner, sampling
+from .diagnostics import landscape_suite, scaling_suite, tv_suite
 from .vertex_finder import MAX_STEPS, PREFIX_DIVISOR, PREFIX_MIN_ROWS, STEP_TOL
 
 OUT_ENV = "SIMPLEXLEARN_OUT"
 # the version of every report the command line writes
 SCHEMA_VERSION = 17
+
+# each verify suite and the keys it takes, of seed and n; a key that a
+# suite does not take is rejected when given and recorded as None
+_SUITES = {"scaling": (scaling_suite, ("seed", "n")), "tv": (tv_suite, ("seed",)), "landscape": (landscape_suite, ("n",))}
 
 # every key a command takes, as a flag or in a config file: its type; its
 # rule, an integer's minimum, a number's range or a string's choices (None
@@ -70,7 +75,7 @@ _FLAGS = {
         **_SHARED,
     },
     "verify": {
-        "suite": (str, tuple(diagnostics.SUITES), "scaling", "suite name; landscape draws no random numbers and takes no --seed"),
+        "suite": (str, tuple(_SUITES), "scaling", "suite name; landscape draws no random numbers and takes no --seed"),
         "n": (int, 2, None, "restrict the scaling or landscape suite to one dimension"),
         **_SHARED,
     },
@@ -313,18 +318,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg, given = _resolve(args, "verify")
-    if cfg["suite"] == "tv" and cfg["n"] is not None:
-        raise SchemaError("n applies only to verify --suite scaling or landscape")
-    if cfg["suite"] == "landscape" and "seed" in given:
-        raise SchemaError("seed applies only to verify --suite scaling or tv: the landscape suite draws no random numbers")
+    suite, keys = _SUITES[cfg["suite"]]
+    dropped = [key for key in ("seed", "n") if key not in keys]
+    for key in dropped:
+        if key in given and cfg[key] is not None:
+            takers = " or ".join(name for name, (_, taking) in _SUITES.items() if key in taking)
+            raise SchemaError(f"{key} applies only to verify --suite {takers}")
     out = _report_path(cfg, "verify")
 
     started = time.perf_counter()
-    result = diagnostics.run_suite(cfg["suite"], seed=cfg["seed"], n=cfg["n"])
-    # the landscape report records no seed; the default one still names
-    # the $SIMPLEXLEARN_OUT file
-    recorded = {**cfg, "seed": None} if cfg["suite"] == "landscape" else cfg
-    return _write_report("verify", recorded, result, result["pass"], started, out)
+    result = suite(**{key: cfg[key] for key in keys})
+    # the default seed named the $SIMPLEXLEARN_OUT file even where it is dropped
+    return _write_report("verify", {**cfg, **dict.fromkeys(dropped)}, result, result["pass"], started, out)
 
 
 @cache

@@ -30,9 +30,9 @@ from .evaluation import check_sandwich_bound, tv_distance_mc
 from .geometry import Simplex, _gauge, isotropic_simplex
 from .ica import _reduction_rows
 from .moments import certify_landscape
-from .sampling import _check_count, _check_seed, _lp_ball_points, child_seed, sample_lp_ball, sample_simplex, substream
+from .sampling import _check_count, _lp_ball_points, child_seed, sample_lp_ball, sample_simplex, substream
 
-__all__ = ["scaling_suite", "tv_suite", "landscape_suite", "run_suite", "SUITES"]
+__all__ = ["scaling_suite", "tv_suite", "landscape_suite"]
 
 KS_ALPHA = 0.01
 CHI2_ALPHA = 0.01
@@ -261,20 +261,3 @@ def landscape_suite(n: int | None = None) -> dict:
         checks.append({"name": f"landscape_n{dim}", "passed": report["pass"], "checks": report["checks"]})
     return _finish(checks)
 
-
-SUITES = ("scaling", "tv", "landscape")
-
-
-def run_suite(name: str, seed: int = 0, n: int | None = None) -> dict:
-    """Dispatch a named suite; ``n`` restricts landscape/scaling dims when
-    given, and is a ValueError for the tv suite, whose dims are fixed.
-    ``seed`` must be an integer >= 0 for every suite, though the
-    landscape suite draws no random numbers and does not read it."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    _check_seed(seed)
-    if name == "tv" and n is not None:
-        raise ValueError(f"n applies only to the scaling and landscape suites, got n={n!r} for tv")
-    if name == "landscape":
-        return landscape_suite(n)
-    return scaling_suite(seed, n) if name == "scaling" else tv_suite(seed)

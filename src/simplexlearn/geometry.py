@@ -122,12 +122,12 @@ def _gauge(s: Simplex, points: np.ndarray) -> np.ndarray:
     return (1.0 - inverse @ np.vstack([pts.T, np.ones((1, pts.shape[0]))]) / inverse[:, -1:]).max(axis=0)
 
 
-def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def contains_points(s: Simplex, points: np.ndarray) -> np.ndarray:
     """Membership of each row of ``points``, (t, d) or one (d,) point read
     as one row, a boolean array of length t: a point is inside when every
-    barycentric coordinate is >= -tol; other shapes, a 0-D value among
-    them, are a ValueError, and so is a NaN or infinite point, which is
-    neither inside nor outside."""
+    barycentric coordinate is >= -MEMBERSHIP_TOL; other shapes, a 0-D
+    value among them, are a ValueError, and so is a NaN or infinite
+    point, which is neither inside nor outside."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (1, 2):
         raise ValueError(f"points must form a (t, d) array or one (d,) point, got shape {pts.shape}")
@@ -136,7 +136,7 @@ def contains_points(s: Simplex, points: np.ndarray, tol: float = MEMBERSHIP_TOL)
         raise ValueError(f"points have dimension {pts.shape[1]}, simplex lives in {s.dim}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    return (_coordinates(s, pts) >= -tol).all(axis=0)
+    return (_coordinates(s, pts) >= -MEMBERSHIP_TOL).all(axis=0)
 
 
 @dataclass
@@ -199,10 +199,12 @@ def isotropic_simplex(n: int) -> Simplex:
 class AffineFrame:
     """Affine change of coordinates x -> factor^-1 (x - mean).
 
-    ``mean`` is a (d,) vector and ``factor`` any invertible (d, d) matrix
-    (in practice the symmetric square root of a sample covariance, from
-    ``moments._sample_frame``); other shapes are a ValueError naming them.
-    ``forward`` moves raw points into the frame; ``inverse`` undoes it.
+    ``mean`` is a finite (d,) vector and ``factor`` a finite (d, d) matrix
+    whose smallest singular value exceeds 1e-12 times its largest, as in
+    ``_barycentric`` (in practice the symmetric square root of a sample
+    covariance, from ``moments._sample_frame``); anything else is a
+    ValueError naming it.  ``forward`` moves raw points into the frame;
+    ``inverse`` undoes it.
     """
 
     mean: np.ndarray
@@ -213,6 +215,12 @@ class AffineFrame:
         self.factor = np.asarray(self.factor, dtype=float)
         if self.mean.ndim != 1 or self.factor.shape != 2 * self.mean.shape:
             raise ValueError(f"mean must be (d,) and factor (d, d), got shapes {self.mean.shape} and {self.factor.shape}")
+        for name in ("mean", "factor"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        svals = np.linalg.svd(self.factor, compute_uv=False)
+        if svals.size and svals[-1] <= 1e-12 * svals[0]:
+            raise ValueError("factor must be invertible: its smallest singular value is at most 1e-12 times its largest")
 
     def forward(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

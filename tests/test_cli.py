@@ -13,6 +13,7 @@ import pytest
 import simplexlearn
 from simplexlearn import ica, learner, moments, sampling
 from simplexlearn.cli import OUT_ENV, _resolve, build_parser, main
+from simplexlearn.diagnostics import landscape_suite, scaling_suite, tv_suite
 from simplexlearn.geometry import isotropic_simplex
 
 LEARN_FAST = ["learn", "--n", "2", "--t1", "4000", "--t3", "4000", "--m", "12"]
@@ -411,6 +412,35 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
         assert "schema error: seed applies only to verify --suite scaling or tv" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tv_suite_takes_no_n(self, tmp_path, capsys):
+        # its dimensions are fixed, so an n would be recorded and ignored;
+        # a config file's null n is no n
+        out = tmp_path / "verify.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "tv", "n": 3}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "schema error: n applies only to verify --suite scaling or landscape" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(json.dumps({"suite": "tv", "n": None}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_json(out)["cli_config"]["n"] is None
+
+    @pytest.mark.parametrize(
+        "argv, direct",
+        [
+            pytest.param(["--suite", "scaling", "--seed", "3", "--n", "2"], lambda: scaling_suite(3, n=2), id="scaling"),
+            pytest.param(["--suite", "tv", "--seed", "1"], lambda: tv_suite(1), id="tv"),
+            pytest.param(["--suite", "landscape", "--n", "4"], lambda: landscape_suite(n=4), id="landscape"),
+        ],
+    )
+    def test_dispatch_matches_direct_calls(self, tmp_path, argv, direct):
+        # the table hands each suite exactly its keys, so the command's
+        # checks are the library call's
+        out = tmp_path / "verify.json"
+        assert main(["verify", *argv, "--out", str(out)]) == 0
+        report = read_json(out)
+        assert {key: report[key] for key in ("checks", "pass")} == json.loads(json.dumps(direct()))
 
     def test_tv_suite(self, tmp_path):
         out = str(tmp_path / "verify.json")

@@ -5,13 +5,7 @@ import pytest
 from scipy import stats
 
 from simplexlearn import diagnostics, ica
-from simplexlearn.diagnostics import (
-    SUITES,
-    landscape_suite,
-    run_suite,
-    scaling_suite,
-    tv_suite,
-)
+from simplexlearn.diagnostics import landscape_suite, scaling_suite, tv_suite
 from simplexlearn.geometry import Simplex, _gauge, contains_points, isotropic_simplex
 from simplexlearn.sampling import _lp_ball_points, child_seed, substream
 
@@ -28,7 +22,7 @@ def assert_suite_shape(report: dict):
 @pytest.fixture(scope="module")
 def scaling_n3():
     """The scaling suite at seed 0, restricted to n = 3."""
-    return run_suite("scaling", seed=0, n=3)
+    return scaling_suite(0, n=3)
 
 
 class TestScalingSuite:
@@ -44,6 +38,20 @@ class TestScalingSuite:
     def test_deterministic(self, monkeypatch):
         monkeypatch.setattr(diagnostics, "SCALING_T", 10_000)
         assert scaling_suite(seed=3, n=3) == scaling_suite(seed=3, n=3)
+
+    def test_dimension_restriction(self, scaling_n3):
+        names = [c["name"] for c in scaling_n3["checks"]]
+        assert [name for name in names if name.startswith("simplex_rescale")] == [
+            "simplex_rescale_exp_ks_n3",
+            "simplex_rescale_decorrelated_n3",
+            "simplex_rescale_lift_gamma_ks_n3",
+        ]
+        assert all(name.endswith("_n3") for name in names if name.startswith("lp_rescale"))
+
+    def test_simplex_needs_two_dimensions(self):
+        # its decorrelation check reads two Exp(1) columns, not the lift
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
+            scaling_suite(0, n=1)
 
 
 def quantile_binned_chi2(seed: int, t: int) -> float:
@@ -199,35 +207,6 @@ class TestLandscapeSuite:
         report = landscape_suite()
         assert report["pass"]
         assert [c["name"] for c in report["checks"]] == [f"landscape_n{n}" for n in range(2, 9)]
-
-
-class TestRunSuite:
-    def test_dispatch_matches_direct_calls(self):
-        assert set(SUITES) == {"scaling", "tv", "landscape"}
-        report = run_suite("landscape", seed=0, n=4)
-        assert [c["name"] for c in report["checks"]] == ["landscape_n4"]
-
-    def test_scaling_dimension_restriction(self, scaling_n3):
-        names = [c["name"] for c in scaling_n3["checks"]]
-        assert [name for name in names if name.startswith("simplex_rescale")] == [
-            "simplex_rescale_exp_ks_n3",
-            "simplex_rescale_decorrelated_n3",
-            "simplex_rescale_lift_gamma_ks_n3",
-        ]
-        assert all(name.endswith("_n3") for name in names if name.startswith("lp_rescale"))
-
-    def test_scaling_simplex_needs_two_dimensions(self):
-        # its decorrelation check reads two Exp(1) columns, not the lift
-        with pytest.raises(ValueError, match="^n must be >= 2, got 1"):
-            run_suite("scaling", seed=0, n=1)
-
-    def test_tv_suite_takes_no_n(self):
-        with pytest.raises(ValueError, match="^n applies only to the scaling and landscape suites, got n=3"):
-            run_suite("tv", seed=0, n=3)
-
-    def test_unknown_suite(self):
-        with pytest.raises(ValueError):
-            run_suite("nonsense")
 
 
 class TestGauge:

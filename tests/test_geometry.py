@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from simplexlearn import geometry
 from simplexlearn.evaluation import tv_distance_mc
 from simplexlearn.geometry import (
     MEMBERSHIP_TOL,
@@ -138,6 +139,13 @@ class TestBarycentric:
             contains_points(right_triangle(), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="points have dimension 2, simplex lives in 3"):
             contains_points(isotropic_simplex(3), np.zeros((4, 2)))
+
+    def test_tolerance_is_the_module_constant(self, monkeypatch):
+        # membership reads MEMBERSHIP_TOL at each call; no caller sets another
+        point = np.array([-1e-10, 0.5])
+        assert not contains_points(right_triangle(), point)[0]
+        monkeypatch.setattr(geometry, "MEMBERSHIP_TOL", 1e-9)
+        assert contains_points(right_triangle(), point)[0]
 
     def test_degenerate_raises(self):
         flat = Simplex(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
@@ -299,6 +307,25 @@ class TestAffineFrame:
         shapes = rf"got shapes {re.escape(str(mean_shape))} and {re.escape(str(factor_shape))}$"
         with pytest.raises(ValueError, match=rf"^mean must be \(d,\) and factor \(d, d\), {shapes}"):
             AffineFrame(mean=np.zeros(mean_shape), factor=np.ones(factor_shape))
+
+    @pytest.mark.parametrize("name", ["mean", "factor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_named(self, name, bad):
+        # a NaN factor mapped every point to NaN without complaint
+        values = {"mean": np.zeros(2), "factor": np.eye(2)}
+        values[name][0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            AffineFrame(**values)
+
+    @pytest.mark.parametrize("factor", [np.zeros((2, 2)), np.ones((2, 2)), np.diag([1.0, 1e-13])])
+    def test_singular_factor_named(self, factor):
+        # a singular factor failed in forward, as numpy's LinAlgError
+        with pytest.raises(ValueError, match="^factor must be invertible"):
+            AffineFrame(mean=np.zeros(2), factor=factor)
+
+    def test_factor_inside_the_singular_value_bound(self):
+        frame = AffineFrame(mean=np.zeros(2), factor=np.diag([1.0, 1e-11]))
+        assert np.allclose(frame.forward(np.array([1.0, 1e-11])), [1.0, 1.0])
 
 
 @given(

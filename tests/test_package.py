@@ -46,6 +46,8 @@ DELETED = [
     "contains",
     "LearnerConfig",
     "sample_generalized_gaussian",
+    "run_suite",
+    "SUITES",
 ]
 
 
@@ -63,18 +65,15 @@ def test_learner_has_one_shape():
 
 def test_suites_take_only_a_seed_and_n(monkeypatch):
     # a suite's sizes are constants of the code: a seed and a dimension
-    # are all a caller sets, and the result repeats neither its name nor
-    # its settings, at any size
+    # are all a caller sets, the command line's table names the keys each
+    # suite takes, and the result repeats neither its name nor its
+    # settings, at any size
     monkeypatch.setattr(diagnostics, "SCALING_T", 1_000)
-    shapes = {
-        diagnostics.scaling_suite: [("seed", 0), ("n", None)],
-        diagnostics.tv_suite: [("seed", 0)],
-        diagnostics.landscape_suite: [("n", None)],
-    }
-    for suite, shape in shapes.items():
-        assert [(p.name, p.default) for p in inspect.signature(suite).parameters.values()] == shape
-    for name in diagnostics.SUITES:
-        result = diagnostics.run_suite(name, n=None if name == "tv" else 2)
+    defaults = {"seed": 0, "n": None}
+    assert list(cli._SUITES) == ["scaling", "tv", "landscape"]
+    for suite, keys in cli._SUITES.values():
+        assert [(p.name, p.default) for p in inspect.signature(suite).parameters.values()] == [(key, defaults[key]) for key in keys]
+        result = suite(**{key: 2 if key == "n" else 0 for key in keys})
         assert not {"suite", "params"} & set(result)
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from simplexlearn import diagnostics
-from simplexlearn.diagnostics import run_suite, scaling_suite, tv_suite
+from simplexlearn.diagnostics import scaling_suite, tv_suite
 from simplexlearn.evaluation import check_sandwich_bound, tv_distance_mc
 from simplexlearn.ica import (
     _reduction_rows,
@@ -17,7 +17,7 @@ from simplexlearn.ica import (
     reduce_lp_to_ica,
     reduce_simplex_to_ica,
 )
-from simplexlearn.geometry import DegenerateSimplexError, Simplex, contains_points, isotropic_simplex
+from simplexlearn.geometry import DegenerateSimplexError, Simplex, _coordinates, isotropic_simplex
 from simplexlearn.learner import boost, learn_simplex
 from simplexlearn.sampling import (
     _row_blocks,
@@ -141,7 +141,7 @@ class TestSampleSimplex:
         rng = np.random.default_rng(0)
         s = Simplex(rng.standard_normal((4, 3)))
         sm = sample_simplex(s, 2000, 3)
-        assert contains_points(s, sm, tol=1e-9).all()
+        assert (_coordinates(s, sm) >= -1e-9).all()
 
     def test_standard_vertices_match_direct_sampler(self):
         direct = sample_standard_simplex(3, 20_000, 5)[:, 0]
@@ -322,9 +322,6 @@ SEED_CALLS = [
     pytest.param(lambda s: boost(boost_runs(), 0.1, tv_estimator=lambda a, b: 0.0, seed=s), id="boost-estimator"),
     pytest.param(lambda s: scaling_suite(s, n=2), id="scaling_suite"),
     pytest.param(tv_suite, id="tv_suite"),
-    pytest.param(lambda s: run_suite("scaling", s, n=2), id="run_suite-scaling"),
-    # the seed is checked even where the suite draws no random numbers
-    pytest.param(lambda s: run_suite("landscape", s, n=2), id="run_suite-landscape"),
 ]
 
 
